@@ -119,7 +119,7 @@ func BenchmarkTable3(b *testing.B) {
 			queries := bench.DSQueries()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := bench.RunSuite(w, eng, vt.VX64, queries, 1); err != nil {
+				if _, err := bench.RunSuite(w, eng, queries, 1); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -150,7 +150,7 @@ func BenchmarkTable2CraneliftInstrs(b *testing.B) {
 			queries := bench.DSQueries()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := bench.RunSuite(w, clift.NewWithOptions(cse.opts), vt.VX64, queries, 1); err != nil {
+				if _, err := bench.RunSuite(w, clift.NewWithOptions(cse.opts), queries, 1); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -174,7 +174,7 @@ func BenchmarkFig7TradeOff(b *testing.B) {
 			queries := bench.HQueries()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := bench.RunSuite(w, eng, vt.VX64, queries, 1); err != nil {
+				if _, err := bench.RunSuite(w, eng, queries, 1); err != nil {
 					b.Fatal(err)
 				}
 			}

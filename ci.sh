@@ -1,9 +1,14 @@
 #!/bin/sh
 # ci.sh — the checks a change must pass before merging:
-#   1. go vet
-#   2. full build
+#   1. go vet, here and in the separate benchmark/ module
+#   2. full build, and the one-query-path guard: outside internal/backend/,
+#      internal/engine/, examples/irtour and benchmark/ no non-test file may
+#      build a backend.Env or call codegen.Run/RunParallel — a copy of the
+#      compile→run sequence fails the build instead of drifting
 #   3. tests under the race detector (exercises the concurrent obs counters
-#      and the parallel compilation driver's worker pool)
+#      and the parallel compilation driver's worker pool), then the
+#      benchmark module's own tests, which root `go test ./...` never
+#      compiles
 #   4. a smoke run of the benchmark harness emitting the stable JSON report
 #   5. the verification stack (qir verifier, regalloc checker, machine lint,
 #      cross-backend differential) over the TPC-H suite on both targets —
@@ -55,12 +60,27 @@ cd "$(dirname "$0")"
 
 echo "== go vet =="
 go vet ./...
+go vet -C benchmark ./...
 
 echo "== go build =="
 go build ./...
 
+echo "== one query path (no compile/run copies outside internal/engine) =="
+copies="$(find . -name '*.go' ! -name '*_test.go' \
+	! -path './internal/backend/*' ! -path './internal/engine/*' \
+	! -path './examples/irtour/*' ! -path './benchmark/*' ! -path './.bench_build/*' \
+	-exec grep -nE 'backend\.Env\{|codegen\.Run(Parallel|Morsels)?\(' {} + || true)"
+if [ -n "$copies" ]; then
+	echo "$copies"
+	echo "compile and run queries through the internal/engine stages, not a copy of them" >&2
+	exit 1
+fi
+
 echo "== go test -race =="
 go test -race ./...
+
+echo "== go test (benchmark module) =="
+go test -C benchmark ./...
 
 echo "== qbench smoke (-sf 0.01 -json) =="
 tmp="$(mktemp -t qbench-report.XXXXXX.json)"

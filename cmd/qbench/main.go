@@ -59,68 +59,37 @@
 // -nofuse disables the vm's superinstruction fusion, executing compiled
 // modules through the plain decoded-switch dispatch loop (identical results
 // and counters; dispatch-cost measurement and escape hatch).
+// -check and -nofuse reach every experiment: all of them compile and run
+// through internal/engine, which registers the option flags above
+// (engine.ParseCommand) and owns what they mean.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 
 	"qcc/internal/bench"
-	"qcc/internal/vt"
+	"qcc/internal/engine"
 )
 
 func main() {
-	archFlag := flag.String("arch", "vx64", "target architecture (vx64 or va64)")
-	sf := flag.Float64("sf", 0.05, "scale factor")
-	runs := flag.Int("runs", 1, "execution repetitions (best-of)")
-	mem := flag.Int("mem", 1024, "VM memory in MiB")
 	sfSmall := flag.Float64("sf-small", 0.02, "small scale factor for fig7")
 	sfLarge := flag.Float64("sf-large", 0.2, "large scale factor for fig7")
-	jobs := flag.Int("jobs", runtime.GOMAXPROCS(0), "parallel compilation workers (1 = sequential)")
-	cacheMB := flag.Int("cache-mb", 0, "content-addressed code cache budget in MiB (0 = disabled)")
 	jsonOut := flag.String("json", "", "write a qcc.obs.report/v2 JSON report of the TPC-H suite to this file (\"-\" for stdout)")
-	check := flag.Bool("check", false, "run the machine-code verifier on every compilation (adds Check.* phases to the report)")
-	noFuse := flag.Bool("nofuse", false, "disable vm superinstruction fusion (plain decoded-switch dispatch)")
 	execJSON := flag.String("exec-json", "", "write the exec experiment's dispatch-cost report (schema qcc.bench.exec/v1) to this file")
 	profJSON := flag.String("prof-json", "", "write the prof experiment's profiler report (schema qcc.bench.prof/v1) to this file")
 	profPeriod := flag.Int64("prof-period", 0, "prof experiment sampling period in VM instructions (0 = default)")
 	profBudget := flag.Float64("prof-budget", 0, "fail (exit 1) if the prof experiment's geomean sampling overhead exceeds this percentage (0 = no gate)")
 	checkElimJSON := flag.String("checkelim-json", "", "write the checkelim experiment's report (schema qcc.bench.checkelim/v1) to this file")
 	checkElimGate := flag.Float64("checkelim-gate", 0, "fail (exit 1) if the checkelim experiment eliminates less than this fraction of q1/q6 static checks (0 = no gate)")
-	execJobs := flag.Int("exec-jobs", 1, "morsel-parallel executor workers for suite runs and the batch experiment (1 = sequential; the batch experiment defaults to 4)")
-	batchOn := flag.Bool("batch", false, "compile eligible scan pipelines to batch-at-a-time kernels (default on when -exec-jobs > 1)")
-	noBatch := flag.Bool("nobatch", false, "force tuple-at-a-time execution even with -exec-jobs > 1")
 	batchJSON := flag.String("batch-json", "", "write the batch experiment's report (schema qcc.bench.batch/v1) to this file")
 	batchGate := flag.Float64("batch-gate", 0, "fail (exit 1) if the batch experiment's q1/q6 parallel speedup falls below this factor (0 = no gate)")
 	cacheJSON := flag.String("cache-json", "", "write the cache experiment's plan-cache report (schema qcc.bench.cache/v1) to this file")
 	cacheGate := flag.Float64("cache-gate", 0, "fail (exit 1) if the cache experiment's warm hit rate falls below this fraction or hoisting regresses execution beyond 3% geomean (0 = no gate)")
-	flag.Parse()
-
-	cfg := bench.DefaultConfig()
-	cfg.SF = *sf
-	cfg.Runs = *runs
-	cfg.MemMB = *mem
-	cfg.Check = *check
-	cfg.Jobs = *jobs
-	cfg.CacheMB = *cacheMB
-	cfg.NoFuse = *noFuse
-	cfg.ExecJobs = *execJobs
-	cfg.Batch = *execJobs > 1
-	if *batchOn {
-		cfg.Batch = true
-	}
-	if *noBatch {
-		cfg.Batch = false
-	}
-	switch *archFlag {
-	case "vx64":
-		cfg.Arch = vt.VX64
-	case "va64":
-		cfg.Arch = vt.VA64
-	default:
-		fmt.Fprintf(os.Stderr, "unknown arch %q\n", *archFlag)
+	cfg, err := engine.ParseCommand("qbench", flag.CommandLine, os.Args[1:])
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 

@@ -5,6 +5,9 @@
 // Usage:
 //
 //	qir [-workload tpch|tpcds] [-sf 0.01] [-show qir|c|asm|all] "SELECT ..."
+//
+// Flags shared with other commands are registered by engine.ParseCommand
+// (DESIGN.md, "Query path").
 package main
 
 import (
@@ -12,69 +15,55 @@ import (
 	"fmt"
 	"os"
 
-	"qcc/internal/backend"
 	"qcc/internal/backend/cbe"
 	"qcc/internal/backend/direct"
-	"qcc/internal/codegen"
-	"qcc/internal/rt"
-	"qcc/internal/sql"
-	"qcc/internal/tpcds"
-	"qcc/internal/tpch"
-	"qcc/internal/vm"
-	"qcc/internal/vt"
+	"qcc/internal/bench"
+	"qcc/internal/engine"
 )
 
 func main() {
 	workload := flag.String("workload", "tpch", "preloaded schema: tpch or tpcds")
-	sf := flag.Float64("sf", 0.01, "scale factor")
 	show := flag.String("show", "qir", "artifact: qir, c, asm, or all")
-	flag.Parse()
+	cfg, err := engine.ParseCommand("qir", flag.CommandLine, os.Args[1:])
+	if err != nil {
+		fatal(err)
+	}
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: qir [flags] \"SELECT ...\"")
 		os.Exit(2)
 	}
 
-	m := vm.New(vm.Config{Arch: vt.VX64, MemSize: 256 << 20})
-	db := rt.NewDB(m)
-	cat := rt.NewCatalog(db)
-	var err error
-	if *workload == "tpcds" {
-		err = tpcds.Load(cat, *sf)
-	} else {
-		err = tpch.Load(cat, *sf)
-	}
+	w, err := bench.NewWorldLoaded(cfg, *workload)
 	if err != nil {
 		fatal(err)
 	}
-
-	node, err := sql.Parse(flag.Arg(0), cat)
+	node, err := w.Parse(flag.Arg(0))
 	if err != nil {
 		fatal(err)
 	}
-	c, err := codegen.Compile("q", node, cat)
+	c, err := w.Lower("q", node)
 	if err != nil {
 		fatal(err)
 	}
-	env := &backend.Env{DB: db, Arch: vt.VX64}
 
 	if *show == "qir" || *show == "all" {
 		fmt.Printf("; %d pipelines, %d functions\n", len(c.Pipelines), c.NumFuncs)
 		fmt.Print(c.Module.String())
 	}
 	if *show == "c" || *show == "all" {
-		src, err := cbe.GenerateC(c.Module, env)
+		src, err := cbe.GenerateC(c.Module, w.Env())
 		if err != nil {
 			fatal(err)
 		}
 		fmt.Println(src)
 	}
 	if *show == "asm" || *show == "all" {
-		ex, stats, err := direct.New().Compile(c.Module, env)
+		p, err := w.Compile(direct.New(), c)
 		if err != nil {
 			fatal(err)
 		}
-		fmt.Printf("; DirectEmit: %d bytes in %v\n", stats.CodeBytes, stats.Total)
-		if d, ok := ex.(interface{ Disasm() string }); ok {
+		fmt.Printf("; DirectEmit: %d bytes in %v\n", p.Stats.CodeBytes, p.Stats.Total)
+		if d, ok := p.Exec.(interface{ Disasm() string }); ok {
 			fmt.Print(d.Disasm())
 		}
 	}

@@ -15,6 +15,9 @@
 //
 // -json emits one machine-readable document on stdout instead of the table.
 // -v additionally lists every eliminated access reason per query.
+//
+// Flags shared with other commands are registered by engine.ParseCommand
+// (DESIGN.md, "Query path").
 package main
 
 import (
@@ -26,7 +29,7 @@ import (
 
 	"qcc/internal/bench"
 	"qcc/internal/codegen"
-	"qcc/internal/vt"
+	"qcc/internal/engine"
 )
 
 func fail(format string, args ...any) {
@@ -58,24 +61,12 @@ type report struct {
 }
 
 func main() {
-	archFlag := flag.String("arch", "vx64", "target architecture (vx64 or va64)")
 	workload := flag.String("workload", "tpch", "workload (tpch, tpcds, or all)")
-	sf := flag.Float64("sf", 0.01, "scale factor")
-	mem := flag.Int("mem", 512, "VM memory in MiB")
 	asJSON := flag.Bool("json", false, "emit JSON instead of a table")
 	verbose := flag.Bool("v", false, "list per-reason elimination counts")
-	flag.Parse()
-
-	cfg := bench.DefaultConfig()
-	cfg.SF = *sf
-	cfg.MemMB = *mem
-	switch *archFlag {
-	case "vx64":
-		cfg.Arch = vt.VX64
-	case "va64":
-		cfg.Arch = vt.VA64
-	default:
-		fail("unknown arch %q", *archFlag)
+	cfg, err := engine.ParseCommand("qlint", flag.CommandLine, os.Args[1:])
+	if err != nil {
+		fail("%v", err)
 	}
 
 	var workloads []string
@@ -94,12 +85,12 @@ func main() {
 		if err != nil {
 			fail("load %s: %v", wl, err)
 		}
-		queries := bench.HQueries()
-		if wl == "tpcds" {
-			queries = bench.DSQueries()
+		queries, err := engine.Queries(wl)
+		if err != nil {
+			fail("%v", err)
 		}
 		for _, q := range queries {
-			c, err := codegen.Compile(q.Name, q.Build(), w.Cat)
+			c, err := w.Lower(q.Name, q.Build())
 			if err != nil {
 				fail("codegen %s: %v", q.Name, err)
 			}

@@ -24,6 +24,9 @@
 // If a query traps, qprof dumps the always-on flight recorder — recent
 // spans and samples — to stderr as a post-mortem before exiting; -flight
 // dumps it after a successful run too.
+//
+// Flags shared with other commands are registered by engine.ParseCommand
+// (DESIGN.md, "Query path").
 package main
 
 import (
@@ -36,10 +39,10 @@ import (
 	"qcc/internal/backend"
 	"qcc/internal/bench"
 	"qcc/internal/codegen"
+	"qcc/internal/engine"
 	"qcc/internal/obs"
 	"qcc/internal/prof"
 	"qcc/internal/vm"
-	"qcc/internal/vt"
 )
 
 func fail(format string, args ...any) {
@@ -48,22 +51,17 @@ func fail(format string, args ...any) {
 }
 
 func main() {
-	archFlag := flag.String("arch", "vx64", "target architecture (vx64 or va64)")
 	workload := flag.String("workload", "tpch", "workload (tpch or tpcds)")
 	query := flag.String("query", "", "profile only this query (default: all queries of the workload)")
-	engine := flag.String("engine", "", "engine name or substring; default: first compiling engine of the arch")
-	sf := flag.Float64("sf", 0.01, "scale factor")
-	mem := flag.Int("mem", 512, "VM memory in MiB")
-	runs := flag.Int("runs", 1, "execution repetitions (samples accumulate)")
 	period := flag.Int64("period", 0, "sampling period in executed VM instructions (0 = default)")
-	check := flag.Bool("check", false, "run the machine-code verifier on every compilation")
-	jobs := flag.Int("jobs", 1, "parallel compilation workers (1 = sequential)")
-	noFuse := flag.Bool("nofuse", false, "disable vm superinstruction fusion")
 	format := flag.String("format", "top", "output format: top, json, pprof, chrome, or qir")
 	topN := flag.Int("top", 20, "row limit for -format top/qir")
 	flight := flag.Bool("flight", false, "dump the flight recorder to stderr after the run")
 	out := flag.String("o", "-", "output file (\"-\" for stdout)")
-	flag.Parse()
+	cfg, err := engine.ParseCommand("qprof", flag.CommandLine, os.Args[1:])
+	if err != nil {
+		fail("%v", err)
+	}
 
 	switch *format {
 	case "top", "json", "pprof", "chrome", "qir":
@@ -107,42 +105,12 @@ func main() {
 		return
 	}
 
-	cfg := bench.DefaultConfig()
-	cfg.SF = *sf
-	cfg.MemMB = *mem
-	cfg.Runs = *runs
-	cfg.Check = *check
-	cfg.Jobs = *jobs
-	cfg.NoFuse = *noFuse
-	switch *archFlag {
-	case "vx64":
-		cfg.Arch = vt.VX64
-	case "va64":
-		cfg.Arch = vt.VA64
-	default:
-		fail("unknown arch %q", *archFlag)
+	queries, err := engine.Queries(*workload)
+	if err == nil {
+		queries, err = engine.Pick(queries, *query)
 	}
-
-	var queries []bench.Query
-	switch *workload {
-	case "tpch":
-		queries = bench.HQueries()
-	case "tpcds":
-		queries = bench.DSQueries()
-	default:
-		fail("unknown workload %q", *workload)
-	}
-	if *query != "" {
-		var sel []bench.Query
-		for _, q := range queries {
-			if strings.EqualFold(q.Name, *query) {
-				sel = append(sel, q)
-			}
-		}
-		if len(sel) == 0 {
-			fail("query %q not in %s", *query, *workload)
-		}
-		queries = sel
+	if err != nil {
+		fail("%v", err)
 	}
 	if *format == "qir" && len(queries) != 1 {
 		fail("-format qir needs a single -query")
@@ -152,31 +120,30 @@ func main() {
 	if err != nil {
 		fail("load %s: %v", *workload, err)
 	}
-	eng := pickEngine(cfg, *engine, w)
+	eng := pickEngine(cfg)
 	if eng == nil {
-		fail("no engine with a VM module matches %q on %s", *engine, cfg.Arch)
+		fail("no engine with a VM module matches %q on %s", cfg.Engine, cfg.Arch)
 	}
-	eng = cfg.WrapEngine(eng, cfg.NewCodeCache())
 
 	var merged *prof.Profile
 	var qmodForQIR *codegen.Compiled
-	w.DB.Checkpoint()
+	w.Checkpoint()
 	for _, q := range queries {
-		c, err := codegen.Compile(q.Name, q.Build(), w.Cat)
+		c, err := w.Lower(q.Name, q.Build())
 		if err != nil {
 			fail("%s: %v", q.Name, err)
 		}
-		ex, _, err := eng.Compile(c.Module, &backend.Env{DB: w.DB, Arch: cfg.Arch, Options: cfg.BackendOptions()})
+		p, err := w.Compile(eng, c)
 		if err != nil {
 			fail("%s: %v", q.Name, err)
 		}
 		col := prof.NewCollector(c.Module)
 		smp := &vm.Sampler{Period: *period, Hit: col.Hit}
 		for r := 0; r < cfg.Runs; r++ {
-			w.DB.ResetQueryState()
 			w.DB.M.SetSampler(smp)
-			err := codegen.Run(w.DB, w.Cat, c, ex.Call)
+			_, err := w.Run(p)
 			w.DB.M.SetSampler(nil)
+			w.Release()
 			if err != nil {
 				// Post-mortem: the flight recorder holds the tail of the
 				// crashing run (recent spans, samples, and the trap).
@@ -186,11 +153,11 @@ func main() {
 				os.Exit(1)
 			}
 		}
-		p := col.Profile(cfg.Arch.String(), q.Name, smp)
+		prf := col.Profile(cfg.Arch.String(), q.Name, smp)
 		if merged == nil {
-			merged = p
+			merged = prf
 		} else {
-			merged.Merge(p)
+			merged.Merge(prf)
 		}
 		qmodForQIR = c
 		w.DB.ResetToCheckpoint()
@@ -202,17 +169,18 @@ func main() {
 	render(dst, merged, qmodForQIR, *format, *topN)
 }
 
-// pickEngine selects the capture back-end: the named one, or the first
-// engine whose executables expose a VM module (samples need PC ranges).
-func pickEngine(cfg bench.Config, name string, w *bench.World) backend.Engine {
-	for _, e := range bench.Engines(cfg.Arch) {
-		if name != "" {
-			if strings.Contains(strings.ToLower(e.Name()), strings.ToLower(name)) {
+// pickEngine selects the capture back-end: the one -engine names, or the
+// first engine whose executables expose a VM module (samples need PC ranges).
+func pickEngine(cfg engine.Options) backend.Engine {
+	for _, e := range engine.Backends(cfg.Arch) {
+		name := strings.ToLower(e.Name())
+		if cfg.Engine != "" {
+			if strings.Contains(name, strings.ToLower(cfg.Engine)) {
 				return e
 			}
 			continue
 		}
-		if strings.Contains(strings.ToLower(e.Name()), "interp") {
+		if strings.Contains(name, "interp") {
 			continue // no vm dispatch to sample
 		}
 		return e

@@ -17,6 +17,9 @@
 // constant hoisting parameterizes compiled bodies, re-running the query (or
 // a constant-only variant of it — see -repeat) hits the cache and skips
 // back-end compilation. Hit/miss counts print with the stats summary.
+//
+// Flags shared with other commands are registered by engine.ParseCommand
+// (DESIGN.md, "Query path").
 package main
 
 import (
@@ -27,48 +30,32 @@ import (
 	"strings"
 
 	"qcc"
+	"qcc/internal/engine"
 )
 
 func main() {
-	engine := flag.String("engine", "adaptive", "execution back-end: "+strings.Join(qc.Engines(), ", "))
 	workload := flag.String("workload", "tpch", "preloaded schema: tpch or tpcds")
-	sf := flag.Float64("sf", 0.05, "scale factor")
-	archFlag := flag.String("arch", "vx64", "target architecture")
-	mem := flag.Int("mem", 512, "VM memory in MiB")
-	noFuse := flag.Bool("nofuse", false, "disable vm superinstruction fusion (plain decoded-switch dispatch)")
-	execJobs := flag.Int("exec-jobs", 1, "morsel-parallel executor workers (1 = sequential)")
-	batchOn := flag.Bool("batch", false, "compile eligible scan pipelines to batch-at-a-time kernels (default on when -exec-jobs > 1)")
-	noBatch := flag.Bool("nobatch", false, "force tuple-at-a-time execution even with -exec-jobs > 1")
-	cacheMB := flag.Int("cache-mb", 0, "compiled-code cache budget in MiB (0 = disabled)")
 	repeat := flag.Int("repeat", 1, "run the query N times (later runs hit the cache when -cache-mb > 0)")
-	flag.Parse()
+	o, err := engine.ParseCommand("qrun", flag.CommandLine, os.Args[1:])
+	if err != nil {
+		fatal(err)
+	}
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: qrun [flags] \"SELECT ...\"")
 		os.Exit(2)
 	}
-	batch := *execJobs > 1
-	if *batchOn {
-		batch = true
-	}
-	if *noBatch {
-		batch = false
-	}
 
-	arch := qc.VX64
-	if *archFlag == "va64" {
-		arch = qc.VA64
-	}
-	db, err := qc.Open(qc.WithArch(arch), qc.WithMemoryMB(*mem), qc.WithEngine(*engine),
-		qc.WithFusion(!*noFuse), qc.WithExecJobs(*execJobs), qc.WithBatch(batch),
-		qc.WithCacheMB(*cacheMB))
+	db, err := qc.Open(qc.WithArch(o.Arch), qc.WithMemoryMB(o.MemMB), qc.WithEngine(o.Engine),
+		qc.WithFusion(!o.NoFuse), qc.WithExecJobs(o.ExecJobs), qc.WithBatch(o.Batch),
+		qc.WithCacheMB(o.CacheMB))
 	if err != nil {
 		fatal(err)
 	}
 	switch *workload {
 	case "tpch":
-		err = db.LoadTPCH(*sf)
+		err = db.LoadTPCH(o.SF)
 	case "tpcds":
-		err = db.LoadTPCDS(*sf)
+		err = db.LoadTPCDS(o.SF)
 	default:
 		fatal(fmt.Errorf("unknown workload %q", *workload))
 	}
@@ -92,9 +79,9 @@ func main() {
 	fmt.Fprintf(os.Stderr, "\n%d rows; engine %s; %d functions, %d bytes of code\n",
 		len(res.Rows), res.Stats.Engine, res.Stats.Functions, res.Stats.CodeBytes)
 	fmt.Fprintf(os.Stderr, "compile %v, execute %v\n", res.Stats.CompileTime, res.Stats.ExecTime)
-	if *cacheMB > 0 {
+	if o.CacheMB > 0 {
 		fmt.Fprintf(os.Stderr, "code cache (%d MiB): %d hits, %d misses across %d runs\n",
-			*cacheMB, hits, misses, *repeat)
+			o.CacheMB, hits, misses, *repeat)
 	}
 	var names []string
 	for n := range res.Stats.Phases {

@@ -19,6 +19,9 @@
 // Example (one TPC-H query, all engines, nested per-pass spans):
 //
 //	qtrace -workload tpch -query q1 -sf 0.01 -o q1.trace.json
+//
+// Flags shared with other commands are registered by engine.ParseCommand
+// (DESIGN.md, "Query path").
 package main
 
 import (
@@ -30,8 +33,8 @@ import (
 
 	"qcc/internal/backend"
 	"qcc/internal/bench"
+	"qcc/internal/engine"
 	"qcc/internal/obs"
-	"qcc/internal/vt"
 )
 
 func fail(format string, args ...any) {
@@ -40,24 +43,15 @@ func fail(format string, args ...any) {
 }
 
 func main() {
-	archFlag := flag.String("arch", "vx64", "target architecture (vx64 or va64)")
 	workload := flag.String("workload", "tpch", "workload (tpch or tpcds)")
 	query := flag.String("query", "", "trace only this query (default: all queries of the workload)")
-	engine := flag.String("engine", "all", "engine name or substring (e.g. \"cranelift\", \"llvm cheap\"), or \"all\"")
-	sf := flag.Float64("sf", 0.01, "scale factor")
-	mem := flag.Int("mem", 512, "VM memory in MiB")
-	runs := flag.Int("runs", 1, "execution repetitions (best-of)")
 	allocs := flag.Bool("allocs", false, "capture per-span heap allocation deltas (slows compilation; off by default)")
-	check := flag.Bool("check", false, "run the machine-code verifier on every compilation (adds Check.* spans)")
-	jobs := flag.Int("jobs", 1, "parallel compilation workers, like qbench/qverify (1 = sequential)")
-	cacheMB := flag.Int("cache-mb", 0, "content-addressed code cache budget in MiB (0 = disabled); hit/miss counts appear in -format prom/json output")
-	noFuse := flag.Bool("nofuse", false, "disable vm superinstruction fusion (plain decoded-switch dispatch)")
-	execJobs := flag.Int("exec-jobs", 1, "morsel-parallel executor workers (1 = sequential)")
-	batchOn := flag.Bool("batch", false, "compile eligible scan pipelines to batch-at-a-time kernels (default on when -exec-jobs > 1)")
-	noBatch := flag.Bool("nobatch", false, "force tuple-at-a-time execution even with -exec-jobs > 1")
 	format := flag.String("format", "chrome", "output format: chrome, prom, or json")
 	out := flag.String("o", "-", "output file (\"-\" for stdout)")
-	flag.Parse()
+	cfg, err := engine.ParseCommand("qtrace", flag.CommandLine, os.Args[1:])
+	if err != nil {
+		fail("%v", err)
+	}
 
 	switch *format {
 	case "chrome", "prom", "json":
@@ -65,67 +59,22 @@ func main() {
 		fail("unknown format %q (want chrome, prom, or json)", *format)
 	}
 
-	cfg := bench.DefaultConfig()
-	cfg.SF = *sf
-	cfg.MemMB = *mem
-	cfg.Runs = *runs
-	cfg.Check = *check
-	cfg.Jobs = *jobs
-	cfg.CacheMB = *cacheMB
-	cfg.NoFuse = *noFuse
-	cfg.ExecJobs = *execJobs
-	cfg.Batch = *execJobs > 1
-	if *batchOn {
-		cfg.Batch = true
+	queries, err := engine.Queries(*workload)
+	if err == nil {
+		queries, err = engine.Pick(queries, *query)
 	}
-	if *noBatch {
-		cfg.Batch = false
-	}
-	switch *archFlag {
-	case "vx64":
-		cfg.Arch = vt.VX64
-	case "va64":
-		cfg.Arch = vt.VA64
-	default:
-		fail("unknown arch %q", *archFlag)
-	}
-
-	var queries []bench.Query
-	switch *workload {
-	case "tpch":
-		queries = bench.HQueries()
-	case "tpcds":
-		queries = bench.DSQueries()
-	default:
-		fail("unknown workload %q", *workload)
-	}
-	if *query != "" {
-		var sel []bench.Query
-		for _, q := range queries {
-			if strings.EqualFold(q.Name, *query) {
-				sel = append(sel, q)
-			}
-		}
-		if len(sel) == 0 {
-			var names []string
-			for _, q := range queries {
-				names = append(names, q.Name)
-			}
-			fail("query %q not in %s (have: %s)", *query, *workload, strings.Join(names, " "))
-		}
-		queries = sel
+	if err != nil {
+		fail("%v", err)
 	}
 
 	var engines []backend.Engine
-	for _, e := range bench.Engines(cfg.Arch) {
-		if *engine == "all" || strings.Contains(strings.ToLower(e.Name()), strings.ToLower(*engine)) {
-			// WrapEngine applies -jobs (parallel driver) and the code
-			// cache, so traces cover the same configurations CI runs.
-			engines = append(engines, cfg.WrapEngine(e, cfg.NewCodeCache()))
+	for _, e := range engine.Backends(cfg.Arch) {
+		if cfg.Engine == "all" || strings.Contains(strings.ToLower(e.Name()), strings.ToLower(cfg.Engine)) {
+			engines = append(engines, e)
 		}
 	}
 	if len(engines) == 0 {
-		fail("no engine matches %q", *engine)
+		fail("no engine matches %q", cfg.Engine)
 	}
 
 	// Open the destination before the capture so a bad path fails fast.
@@ -144,19 +93,19 @@ func main() {
 	var traces []*obs.Trace
 	report := &obs.Report{
 		Schema: obs.Schema, Arch: cfg.Arch.String(),
-		Workload: *workload, SF: cfg.SF, Jobs: *jobs, Engines: []obs.EngineReport{},
+		Workload: *workload, SF: cfg.SF, Jobs: cfg.Jobs, Engines: []obs.EngineReport{},
 	}
 	for _, eng := range engines {
+		cfg.Tracer = obs.New(obs.Options{Allocs: *allocs})
 		w, err := bench.NewWorldLoaded(cfg, *workload)
 		if err != nil {
 			fail("load %s: %v", *workload, err)
 		}
-		tr := obs.New(obs.Options{Allocs: *allocs})
-		run, err := bench.RunSuiteExec(w, eng, cfg.Arch, queries, cfg.Runs, tr, cfg.BackendOptions(), cfg.ExecSettings())
+		run, err := bench.RunSuite(w, eng, queries, cfg.Runs)
 		if err != nil {
 			fail("%v", err)
 		}
-		traces = append(traces, tr.Snapshot(eng.Name()))
+		traces = append(traces, cfg.Tracer.Snapshot(eng.Name()))
 		report.Engines = append(report.Engines, bench.EngineReportOf(run))
 		if cfg.CacheMB > 0 {
 			// The counts also land in -format prom/json output; this stderr

@@ -18,6 +18,9 @@
 // -jobs N runs every checked compile through the parallel driver
 // (internal/backend/pcc) with N workers, verifying the sharded pipeline
 // under the same regalloc checker, lint, and differential.
+//
+// Flags shared with other commands are registered by engine.ParseCommand
+// (DESIGN.md, "Query path").
 package main
 
 import (
@@ -30,9 +33,9 @@ import (
 	"qcc/internal/backend/clift"
 	"qcc/internal/backend/direct"
 	"qcc/internal/backend/lbe"
-	"qcc/internal/backend/pcc"
 	"qcc/internal/bench"
 	"qcc/internal/codegen"
+	"qcc/internal/engine"
 	"qcc/internal/mcv"
 	"qcc/internal/vt"
 )
@@ -43,33 +46,16 @@ func fail(format string, args ...any) {
 }
 
 func main() {
-	archFlag := flag.String("arch", "vx64", "target architecture (vx64 or va64)")
 	workload := flag.String("workload", "tpch", "workload (tpch or tpcds)")
-	sf := flag.Float64("sf", 0.01, "scale factor")
-	mem := flag.Int("mem", 512, "VM memory in MiB")
-	jobs := flag.Int("jobs", 1, "parallel compilation workers for the checked compiles")
-	flag.Parse()
-
-	cfg := bench.DefaultConfig()
-	cfg.SF = *sf
-	cfg.MemMB = *mem
-	switch *archFlag {
-	case "vx64":
-		cfg.Arch = vt.VX64
-	case "va64":
-		cfg.Arch = vt.VA64
-	default:
-		fail("unknown arch %q", *archFlag)
+	cfg, err := engine.ParseCommand("qverify", flag.CommandLine, os.Args[1:])
+	if err != nil {
+		fail("%v", err)
 	}
+	cfg.Check = true
 
-	var queries []bench.Query
-	switch *workload {
-	case "tpch":
-		queries = bench.HQueries()
-	case "tpcds":
-		queries = bench.DSQueries()
-	default:
-		fail("unknown workload %q", *workload)
+	queries, err := engine.Queries(*workload)
+	if err != nil {
+		fail("%v", err)
 	}
 
 	engines := map[string]backend.Engine{
@@ -79,11 +65,6 @@ func main() {
 	}
 	if cfg.Arch == vt.VX64 {
 		engines["direct"] = direct.New()
-	}
-	if *jobs > 1 {
-		for n, e := range engines {
-			engines[n] = pcc.Wrap(e, pcc.Config{Jobs: *jobs})
-		}
 	}
 	names := make([]string, 0, len(engines))
 	for n := range engines {
@@ -99,7 +80,7 @@ func main() {
 	}
 	uncheckedQIR := map[string]int{}
 	for _, q := range queries {
-		c, err := codegen.Compile(q.Name, q.Build(), w.Cat)
+		c, err := w.Lower(q.Name, q.Build())
 		if err != nil {
 			fail("codegen %s: %v", q.Name, err)
 		}
@@ -129,19 +110,16 @@ func main() {
 		}
 		sums[ename] = map[string][]mcv.FuncSummary{}
 		for _, q := range queries {
-			c, err := codegen.Compile(q.Name, q.Build(), w.Cat)
+			c, err := w.Lower(q.Name, q.Build())
 			if err != nil {
 				fail("codegen %s: %v", q.Name, err)
 			}
-			_, stats, err := engines[ename].Compile(c.Module, &backend.Env{
-				DB: w.DB, Arch: cfg.Arch,
-				Options: backend.Options{Check: true},
-			})
+			p, err := w.Compile(engines[ename], c)
 			if err != nil {
 				fail("%s/%s: %v", ename, q.Name, err)
 			}
-			sums[ename][q.Name] = stats.Summaries
-			if d := mcv.UncheckedConservation(ename, uncheckedQIR[q.Name], stats.Summaries); len(d) > 0 {
+			sums[ename][q.Name] = p.Stats.Summaries
+			if d := mcv.UncheckedConservation(ename, uncheckedQIR[q.Name], p.Stats.Summaries); len(d) > 0 {
 				for _, diag := range d {
 					fmt.Fprintf(os.Stderr, "qverify: %s/%s: %s\n", ename, q.Name, diag)
 				}

@@ -13,6 +13,7 @@ import (
 	"qcc/internal/obs"
 	"qcc/internal/qir"
 	"qcc/internal/rt"
+	"qcc/internal/vm"
 	"qcc/internal/vt"
 )
 
@@ -51,6 +52,17 @@ type Env struct {
 type Exec interface {
 	// Call invokes function fn of the compiled module.
 	Call(fn int, args ...uint64) ([2]uint64, error)
+}
+
+// ModuleOf returns the vm module behind a compiled query, or nil for
+// executables that do not run on the vm dispatch loops (the QIR interpreter,
+// the adaptive tier driver). The morsel-parallel executor, the dispatch
+// toggles and the profiler all need the module; this is the one accessor.
+func ModuleOf(ex Exec) *vm.Module {
+	if mh, ok := ex.(interface{ Module() *vm.Module }); ok {
+		return mh.Module()
+	}
+	return nil
 }
 
 // Stats records where one compilation spent its time, in the style of the

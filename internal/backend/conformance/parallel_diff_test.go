@@ -79,10 +79,7 @@ func TestParallelDifferential(t *testing.T) {
 							if err != nil {
 								t.Fatalf("engine compile (batch=%v): %v", batch, err)
 							}
-							var mod *vm.Module
-							if mh, ok := cex.(interface{ Module() *vm.Module }); ok {
-								mod = mh.Module()
-							}
+							mod := backend.ModuleOf(cex)
 							if mod == nil {
 								t.Fatalf("engine %s returned no vm module", eng.Name())
 							}
@@ -150,7 +147,7 @@ func TestParallelActuallyParallel(t *testing.T) {
 	if err != nil {
 		t.Fatalf("engine compile: %v", err)
 	}
-	mod := ex.(interface{ Module() *vm.Module }).Module()
+	mod := backend.ModuleOf(ex)
 	workersBefore := obs.NewCounter("exec_workers").Load()
 	morselsBefore := obs.NewCounter("exec_morsels").Load()
 	if err := codegen.RunParallel(w.db, w.cat, c, ex.Call,

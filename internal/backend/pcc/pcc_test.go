@@ -21,17 +21,15 @@ import (
 	"qcc/internal/vt"
 )
 
-// codeImage reaches the linked machine-code image behind an Exec; every
+// codeOf reaches the linked machine-code image behind an Exec; every
 // compiled back-end's exec exposes it.
-type codeImage interface{ Module() *vm.Module }
-
 func codeOf(t *testing.T, ex backend.Exec) []byte {
 	t.Helper()
-	ci, ok := ex.(codeImage)
-	if !ok {
+	mod := backend.ModuleOf(ex)
+	if mod == nil {
 		t.Fatalf("exec %T does not expose its linked module", ex)
 	}
-	return ci.Module().Code
+	return mod.Code
 }
 
 // funcEngines is the per-function-pipeline lineup the driver shards.

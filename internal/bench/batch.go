@@ -4,12 +4,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"time"
 
 	"qcc/internal/backend"
-	"qcc/internal/codegen"
 	"qcc/internal/obs"
-	"qcc/internal/vm"
 )
 
 // BatchSchema identifies the batch/parallel execution report format
@@ -100,120 +97,69 @@ func (r *BatchReport) Write(w io.Writer) error {
 // cfg.ExecJobs workers (default 4). The parallel differential guarantees
 // all three produce identical results, so the ratios isolate execution
 // cost. Engines without a vm module (the interpreter) are skipped — the
-// executor's workers replay generated code on worker machines.
+// executor's workers replay generated code on worker machines. -jobs and
+// -cache-mb do not apply: every compile is sequential and uncached.
 func BatchCost(cfg Config) (*Report, *BatchReport, error) {
-	runs := cfg.Runs
-	if runs < 1 {
-		runs = 1
-	}
 	jobs := cfg.ExecJobs
 	if jobs <= 1 {
 		jobs = 4
 	}
+	cfg = seedPath(cfg)
+	cfg.ExecJobs, cfg.Batch = jobs, true
+	runs := cfg.Runs
 	rep := &Report{Title: fmt.Sprintf("Batch kernels + morsel parallelism (TPC-H, %s, sf=%g, %d workers, best of %d)",
 		cfg.Arch, cfg.SF, jobs, runs)}
 	jrep := &BatchReport{Schema: BatchSchema, Arch: cfg.Arch.String(), SF: cfg.SF, Runs: runs, Jobs: jobs}
 	var allPar, allScanHeavy []float64
 	for _, eng := range Engines(cfg.Arch) {
-		w, err := loadH(cfg, cfg.SF)
+		// par is the world as configured — batch kernels on the persistent
+		// worker pool; the other two regimes are views of the same data.
+		par, err := loadH(cfg, cfg.SF)
 		if err != nil {
 			return nil, nil, fmt.Errorf("bench: load tpch: %w", err)
 		}
+		tuple, batch1 := par.WithExec(1, false), par.WithExec(1, true)
 		er := BatchEngine{Engine: eng.Name()}
 		var batchRatios, parRatios, scanHeavy []float64
-		// Persistent worker pool for the parallel regime, carved below the
-		// checkpoint so it survives per-query resets; the 1-worker batch
-		// regime stays pool-free (nothing to pool at one worker).
-		pool := codegen.NewExecPool(w.DB, jobs, 0)
-		w.DB.Checkpoint()
+		par.Checkpoint()
 		skipped := false
 		for _, q := range HQueries() {
 			// One tuple-mode compile (the baseline) and one batch+parallel
-			// compile per query; both modules stay live until the final
-			// checkpoint reset.
-			ct, err := codegen.Compile(q.Name, q.Build(), w.Cat)
+			// compile per query, both before any measurement.
+			pt, err := compileQuery(tuple, eng, q)
 			if err != nil {
-				return nil, nil, fmt.Errorf("%s/%s: %w", eng.Name(), q.Name, err)
+				return nil, nil, err
 			}
-			ext, _, err := eng.Compile(ct.Module, &backend.Env{DB: w.DB, Arch: cfg.Arch, Options: cfg.BackendOptions()})
-			if err != nil {
-				return nil, nil, fmt.Errorf("%s/%s: %w", eng.Name(), q.Name, err)
-			}
-			if _, ok := ext.(interface{ Module() *vm.Module }); !ok {
+			if backend.ModuleOf(pt.Exec) == nil {
 				skipped = true
 				break
 			}
-			cb, err := codegen.CompileOpts(q.Name, q.Build(), w.Cat,
-				codegen.Options{Elim: true, Batch: true, Parallel: true})
+			pb, err := compileQuery(par, eng, q)
 			if err != nil {
-				return nil, nil, fmt.Errorf("%s/%s: %w", eng.Name(), q.Name, err)
+				return nil, nil, err
 			}
-			exb, _, err := eng.Compile(cb.Module, &backend.Env{DB: w.DB, Arch: cfg.Arch, Options: cfg.BackendOptions()})
-			if err != nil {
-				return nil, nil, fmt.Errorf("%s/%s: %w", eng.Name(), q.Name, err)
-			}
-			mod := exb.(interface{ Module() *vm.Module }).Module()
-
 			bq := BatchQuery{Name: q.Name}
-			for _, f := range cb.Module.Funcs {
+			for _, f := range pb.Compiled.Module.Funcs {
 				if f.Prov.Mode == "batch" {
 					bq.BatchMode = true
 				}
 			}
-
-			// Worker arenas and sink state unwind to this mark between
-			// repetitions; interned strings from both compiles stay below.
-			mark := w.DB.M.HeapMark()
-			measure := func(run func() error) (time.Duration, error) {
-				var best time.Duration
-				for r := 0; r < runs+1; r++ {
-					w.DB.ResetQueryState()
-					w.DB.M.ResetHeapTo(mark)
-					start := time.Now()
-					if err := run(); err != nil {
-						return 0, fmt.Errorf("%s/%s: run: %w", eng.Name(), q.Name, err)
-					}
-					d := time.Since(start)
-					// r == 0 warms caches; timing starts at r == 1.
-					if r == 1 || (r > 1 && d < best) {
-						best = d
-					}
-					bq.Rows = w.DB.Out.NumRows()
-				}
-				return best, nil
-			}
-			// Engine compilation binds its module's runtime-call table onto
-			// the shared machine; with two live modules per query, re-bind
-			// before switching between them.
-			if err := w.DB.Bind(ct.Module.RTNames); err != nil {
-				return nil, nil, fmt.Errorf("%s/%s: %w", eng.Name(), q.Name, err)
-			}
-			tuple, err := measure(func() error { return codegen.Run(w.DB, w.Cat, ct, ext.Call) })
+			// Every regime runs once untimed to warm caches.
+			m, err := bestExec(tuple, eng, pt, runs, 1)
 			if err != nil {
 				return nil, nil, err
 			}
-			if err := w.DB.Bind(cb.Module.RTNames); err != nil {
-				return nil, nil, fmt.Errorf("%s/%s: %w", eng.Name(), q.Name, err)
-			}
-			batch1, err := measure(func() error {
-				return codegen.RunParallel(w.DB, w.Cat, cb, exb.Call,
-					codegen.ExecOptions{Jobs: 1, Module: mod})
-			})
-			if err != nil {
+			bq.TupleNS = m.Exec.Nanoseconds()
+			if m, err = bestExec(batch1, eng, pb, runs, 1); err != nil {
 				return nil, nil, err
 			}
+			bq.BatchNS = m.Exec.Nanoseconds()
 			workersBefore := obs.NewCounter("exec_workers").Load()
-			par, err := measure(func() error {
-				return codegen.RunParallel(w.DB, w.Cat, cb, exb.Call,
-					codegen.ExecOptions{Jobs: jobs, Module: mod, Pool: pool})
-			})
-			if err != nil {
+			if m, err = bestExec(par, eng, pb, runs, 1); err != nil {
 				return nil, nil, err
 			}
 			bq.ParallelRan = obs.NewCounter("exec_workers").Load() > workersBefore
-			bq.TupleNS = tuple.Nanoseconds()
-			bq.BatchNS = batch1.Nanoseconds()
-			bq.ParNS = par.Nanoseconds()
+			bq.Rows, bq.ParNS = m.Rows, m.Exec.Nanoseconds()
 			er.Queries = append(er.Queries, bq)
 			if bq.BatchSpeedup() > 0 {
 				batchRatios = append(batchRatios, bq.BatchSpeedup())
@@ -224,7 +170,7 @@ func BatchCost(cfg Config) (*Report, *BatchReport, error) {
 					scanHeavy = append(scanHeavy, bq.ParSpeedup())
 				}
 			}
-			w.DB.ResetToCheckpoint()
+			par.DB.ResetToCheckpoint()
 		}
 		if skipped || len(er.Queries) == 0 {
 			continue // no vm module for workers to execute (interpreter)

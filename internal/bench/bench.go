@@ -12,101 +12,12 @@ import (
 	"time"
 
 	"qcc/internal/backend"
-	"qcc/internal/backend/cbe"
-	"qcc/internal/backend/clift"
-	"qcc/internal/backend/direct"
-	"qcc/internal/backend/interp"
-	"qcc/internal/backend/lbe"
-	"qcc/internal/backend/pcc"
-	"qcc/internal/codegen"
-	"qcc/internal/obs"
-	"qcc/internal/plan"
-	"qcc/internal/rt"
-	"qcc/internal/vm"
+	"qcc/internal/engine"
 	"qcc/internal/vt"
 )
 
-// Config selects workload size and target.
-type Config struct {
-	Arch vt.Arch
-	// SF is the scale factor (see tpcds.Rows / tpch rows for absolute
-	// sizes). The paper's SF10/SF100 are far beyond laptop scale; the
-	// defaults preserve the relative trends.
-	SF float64
-	// MemMB sizes the virtual machine memory.
-	MemMB int
-	// Runs averages execution measurements over this many repetitions.
-	Runs int
-	// Check runs the machine-code verifier (internal/mcv) on every
-	// compilation; its cost shows up as the back-ends' "Check.*" phases.
-	Check bool
-	// Jobs is the worker count of the parallel compilation driver
-	// (internal/backend/pcc). 0 or 1 compiles sequentially — the
-	// measurement configuration identical to the seed benchmarks.
-	Jobs int
-	// CacheMB sizes the content-addressed code cache in MiB per engine;
-	// 0 disables caching.
-	CacheMB int
-	// NoFuse disables the vm's superinstruction fusion, running compiled
-	// modules through the plain decoded-switch dispatch loop. Results and
-	// architecture-neutral counters are identical either way; only
-	// dispatch cost changes.
-	NoFuse bool
-	// ExecJobs is the morsel-parallel executor's worker count. 0 or 1
-	// executes every pipeline sequentially — the seed execution path.
-	ExecJobs int
-	// Batch compiles eligible scan pipelines to batch-at-a-time kernel
-	// calls instead of tuple-at-a-time loops. Results are identical
-	// (enforced by the parallel differential); only execution cost and the
-	// rt_batch_* counters change.
-	Batch bool
-}
-
-// ExecSettings returns the executor configuration for suite runs.
-func (c Config) ExecSettings() ExecSettings {
-	return ExecSettings{Jobs: c.ExecJobs, Batch: c.Batch}
-}
-
-// ExecSettings selects how compiled queries execute: tuple-at-a-time
-// sequential (zero value, the seed path), batch kernels, and/or the
-// morsel-parallel executor.
-type ExecSettings struct {
-	Jobs  int
-	Batch bool
-}
-
-// active reports whether the settings deviate from the seed execution path.
-func (e ExecSettings) active() bool { return e.Jobs > 1 || e.Batch }
-
-// NewCodeCache returns the configured code cache (nil when disabled).
-func (c Config) NewCodeCache() *pcc.Cache {
-	if c.CacheMB <= 0 {
-		return nil
-	}
-	return pcc.NewCache(int64(c.CacheMB) << 20)
-}
-
-// WrapEngine applies the parallel driver to one engine per the config. With
-// Jobs <= 1 and no cache the engine is returned unchanged, so the default
-// configuration measures the exact seed code path.
-func (c Config) WrapEngine(eng backend.Engine, cache *pcc.Cache) backend.Engine {
-	jobs := c.Jobs
-	if jobs <= 0 {
-		jobs = 1
-	}
-	if jobs == 1 && cache == nil {
-		return eng
-	}
-	// The check-elimination pass version participates in cache keys:
-	// entries compiled under different elimination semantics (different
-	// unchecked marks for identical QIR inputs) must never collide.
-	return pcc.Wrap(eng, pcc.Config{Jobs: jobs, Cache: cache, VariantTag: codegen.CheckElimVersion})
-}
-
-// BackendOptions translates the config into per-compilation options.
-func (c Config) BackendOptions() backend.Options {
-	return backend.Options{Check: c.Check, NoFuse: c.NoFuse}
-}
+// Config is the query path's one options struct; the harness adds nothing.
+type Config = engine.Options
 
 // DefaultConfig returns the laptop-scale defaults.
 func DefaultConfig() Config {
@@ -114,22 +25,24 @@ func DefaultConfig() Config {
 }
 
 // Query is a named plan builder (both workloads satisfy it).
-type Query struct {
-	Name  string
-	Build func() plan.Node
-}
+type Query = engine.Query
 
 // World is a loaded database.
-type World struct {
-	DB  *rt.DB
-	Cat *rt.Catalog
-}
+type World = engine.World
 
 // NewWorld creates a machine of the configured size.
-func NewWorld(cfg Config) *World {
-	m := vm.New(vm.Config{Arch: cfg.Arch, MemSize: cfg.MemMB << 20})
-	db := rt.NewDB(m)
-	return &World{DB: db, Cat: rt.NewCatalog(db)}
+func NewWorld(cfg Config) *World { return engine.NewWorld(cfg) }
+
+// seedPath strips the settings an experiment does not vary — the paper
+// reproductions measure sequential, uncached compilation and tuple-at-a-time
+// sequential execution whatever -jobs, -cache-mb, -exec-jobs and -batch say
+// — and makes Runs at least 1.
+func seedPath(cfg Config) Config {
+	cfg.Jobs, cfg.CacheMB, cfg.ExecJobs, cfg.Batch = 1, 0, 1, false
+	if cfg.Runs < 1 {
+		cfg.Runs = 1
+	}
+	return cfg
 }
 
 // Report is a rendered experiment result.
@@ -158,13 +71,11 @@ func (r *Report) String() string {
 
 // QueryMeasurement is one query's compile and execute outcome.
 type QueryMeasurement struct {
-	Name     string
-	Compile  time.Duration
-	Exec     time.Duration
-	Rows     int
-	Executed int64 // VM instructions
-	Branches int64 // VM branch instructions
-	MemOps   int64 // VM loads + stores
+	Name    string
+	Compile time.Duration
+	// Measurement is the last execution's rows and vm counters, with Exec
+	// the best wall time over the repetitions.
+	engine.Measurement
 	// FuseInstrs/FuseMicroOps record the module's superinstruction fusion
 	// outcome (decoded instructions vs primary-path micro-ops); both are 0
 	// for the interpreter or when fusion is disabled. The fusion rate is
@@ -190,20 +101,17 @@ type EngineRun struct {
 	Exec    time.Duration
 }
 
-// RunSuiteBest runs RunSuite `times` times on fresh worlds and returns the
-// run with the lowest total compile time (best-of-N absorbs scheduler and
+// bestSuite runs RunSuite `times` times on fresh worlds and returns the run
+// with the lowest total compile time (best-of-N absorbs scheduler and
 // allocator noise on shared machines, like the paper's 20-run averages).
-func RunSuiteBest(times int, mkWorld func() (*World, error), eng backend.Engine, arch vt.Arch, queries []Query, runs int) (*EngineRun, error) {
-	if times < 1 {
-		times = 1
-	}
+func bestSuite(times int, mkWorld func() (*World, error), eng backend.Engine, queries []Query, runs int) (*EngineRun, error) {
 	var best *EngineRun
 	for i := 0; i < times; i++ {
 		w, err := mkWorld()
 		if err != nil {
 			return nil, err
 		}
-		r, err := RunSuite(w, eng, arch, queries, runs)
+		r, err := RunSuite(w, eng, queries, runs)
 		if err != nil {
 			return nil, err
 		}
@@ -214,123 +122,75 @@ func RunSuiteBest(times int, mkWorld func() (*World, error), eng backend.Engine,
 	return best, nil
 }
 
-// RunSuite compiles and executes every query with one engine, resetting
-// query state between queries.
-func RunSuite(w *World, eng backend.Engine, arch vt.Arch, queries []Query, runs int) (*EngineRun, error) {
-	return RunSuiteTraced(w, eng, arch, queries, runs, nil, backend.Options{})
-}
-
-// RunSuiteTraced is RunSuite with an optional tracer attached to every
-// compilation: each query's compile appears as a "query:<name>" group with
-// the back-end's nested phase spans beneath it, and execution as an "exec"
-// span. A nil tracer and zero options is RunSuite. opts.Check makes every
-// compilation run the machine-code verifier.
-func RunSuiteTraced(w *World, eng backend.Engine, arch vt.Arch, queries []Query, runs int, tr *obs.Tracer, opts backend.Options) (*EngineRun, error) {
-	return RunSuiteExec(w, eng, arch, queries, runs, tr, opts, ExecSettings{})
-}
-
-// RunSuiteExec is RunSuiteTraced with executor settings: es.Batch compiles
-// eligible pipelines to batch kernels and es.Jobs > 1 executes table
-// pipelines through the morsel-parallel executor (falling back to
-// sequential where a pipeline is ineligible or the engine produces no vm
-// module). The zero ExecSettings is exactly RunSuiteTraced.
-func RunSuiteExec(w *World, eng backend.Engine, arch vt.Arch, queries []Query, runs int, tr *obs.Tracer, opts backend.Options, es ExecSettings) (*EngineRun, error) {
-	if runs < 1 {
-		runs = 1
-	}
+// RunSuite compiles and executes every query with one engine under the
+// world's options (best of runs executions, no warm-up), rolling the world
+// back to its loaded state after each query. With a tracer in the options
+// each query's compile appears as a "query:<name>" group with the back-end's
+// nested phase spans beneath it, and each execution as an "exec" span.
+func RunSuite(w *World, eng backend.Engine, queries []Query, runs int) (*EngineRun, error) {
 	out := &EngineRun{Engine: eng.Name(), Stats: &backend.Stats{}}
-	// Persistent executor workers: arenas carved below the checkpoint mark
-	// survive the per-query ResetToCheckpoint, so RunParallel re-arms them
-	// instead of rebuilding machines and runtimes for every query.
-	var pool *codegen.ExecPool
-	if es.Jobs > 1 {
-		pool = codegen.NewExecPool(w.DB, es.Jobs, 0)
-	}
-	w.DB.Checkpoint()
+	w.Checkpoint()
 	for _, q := range queries {
-		qsp := tr.BeginCat("query:"+q.Name, "query")
-		var c *codegen.Compiled
-		var err error
-		if es.active() {
-			c, err = codegen.CompileOpts(q.Name, q.Build(), w.Cat,
-				codegen.Options{Elim: true, Batch: es.Batch, Parallel: es.Jobs > 1})
-		} else {
-			c, err = codegen.Compile(q.Name, q.Build(), w.Cat)
-		}
+		qsp := w.Tracer.BeginCat("query:"+q.Name, "query")
+		p, err := compileQuery(w, eng, q)
 		if err != nil {
-			return nil, fmt.Errorf("%s/%s: %w", eng.Name(), q.Name, err)
+			return nil, err
 		}
-		ex, stats, err := eng.Compile(c.Module, &backend.Env{DB: w.DB, Arch: arch, Trace: tr, Options: opts})
+		c := p.Compiled
+		out.Stats.Merge(p.Stats)
+		m, err := bestExec(w, eng, p, runs, 0)
 		if err != nil {
-			return nil, fmt.Errorf("%s/%s: %w", eng.Name(), q.Name, err)
-		}
-		// Mirror the back-end's event counters into the trace so exports
-		// show them as counter tracks alongside the spans.
-		for name, v := range stats.Counters {
-			tr.Add(name, v)
-		}
-		out.Stats.Merge(stats)
-		execute := func() error { return codegen.Run(w.DB, w.Cat, c, ex.Call) }
-		if es.active() {
-			var mod *vm.Module
-			if mh, ok := ex.(interface{ Module() *vm.Module }); ok {
-				mod = mh.Module()
-			}
-			execute = func() error {
-				return codegen.RunParallel(w.DB, w.Cat, c, ex.Call,
-					codegen.ExecOptions{Jobs: es.Jobs, Module: mod, Pool: pool})
-			}
-		}
-		var best time.Duration
-		var rows int
-		var executed, branches, memops int64
-		// Worker arenas allocated by the parallel executor unwind with this
-		// mark between repetitions (ResetQueryState alone keeps the heap).
-		mark := w.DB.M.HeapMark()
-		for r := 0; r < runs; r++ {
-			w.DB.ResetQueryState()
-			w.DB.M.ResetHeapTo(mark)
-			startInstr := w.DB.M.Executed
-			startBranch := w.DB.M.Branches
-			startMem := w.DB.M.MemOps
-			esp := tr.BeginCat("exec", "exec")
-			start := time.Now()
-			if err := execute(); err != nil {
-				return nil, fmt.Errorf("%s/%s: run: %w", eng.Name(), q.Name, err)
-			}
-			d := time.Since(start)
-			esp.End()
-			if r == 0 || d < best {
-				best = d
-			}
-			rows = w.DB.Out.NumRows()
-			executed = w.DB.M.Executed - startInstr
-			branches = w.DB.M.Branches - startBranch
-			memops = w.DB.M.MemOps - startMem
+			return nil, err
 		}
 		qsp.End()
 		var fuseInstrs, fuseMicro int64
-		if mh, ok := ex.(interface{ Module() *vm.Module }); ok {
-			if mod := mh.Module(); mod != nil && mod.FuseEnabled() {
-				fs := mod.FuseStats()
-				fuseInstrs, fuseMicro = int64(fs.Instrs), int64(fs.MicroOps)
-			}
+		if mod := backend.ModuleOf(p.Exec); mod != nil && mod.FuseEnabled() {
+			fs := mod.FuseStats()
+			fuseInstrs, fuseMicro = int64(fs.Instrs), int64(fs.MicroOps)
 		}
 		out.Queries = append(out.Queries, QueryMeasurement{
 			// WallClock: elapsed compile time — equals stats.Total for
 			// sequential compiles, the true elapsed time under the
 			// parallel driver (where the phase sum overstates it).
-			Name: q.Name, Compile: stats.WallClock(), Exec: best, Rows: rows,
-			Executed: executed, Branches: branches, MemOps: memops,
+			Name: q.Name, Compile: p.Stats.WallClock(), Measurement: m,
 			FuseInstrs: fuseInstrs, FuseMicroOps: fuseMicro,
 			StaticMemOps: c.Elim.MemOps, ChecksElim: c.Elim.Unchecked,
 			LintFindings: len(c.Elim.Findings), AnalysisNs: c.Elim.AnalysisNs,
 		})
-		out.Compile += stats.WallClock()
-		out.Exec += best
+		out.Compile += p.Stats.WallClock()
+		out.Exec += m.Exec
 		w.DB.ResetToCheckpoint()
 	}
 	return out, nil
+}
+
+// compileQuery lowers and compiles q for w, naming engine and query in
+// errors.
+func compileQuery(w *World, eng backend.Engine, q Query) (*engine.Program, error) {
+	c, err := w.Lower(q.Name, q.Build())
+	if err != nil {
+		return nil, fmt.Errorf("%s/%s: %w", eng.Name(), q.Name, err)
+	}
+	p, err := w.Compile(eng, c)
+	if err != nil {
+		return nil, fmt.Errorf("%s/%s: %w", eng.Name(), q.Name, err)
+	}
+	return p, nil
+}
+
+// bestExec is the harness's timed loop: warmup untimed executions of p, then
+// runs timed ones. It returns the last execution's measurement with Exec
+// replaced by the best wall time.
+func bestExec(w *World, eng backend.Engine, p *engine.Program, runs, warmup int) (m engine.Measurement, err error) {
+	best, err := engine.BestOf(runs, warmup, func() (_ time.Duration, err error) {
+		m, err = w.Measure(p)
+		return m.Exec, err
+	})
+	if err != nil {
+		return m, fmt.Errorf("%s/%s: run: %w", eng.Name(), p.Compiled.Module.Name, err)
+	}
+	m.Exec = best
+	return m, nil
 }
 
 // fmtDur renders a duration in milliseconds with fixed precision.
@@ -359,11 +219,4 @@ func phaseTable(r *Report, s *backend.Stats) {
 }
 
 // Engines returns the standard engine lineup for a target (Table III order).
-func Engines(arch vt.Arch) []backend.Engine {
-	es := []backend.Engine{interp.New()}
-	if arch == vt.VX64 {
-		es = append(es, direct.New())
-	}
-	es = append(es, clift.New(), lbe.NewCheap(), lbe.NewOpt(), cbe.New())
-	return es
-}
+func Engines(arch vt.Arch) []backend.Engine { return engine.Backends(arch) }

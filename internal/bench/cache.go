@@ -8,9 +8,8 @@ import (
 	"runtime"
 	"time"
 
-	"qcc/internal/backend"
-	"qcc/internal/backend/pcc"
 	"qcc/internal/codegen"
+	"qcc/internal/engine"
 	"qcc/internal/plan"
 	"qcc/internal/tpch"
 )
@@ -140,13 +139,12 @@ func zipfCum(n int, s float64) []float64 {
 // warm stream should be all hits; every replay event also executes, so a
 // stale cached body (wrong constants) would surface as a wrong result.
 func PlanCacheCost(cfg Config) (*Report, *CacheReport, error) {
+	// One code cache per engine (each gets a fresh world), sequential
+	// compiles, tuple-at-a-time execution.
+	cfg = seedPath(cfg)
 	runs := cfg.Runs
-	if runs < 1 {
-		runs = 1
-	}
-	cacheMB := cfg.CacheMB
-	if cacheMB <= 0 {
-		cacheMB = cacheDefaultMB
+	if cfg.CacheMB <= 0 {
+		cfg.CacheMB = cacheDefaultMB
 	}
 	families := tpch.ParamQueries()
 	events := cacheEventsPerFamily * len(families)
@@ -155,7 +153,7 @@ func PlanCacheCost(cfg Config) (*Report, *CacheReport, error) {
 		cfg.Arch, cfg.SF, len(families), cacheVariants, events, cacheZipfS)}
 	jrep := &CacheReport{
 		Schema: CacheSchema, Arch: cfg.Arch.String(), SF: cfg.SF, Runs: runs,
-		Families: len(families), Variants: cacheVariants, Events: events, CacheMB: cacheMB,
+		Families: len(families), Variants: cacheVariants, Events: events, CacheMB: cfg.CacheMB,
 	}
 	var totalHits, totalMisses int64
 	var allRatios []float64
@@ -168,41 +166,47 @@ func PlanCacheCost(cfg Config) (*Report, *CacheReport, error) {
 		// means are otherwise inflated by collection pauses for hundreds of
 		// MiB of dead machine memory.
 		runtime.GC()
-		cache := pcc.NewCache(int64(cacheMB) << 20)
-		wrapped := pcc.Wrap(eng, pcc.Config{Jobs: 1, Cache: cache, VariantTag: codegen.CheckElimVersion})
-		w.DB.Checkpoint()
+		w.Checkpoint()
 		er := CacheEngine{Engine: eng.Name()}
 
 		// compileOnce lowers and compiles one variant through the cached
-		// engine, returning the full compile wall time and the call's
-		// cache counters.
-		compileOnce := func(name string, node plan.Node) (*codegen.Compiled, backend.Exec, *backend.Stats, time.Duration, error) {
+		// engine, returning the full compile wall time.
+		compileOnce := func(name string, node plan.Node, copts codegen.Options) (*engine.Program, time.Duration, error) {
 			start := time.Now()
-			c, err := codegen.CompileOpts(name, node, w.Cat, codegen.Options{Elim: true, Hoist: true})
+			c, err := codegen.CompileOpts(name, node, w.Cat, copts)
 			if err != nil {
-				return nil, nil, nil, 0, fmt.Errorf("%s/%s: %w", eng.Name(), name, err)
+				return nil, 0, fmt.Errorf("%s/%s: %w", eng.Name(), name, err)
 			}
-			ex, stats, err := wrapped.Compile(c.Module, &backend.Env{DB: w.DB, Arch: cfg.Arch, Options: cfg.BackendOptions()})
+			p, err := w.Compile(eng, c)
 			if err != nil {
-				return nil, nil, nil, 0, fmt.Errorf("%s/%s: %w", eng.Name(), name, err)
+				return nil, 0, fmt.Errorf("%s/%s: %w", eng.Name(), name, err)
 			}
-			return c, ex, stats, time.Since(start), nil
+			return p, time.Since(start), nil
+		}
+		// replay compiles one variant and executes it once, so a stale
+		// cached body (wrong constants) would surface as a wrong result.
+		replay := func(name string, node plan.Node) (*engine.Program, time.Duration, error) {
+			w.DB.ResetToCheckpoint()
+			p, dur, err := compileOnce(name, node, w.Codegen())
+			if err != nil {
+				return nil, 0, err
+			}
+			if _, err := w.Measure(p); err != nil {
+				return nil, 0, fmt.Errorf("%s/%s: run: %w", eng.Name(), name, err)
+			}
+			return p, dur, nil
 		}
 
 		// Cold pass: variant 0 of each family misses and seeds the cache.
 		fams := make([]*CacheFamily, len(families))
 		for i, f := range families {
-			w.DB.ResetToCheckpoint()
-			c, ex, _, dur, err := compileOnce(f.Name, f.Build(0))
+			p, dur, err := replay(f.Name, f.Build(0))
 			if err != nil {
 				return nil, nil, err
 			}
-			if err := codegen.Run(w.DB, w.Cat, c, ex.Call); err != nil {
-				return nil, nil, fmt.Errorf("%s/%s: cold run: %w", eng.Name(), f.Name, err)
-			}
 			fams[i] = &CacheFamily{
 				Name: f.Name, Variants: cacheVariants, ColdNS: dur.Nanoseconds(),
-				Hoisted: c.Hoist.Hoisted, KeptInline: c.Hoist.KeptInline,
+				Hoisted: p.Compiled.Hoist.Hoisted, KeptInline: p.Compiled.Hoist.KeptInline,
 			}
 		}
 
@@ -219,19 +223,15 @@ func PlanCacheCost(cfg Config) (*Report, *CacheReport, error) {
 				variant++
 			}
 			fs := fams[fi]
-			w.DB.ResetToCheckpoint()
-			c, ex, stats, dur, err := compileOnce(fs.Name, families[fi].Build(variant))
+			p, dur, err := replay(fs.Name, families[fi].Build(variant))
 			if err != nil {
-				return nil, nil, err
+				return nil, nil, fmt.Errorf("variant %d: %w", variant, err)
 			}
-			er.Hits += stats.Counters["cache_hits"]
-			er.Misses += stats.Counters["cache_misses"]
+			er.Hits += p.Stats.Counters["cache_hits"]
+			er.Misses += p.Stats.Counters["cache_misses"]
 			fs.Events++
 			fs.WarmNS += dur.Nanoseconds()
 			er.CompileSavedNS += fs.ColdNS - dur.Nanoseconds()
-			if err := codegen.Run(w.DB, w.Cat, c, ex.Call); err != nil {
-				return nil, nil, fmt.Errorf("%s/%s[v%d]: warm run: %w", eng.Name(), fs.Name, variant, err)
-			}
 		}
 		for _, fs := range fams {
 			if fs.Events > 0 {
@@ -244,50 +244,19 @@ func PlanCacheCost(cfg Config) (*Report, *CacheReport, error) {
 
 		// Indirection cost: the canonical variant of each family executed
 		// from its parameterized body (pool loads) vs its fully inlined
-		// body, best of runs, uncached engine — isolating execution cost.
+		// body, best of runs after one warm-up.
 		var ratios []float64
-		for _, fs := range fams {
-			idx := -1
-			for i, f := range families {
-				if f.Name == fs.Name {
-					idx = i
-				}
-			}
+		for i, fs := range fams {
 			measure := func(hoist bool) (int64, int, error) {
 				w.DB.ResetToCheckpoint()
-				c, err := codegen.CompileOpts(fs.Name, families[idx].Build(0), w.Cat,
-					codegen.Options{Elim: true, Hoist: hoist})
+				copts := w.Codegen()
+				copts.Hoist = hoist
+				p, _, err := compileOnce(fs.Name, families[i].Build(0), copts)
 				if err != nil {
-					return 0, 0, fmt.Errorf("%s/%s: %w", eng.Name(), fs.Name, err)
+					return 0, 0, err
 				}
-				ex, _, err := eng.Compile(c.Module, &backend.Env{DB: w.DB, Arch: cfg.Arch, Options: cfg.BackendOptions()})
-				if err != nil {
-					return 0, 0, fmt.Errorf("%s/%s: %w", eng.Name(), fs.Name, err)
-				}
-				// Bind the pool before taking the repetition mark so any
-				// pooled string is interned below it; later binds then
-				// resolve to the same stable addresses.
-				if err := w.DB.BindConstPool(c.Module.Pool); err != nil {
-					return 0, 0, fmt.Errorf("%s/%s: %w", eng.Name(), fs.Name, err)
-				}
-				mark := w.DB.M.HeapMark()
-				var best time.Duration
-				rows := 0
-				for r := 0; r < runs+1; r++ {
-					w.DB.ResetQueryState()
-					w.DB.M.ResetHeapTo(mark)
-					start := time.Now()
-					if err := codegen.Run(w.DB, w.Cat, c, ex.Call); err != nil {
-						return 0, 0, fmt.Errorf("%s/%s: run: %w", eng.Name(), fs.Name, err)
-					}
-					d := time.Since(start)
-					// r == 0 warms; timing starts at r == 1.
-					if r == 1 || (r > 1 && d < best) {
-						best = d
-					}
-					rows = w.DB.Out.NumRows()
-				}
-				return best.Nanoseconds(), rows, nil
+				m, err := bestExec(w, eng, p, runs, 1)
+				return m.Exec.Nanoseconds(), m.Rows, err
 			}
 			hoistNS, hoistRows, err := measure(true)
 			if err != nil {

@@ -6,7 +6,6 @@ import (
 	"io"
 	"time"
 
-	"qcc/internal/backend"
 	"qcc/internal/codegen"
 	"qcc/internal/qir"
 )
@@ -88,10 +87,8 @@ func stripUnchecked(m *qir.Module) {
 // Everything else (plan, QIR, catalog layout, back-end) is identical, so the
 // delta is the runtime cost of the statically discharged bounds/null checks.
 func CheckElimCost(cfg Config) (*Report, *CheckElimReport, error) {
+	cfg = seedPath(cfg)
 	runs := cfg.Runs
-	if runs < 1 {
-		runs = 1
-	}
 	rep := &Report{Title: fmt.Sprintf("Check elimination: checked vs unchecked (TPC-H, %s, sf=%g, best of %d)", cfg.Arch, cfg.SF, runs)}
 	jrep := &CheckElimReport{Schema: CheckElimSchema, Arch: cfg.Arch.String(), SF: cfg.SF, Runs: runs,
 		ElimVersion: codegen.CheckElimVersion}
@@ -103,13 +100,13 @@ func CheckElimCost(cfg Config) (*Report, *CheckElimReport, error) {
 		}
 		er := CheckElimEngine{Engine: eng.Name()}
 		var ratios []float64
-		w.DB.Checkpoint()
+		w.Checkpoint()
 		for _, q := range HQueries() {
 			eq := CheckElimQuery{Name: q.Name}
-			// One measurement: compile the plan, optionally strip the
-			// unchecked marks, run best-of-runs (+1 warm-up).
+			// One measurement: lower the plan, optionally strip the
+			// unchecked marks, compile, run best-of-runs (+1 warm-up).
 			measure := func(strip bool) (time.Duration, error) {
-				c, err := codegen.Compile(q.Name, q.Build(), w.Cat)
+				c, err := w.Lower(q.Name, q.Build())
 				if err != nil {
 					return 0, fmt.Errorf("%s/%s: %w", eng.Name(), q.Name, err)
 				}
@@ -121,24 +118,13 @@ func CheckElimCost(cfg Config) (*Report, *CheckElimReport, error) {
 					eq.Ratio = c.Elim.Ratio()
 					eq.AnalysisNS = c.Elim.AnalysisNs
 				}
-				ex, _, err := eng.Compile(c.Module, &backend.Env{DB: w.DB, Arch: cfg.Arch, Options: cfg.BackendOptions()})
+				p, err := w.Compile(eng, c)
 				if err != nil {
 					return 0, fmt.Errorf("%s/%s: %w", eng.Name(), q.Name, err)
 				}
-				var best time.Duration
-				for r := 0; r < runs+1; r++ {
-					w.DB.ResetQueryState()
-					start := time.Now()
-					if err := codegen.Run(w.DB, w.Cat, c, ex.Call); err != nil {
-						return 0, fmt.Errorf("%s/%s: run: %w", eng.Name(), q.Name, err)
-					}
-					d := time.Since(start)
-					if r == 1 || (r > 1 && d < best) {
-						best = d
-					}
-					eq.Rows = w.DB.Out.NumRows()
-				}
-				return best, nil
+				m, err := bestExec(w, eng, p, runs, 1)
+				eq.Rows = m.Rows
+				return m.Exec, err
 			}
 			unchecked, err := measure(false)
 			if err != nil {

@@ -8,8 +8,6 @@ import (
 	"time"
 
 	"qcc/internal/backend"
-	"qcc/internal/codegen"
-	"qcc/internal/vm"
 )
 
 // ExecSchema identifies the dispatch-cost report format (BENCH_exec.json).
@@ -87,10 +85,8 @@ func geomean(ratios []float64) float64 {
 // from the comparison. The interpreter is skipped — it executes QIR
 // directly and has no vm dispatch to toggle.
 func DispatchCost(cfg Config) (*Report, *ExecReport, error) {
+	cfg = seedPath(cfg)
 	runs := cfg.Runs
-	if runs < 1 {
-		runs = 1
-	}
 	rep := &Report{Title: fmt.Sprintf("Dispatch cost: fused vs -nofuse (TPC-H, %s, sf=%g, best of %d)", cfg.Arch, cfg.SF, runs)}
 	jrep := &ExecReport{Schema: ExecSchema, Arch: cfg.Arch.String(), SF: cfg.SF, Runs: runs}
 	var allRatios []float64
@@ -101,44 +97,26 @@ func DispatchCost(cfg Config) (*Report, *ExecReport, error) {
 		}
 		er := ExecEngine{Engine: eng.Name()}
 		var ratios []float64
-		w.DB.Checkpoint()
+		w.Checkpoint()
 		skipped := false
 		for _, q := range HQueries() {
-			c, err := codegen.Compile(q.Name, q.Build(), w.Cat)
+			p, err := compileQuery(w, eng, q)
 			if err != nil {
-				return nil, nil, fmt.Errorf("%s/%s: %w", eng.Name(), q.Name, err)
+				return nil, nil, err
 			}
-			ex, _, err := eng.Compile(c.Module, &backend.Env{DB: w.DB, Arch: cfg.Arch, Options: cfg.BackendOptions()})
-			if err != nil {
-				return nil, nil, fmt.Errorf("%s/%s: %w", eng.Name(), q.Name, err)
-			}
-			mh, ok := ex.(interface{ Module() *vm.Module })
-			if !ok {
+			mod := backend.ModuleOf(p.Exec)
+			if mod == nil {
 				skipped = true
 				break
 			}
-			mod := mh.Module()
 			eq := ExecQuery{Name: q.Name}
 			run := func(fuse bool) (time.Duration, error) {
 				mod.SetFuse(fuse)
-				var best time.Duration
-				for r := 0; r < runs+1; r++ {
-					w.DB.ResetQueryState()
-					startInstr := w.DB.M.Executed
-					start := time.Now()
-					if err := codegen.Run(w.DB, w.Cat, c, ex.Call); err != nil {
-						return 0, fmt.Errorf("%s/%s: run: %w", eng.Name(), q.Name, err)
-					}
-					d := time.Since(start)
-					// r == 0 is warm-up (first fused call builds the
-					// fused view lazily); timing starts at r == 1.
-					if r == 1 || (r > 1 && d < best) {
-						best = d
-					}
-					eq.Rows = w.DB.Out.NumRows()
-					eq.Instrs = w.DB.M.Executed - startInstr
-				}
-				return best, nil
+				// One warm-up: the first fused call builds the fused
+				// view lazily.
+				m, err := bestExec(w, eng, p, runs, 1)
+				eq.Rows, eq.Instrs = m.Rows, m.Executed
+				return m.Exec, err
 			}
 			plain, err := run(false)
 			if err != nil {

@@ -10,66 +10,50 @@ import (
 	"qcc/internal/backend/clift"
 	"qcc/internal/backend/direct"
 	"qcc/internal/backend/lbe"
-	"qcc/internal/tpcds"
-	"qcc/internal/tpch"
+	"qcc/internal/engine"
 	"qcc/internal/vt"
 )
 
-// DSQueries adapts the TPC-DS suite.
-func DSQueries() []Query {
-	var qs []Query
-	for _, q := range tpcds.Queries() {
-		qs = append(qs, Query{Name: q.Name, Build: q.Build})
+// DSQueries is the TPC-DS suite.
+func DSQueries() []Query { return mustQueries("tpcds") }
+
+// HQueries is the TPC-H suite.
+func HQueries() []Query { return mustQueries("tpch") }
+
+func mustQueries(workload string) []Query {
+	qs, err := engine.Queries(workload)
+	if err != nil {
+		panic(err)
 	}
 	return qs
 }
 
-// HQueries adapts the TPC-H suite.
-func HQueries() []Query {
-	var qs []Query
-	for _, q := range tpch.Queries() {
-		qs = append(qs, Query{Name: q.Name, Build: q.Build})
-	}
-	return qs
-}
-
-func loadDS(cfg Config) (*World, error) {
-	w := NewWorld(cfg)
-	if err := tpcds.Load(w.Cat, cfg.SF); err != nil {
-		return nil, err
-	}
-	return w, nil
-}
+func loadDS(cfg Config) (*World, error) { return NewWorldLoaded(cfg, "tpcds") }
 
 func loadH(cfg Config, sf float64) (*World, error) {
-	w := NewWorld(cfg)
-	if err := tpch.Load(w.Cat, sf); err != nil {
-		return nil, err
-	}
-	return w, nil
+	cfg.SF = sf
+	return NewWorldLoaded(cfg, "tpch")
 }
 
 // NewWorldLoaded creates a world with the named workload ("tpch" or
-// "tpcds") loaded at cfg.SF (exported for cmd/qtrace).
+// "tpcds") loaded at cfg.SF.
 func NewWorldLoaded(cfg Config, workload string) (*World, error) {
-	switch workload {
-	case "tpch":
-		return loadH(cfg, cfg.SF)
-	case "tpcds":
-		return loadDS(cfg)
-	default:
-		return nil, fmt.Errorf("bench: unknown workload %q", workload)
+	w := NewWorld(cfg)
+	if err := w.Load(workload, cfg.SF); err != nil {
+		return nil, err
 	}
+	return w, nil
 }
 
 // Table1 reproduces the GCC/C compile-time breakdown over all TPC-DS
 // queries (paper Table I).
 func Table1(cfg Config) (*Report, error) {
+	cfg = seedPath(cfg)
 	w, err := loadDS(cfg)
 	if err != nil {
 		return nil, err
 	}
-	run, err := RunSuite(w, cbe.New(), cfg.Arch, DSQueries(), 0)
+	run, err := RunSuite(w, cbe.New(), DSQueries(), 0)
 	if err != nil {
 		return nil, err
 	}
@@ -82,6 +66,7 @@ func Table1(cfg Config) (*Report, error) {
 // Fig2 reproduces the LLVM compile-time breakdown, cheap vs optimized
 // (paper Figure 2).
 func Fig2(cfg Config) (*Report, error) {
+	cfg = seedPath(cfg)
 	r := &Report{Title: fmt.Sprintf("Figure 2: LLVM compile-time breakdown (%s, all TPC-DS)", cfg.Arch)}
 	for _, mode := range []struct {
 		name string
@@ -94,7 +79,7 @@ func Fig2(cfg Config) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		run, err := RunSuite(w, mode.eng, cfg.Arch, DSQueries(), 0)
+		run, err := RunSuite(w, mode.eng, DSQueries(), 0)
 		if err != nil {
 			return nil, err
 		}
@@ -113,6 +98,7 @@ func Fig2(cfg Config) (*Report, error) {
 // Fig3 compares FastISel, SelectionDAG and GlobalISel on the va64 target
 // (paper Figure 3, AArch64).
 func Fig3(cfg Config) (*Report, error) {
+	cfg = seedPath(cfg)
 	cfg.Arch = vt.VA64
 	r := &Report{Title: "Figure 3: LLVM instruction selectors on va64 (all TPC-DS)"}
 	modes := []struct {
@@ -127,8 +113,8 @@ func Fig3(cfg Config) (*Report, error) {
 	var totals []time.Duration
 	var isels []time.Duration
 	for _, mode := range modes {
-		run, err := RunSuiteBest(3, func() (*World, error) { return loadDS(cfg) },
-			mode.eng, cfg.Arch, DSQueries(), 0)
+		run, err := bestSuite(3, func() (*World, error) { return loadDS(cfg) },
+			mode.eng, DSQueries(), 0)
 		if err != nil {
 			return nil, err
 		}
@@ -152,11 +138,12 @@ func Fig3(cfg Config) (*Report, error) {
 
 // Fig4 reproduces the Cranelift compile-time breakdown (paper Figure 4).
 func Fig4(cfg Config) (*Report, error) {
+	cfg = seedPath(cfg)
 	w, err := loadDS(cfg)
 	if err != nil {
 		return nil, err
 	}
-	run, err := RunSuite(w, clift.New(), cfg.Arch, DSQueries(), 0)
+	run, err := RunSuite(w, clift.New(), DSQueries(), 0)
 	if err != nil {
 		return nil, err
 	}
@@ -172,12 +159,13 @@ func Fig4(cfg Config) (*Report, error) {
 
 // Fig5 reproduces the DirectEmit breakdown (paper Figure 5).
 func Fig5(cfg Config) (*Report, error) {
+	cfg = seedPath(cfg)
 	cfg.Arch = vt.VX64
 	w, err := loadDS(cfg)
 	if err != nil {
 		return nil, err
 	}
-	run, err := RunSuite(w, direct.New(), cfg.Arch, DSQueries(), 0)
+	run, err := RunSuite(w, direct.New(), DSQueries(), 0)
 	if err != nil {
 		return nil, err
 	}
@@ -189,6 +177,7 @@ func Fig5(cfg Config) (*Report, error) {
 // Table2 reproduces the Cranelift custom-instruction run-time ablation
 // (paper Table II): speedup from enabling each custom instruction.
 func Table2(cfg Config) (*Report, error) {
+	cfg = seedPath(cfg)
 	r := &Report{Title: fmt.Sprintf("Table II: Cranelift custom instructions, execution speedup (%s, TPC-DS sf=%g)", cfg.Arch, cfg.SF)}
 	baseline, err := table2Run(cfg, clift.Options{})
 	if err != nil {
@@ -210,7 +199,7 @@ func Table2(cfg Config) (*Report, error) {
 			return nil, err
 		}
 		// Speedup of having the instruction = time(without)/time(with).
-		avg := float64(sumExec(without)) / float64(sumExec(baseline))
+		avg := float64(without.Exec) / float64(baseline.Exec)
 		maxv := 0.0
 		for i := range baseline.Queries {
 			if baseline.Queries[i].Exec == 0 {
@@ -231,19 +220,18 @@ func table2Run(cfg Config, opts clift.Options) (*EngineRun, error) {
 	if err != nil {
 		return nil, err
 	}
-	return RunSuite(w, clift.NewWithOptions(opts), cfg.Arch, DSQueries(), cfg.Runs)
+	return RunSuite(w, clift.NewWithOptions(opts), DSQueries(), cfg.Runs)
 }
-
-func sumExec(r *EngineRun) time.Duration { return r.Exec }
 
 // Table3 reproduces the compile-time and execution comparison of all
 // back-ends (paper Table III), optionally per-query (figure 6 data).
 func Table3(cfg Config, perQuery bool) (*Report, error) {
+	cfg = seedPath(cfg)
 	r := &Report{Title: fmt.Sprintf("Table III: back-end comparison (%s, TPC-DS sf=%g)", cfg.Arch, cfg.SF)}
 	r.addf("%-16s %12s %12s %16s", "back-end", "compile", "exec", "VM instructions")
 	for _, eng := range Engines(cfg.Arch) {
-		run, err := RunSuiteBest(2, func() (*World, error) { return loadDS(cfg) },
-			eng, cfg.Arch, DSQueries(), cfg.Runs)
+		run, err := bestSuite(2, func() (*World, error) { return loadDS(cfg) },
+			eng, DSQueries(), cfg.Runs)
 		if err != nil {
 			return nil, err
 		}
@@ -264,6 +252,7 @@ func Table3(cfg Config, perQuery bool) (*Report, error) {
 // Fig7 reproduces the best-back-end-per-query trade-off on TPC-H at two
 // scale factors (paper Figure 7).
 func Fig7(cfg Config, sfSmall, sfLarge float64) (*Report, error) {
+	cfg = seedPath(cfg)
 	cfg.Arch = vt.VX64
 	r := &Report{Title: fmt.Sprintf("Figure 7: best back-end by compile+execution time (TPC-H, vx64, sf=%g and sf=%g)", sfSmall, sfLarge)}
 	for _, sf := range []float64{sfSmall, sfLarge} {
@@ -274,7 +263,7 @@ func Fig7(cfg Config, sfSmall, sfLarge float64) (*Report, error) {
 			if err != nil {
 				return nil, err
 			}
-			run, err := RunSuite(w, eng, vt.VX64, HQueries(), cfg.Runs)
+			run, err := RunSuite(w, eng, HQueries(), cfg.Runs)
 			if err != nil {
 				return nil, err
 			}
@@ -313,6 +302,7 @@ func Fig7(cfg Config, sfSmall, sfLarge float64) (*Report, error) {
 // vs {i64,i64} structs, Small-PIC vs large code model, and TargetMachine
 // caching, plus the FastISel fallback census of Sec. V-B3b.
 func AblateLLVM(cfg Config) (*Report, error) {
+	cfg = seedPath(cfg)
 	r := &Report{Title: fmt.Sprintf("LLVM compile-time ablations (%s, all TPC-DS)", cfg.Arch)}
 	cases := []struct {
 		name string
@@ -327,8 +317,8 @@ func AblateLLVM(cfg Config) (*Report, error) {
 	}
 	var base time.Duration
 	for i, c := range cases {
-		run, err := RunSuiteBest(3, func() (*World, error) { return loadDS(cfg) },
-			lbe.NewWithConfig(c.cfgE), cfg.Arch, DSQueries(), 0)
+		run, err := bestSuite(3, func() (*World, error) { return loadDS(cfg) },
+			lbe.NewWithConfig(c.cfgE), DSQueries(), 0)
 		if err != nil {
 			return nil, err
 		}

@@ -51,8 +51,8 @@ func EngineReportOf(run *EngineRun) obs.EngineReport {
 
 // JSONReport runs the TPC-H suite on the standard engine lineup and returns
 // the machine-readable report behind `qbench -json` (schema
-// obs.Schema). Each engine gets a fresh world so heap layout is comparable
-// across engines.
+// obs.Schema). Each engine gets a fresh world — and with it its own code
+// cache — so heap layout and hit rates are comparable across engines.
 func JSONReport(cfg Config) (*obs.Report, error) {
 	jobs := cfg.Jobs
 	if jobs <= 0 {
@@ -71,9 +71,7 @@ func JSONReport(cfg Config) (*obs.Report, error) {
 		if err != nil {
 			return nil, fmt.Errorf("bench: load tpch: %w", err)
 		}
-		// Each engine gets its own cache (comparability) and fresh world.
-		wrapped := cfg.WrapEngine(eng, cfg.NewCodeCache())
-		run, err := RunSuiteExec(w, wrapped, cfg.Arch, HQueries(), cfg.Runs, nil, cfg.BackendOptions(), cfg.ExecSettings())
+		run, err := RunSuite(w, eng, HQueries(), cfg.Runs)
 		if err != nil {
 			return nil, err
 		}

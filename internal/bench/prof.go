@@ -7,7 +7,7 @@ import (
 	"time"
 
 	"qcc/internal/backend"
-	"qcc/internal/codegen"
+	"qcc/internal/engine"
 	"qcc/internal/prof"
 	"qcc/internal/vm"
 )
@@ -83,10 +83,8 @@ func (r *ProfReport) Write(w io.Writer) error {
 // The interpreter is skipped — it executes QIR directly and has no vm
 // dispatch loop to sample.
 func ProfileSuite(cfg Config, period int64) (*Report, *ProfReport, error) {
+	cfg = seedPath(cfg)
 	runs := cfg.Runs
-	if runs < 1 {
-		runs = 1
-	}
 	if period <= 0 {
 		period = vm.DefaultSamplePeriod
 	}
@@ -102,42 +100,31 @@ func ProfileSuite(cfg Config, period int64) (*Report, *ProfReport, error) {
 		}
 		er := ProfEngine{Engine: eng.Name(), MinAttributionPct: 100}
 		var ratios []float64
-		w.DB.Checkpoint()
+		w.Checkpoint()
 		skipped := false
 		for _, q := range HQueries() {
-			c, err := codegen.Compile(q.Name, q.Build(), w.Cat)
+			p, err := compileQuery(w, eng, q)
 			if err != nil {
-				return nil, nil, fmt.Errorf("%s/%s: %w", eng.Name(), q.Name, err)
+				return nil, nil, err
 			}
-			ex, _, err := eng.Compile(c.Module, &backend.Env{DB: w.DB, Arch: cfg.Arch, Options: cfg.BackendOptions()})
-			if err != nil {
-				return nil, nil, fmt.Errorf("%s/%s: %w", eng.Name(), q.Name, err)
-			}
-			if _, ok := ex.(interface{ Module() *vm.Module }); !ok {
+			if backend.ModuleOf(p.Exec) == nil {
 				skipped = true
 				break
 			}
 			pq := ProfQuery{Name: q.Name}
-			col := prof.NewCollector(c.Module)
+			col := prof.NewCollector(p.Compiled.Module)
 			smp := &vm.Sampler{Period: period, Hit: col.Hit}
 			run := func(s *vm.Sampler) (time.Duration, error) {
-				var best time.Duration
-				for r := 0; r < runs+1; r++ {
-					w.DB.ResetQueryState()
+				best, err := engine.BestOf(runs, 1, func() (time.Duration, error) {
 					// (Re-)arm per run so the warm-up run samples too.
 					w.DB.M.SetSampler(s)
-					startInstr := w.DB.M.Executed
-					start := time.Now()
-					if err := codegen.Run(w.DB, w.Cat, c, ex.Call); err != nil {
-						return 0, fmt.Errorf("%s/%s: run: %w", eng.Name(), q.Name, err)
-					}
-					d := time.Since(start)
+					m, err := w.Measure(p)
 					w.DB.M.SetSampler(nil)
-					if r == 1 || (r > 1 && d < best) {
-						best = d
-					}
-					pq.Rows = w.DB.Out.NumRows()
-					pq.Instrs = w.DB.M.Executed - startInstr
+					pq.Rows, pq.Instrs = m.Rows, m.Executed
+					return m.Exec, err
+				})
+				if err != nil {
+					return 0, fmt.Errorf("%s/%s: run: %w", eng.Name(), q.Name, err)
 				}
 				return best, nil
 			}

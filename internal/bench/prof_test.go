@@ -3,7 +3,6 @@ package bench
 import (
 	"testing"
 
-	"qcc/internal/backend"
 	"qcc/internal/codegen"
 	"qcc/internal/prof"
 	"qcc/internal/vm"
@@ -36,7 +35,7 @@ func TestProfileAttribution(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: %v", q.Name, err)
 				}
-				ex, _, err := eng.Compile(c.Module, &backend.Env{DB: w.DB, Arch: arch, Options: cfg.BackendOptions()})
+				ex, _, err := eng.Compile(c.Module, w.Env())
 				if err != nil {
 					t.Fatalf("%s: %v", q.Name, err)
 				}
@@ -93,7 +92,7 @@ func TestSamplingDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex, _, err := eng.Compile(c.Module, &backend.Env{DB: w.DB, Arch: cfg.Arch, Options: cfg.BackendOptions()})
+	ex, _, err := eng.Compile(c.Module, w.Env())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,8 +5,6 @@ import (
 	"time"
 
 	"qcc/internal/backend"
-	"qcc/internal/backend/pcc"
-	"qcc/internal/codegen"
 )
 
 // parallelEngines is the lineup the parallel-compilation experiments sweep:
@@ -28,6 +26,7 @@ func Scaling(cfg Config, jobsList []int) (*Report, error) {
 	if len(jobsList) == 0 {
 		jobsList = []int{1, 2, 4, 8}
 	}
+	cfg = seedPath(cfg)
 	r := &Report{Title: fmt.Sprintf("Compile-time scaling: parallel per-function compilation (%s, all TPC-H)", cfg.Arch)}
 	head := fmt.Sprintf("  %-20s", "engine")
 	for _, j := range jobsList {
@@ -36,26 +35,25 @@ func Scaling(cfg Config, jobsList []int) (*Report, error) {
 	head += "  speedup"
 	r.Lines = append(r.Lines, head)
 	for _, eng := range parallelEngines(cfg) {
+		suite := func(jobs int) (*EngineRun, error) {
+			cfg.Jobs = jobs
+			w, err := loadH(cfg, cfg.SF)
+			if err != nil {
+				return nil, err
+			}
+			return RunSuite(w, eng, HQueries(), 1)
+		}
 		// One untimed warm-up pass per engine: the first suite compile in a
 		// process pays one-time costs (lazy table construction, page
 		// faults, GC growth) that would otherwise inflate whichever worker
 		// count happens to run first.
-		if w, err := loadH(cfg, cfg.SF); err == nil {
-			if _, err := RunSuiteTraced(w, pcc.Wrap(eng, pcc.Config{Jobs: jobsList[0]}), cfg.Arch, HQueries(), 1, nil, cfg.BackendOptions()); err != nil {
-				return nil, err
-			}
-		} else {
+		if _, err := suite(jobsList[0]); err != nil {
 			return nil, err
 		}
 		line := fmt.Sprintf("  %-20s", eng.Name())
 		var first, last time.Duration
 		for k, j := range jobsList {
-			w, err := loadH(cfg, cfg.SF)
-			if err != nil {
-				return nil, err
-			}
-			wrapped := pcc.Wrap(eng, pcc.Config{Jobs: j})
-			run, err := RunSuiteTraced(w, wrapped, cfg.Arch, HQueries(), 1, nil, cfg.BackendOptions())
+			run, err := suite(j)
 			if err != nil {
 				return nil, err
 			}
@@ -78,27 +76,27 @@ func Scaling(cfg Config, jobsList []int) (*Report, error) {
 // first pass is cold (all misses); the second recompiles the same queries
 // and should hit for every function.
 func CacheWarm(cfg Config) (*Report, error) {
-	if cfg.CacheMB <= 0 {
-		cfg.CacheMB = 64
+	jobs, cacheMB := cfg.Jobs, cfg.CacheMB
+	if cacheMB <= 0 {
+		cacheMB = 64
 	}
-	jobs := cfg.Jobs
 	if jobs <= 0 {
 		jobs = 1
 	}
-	r := &Report{Title: fmt.Sprintf("Code cache: repeated TPC-H workload (%s, jobs=%d, budget %d MiB)", cfg.Arch, jobs, cfg.CacheMB)}
+	cfg = seedPath(cfg)
+	cfg.Jobs, cfg.CacheMB = jobs, cacheMB
+	r := &Report{Title: fmt.Sprintf("Code cache: repeated TPC-H workload (%s, jobs=%d, budget %d MiB)", cfg.Arch, jobs, cacheMB)}
 	r.addf("  %-20s %-12s %-12s %6s %6s %9s", "engine", "cold", "warm", "hits", "misses", "hit-rate")
 	for _, eng := range parallelEngines(cfg) {
 		w, err := loadH(cfg, cfg.SF)
 		if err != nil {
 			return nil, err
 		}
-		cache := pcc.NewCache(int64(cfg.CacheMB) << 20)
-		wrapped := pcc.Wrap(eng, pcc.Config{Jobs: jobs, Cache: cache, VariantTag: codegen.CheckElimVersion})
-		cold, err := RunSuiteTraced(w, wrapped, cfg.Arch, HQueries(), 1, nil, cfg.BackendOptions())
+		cold, err := RunSuite(w, eng, HQueries(), 1)
 		if err != nil {
 			return nil, err
 		}
-		warm, err := RunSuiteTraced(w, wrapped, cfg.Arch, HQueries(), 1, nil, cfg.BackendOptions())
+		warm, err := RunSuite(w, eng, HQueries(), 1)
 		if err != nil {
 			return nil, err
 		}

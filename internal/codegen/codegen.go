@@ -152,13 +152,6 @@ func Compile(name string, root plan.Node, cat *rt.Catalog) (*Compiled, error) {
 	return CompileOpts(name, root, cat, Options{Elim: true, Hoist: true})
 }
 
-// CompileChecked is Compile with explicit control over the check-elimination
-// pass; elim=false produces the fully-checked baseline (every load and store
-// keeps its runtime bounds/null check).
-func CompileChecked(name string, root plan.Node, cat *rt.Catalog, elim bool) (*Compiled, error) {
-	return CompileOpts(name, root, cat, Options{Elim: elim, Hoist: true})
-}
-
 // CompileOpts is Compile with full strategy control.
 func CompileOpts(name string, root plan.Node, cat *rt.Catalog, opts Options) (*Compiled, error) {
 	if err := plan.Validate(root); err != nil {

@@ -40,25 +40,36 @@ func RunMorsels(db *rt.DB, cat *rt.Catalog, c *Compiled, call CallFunc, morsel i
 	}
 	for pi := range c.Pipelines {
 		p := &c.Pipelines[pi]
-		if _, err := call(p.SetupFn, state); err != nil {
-			return fmt.Errorf("pipeline %d setup: %w", pi, err)
-		}
 		n, err := sourceRows(db, cat, p, state)
 		if err != nil {
 			return fmt.Errorf("pipeline %d: %w", pi, err)
 		}
-		for lo := int64(0); lo < n; lo += morsel {
-			hi := lo + morsel
-			if hi > n {
-				hi = n
-			}
-			if _, err := call(p.MainFn, state, uint64(lo), uint64(hi)); err != nil {
-				return fmt.Errorf("pipeline %d morsel [%d,%d): %w", pi, lo, hi, err)
-			}
+		if err := runPipelineSeq(p, pi, call, state, n, morsel); err != nil {
+			return err
 		}
-		if _, err := call(p.CleanupFn, state); err != nil {
-			return fmt.Errorf("pipeline %d cleanup: %w", pi, err)
+	}
+	return nil
+}
+
+// runPipelineSeq runs one pipeline on the calling goroutine: setup, the main
+// function once per morsel of its n source rows, cleanup. A pipeline's
+// source handle is stored by an earlier pipeline's sink, so n is known
+// before setup runs.
+func runPipelineSeq(p *Pipeline, pi int, call CallFunc, state uint64, n, morsel int64) error {
+	if _, err := call(p.SetupFn, state); err != nil {
+		return fmt.Errorf("pipeline %d setup: %w", pi, err)
+	}
+	for lo := int64(0); lo < n; lo += morsel {
+		hi := lo + morsel
+		if hi > n {
+			hi = n
 		}
+		if _, err := call(p.MainFn, state, uint64(lo), uint64(hi)); err != nil {
+			return fmt.Errorf("pipeline %d morsel [%d,%d): %w", pi, lo, hi, err)
+		}
+	}
+	if _, err := call(p.CleanupFn, state); err != nil {
+		return fmt.Errorf("pipeline %d cleanup: %w", pi, err)
 	}
 	return nil
 }

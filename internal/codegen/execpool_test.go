@@ -9,7 +9,6 @@ import (
 	"qcc/internal/obs"
 	"qcc/internal/plan"
 	"qcc/internal/qir"
-	"qcc/internal/vm"
 	"qcc/internal/vt"
 )
 
@@ -25,7 +24,7 @@ func runParPooled(t *testing.T, env *testEnv, pool *ExecPool, p plan.Node, jobs 
 	if err != nil {
 		t.Fatalf("backend compile: %v", err)
 	}
-	mod := ex.(interface{ Module() *vm.Module }).Module()
+	mod := backend.ModuleOf(ex)
 	env.db.Out.Reset()
 	runErr := RunParallel(env.db, env.cat, c, ex.Call,
 		ExecOptions{Jobs: jobs, Module: mod, MorselSize: morsel, ArenaMB: 1, Pool: pool})

@@ -188,27 +188,6 @@ func makeWorkers(db *rt.DB, c *Compiled, jobs int, arena uint64) []*worker {
 	return ws
 }
 
-// runPipelineSeq is the sequential per-pipeline path, identical to
-// RunMorsels' inner loop.
-func runPipelineSeq(p *Pipeline, pi int, call CallFunc, state uint64, n, morsel int64) error {
-	if _, err := call(p.SetupFn, state); err != nil {
-		return fmt.Errorf("pipeline %d setup: %w", pi, err)
-	}
-	for lo := int64(0); lo < n; lo += morsel {
-		hi := lo + morsel
-		if hi > n {
-			hi = n
-		}
-		if _, err := call(p.MainFn, state, uint64(lo), uint64(hi)); err != nil {
-			return fmt.Errorf("pipeline %d morsel [%d,%d): %w", pi, lo, hi, err)
-		}
-	}
-	if _, err := call(p.CleanupFn, state); err != nil {
-		return fmt.Errorf("pipeline %d cleanup: %w", pi, err)
-	}
-	return nil
-}
-
 // runPipelinePar executes one pipeline across the worker pool.
 //
 // Sequence: workers re-snapshot the main handle table (so earlier pipelines'

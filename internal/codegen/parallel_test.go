@@ -61,7 +61,7 @@ func runPar(t *testing.T, env *testEnv, p plan.Node, jobs int, morsel int64) ([]
 	if err != nil {
 		t.Fatalf("backend compile: %v", err)
 	}
-	mod := ex.(interface{ Module() *vm.Module }).Module()
+	mod := backend.ModuleOf(ex)
 	env.db.Out.Reset()
 	runErr := RunParallel(env.db, env.cat, c, ex.Call,
 		ExecOptions{Jobs: jobs, Module: mod, MorselSize: morsel, ArenaMB: 1})

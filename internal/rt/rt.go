@@ -34,6 +34,11 @@ type DB struct {
 	target      *vt.Target
 	frozen      bool
 
+	// internTop is the heap position after the most recent string body
+	// InternString allocated; ReleaseTo scans the intern map only when it
+	// lies above the release mark.
+	internTop uint64
+
 	// poolBase is the machine address of the runtime constant-pool area
 	// (ConstPoolSlots 16-byte slots). It is allocated eagerly in NewDB —
 	// before any Checkpoint — so the address compiled code bakes in stays
@@ -179,6 +184,26 @@ func (db *DB) ResetToCheckpoint() {
 	db.M.ResetHeapTo(db.mark)
 }
 
+// ReleaseTo drops the state of one execution: hash tables, vectors, output
+// rows, and every heap allocation above mark (a db.M.HeapMark() taken after
+// the module's constant pool was bound, so compile-time and pooled strings
+// sit below it). Strings interned above the mark — a back-end compiling
+// during execution, as the adaptive tier driver does — are forgotten with
+// their bodies, so a later InternString cannot hand out a freed address.
+func (db *DB) ReleaseTo(mark uint64) {
+	db.ResetQueryState()
+	db.M.ResetHeapTo(mark)
+	if db.internTop <= mark {
+		return
+	}
+	for s, v := range db.strings {
+		if len(s) > 12 && v[1] >= mark { // longer strings keep their body at v[1]
+			delete(db.strings, s)
+		}
+	}
+	db.internTop = mark
+}
+
 // InternString materializes a string constant into machine memory (if
 // needed) and returns its 16-byte by-value representation as register
 // halves. Back-ends call this at compile time to bake string constants into
@@ -192,6 +217,7 @@ func (db *DB) InternString(s string) (lo, hi uint64) {
 	}
 	lo, hi = db.makeString(s)
 	db.strings[s] = [2]uint64{lo, hi}
+	db.internTop = db.M.HeapMark()
 	return lo, hi
 }
 

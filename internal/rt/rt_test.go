@@ -450,3 +450,32 @@ func TestAggChainAcyclicAfterGrowth(t *testing.T) {
 		}
 	}
 }
+
+// TestReleaseToForgetsStringsAboveMark: unwinding the heap must not leave the
+// intern map handing out freed addresses; strings interned below the mark
+// keep theirs.
+func TestReleaseToForgetsStringsAboveMark(t *testing.T) {
+	db := newDB(t)
+	const below, above = "interned before the mark", "interned during the execution"
+	lo0, hi0 := db.InternString(below)
+	mark := db.M.HeapMark()
+	db.InternString(above)
+	db.InternString("short") // inline, no heap body
+	db.M.Alloc(4096)         // execution state
+	db.ReleaseTo(mark)
+	if got := db.M.HeapMark(); got != mark {
+		t.Fatalf("heap at %d after release, mark %d", got, mark)
+	}
+	if lo, hi := db.InternString(below); lo != lo0 || hi != hi0 {
+		t.Errorf("string below the mark moved: %#x/%#x, was %#x/%#x", lo, hi, lo0, hi0)
+	}
+	// Whatever reuses the freed bytes must not alias a re-interned string.
+	scribble := db.M.Alloc(64)
+	for i := uint64(0); i < 64; i++ {
+		db.M.Mem[scribble+i] = 0xEE
+	}
+	lo, hi := db.InternString(above)
+	if s, err := db.LoadString(lo, hi); err != nil || s != above {
+		t.Errorf("re-interned string reads %q, %v", s, err)
+	}
+}

@@ -17,21 +17,12 @@ import (
 	"time"
 
 	"qcc/internal/backend"
-	"qcc/internal/backend/adaptive"
-	"qcc/internal/backend/cbe"
-	"qcc/internal/backend/clift"
-	"qcc/internal/backend/direct"
-	"qcc/internal/backend/interp"
-	"qcc/internal/backend/lbe"
-	"qcc/internal/backend/pcc"
-	"qcc/internal/codegen"
+	"qcc/internal/engine"
 	"qcc/internal/plan"
 	"qcc/internal/qir"
 	"qcc/internal/rt"
-	"qcc/internal/sql"
 	"qcc/internal/tpcds"
 	"qcc/internal/tpch"
-	"qcc/internal/vm"
 	"qcc/internal/vt"
 )
 
@@ -45,40 +36,30 @@ const (
 )
 
 // Option configures Open.
-type Option func(*config)
-
-type config struct {
-	arch     Arch
-	memMB    int
-	engine   string
-	noFuse   bool
-	execJobs int
-	batch    bool
-	cacheMB  int
-}
+type Option func(*engine.Options)
 
 // WithArch selects the target architecture (default VX64).
-func WithArch(a Arch) Option { return func(c *config) { c.arch = a } }
+func WithArch(a Arch) Option { return func(o *engine.Options) { o.Arch = a } }
 
 // WithMemoryMB sets the virtual machine memory size (default 512 MiB).
-func WithMemoryMB(mb int) Option { return func(c *config) { c.memMB = mb } }
+func WithMemoryMB(mb int) Option { return func(o *engine.Options) { o.MemMB = mb } }
 
 // WithEngine selects the default execution back-end by name; see Engines.
-func WithEngine(name string) Option { return func(c *config) { c.engine = name } }
+func WithEngine(name string) Option { return func(o *engine.Options) { o.Engine = name } }
 
 // WithFusion toggles the vm's superinstruction fusion for compiled queries
 // (default on). Results are identical either way; off forces the plain
 // decoded-switch dispatch loop, for dispatch-cost measurement.
-func WithFusion(on bool) Option { return func(c *config) { c.noFuse = !on } }
+func WithFusion(on bool) Option { return func(o *engine.Options) { o.NoFuse = !on } }
 
 // WithExecJobs sets the morsel-parallel executor's worker count (default 1,
 // sequential). Results are identical at any worker count — the executor
 // merges partitions in deterministic morsel order.
-func WithExecJobs(n int) Option { return func(c *config) { c.execJobs = n } }
+func WithExecJobs(n int) Option { return func(o *engine.Options) { o.ExecJobs = n } }
 
 // WithBatch toggles batch-at-a-time operator kernels for eligible scan
 // pipelines (default off). Results are identical either way.
-func WithBatch(on bool) Option { return func(c *config) { c.batch = on } }
+func WithBatch(on bool) Option { return func(o *engine.Options) { o.Batch = on } }
 
 // WithCacheMB enables the content-addressed compiled-code cache with the
 // given budget in MiB (default 0, disabled). Constant hoisting parameterizes
@@ -86,69 +67,42 @@ func WithBatch(on bool) Option { return func(c *config) { c.batch = on } }
 // cache entry; per-query hit/miss counts appear in Stats.CacheHits/
 // CacheMisses. Engines without a cacheable per-function pipeline (the
 // interpreter, the adaptive tier driver) run uncached.
-func WithCacheMB(mb int) Option { return func(c *config) { c.cacheMB = mb } }
+func WithCacheMB(mb int) Option { return func(o *engine.Options) { o.CacheMB = mb } }
 
 // DB is an in-memory analytical database instance.
 type DB struct {
-	db       *rt.DB
-	cat      *rt.Catalog
-	arch     Arch
-	engines  map[string]backend.Engine
-	def      string
-	noFuse   bool
-	execJobs int
-	batch    bool
-	cache    *pcc.Cache
+	w       *engine.World
+	engines map[string]backend.Engine
+	def     string
 }
 
 // Engines lists the available back-end names.
-func Engines() []string {
-	return []string{"interpreter", "directemit", "cranelift", "llvm-cheap", "llvm-opt", "gcc", "adaptive"}
-}
+func Engines() []string { return engine.BackendNames() }
 
 // Open creates a database.
 func Open(opts ...Option) (*DB, error) {
-	cfg := config{arch: VX64, memMB: 512, engine: "adaptive"}
+	cfg := engine.Options{Arch: VX64, MemMB: 512, Engine: "adaptive"}
 	for _, o := range opts {
 		o(&cfg)
 	}
-	m := vm.New(vm.Config{Arch: cfg.arch, MemSize: cfg.memMB << 20})
-	db := rt.NewDB(m)
-	d := &DB{
-		db:   db,
-		cat:  rt.NewCatalog(db),
-		arch: cfg.arch,
-		engines: map[string]backend.Engine{
-			"interpreter": interp.New(),
-			"directemit":  direct.New(),
-			"cranelift":   clift.New(),
-			"llvm-cheap":  lbe.NewCheap(),
-			"llvm-opt":    lbe.NewOpt(),
-			"gcc":         cbe.New(),
-			"adaptive":    adaptive.New(),
-		},
-		def:      cfg.engine,
-		noFuse:   cfg.noFuse,
-		execJobs: cfg.execJobs,
-		batch:    cfg.batch,
+	d := &DB{w: engine.NewWorld(cfg), engines: map[string]backend.Engine{}, def: cfg.Engine}
+	for _, name := range Engines() {
+		d.engines[name] = engine.Backend(name)
 	}
-	if cfg.cacheMB > 0 {
-		d.cache = pcc.NewCache(int64(cfg.cacheMB) << 20)
-	}
-	if cfg.arch != VX64 && (cfg.engine == "directemit" || cfg.engine == "adaptive") {
+	if cfg.Arch != VX64 && (cfg.Engine == "directemit" || cfg.Engine == "adaptive") {
 		d.def = "cranelift" // DirectEmit tiers are vx64-only
 	}
 	if _, ok := d.engines[d.def]; !ok {
-		return nil, fmt.Errorf("qc: unknown engine %q", cfg.engine)
+		return nil, fmt.Errorf("qc: unknown engine %q", cfg.Engine)
 	}
 	return d, nil
 }
 
 // LoadTPCH populates the TPC-H analog schema at the given scale factor.
-func (d *DB) LoadTPCH(sf float64) error { return tpch.Load(d.cat, sf) }
+func (d *DB) LoadTPCH(sf float64) error { return tpch.Load(d.w.Cat, sf) }
 
 // LoadTPCDS populates the TPC-DS analog schema at the given scale factor.
-func (d *DB) LoadTPCDS(sf float64) error { return tpcds.Load(d.cat, sf) }
+func (d *DB) LoadTPCDS(sf float64) error { return tpcds.Load(d.w.Cat, sf) }
 
 // ColumnType is a column type for CreateTable.
 type ColumnType = qir.Type
@@ -181,7 +135,7 @@ func (d *DB) CreateTable(name string, rows int64, cols ...Column) (*Table, error
 	for i, c := range cols {
 		specs[i] = rt.ColSpec{Name: c.Name, Type: c.Type}
 	}
-	t := d.cat.CreateTable(name, rows, specs...)
+	t := d.w.Cat.CreateTable(name, rows, specs...)
 	return &Table{db: d, tbl: t}, nil
 }
 
@@ -202,30 +156,30 @@ func (t *Table) Append(values ...any) error {
 			if !ok {
 				return fmt.Errorf("qc: column %s expects an integer", col.Name)
 			}
-			t.db.cat.SetInt(col, t.row, iv)
+			t.db.w.Cat.SetInt(col, t.row, iv)
 		case qir.I128:
 			switch x := v.(type) {
 			case Dec:
-				t.db.cat.SetI128(col, t.row, rt.I128(x))
+				t.db.w.Cat.SetI128(col, t.row, rt.I128(x))
 			default:
 				iv, ok := toInt64(v)
 				if !ok {
 					return fmt.Errorf("qc: column %s expects a decimal", col.Name)
 				}
-				t.db.cat.SetI128(col, t.row, rt.I128FromInt64(iv))
+				t.db.w.Cat.SetI128(col, t.row, rt.I128FromInt64(iv))
 			}
 		case qir.F64:
 			fv, ok := v.(float64)
 			if !ok {
 				return fmt.Errorf("qc: column %s expects a float64", col.Name)
 			}
-			t.db.cat.SetF64(col, t.row, fv)
+			t.db.w.Cat.SetF64(col, t.row, fv)
 		case qir.Str:
 			sv, ok := v.(string)
 			if !ok {
 				return fmt.Errorf("qc: column %s expects a string", col.Name)
 			}
-			t.db.cat.SetStr(col, t.row, sv)
+			t.db.w.Cat.SetStr(col, t.row, sv)
 		default:
 			return fmt.Errorf("qc: unsupported column type %s", col.Type)
 		}
@@ -283,12 +237,12 @@ func (d *DB) Exec(query string) (*Result, error) {
 }
 
 // ExecWith runs a query with a specific back-end.
-func (d *DB) ExecWith(engine, query string) (*Result, error) {
-	eng, ok := d.engines[engine]
+func (d *DB) ExecWith(engineName, query string) (*Result, error) {
+	eng, ok := d.engines[engineName]
 	if !ok {
-		return nil, fmt.Errorf("qc: unknown engine %q (have %v)", engine, Engines())
+		return nil, fmt.Errorf("qc: unknown engine %q (have %v)", engineName, Engines())
 	}
-	node, err := sql.Parse(query, d.cat)
+	node, err := d.w.Parse(query)
 	if err != nil {
 		return nil, err
 	}
@@ -297,57 +251,33 @@ func (d *DB) ExecWith(engine, query string) (*Result, error) {
 
 // ExecPlan compiles and runs a hand-built plan (advanced use; see package
 // plan via the workload generators).
-func (d *DB) ExecPlan(engine string, name string, node plan.Node) (*Result, error) {
-	eng, ok := d.engines[engine]
+func (d *DB) ExecPlan(engineName string, name string, node plan.Node) (*Result, error) {
+	eng, ok := d.engines[engineName]
 	if !ok {
-		return nil, fmt.Errorf("qc: unknown engine %q", engine)
+		return nil, fmt.Errorf("qc: unknown engine %q", engineName)
 	}
 	return d.run(eng, name, node)
 }
 
+// run drives the query path's stages for one plan. CompileTime is the
+// back-end's total, read after execution (the adaptive engine adds its
+// run-time promotions to it); ExecTime is the wall time of bind → run alone.
+// Lowering, row materialization and the heap release sit outside both.
 func (d *DB) run(eng backend.Engine, name string, node plan.Node) (*Result, error) {
-	batchExec := d.execJobs > 1 || d.batch
-	var c *codegen.Compiled
-	var err error
-	if batchExec {
-		c, err = codegen.CompileOpts(name, node, d.cat,
-			codegen.Options{Elim: true, Hoist: true, Batch: d.batch, Parallel: d.execJobs > 1})
-	} else {
-		c, err = codegen.Compile(name, node, d.cat)
-	}
+	c, err := d.w.Lower(name, node)
 	if err != nil {
 		return nil, err
 	}
-	if d.cache != nil {
-		// The wrapper consults the shared cache per function; the variant
-		// tag keys entries by check-elimination pass version so a pass
-		// change never revives stale code.
-		eng = pcc.Wrap(eng, pcc.Config{Jobs: 1, Cache: d.cache, VariantTag: codegen.CheckElimVersion})
-	}
-	ex, stats, err := eng.Compile(c.Module, &backend.Env{
-		DB: d.db, Arch: d.arch,
-		Options: backend.Options{NoFuse: d.noFuse},
-	})
+	p, err := d.w.Compile(eng, c)
 	if err != nil {
 		return nil, err
 	}
-	d.db.ResetQueryState()
-	execute := func() error { return codegen.Run(d.db, d.cat, c, ex.Call) }
-	if batchExec {
-		var mod *vm.Module
-		if mh, ok := ex.(interface{ Module() *vm.Module }); ok {
-			mod = mh.Module()
-		}
-		execute = func() error {
-			return codegen.RunParallel(d.db, d.cat, c, ex.Call,
-				codegen.ExecOptions{Jobs: d.execJobs, Module: mod})
-		}
-	}
-	start := time.Now()
-	if err := execute(); err != nil {
+	execTime, err := d.w.Run(p)
+	defer d.w.Release()
+	if err != nil {
 		return nil, err
 	}
-	execTime := time.Since(start)
+	stats := p.Stats
 
 	res := &Result{Stats: Stats{
 		Engine:      eng.Name(),
@@ -365,7 +295,7 @@ func (d *DB) run(eng backend.Engine, name string, node plan.Node) (*Result, erro
 	for _, ci := range node.Schema() {
 		res.Columns = append(res.Columns, ci.Name)
 	}
-	for _, row := range d.db.Out.Rows {
+	for _, row := range d.w.DB.Out.Rows {
 		out := make([]string, len(row))
 		for i, v := range row {
 			out[i] = v.String()

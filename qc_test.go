@@ -4,6 +4,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"qcc/internal/obs"
 )
 
 func openSmall(t *testing.T) *DB {
@@ -223,4 +225,95 @@ func TestArchVA64(t *testing.T) {
 func loadProductsAny(t *testing.T, db *DB) {
 	t.Helper()
 	loadProducts(t, db)
+}
+
+// heapUsed is the vm heap in use; flat across executions means the query
+// path released everything the executions allocated.
+func heapUsed(d *DB) uint64 { return d.w.DB.M.HeapUsed() }
+
+// TestExecParallelKeepsWorkersAndHeap: one persistent worker pool per DB —
+// every parallel Exec must dispatch to workers and leave the heap where the
+// first one left it. (Before the pool, each Exec leaked 4 x 4 MiB of arenas
+// and parallelism switched itself off when the heap ran out.)
+func TestExecParallelKeepsWorkersAndHeap(t *testing.T) {
+	db, err := Open(WithMemoryMB(128), WithEngine("cranelift"), WithExecJobs(4), WithBatch(true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.LoadTPCH(0.05); err != nil {
+		t.Fatal(err)
+	}
+	const q = "SELECT l_returnflag, SUM(l_quantity), COUNT(*) FROM lineitem GROUP BY l_returnflag ORDER BY l_returnflag"
+	workers := obs.NewCounter("exec_workers")
+	var first *Result
+	var heap uint64
+	for i := 0; i < 40; i++ {
+		before := workers.Load()
+		res, err := db.Exec(q)
+		if err != nil {
+			t.Fatalf("exec %d: %v", i, err)
+		}
+		if workers.Load() == before {
+			t.Fatalf("exec %d ran without workers", i)
+		}
+		if i == 0 {
+			first, heap = res, heapUsed(db)
+			continue
+		}
+		if got := heapUsed(db); got != heap {
+			t.Fatalf("exec %d: heap %d, was %d after the first", i, got, heap)
+		}
+		if !reflect.DeepEqual(res.Rows, first.Rows) {
+			t.Fatalf("exec %d: rows differ from the first", i)
+		}
+	}
+}
+
+// TestExecSequentialHeapFlat: over a fixed set of statements the heap ends
+// where each statement's first execution left it — strings interned at
+// compile time may stay, per-execution state may not — on the engine that
+// compiles during execution (adaptive) and on a cached one.
+func TestExecSequentialHeapFlat(t *testing.T) {
+	stmts := []string{
+		"SELECT COUNT(*) FROM lineitem",
+		"SELECT o_orderpriority, COUNT(*) FROM orders WHERE o_orderpriority = '1-URGENT' GROUP BY o_orderpriority",
+		"SELECT l_returnflag, SUM(l_extendedprice) FROM lineitem GROUP BY l_returnflag ORDER BY l_returnflag",
+		"SELECT c_mktsegment, COUNT(*) FROM customer WHERE c_mktsegment = 'AUTOMOBILE' OR c_mktsegment = 'a segment that does not exist' GROUP BY c_mktsegment",
+		"SELECT l_orderkey, l_quantity FROM lineitem WHERE l_quantity > 49 ORDER BY l_orderkey LIMIT 5",
+		"SELECT l_shipmode, COUNT(*) FROM lineitem WHERE l_shipmode = 'AIR' GROUP BY l_shipmode",
+	}
+	for name, opts := range map[string][]Option{
+		"adaptive":  {WithEngine("adaptive")},
+		"cranelift": {WithEngine("cranelift"), WithCacheMB(16)},
+	} {
+		t.Run(name, func(t *testing.T) {
+			db, err := Open(append(opts, WithMemoryMB(64))...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := db.LoadTPCH(0.01); err != nil {
+				t.Fatal(err)
+			}
+			first := make([]*Result, len(stmts))
+			for i, s := range stmts {
+				if first[i], err = db.Exec(s); err != nil {
+					t.Fatalf("%s: %v", s, err)
+				}
+			}
+			heap := heapUsed(db)
+			for n := 0; n < 5000; n++ {
+				i := n % len(stmts)
+				res, err := db.Exec(stmts[i])
+				if err != nil {
+					t.Fatalf("exec %d: %v", n, err)
+				}
+				if n >= 5000-len(stmts) && !reflect.DeepEqual(res.Rows, first[i].Rows) {
+					t.Errorf("%s: rows changed between first and last execution", stmts[i])
+				}
+			}
+			if got := heapUsed(db); got != heap {
+				t.Errorf("heap %d after 5000 executions, %d after the first of each statement", got, heap)
+			}
+		})
+	}
 }
