@@ -47,6 +47,12 @@
 #      of the parameterized TPC-H families hit the warm cache below 90% on
 #      any compiling back-end, or when pooled (hoisted) bodies regress
 #      inline-literal execution by more than 3% pooled geomean
+#  15. the front-end gate, counts only: over the TPC-H and TPC-DS plans
+#      sa.functions_analyzed must equal the number of generated functions,
+#      hoist.analysis_rounds must stay 0, and CompileOpts on q1 and q6 must
+#      stay inside the committed allocation budget (half of what the
+#      three-analysis front-end took); then a one-iteration smoke of
+#      BenchmarkFrontEnd, the front-end cost's one-command reproduction
 #
 # The unchecked-conservation check (QIR marks must survive into every
 # back-end's machine code) runs inside step 5 as part of qverify.
@@ -138,5 +144,9 @@ go test -race -short ./internal/backend/conformance/ \
 
 echo "== qbench plan-cache gate (sf 0.05, >= 90% warm hits, <= 3% exec regression) =="
 go run ./cmd/qbench -sf 0.05 -runs 3 -cache-gate 0.9 cache >/dev/null
+
+echo "== front-end gate (one analysis per function, allocation budget) =="
+go test ./internal/codegen -run 'TestOneAnalysisPerFunction' -count=1
+go test ./internal/codegen -run '^$' -bench FrontEnd -benchtime=1x -benchmem
 
 echo "== ci.sh: all checks passed =="

@@ -3,7 +3,7 @@ package pcc
 import (
 	"crypto/sha256"
 	"encoding/binary"
-	"io"
+	"sync"
 
 	"qcc/internal/qir"
 	"qcc/internal/rt"
@@ -28,16 +28,18 @@ import (
 // the helpers still misses when an unrelated import differs), trading a few
 // cross-module hits for soundness; the headline warm-run workload repeats
 // whole modules, where RTNames match exactly.
+//
+// The fields are serialized — every integer as eight little-endian bytes,
+// every string behind its length — into one pooled buffer and hashed in a
+// single call; a fully cached statement spends its compile time here.
 func unitKey(arch vt.Arch, variant string, mod *qir.Module, db *rt.DB, i int) string {
-	h := sha256.New()
-	var buf [8]byte
-	w64 := func(v uint64) {
-		binary.LittleEndian.PutUint64(buf[:], v)
-		h.Write(buf[:])
-	}
+	bp := keyBufs.Get().(*[]byte)
+	defer keyBufs.Put(bp)
+	buf := (*bp)[:0]
+	w64 := func(v uint64) { buf = binary.LittleEndian.AppendUint64(buf, v) }
 	ws := func(s string) {
 		w64(uint64(len(s)))
-		io.WriteString(h, s)
+		buf = append(buf, s...)
 	}
 	w64(uint64(arch))
 	ws(variant)
@@ -96,6 +98,9 @@ func unitKey(arch vt.Arch, variant string, mod *qir.Module, db *rt.DB, i int) st
 	for _, n := range mod.RTNames {
 		ws(n)
 	}
-	sum := h.Sum(nil)
-	return string(sum)
+	*bp = buf
+	sum := sha256.Sum256(buf)
+	return string(sum[:])
 }
+
+var keyBufs = sync.Pool{New: func() any { return new([]byte) }}

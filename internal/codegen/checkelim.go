@@ -22,6 +22,10 @@ var (
 	obsLintFinds   = obs.NewCounter("sa.lint_findings")
 	obsAnalysisNs  = obs.NewCounter("sa.analysis_ns")
 	obsElimModules = obs.NewCounter("sa.modules_analyzed")
+	// obsFuncsAnalyzed counts analyses executed; a compile runs one per
+	// generated function unless hoist classification or a full constant pool
+	// forces more.
+	obsFuncsAnalyzed = obs.NewCounter("sa.functions_analyzed")
 )
 
 // ElimStats summarizes the static check-elimination pass over one module.
@@ -40,7 +44,9 @@ type ElimStats struct {
 	Findings []sa.Finding
 	// MaxLive is the maximum register pressure over all functions.
 	MaxLive int
-	// AnalysisNs is wall time spent in the analysis and rewrite.
+	// AnalysisNs is wall time of the pass from its first analysis to its
+	// last mark: every analysis run (hoist classification included), the
+	// literal rewrites between them, liveness and marking.
 	AnalysisNs int64
 }
 
@@ -117,37 +123,103 @@ func (c *Compiled) factsFor(fi int, regions []sa.Region, cat *rt.Catalog) *sa.Fa
 	return facts
 }
 
-// eliminateChecks runs the sa analysis over every generated function and
-// marks statically proven loads/stores with qir.MemUnchecked so that every
-// back-end (and the interpreter) lowers them without bounds or null checks.
-func (c *Compiled) eliminateChecks(cat *rt.Catalog) {
+// hoistAndEliminate runs the two IR-rewriting passes over every generated
+// function: constant hoisting (user literals become constant-pool loads, see
+// poolLiterals) and check elimination (statically proven loads/stores are
+// marked qir.MemUnchecked so that every back-end and the interpreter lowers
+// them without bounds or null checks). With both on they share one sa
+// analysis per function.
+//
+// The two interact: the eliminator exploits the compile-time value of some
+// literals — a filter constant can bound an index, making a bounds check
+// provably redundant — and hoisting such a range-load-bearing literal would
+// silently re-introduce the check, so it has to stay inline. Rather than
+// analyse the function as written, again with the literals widened, and a
+// third time after the rewrite, the pass analyses it once in its all-hoisted
+// form: every candidate listed in sa.Facts.WideConsts, which gives an OpConst
+// the transfer function of the OpConstPool that will replace it. Whether that
+// analysis could have proven more with the literals inline is decided without
+// running it: if no candidate reaches a memory address
+// (sa.Analysis.ReachesAddress), every access has the same verdict either way,
+// all candidates are hoisted, and the analysis in hand is already the
+// analysis of the final IR. Otherwise classifyHoists decides by running the
+// baseline and the per-candidate rounds.
+//
+// Soundness: every SetUnchecked mark comes from an analysis whose abstract
+// semantics equal those of the function as finally rewritten. The all-hoisted
+// analysis qualifies only if exactly the candidates it widened were pooled;
+// after a classification, or when rewriteToPool refused a literal (pool
+// full), the rewritten function is analysed again and the marks come from
+// that. The StrictUnchecked differentials are the referee.
+func (c *Compiler) hoistAndEliminate(cat *rt.Catalog) {
+	hoist := HoistStats{Enabled: c.opts.Hoist}
+	elim := ElimStats{Enabled: c.opts.Elim}
 	start := time.Now()
-	stats := ElimStats{Enabled: true, ByReason: map[string]int{}}
-	regions := moduleRegions(cat)
-	for fi, f := range c.Module.Funcs {
-		a := sa.Analyze(f, c.factsFor(fi, regions, cat))
-		for _, acc := range a.Accesses() {
-			stats.MemOps++
-			if !acc.Safe {
-				continue
-			}
-			c.Module.Funcs[fi].Instrs[acc.V].SetUnchecked()
-			stats.Unchecked++
-			stats.ByReason[acc.Reason]++
+	var regions []sa.Region
+	if c.opts.Elim {
+		elim.ByReason = map[string]int{}
+		regions = moduleRegions(cat)
+	}
+	var a sa.Analysis
+	for fi, f := range c.mod.Funcs {
+		cands := c.hoistCands[f]
+		hoist.Candidates += len(cands)
+		if !c.opts.Elim {
+			c.poolLiterals(f, cands, cands, &hoist)
+			continue
 		}
-		stats.Findings = append(stats.Findings, a.Lint()...)
-		if a.MaxLive > stats.MaxLive {
-			stats.MaxLive = a.MaxLive
+		facts := c.out.factsFor(fi, regions, cat)
+		facts.WideConsts = cands
+		obsFuncsAnalyzed.Inc()
+		a.Run(f, facts)
+		var accs []sa.Access
+		var finds []sa.Finding
+		pool, final := cands, true
+		if len(cands) > 0 && a.ReachesAddress(cands) {
+			pool, final = c.classifyHoists(&a, facts, cands, countSafe(a.Accesses())), false
+		} else {
+			// Read the verdicts before the rewrite moves instructions the
+			// analysis has positions for.
+			accs, finds = a.Accesses(), a.Lint()
+		}
+		if !c.poolLiterals(f, cands, pool, &hoist) || !final {
+			facts.WideConsts = nil
+			obsFuncsAnalyzed.Inc()
+			a.Run(f, facts)
+			accs, finds = a.Accesses(), a.Lint()
+		}
+		elim.MemOps += len(accs)
+		for i := range accs {
+			if acc := &accs[i]; acc.Safe {
+				f.Instrs[acc.V].SetUnchecked()
+				elim.Unchecked++
+				elim.ByReason[acc.Reason]++
+			}
+		}
+		elim.Findings = append(elim.Findings, finds...)
+		// Register pressure is a property of the final instruction order, so
+		// it is measured after the pool loads moved to the entry block.
+		if live := f.MaxLiveValues(f.LivenessAnalysis()); live > elim.MaxLive {
+			elim.MaxLive = live
 		}
 	}
-	stats.AnalysisNs = time.Since(start).Nanoseconds()
-	c.Elim = stats
-
-	obsElimModules.Inc()
-	obsMemOps.Add(int64(stats.MemOps))
-	obsChecksElim.Add(int64(stats.Unchecked))
-	obsLintFinds.Add(int64(len(stats.Findings)))
-	obsAnalysisNs.Add(stats.AnalysisNs)
+	if c.opts.Hoist {
+		hoist.PoolSlots = len(c.mod.Pool)
+		c.out.Hoist = hoist
+		obsHoistCands.Add(int64(hoist.Candidates))
+		obsHoisted.Add(int64(hoist.Hoisted))
+		obsKeptInline.Add(int64(hoist.KeptInline))
+		obsHoistSlots.Add(int64(hoist.PoolSlots))
+	}
+	if c.opts.Elim {
+		elim.AnalysisNs = time.Since(start).Nanoseconds()
+		c.out.Elim = elim
+		obsElimModules.Inc()
+		obsMemOps.Add(int64(elim.MemOps))
+		obsChecksElim.Add(int64(elim.Unchecked))
+		obsLintFinds.Add(int64(len(elim.Findings)))
+		obsAnalysisNs.Add(elim.AnalysisNs)
+	}
 }
 
 // Analyses returns a fresh sa.Analysis per function under the same facts the
@@ -157,6 +229,7 @@ func (c *Compiled) Analyses(cat *rt.Catalog) []*sa.Analysis {
 	regions := moduleRegions(cat)
 	out := make([]*sa.Analysis, len(c.Module.Funcs))
 	for fi, f := range c.Module.Funcs {
+		obsFuncsAnalyzed.Inc()
 		out[fi] = sa.Analyze(f, c.factsFor(fi, regions, cat))
 	}
 	return out

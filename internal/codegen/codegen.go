@@ -172,14 +172,8 @@ func CompileOpts(name string, root plan.Node, cat *rt.Catalog, opts Options) (*C
 		c.out.StateSize = 8
 	}
 	c.out.NumFuncs = len(c.mod.Funcs)
-	if opts.Hoist {
-		// Hoisting runs before check elimination so the eliminator proves
-		// safety on the rewritten IR: every check it marks redundant is
-		// sound by construction under pooled constants.
-		c.hoistConstants(cat)
-	}
-	if opts.Elim {
-		c.out.eliminateChecks(cat)
+	if opts.Hoist || opts.Elim {
+		c.hoistAndEliminate(cat)
 	}
 	if err := c.mod.VerifyModule(); err != nil {
 		return nil, fmt.Errorf("codegen: generated invalid IR: %w", err)

@@ -31,104 +31,77 @@ type HoistStats struct {
 	PoolSlots int
 }
 
-// hoistConstants rewrites user-supplied query literals (recorded during
-// expression emission) into constant-pool loads, turning the compiled body
-// into a parameterized plan: modules that differ only in literal values
-// produce identical function bodies and therefore share entries in the
-// content-addressed code cache, with the actual values bound into pool
-// slots at execution time.
+// poolLiterals rewrites the candidates of f listed in pool into
+// constant-pool loads and tallies the decisions; the others stay inline. It
+// reports whether every member of pool was rewritten — rewriteToPool refuses
+// when the pool is full.
 //
-// Not every literal is eligible. The check-elimination pass exploits the
-// compile-time value of some literals — a filter constant can bound an
-// induction variable or an arithmetic result, turning a trapping operation
-// or a bounds check provably redundant. Hoisting such a literal erases the
-// value-range fact and would silently re-introduce runtime checks. The pass
-// therefore classifies each candidate by hypothetical widening: it asks the
-// analysis how many checks remain provable when the literal's range is
-// widened to its type bounds (sa.Facts.WideConsts), and keeps the literal
-// inline when the eliminable set shrinks. The per-function decision tally
-// lands in qir.Prov (Hoisted/KeptInline) for qtrace attribution.
-func (c *Compiler) hoistConstants(cat *rt.Catalog) {
-	stats := HoistStats{Enabled: true}
-	defer func() {
-		stats.PoolSlots = len(c.mod.Pool)
-		c.out.Hoist = stats
-		obsHoistCands.Add(int64(stats.Candidates))
-		obsHoisted.Add(int64(stats.Hoisted))
-		obsKeptInline.Add(int64(stats.KeptInline))
-		obsHoistSlots.Add(int64(stats.PoolSlots))
-	}()
-	if len(c.hoistCands) == 0 {
-		return
-	}
-	regions := moduleRegions(cat)
-	for fi, f := range c.mod.Funcs {
-		cands := c.hoistCands[f]
-		if len(cands) == 0 {
-			continue
-		}
-		stats.Candidates += len(cands)
-		hoist := cands
-		if c.opts.Elim {
-			hoist = c.classifyHoists(fi, f, cands, regions, cat)
-		}
-		hoistSet := make(map[qir.Value]bool, len(hoist))
-		for _, v := range hoist {
-			hoistSet[v] = true
-		}
-		for _, v := range cands {
-			if hoistSet[v] && c.rewriteToPool(f, v) {
+// Hoisting turns the compiled body into a parameterized plan: modules that
+// differ only in literal values produce identical function bodies and
+// therefore share entries in the content-addressed code cache, with the
+// actual values bound into pool slots at execution time.
+func (c *Compiler) poolLiterals(f *qir.Func, cands, pool []qir.Value, stats *HoistStats) bool {
+	all := true
+	for _, v := range cands {
+		// pool is a subsequence of cands, so one cursor finds its members.
+		if len(pool) > 0 && pool[0] == v {
+			pool = pool[1:]
+			if c.rewriteToPool(f, v) {
 				stats.Hoisted++
 				f.Prov.Hoisted++
-			} else {
-				stats.KeptInline++
-				f.Prov.KeptInline++
+				continue
 			}
+			all = false
 		}
+		stats.KeptInline++
+		f.Prov.KeptInline++
 	}
+	return all
 }
 
 // classifyHoists partitions a function's candidates into hoistable ones,
-// returned, and range-load-bearing ones, omitted. Classification is by
-// hypothetical widening against the same facts the check eliminator will
-// use: first the whole candidate set at once (the common case — query
-// literals rarely feed safety proofs), then, on regression, greedily one
-// candidate at a time in emission order, keeping each hoist only if the
-// eliminable-check count stays at the all-inline baseline. The greedy order
-// makes the decision deterministic, which the cache keying relies on.
-func (c *Compiler) classifyHoists(fi int, f *qir.Func, cands []qir.Value, regions []sa.Region, cat *rt.Catalog) []qir.Value {
-	elimCount := func(wide map[qir.Value]bool) int {
-		facts := c.out.factsFor(fi, regions, cat)
+// returned, and range-load-bearing ones, omitted, by hypothetical widening:
+// a literal may be hoisted only if the analysis proves as many accesses safe
+// with it widened as with every literal inline (base). allSafe is that count
+// with all candidates widened, which the caller's analysis already gave; when
+// it falls short, candidates are tried greedily one at a time in emission
+// order, keeping each only if the count stays at base. The greedy order makes
+// the decision deterministic, which the cache keying relies on.
+//
+// It runs only for functions where a candidate can reach a memory address
+// (sa.Analysis.ReachesAddress) — none in TPC-H, TPC-DS or the ad-hoc SQL
+// stream — so every analysis here is counted in hoist.analysis_rounds. It
+// leaves a holding the last round's results, of no use to the caller.
+func (c *Compiler) classifyHoists(a *sa.Analysis, facts *sa.Facts, cands []qir.Value, allSafe int) []qir.Value {
+	safeWith := func(wide []qir.Value) int {
 		facts.WideConsts = wide
 		obsHoistRounds.Inc()
-		a := sa.Analyze(f, facts)
-		n := 0
-		for _, acc := range a.Accesses() {
-			if acc.Safe {
-				n++
-			}
-		}
-		return n
+		obsFuncsAnalyzed.Inc()
+		a.Rerun(facts)
+		return countSafe(a.Accesses())
 	}
-	base := elimCount(nil)
-	all := make(map[qir.Value]bool, len(cands))
-	for _, v := range cands {
-		all[v] = true
-	}
-	if elimCount(all) == base {
+	base := safeWith(nil)
+	if allSafe == base {
 		return cands
 	}
-	cur := make(map[qir.Value]bool, len(cands))
 	var hoist []qir.Value
 	for _, v := range cands {
-		cur[v] = true
-		if elimCount(cur) < base {
-			delete(cur, v)
-			continue
-		}
 		hoist = append(hoist, v)
+		if safeWith(hoist) < base {
+			hoist = hoist[:len(hoist)-1]
+		}
 	}
 	return hoist
+}
+
+func countSafe(accs []sa.Access) int {
+	n := 0
+	for i := range accs {
+		if accs[i].Safe {
+			n++
+		}
+	}
+	return n
 }
 
 // rewriteToPool replaces literal instruction v with a constant-pool load,

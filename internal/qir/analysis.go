@@ -14,9 +14,10 @@ func (f *Func) RPO() []BlockID {
 		b    BlockID
 		next int
 	}
-	stack := []frame{{b: 0}}
+	stack := append(make([]frame, 0, len(f.Blocks)), frame{b: 0})
 	seen[0] = true
-	var succBuf []BlockID
+	var succArr [2]BlockID // a terminator has at most two successors
+	succBuf := succArr[:0]
 	for len(stack) > 0 {
 		fr := &stack[len(stack)-1]
 		succBuf = f.Succs(fr.b, succBuf[:0])
@@ -216,20 +217,19 @@ func (f *Func) LivenessAnalysis() *Liveness {
 	n := len(f.Instrs)
 	nb := len(f.Blocks)
 	lv := &Liveness{nvals: n}
-	lv.LiveIn = make([]BitSet, nb)
-	lv.LiveOut = make([]BitSet, nb)
-	gen := make([]BitSet, nb)  // upward-exposed uses
-	kill := make([]BitSet, nb) // definitions
-	// phiUses[p] are values used by phis in successors of p along edge p->s.
-	phiUses := make([]BitSet, nb)
-	for b := 0; b < nb; b++ {
-		lv.LiveIn[b] = NewBitSet(n)
-		lv.LiveOut[b] = NewBitSet(n)
-		gen[b] = NewBitSet(n)
-		kill[b] = NewBitSet(n)
-		phiUses[b] = NewBitSet(n)
+	// Five bitsets per block — LiveIn, LiveOut, gen (upward-exposed uses),
+	// kill (definitions) and phiUses (values used by phis in successors of p
+	// along edge p->s) — carved out of one allocation.
+	words := (n + 63) / 64
+	store := make([]uint64, 5*nb*words)
+	sets := make([]BitSet, 5*nb)
+	for i := range sets {
+		sets[i] = store[i*words : (i+1)*words]
 	}
-	var ops []Value
+	lv.LiveIn, lv.LiveOut = sets[:nb], sets[nb:2*nb]
+	gen, kill, phiUses := sets[2*nb:3*nb], sets[3*nb:4*nb], sets[4*nb:]
+	var opsArr [8]Value // most instructions have fewer operands; longer calls grow it
+	ops := opsArr[:0]
 	for b := 0; b < nb; b++ {
 		blk := &f.Blocks[b]
 		for _, v := range blk.List {
@@ -254,7 +254,8 @@ func (f *Func) LivenessAnalysis() *Liveness {
 		}
 	}
 	// Iterate to fixpoint, blocks in reverse order for fast convergence.
-	var succBuf []BlockID
+	var succArr [2]BlockID
+	succBuf := succArr[:0]
 	for changed := true; changed; {
 		changed = false
 		for b := nb - 1; b >= 0; b-- {
@@ -320,7 +321,8 @@ func (f *Func) MaxLiveValues(lv *Liveness) int {
 	n := lv.nvals
 	cur := NewBitSet(n)
 	maxLive := 0
-	var ops []Value
+	var opsArr [8]Value
+	ops := opsArr[:0]
 	for b := range f.Blocks {
 		cur.Copy(lv.LiveOut[b])
 		live := cur.Count()

@@ -42,13 +42,12 @@ type Facts struct {
 	// MinValid is the size of the guard page: addresses below it always
 	// trap. Defaults to 4096 (the VM null guard) via NewFacts.
 	MinValid int64
-	// WideConsts marks OpConst values whose literal must be treated as
-	// unknown (widened to the type's load bounds). The constant-hoisting
-	// pass uses it to ask "which checks would the eliminator lose if this
-	// literal were no longer compile-time known?" — a constant whose
-	// widening shrinks the eliminable set is range-load-bearing and stays
-	// inline.
-	WideConsts map[qir.Value]bool
+	// WideConsts lists OpConst values whose literal must be treated as
+	// unknown (widened to the type's load bounds) — exactly the transfer
+	// function of the OpConstPool the constant-hoisting pass would put in
+	// their place, so analysing f with its hoist candidates listed here is
+	// analysing f in its hoisted form before the rewrite happens.
+	WideConsts []qir.Value
 }
 
 // NewFacts returns an empty fact set with the VM's default null-guard size.
@@ -59,14 +58,6 @@ func (ft *Facts) paramRegion(i int) int64 {
 		return 0
 	}
 	return ft.ParamRegion[i]
-}
-
-func (ft *Facts) valFact(v qir.Value) (PtrFact, bool) {
-	if ft == nil || ft.ValFacts == nil {
-		return PtrFact{}, false
-	}
-	f, ok := ft.ValFacts[v]
-	return f, ok
 }
 
 func (ft *Facts) paramRange(i int) (Interval, bool) {
@@ -126,147 +117,265 @@ const maxRefineDepth = 8
 // Analysis holds the fixpoint results for one function plus the per-block
 // branch-condition refinements, and answers contextual range, derivation,
 // and access-safety queries.
+//
+// All working storage is dense and indexed by value or block id, and an
+// Analysis can be Run again on another function: the arrays are resized in
+// place, so a compile that analyses a module's functions one after the other
+// allocates for the largest of them once. Results of the previous Run are
+// overwritten.
 type Analysis struct {
 	F     *qir.Func
 	Facts *Facts
 	Dom   *qir.DomTree
 
 	vals []absVal
-	// cons[b] maps a value id to the interval it is known to lie in at any
-	// point dominated by block b's entry, derived from branch conditions.
-	cons []map[qir.Value]Interval
-	// consNN[b] holds the values proven non-null at any point dominated by
-	// block b's entry (from `p == null` / `p != null` branches).
-	consNN []map[qir.Value]bool
-	// posBlock/posIdx locate each instruction for dominance queries
-	// (NoValue block for instructions not listed in any block).
+
+	// Structure of F, built once per Run and shared by both fixpoint rounds
+	// and by every Rerun: where each instruction sits (block -1 for
+	// instructions not listed in any block), and the def-use chains in CSR
+	// form — the users of v are useList[useOff[v]:useOff[v+1]], ascending.
 	posBlock []qir.BlockID
 	posIdx   []int32
+	useOff   []int32
+	useList  []qir.Value
 
-	// MaxLive is the maximum number of simultaneously live SSA values at
-	// any instruction boundary — the register-pressure statistic computed
-	// from per-instruction liveness.
-	MaxLive int
+	// hasFact and wide resolve Facts.ValFacts and Facts.WideConsts to one
+	// bit per value before the fixpoint starts.
+	hasFact, wide qir.BitSet
+
+	// Branch constraints. Block b contributes consEnt[consLo[b]:consHi[b]];
+	// the constraints in force at any point b dominates are the entries of
+	// every block on b's dominator-tree path, met. constrained has a bit for
+	// each value with an entry anywhere, so the common miss is one bit test.
+	consEnt        []consEntry
+	consLo, consHi []int32
+	constrained    qir.BitSet
+
+	// Fixpoint work-list storage, also lent to ReachesAddress.
+	work    []qir.Value
+	inWork  qir.BitSet
+	updates []uint8
+
+	// addrVals memoizes the contextual value of each load's and store's
+	// address (entries marked in addrKnown), which Accesses and Lint both
+	// need. Accesses returns accs; keys holds the redundancy key of each.
+	addrVals  []absVal
+	addrKnown qir.BitSet
+	accs      []Access
+	keys      []accessKey
+}
+
+// consEntry is one fact a conditional branch proves about v for the region
+// its block dominates: v lies in iv, or (nonNull) v is not null.
+type consEntry struct {
+	v       qir.Value
+	nonNull bool
+	iv      Interval
 }
 
 // Analyze runs the sparse conditional fixpoint over f under the given facts
 // (nil is allowed and means "no facts, guard page 4096").
 func Analyze(f *qir.Func, facts *Facts) *Analysis {
+	a := new(Analysis)
+	a.Run(f, facts)
+	return a
+}
+
+// Run analyses f under facts, reusing a's storage from earlier runs.
+func (a *Analysis) Run(f *qir.Func, facts *Facts) {
+	a.prepare(f)
+	a.Rerun(facts)
+}
+
+// Rerun analyses the function of the last Run again under different facts,
+// keeping its dominator tree, positions and def-use chains. The function
+// must not have changed since.
+func (a *Analysis) Rerun(facts *Facts) {
 	if facts == nil {
 		facts = NewFacts()
 	}
 	if facts.MinValid == 0 {
 		facts.MinValid = 4096
 	}
-	a := &Analysis{F: f, Facts: facts, Dom: f.Dominators()}
-	a.buildPositions()
+	a.Facts = facts
+	a.hasFact = a.bits(a.hasFact)
+	for v := range facts.ValFacts {
+		a.hasFact.Set(v)
+	}
+	a.wide = a.bits(a.wide)
+	for _, v := range facts.WideConsts {
+		a.wide.Set(v)
+	}
+	a.addrVals = resized(a.addrVals, len(a.F.Instrs))
+	a.addrKnown = a.bits(a.addrKnown)
 	// Two rounds in the e-SSA style: the first fixpoint is context-free
 	// (loop phis widen to infinity), the derived branch constraints then
 	// feed a second fixpoint whose operand reads are met with the
 	// constraints active at the use site — recovering finite ranges for
 	// guarded induction variables (i < hi keeps i+1 from wrapping to Top).
 	// Constraints are rebuilt once more from the tightened ranges.
+	a.resetConstraints()
 	a.fixpoint()
 	a.buildConstraints()
 	a.fixpoint()
 	a.buildConstraints()
-	a.MaxLive = f.MaxLiveValues(f.LivenessAnalysis())
-	return a
 }
 
-func (a *Analysis) buildPositions() {
-	n := len(a.F.Instrs)
-	a.posBlock = make([]qir.BlockID, n)
-	a.posIdx = make([]int32, n)
+// resized returns s with length n and every element zero, in s's own
+// storage when that is large enough.
+func resized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
+// bits returns s cleared and sized to one bit per value of F.
+func (a *Analysis) bits(s qir.BitSet) qir.BitSet {
+	return resized(s, (len(a.F.Instrs)+63)/64)
+}
+
+// prepare records f's structure: dominators, instruction positions and the
+// def-use chains.
+func (a *Analysis) prepare(f *qir.Func) {
+	a.F, a.Dom = f, f.Dominators()
+	n := len(f.Instrs)
+	a.posBlock = resized(a.posBlock, n)
+	a.posIdx = resized(a.posIdx, n)
 	for i := range a.posBlock {
 		a.posBlock[i] = -1
 	}
-	for b := range a.F.Blocks {
-		for i, v := range a.F.Blocks[b].List {
+	for b := range f.Blocks {
+		for i, v := range f.Blocks[b].List {
 			a.posBlock[v] = qir.BlockID(b)
 			a.posIdx[v] = int32(i)
 		}
 	}
+	// Count each value's uses into useOff[u+1], turn the counts into start
+	// offsets, then fill with useOff[u] as the cursor — which leaves every
+	// offset one slot ahead, undone by the final shift.
+	a.useOff = resized(a.useOff, n+1)
+	ops := a.work[:0]
+	for v := 0; v < n; v++ {
+		ops = f.Operands(qir.Value(v), ops[:0])
+		for _, u := range ops {
+			a.useOff[u+1]++
+		}
+	}
+	for u := 0; u < n; u++ {
+		a.useOff[u+1] += a.useOff[u]
+	}
+	a.useList = resized(a.useList, int(a.useOff[n]))
+	for v := 0; v < n; v++ {
+		ops = f.Operands(qir.Value(v), ops[:0])
+		for _, u := range ops {
+			a.useList[a.useOff[u]] = qir.Value(v)
+			a.useOff[u]++
+		}
+	}
+	copy(a.useOff[1:], a.useOff[:n])
+	a.useOff[0] = 0
+	a.work = ops[:0]
+}
+
+// users returns the instructions that read v.
+func (a *Analysis) users(v qir.Value) []qir.Value {
+	return a.useList[a.useOff[v]:a.useOff[v+1]]
 }
 
 // fixpoint runs the global sparse worklist iteration with widening.
 func (a *Analysis) fixpoint() {
 	f := a.F
 	n := len(f.Instrs)
-	a.vals = make([]absVal, n)
+	a.vals = resized(a.vals, n)
 	for i := range a.vals {
 		a.vals[i] = undefVal()
 	}
+	a.updates = resized(a.updates, n)
+	a.inWork = a.bits(a.inWork)
 
-	// Def-use chains.
-	users := make([][]qir.Value, n)
-	var ops []qir.Value
-	for v := 0; v < n; v++ {
-		ops = f.Operands(qir.Value(v), ops[:0])
-		for _, u := range ops {
-			users[u] = append(users[u], qir.Value(v))
-		}
-	}
-
-	// Seed with every instruction of every reachable block, in RPO.
-	var work []qir.Value
-	inWork := qir.NewBitSet(n)
-	push := func(v qir.Value) {
-		if !inWork.Get(v) {
-			inWork.Set(v)
-			work = append(work, v)
-		}
-	}
+	// Seed with every value-producing instruction of every reachable block,
+	// in RPO. Stores, branches and void calls have no abstract value anyone
+	// reads; leaving their inWork bit set for the whole run keeps the user
+	// loop below from queueing them. The list is never compacted: widening
+	// bounds total pushes to O(n * widenAfter * fanout).
+	work := a.work[:0]
 	for _, b := range a.Dom.RPO {
 		for _, v := range f.Blocks[b].List {
-			push(v)
+			a.inWork.Set(v)
+			if f.Instrs[v].Type != qir.Void {
+				work = append(work, v)
+			}
 		}
 	}
-
-	updates := make([]uint8, n)
 	for i := 0; i < len(work); i++ {
 		v := work[i]
-		inWork.Clear(v)
+		a.inWork.Clear(v)
 		old := a.vals[v]
 		nv := a.evalAt(v)
 		if nv == old {
 			continue
 		}
-		if updates[v] >= widenAfter {
+		if a.updates[v] >= widenAfter {
 			nv = widen(old, nv)
 		}
 		if nv == old {
 			continue
 		}
-		if updates[v] < 255 {
-			updates[v]++
+		if a.updates[v] < 255 {
+			a.updates[v]++
 		}
 		a.vals[v] = nv
-		for _, u := range users[v] {
-			if inWork.Get(u) {
+		for _, u := range a.users(v) {
+			if a.inWork.Get(u) {
 				continue
 			}
-			inWork.Set(u)
+			a.inWork.Set(u)
 			work = append(work, u)
 		}
 	}
-	// Compact the visited prefix of work away periodically is unnecessary:
-	// widening bounds total pushes to O(n * widenAfter * fanout).
+	a.work = work[:0]
 }
 
 // consVal reads the current abstract value of u as observed in block b,
 // meeting its range with the branch constraints active there (none during
-// the first fixpoint round, when cons is still nil).
+// the first fixpoint round).
 func (a *Analysis) consVal(b qir.BlockID, u qir.Value) absVal {
 	av := a.vals[u]
-	if b >= 0 && a.cons != nil {
-		if m := a.cons[b]; m != nil {
-			if c, ok := m[u]; ok {
-				av.r = av.r.Meet(c)
-			}
-		}
+	if a.constrained.Get(u) { // tested here too: most reads end at this bit, without the call
+		c, _ := a.constraint(b, u)
+		av.r = av.r.Meet(c)
 	}
 	return av
+}
+
+// constraint returns what the branches on the dominator-tree path to block b
+// prove about v: the interval it lies in (Top when they say nothing) and
+// whether it is non-null.
+func (a *Analysis) constraint(b qir.BlockID, v qir.Value) (iv Interval, nonNull bool) {
+	iv = Top()
+	if !a.constrained.Get(v) {
+		return iv, false
+	}
+	for b >= 0 {
+		for _, e := range a.consEnt[a.consLo[b]:a.consHi[b]] {
+			switch {
+			case e.v != v:
+			case e.nonNull:
+				nonNull = true
+			default:
+				iv = iv.Meet(e.iv)
+			}
+		}
+		up := a.Dom.Idom[b]
+		if up == b {
+			break
+		}
+		b = up
+	}
+	return iv, nonNull
 }
 
 // evalAt evaluates instruction v in its defining block's context. Phi
@@ -275,8 +384,8 @@ func (a *Analysis) consVal(b qir.BlockID, u qir.Value) absVal {
 // constraints of v's own block.
 func (a *Analysis) evalAt(v qir.Value) absVal {
 	in := &a.F.Instrs[v]
-	if ft, ok := a.Facts.valFact(v); ok {
-		return a.factVal(v, ft)
+	if a.hasFact.Get(v) {
+		return a.factVal(v, a.Facts.ValFacts[v])
 	}
 	if in.Op == qir.OpPhi {
 		pairs := a.F.PhiPairs(v)
@@ -290,8 +399,7 @@ func (a *Analysis) evalAt(v qir.Value) absVal {
 		}
 		return out
 	}
-	bb := a.posBlock[v]
-	return a.eval(v, func(u qir.Value) absVal { return a.consVal(bb, u) })
+	return a.eval(v, a.posBlock[v], -1)
 }
 
 // widen blows unstable bounds of the new value out to infinity so loops
@@ -334,14 +442,15 @@ func (a *Analysis) factVal(v qir.Value, ft PtrFact) absVal {
 }
 
 // eval is the transfer function: the abstract value of instruction v given
-// operand values supplied by get. It is shared between the global fixpoint
-// (get = current state) and the contextual refinement queries (get =
-// branch-refined recursive evaluation).
-func (a *Analysis) eval(v qir.Value, get func(qir.Value) absVal) absVal {
+// its operands as seen from block b. It is shared between the global fixpoint
+// (depth < 0: operands are the current state under b's constraints) and the
+// contextual refinement queries (depth >= 0: operands are re-evaluated
+// recursively, depth levels deep).
+func (a *Analysis) eval(v qir.Value, b qir.BlockID, depth int) absVal {
 	f := a.F
 	in := &f.Instrs[v]
-	if ft, ok := a.Facts.valFact(v); ok {
-		return a.factVal(v, ft)
+	if a.hasFact.Get(v) {
+		return a.factVal(v, a.Facts.ValFacts[v])
 	}
 	switch in.Op {
 	case qir.OpParam:
@@ -360,8 +469,8 @@ func (a *Analysis) eval(v qir.Value, get func(qir.Value) absVal) absVal {
 
 	case qir.OpConst:
 		out := topVal()
-		if a.Facts != nil && a.Facts.WideConsts[v] {
-			// Hypothetically hoisted: the value is bound at execution time,
+		if a.wide.Get(v) {
+			// Hoisted, or about to be: the value is bound at execution time,
 			// so only the type width is known.
 			out.r = loadBounds(in.Type)
 			return out
@@ -390,21 +499,21 @@ func (a *Analysis) eval(v qir.Value, get func(qir.Value) absVal) absVal {
 		return topVal()
 
 	case qir.OpAdd:
-		x, y := get(in.A), get(in.B)
+		x, y := a.operand(b, depth, in.A), a.operand(b, depth, in.B)
 		out := a.derivePtr(x, y.r)
 		out.r = x.r.Add(y.r)
 		out.def = x.def && y.def
 		return out
 
 	case qir.OpSub:
-		x, y := get(in.A), get(in.B)
+		x, y := a.operand(b, depth, in.A), a.operand(b, depth, in.B)
 		out := a.derivePtr(x, y.r.Neg())
 		out.r = x.r.Sub(y.r)
 		out.def = x.def && y.def
 		return out
 
 	case qir.OpMul:
-		x, y := get(in.A), get(in.B)
+		x, y := a.operand(b, depth, in.A), a.operand(b, depth, in.B)
 		out := topVal()
 		out.r = x.r.Mul(y.r)
 		out.def = x.def && y.def
@@ -412,26 +521,26 @@ func (a *Analysis) eval(v qir.Value, get func(qir.Value) absVal) absVal {
 
 	case qir.OpSAddTrap:
 		// Traps instead of wrapping, so saturating endpoints are sound.
-		x, y := get(in.A), get(in.B)
+		x, y := a.operand(b, depth, in.A), a.operand(b, depth, in.B)
 		out := topVal()
 		out.r = x.r.AddSat(y.r)
 		out.def = x.def && y.def
 		return out
 	case qir.OpSSubTrap:
-		x, y := get(in.A), get(in.B)
+		x, y := a.operand(b, depth, in.A), a.operand(b, depth, in.B)
 		out := topVal()
 		out.r = x.r.SubSat(y.r)
 		out.def = x.def && y.def
 		return out
 	case qir.OpSMulTrap:
-		x, y := get(in.A), get(in.B)
+		x, y := a.operand(b, depth, in.A), a.operand(b, depth, in.B)
 		out := topVal()
 		out.r = x.r.MulSat(y.r)
 		out.def = x.def && y.def
 		return out
 
 	case qir.OpSDiv, qir.OpUDiv:
-		x, y := get(in.A), get(in.B)
+		x, y := a.operand(b, depth, in.A), a.operand(b, depth, in.B)
 		out := topVal()
 		out.def = x.def && y.def
 		// Only the easy, common shape: positive divisor, non-negative (or
@@ -452,7 +561,7 @@ func (a *Analysis) eval(v qir.Value, get func(qir.Value) absVal) absVal {
 		return out
 
 	case qir.OpSRem, qir.OpURem:
-		x, y := get(in.A), get(in.B)
+		x, y := a.operand(b, depth, in.A), a.operand(b, depth, in.B)
 		out := topVal()
 		out.def = x.def && y.def
 		if y.r.Lo >= 1 && y.r.Hi != PosInf {
@@ -465,7 +574,7 @@ func (a *Analysis) eval(v qir.Value, get func(qir.Value) absVal) absVal {
 		return out
 
 	case qir.OpAnd:
-		x, y := get(in.A), get(in.B)
+		x, y := a.operand(b, depth, in.A), a.operand(b, depth, in.B)
 		out := topVal()
 		out.def = x.def && y.def
 		if x.r.Lo >= 0 || y.r.Lo >= 0 {
@@ -482,7 +591,7 @@ func (a *Analysis) eval(v qir.Value, get func(qir.Value) absVal) absVal {
 		return out
 
 	case qir.OpOr, qir.OpXor:
-		x, y := get(in.A), get(in.B)
+		x, y := a.operand(b, depth, in.A), a.operand(b, depth, in.B)
 		out := topVal()
 		out.def = x.def && y.def
 		if x.r.Lo >= 0 && y.r.Lo >= 0 && x.r.Hi != PosInf && y.r.Hi != PosInf {
@@ -491,7 +600,7 @@ func (a *Analysis) eval(v qir.Value, get func(qir.Value) absVal) absVal {
 		return out
 
 	case qir.OpShl:
-		x, y := get(in.A), get(in.B)
+		x, y := a.operand(b, depth, in.A), a.operand(b, depth, in.B)
 		out := topVal()
 		out.def = x.def && y.def
 		if y.r.IsPoint() && y.r.Lo >= 0 && y.r.Lo < 63 {
@@ -500,7 +609,7 @@ func (a *Analysis) eval(v qir.Value, get func(qir.Value) absVal) absVal {
 		return out
 
 	case qir.OpShr:
-		x, y := get(in.A), get(in.B)
+		x, y := a.operand(b, depth, in.A), a.operand(b, depth, in.B)
 		out := topVal()
 		out.def = x.def && y.def
 		if x.r.Lo >= 0 && y.r.Lo >= 0 {
@@ -514,7 +623,7 @@ func (a *Analysis) eval(v qir.Value, get func(qir.Value) absVal) absVal {
 		return out
 
 	case qir.OpSar:
-		x, y := get(in.A), get(in.B)
+		x, y := a.operand(b, depth, in.A), a.operand(b, depth, in.B)
 		out := topVal()
 		out.def = x.def && y.def
 		if y.r.Lo >= 0 && y.r.Hi <= 63 {
@@ -531,7 +640,7 @@ func (a *Analysis) eval(v qir.Value, get func(qir.Value) absVal) absVal {
 		return out
 
 	case qir.OpNeg:
-		x := get(in.A)
+		x := a.operand(b, depth, in.A)
 		out := topVal()
 		out.r = x.r.Neg()
 		out.def = x.def
@@ -539,7 +648,7 @@ func (a *Analysis) eval(v qir.Value, get func(qir.Value) absVal) absVal {
 
 	case qir.OpNot:
 		// ^x == -x-1.
-		x := get(in.A)
+		x := a.operand(b, depth, in.A)
 		out := topVal()
 		out.r = x.r.Neg().Sub(Point(1))
 		out.def = x.def
@@ -549,7 +658,7 @@ func (a *Analysis) eval(v qir.Value, get func(qir.Value) absVal) absVal {
 		out := topVal()
 		out.r = Interval{0, 1}
 		if in.Op == qir.OpICmp {
-			x, y := get(in.A), get(in.B)
+			x, y := a.operand(b, depth, in.A), a.operand(b, depth, in.B)
 			out.def = x.def && y.def
 			if val, known := cmpEval(in.Cmp(), x.r, y.r); known {
 				if val {
@@ -565,7 +674,7 @@ func (a *Analysis) eval(v qir.Value, get func(qir.Value) absVal) absVal {
 		// Result is the low source-width bits zero-extended; if the operand
 		// is already a canonical unsigned value of that width the range
 		// passes through unchanged.
-		x := get(in.A)
+		x := a.operand(b, depth, in.A)
 		out := topVal()
 		out.def = x.def
 		ub := unsignedBounds(f.ValueType(in.A))
@@ -577,7 +686,7 @@ func (a *Analysis) eval(v qir.Value, get func(qir.Value) absVal) absVal {
 		return out
 
 	case qir.OpSExt:
-		x := get(in.A)
+		x := a.operand(b, depth, in.A)
 		out := topVal()
 		out.def = x.def
 		st := f.ValueType(in.A)
@@ -599,7 +708,7 @@ func (a *Analysis) eval(v qir.Value, get func(qir.Value) absVal) absVal {
 		return out
 
 	case qir.OpTrunc:
-		x := get(in.A)
+		x := a.operand(b, depth, in.A)
 		out := topVal()
 		out.def = x.def
 		if in.Type.Size() >= 8 {
@@ -619,11 +728,11 @@ func (a *Analysis) eval(v qir.Value, get func(qir.Value) absVal) absVal {
 		return out
 
 	case qir.OpGEP:
-		x := get(in.A)
+		x := a.operand(b, depth, in.A)
 		delta := Point(in.Imm)
 		var idxDef = true
 		if in.B != qir.NoValue {
-			y := get(in.B)
+			y := a.operand(b, depth, in.B)
 			idxDef = y.def
 			delta = delta.Add(y.r.Mul(Point(int64(in.Aux))))
 		}
@@ -640,7 +749,7 @@ func (a *Analysis) eval(v qir.Value, get func(qir.Value) absVal) absVal {
 		return out
 
 	case qir.OpSelect:
-		c, x, y := get(in.A), get(in.B), get(in.C)
+		c, x, y := a.operand(b, depth, in.A), a.operand(b, depth, in.B), a.operand(b, depth, in.C)
 		out := x.join(y)
 		out.def = out.def && c.def
 		return out
@@ -654,6 +763,14 @@ func (a *Analysis) eval(v qir.Value, get func(qir.Value) absVal) absVal {
 		// Terminators, stores and anything unhandled produce no value.
 		return topVal()
 	}
+}
+
+// operand reads u for eval: the fixpoint's view of it or the contextual one.
+func (a *Analysis) operand(b qir.BlockID, depth int, u qir.Value) absVal {
+	if depth < 0 {
+		return a.consVal(b, u)
+	}
+	return a.valAt(b, u, depth)
 }
 
 // derivePtr propagates a pointer derivation through an offset adjustment.
@@ -780,97 +897,81 @@ func cmpEval(p qir.Cmp, x, y Interval) (val, known bool) {
 // dominates. Constraints compose down the dominator tree; processing in RPO
 // guarantees the unique predecessor (== idom) is finished first.
 func (a *Analysis) buildConstraints() {
-	f := a.F
-	a.cons = make([]map[qir.Value]Interval, len(f.Blocks))
-	a.consNN = make([]map[qir.Value]bool, len(f.Blocks))
+	a.resetConstraints()
 	for _, b := range a.Dom.RPO {
-		var m map[qir.Value]Interval
-		var nn map[qir.Value]bool
-		owned, nnOwned := false, false
-		if idom := a.Dom.Idom[b]; idom != b && idom >= 0 {
-			m = a.cons[idom] // shared until a local constraint forces a copy
-			nn = a.consNN[idom]
+		a.consLo[b] = int32(len(a.consEnt))
+		a.branchConstraints(b)
+		a.consHi[b] = int32(len(a.consEnt))
+	}
+}
+
+func (a *Analysis) resetConstraints() {
+	a.consEnt = a.consEnt[:0]
+	a.consLo = resized(a.consLo, len(a.F.Blocks))
+	a.consHi = resized(a.consHi, len(a.F.Blocks))
+	a.constrained = a.bits(a.constrained)
+}
+
+func (a *Analysis) addConstraint(e consEntry) {
+	if !e.nonNull && e.iv.IsTop() {
+		return
+	}
+	a.consEnt = append(a.consEnt, e)
+	a.constrained.Set(e.v)
+}
+
+// branchConstraints appends the entries block b itself contributes.
+func (a *Analysis) branchConstraints(b qir.BlockID) {
+	f := a.F
+	preds := f.Blocks[b].Preds
+	if len(preds) != 1 {
+		return
+	}
+	p := preds[0]
+	if a.Dom.Num[p] < 0 || a.Dom.Num[p] > a.Dom.Num[b] {
+		return // unreachable pred or back edge
+	}
+	t := f.Blocks[p].Terminator()
+	if t == qir.NoValue {
+		return
+	}
+	term := &f.Instrs[t]
+	if term.Op != qir.OpCondBr {
+		return
+	}
+	tTgt, fTgt := qir.BlockID(term.Aux), term.B
+	if tTgt == fTgt {
+		return // both arms reach b: the condition tells us nothing
+	}
+	taken := tTgt == b
+	cond := term.A
+	// The condition value itself is pinned on each arm.
+	if taken {
+		a.addConstraint(consEntry{v: cond, iv: Point(1)})
+	} else {
+		a.addConstraint(consEntry{v: cond, iv: Point(0)})
+	}
+	ci := &f.Instrs[cond]
+	if ci.Op != qir.OpICmp {
+		return
+	}
+	pred := ci.Cmp()
+	if !taken {
+		pred = negateCmp(pred)
+	}
+	xr := a.rangeWithCons(p, ci.A)
+	yr := a.rangeWithCons(p, ci.B)
+	nx, ny := refineByCmp(pred, xr, yr)
+	a.addConstraint(consEntry{v: ci.A, iv: nx})
+	a.addConstraint(consEntry{v: ci.B, iv: ny})
+	// `p != null` (the negation of an `p == null` guard) proves
+	// non-nullness for the region b dominates.
+	if pred == qir.CmpNE {
+		if yr.IsPoint() && yr.Lo == 0 {
+			a.addConstraint(consEntry{v: ci.A, nonNull: true})
 		}
-		add := func(v qir.Value, iv Interval) {
-			if iv.IsTop() {
-				return
-			}
-			if !owned {
-				nm := make(map[qir.Value]Interval, len(m)+2)
-				for k, val := range m {
-					nm[k] = val
-				}
-				m, owned = nm, true
-			}
-			if old, ok := m[v]; ok {
-				iv = iv.Meet(old)
-			}
-			m[v] = iv
-			a.cons[b] = m
-		}
-		addNN := func(v qir.Value) {
-			if !nnOwned {
-				nm := make(map[qir.Value]bool, len(nn)+1)
-				for k := range nn {
-					nm[k] = true
-				}
-				nn, nnOwned = nm, true
-			}
-			nn[v] = true
-			a.consNN[b] = nn
-		}
-		a.cons[b] = m
-		a.consNN[b] = nn
-		preds := f.Blocks[b].Preds
-		if len(preds) != 1 {
-			continue
-		}
-		p := preds[0]
-		if a.Dom.Num[p] < 0 || a.Dom.Num[p] > a.Dom.Num[b] {
-			continue // unreachable pred or back edge
-		}
-		t := f.Blocks[p].Terminator()
-		if t == qir.NoValue {
-			continue
-		}
-		term := &f.Instrs[t]
-		if term.Op != qir.OpCondBr {
-			continue
-		}
-		tTgt, fTgt := qir.BlockID(term.Aux), term.B
-		if tTgt == fTgt {
-			continue // both arms reach b: the condition tells us nothing
-		}
-		taken := tTgt == qir.BlockID(b)
-		cond := term.A
-		// The condition value itself is pinned on each arm.
-		if taken {
-			add(cond, Point(1))
-		} else {
-			add(cond, Point(0))
-		}
-		ci := &f.Instrs[cond]
-		if ci.Op != qir.OpICmp {
-			continue
-		}
-		pred := ci.Cmp()
-		if !taken {
-			pred = negateCmp(pred)
-		}
-		xr := a.rangeWithCons(p, ci.A)
-		yr := a.rangeWithCons(p, ci.B)
-		nx, ny := refineByCmp(pred, xr, yr)
-		add(ci.A, nx)
-		add(ci.B, ny)
-		// `p != null` (the negation of an `p == null` guard) proves
-		// non-nullness for the region b dominates.
-		if pred == qir.CmpNE {
-			if yr.IsPoint() && yr.Lo == 0 {
-				addNN(ci.A)
-			}
-			if xr.IsPoint() && xr.Lo == 0 {
-				addNN(ci.B)
-			}
+		if xr.IsPoint() && xr.Lo == 0 {
+			a.addConstraint(consEntry{v: ci.B, nonNull: true})
 		}
 	}
 }
@@ -878,13 +979,8 @@ func (a *Analysis) buildConstraints() {
 // rangeWithCons is the global range of v met with the constraints active at
 // block b (no recursive refinement; used while constraints are being built).
 func (a *Analysis) rangeWithCons(b qir.BlockID, v qir.Value) Interval {
-	r := a.vals[v].r
-	if m := a.cons[b]; m != nil {
-		if c, ok := m[v]; ok {
-			r = r.Meet(c)
-		}
-	}
-	return r
+	c, _ := a.constraint(b, v)
+	return a.vals[v].r.Meet(c)
 }
 
 func negateCmp(p qir.Cmp) qir.Cmp {
@@ -978,14 +1074,9 @@ func refineByCmp(p qir.Cmp, x, y Interval) (nx, ny Interval) {
 // which keeps the refinement sound without iteration.
 func (a *Analysis) valAt(b qir.BlockID, v qir.Value, depth int) absVal {
 	av := a.vals[v]
-	if m := a.cons[b]; m != nil {
-		if c, ok := m[v]; ok {
-			av.r = av.r.Meet(c)
-		}
-	}
-	if m := a.consNN[b]; m != nil && m[v] {
-		av.nonNull = true
-	}
+	c, nn := a.constraint(b, v)
+	av.r = av.r.Meet(c)
+	av.nonNull = av.nonNull || nn
 	if depth <= 0 || !av.def {
 		return av
 	}
@@ -993,7 +1084,7 @@ func (a *Analysis) valAt(b qir.BlockID, v qir.Value, depth int) absVal {
 	if in.Op == qir.OpPhi || in.Op == qir.OpParam || in.Op.IsConst() {
 		return av
 	}
-	re := a.eval(v, func(u qir.Value) absVal { return a.valAt(b, u, depth-1) })
+	re := a.eval(v, b, depth-1)
 	av.r = av.r.Meet(re.r)
 	if av.anchor == qir.NoValue && re.anchor != qir.NoValue {
 		av.anchor, av.off = re.anchor, re.off
@@ -1026,10 +1117,15 @@ func (a *Analysis) Derivation(v qir.Value) (anchor qir.Value, off Interval, ok b
 // AccessSafe reports whether a size-byte access through addr, executed in
 // block b, is statically proven in-bounds. reason describes the proof.
 func (a *Analysis) AccessSafe(b qir.BlockID, addr qir.Value, size int64) (bool, string) {
+	return a.accessSafe(b, a.valAt(b, addr, maxRefineDepth), size)
+}
+
+// accessSafe is AccessSafe for an address whose contextual value av the
+// caller already has.
+func (a *Analysis) accessSafe(b qir.BlockID, av absVal, size int64) (bool, string) {
 	if size <= 0 {
 		return false, ""
 	}
-	av := a.valAt(b, addr, maxRefineDepth)
 	if av.anchor != qir.NoValue {
 		if lo, hi, ok := a.anchorRegion(av.anchor); ok &&
 			av.off.Lo >= lo && av.off.Hi != PosInf && av.off.Hi <= hi-size &&
@@ -1051,7 +1147,8 @@ func (a *Analysis) AccessSafe(b qir.BlockID, addr qir.Value, size int64) (bool, 
 // (relative to the anchor itself): [0, size) for parameters with a declared
 // region, [-Pre, Post) for values carrying a PtrFact.
 func (a *Analysis) anchorRegion(anchor qir.Value) (lo, hi int64, ok bool) {
-	if ft, have := a.Facts.valFact(anchor); have {
+	if a.hasFact.Get(anchor) {
+		ft := a.Facts.ValFacts[anchor]
 		return -ft.Pre, ft.Post, true
 	}
 	in := &a.F.Instrs[anchor]
@@ -1069,10 +1166,8 @@ func (a *Analysis) nonNullAt(b qir.BlockID, v qir.Value) bool {
 	if a.vals[v].nonNull {
 		return true
 	}
-	if m := a.consNN[b]; m != nil && m[v] {
-		return true
-	}
-	return false
+	_, nn := a.constraint(b, v)
+	return nn
 }
 
 // Access describes one memory instruction and the analysis verdict on it.
@@ -1087,25 +1182,50 @@ type Access struct {
 	Reason string
 }
 
+// accessKey names the bytes an access touches, for the redundancy tier: a
+// point offset from an anchor (kind 0), a point absolute address (kind 1),
+// or failing both the address's SSA value (kind 2). invariant says the
+// address is the same on every execution within one activation, so coverage
+// carries across blocks; equal keys agree on it.
+type accessKey struct {
+	anchor    qir.Value // NoValue for absolute or ssa-value keys
+	base      int64     // offset (anchored), address (absolute), value id (ssa)
+	kind      uint8
+	invariant bool
+}
+
+// addrVal is the contextual value of the address of load/store v in block b.
+func (a *Analysis) addrVal(b qir.BlockID, v qir.Value) absVal {
+	if !a.addrKnown.Get(v) {
+		a.addrKnown.Set(v)
+		a.addrVals[v] = a.valAt(b, a.F.Instrs[v].A, maxRefineDepth)
+	}
+	return a.addrVals[v]
+}
+
+func (a *Analysis) addrKey(addr qir.Value, av absVal) accessKey {
+	if av.anchor != qir.NoValue && av.off.IsPoint() {
+		// Only parameter anchors are activation-invariant: a call-result or
+		// phi anchor (PtrFact) can take a new value on every loop iteration.
+		return accessKey{av.anchor, av.off.Lo, 0, a.F.Instrs[av.anchor].Op == qir.OpParam}
+	}
+	if av.r.IsPoint() {
+		return accessKey{qir.NoValue, av.r.Lo, 1, true}
+	}
+	return accessKey{qir.NoValue, int64(addr), 2, false}
+}
+
 // Accesses classifies every load and store in reachable blocks. Beyond the
 // range/region proofs it applies a dominance-based redundancy tier: an
 // access whose bytes are covered by a dominating access at the same
 // activation-invariant address needs no check, because VM memory validity is
 // monotone (the arena never shrinks) and the dominating access either
-// checked or proved the same bytes.
+// checked or proved the same bytes. The slice is a's own and is overwritten
+// by the next call.
 func (a *Analysis) Accesses() []Access {
 	f := a.F
-	var out []Access
-	type key struct {
-		anchor qir.Value // NoValue for absolute or ssa-value keys
-		base   int64     // offset (anchored), address (absolute), value id (ssa)
-		kind   uint8     // 0 anchored-point, 1 absolute-point, 2 same-ssa-addr
-	}
-	type site struct {
-		idx       int // index in out
-		invariant bool
-	}
-	sites := make(map[key][]site)
+	out, keys := a.accs[:0], a.keys[:0]
+	unproven := 0
 	for _, b := range a.Dom.RPO {
 		for _, v := range f.Blocks[b].List {
 			in := &f.Instrs[v]
@@ -1118,56 +1238,90 @@ func (a *Analysis) Accesses() []Access {
 			} else {
 				acc.Size = in.Type.Size()
 			}
-			acc.Safe, acc.Reason = a.AccessSafe(b, in.A, acc.Size)
-			av := a.valAt(b, in.A, maxRefineDepth)
-			k := key{anchor: qir.NoValue, base: int64(in.A), kind: 2}
-			invariant := false
-			if av.anchor != qir.NoValue && av.off.IsPoint() {
-				k = key{anchor: av.anchor, base: av.off.Lo, kind: 0}
-				// Only parameter anchors are activation-invariant: a
-				// call-result or phi anchor (PtrFact) can take a new
-				// value on every loop iteration.
-				invariant = f.Instrs[av.anchor].Op == qir.OpParam
-			} else if av.r.IsPoint() {
-				k = key{anchor: qir.NoValue, base: av.r.Lo, kind: 1}
-				invariant = true
+			av := a.addrVal(b, v)
+			acc.Safe, acc.Reason = a.accessSafe(b, av, acc.Size)
+			if !acc.Safe {
+				unproven++
 			}
-			sites[k] = append(sites[k], site{idx: len(out), invariant: invariant})
+			keys = append(keys, a.addrKey(in.A, av))
 			out = append(out, acc)
 		}
 	}
-	// Redundancy tier. Within a key the sites are in RPO/program order for
-	// same-block entries, so earlier sites can cover later ones.
-	for _, list := range sites {
-		for i, y := range list {
-			ya := &out[y.idx]
-			if ya.Safe {
+	a.accs, a.keys = out, keys
+	// Redundancy tier: an unproven access y is covered by any other access x
+	// of the same key that is at least as wide and runs first — earlier in
+	// y's block, or in a dominating block when the address is invariant
+	// (same-SSA keys may be loop-variant).
+	for i := 0; i < len(out) && unproven > 0; i++ {
+		ya := &out[i]
+		if ya.Safe {
+			continue
+		}
+		unproven--
+		for j := range out {
+			xa := &out[j]
+			if j == i || xa.Size < ya.Size || keys[j] != keys[i] {
 				continue
 			}
-			for j, x := range list {
-				if j == i {
+			if xa.Block == ya.Block {
+				if a.posIdx[xa.V] >= a.posIdx[ya.V] {
 					continue
 				}
-				xa := &out[x.idx]
-				if xa.Size < ya.Size {
-					continue // must cover all accessed bytes
-				}
-				if xa.Block == ya.Block {
-					if a.posIdx[xa.V] < a.posIdx[ya.V] {
-						ya.Safe, ya.Reason = true, "redundant"
-						break
-					}
-					continue
-				}
-				// Cross-block coverage needs an activation-invariant
-				// address: same-SSA keys may be loop-variant.
-				if y.invariant && x.invariant &&
-					a.Dom.Dominates(xa.Block, ya.Block) {
-					ya.Safe, ya.Reason = true, "redundant"
-					break
-				}
+			} else if !keys[i].invariant || !a.Dom.Dominates(xa.Block, ya.Block) {
+				continue
 			}
+			ya.Safe, ya.Reason = true, "redundant"
+			break
 		}
 	}
 	return out
+}
+
+// ReachesAddress reports whether the abstract value of any load or store
+// address can depend on the abstract value of one of srcs. It over-
+// approximates the dependence as the forward def-use closure of srcs, through
+// phis and everything else that reads a value, extended at each integer
+// comparison it meets to both of the comparison's operands: a branch on the
+// comparison constrains each operand by the range of the other, so both may
+// change with srcs wherever the branch dominates. Values carrying a PtrFact
+// stop the walk; their abstract value is the contract's, whatever they read.
+//
+// When it returns false, two analyses of F that differ only in the abstract
+// values of srcs agree on everything outside the closure — a value out there
+// reads, and is constrained against, only values out there, and the work list
+// visits them in the same order — and so on every access's contextual address
+// value, verdict, reason and redundancy key. It reads the structure of F and
+// which values carry a PtrFact, not the results of the last run.
+func (a *Analysis) ReachesAddress(srcs []qir.Value) bool {
+	f := a.F
+	a.inWork = a.bits(a.inWork)
+	seen, work := a.inWork, a.work[:0]
+	defer func() { a.work = work[:0] }()
+	push := func(v qir.Value) {
+		if !seen.Get(v) {
+			seen.Set(v)
+			work = append(work, v)
+		}
+	}
+	for _, v := range srcs {
+		push(v)
+	}
+	for i := 0; i < len(work); i++ {
+		v := work[i]
+		for _, u := range a.users(v) {
+			in := &f.Instrs[u]
+			if (in.Op == qir.OpLoad || in.Op == qir.OpStore) && in.A == v {
+				return true
+			}
+			if a.hasFact.Get(u) {
+				continue
+			}
+			if in.Op == qir.OpICmp {
+				push(in.A)
+				push(in.B)
+			}
+			push(u)
+		}
+	}
+	return false
 }

@@ -76,16 +76,11 @@ func (a *Analysis) lintBlock(b qir.BlockID, out []Finding) []Finding {
 	f := a.F
 	// pending tracks in-block stores not yet observable by a read, keyed the
 	// same way the redundancy tier keys addresses.
-	type skey struct {
-		anchor qir.Value
-		base   int64
-		kind   uint8
-	}
 	type pstore struct {
 		v    qir.Value
 		size int64
 	}
-	pending := map[skey]pstore{}
+	pending := map[accessKey]pstore{}
 	clobberAll := func() {
 		for k := range pending {
 			delete(pending, k)
@@ -99,7 +94,7 @@ func (a *Analysis) lintBlock(b qir.BlockID, out []Finding) []Finding {
 			if in.Op == qir.OpStore {
 				size = f.ValueType(in.B).Size()
 			}
-			av := a.valAt(b, in.A, maxRefineDepth)
+			av := a.addrVal(b, v)
 			// Definite null-page access: every possible address is below
 			// the guard page.
 			if av.r.Lo >= 0 && av.r.Hi < a.Facts.MinValid && !av.nonNull {
@@ -115,12 +110,7 @@ func (a *Analysis) lintBlock(b qir.BlockID, out []Finding) []Finding {
 				clobberAll()
 				continue
 			}
-			k := skey{anchor: qir.NoValue, base: int64(in.A), kind: 2}
-			if av.anchor != qir.NoValue && av.off.IsPoint() {
-				k = skey{anchor: av.anchor, base: av.off.Lo, kind: 0}
-			} else if av.r.IsPoint() {
-				k = skey{anchor: qir.NoValue, base: av.r.Lo, kind: 1}
-			}
+			k := a.addrKey(in.A, av)
 			if prev, ok := pending[k]; ok && size >= prev.size {
 				out = append(out, Finding{
 					Kind: FindDeadStore, Func: f.Name, Block: b, Instr: prev.v,

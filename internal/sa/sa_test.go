@@ -138,9 +138,6 @@ func TestMorselLoopProof(t *testing.T) {
 	if accs[1].Reason != "region" {
 		t.Errorf("state load reason = %q, want region", accs[1].Reason)
 	}
-	if a.MaxLive <= 0 {
-		t.Error("MaxLive not computed")
-	}
 	if len(a.Lint()) != 0 {
 		t.Errorf("unexpected lint findings: %v", a.Lint())
 	}
