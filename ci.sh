@@ -3,8 +3,8 @@
 #   1. go vet, here and in the separate benchmark/ module
 #   2. full build, and the one-query-path guard: outside internal/backend/,
 #      internal/engine/, examples/irtour and benchmark/ no non-test file may
-#      build a backend.Env or call codegen.Run/RunParallel — a copy of the
-#      compile→run sequence fails the build instead of drifting
+#      build a backend.Env or call codegen.Run/RunParallel/RunBound — a copy
+#      of the compile→run sequence fails the build instead of drifting
 #   3. tests under the race detector (exercises the concurrent obs counters
 #      and the parallel compilation driver's worker pool), then the
 #      benchmark module's own tests, which root `go test ./...` never
@@ -52,7 +52,12 @@
 #      hoist.analysis_rounds must stay 0, and CompileOpts on q1 and q6 must
 #      stay inside the committed allocation budget (half of what the
 #      three-analysis front-end took); then a one-iteration smoke of
-#      BenchmarkFrontEnd, the front-end cost's one-command reproduction
+#      BenchmarkFrontEnd, the front-end cost's one-command reproduction.
+#      Same stage, the program cache's hit path: across warm hits on every
+#      engine sa.functions_analyzed, hoist.candidates, pcc.cache_hits+misses
+#      and the vm_fuse_* counters must not advance and Exec must stay inside
+#      its allocation budget (TestWarmHitIsFlat), then a one-iteration smoke
+#      of BenchmarkExecWarm, the hit-path breakdown's reproduction
 #
 # The unchecked-conservation check (QIR marks must survive into every
 # back-end's machine code) runs inside step 5 as part of qverify.
@@ -75,7 +80,7 @@ echo "== one query path (no compile/run copies outside internal/engine) =="
 copies="$(find . -name '*.go' ! -name '*_test.go' \
 	! -path './internal/backend/*' ! -path './internal/engine/*' \
 	! -path './examples/irtour/*' ! -path './benchmark/*' ! -path './.bench_build/*' \
-	-exec grep -nE 'backend\.Env\{|codegen\.Run(Parallel|Morsels)?\(' {} + || true)"
+	-exec grep -nE 'backend\.Env\{|codegen\.Run(Parallel|Morsels|Bound)?\(' {} + || true)"
 if [ -n "$copies" ]; then
 	echo "$copies"
 	echo "compile and run queries through the internal/engine stages, not a copy of them" >&2
@@ -145,8 +150,10 @@ go test -race -short ./internal/backend/conformance/ \
 echo "== qbench plan-cache gate (sf 0.05, >= 90% warm hits, <= 3% exec regression) =="
 go run ./cmd/qbench -sf 0.05 -runs 3 -cache-gate 0.9 cache >/dev/null
 
-echo "== front-end gate (one analysis per function, allocation budget) =="
+echo "== front-end gate (one analysis per function, allocation budget; nothing compiled on a warm program hit) =="
 go test ./internal/codegen -run 'TestOneAnalysisPerFunction' -count=1
 go test ./internal/codegen -run '^$' -bench FrontEnd -benchtime=1x -benchmem
+go test . -run 'TestWarmHitIsFlat' -count=1
+go test . -run '^$' -bench ExecWarm -benchtime=1x
 
 echo "== ci.sh: all checks passed =="

@@ -15,8 +15,9 @@
 //
 // -cache-mb N enables the content-addressed compiled-code cache; since
 // constant hoisting parameterizes compiled bodies, re-running the query (or
-// a constant-only variant of it — see -repeat) hits the cache and skips
-// back-end compilation. Hit/miss counts print with the stats summary.
+// a constant-only variant of it — see -repeat) finds its whole program in
+// the cache and skips code generation and compilation altogether. Program
+// hits and unit hit/miss counts print with the stats summary.
 //
 // Flags shared with other commands are registered by engine.ParseCommand
 // (DESIGN.md, "Query path").
@@ -64,6 +65,7 @@ func main() {
 	}
 
 	var hits, misses int64
+	programHits := 0
 	var res *qc.Result
 	for r := 0; r < *repeat; r++ {
 		res, err = db.Exec(flag.Arg(0))
@@ -72,6 +74,9 @@ func main() {
 		}
 		hits += res.Stats.CacheHits
 		misses += res.Stats.CacheMisses
+		if res.Stats.ProgramHit {
+			programHits++
+		}
 	}
 	for _, row := range res.Rows {
 		fmt.Println(strings.Join(row, " | "))
@@ -80,8 +85,8 @@ func main() {
 		len(res.Rows), res.Stats.Engine, res.Stats.Functions, res.Stats.CodeBytes)
 	fmt.Fprintf(os.Stderr, "compile %v, execute %v\n", res.Stats.CompileTime, res.Stats.ExecTime)
 	if o.CacheMB > 0 {
-		fmt.Fprintf(os.Stderr, "code cache (%d MiB): %d hits, %d misses across %d runs\n",
-			o.CacheMB, hits, misses, *repeat)
+		fmt.Fprintf(os.Stderr, "code cache (%d MiB): %d program hits; units %d hits, %d misses across %d runs\n",
+			o.CacheMB, programHits, hits, misses, *repeat)
 	}
 	var names []string
 	for n := range res.Stats.Phases {

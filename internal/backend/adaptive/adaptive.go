@@ -86,6 +86,16 @@ func (e *Engine) Compile(mod *qir.Module, env *backend.Env) (backend.Exec, *back
 // observability tooling and tests).
 func (x *exec) Hotness() *prof.Hotness { return x.hot }
 
+// Footprint reports the heap held by the tiers compiled so far
+// (backend.FootprintOf). A later promotion adds the optimized module.
+func (x *exec) Footprint() int64 {
+	n := backend.FootprintOf(x.fast)
+	if x.opt != nil {
+		n += backend.FootprintOf(x.opt)
+	}
+	return n
+}
+
 // Call implements backend.Exec with tier switching.
 func (x *exec) Call(fn int, args ...uint64) ([2]uint64, error) {
 	if x.opt != nil {

@@ -65,6 +65,20 @@ func ModuleOf(ex Exec) *vm.Module {
 	return nil
 }
 
+// FootprintOf returns the bytes of Go heap a compiled query holds, for a cache
+// that retains executables to charge: the vm module's account of itself
+// (vm.Module.Footprint), or that of an executable without one, which reports
+// its own through a Footprint method.
+func FootprintOf(ex Exec) int64 {
+	if m := ModuleOf(ex); m != nil {
+		return m.Footprint()
+	}
+	if f, ok := ex.(interface{ Footprint() int64 }); ok {
+		return f.Footprint()
+	}
+	return 0
+}
+
 // Stats records where one compilation spent its time, in the style of the
 // paper's per-phase breakdowns (Figures 2-5, Table I).
 type Stats struct {

@@ -156,11 +156,21 @@ func (g *codegen) emitCall(v qir.Value, ret qir.Type, rtid uint32, args []qir.Va
 
 	// stage writes one 64-bit word into an argument register.
 	stage := func(dst uint8, val qir.Value, half int) error {
-		// Drop whatever cache entry currently owns dst.
-		if owner := g.gpr[dst]; owner != qir.NoValue && owner != val {
-			g.dropValue(owner)
-		}
 		l := &g.locs[val]
+		// Whatever the cache holds in dst is about to be overwritten; every
+		// live value is in its slot by now, so forgetting it costs a reload.
+		// That goes for val itself when dst holds its other half: staged in
+		// place, a wide argument with its high word in the register the low
+		// word goes to would pass the low word twice.
+		if owner := g.gpr[dst]; owner != qir.NoValue {
+			otherHalf := l.r1 == int16(dst)
+			if half == 0 {
+				otherHalf = l.r2 == int16(dst)
+			}
+			if owner != val || (g.isWide[val] && otherHalf) {
+				g.dropValue(owner)
+			}
+		}
 		var src int16 = noReg
 		if g.isFloat[val] {
 			if l.r1 != noReg {

@@ -7,6 +7,7 @@ package interp
 
 import (
 	"fmt"
+	"unsafe"
 
 	"qcc/internal/backend"
 	"qcc/internal/qir"
@@ -59,6 +60,16 @@ type exec struct {
 	env   *backend.Env
 	m     *vm.Machine
 	db    *rt.DB
+}
+
+// Footprint reports the heap the bytecode holds (backend.FootprintOf).
+func (x *exec) Footprint() int64 {
+	n := int64(cap(x.funcs)) * 8
+	for _, f := range x.funcs {
+		n += int64(unsafe.Sizeof(*f)) + int64(len(f.name)) + int64(cap(f.code))*int64(unsafe.Sizeof(bcInstr{})) +
+			int64(cap(f.extra))*4 + int64(cap(f.pool))*8 + int64(cap(f.wide))*8
+	}
+	return n
 }
 
 // Compile implements backend.Engine.

@@ -7,28 +7,38 @@ import (
 	"qcc/internal/backend"
 )
 
-// Cache is the content-addressed code cache: compiled units keyed by the
-// canonical fingerprint of (function body, target architecture, back-end
-// variant). Entries are position-independent unit payloads, so a hit skips
-// the whole per-function pipeline and goes straight to Link.
+// Cache is the content-addressed code cache. It holds two kinds of entry
+// under one byte budget and one least-recently-used order:
 //
-// Eviction is least-recently-used under a byte budget measured by
-// Unit.Bytes (machine-code size; the IR-side footprint is proportional).
+//   - compiled units, keyed by the canonical fingerprint of (function body,
+//     target architecture, back-end variant). They are position-independent
+//     payloads, so a hit skips the whole per-function pipeline and goes
+//     straight to Link. Charged Unit.Bytes (machine-code size; the IR-side
+//     footprint is proportional).
+//   - whole programs (GetProgram/PutProgram), opaque to this package: the
+//     query path stores what it compiled for a plan shape, linked and loaded,
+//     and charges what that retains.
+//
 // All methods are safe for concurrent use.
 type Cache struct {
 	mu     sync.Mutex
 	budget int64
 	size   int64
 	lru    *list.List // front = most recent; values are *entry
-	m      map[string]*list.Element
+	// units and programs index the one list; the two kinds of key are never
+	// compared with each other.
+	units    map[string]*list.Element
+	programs map[string]*list.Element
 
 	hits   int64
 	misses int64
 }
 
 type entry struct {
-	key  string
-	unit *cachedUnit
+	key   string
+	in    map[string]*list.Element // the index holding key
+	value any                      // *cachedUnit, or whatever PutProgram was given
+	bytes int64
 }
 
 // cachedUnit stores the shareable parts of a backend.Unit (everything but
@@ -45,64 +55,112 @@ func NewCache(budgetBytes int64) *Cache {
 	if budgetBytes <= 0 {
 		budgetBytes = 1 << 62
 	}
-	return &Cache{budget: budgetBytes, lru: list.New(), m: map[string]*list.Element{}}
+	return &Cache{budget: budgetBytes, lru: list.New(),
+		units: map[string]*list.Element{}, programs: map[string]*list.Element{}}
 }
 
 // get returns the cached unit for key, marking it most recently used.
 func (c *Cache) get(key string) (*backend.Unit, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.m[key]
+	el, ok := c.units[key]
 	if !ok {
 		c.misses++
 		return nil, false
 	}
 	c.hits++
 	c.lru.MoveToFront(el)
-	u := el.Value.(*entry).unit
+	u := el.Value.(*entry).value.(*cachedUnit)
 	return &backend.Unit{Name: u.name, Bytes: u.bytes, Payload: u.payload}, true
 }
 
-// put inserts (or refreshes) a unit and evicts the least-recently-used
-// entries until the byte budget holds again.
+// put inserts a unit (a unit already cached under the key stays: equal keys
+// mean interchangeable units) and evicts down to the budget.
 func (c *Cache) put(key string, u *backend.Unit) {
 	if u == nil {
 		return
 	}
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.m[key]; ok {
+	if el, ok := c.units[key]; ok {
 		c.lru.MoveToFront(el)
+		c.mu.Unlock()
 		return
 	}
-	c.m[key] = c.lru.PushFront(&entry{key: key, unit: &cachedUnit{
-		name: u.Name, bytes: u.Bytes, payload: u.Payload,
-	}})
-	c.size += int64(u.Bytes)
+	evicted := c.insert(c.units, key, &cachedUnit{name: u.Name, bytes: u.Bytes, payload: u.Payload}, int64(u.Bytes))
+	c.mu.Unlock()
+	notifyEvicted(evicted)
+}
+
+// GetProgram returns the program stored under key, marking it most recently
+// used. The lookup does not allocate.
+func (c *Cache) GetProgram(key []byte) (any, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.programs[string(key)]
+	if !ok {
+		return nil, false
+	}
+	c.lru.MoveToFront(el)
+	return el.Value.(*entry).value, true
+}
+
+// PutProgram stores program under key, replacing what the key held, charges
+// it bytes and evicts down to the budget. A program that implements
+// Evicted() is told when the budget pushes it out.
+func (c *Cache) PutProgram(key []byte, program any, bytes int64) {
+	c.mu.Lock()
+	if el, ok := c.programs[string(key)]; ok {
+		c.remove(el)
+	}
+	evicted := c.insert(c.programs, string(key), program, bytes)
+	c.mu.Unlock()
+	notifyEvicted(evicted)
+}
+
+// insert adds an entry as most recently used and evicts the least recently
+// used ones until the byte budget holds again (the new entry itself stays).
+// It returns what it evicted. The caller holds c.mu.
+func (c *Cache) insert(in map[string]*list.Element, key string, value any, bytes int64) (evicted []any) {
+	in[key] = c.lru.PushFront(&entry{key: key, in: in, value: value, bytes: bytes})
+	c.size += bytes
 	for c.size > c.budget && c.lru.Len() > 1 {
-		el := c.lru.Back()
-		ent := el.Value.(*entry)
-		c.lru.Remove(el)
-		delete(c.m, ent.key)
-		c.size -= int64(ent.unit.bytes)
+		evicted = append(evicted, c.remove(c.lru.Back()))
+	}
+	return evicted
+}
+
+func (c *Cache) remove(el *list.Element) any {
+	ent := c.lru.Remove(el).(*entry)
+	delete(ent.in, ent.key)
+	c.size -= ent.bytes
+	return ent.value
+}
+
+// notifyEvicted tells the values that want to know that they left the cache.
+// Evicted is the caller's code, so this runs with c.mu released.
+func notifyEvicted(evicted []any) {
+	for _, v := range evicted {
+		if e, ok := v.(interface{ Evicted() }); ok {
+			e.Evicted()
+		}
 	}
 }
 
-// Len returns the number of cached units.
+// Len returns the number of cached entries, units and programs.
 func (c *Cache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.lru.Len()
 }
 
-// SizeBytes returns the cached machine-code bytes.
+// SizeBytes returns the bytes the cached entries are charged.
 func (c *Cache) SizeBytes() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.size
 }
 
-// Counters returns the lifetime hit and miss counts.
+// Counters returns the lifetime hit and miss counts of unit lookups.
 func (c *Cache) Counters() (hits, misses int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -86,3 +86,50 @@ func TestCacheKeepsOneOversizedEntry(t *testing.T) {
 		t.Fatal("newest oversized entry should be the survivor")
 	}
 }
+
+// evictee records that the cache told it it was pushed out.
+type evictee struct{ evicted *[]string }
+
+func (e evictee) Evicted() { *e.evicted = append(*e.evicted, "evicted") }
+
+// TestCacheProgramsShareTheLRU: programs and units live in one recency order
+// under one budget, their keys never meet, a program is replaced in place
+// and told only when the budget evicts it.
+func TestCacheProgramsShareTheLRU(t *testing.T) {
+	var notices []string
+	c := NewCache(100)
+	key := []byte("k")
+	c.put("k", mkUnit("unit", 30)) // the same bytes as the program key
+	c.PutProgram(key, evictee{&notices}, 30)
+	if u, ok := c.get("k"); !ok || u.Name != "unit" {
+		t.Fatalf("unit under the program's key bytes: %+v %v", u, ok)
+	}
+	if _, ok := c.GetProgram(key); !ok {
+		t.Fatal("program not found")
+	}
+	if _, ok := c.GetProgram([]byte("nope")); ok {
+		t.Fatal("hit on a key never stored")
+	}
+	if hits, misses := c.Counters(); hits != 1 || misses != 0 {
+		t.Errorf("unit counters %d/%d after one unit hit and program lookups, want 1/0", hits, misses)
+	}
+
+	c.PutProgram(key, evictee{&notices}, 40) // replaces, no notice
+	if c.Len() != 2 || c.SizeBytes() != 70 || len(notices) != 0 {
+		t.Fatalf("after replacing: %d entries, %d bytes, notices %v; want 2, 70, none", c.Len(), c.SizeBytes(), notices)
+	}
+
+	// The unit is now least recently used: a unit put evicts it first, the
+	// next one the program.
+	c.put("a", mkUnit("a", 40))
+	if _, ok := c.get("k"); ok || len(notices) != 0 {
+		t.Fatalf("the older unit should have gone first (notices %v)", notices)
+	}
+	c.put("b", mkUnit("b", 40))
+	if _, ok := c.GetProgram(key); ok || len(notices) != 1 {
+		t.Fatalf("the program should have been evicted and told (notices %v)", notices)
+	}
+	if testing.AllocsPerRun(100, func() { c.GetProgram(key) }) != 0 {
+		t.Error("GetProgram allocates")
+	}
+}

@@ -162,6 +162,10 @@ func batchKeyOK(e plan.Expr) bool {
 // batchExpr lowers a plan expression to its kernel form. Callers must have
 // established eligibility first.
 func (c *Compiler) batchExpr(e plan.Expr, tbl *rt.Table) (*rt.BatchExpr, error) {
+	if _, lit := PoolConstOf(e); lit {
+		// A kernel program holds its constants by value.
+		c.out.InlineLits = append(c.out.InlineLits, e)
+	}
 	switch x := e.(type) {
 	case *plan.Col:
 		bt, ok := batchType(x.Ty)

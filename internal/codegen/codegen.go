@@ -8,6 +8,7 @@ package codegen
 
 import (
 	"fmt"
+	"math"
 
 	"qcc/internal/plan"
 	"qcc/internal/qir"
@@ -84,6 +85,18 @@ type Compiled struct {
 	// pointers, vector slots, comparator row parameters). They feed the
 	// static analysis as trusted facts.
 	ValFacts map[*qir.Func]map[qir.Value]sa.PtrFact
+	// PoolLits gives, per slot of Module.Pool, the plan literal the slot's
+	// value was built from (PoolConstOf). InlineLits lists the literals whose
+	// value the generated code holds some other way: hoisting candidates kept
+	// inline, and constants copied into batch kernel programs. Together they
+	// say how far the code is parameterised: a literal that appears in
+	// PoolLits and not in InlineLits is read from its slots only, so the code
+	// serves any plan that differs from this one in that literal's value, once
+	// the slots hold the new value. Every other literal — including any the
+	// generator did not report at all, as with Options.Hoist off — has its
+	// value compiled in.
+	PoolLits   []plan.Expr
+	InlineLits []plan.Expr
 }
 
 // Options controls optional code-generation strategies.
@@ -129,20 +142,60 @@ type Compiler struct {
 	// hoistCands records, per function, the SSA values of user-supplied
 	// query literals in emission order — the candidate set of the
 	// constant-hoisting pass (see hoist.go). Internal constants (scan base
-	// addresses, loop increments, hash mixers) are never recorded.
+	// addresses, loop increments, hash mixers) are never recorded. hoistLits
+	// holds, in step, the plan literal each candidate was emitted for.
 	hoistCands map[*qir.Func][]qir.Value
+	hoistLits  map[*qir.Func][]plan.Expr
 }
 
-// noteHoistCand records v as a hoistable user literal and returns it.
-func (c *Compiler) noteHoistCand(b *qir.Builder, v qir.Value) qir.Value {
-	if !c.opts.Hoist {
-		return v
+// PoolConstOf returns the constant-pool form of a plan literal: a ConstInt,
+// ConstDec, ConstFloat or ConstStr node, or a Like node standing for its
+// pattern. It is the one encoding of a literal's value. The generator emits
+// the literal's instruction from it, rewriteToPool stores it in the slot, and
+// a cache of compiled programs builds the slots for another plan's literals
+// with it and compares the values the code has compiled in.
+func PoolConstOf(lit plan.Expr) (qir.PoolConst, bool) {
+	switch x := lit.(type) {
+	case *plan.ConstInt:
+		// V is the sign-extended 64-bit value for every narrow integer type,
+		// which is the canonical slot encoding.
+		return qir.PoolConst{Type: x.Ty, Lo: uint64(x.V)}, true
+	case *plan.ConstDec:
+		return qir.PoolConst{Type: qir.I128, Lo: x.V.Lo, Hi: x.V.Hi}, true
+	case *plan.ConstFloat:
+		return qir.PoolConst{Type: qir.F64, Lo: math.Float64bits(x.V)}, true
+	case *plan.ConstStr:
+		return qir.PoolConst{Type: qir.Str, Str: x.V}, true
+	case *plan.Like:
+		return qir.PoolConst{Type: qir.Str, Str: x.Pattern}, true
 	}
-	if c.hoistCands == nil {
-		c.hoistCands = make(map[*qir.Func][]qir.Value)
+	return qir.PoolConst{}, false
+}
+
+// literal emits plan literal lit as a constant instruction and records it as
+// a candidate of the constant-hoisting pass.
+func (c *Compiler) literal(b *qir.Builder, lit plan.Expr) qir.Value {
+	pc, _ := PoolConstOf(lit)
+	var v qir.Value
+	switch pc.Type {
+	case qir.Str:
+		v = b.ConstStr(pc.Str)
+	case qir.I128:
+		v = b.Const128(pc.Lo, pc.Hi)
+	case qir.F64:
+		v = b.ConstF(math.Float64frombits(pc.Lo))
+	default:
+		v = b.ConstInt(pc.Type, int64(pc.Lo))
 	}
-	f := b.Func()
-	c.hoistCands[f] = append(c.hoistCands[f], v)
+	if c.opts.Hoist {
+		if c.hoistCands == nil {
+			c.hoistCands = make(map[*qir.Func][]qir.Value)
+			c.hoistLits = make(map[*qir.Func][]plan.Expr)
+		}
+		f := b.Func()
+		c.hoistCands[f] = append(c.hoistCands[f], v)
+		c.hoistLits[f] = append(c.hoistLits[f], lit)
+	}
 	return v
 }
 

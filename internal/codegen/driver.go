@@ -15,24 +15,34 @@ type CallFunc func(fn int, args ...uint64) ([2]uint64, error)
 // the call structure).
 const DefaultMorselSize = 16384
 
-// Run executes a compiled query against db: it allocates and zeroes the
-// query state, then for every pipeline runs setup, the main function once
-// per morsel of the pipeline's source, and cleanup. Results accumulate in
-// db.Out.
+// Run executes a compiled query against db: it binds the module's hoisted
+// literals into the runtime constant pool, allocates and zeroes the query
+// state, then for every pipeline runs setup, the main function once per
+// morsel of the pipeline's source, and cleanup. Results accumulate in db.Out.
 func Run(db *rt.DB, cat *rt.Catalog, c *Compiled, call CallFunc) error {
 	return RunMorsels(db, cat, c, call, DefaultMorselSize)
 }
 
 // RunMorsels is Run with an explicit morsel size.
 func RunMorsels(db *rt.DB, cat *rt.Catalog, c *Compiled, call CallFunc, morsel int64) error {
-	if morsel <= 0 {
-		return fmt.Errorf("codegen: bad morsel size %d", morsel)
-	}
-	// Bind the module's hoisted literals into the runtime constant pool;
-	// compiled bodies read their values from the pool slots at execution
+	// Compiled bodies read their literals from the pool slots at execution
 	// time. Idempotent and cheap when already bound.
 	if err := db.BindConstPool(c.Module.Pool); err != nil {
 		return err
+	}
+	return runBound(db, cat, c, call, morsel)
+}
+
+// RunBound is Run for a caller that has bound the constant pool itself. The
+// values need not be c.Module.Pool's: code compiled for one plan executes
+// another that differs in the literals it reads from the pool.
+func RunBound(db *rt.DB, cat *rt.Catalog, c *Compiled, call CallFunc) error {
+	return runBound(db, cat, c, call, DefaultMorselSize)
+}
+
+func runBound(db *rt.DB, cat *rt.Catalog, c *Compiled, call CallFunc, morsel int64) error {
+	if morsel <= 0 {
+		return fmt.Errorf("codegen: bad morsel size %d", morsel)
 	}
 	state := db.M.Alloc(uint64(c.StateSize))
 	for i := int64(0); i < c.StateSize; i++ {

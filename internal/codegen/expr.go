@@ -17,14 +17,8 @@ func (c *Compiler) evalExpr(rc *rowCtx, e plan.Expr) (qir.Value, error) {
 	switch x := e.(type) {
 	case *plan.Col:
 		return rc.col(x.Idx), nil
-	case *plan.ConstInt:
-		return c.noteHoistCand(b, b.ConstInt(x.Ty, x.V)), nil
-	case *plan.ConstDec:
-		return c.noteHoistCand(b, b.Const128(x.V.Lo, x.V.Hi)), nil
-	case *plan.ConstFloat:
-		return c.noteHoistCand(b, b.ConstF(x.V)), nil
-	case *plan.ConstStr:
-		return c.noteHoistCand(b, b.ConstStr(x.V)), nil
+	case *plan.ConstInt, *plan.ConstDec, *plan.ConstFloat, *plan.ConstStr:
+		return c.literal(b, x), nil
 	case *plan.Arith:
 		l, err := c.evalExpr(rc, x.L)
 		if err != nil {
@@ -70,7 +64,7 @@ func (c *Compiler) evalExpr(rc *rowCtx, e plan.Expr) (qir.Value, error) {
 		if err != nil {
 			return 0, err
 		}
-		pat := c.noteHoistCand(b, b.ConstStr(x.Pattern))
+		pat := c.literal(b, x)
 		r := b.Call(qir.I64, rt.FnStrLike, v, pat)
 		return b.Convert(qir.OpTrunc, qir.I1, r), nil
 	case *plan.Between:

@@ -2,6 +2,7 @@ package codegen
 
 import (
 	"qcc/internal/obs"
+	"qcc/internal/plan"
 	"qcc/internal/qir"
 	"qcc/internal/rt"
 	"qcc/internal/sa"
@@ -34,25 +35,28 @@ type HoistStats struct {
 // poolLiterals rewrites the candidates of f listed in pool into
 // constant-pool loads and tallies the decisions; the others stay inline. It
 // reports whether every member of pool was rewritten — rewriteToPool refuses
-// when the pool is full.
+// when the pool is full. Either way the candidate's plan literal is reported:
+// in Compiled.PoolLits against its new slot, or in Compiled.InlineLits.
 //
 // Hoisting turns the compiled body into a parameterized plan: modules that
 // differ only in literal values produce identical function bodies and
 // therefore share entries in the content-addressed code cache, with the
 // actual values bound into pool slots at execution time.
 func (c *Compiler) poolLiterals(f *qir.Func, cands, pool []qir.Value, stats *HoistStats) bool {
+	lits := c.hoistLits[f]
 	all := true
-	for _, v := range cands {
+	for i, v := range cands {
 		// pool is a subsequence of cands, so one cursor finds its members.
 		if len(pool) > 0 && pool[0] == v {
 			pool = pool[1:]
-			if c.rewriteToPool(f, v) {
+			if c.rewriteToPool(f, v, lits[i]) {
 				stats.Hoisted++
 				f.Prov.Hoisted++
 				continue
 			}
 			all = false
 		}
+		c.out.InlineLits = append(c.out.InlineLits, lits[i])
 		stats.KeptInline++
 		f.Prov.KeptInline++
 	}
@@ -104,38 +108,30 @@ func countSafe(accs []sa.Access) int {
 	return n
 }
 
-// rewriteToPool replaces literal instruction v with a constant-pool load,
-// allocating the next module pool slot. Returns false when the pool is full
-// (the literal stays inline — a performance fallback, not an error) or the
-// instruction is not a poolable literal.
-func (c *Compiler) rewriteToPool(f *qir.Func, v qir.Value) bool {
+// rewriteToPool replaces literal instruction v, emitted for plan literal lit,
+// with a constant-pool load, allocating the next module pool slot. Returns
+// false when the pool is full: the literal stays inline — a performance
+// fallback, not an error.
+func (c *Compiler) rewriteToPool(f *qir.Func, v qir.Value, lit plan.Expr) bool {
 	if len(c.mod.Pool) >= rt.ConstPoolSlots {
 		return false
 	}
+	pc, ok := PoolConstOf(lit)
+	if !ok {
+		return false
+	}
 	in := &f.Instrs[v]
-	var pc qir.PoolConst
-	switch in.Op {
-	case qir.OpConst:
-		// Imm is already the sign-extended 64-bit value for every narrow
-		// integer type, which is exactly the canonical slot encoding.
-		pc = qir.PoolConst{Type: in.Type, Lo: uint64(in.Imm)}
-	case qir.OpConstF:
-		pc = qir.PoolConst{Type: qir.F64, Lo: uint64(in.Imm)}
-	case qir.OpConst128:
-		pc = qir.PoolConst{Type: qir.I128, Lo: f.I128[2*in.Imm], Hi: f.I128[2*in.Imm+1]}
+	if in.Op == qir.OpConst128 {
 		// Zero the orphaned literal words: f.I128 is hashed in full by the
 		// cache unit key, and the whole point of hoisting is that the
 		// hashed body no longer depends on the literal's value.
 		f.I128[2*in.Imm], f.I128[2*in.Imm+1] = 0, 0
-	case qir.OpConstStr:
-		// The interned copy in mod.Strings stays behind (harmlessly — the
-		// unit key only hashes string table entries still referenced by an
-		// OpConstStr instruction); the pool slot carries the value.
-		pc = qir.PoolConst{Type: qir.Str, Str: c.mod.Strings[in.Imm]}
-	default:
-		return false
 	}
+	// A string's interned copy in mod.Strings stays behind (harmlessly — the
+	// unit key only hashes string table entries still referenced by an
+	// OpConstStr instruction); the pool slot carries the value.
 	slot := c.mod.AddPoolConst(pc)
+	c.out.PoolLits = append(c.out.PoolLits, lit)
 	*in = qir.Instr{Op: qir.OpConstPool, Type: pc.Type, A: qir.NoValue, B: qir.NoValue, C: qir.NoValue, Imm: slot}
 
 	// Relocate the pool load to the entry block, just before its terminator.

@@ -2,8 +2,10 @@ package codegen
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
+	"qcc/internal/plan"
 	"qcc/internal/qir"
 	"qcc/internal/sa"
 )
@@ -94,7 +96,14 @@ func compileBearing(bc bearingCase, opts Options) (*Compiler, *qir.Func, []qir.V
 	f := b.Func()
 	c := &Compiler{mod: mod, opts: opts}
 	if opts.Hoist {
+		// Every candidate here is an integer constant; give each the plan
+		// literal the generator would have emitted it for.
+		lits := make([]plan.Expr, len(cands))
+		for i, v := range cands {
+			lits[i] = &plan.ConstInt{Ty: f.Instrs[v].Type, V: f.Instrs[v].Imm}
+		}
 		c.hoistCands = map[*qir.Func][]qir.Value{f: cands}
+		c.hoistLits = map[*qir.Func][]plan.Expr{f: lits}
 	}
 	c.out = &Compiled{Module: mod, StateSize: 64,
 		Pipelines: []Pipeline{{SetupFn: 0, MainFn: -1, CleanupFn: -1, MergeFn: -1}}}
@@ -176,6 +185,24 @@ func TestRangeLoadBearingLiterals(t *testing.T) {
 				f.Prov.Hoisted != h.Hoisted || f.Prov.KeptInline != h.KeptInline {
 				t.Errorf("stats %+v / prov %d hoisted %d inline, want %d of %d hoisted",
 					h, f.Prov.Hoisted, f.Prov.KeptInline, len(pooled), len(cands))
+			}
+			// What a cache of compiled programs goes by: a pooled literal is
+			// reported against its slot, a load-bearing one as compiled in.
+			var wantPool, wantInline []plan.Expr
+			for i, lit := range c.hoistLits[f] {
+				if bc.pooled[i] {
+					wantPool = append(wantPool, lit)
+				} else {
+					wantInline = append(wantInline, lit)
+				}
+			}
+			if !slices.Equal(c.out.PoolLits, wantPool) || !slices.Equal(c.out.InlineLits, wantInline) {
+				t.Errorf("reported pooled %v inline %v, want %v and %v", c.out.PoolLits, c.out.InlineLits, wantPool, wantInline)
+			}
+			for s, lit := range c.out.PoolLits {
+				if pc, _ := PoolConstOf(lit); pc != c.mod.Pool[s] {
+					t.Errorf("slot %d holds %+v, its literal encodes as %+v", s, c.mod.Pool[s], pc)
+				}
 			}
 			if bc.classified {
 				if rounds == 0 || analyzed != rounds+2 {

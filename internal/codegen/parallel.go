@@ -33,6 +33,9 @@ type ExecOptions struct {
 	// and runtimes on every RunParallel call. Its worker count overrides
 	// Jobs for the parallel path.
 	Pool *ExecPool
+	// Bound says the caller has bound the constant pool (see RunBound);
+	// otherwise RunParallel binds c.Module.Pool.
+	Bound bool
 }
 
 const defaultArenaMB = 4
@@ -83,8 +86,10 @@ func RunParallel(db *rt.DB, cat *rt.Catalog, c *Compiled, call CallFunc, opts Ex
 
 	// Bind hoisted literals into the runtime constant pool before anything
 	// executes; workers read the main pool through shared machine memory.
-	if err := db.BindConstPool(c.Module.Pool); err != nil {
-		return err
+	if !opts.Bound {
+		if err := db.BindConstPool(c.Module.Pool); err != nil {
+			return err
+		}
 	}
 
 	state := db.M.Alloc(uint64(c.StateSize))

@@ -5,9 +5,11 @@
 //	    ── Compile ──▶ *Program (backend.Exec + *backend.Stats)
 //	    ── Run ──▶ rows in World.DB.Out + vm counters ── Release ──▶ heap back at the mark
 //
-// all configured by one Options value. The public qc package, every
-// internal/bench experiment and every command under cmd/ drive these stages
-// and nothing else compiles or runs a query. What each copy of the sequence
+// all configured by one Options value. Prepare is Lower + Compile memoised on
+// the plan's shape (prepare.go), the stage a request takes from plan to
+// program. The public qc package, every internal/bench experiment and every
+// command under cmd/ drive these stages and nothing else compiles or runs a
+// query. What each copy of the sequence
 // used to re-derive lives here once: the codegen.Options an execution mode
 // implies, the parallel-driver and code-cache wrapper with its variant tag,
 // the persistent executor worker pool, the mark → run → release heap
@@ -29,6 +31,7 @@ import (
 	"qcc/internal/backend/pcc"
 	"qcc/internal/codegen"
 	"qcc/internal/plan"
+	"qcc/internal/qir"
 	"qcc/internal/rt"
 	"qcc/internal/sql"
 	"qcc/internal/tpcds"
@@ -55,10 +58,12 @@ type shared struct {
 	cache     *pcc.Cache
 	pool      *codegen.ExecPool
 	poolBuilt bool
-	// bound is the program whose runtime-call table the machine holds: a
+	// bound is the executable whose runtime-call table the machine holds: a
 	// back-end binds its module's table when it compiles, so running an
 	// earlier program again needs a re-bind.
-	bound *Program
+	bound backend.Exec
+	// fp is Prepare's scratch: the fingerprint of the plan at hand.
+	fp plan.Fingerprint
 }
 
 // NewWorld creates an empty database on a machine of o.MemMB MiB.
@@ -181,7 +186,7 @@ func (w *World) Lower(name string, node plan.Node) (*codegen.Compiled, error) {
 	return codegen.CompileOpts(name, node, w.Cat, w.Codegen())
 }
 
-// Program is a query compiled for one world.
+// Program is a query compiled for one world, ready for one execution.
 type Program struct {
 	Compiled *codegen.Compiled
 	Exec     backend.Exec
@@ -189,6 +194,23 @@ type Program struct {
 	// engine keeps adding its run-time promotions to it, so read the
 	// compile time after running.
 	Stats *backend.Stats
+	// Pool holds the values Run binds to the constant pool. Compile sets it
+	// to Compiled.Module.Pool; a program Prepare serves from the cache shares
+	// Compiled, Exec and Stats with every other execution of its plan shape
+	// and carries the pool built from its own plan's literals.
+	Pool []qir.PoolConst
+	// Hit reports that Prepare served the program from the cache.
+	Hit bool
+	// For a hit: how long serving it took, and what Stats.Total read then.
+	prepare, compiled0 time.Duration
+}
+
+// CompileTime is what compiling cost this execution; read it after running.
+// For a compiled program that is the back-end's total, run-time promotions
+// of the adaptive engine included. For a hit it is the time Prepare took plus
+// whatever the program's back-end compiled since.
+func (p *Program) CompileTime() time.Duration {
+	return p.prepare + p.Stats.Total - p.compiled0
 }
 
 // Env is the compilation environment back-ends see for this world.
@@ -220,9 +242,8 @@ func (w *World) Compile(eng backend.Engine, c *codegen.Compiled) (*Program, erro
 			w.Tracer.Add(name, v)
 		}
 	}
-	p := &Program{Compiled: c, Exec: ex, Stats: stats}
-	w.shared.bound = p
-	return p, nil
+	w.shared.bound = ex
+	return &Program{Compiled: c, Exec: ex, Stats: stats, Pool: c.Module.Pool}, nil
 }
 
 // Checkpoint records the loaded state for ResetToCheckpoint. The worker pool
@@ -261,21 +282,21 @@ func (w *World) Run(p *Program) (time.Duration, error) {
 	sp := w.Tracer.BeginCat("exec", "exec")
 	start := time.Now()
 	var err error
-	if w.shared.bound != p {
+	if w.shared.bound != p.Exec {
 		if err = db.Bind(p.Compiled.Module.RTNames); err == nil {
-			w.shared.bound = p
+			w.shared.bound = p.Exec
 		}
 	}
 	if err == nil {
-		err = db.BindConstPool(p.Compiled.Module.Pool)
+		err = db.BindConstPool(p.Pool)
 	}
 	w.mark = db.M.HeapMark()
 	if err == nil {
 		if w.ExecJobs > 1 || w.Batch {
 			err = codegen.RunParallel(db, w.Cat, p.Compiled, p.Exec.Call,
-				codegen.ExecOptions{Jobs: w.ExecJobs, Module: backend.ModuleOf(p.Exec), Pool: pool})
+				codegen.ExecOptions{Jobs: w.ExecJobs, Module: backend.ModuleOf(p.Exec), Pool: pool, Bound: true})
 		} else {
-			err = codegen.Run(db, w.Cat, p.Compiled, p.Exec.Call)
+			err = codegen.RunBound(db, w.Cat, p.Compiled, p.Exec.Call)
 		}
 	}
 	d := time.Since(start)

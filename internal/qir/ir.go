@@ -10,7 +10,10 @@
 // floats, pointers, and 16-byte by-value strings.
 package qir
 
-import "fmt"
+import (
+	"fmt"
+	"unsafe"
+)
 
 // Type is a value type.
 type Type uint8
@@ -413,6 +416,28 @@ type Module struct {
 	RTNames []string
 
 	frozen bool
+}
+
+// Footprint returns the bytes of Go heap the module holds: the backing arrays
+// of its functions' instruction, block, operand and constant lists, and its
+// string and pool tables. A cache that retains modules charges this.
+func (m *Module) Footprint() int64 {
+	n := int64(unsafe.Sizeof(*m)) + int64(cap(m.Funcs))*int64(unsafe.Sizeof((*Func)(nil))) +
+		int64(cap(m.Pool))*int64(unsafe.Sizeof(PoolConst{})) +
+		int64(cap(m.Strings)+cap(m.RTNames))*int64(unsafe.Sizeof(""))
+	for _, s := range m.Strings {
+		n += int64(len(s))
+	}
+	for _, f := range m.Funcs {
+		n += int64(unsafe.Sizeof(*f)) + int64(len(f.Name)+len(f.Prov.Operator)+len(f.Prov.SQL)) +
+			int64(cap(f.Instrs))*int64(unsafe.Sizeof(Instr{})) +
+			int64(cap(f.Blocks))*int64(unsafe.Sizeof(BasicBlock{})) +
+			int64(cap(f.Extra))*4 + int64(cap(f.I128))*8 + int64(cap(f.Params))
+		for b := range f.Blocks {
+			n += int64(cap(f.Blocks[b].List)+cap(f.Blocks[b].Preds)) * 4
+		}
+	}
+	return n
 }
 
 // Freeze marks the module immutable: interning a new runtime name or

@@ -114,18 +114,19 @@ type binding struct {
 	types []qir.Type
 }
 
+// lookup resolves a column reference, case-insensitively: an exact match of
+// the whole (possibly qualified) name first, then a match of the part after
+// the table qualifier, which must be unique. It runs once per identifier per
+// visible column and does not allocate.
 func (b *binding) lookup(name string) (int, qir.Type, bool) {
-	up := strings.ToUpper(name)
-	// Exact qualified match first, then unique suffix match.
 	for i, n := range b.names {
-		if strings.ToUpper(n) == up {
+		if strings.EqualFold(n, name) {
 			return i, b.types[i], true
 		}
 	}
 	found := -1
 	for i, n := range b.names {
-		parts := strings.Split(strings.ToUpper(n), ".")
-		if parts[len(parts)-1] == up {
+		if strings.EqualFold(n[strings.LastIndexByte(n, '.')+1:], name) {
 			if found >= 0 {
 				return 0, 0, false // ambiguous
 			}

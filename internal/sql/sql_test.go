@@ -7,6 +7,7 @@ import (
 	"qcc/internal/plan"
 	"qcc/internal/qir"
 	"qcc/internal/rt"
+	"qcc/internal/tpch"
 	"qcc/internal/vm"
 	"qcc/internal/vt"
 )
@@ -180,5 +181,76 @@ func TestLexStringsAndOperators(t *testing.T) {
 	}
 	if !strings.Contains("SELECT", "SELECT") {
 		t.Fatal()
+	}
+}
+
+// oldLookup is the lookup this package used to do — upper-casing every bound
+// name per identifier, and splitting it again for the suffix pass — kept as
+// the oracle for the allocation-free one.
+func oldLookup(b *binding, name string) (int, qir.Type, bool) {
+	up := strings.ToUpper(name)
+	for i, n := range b.names {
+		if strings.ToUpper(n) == up {
+			return i, b.types[i], true
+		}
+	}
+	found := -1
+	for i, n := range b.names {
+		parts := strings.Split(strings.ToUpper(n), ".")
+		if parts[len(parts)-1] == up {
+			if found >= 0 {
+				return 0, 0, false
+			}
+			found = i
+		}
+	}
+	if found >= 0 {
+		return found, b.types[found], true
+	}
+	return 0, 0, false
+}
+
+func TestBindingLookupMatchesOld(t *testing.T) {
+	b := &binding{
+		names: []string{"t.a", "t.b", "u.a", "u.X", "total", "t.total", "v.w.z"},
+		types: []qir.Type{qir.I64, qir.I32, qir.I64, qir.Str, qir.I128, qir.F64, qir.I8},
+	}
+	for _, name := range []string{
+		"t.a", "T.A", "u.a", "a", "A", // qualified, case, ambiguous suffix
+		"b", "x", "U.x", "X", // unique suffix
+		"total", "TOTAL", "t.total", // exact bare name wins over its qualified twin
+		"z", "w.z", "v.w.z", "nope", "t.", "", ".a",
+	} {
+		i, ty, ok := b.lookup(name)
+		oi, oty, ook := oldLookup(b, name)
+		if i != oi || ty != oty || ok != ook {
+			t.Errorf("lookup(%q) = %d %s %v, old lookup %d %s %v", name, i, ty, ok, oi, oty, ook)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { b.lookup("X") }); n != 0 {
+		t.Errorf("lookup allocates %v times", n)
+	}
+}
+
+// TestParseAllocBudget bounds what parsing the q6-shaped ad-hoc statement
+// allocates. Once a statement's program comes from the cache, parsing is the
+// largest cost left on its path, and most of it used to be name lookups: 410
+// allocations before they stopped allocating, 130 after.
+func TestParseAllocBudget(t *testing.T) {
+	m := vm.New(vm.Config{Arch: vt.VX64, MemSize: 64 << 20})
+	cat := rt.NewCatalog(rt.NewDB(m))
+	if err := tpch.Load(cat, 0.001); err != nil {
+		t.Fatal(err)
+	}
+	const q6 = "SELECT SUM(l_extendedprice * l_discount), COUNT(*) FROM lineitem " +
+		"WHERE l_shipdate >= 9000 AND l_shipdate < 9365 AND l_discount >= 3 AND l_discount <= 6 AND l_quantity < 24"
+	n := testing.AllocsPerRun(50, func() {
+		if _, err := Parse(q6, cat); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("%v allocations", n)
+	if n > 160 {
+		t.Errorf("parsing the q6-shaped statement allocates %v times, budget 160", n)
 	}
 }

@@ -18,6 +18,7 @@ import (
 	"math/bits"
 	"runtime"
 	"sync"
+	"unsafe"
 
 	"qcc/internal/obs"
 	"qcc/internal/vt"
@@ -82,6 +83,35 @@ type Module struct {
 	fuseOnce sync.Once
 	fp       *fprog
 }
+
+// Footprint returns the bytes of Go heap the module holds: the code image,
+// the decoded program with its offset tables, the unwind table and the fused
+// view. The fused view is built on first Call; until then it is estimated at
+// fusedPerInstr bytes per decoded instruction.
+func (mod *Module) Footprint() int64 {
+	n := int64(unsafe.Sizeof(*mod)) + int64(unsafe.Sizeof(*mod.Prog)) + int64(cap(mod.Code)) +
+		int64(cap(mod.Prog.Instrs))*int64(unsafe.Sizeof(vt.Instr{})) +
+		int64(cap(mod.Prog.Index)+cap(mod.Prog.Offsets)+cap(mod.branchIdx))*4 +
+		int64(cap(mod.unwind))*int64(unsafe.Sizeof(UnwindRange{}))
+	for i := range mod.unwind {
+		n += int64(len(mod.unwind[i].Name) + cap(mod.unwind[i].CFI))
+	}
+	switch fp := mod.fp; {
+	case mod.noFuse:
+	case fp != nil:
+		n += int64(unsafe.Sizeof(*fp)) + int64(cap(fp.ins))*int64(unsafe.Sizeof(finstr{})) +
+			int64(cap(fp.steps))*int64(unsafe.Sizeof(fstep{})) +
+			int64(cap(fp.guards))*int64(unsafe.Sizeof(guardRange{})) + int64(cap(fp.o2f))*4
+	default:
+		n += fusedPerInstr * int64(len(mod.Prog.Instrs))
+	}
+	return n
+}
+
+// fusedPerInstr is what the fused view of a module takes per decoded
+// instruction: micro-ops are wider than instructions, guarded blocks are
+// cloned, and run steps sit in a second array.
+const fusedPerInstr = 120
 
 // Funcs returns the registered unwind ranges (one per function).
 func (mod *Module) Funcs() []UnwindRange { return mod.unwind }

@@ -217,6 +217,12 @@ type Stats struct {
 	// lookups (always zero unless Open got WithCacheMB).
 	CacheHits   int64
 	CacheMisses int64
+	// ProgramHit reports that the whole program came from the cache: the
+	// database had compiled this plan shape before, with other constants at
+	// most. CompileTime is then the time the lookup took, Functions and
+	// CodeBytes describe the cached program, every function counts as a
+	// cache hit and Phases is empty.
+	ProgramHit bool
 	// Phases is the compile-time breakdown (phase name to duration).
 	Phases map[string]time.Duration
 }
@@ -259,16 +265,12 @@ func (d *DB) ExecPlan(engineName string, name string, node plan.Node) (*Result, 
 	return d.run(eng, name, node)
 }
 
-// run drives the query path's stages for one plan. CompileTime is the
-// back-end's total, read after execution (the adaptive engine adds its
-// run-time promotions to it); ExecTime is the wall time of bind → run alone.
-// Lowering, row materialization and the heap release sit outside both.
+// run drives the query path's stages for one plan. CompileTime is read after
+// execution (the adaptive engine adds its run-time promotions to it);
+// ExecTime is the wall time of bind → run alone. Lowering, row
+// materialization and the heap release sit outside both.
 func (d *DB) run(eng backend.Engine, name string, node plan.Node) (*Result, error) {
-	c, err := d.w.Lower(name, node)
-	if err != nil {
-		return nil, err
-	}
-	p, err := d.w.Compile(eng, c)
+	p, err := d.w.Prepare(eng, name, node)
 	if err != nil {
 		return nil, err
 	}
@@ -281,16 +283,21 @@ func (d *DB) run(eng backend.Engine, name string, node plan.Node) (*Result, erro
 
 	res := &Result{Stats: Stats{
 		Engine:      eng.Name(),
-		CompileTime: stats.Total,
+		CompileTime: p.CompileTime(),
 		ExecTime:    execTime,
 		Functions:   stats.Funcs,
 		CodeBytes:   stats.CodeBytes,
 		CacheHits:   stats.Counters["cache_hits"],
 		CacheMisses: stats.Counters["cache_misses"],
+		ProgramHit:  p.Hit,
 		Phases:      map[string]time.Duration{},
 	}}
-	for _, p := range stats.Phases {
-		res.Stats.Phases[p.Name] = p.Dur
+	if p.Hit {
+		res.Stats.CacheHits, res.Stats.CacheMisses = int64(stats.Funcs), 0
+	} else {
+		for _, p := range stats.Phases {
+			res.Stats.Phases[p.Name] = p.Dur
+		}
 	}
 	for _, ci := range node.Schema() {
 		res.Columns = append(res.Columns, ci.Name)

@@ -112,6 +112,43 @@ func TestExecEveryEngineAgrees(t *testing.T) {
 	}
 }
 
+// TestEnginesAgreeOnCallStaging runs the statements that DirectEmit used to
+// get wrong on every engine: a wide (decimal or string) call argument whose
+// high word was cached in the register its low word is passed in reached the
+// callee as the low word twice. The first statement rejected every row (the
+// string compare after two decimal compares), the second returned 2^64 times
+// the sum (the 128-bit multiply helper).
+func TestEnginesAgreeOnCallStaging(t *testing.T) {
+	db := openSmall(t)
+	if err := db.LoadTPCH(0.02); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		q    string
+		want [][]string // nil: whatever the interpreter says
+	}{
+		{"SELECT COUNT(*) FROM customer WHERE c_acctbal > 164116 AND c_acctbal >= 22329 AND c_mktsegment = 'BUILDING'",
+			[][]string{{"8"}}},
+		{"SELECT l_returnflag, MIN(l_extendedprice * l_discount), SUM(l_extendedprice * (100 - l_tax)) " +
+			"FROM lineitem GROUP BY l_returnflag ORDER BY l_returnflag", nil},
+		{"SELECT MIN(l_extendedprice * l_discount), SUM(l_extendedprice * (100 - l_tax)) FROM lineitem", nil},
+	} {
+		want := c.want
+		for _, e := range Engines() {
+			res, err := db.ExecWith(e, c.q)
+			if err != nil {
+				t.Fatalf("%s: %v", e, err)
+			}
+			if want == nil {
+				want = res.Rows // Engines() lists the interpreter first
+			}
+			if !reflect.DeepEqual(res.Rows, want) {
+				t.Errorf("%s: %q\n got %v\nwant %v", e, c.q, res.Rows, want)
+			}
+		}
+	}
+}
+
 func TestExecJoin(t *testing.T) {
 	db := openSmall(t)
 	loadProducts(t, db)
