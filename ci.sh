@@ -3,7 +3,7 @@
 #   1. go vet, here and in the separate benchmark/ module
 #   2. full build, and the one-query-path guard: outside internal/backend/,
 #      internal/engine/, examples/irtour and benchmark/ no non-test file may
-#      build a backend.Env or call codegen.Run/RunParallel/RunBound — a copy
+#      build a backend.Env or call codegen.Run/RunParallel/RunConsts — a copy
 #      of the compile→run sequence fails the build instead of drifting
 #   3. tests under the race detector (exercises the concurrent obs counters
 #      and the parallel compilation driver's worker pool), then the
@@ -80,7 +80,7 @@ echo "== one query path (no compile/run copies outside internal/engine) =="
 copies="$(find . -name '*.go' ! -name '*_test.go' \
 	! -path './internal/backend/*' ! -path './internal/engine/*' \
 	! -path './examples/irtour/*' ! -path './benchmark/*' ! -path './.bench_build/*' \
-	-exec grep -nE 'backend\.Env\{|codegen\.Run(Parallel|Morsels|Bound)?\(' {} + || true)"
+	-exec grep -nE 'backend\.Env\{|codegen\.Run(Parallel|Morsels|Consts)?\(' {} + || true)"
 if [ -n "$copies" ]; then
 	echo "$copies"
 	echo "compile and run queries through the internal/engine stages, not a copy of them" >&2

@@ -35,10 +35,10 @@ type Cache struct {
 }
 
 type entry struct {
-	key   string
-	in    map[string]*list.Element // the index holding key
-	value any                      // *cachedUnit, or whatever PutProgram was given
-	bytes int64
+	key     string
+	program bool // indexed by c.programs, else by c.units
+	value   any  // *cachedUnit, or whatever PutProgram was given
+	bytes   int64
 }
 
 // cachedUnit stores the shareable parts of a backend.Unit (everything but
@@ -81,14 +81,12 @@ func (c *Cache) put(key string, u *backend.Unit) {
 		return
 	}
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	if el, ok := c.units[key]; ok {
 		c.lru.MoveToFront(el)
-		c.mu.Unlock()
 		return
 	}
-	evicted := c.insert(c.units, key, &cachedUnit{name: u.Name, bytes: u.Bytes, payload: u.Payload}, int64(u.Bytes))
-	c.mu.Unlock()
-	notifyEvicted(evicted)
+	c.insert(false, key, &cachedUnit{name: u.Name, bytes: u.Bytes, payload: u.Payload}, int64(u.Bytes))
 }
 
 // GetProgram returns the program stored under key, marking it most recently
@@ -105,45 +103,63 @@ func (c *Cache) GetProgram(key []byte) (any, bool) {
 }
 
 // PutProgram stores program under key, replacing what the key held, charges
-// it bytes and evicts down to the budget. A program that implements
-// Evicted() is told when the budget pushes it out.
-func (c *Cache) PutProgram(key []byte, program any, bytes int64) {
+// it bytes and evicts down to the budget.
+func (c *Cache) PutProgram(key string, program any, bytes int64) {
 	c.mu.Lock()
-	if el, ok := c.programs[string(key)]; ok {
+	defer c.mu.Unlock()
+	if el, ok := c.programs[key]; ok {
 		c.remove(el)
 	}
-	evicted := c.insert(c.programs, string(key), program, bytes)
-	c.mu.Unlock()
-	notifyEvicted(evicted)
+	c.insert(true, key, program, bytes)
+}
+
+// ChargeProgram sets what program, stored under key, is charged — a program
+// may come to retain more than it did when it was stored — and evicts down to
+// the budget. It does nothing when key no longer holds program, and does not
+// allocate.
+func (c *Cache) ChargeProgram(key string, program any, bytes int64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.programs[key]
+	if !ok || el.Value.(*entry).value != program {
+		return
+	}
+	ent := el.Value.(*entry)
+	c.size += bytes - ent.bytes
+	ent.bytes = bytes
+	c.evict()
 }
 
 // insert adds an entry as most recently used and evicts the least recently
 // used ones until the byte budget holds again (the new entry itself stays).
-// It returns what it evicted. The caller holds c.mu.
-func (c *Cache) insert(in map[string]*list.Element, key string, value any, bytes int64) (evicted []any) {
-	in[key] = c.lru.PushFront(&entry{key: key, in: in, value: value, bytes: bytes})
+func (c *Cache) insert(program bool, key string, value any, bytes int64) {
+	c.index(program)[key] = c.lru.PushFront(&entry{key: key, program: program, value: value, bytes: bytes})
 	c.size += bytes
+	c.evict()
+}
+
+// evict removes least recently used entries until the byte budget holds
+// again or one entry is left, and counts the programs among them.
+func (c *Cache) evict() {
 	for c.size > c.budget && c.lru.Len() > 1 {
-		evicted = append(evicted, c.remove(c.lru.Back()))
-	}
-	return evicted
-}
-
-func (c *Cache) remove(el *list.Element) any {
-	ent := c.lru.Remove(el).(*entry)
-	delete(ent.in, ent.key)
-	c.size -= ent.bytes
-	return ent.value
-}
-
-// notifyEvicted tells the values that want to know that they left the cache.
-// Evicted is the caller's code, so this runs with c.mu released.
-func notifyEvicted(evicted []any) {
-	for _, v := range evicted {
-		if e, ok := v.(interface{ Evicted() }); ok {
-			e.Evicted()
+		if c.remove(c.lru.Back()).program {
+			globalProgramEvictions.Inc()
 		}
 	}
+}
+
+func (c *Cache) remove(el *list.Element) *entry {
+	ent := c.lru.Remove(el).(*entry)
+	delete(c.index(ent.program), ent.key)
+	c.size -= ent.bytes
+	return ent
+}
+
+func (c *Cache) index(program bool) map[string]*list.Element {
+	if program {
+		return c.programs
+	}
+	return c.units
 }
 
 // Len returns the number of cached entries, units and programs.

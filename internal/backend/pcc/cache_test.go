@@ -87,25 +87,21 @@ func TestCacheKeepsOneOversizedEntry(t *testing.T) {
 	}
 }
 
-// evictee records that the cache told it it was pushed out.
-type evictee struct{ evicted *[]string }
-
-func (e evictee) Evicted() { *e.evicted = append(*e.evicted, "evicted") }
-
 // TestCacheProgramsShareTheLRU: programs and units live in one recency order
 // under one budget, their keys never meet, a program is replaced in place
-// and told only when the budget evicts it.
+// and counted as evicted only when the budget pushes it out.
 func TestCacheProgramsShareTheLRU(t *testing.T) {
-	var notices []string
 	c := NewCache(100)
+	evicted0 := globalProgramEvictions.Load()
+	evictions := func() int64 { return globalProgramEvictions.Load() - evicted0 }
 	key := []byte("k")
 	c.put("k", mkUnit("unit", 30)) // the same bytes as the program key
-	c.PutProgram(key, evictee{&notices}, 30)
+	c.PutProgram("k", "program", 30)
 	if u, ok := c.get("k"); !ok || u.Name != "unit" {
 		t.Fatalf("unit under the program's key bytes: %+v %v", u, ok)
 	}
-	if _, ok := c.GetProgram(key); !ok {
-		t.Fatal("program not found")
+	if v, ok := c.GetProgram(key); !ok || v != "program" {
+		t.Fatalf("GetProgram = %v, %v", v, ok)
 	}
 	if _, ok := c.GetProgram([]byte("nope")); ok {
 		t.Fatal("hit on a key never stored")
@@ -114,20 +110,36 @@ func TestCacheProgramsShareTheLRU(t *testing.T) {
 		t.Errorf("unit counters %d/%d after one unit hit and program lookups, want 1/0", hits, misses)
 	}
 
-	c.PutProgram(key, evictee{&notices}, 40) // replaces, no notice
-	if c.Len() != 2 || c.SizeBytes() != 70 || len(notices) != 0 {
-		t.Fatalf("after replacing: %d entries, %d bytes, notices %v; want 2, 70, none", c.Len(), c.SizeBytes(), notices)
+	c.PutProgram("k", "program 2", 35) // replaces; not an eviction
+	if v, _ := c.GetProgram(key); v != "program 2" || c.Len() != 2 || c.SizeBytes() != 65 || evictions() != 0 {
+		t.Fatalf("after replacing: %v, %d entries, %d bytes, %d evictions; want program 2, 2, 65, 0",
+			v, c.Len(), c.SizeBytes(), evictions())
+	}
+	// A program that grew is charged again; one that was replaced, or whose
+	// key is gone, is not.
+	c.ChargeProgram("k", "program 2", 40)
+	c.ChargeProgram("k", "program", 1000)
+	c.ChargeProgram("nope", "program 2", 1000)
+	if c.Len() != 2 || c.SizeBytes() != 70 {
+		t.Fatalf("after re-charging: %d entries, %d bytes; want 2, 70", c.Len(), c.SizeBytes())
 	}
 
 	// The unit is now least recently used: a unit put evicts it first, the
 	// next one the program.
 	c.put("a", mkUnit("a", 40))
-	if _, ok := c.get("k"); ok || len(notices) != 0 {
-		t.Fatalf("the older unit should have gone first (notices %v)", notices)
+	if _, ok := c.get("k"); ok || evictions() != 0 {
+		t.Fatalf("the older unit should have gone first (%d program evictions)", evictions())
 	}
 	c.put("b", mkUnit("b", 40))
-	if _, ok := c.GetProgram(key); ok || len(notices) != 1 {
-		t.Fatalf("the program should have been evicted and told (notices %v)", notices)
+	if _, ok := c.GetProgram(key); ok || evictions() != 1 {
+		t.Fatalf("the program should have been evicted and counted (%d program evictions)", evictions())
+	}
+	// Growth evicts like an insert does, the least recently used first.
+	c.PutProgram("k", "program", 10)
+	c.get("a")
+	c.ChargeProgram("k", "program", 50)
+	if _, ok := c.get("b"); ok || c.SizeBytes() != 90 || evictions() != 1 {
+		t.Fatalf("after growth: %d bytes, %d program evictions; want unit b gone, 90, 1", c.SizeBytes(), evictions())
 	}
 	if testing.AllocsPerRun(100, func() { c.GetProgram(key) }) != 0 {
 		t.Error("GetProgram allocates")

@@ -47,6 +47,9 @@ type Config struct {
 var (
 	globalCacheHits   = obs.NewCounter("pcc.cache_hits")
 	globalCacheMisses = obs.NewCounter("pcc.cache_misses")
+	// Programs are the query path's entries (engine.World.Prepare), whose
+	// other counters this one is exported beside.
+	globalProgramEvictions = obs.NewCounter("engine.program_cache_evictions")
 )
 
 // Engine drives an inner FuncEngine through the parallel pipeline. Use Wrap

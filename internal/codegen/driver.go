@@ -3,6 +3,7 @@ package codegen
 import (
 	"fmt"
 
+	"qcc/internal/qir"
 	"qcc/internal/rt"
 )
 
@@ -25,24 +26,25 @@ func Run(db *rt.DB, cat *rt.Catalog, c *Compiled, call CallFunc) error {
 
 // RunMorsels is Run with an explicit morsel size.
 func RunMorsels(db *rt.DB, cat *rt.Catalog, c *Compiled, call CallFunc, morsel int64) error {
-	// Compiled bodies read their literals from the pool slots at execution
-	// time. Idempotent and cheap when already bound.
-	if err := db.BindConstPool(c.Module.Pool); err != nil {
-		return err
-	}
-	return runBound(db, cat, c, call, morsel)
+	return runConsts(db, cat, c, call, c.Module.Pool, morsel)
 }
 
-// RunBound is Run for a caller that has bound the constant pool itself. The
-// values need not be c.Module.Pool's: code compiled for one plan executes
-// another that differs in the literals it reads from the pool.
-func RunBound(db *rt.DB, cat *rt.Catalog, c *Compiled, call CallFunc) error {
-	return runBound(db, cat, c, call, DefaultMorselSize)
+// RunConsts is Run with consts in the constant pool in place of
+// c.Module.Pool: code compiled for one plan executes another that differs in
+// the literals it reads from the pool (ExecOptions.Consts is the same for
+// RunParallel).
+func RunConsts(db *rt.DB, cat *rt.Catalog, c *Compiled, call CallFunc, consts []qir.PoolConst) error {
+	return runConsts(db, cat, c, call, consts, DefaultMorselSize)
 }
 
-func runBound(db *rt.DB, cat *rt.Catalog, c *Compiled, call CallFunc, morsel int64) error {
+func runConsts(db *rt.DB, cat *rt.Catalog, c *Compiled, call CallFunc, consts []qir.PoolConst, morsel int64) error {
 	if morsel <= 0 {
 		return fmt.Errorf("codegen: bad morsel size %d", morsel)
+	}
+	// Compiled bodies read their literals from the pool slots at execution
+	// time. Idempotent and cheap when already bound.
+	if err := db.BindConstPool(consts); err != nil {
+		return err
 	}
 	state := db.M.Alloc(uint64(c.StateSize))
 	for i := int64(0); i < c.StateSize; i++ {

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 
 	"qcc/internal/obs"
+	"qcc/internal/qir"
 	"qcc/internal/rt"
 	"qcc/internal/vm"
 )
@@ -33,9 +34,9 @@ type ExecOptions struct {
 	// and runtimes on every RunParallel call. Its worker count overrides
 	// Jobs for the parallel path.
 	Pool *ExecPool
-	// Bound says the caller has bound the constant pool (see RunBound);
-	// otherwise RunParallel binds c.Module.Pool.
-	Bound bool
+	// Consts, when non-nil, goes into the constant pool in place of
+	// c.Module.Pool (see RunConsts).
+	Consts []qir.PoolConst
 }
 
 const defaultArenaMB = 4
@@ -86,10 +87,12 @@ func RunParallel(db *rt.DB, cat *rt.Catalog, c *Compiled, call CallFunc, opts Ex
 
 	// Bind hoisted literals into the runtime constant pool before anything
 	// executes; workers read the main pool through shared machine memory.
-	if !opts.Bound {
-		if err := db.BindConstPool(c.Module.Pool); err != nil {
-			return err
-		}
+	consts := opts.Consts
+	if consts == nil {
+		consts = c.Module.Pool
+	}
+	if err := db.BindConstPool(consts); err != nil {
+		return err
 	}
 
 	state := db.M.Alloc(uint64(c.StateSize))

@@ -201,6 +201,8 @@ type Program struct {
 	Pool []qir.PoolConst
 	// Hit reports that Prepare served the program from the cache.
 	Hit bool
+	// entry is the cache entry that holds Compiled and Exec, if one does.
+	entry *cachedProgram
 	// For a hit: how long serving it took, and what Stats.Total read then.
 	prepare, compiled0 time.Duration
 }
@@ -275,6 +277,7 @@ func (w *World) pool() *codegen.ExecPool {
 // pool exists: strings the bind interns and the workers' arenas then sit
 // below it and keep their addresses — which code cached across executions
 // has baked in — while everything the execution itself allocates sits above.
+// The executors bind the same values again, by then a lookup per string.
 func (w *World) Run(p *Program) (time.Duration, error) {
 	db := w.DB
 	db.ResetQueryState()
@@ -294,13 +297,17 @@ func (w *World) Run(p *Program) (time.Duration, error) {
 	if err == nil {
 		if w.ExecJobs > 1 || w.Batch {
 			err = codegen.RunParallel(db, w.Cat, p.Compiled, p.Exec.Call,
-				codegen.ExecOptions{Jobs: w.ExecJobs, Module: backend.ModuleOf(p.Exec), Pool: pool, Bound: true})
+				codegen.ExecOptions{Jobs: w.ExecJobs, Module: backend.ModuleOf(p.Exec), Pool: pool, Consts: p.Pool})
 		} else {
-			err = codegen.RunBound(db, w.Cat, p.Compiled, p.Exec.Call)
+			err = codegen.RunConsts(db, w.Cat, p.Compiled, p.Exec.Call, p.Pool)
 		}
 	}
 	d := time.Since(start)
 	sp.End()
+	if p.entry != nil {
+		// Executing grows an executable (cachedProgram.footprint).
+		w.shared.cache.ChargeProgram(p.entry.key, p.entry, p.entry.footprint())
+	}
 	return d, err
 }
 

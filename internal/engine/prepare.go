@@ -23,10 +23,10 @@ import (
 // plan and a constant pool.
 
 var (
-	obsProgramHits      = obs.NewCounter("engine.program_cache_hits")
-	obsProgramMisses    = obs.NewCounter("engine.program_cache_misses")
-	obsProgramPinned    = obs.NewCounter("engine.program_cache_pinned_mismatch")
-	obsProgramEvictions = obs.NewCounter("engine.program_cache_evictions")
+	// engine.program_cache_evictions is counted where evictions happen, in pcc.
+	obsProgramHits   = obs.NewCounter("engine.program_cache_hits")
+	obsProgramMisses = obs.NewCounter("engine.program_cache_misses")
+	obsProgramPinned = obs.NewCounter("engine.program_cache_pinned_mismatch")
 )
 
 // cachedProgram is what the cache keeps for one plan shape: the program, and
@@ -48,6 +48,10 @@ type cachedProgram struct {
 	// machine address in, and the runtime forgets strings interned above a
 	// released heap mark or a checkpoint.
 	strs []bakedString
+	// key is the cache key, fixed the heap the entry holds apart from the
+	// executable, key included (footprint).
+	key   string
+	fixed int64
 }
 
 type pinnedLit struct {
@@ -59,9 +63,6 @@ type bakedString struct {
 	s      string
 	lo, hi uint64
 }
-
-// Evicted is the cache's notice that the budget pushed the entry out.
-func (*cachedProgram) Evicted() { obsProgramEvictions.Inc() }
 
 // Prepare takes a plan to a program: Lower + Compile, memoised on the plan's
 // shape when the world has a code cache. The key is the engine, the module
@@ -91,7 +92,7 @@ func (w *World) Prepare(eng backend.Engine, name string, node plan.Node) (*Progr
 				obsProgramHits.Inc()
 				w.Tracer.Add("prepare.hit", 1)
 				return &Program{Compiled: ent.compiled, Exec: ent.exec, Stats: ent.stats, Pool: pool,
-					Hit: true, prepare: time.Since(start), compiled0: ent.stats.Total}, nil
+					Hit: true, entry: ent, prepare: time.Since(start), compiled0: ent.stats.Total}, nil
 			}
 		}
 	}
@@ -99,7 +100,8 @@ func (w *World) Prepare(eng backend.Engine, name string, node plan.Node) (*Progr
 	p, err := w.lowerCompile(eng, name, node)
 	if err == nil && keyed {
 		if ent := newCachedProgram(p, fp, w.DB); ent != nil {
-			cache.PutProgram(fp.Key, ent, int64(len(fp.Key))+ent.footprint())
+			cache.PutProgram(ent.key, ent, ent.footprint())
+			p.entry = ent
 		}
 	}
 	return p, err
@@ -216,6 +218,8 @@ func newCachedProgram(p *Program, fp *plan.Fingerprint, db *rt.DB) *cachedProgra
 			return nil
 		}
 	}
+	ent.key = string(fp.Key)
+	ent.fixed = ent.fixedFootprint()
 	return ent
 }
 
@@ -246,18 +250,26 @@ func (e *cachedProgram) poolFor(lits []plan.Expr, db *rt.DB) ([]qir.PoolConst, b
 	return pool, true
 }
 
-// footprint is what the cache charges the entry: the Go heap it keeps alive
-// beyond its key — the QIR module, the executable and the entry's own tables.
+// footprint is what the cache charges the entry: the Go heap it keeps alive —
+// its key, the QIR module and the entry's own tables (fixed, summed once) and
+// the executable, which grows after it is stored: the first call builds a vm
+// module's fused view (charged by estimate until then), and the adaptive
+// engine adds its optimized module when it promotes. Run therefore charges
+// the entry again after every execution.
 // Module and executable report their backing arrays (qir.Module.Footprint,
-// backend.FootprintOf: code image, decoded program, offset tables, fused view
-// — estimated, it is built at the first call — or the interpreter's bytecode).
+// backend.FootprintOf: code image, decoded program, offset tables, fused view,
+// or the interpreter's bytecode).
 // Measured by storing 400 distinct three-predicate shapes in an unbounded
 // cache and comparing the charge, units included, with the growth of the live
 // heap after a collection: the charge is 0.88 (interpreter) to 1.12
 // (Cranelift) times the growth, per engine. TestProgramCacheBudget holds the
 // sum to the heap in use.
 func (e *cachedProgram) footprint() int64 {
-	n := e.compiled.Module.Footprint() + backend.FootprintOf(e.exec) +
+	return e.fixed + backend.FootprintOf(e.exec)
+}
+
+func (e *cachedProgram) fixedFootprint() int64 {
+	n := int64(len(e.key)) + e.compiled.Module.Footprint() +
 		int64(len(e.compiled.Pipelines))*int64(unsafe.Sizeof(codegen.Pipeline{})) +
 		int64(len(e.slotLit))*4 + int64(len(e.pinned))*int64(unsafe.Sizeof(pinnedLit{})) +
 		int64(len(e.strs))*int64(unsafe.Sizeof(bakedString{}))

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -13,6 +14,7 @@ import (
 	"qcc/internal/plan"
 	"qcc/internal/qir"
 	"qcc/internal/rt"
+	"qcc/internal/vm"
 )
 
 // outcome is what one statement produced on one world.
@@ -32,6 +34,13 @@ func execPlan(w *World, eng backend.Engine, node plan.Node) outcome {
 	o := outcome{rows: w.DB.Out.Canonical(), hit: p.Hit}
 	if err != nil {
 		o.err = err.Error()
+		// A cached adaptive executable keeps its hotness and its promoted
+		// tier, so it may trap in optimized code where a fresh one traps in
+		// the baseline's: the same trap at another code offset.
+		var trap *vm.Trap
+		if eng.Name() == "Adaptive" && errors.As(err, &trap) {
+			o.err = fmt.Sprintf("trap %s: %s", trap.Code, trap.Msg)
+		}
 	}
 	w.Release()
 	return o
@@ -484,8 +493,9 @@ func TestProgramCacheBudget(t *testing.T) {
 		}
 		return "SELECT COUNT(*) FROM lineitem WHERE " + strings.Join(preds, " AND ")
 	}
-	// One executable that is a vm module and one that is not.
-	for _, name := range []string{"directemit", "interpreter"} {
+	// An executable that is a vm module, one that is not, and one that grows
+	// a second module while cached.
+	for _, name := range []string{"directemit", "interpreter", "adaptive"} {
 		t.Run(name, func(t *testing.T) {
 			w, eng := loaded(t, Options{CacheMB: budgetMB}), Backend(name)
 			execSQL(t, w, eng, shape(0)) // everything lazily built exists before the baseline
@@ -495,13 +505,14 @@ func TestProgramCacheBudget(t *testing.T) {
 				runtime.ReadMemStats(&ms)
 				return ms.HeapInuse
 			}
-			before, evicted0 := heap(), obsProgramEvictions.Load()
+			evictions := obs.NewCounter("engine.program_cache_evictions") // counted in pcc
+			before, evicted0 := heap(), evictions.Load()
 			for i := 0; i < shapes; i++ {
 				if o := execSQL(t, w, eng, shape(i)); o.err != "" {
 					t.Fatal(o.err)
 				}
 			}
-			after, evicted := heap(), obsProgramEvictions.Load()-evicted0
+			after, evicted := heap(), evictions.Load()-evicted0
 			cache := w.shared.cache
 			t.Logf("%d entries charged %d KiB; %d programs evicted; heap in use grew %d KiB",
 				cache.Len(), cache.SizeBytes()>>10, evicted, (int64(after)-int64(before))>>10)
@@ -519,6 +530,47 @@ func TestProgramCacheBudget(t *testing.T) {
 			}
 			runtime.KeepAlive(w)
 		})
+	}
+}
+
+// TestProgramCacheChargeFollowsExec: an executable grows once it runs — the
+// vm builds its fused view, the adaptive engine compiles a second module when
+// it promotes — and after every execution the cache charges the entry what it
+// holds then, not what it held when it was stored.
+func TestProgramCacheChargeFollowsExec(t *testing.T) {
+	for _, name := range []string{"directemit", "adaptive"} {
+		w, eng := loaded(t, Options{CacheMB: 64}), Backend(name)
+		node, err := w.Parse(adhocFamily(1, 0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := w.Prepare(eng, "q", node)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cache, ent := w.shared.cache, p.entry
+		if ent == nil {
+			t.Fatalf("%s: the compiled program was not cached", name)
+		}
+		units := cache.SizeBytes() - ent.footprint()
+		stored := ent.footprint()
+		for i := 0; i < 2; i++ { // a compiled program's run, then a hit's
+			if _, err := w.Run(p); err != nil {
+				t.Fatal(err)
+			}
+			w.Release()
+			if got := cache.SizeBytes() - units; got != ent.footprint() {
+				t.Errorf("%s, run %d: the entry is charged %d bytes and holds %d", name, i, got, ent.footprint())
+			}
+			if p, err = w.Prepare(eng, "q", node); err != nil || !p.Hit {
+				t.Fatalf("%s: hit=%v err=%v", name, p.Hit, err)
+			}
+		}
+		if name == "adaptive" && (p.Stats.Counters["tier_promotions"] == 0 || ent.footprint() <= stored) {
+			t.Errorf("adaptive: %d promotions, footprint %d stored and %d now; want a second module charged",
+				p.Stats.Counters["tier_promotions"], stored, ent.footprint())
+		}
+		t.Logf("%s: charged %d bytes when stored, %d after running", name, stored, ent.footprint())
 	}
 }
 

@@ -29,8 +29,7 @@ type Fingerprint struct {
 	// Tables names the table of every Scan, in traversal order.
 	Tables []string
 
-	index map[Expr]int // Lits ordinal, once a linear search would be slow
-	bad   bool
+	bad bool
 }
 
 // Node and expression tags of the canonical form.
@@ -65,7 +64,6 @@ func (fp *Fingerprint) Reset() {
 	clear(fp.Lits) // drop the references to the last plan
 	fp.Lits = fp.Lits[:0]
 	fp.Tables = fp.Tables[:0]
-	fp.index = nil
 	fp.bad = false
 }
 
@@ -211,9 +209,6 @@ func (fp *Fingerprint) literal(e Expr, tag byte) bool {
 		fp.uint(uint64(i))
 		return false
 	}
-	if fp.index != nil {
-		fp.index[e] = len(fp.Lits)
-	}
 	fp.Lits = append(fp.Lits, e)
 	fp.tag(tag)
 	return true
@@ -221,19 +216,8 @@ func (fp *Fingerprint) literal(e Expr, tag byte) bool {
 
 // Ordinal returns the position of literal node e in Lits, found by identity.
 // Statements have a handful of literals, which a scan finds without
-// allocating; past linearScan of them an index takes over.
+// allocating.
 func (fp *Fingerprint) Ordinal(e Expr) (int, bool) {
-	const linearScan = 32
-	if fp.index == nil && len(fp.Lits) >= linearScan {
-		fp.index = make(map[Expr]int, 2*len(fp.Lits))
-		for i, l := range fp.Lits {
-			fp.index[l] = i
-		}
-	}
-	if fp.index != nil {
-		i, ok := fp.index[e]
-		return i, ok
-	}
 	for i, l := range fp.Lits {
 		if l == e {
 			return i, true

@@ -112,7 +112,7 @@ func TestFingerprintSharedLiteral(t *testing.T) {
 	}
 }
 
-// More literals than the linear search is used for: same answers.
+// A long statement with shared literals: ordinals follow traversal order.
 func TestFingerprintManyLiterals(t *testing.T) {
 	var pred Expr
 	var lits []Expr
