@@ -1,7 +1,6 @@
 package interp
 
 import (
-	"hash/crc32"
 	"math/bits"
 
 	"qcc/internal/qir"
@@ -312,15 +311,6 @@ func zext(to, from qir.Type, lo uint64) (uint64, uint64) {
 		return u, 0
 	}
 	return canon(to, u), 0
-}
-
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
-
-//go:noinline
-func crc8(seed, v uint64) uint64 {
-	var b [8]byte
-	put64(b[:], v)
-	return uint64(crc32.Update(uint32(seed), crcTable, b[:]))
 }
 
 func lmulfold(a, b uint64) uint64 {

@@ -250,7 +250,7 @@ func (x *exec) run(fn int, args []uint64) ([2]uint64, error) {
 		case qir.OpFBits, qir.OpBitsF:
 			store(vals, in.A, fetch(vals, in.S))
 		case qir.OpCrc32:
-			store(vals, in.A, crc8(fetch(vals, in.S), fetch(vals, in.B)))
+			store(vals, in.A, vt.Crc32c8(fetch(vals, in.S), fetch(vals, in.B)))
 		case qir.OpLMulFold:
 			store(vals, in.A, lmulfold(fetch(vals, in.S), fetch(vals, in.B)))
 		case qir.OpGEP:

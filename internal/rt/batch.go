@@ -2,7 +2,6 @@ package rt
 
 import (
 	"fmt"
-	"hash/crc32"
 	"math/bits"
 
 	"qcc/internal/obs"
@@ -592,11 +591,12 @@ func (db *DB) strEqVals(alo, ahi, blo, bhi uint64) (bool, error) {
 	if an != bn {
 		return false, nil
 	}
-	a, err := db.strBytes(alo, ahi)
+	var abuf, bbuf [16]byte
+	a, err := db.strBytes(alo, ahi, &abuf)
 	if err != nil {
 		return false, err
 	}
-	b, err := db.strBytes(blo, bhi)
+	b, err := db.strBytes(blo, bhi, &bbuf)
 	if err != nil {
 		return false, err
 	}
@@ -764,17 +764,12 @@ func (db *DB) bFilter(e *BatchExpr, sel []int64) ([]int64, error) {
 // batchStrHash replicates FnStrHash: CRC32C of the bytes with the length
 // folded into the upper word.
 func (db *DB) batchStrHash(lo, hi uint64) (uint64, error) {
-	s, err := db.strBytes(lo, hi)
+	var buf [16]byte
+	s, err := db.strBytes(lo, hi, &buf)
 	if err != nil {
 		return 0, err
 	}
-	return uint64(crc32.Update(0, crcTable, s)) | uint64(len(s))<<32, nil
-}
-
-func crc8(seed, v uint64) uint64 {
-	var b [8]byte
-	put64(b[:], v)
-	return uint64(crc32.Update(uint32(seed), crcTable, b[:]))
+	return uint64(vt.Crc32c(0, s)) | uint64(len(s))<<32, nil
 }
 
 // batchHashes computes the key-tuple hash for rows [0, stop): CRC32C
@@ -790,14 +785,14 @@ func (db *DB) batchHashes(keys []BatchKey, keyV []bVals, stop int, out []uint64)
 				if err != nil {
 					return err
 				}
-				h = crc8(h, sh)
+				h = vt.Crc32c8(h, sh)
 			case BTI128:
-				h = crc8(h, keyV[i].d[k].Lo)
-				h = crc8(h, keyV[i].d[k].Hi)
+				h = vt.Crc32c8(h, keyV[i].d[k].Lo)
+				h = vt.Crc32c8(h, keyV[i].d[k].Hi)
 			case BTF64:
-				h = crc8(h, toBits(keyV[i].f[k]))
+				h = vt.Crc32c8(h, toBits(keyV[i].f[k]))
 			default:
-				h = crc8(h, uint64(keyV[i].i[k]))
+				h = vt.Crc32c8(h, uint64(keyV[i].i[k]))
 			}
 		}
 		mhi, mlo := bits.Mul64(h, 0x2545F4914F6CDD1D)

@@ -1,7 +1,6 @@
 package rt
 
 import (
-	"hash/crc32"
 	"math/bits"
 
 	"qcc/internal/vm"
@@ -185,11 +184,12 @@ func (db *DB) impl(name string) vm.RTFunc {
 		}
 	case FnStrEq:
 		return func(m *vm.Machine) error {
-			a, err := db.strBytes(db.arg(0), db.arg(1))
+			var abuf, bbuf [16]byte
+			a, err := db.strBytes(db.arg(0), db.arg(1), &abuf)
 			if err != nil {
 				return err
 			}
-			b, err := db.strBytes(db.arg(2), db.arg(3))
+			b, err := db.strBytes(db.arg(2), db.arg(3), &bbuf)
 			if err != nil {
 				return err
 			}
@@ -198,11 +198,12 @@ func (db *DB) impl(name string) vm.RTFunc {
 		}
 	case FnStrCmp:
 		return func(m *vm.Machine) error {
-			a, err := db.strBytes(db.arg(0), db.arg(1))
+			var abuf, bbuf [16]byte
+			a, err := db.strBytes(db.arg(0), db.arg(1), &abuf)
 			if err != nil {
 				return err
 			}
-			b, err := db.strBytes(db.arg(2), db.arg(3))
+			b, err := db.strBytes(db.arg(2), db.arg(3), &bbuf)
 			if err != nil {
 				return err
 			}
@@ -211,11 +212,12 @@ func (db *DB) impl(name string) vm.RTFunc {
 		}
 	case FnStrLike:
 		return func(m *vm.Machine) error {
-			s, err := db.strBytes(db.arg(0), db.arg(1))
+			var abuf, bbuf [16]byte
+			s, err := db.strBytes(db.arg(0), db.arg(1), &abuf)
 			if err != nil {
 				return err
 			}
-			p, err := db.strBytes(db.arg(2), db.arg(3))
+			p, err := db.strBytes(db.arg(2), db.arg(3), &bbuf)
 			if err != nil {
 				return err
 			}
@@ -224,21 +226,23 @@ func (db *DB) impl(name string) vm.RTFunc {
 		}
 	case FnStrHash:
 		return func(m *vm.Machine) error {
-			s, err := db.strBytes(db.arg(0), db.arg(1))
+			var buf [16]byte
+			s, err := db.strBytes(db.arg(0), db.arg(1), &buf)
 			if err != nil {
 				return err
 			}
-			h := crc32.Update(0, crcTable, s)
+			h := vt.Crc32c(0, s)
 			db.ret(uint64(h) | uint64(len(s))<<32)
 			return nil
 		}
 	case FnStrConcat:
 		return func(m *vm.Machine) error {
-			a, err := db.strBytes(db.arg(0), db.arg(1))
+			var abuf, bbuf [16]byte
+			a, err := db.strBytes(db.arg(0), db.arg(1), &abuf)
 			if err != nil {
 				return err
 			}
-			b, err := db.strBytes(db.arg(2), db.arg(3))
+			b, err := db.strBytes(db.arg(2), db.arg(3), &bbuf)
 			if err != nil {
 				return err
 			}
@@ -286,7 +290,8 @@ func (db *DB) impl(name string) vm.RTFunc {
 		}
 	case FnBatchPrep:
 		return func(m *vm.Machine) error {
-			desc, err := db.strBytes(db.arg(0), db.arg(1))
+			var buf [16]byte
+			desc, err := db.strBytes(db.arg(0), db.arg(1), &buf)
 			if err != nil {
 				return err
 			}
@@ -324,9 +329,7 @@ func (db *DB) impl(name string) vm.RTFunc {
 		}
 	case FnCrc32Help:
 		return func(m *vm.Machine) error {
-			var b [8]byte
-			put64(b[:], db.arg(1))
-			db.ret(uint64(crc32.Update(uint32(db.arg(0)), crcTable, b[:])))
+			db.ret(vt.Crc32c8(db.arg(0), db.arg(1)))
 			return nil
 		}
 	case FnAddOv64:
@@ -420,8 +423,6 @@ type UnknownRuntimeFunc struct{ Name string }
 func (e *UnknownRuntimeFunc) Error() string {
 	return "rt: unknown runtime function " + e.Name
 }
-
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 func b2u(b bool) uint64 {
 	if b {

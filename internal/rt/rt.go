@@ -256,17 +256,15 @@ func (db *DB) LoadString(lo, hi uint64) (string, error) {
 	return string(body), nil
 }
 
-// strBytes returns the bytes of a string value without copying when it
-// lives in machine memory.
-func (db *DB) strBytes(lo, hi uint64) ([]byte, error) {
+// strBytes returns the bytes of a string value without allocating: a long
+// string's bytes where they lie in machine memory, an inline (<= 12-byte)
+// string's unpacked into buf, which the caller owns and keeps on its stack.
+func (db *DB) strBytes(lo, hi uint64, buf *[16]byte) ([]byte, error) {
 	n := uint64(uint32(lo))
 	if n <= 12 {
-		var b [16]byte
-		put64(b[:8], lo)
-		put64(b[8:], hi)
-		out := make([]byte, n)
-		copy(out, b[4:4+n])
-		return out, nil
+		put64(buf[:8], lo)
+		put64(buf[8:], hi)
+		return buf[4 : 4+n], nil
 	}
 	return db.M.Bytes(hi, n)
 }

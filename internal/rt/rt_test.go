@@ -479,3 +479,40 @@ func TestReleaseToForgetsStringsAboveMark(t *testing.T) {
 		t.Errorf("re-interned string reads %q, %v", s, err)
 	}
 }
+
+// TestStringCallsDoNotAllocate: the string runtime calls generated code makes
+// per row — equality, ordering, LIKE, hashing, and the batch evaluator's
+// copies of the first and last — unpack inline strings into a buffer on their
+// own stack and read long ones in place, so none of them allocates.
+func TestStringCallsDoNotAllocate(t *testing.T) {
+	db := newDB(t)
+	type str struct{ lo, hi uint64 }
+	mk := func(s string) str { lo, hi := db.InternString(s); return str{lo, hi} }
+	short, short2, pat := mk("exactly12byt"), mk("exactly12byu"), mk("exact%")
+	long, long2 := mk("a string long enough to live in machine memory"), mk("a string long enough to live in machine memorz")
+	for _, name := range []string{FnStrEq, FnStrCmp, FnStrLike, FnStrHash} {
+		fn := db.impl(name)
+		for _, args := range [][2]str{{short, short2}, {short, pat}, {long, long2}, {long, short}} {
+			if n := testing.AllocsPerRun(50, func() {
+				for i, v := range []uint64{args[0].lo, args[0].hi, args[1].lo, args[1].hi} {
+					db.M.R[db.target.IntArgs[i]] = v
+				}
+				if err := fn(db.M); err != nil {
+					t.Fatal(err)
+				}
+			}); n != 0 {
+				t.Errorf("%s: %v allocations per call, want 0", name, n)
+			}
+		}
+	}
+	if n := testing.AllocsPerRun(50, func() {
+		if _, err := db.strEqVals(short.lo, short.hi, short2.lo, short2.hi); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := db.batchStrHash(short.lo, short.hi); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("batch string compare + hash: %v allocations, want 0", n)
+	}
+}

@@ -33,6 +33,7 @@ package vm
 
 import (
 	"math"
+	"sync"
 
 	"qcc/internal/obs"
 	"qcc/internal/vt"
@@ -497,7 +498,7 @@ func (mod *Module) fused() *fprog {
 
 type patch struct {
 	idx  int32 // finstr to patch
-	orig int   // original instruction index the target resolves through
+	orig int32 // original instruction index the target resolves through
 }
 
 type cloneReq struct {
@@ -505,19 +506,90 @@ type cloneReq struct {
 	guardIdx int32
 }
 
+// Operation classes, one table lookup where the builder's inner loops would
+// otherwise call the vt.Op predicates per instruction: the access width of a
+// memory operation in the low bits, flags above.
+const (
+	opSize     = 0x0F
+	opStore    = 0x10
+	opRunnable = 0x20 // may live inside an xRun: no trap, no control transfer
+	opIntDst   = 0x40 // writes integer register RD (MulWide: and RC)
+	opMem      = 0x80
+)
+
+var opClass = func() (t [256]uint8) {
+	for op := vt.Op(0); op < vt.NumOps; op++ {
+		if sz, isStore, isMem := op.MemRef(); isMem {
+			t[op] = opMem | sz
+			if isStore {
+				t[op] |= opStore
+			}
+		}
+		if !op.CanTrap() && !op.IsBranch() && !op.IsCall() && op != vt.Ret {
+			t[op] |= opRunnable
+		}
+		t[op] |= opIntDst
+	}
+	for _, op := range []vt.Op{vt.Nop, vt.Store8, vt.Store16, vt.Store32, vt.Store64,
+		vt.StoreU8, vt.StoreU16, vt.StoreU32, vt.StoreU64,
+		vt.FStore, vt.FStoreU, vt.FLoad, vt.FLoadU, vt.FMovRR, vt.FMovRI,
+		vt.FAdd, vt.FSub, vt.FMul, vt.FDiv, vt.CvtSI2F, vt.MovFR,
+		vt.Br, vt.BrCC, vt.BrNZ, vt.Call, vt.CallInd, vt.CallRT,
+		vt.Ret, vt.Trap, vt.TrapNZ} {
+		t[op] &^= opIntDst
+	}
+	return t
+}()
+
+// markLeader flags a block leader in fuseBuilder.marks. The bits below it
+// hold, for a memory access a block guard may cover, its root register + 1.
+const markLeader = 0x80
+
+// fuseBuilder is the fuser's working state. Everything in it is scratch that
+// one builder owns and the next fuse call reuses (fusePool): the dense
+// per-instruction marks, the growing outputs, the pending run and the block
+// analysis tables. Nothing is allocated per block; the finished view is
+// copied out once at exact size.
 type fuseBuilder struct {
-	mod     *Module
-	fp      *fprog
-	guarded map[int]bool // instr index -> access covered by a block guard
-	patchB  []patch      // tgt <- o2f[orig]
-	patchC  []patch      // imm2 <- o2f[orig] (call continuations)
-	clones  []cloneReq
+	mod    *Module
+	instrs []vt.Instr
+	marks  []uint8 // per instruction, and one past the end
+	ins    []finstr
+	steps  []fstep
+	guards []guardRange
+	patchB []patch // tgt <- o2f[orig]
+	patchC []patch // imm2 <- o2f[orig] (call continuations)
+	clones []cloneReq
+
+	// The pending run of the block being encoded.
+	run    []fstep
+	runN   int // original instructions covered by run
+	runMem int // guarded (unchecked) memory steps in run
+
+	// Block analysis. covered has bit r set when the current block's guard
+	// covers root register r: an access marked r+1 is then unchecked.
+	covered uint32
+	ranges  [32]guardRange
+	span    [32]struct {
+		lo, hi int64
+		n      int // accesses folded into the span
+	}
+	droot [32]uint8 // derivation of register r: entry value of droot[r] ...
+	doff  [32]int64 // ... plus doff[r]
+}
+
+var fusePool = sync.Pool{New: func() any { return &fuseBuilder{run: make([]fstep, 0, 256)} }}
+
+// exact returns a copy of s with no spare capacity.
+func exact[T any](s []T) []T {
+	out := make([]T, len(s))
+	copy(out, s)
+	return out
 }
 
 // fuse builds the fused view of a loaded module.
 func fuse(mod *Module) *fprog {
-	instrs := mod.Prog.Instrs
-	n := len(instrs)
+	n := len(mod.Prog.Instrs)
 	fp := &fprog{o2f: make([]int32, n+1)}
 	for i := range fp.o2f {
 		fp.o2f[i] = -1
@@ -525,405 +597,367 @@ func fuse(mod *Module) *fprog {
 	if n == 0 {
 		return fp
 	}
+	b := fusePool.Get().(*fuseBuilder)
+	b.build(mod, fp)
+	fp.ins, fp.steps, fp.guards = exact(b.ins), exact(b.steps), exact(b.guards)
+	b.mod, b.instrs = nil, nil
+	fusePool.Put(b)
+
+	fp.stats.Instrs = n
+	fp.stats.CloneOps = len(fp.ins) - fp.stats.MicroOps
+	cntFuseModules.Inc()
+	cntFuseInstrs.Add(int64(n))
+	cntFuseMicro.Add(int64(fp.stats.MicroOps))
+	return fp
+}
+
+// build runs the pass: leaders, every block in original order (so
+// fall-through between consecutive blocks needs no glue), the checked clones,
+// the patches. It fills fp.o2f and fp.stats; the streams stay in b.
+func (b *fuseBuilder) build(mod *Module, fp *fprog) {
+	instrs := mod.Prog.Instrs
+	n := len(instrs)
+	b.mod, b.instrs = mod, instrs
+	b.ins, b.steps, b.guards = b.ins[:0], b.steps[:0], b.guards[:0]
+	b.patchB, b.patchC, b.clones = b.patchB[:0], b.patchC[:0], b.clones[:0]
+	if cap(b.marks) < n+1 {
+		b.marks = make([]uint8, n+1)
+	}
+	marks := b.marks[:n+1]
+	clear(marks)
 
 	// Leaders: block entry points. Besides the usual (branch/call targets,
 	// fall-throughs after control transfers), any instruction offset
 	// materialized as a constant is a leader so indirect calls always land
 	// on a block entry.
-	leader := make([]bool, n+1)
-	leader[0] = true
+	marks[0] = markLeader
 	for k := range instrs {
 		in := &instrs[k]
 		switch in.Op {
 		case vt.Br, vt.BrCC, vt.BrNZ, vt.Call:
-			leader[mod.branchIdx[k]] = true
-			leader[k+1] = true
+			marks[mod.branchIdx[k]] = markLeader
+			marks[k+1] = markLeader
 		case vt.CallInd, vt.CallRT, vt.Ret, vt.Trap:
-			leader[k+1] = true
-		case vt.MovRI:
-			if in.Imm >= 0 && in.Imm <= math.MaxInt32 {
-				if t := mod.indexOf(int32(in.Imm)); t >= 0 {
-					leader[t] = true
-				}
+			marks[k+1] = markLeader
+		case vt.MovRI, vt.MovZ:
+			v := uint64(in.Imm)
+			if in.Op == vt.MovZ {
+				v, _ = movChain(instrs, k, n)
 			}
-		case vt.MovZ:
-			v := uint64(uint16(in.Imm)) << (16 * uint(in.Cond))
-			for j := k + 1; j < n && instrs[j].Op == vt.MovK && instrs[j].RD == in.RD; j++ {
-				sh := 16 * uint(instrs[j].Cond)
-				v = v&^(uint64(0xFFFF)<<sh) | uint64(uint16(instrs[j].Imm))<<sh
-			}
-			if v <= uint64(len(mod.Prog.Index)) {
+			if v <= math.MaxInt32 {
 				if t := mod.indexOf(int32(v)); t >= 0 {
-					leader[t] = true
+					marks[t] = markLeader
 				}
 			}
 		}
 	}
 	for i := range mod.unwind {
 		if t := mod.indexOf(mod.unwind[i].Start); t >= 0 {
-			leader[t] = true
+			marks[t] = markLeader
 		}
 	}
 
-	b := &fuseBuilder{mod: mod, fp: fp, guarded: map[int]bool{}}
-
-	// Primary encoding: blocks in original order, so fall-through between
-	// consecutive blocks needs no glue.
 	for s := 0; s < n; {
-		e := s + 1
-		for e < n && !leader[e] {
-			e++
+		e, mems := s+1, int(opClass[instrs[s].Op]>>7)
+		for ; e < n && marks[e]&markLeader == 0; e++ {
+			mems += int(opClass[instrs[e].Op] >> 7)
 		}
-		fp.o2f[s] = int32(len(fp.ins))
-		ranges, cands := analyzeBlock(instrs, s, e)
+		fp.o2f[s] = int32(len(b.ins))
+		// A guard pays for itself with two or more hoisted checks; a block
+		// with fewer memory operations cannot have them and skips analysis.
 		gidx := int32(-1)
-		// A guard pays for itself with two or more hoisted checks, or with a
-		// single check sitting among enough runnable instructions that the
-		// unchecked access keeps one long run intact instead of splitting it.
-		if len(cands) >= 2 {
-			for _, k := range cands {
-				b.guarded[k] = true
-			}
-			if len(ranges) == 1 {
+		b.covered = 0
+		if mems >= 2 {
+			if ranges := b.analyzeBlock(s, e); len(ranges) == 1 {
 				// Single-footprint block (the common case): the range
 				// lives inline in the micro-op, no guard-table walk.
 				gidx = b.emit(finstr{
 					op: xGuard1, ra: ranges[0].base,
 					imm: ranges[0].lo, imm2: ranges[0].hi, pc0: int32(s),
 				})
-			} else {
-				goff := len(fp.guards)
-				fp.guards = append(fp.guards, ranges...)
-				gidx = b.emit(finstr{op: xGuard, cnt: uint8(len(ranges)), imm: int64(goff), pc0: int32(s)})
+			} else if len(ranges) > 1 {
+				gidx = b.emit(finstr{op: xGuard, cnt: uint8(len(ranges)), imm: int64(len(b.guards)), pc0: int32(s)})
+				b.guards = append(b.guards, ranges...)
 			}
-			b.clones = append(b.clones, cloneReq{s: s, e: e, guardIdx: gidx})
-			fp.stats.GuardedBlocks++
+			if gidx >= 0 {
+				b.clones = append(b.clones, cloneReq{s: s, e: e, guardIdx: gidx})
+				fp.stats.GuardedBlocks++
+			}
 		}
-		b.encodeBody(s, e, true)
+		b.encodeBody(s, e)
 		// Guard+run merge: when a single-range guard's whole block encoded
-		// to exactly one run micro-op, fold the guard and the run into one
-		// dispatch. The run slot stays behind as a dead payload holder; the
-		// merged op reads its steps and branch fields directly.
-		if gidx >= 0 && fp.ins[gidx].op == xGuard1 && int(gidx)+2 == len(fp.ins) {
-			switch fp.ins[gidx+1].op {
-			case xRun:
-				fp.ins[gidx].op = xG1Run
-			case xRunBr:
-				fp.ins[gidx].op = xG1RunBr
-			case xRunBrCC:
-				fp.ins[gidx].op = xG1RunBrCC
-			case xRunBrNZ:
-				fp.ins[gidx].op = xG1RunBrNZ
+		// to exactly one run micro-op, one dispatch does both (xG1Run* mirror
+		// xRun* in order). The run slot stays behind as a dead payload holder
+		// whose steps and branch fields the merged op reads.
+		if gidx >= 0 && b.ins[gidx].op == xGuard1 && int(gidx)+2 == len(b.ins) {
+			if op := b.ins[gidx+1].op; op >= xRun && op <= xRunBrNZ {
+				b.ins[gidx].op = xG1Run + (op - xRun)
 			}
 		}
 		s = e
 	}
-	primary := len(fp.ins)
+	fp.stats.MicroOps = len(b.ins)
 
-	// Checked clones: guard slow paths reproducing unfused per-access
-	// checks (and therefore unfused trap attribution) exactly.
+	// Checked clones: guard slow paths made of checked singles, reproducing
+	// unfused per-access checks (and therefore unfused trap attribution)
+	// exactly.
 	for _, c := range b.clones {
-		fp.ins[c.guardIdx].tgt = int32(len(fp.ins))
-		b.encodeBody(c.s, c.e, false)
+		b.ins[c.guardIdx].tgt = int32(len(b.ins))
+		for k := c.s; k < c.e; k++ {
+			b.emitSingle(k)
+		}
 		switch instrs[c.e-1].Op {
 		case vt.Br, vt.Ret, vt.Trap, vt.Call, vt.CallInd:
 			// Block exits on its own; no glue.
 		default:
 			if c.e < n {
 				idx := b.emit(finstr{op: xJmp, pc0: int32(c.e)})
-				b.patchB = append(b.patchB, patch{idx: idx, orig: c.e})
+				b.patchB = append(b.patchB, patch{idx: idx, orig: int32(c.e)})
 			}
 		}
 	}
 
 	for _, p := range b.patchB {
-		fp.ins[p.idx].tgt = fp.o2f[p.orig]
+		b.ins[p.idx].tgt = fp.o2f[p.orig]
 	}
 	for _, p := range b.patchC {
-		fp.ins[p.idx].imm2 = int64(fp.o2f[p.orig])
+		b.ins[p.idx].imm2 = int64(fp.o2f[p.orig])
 	}
-
-	fp.stats.Instrs = n
-	fp.stats.MicroOps = primary
-	fp.stats.CloneOps = len(fp.ins) - primary
-	cntFuseModules.Inc()
-	cntFuseInstrs.Add(int64(n))
-	cntFuseMicro.Add(int64(primary))
-	return fp
 }
 
-// intWrites returns the set of integer registers written by an instruction,
-// as a bitmap. Used to decide which accesses a block guard may cover: an
-// access is guardable only while its base register still holds its
-// block-entry value.
-func intWrites(in *vt.Instr) uint32 {
-	switch in.Op {
-	case vt.MulWideU, vt.MulWideS:
-		return 1<<in.RD | 1<<in.RC
-	case vt.Nop, vt.Store8, vt.Store16, vt.Store32, vt.Store64,
-		vt.StoreU8, vt.StoreU16, vt.StoreU32, vt.StoreU64,
-		vt.FStore, vt.FStoreU, vt.FLoad, vt.FLoadU, vt.FMovRR, vt.FMovRI,
-		vt.FAdd, vt.FSub, vt.FMul, vt.FDiv, vt.CvtSI2F, vt.MovFR,
-		vt.Br, vt.BrCC, vt.BrNZ, vt.Call, vt.CallInd, vt.CallRT,
-		vt.Ret, vt.Trap, vt.TrapNZ:
-		return 0
+// movChain folds the MovZ at k and the MovK instructions on the same register
+// that follow it (before end) into the constant they build, and returns it
+// with the index one past the chain.
+func movChain(instrs []vt.Instr, k, end int) (uint64, int) {
+	in := &instrs[k]
+	v := uint64(uint16(in.Imm)) << (16 * uint(in.Cond))
+	j := k + 1
+	for ; j < end && instrs[j].Op == vt.MovK && instrs[j].RD == in.RD; j++ {
+		sh := 16 * uint(instrs[j].Cond)
+		v = v&^(uint64(0xFFFF)<<sh) | uint64(uint16(instrs[j].Imm))<<sh
 	}
-	return 1 << in.RD
+	return v, j
 }
 
-// analyzeBlock computes the guardable accesses of block [s,e) and their
+// analyzeBlock finds the accesses of block [s,e) a guard may cover and their
 // per-base-register footprint ranges. Base registers derived in-block from
 // an entry register by MovRR/Lea/AddI/SubI chains are folded back to that
 // root register plus a constant offset, so address-computation-then-load
 // sequences (the dominant compiled-code idiom) stay guardable: the guard
 // range on the root covers the derived access exactly because the chain is
 // modular arithmetic on the root's entry value.
-func analyzeBlock(instrs []vt.Instr, s, e int) ([]guardRange, []int) {
-	type span struct {
-		lo, hi int64
-		cands  []int
-	}
-	// deriv[r]: register r holds entry-value(root)+off. Registers start as
-	// their own roots; a non-foldable write invalidates the derivation.
-	type dv struct {
-		root uint8
-		off  int64
-		ok   bool
-	}
-	var deriv [32]dv
-	for i := range deriv {
-		deriv[i] = dv{root: uint8(i), ok: true}
-	}
+//
+// Every candidate access is marked with its root. When the accepted ranges
+// hold two or more candidates they are returned (first-use order, backed by
+// b.ranges) and b.covered names their roots; otherwise nothing is covered.
+func (b *fuseBuilder) analyzeBlock(s, e int) []guardRange {
+	// Register r holds entry-value(droot[r])+doff[r] when derived has bit r,
+	// its own entry value when not; a non-foldable write sets its bit in
+	// lost instead. seen has the roots with a span, order lists them.
 	const offCap = 1 << 33
-	var order []uint8
-	acc := map[uint8]*span{}
+	var derived, lost, seen uint32
+	var order [32]uint8
+	norder := 0
 	for k := s; k < e; k++ {
-		in := &instrs[k]
-		if sz, _, isMem := in.Op.MemRef(); isMem {
-			if d := deriv[in.RA&31]; d.ok &&
-				in.Imm > -offCap && in.Imm < offCap {
-				lo, hi := d.off+in.Imm, d.off+in.Imm+int64(sz)
-				sp := acc[d.root]
-				if sp == nil {
-					sp = &span{lo: lo, hi: hi}
-					acc[d.root] = sp
-					order = append(order, d.root)
-				} else {
-					if lo < sp.lo {
-						sp.lo = lo
-					}
-					if hi > sp.hi {
-						sp.hi = hi
-					}
-				}
-				sp.cands = append(sp.cands, k)
-			}
+		in := &b.instrs[k]
+		ra := in.RA & 31
+		root, off := ra, int64(0)
+		if derived>>ra&1 != 0 {
+			root, off = b.droot[ra], b.doff[ra]
 		}
+		cls := opClass[in.Op]
+		if cls&opMem != 0 && lost>>ra&1 == 0 && in.Imm > -offCap && in.Imm < offCap {
+			lo := off + in.Imm
+			hi := lo + int64(cls&opSize)
+			if sp := &b.span[root]; seen>>root&1 == 0 {
+				sp.lo, sp.hi, sp.n = lo, hi, 1
+				seen |= 1 << root
+				order[norder] = root
+				norder++
+			} else {
+				sp.lo, sp.hi = min(sp.lo, lo), max(sp.hi, hi)
+				sp.n++
+			}
+			b.marks[k] |= root + 1
+		}
+		delta := in.Imm
 		switch in.Op {
 		case vt.MovRR:
-			deriv[in.RD&31] = deriv[in.RA&31]
-		case vt.Lea, vt.AddI, vt.SubI:
-			d := deriv[in.RA&31]
-			off := in.Imm
-			if in.Op == vt.SubI {
-				off = -off
-			}
-			d.off += off
-			if d.off <= -offCap || d.off >= offCap || in.Imm <= -offCap || in.Imm >= offCap {
-				d.ok = false
-			}
-			deriv[in.RD&31] = d
+			delta = 0
+		case vt.SubI:
+			delta = -delta
+		case vt.Lea, vt.AddI:
+		case vt.MulWideU, vt.MulWideS:
+			lost |= 1<<in.RD | 1<<in.RC
+			continue
 		default:
-			if w := intWrites(in); w != 0 {
-				for r := 0; r < 32; r++ {
-					if w&(1<<r) != 0 {
-						deriv[r].ok = false
-					}
-				}
+			if cls&opIntDst != 0 {
+				lost |= 1 << in.RD
 			}
-		}
-	}
-	var ranges []guardRange
-	var cands []int
-	for _, base := range order {
-		sp := acc[base]
-		// The guard's wrap reasoning requires a bounded footprint; huge or
-		// overflowing spans keep their accesses individually checked.
-		if sp.hi < sp.lo || sp.hi-sp.lo > 1<<32 {
 			continue
 		}
-		ranges = append(ranges, guardRange{base: base, lo: sp.lo, hi: sp.hi})
-		cands = append(cands, sp.cands...)
+		// RD now holds RA's derivation moved by delta (lost if RA's was).
+		rd := in.RD & 31
+		off += delta
+		b.droot[rd], b.doff[rd] = root, off
+		derived |= 1 << rd
+		lost = lost&^(1<<rd) | lost>>ra&1<<rd
+		if off <= -offCap || off >= offCap || delta <= -offCap || delta >= offCap {
+			lost |= 1 << rd
+		}
 	}
-	return ranges, cands
+	nr, ncand := 0, 0
+	for _, base := range order[:norder] {
+		// The guard's wrap reasoning requires a bounded footprint; huge or
+		// overflowing spans keep their accesses individually checked.
+		if sp := &b.span[base]; sp.hi >= sp.lo && sp.hi-sp.lo <= 1<<32 {
+			b.ranges[nr] = guardRange{base: base, lo: sp.lo, hi: sp.hi}
+			nr++
+			ncand += sp.n
+			b.covered |= 1 << base
+		}
+	}
+	if ncand < 2 {
+		b.covered = 0
+		return nil
+	}
+	return b.ranges[:nr]
+}
+
+// guarded reports whether the access at k is covered by its block's guard.
+func (b *fuseBuilder) guarded(k int) bool {
+	r := b.marks[k] &^ markLeader
+	return r != 0 && b.covered>>(r-1)&1 != 0
 }
 
 func (b *fuseBuilder) emit(fi finstr) int32 {
-	b.fp.ins = append(b.fp.ins, fi)
-	return int32(len(b.fp.ins) - 1)
+	b.ins = append(b.ins, fi)
+	return int32(len(b.ins) - 1)
 }
 
 // emitSingle emits instruction k as a checked single micro-op: the fused
 // engine's exact transliteration of one unfused dispatch.
 func (b *fuseBuilder) emitSingle(k int) {
-	in := &b.mod.Prog.Instrs[k]
-	fi := finstr{
+	in := &b.instrs[k]
+	idx := b.emit(finstr{
 		op: uint8(in.Op), n: 1, cond: in.Cond,
 		rd: in.RD, ra: in.RA, rb: in.RB, rc: in.RC,
 		imm: in.Imm, pc0: int32(k),
-	}
-	idx := b.emit(fi)
+	})
 	switch in.Op {
 	case vt.Br, vt.BrCC, vt.BrNZ:
-		b.patchB = append(b.patchB, patch{idx: idx, orig: int(b.mod.branchIdx[k])})
+		b.patchB = append(b.patchB, patch{idx: idx, orig: b.mod.branchIdx[k]})
 	case vt.Call:
-		b.patchB = append(b.patchB, patch{idx: idx, orig: int(b.mod.branchIdx[k])})
-		b.patchC = append(b.patchC, patch{idx: idx, orig: k + 1})
+		b.patchB = append(b.patchB, patch{idx: idx, orig: b.mod.branchIdx[k]})
+		b.patchC = append(b.patchC, patch{idx: idx, orig: int32(k + 1)})
 	case vt.CallInd:
-		b.patchC = append(b.patchC, patch{idx: idx, orig: k + 1})
+		b.patchC = append(b.patchC, patch{idx: idx, orig: int32(k + 1)})
 	}
 }
 
-// isRunnable reports whether an operation may live inside an xRun
-// superinstruction: no trap, no control transfer.
-func isRunnable(op vt.Op) bool {
-	return op < vt.NumOps && !op.CanTrap() && !op.IsBranch() &&
-		!op.IsCall() && op != vt.Ret
+// stepOf is instruction k as a run step.
+func stepOf(in *vt.Instr, k int) fstep {
+	return fstep{op: uint8(in.Op), cond: in.Cond, rd: in.RD, ra: in.RA, rb: in.RB, rc: in.RC, imm: in.Imm, pc0: int32(k)}
 }
 
-// encodeBody encodes block [s,e). In fast mode it applies every fusion
-// (guarded accesses unchecked, runs, pairs, folds, compare-and-branch); in
-// clone mode it emits checked singles only, reproducing unfused semantics
-// per instruction.
-func (b *fuseBuilder) encodeBody(s, e int, fast bool) {
-	if !fast {
-		for k := s; k < e; k++ {
-			b.emitSingle(k)
-		}
-		return
+// push appends a step covering orig original instructions to the pending
+// run, flushing first when the run's one-byte counts would overflow.
+func (b *fuseBuilder) push(st fstep, orig int) {
+	if len(b.run) >= 255 || b.runN+orig > 255 {
+		b.flush()
 	}
-	instrs := b.mod.Prog.Instrs
-	var steps []fstep
-	runN := 0   // original instructions covered by pending steps
-	runMem := 0 // guarded (unchecked) memory steps pending
-	flush := func() {
-		if len(steps) == 0 {
-			return
-		}
-		steps = combineSteps(steps)
-		// Per-op MemOps charges of the main-stream cases. Store-to-load
-		// forwarding can hide a load's charge inside a MovRR, in which case
-		// only a run's bulk rc charge stays exact — then skip inlining.
-		exp, narrow := 0, true
-		for i := range steps {
-			if st := &steps[i]; st.op >= uLoad8 && st.op < cMovSt64 {
-				exp++
-			} else {
-				exp += int(cMemOps(st.op))
-				narrow = narrow && st.op < cWideFirst
-			}
-		}
-		if len(steps) <= 2 && exp == runMem && narrow {
-			// Short runs cost more as a run (run dispatch + stepRun call)
-			// than as direct micro-ops: emit each step into the main
-			// stream. The first carries the whole run's instruction count.
-			for i := range steps {
-				st := steps[i]
-				nn := 0
-				if i == 0 {
-					nn = runN
-				}
-				b.emit(finstr{
-					op: st.op, n: uint8(nn), cond: st.cond,
-					rd: st.rd, ra: st.ra, rb: st.rb, rc: st.rc, op1: st.re,
-					cnt: cMemOps(st.op),
-					imm: st.imm, imm2: st.imm2, pc0: st.pc0,
-				})
-			}
-		} else {
-			off := len(b.fp.steps)
-			b.fp.steps = append(b.fp.steps, steps...)
-			b.emit(finstr{
-				op: xRun, n: uint8(runN), cnt: uint8(len(steps)),
-				rc: uint8(runMem), imm: int64(off), pc0: steps[0].pc0,
-			})
-		}
-		steps = steps[:0]
-		runN, runMem = 0, 0
+	b.run = append(b.run, st)
+	b.runN += orig
+	if st.op >= uLoad8 {
+		b.runMem++
 	}
-	push := func(st fstep, orig int) {
-		if len(steps) >= 255 || runN+orig > 255 {
-			flush()
-		}
-		steps = append(steps, st)
-		runN += orig
-		if st.op >= uLoad8 {
-			runMem++
-		}
-	}
-	// flushBr drains the pending steps into a run that executes the
-	// block-terminating branch at instruction k inline (one dispatch for
-	// run plus branch). Returns false when there is nothing pending or no
-	// headroom, leaving the branch to emitSingle.
-	flushBr := func(xop uint8, k int) bool {
-		if len(steps) == 0 || runN >= 255 {
-			return false
-		}
-		in := &instrs[k]
-		steps = combineSteps(steps)
-		exp, narrow := 0, true
-		for i := range steps {
-			if st := &steps[i]; st.op >= uLoad8 && st.op < cMovSt64 {
-				exp++
-			} else {
-				exp += int(cMemOps(st.op))
-				narrow = narrow && st.op < cWideFirst
-			}
-		}
-		if len(steps) <= 2 && exp == runMem && narrow {
-			// A tiny run before a branch is cheaper as direct micro-ops plus
-			// a plain branch dispatch than as a run-with-branch micro-op.
-			for i := range steps {
-				st := steps[i]
-				nn := 0
-				if i == 0 {
-					nn = runN
-				}
-				b.emit(finstr{
-					op: st.op, n: uint8(nn), cond: st.cond,
-					rd: st.rd, ra: st.ra, rb: st.rb, rc: st.rc, op1: st.re,
-					cnt: cMemOps(st.op),
-					imm: st.imm, imm2: st.imm2, pc0: st.pc0,
-				})
-			}
-			steps = steps[:0]
-			runN, runMem = 0, 0
-			return false
-		}
-		off := len(b.fp.steps)
-		b.fp.steps = append(b.fp.steps, steps...)
-		idx := b.emit(finstr{
-			op: xop, n: uint8(runN + 1), cnt: uint8(len(steps)),
-			rc: uint8(runMem), cond: in.Cond, ra: in.RA, rb: in.RB,
-			imm: int64(off), pc0: steps[0].pc0,
-		})
-		b.patchB = append(b.patchB, patch{idx: idx, orig: int(b.mod.branchIdx[k])})
-		steps = steps[:0]
-		runN, runMem = 0, 0
+}
+
+// closeRun combines the pending steps and reports whether they are to become
+// a run micro-op. One or two narrow steps cost more as a run (run dispatch +
+// stepRun call) than as direct micro-ops: closeRun emits those into the main
+// stream, the first carrying the whole run's instruction count, and reports
+// false with nothing left pending.
+func (b *fuseBuilder) closeRun() bool {
+	b.run = combineSteps(b.run)
+	if len(b.run) > 2 {
 		return true
 	}
+	// Per-op MemOps charges of the main-stream cases. Store-to-load
+	// forwarding can hide a load's charge inside a MovRR, in which case
+	// only a run's bulk rc charge stays exact — then keep the run.
+	exp := 0
+	for i := range b.run {
+		if st := &b.run[i]; st.op >= uLoad8 && st.op < cMovSt64 {
+			exp++
+		} else if st.op < cWideFirst {
+			exp += int(cMemOps(st.op))
+		} else {
+			return true
+		}
+	}
+	if exp != b.runMem {
+		return true
+	}
+	nn := uint8(b.runN)
+	for i := range b.run {
+		st := &b.run[i]
+		b.emit(finstr{
+			op: st.op, n: nn, cond: st.cond,
+			rd: st.rd, ra: st.ra, rb: st.rb, rc: st.rc, op1: st.re,
+			cnt: cMemOps(st.op),
+			imm: st.imm, imm2: st.imm2, pc0: st.pc0,
+		})
+		nn = 0
+	}
+	b.run, b.runN, b.runMem = b.run[:0], 0, 0
+	return false
+}
 
-	k := s
-	for k < e {
+// flush drains the pending steps into the stream.
+func (b *fuseBuilder) flush() { b.flushBr(xRun, 0) }
+
+// flushBr drains the pending steps: inline when tiny (closeRun), else into
+// the step array behind one run micro-op of kind xop. For xop other than xRun
+// the run executes the block-terminating branch at k itself — one dispatch
+// for body and branch. It reports false, leaving a branch to emitSingle, when
+// nothing is pending, the branch's count has no headroom (the steps then stay
+// pending) or the run went inline.
+func (b *fuseBuilder) flushBr(xop uint8, k int) bool {
+	if len(b.run) == 0 || xop != xRun && b.runN >= 255 || !b.closeRun() {
+		return false
+	}
+	fi := finstr{
+		op: xop, n: uint8(b.runN), cnt: uint8(len(b.run)),
+		rc: uint8(b.runMem), imm: int64(len(b.steps)), pc0: b.run[0].pc0,
+	}
+	b.steps = append(b.steps, b.run...)
+	if xop != xRun {
+		in := &b.instrs[k]
+		fi.n++
+		fi.cond, fi.ra, fi.rb = in.Cond, in.RA, in.RB
+		b.patchB = append(b.patchB, patch{idx: int32(len(b.ins)), orig: b.mod.branchIdx[k]})
+	}
+	b.emit(fi)
+	b.run, b.runN, b.runMem = b.run[:0], 0, 0
+	return true
+}
+
+// encodeBody encodes block [s,e) with every fusion applied: covered accesses
+// unchecked, runs, pairs, folds, compare-and-branch.
+func (b *fuseBuilder) encodeBody(s, e int) {
+	instrs := b.instrs
+	for k := s; k < e; {
 		in := &instrs[k]
 		op := in.Op
+		cls := opClass[op]
 
 		// Compare-and-branch fusion: SetCC/FCmp feeding BrNZ on the
 		// result register. The 0/1 result is still written, so register
 		// state matches the unfused loop exactly.
 		if (op == vt.SetCC || op == vt.FCmp) && k+1 < e &&
 			instrs[k+1].Op == vt.BrNZ && instrs[k+1].RA == in.RD {
-			flush()
+			b.flush()
 			fop := xCmpBr
 			if op == vt.FCmp {
 				fop = xFCmpBr
@@ -932,7 +966,7 @@ func (b *fuseBuilder) encodeBody(s, e int, fast bool) {
 				op: fop, n: 2, cond: in.Cond,
 				rd: in.RD, ra: in.RA, rb: in.RB, pc0: int32(k),
 			})
-			b.patchB = append(b.patchB, patch{idx: idx, orig: int(b.mod.branchIdx[k+1])})
+			b.patchB = append(b.patchB, patch{idx: idx, orig: b.mod.branchIdx[k+1]})
 			k += 2
 			continue
 		}
@@ -940,14 +974,8 @@ func (b *fuseBuilder) encodeBody(s, e int, fast bool) {
 		// Immediate materialization: MovZ followed by MovK on the same
 		// register folds into one constant store.
 		if op == vt.MovZ && k+1 < e && instrs[k+1].Op == vt.MovK && instrs[k+1].RD == in.RD {
-			v := uint64(uint16(in.Imm)) << (16 * uint(in.Cond))
-			j := k + 1
-			for j < e && instrs[j].Op == vt.MovK && instrs[j].RD == in.RD {
-				sh := 16 * uint(instrs[j].Cond)
-				v = v&^(uint64(0xFFFF)<<sh) | uint64(uint16(instrs[j].Imm))<<sh
-				j++
-			}
-			push(fstep{op: uint8(vt.MovRI), rd: in.RD, imm: int64(v), pc0: int32(k)}, j-k)
+			v, j := movChain(instrs, k, e)
+			b.push(fstep{op: uint8(vt.MovRI), rd: in.RD, imm: int64(v), pc0: int32(k)}, j-k)
 			k = j
 			continue
 		}
@@ -960,22 +988,21 @@ func (b *fuseBuilder) encodeBody(s, e int, fast bool) {
 				acc = -in.Imm
 			}
 			j := k + 1
-			for j < e {
+			for ; j < e; j++ {
 				nx := &instrs[j]
-				if (nx.Op == vt.AddI || nx.Op == vt.SubI || nx.Op == vt.Lea) &&
-					nx.RA == in.RD && nx.RD == in.RD {
-					if nx.Op == vt.SubI {
-						acc -= nx.Imm
-					} else {
-						acc += nx.Imm
-					}
-					j++
-					continue
+				if nx.RA != in.RD || nx.RD != in.RD {
+					break
 				}
-				break
+				if nx.Op == vt.AddI || nx.Op == vt.Lea {
+					acc += nx.Imm
+				} else if nx.Op == vt.SubI {
+					acc -= nx.Imm
+				} else {
+					break
+				}
 			}
 			if j > k+1 {
-				push(fstep{op: uint8(vt.AddI), rd: in.RD, ra: in.RA, imm: acc, pc0: int32(k)}, j-k)
+				b.push(fstep{op: uint8(vt.AddI), rd: in.RD, ra: in.RA, imm: acc, pc0: int32(k)}, j-k)
 				k = j
 				continue
 			}
@@ -983,27 +1010,27 @@ func (b *fuseBuilder) encodeBody(s, e int, fast bool) {
 
 		// Statically unchecked accesses take the same unchecked-step path
 		// as guard-covered ones: the compile-time proof replaces the guard.
-		if _, isStore, isMem := op.MemRef(); isMem && (b.guarded[k] || op.UncheckedMem()) {
+		if cls&opMem != 0 && (op.UncheckedMem() || b.guarded(k)) {
 			// Store-to-load forwarding: a guarded 64-bit load from the
 			// address an adjacent guarded store just wrote reads the
 			// stored register instead of memory. Still one MemOp.
-			if !isStore && len(steps) > 0 {
-				pv := &steps[len(steps)-1]
-				if (op.CheckedMem() == vt.Load64 && pv.op == uStore64 ||
-					op.CheckedMem() == vt.FLoad && pv.op == uFStore) &&
+			if cls&opStore == 0 && len(b.run) > 0 {
+				pv := &b.run[len(b.run)-1]
+				ck := op.CheckedMem()
+				if (ck == vt.Load64 && pv.op == uStore64 || ck == vt.FLoad && pv.op == uFStore) &&
 					pv.ra == in.RA && pv.imm == in.Imm {
 					mv := uint8(vt.MovRR)
-					if op.CheckedMem() == vt.FLoad {
+					if ck == vt.FLoad {
 						mv = uint8(vt.FMovRR)
 					}
-					push(fstep{op: mv, rd: in.RD, ra: pv.rb, pc0: int32(k)}, 1)
-					runMem++
+					b.push(fstep{op: mv, rd: in.RD, ra: pv.rb, pc0: int32(k)}, 1)
+					b.runMem++
 					k++
 					continue
 				}
 			}
 			// Bounds hoisted into the block guard: unchecked step.
-			push(fstep{
+			b.push(fstep{
 				op: unchecked(op), cond: in.Cond,
 				rd: in.RD, ra: in.RA, rb: in.RB, imm: in.Imm, pc0: int32(k),
 			}, 1)
@@ -1011,80 +1038,52 @@ func (b *fuseBuilder) encodeBody(s, e int, fast bool) {
 			continue
 		}
 
-		if isRunnable(op) {
+		if cls&opRunnable != 0 {
+			st := stepOf(in, k)
 			// op+Store fusion: a lone simple op feeding a checked store.
-			if len(steps) == 0 && k+1 < e {
+			if len(b.run) == 0 && k+1 < e {
 				nx := &instrs[k+1]
-				if _, isStore, isMem := nx.Op.MemRef(); isMem && isStore &&
-					!b.guarded[k+1] && !nx.Op.UncheckedMem() {
-					sz, _, _ := nx.Op.MemRef()
+				if nc := opClass[nx.Op]; nc&opStore != 0 && !nx.Op.UncheckedMem() && !b.guarded(k+1) {
 					// The simple op lives as a one-step run referenced by
 					// tgt; the dispatcher executes it before the store.
-					stepIdx := int32(len(b.fp.steps))
-					b.fp.steps = append(b.fp.steps, fstep{
-						op: uint8(op), cond: in.Cond,
-						rd: in.RD, ra: in.RA, rb: in.RB, rc: in.RC,
-						imm: in.Imm, pc0: int32(k),
-					})
 					b.emit(finstr{
-						op: xOpStore, n: 2, cnt: sz,
+						op: xOpStore, n: 2, cnt: nc & opSize,
 						op1: uint8(nx.Op), ra: nx.RA, rb: nx.RB, imm: nx.Imm,
-						pc0: int32(k), tgt: stepIdx,
+						pc0: int32(k), tgt: int32(len(b.steps)),
 					})
+					b.steps = append(b.steps, st)
 					k += 2
 					continue
 				}
 			}
-			push(fstep{
-				op: uint8(op), cond: in.Cond,
-				rd: in.RD, ra: in.RA, rb: in.RB, rc: in.RC,
-				imm: in.Imm, pc0: int32(k),
-			}, 1)
+			b.push(st, 1)
 			k++
 			continue
 		}
 
 		// A block-terminating branch executes inline at the end of the
-		// pending run: one dispatch for the body and the branch.
-		switch op {
-		case vt.Br:
-			if flushBr(xRunBr, k) {
-				k++
-				continue
-			}
-		case vt.BrCC:
-			if flushBr(xRunBrCC, k) {
-				k++
-				continue
-			}
-		case vt.BrNZ:
-			if flushBr(xRunBrNZ, k) {
-				k++
-				continue
-			}
+		// pending run (xRunBr* mirror Br, BrCC, BrNZ in order).
+		if op.IsBranch() && b.flushBr(xRunBr+uint8(op-vt.Br), k) {
+			k++
+			continue
 		}
 
 		// Non-runnable: flush the pending run, then try memory pairs.
-		flush()
-		if sz, isStore, isMem := op.MemRef(); isMem && !isStore && k+1 < e {
+		b.flush()
+		if cls&(opMem|opStore) == opMem && k+1 < e {
 			// Load+op fusion: checked load feeding a simple operation. An
 			// unchecked memory op is runnable but must not ride along as the
 			// follow step: its access would bypass the MemOps charge.
 			nx := &instrs[k+1]
-			if isRunnable(nx.Op) && !nx.Op.UncheckedMem() {
+			if opClass[nx.Op]&opRunnable != 0 && !nx.Op.UncheckedMem() {
 				// The follow op lives as a one-step run referenced by tgt;
 				// the dispatcher executes it after the load succeeds.
-				stepIdx := int32(len(b.fp.steps))
-				b.fp.steps = append(b.fp.steps, fstep{
-					op: uint8(nx.Op), cond: nx.Cond,
-					rd: nx.RD, ra: nx.RA, rb: nx.RB, rc: nx.RC,
-					imm: nx.Imm, pc0: int32(k + 1),
-				})
 				b.emit(finstr{
-					op: xLoadOp, n: 2, cnt: sz,
+					op: xLoadOp, n: 2, cnt: cls & opSize,
 					op1: uint8(op), rd: in.RD, ra: in.RA, imm: in.Imm,
-					pc0: int32(k), tgt: stepIdx,
+					pc0: int32(k), tgt: int32(len(b.steps)),
 				})
+				b.steps = append(b.steps, stepOf(nx, k+1))
 				k += 2
 				continue
 			}
@@ -1092,5 +1091,5 @@ func (b *fuseBuilder) encodeBody(s, e int, fast bool) {
 		b.emitSingle(k)
 		k++
 	}
-	flush()
+	b.flush()
 }

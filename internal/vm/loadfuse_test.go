@@ -216,3 +216,43 @@ func BenchmarkLoadFuse(b *testing.B) {
 		})
 	}
 }
+
+// TestFusedFootprintEstimate: until a module's first Call builds the fused
+// view, Footprint charges it at a flat rate per decoded instruction, and a
+// cache decides evictions on that figure. Over the corpus the estimate must
+// stay within ±50% of what the view then measures.
+func TestFusedFootprintEstimate(t *testing.T) {
+	for _, c := range loadFuseCorpus(t) {
+		mod := c.load(t)
+		mod.SetFuse(false)
+		base := mod.Footprint()
+		mod.SetFuse(true)
+		est := mod.Footprint() - base
+		mod.FuseStats()
+		exact := mod.Footprint() - base
+		if 2*est < exact || 2*est > 3*exact {
+			t.Errorf("%s: fused view estimated at %d bytes, measures %d (%.2fx)", c.name, est, exact, float64(est)/float64(exact))
+		}
+	}
+}
+
+// fuseAllocBudget is what one fuse call may allocate once the builder pool is
+// warm: the view and its four arrays. All working state is pooled scratch.
+const fuseAllocBudget = 5
+
+func TestFuseAllocBudget(t *testing.T) {
+	names, groups := corpusGroups(loadFuseCorpus(t))
+	for _, g := range names {
+		// The largest module of the group: scratch sized by it serves any other.
+		big := groups[g][0]
+		for _, c := range groups[g] {
+			if len(c.code) > len(big.code) {
+				big = c
+			}
+		}
+		mod := big.load(t)
+		if n := testing.AllocsPerRun(10, func() { vm.Refuse(mod) }); n > fuseAllocBudget {
+			t.Errorf("%s: %v allocations per fuse call, budget %d", big.name, n, fuseAllocBudget)
+		}
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"strings"
+	"sync"
 )
 
 // Program is decoded machine code ready for execution or disassembly.
@@ -47,193 +48,210 @@ func (p *Program) add(off int, i Instr) {
 	p.Instrs = append(p.Instrs, i)
 }
 
+// x64Reader is the cursor of decodeX64: the operand readers of the
+// variable-length encoding.
+type x64Reader struct {
+	code []byte
+	pc   int
+}
+
+func (r *x64Reader) need(n int) bool { return r.pc+n <= len(r.code) }
+
+func (r *x64Reader) regs() (uint8, uint8) {
+	b := r.code[r.pc]
+	r.pc++
+	return b >> 4, b & 0xF
+}
+
+// imm reads a size byte and the 1, 2, 4 or 8 immediate bytes it announces.
+func (r *x64Reader) imm() (int64, bool) {
+	if !r.need(1) || r.code[r.pc] > 3 {
+		return 0, false
+	}
+	n := 1 << r.code[r.pc]
+	r.pc++
+	if !r.need(n) {
+		return 0, false
+	}
+	b := r.code[r.pc:]
+	r.pc += n
+	switch n {
+	case 1:
+		return int64(int8(b[0])), true
+	case 2:
+		return int64(int16(binary.LittleEndian.Uint16(b))), true
+	case 4:
+		return int64(int32(binary.LittleEndian.Uint32(b))), true
+	}
+	return int64(binary.LittleEndian.Uint64(b)), true
+}
+
+func (r *x64Reader) rel32() (int32, bool) {
+	if !r.need(4) {
+		return 0, false
+	}
+	v := int32(binary.LittleEndian.Uint32(r.code[r.pc:]))
+	r.pc += 4
+	return int32(r.pc) + v, true
+}
+
+// x64Scratch is where decodeX64 collects a program whose instruction count it
+// cannot know up front, to copy it out at exact size.
+type x64Scratch struct {
+	instrs  []Instr
+	offsets []int32
+}
+
+var x64Pool = sync.Pool{New: func() any { return new(x64Scratch) }}
+
 func (p *Program) decodeX64() error {
-	code := p.Code
-	pc := 0
-	for pc < len(code) {
-		start := pc
-		op := Op(code[pc])
-		pc++
+	sc := x64Pool.Get().(*x64Scratch)
+	p.Instrs, p.Offsets = sc.instrs[:0], sc.offsets[:0]
+	err := p.scanX64()
+	sc.instrs, sc.offsets = p.Instrs, p.Offsets
+	p.Instrs, p.Offsets = make([]Instr, len(sc.instrs)), make([]int32, len(sc.offsets))
+	copy(p.Instrs, sc.instrs)
+	copy(p.Offsets, sc.offsets)
+	x64Pool.Put(sc)
+	return err
+}
+
+func x64Truncated(op Op, at int) error { return fmt.Errorf("vx64: truncated %s at %d", op, at) }
+
+func (p *Program) scanX64() error {
+	r := x64Reader{code: p.Code}
+	code := r.code
+	for r.pc < len(code) {
+		start := r.pc
+		op := Op(code[r.pc])
+		r.pc++
 		i := Instr{Op: op}
-		need := func(n int) bool { return pc+n <= len(code) }
-		regs := func() (uint8, uint8) {
-			b := code[pc]
-			pc++
-			return b >> 4, b & 0xF
-		}
-		imm := func() (int64, bool) {
-			if !need(1) {
-				return 0, false
-			}
-			sz := code[pc]
-			pc++
-			switch sz {
-			case 0:
-				if !need(1) {
-					return 0, false
-				}
-				v := int64(int8(code[pc]))
-				pc++
-				return v, true
-			case 1:
-				if !need(2) {
-					return 0, false
-				}
-				v := int64(int16(binary.LittleEndian.Uint16(code[pc:])))
-				pc += 2
-				return v, true
-			case 2:
-				if !need(4) {
-					return 0, false
-				}
-				v := int64(int32(binary.LittleEndian.Uint32(code[pc:])))
-				pc += 4
-				return v, true
-			case 3:
-				if !need(8) {
-					return 0, false
-				}
-				v := int64(binary.LittleEndian.Uint64(code[pc:]))
-				pc += 8
-				return v, true
-			}
-			return 0, false
-		}
-		rel32 := func() (int32, bool) {
-			if !need(4) {
-				return 0, false
-			}
-			v := int32(binary.LittleEndian.Uint32(code[pc:]))
-			pc += 4
-			return int32(pc) + v, true
-		}
-		bad := func() error { return fmt.Errorf("vx64: truncated %s at %d", op, start) }
 
 		switch op {
 		case Nop, Ret:
 			// nothing
 		case MovRR, FMovRR, MovRF, MovFR, CvtSI2F, CvtF2SI:
-			if !need(1) {
-				return bad()
+			if !r.need(1) {
+				return x64Truncated(op, start)
 			}
-			i.RD, i.RA = regs()
+			i.RD, i.RA = r.regs()
 		case Add, Sub, Mul, And, Or, Xor, Shl, Shr, Sar, Rotr, SDiv, SRem, UDiv, URem,
 			Crc32, FAdd, FSub, FMul, FDiv:
-			if !need(1) {
-				return bad()
+			if !r.need(1) {
+				return x64Truncated(op, start)
 			}
-			i.RD, i.RB = regs()
+			i.RD, i.RB = r.regs()
 			i.RA = i.RD
 		case Neg, Not:
-			if !need(1) {
-				return bad()
+			if !r.need(1) {
+				return x64Truncated(op, start)
 			}
-			i.RD, _ = regs()
+			i.RD, _ = r.regs()
 			i.RA = i.RD
 		case SetCC, FCmp:
-			if !need(2) {
-				return bad()
+			if !r.need(2) {
+				return x64Truncated(op, start)
 			}
-			i.RD, i.RA = regs()
-			c, rb := regs()
+			i.RD, i.RA = r.regs()
+			c, rb := r.regs()
 			i.Cond, i.RB = Cond(c), rb
 		case MulWideU, MulWideS:
-			if !need(2) {
-				return bad()
+			if !r.need(2) {
+				return x64Truncated(op, start)
 			}
-			i.RD, i.RC = regs()
-			i.RA, i.RB = regs()
+			i.RD, i.RC = r.regs()
+			i.RA, i.RB = r.regs()
 		case MovRI, FMovRI:
-			if !need(1) {
-				return bad()
+			if !r.need(1) {
+				return x64Truncated(op, start)
 			}
-			i.RD, _ = regs()
-			v, ok := imm()
+			i.RD, _ = r.regs()
+			v, ok := r.imm()
 			if !ok {
-				return bad()
+				return x64Truncated(op, start)
 			}
 			i.Imm = v
 		case AddI, SubI, MulI, AndI, OrI, XorI, ShlI, ShrI, SarI, RotrI, Lea,
 			Load8, Load8S, Load16, Load16S, Load32, Load32S, Load64, FLoad,
 			LoadU8, LoadU8S, LoadU16, LoadU16S, LoadU32, LoadU32S, LoadU64, FLoadU:
-			if !need(1) {
-				return bad()
+			if !r.need(1) {
+				return x64Truncated(op, start)
 			}
-			i.RD, i.RA = regs()
-			v, ok := imm()
+			i.RD, i.RA = r.regs()
+			v, ok := r.imm()
 			if !ok {
-				return bad()
+				return x64Truncated(op, start)
 			}
 			i.Imm = v
 		case Store8, Store16, Store32, Store64, FStore,
 			StoreU8, StoreU16, StoreU32, StoreU64, FStoreU:
-			if !need(1) {
-				return bad()
+			if !r.need(1) {
+				return x64Truncated(op, start)
 			}
-			i.RA, i.RB = regs()
-			v, ok := imm()
+			i.RA, i.RB = r.regs()
+			v, ok := r.imm()
 			if !ok {
-				return bad()
+				return x64Truncated(op, start)
 			}
 			i.Imm = v
 		case Br:
-			t, ok := rel32()
+			t, ok := r.rel32()
 			if !ok {
-				return bad()
+				return x64Truncated(op, start)
 			}
 			i.Target = t
 		case BrCC:
-			if !need(2) {
-				return bad()
+			if !r.need(2) {
+				return x64Truncated(op, start)
 			}
-			i.RA, i.RB = regs()
-			i.Cond = Cond(code[pc])
-			pc++
-			t, ok := rel32()
+			i.RA, i.RB = r.regs()
+			i.Cond = Cond(code[r.pc])
+			r.pc++
+			t, ok := r.rel32()
 			if !ok {
-				return bad()
+				return x64Truncated(op, start)
 			}
 			i.Target = t
 		case BrNZ:
-			if !need(1) {
-				return bad()
+			if !r.need(1) {
+				return x64Truncated(op, start)
 			}
-			i.RA, _ = regs()
-			t, ok := rel32()
+			i.RA, _ = r.regs()
+			t, ok := r.rel32()
 			if !ok {
-				return bad()
+				return x64Truncated(op, start)
 			}
 			i.Target = t
 		case Call:
-			if !need(4) {
-				return bad()
+			if !r.need(4) {
+				return x64Truncated(op, start)
 			}
-			i.Imm = int64(binary.LittleEndian.Uint32(code[pc:]))
-			pc += 4
+			i.Imm = int64(binary.LittleEndian.Uint32(code[r.pc:]))
+			r.pc += 4
 		case CallInd:
-			if !need(1) {
-				return bad()
+			if !r.need(1) {
+				return x64Truncated(op, start)
 			}
-			i.RA, _ = regs()
+			i.RA, _ = r.regs()
 		case CallRT:
-			if !need(2) {
-				return bad()
+			if !r.need(2) {
+				return x64Truncated(op, start)
 			}
-			i.Imm = int64(binary.LittleEndian.Uint16(code[pc:]))
-			pc += 2
+			i.Imm = int64(binary.LittleEndian.Uint16(code[r.pc:]))
+			r.pc += 2
 		case Trap:
-			if !need(1) {
-				return bad()
+			if !r.need(1) {
+				return x64Truncated(op, start)
 			}
-			i.Imm = int64(code[pc])
-			pc++
+			i.Imm = int64(code[r.pc])
+			r.pc++
 		case TrapNZ:
-			if !need(2) {
-				return bad()
+			if !r.need(2) {
+				return x64Truncated(op, start)
 			}
-			i.RA, _ = regs()
-			i.Imm = int64(code[pc])
-			pc++
+			i.RA, _ = r.regs()
+			i.Imm = int64(code[r.pc])
+			r.pc++
 		default:
 			return fmt.Errorf("vx64: bad opcode %d at %d", op, start)
 		}
@@ -242,12 +260,40 @@ func (p *Program) decodeX64() error {
 	return nil
 }
 
+// a64RegCheck validates the register fields of one va64 instruction word,
+// keeping the first that names a register the machine does not have.
+type a64RegCheck struct {
+	ngpr, nfpr uint8
+	op         Op
+	pc         int
+	err        error
+}
+
+func (c *a64RegCheck) r(n uint8, field string) {
+	if n >= c.ngpr {
+		c.fail(n, field, "r")
+	}
+}
+
+func (c *a64RegCheck) f(n uint8, field string) {
+	if n >= c.nfpr {
+		c.fail(n, field, "f")
+	}
+}
+
+func (c *a64RegCheck) fail(n uint8, field, cls string) {
+	if c.err == nil {
+		c.err = fmt.Errorf("va64: %s: register field %s=%s%d out of range at %d", c.op, field, cls, n, c.pc)
+	}
+}
+
 func (p *Program) decodeA64() error {
 	code := p.Code
 	if len(code)%4 != 0 {
 		return fmt.Errorf("va64: code length %d not word-aligned", len(code))
 	}
-	tgt := ForArch(VA64)
+	p.Instrs, p.Offsets = make([]Instr, 0, len(code)/4), make([]int32, 0, len(code)/4)
+	ck := a64RegCheck{ngpr: uint8(ForArch(VA64).NumGPR), nfpr: uint8(ForArch(VA64).NumFPR)}
 	for pc := 0; pc < len(code); pc += 4 {
 		w := binary.LittleEndian.Uint32(code[pc:])
 		op := Op(w & 0xFF)
@@ -259,70 +305,57 @@ func (p *Program) decodeA64() error {
 		// Register fields are 6 bits wide but the machine has only 32
 		// integer and 16 float registers; reject encodings that name a
 		// register that does not exist rather than aliasing it later.
-		var regErr error
-		ck := func(n uint8, float bool, field string) {
-			if regErr != nil {
-				return
-			}
-			lim, cls := uint8(tgt.NumGPR), "r"
-			if float {
-				lim, cls = uint8(tgt.NumFPR), "f"
-			}
-			if n >= lim {
-				regErr = fmt.Errorf("va64: %s: register field %s=%s%d out of range at %d",
-					op, field, cls, n, pc)
-			}
-		}
+		ck.op, ck.pc = op, pc
 		switch op {
 		case MovRR, Neg, Not,
 			AddI, SubI, MulI, AndI, OrI, XorI, ShlI, ShrI, SarI, RotrI, Lea,
 			Load8, Load8S, Load16, Load16S, Load32, Load32S, Load64,
 			LoadU8, LoadU8S, LoadU16, LoadU16S, LoadU32, LoadU32S, LoadU64:
-			ck(rd, false, "rd")
-			ck(ra, false, "ra")
+			ck.r(rd, "rd")
+			ck.r(ra, "ra")
 		case FMovRR:
-			ck(rd, true, "rd")
-			ck(ra, true, "ra")
+			ck.f(rd, "rd")
+			ck.f(ra, "ra")
 		case MovRF, CvtF2SI:
-			ck(rd, false, "rd")
-			ck(ra, true, "ra")
+			ck.r(rd, "rd")
+			ck.f(ra, "ra")
 		case MovFR, CvtSI2F, FLoad, FLoadU:
-			ck(rd, true, "rd")
-			ck(ra, false, "ra")
+			ck.f(rd, "rd")
+			ck.r(ra, "ra")
 		case Add, Sub, Mul, And, Or, Xor, Shl, Shr, Sar, Rotr, SDiv, SRem, UDiv, URem,
 			Crc32, SetCC:
-			ck(rd, false, "rd")
-			ck(ra, false, "ra")
-			ck(rb, false, "rb")
+			ck.r(rd, "rd")
+			ck.r(ra, "ra")
+			ck.r(rb, "rb")
 		case FAdd, FSub, FMul, FDiv:
-			ck(rd, true, "rd")
-			ck(ra, true, "ra")
-			ck(rb, true, "rb")
+			ck.f(rd, "rd")
+			ck.f(ra, "ra")
+			ck.f(rb, "rb")
 		case FCmp:
-			ck(rd, false, "rd")
-			ck(ra, true, "ra")
-			ck(rb, true, "rb")
+			ck.r(rd, "rd")
+			ck.f(ra, "ra")
+			ck.f(rb, "rb")
 		case MulWideU, MulWideS:
-			ck(rd, false, "rd")
-			ck(ra, false, "ra")
-			ck(rb, false, "rb")
-			ck(x, false, "rc")
+			ck.r(rd, "rd")
+			ck.r(ra, "ra")
+			ck.r(rb, "rb")
+			ck.r(x, "rc")
 		case MovZ, MovK:
-			ck(rd, false, "rd")
+			ck.r(rd, "rd")
 		case Store8, Store16, Store32, Store64,
 			StoreU8, StoreU16, StoreU32, StoreU64:
-			ck(rd, false, "rb") // value field, encoded in the rd slot
-			ck(ra, false, "ra")
+			ck.r(rd, "rb") // value field, encoded in the rd slot
+			ck.r(ra, "ra")
 		case FStore, FStoreU:
-			ck(rd, true, "rb")
-			ck(ra, false, "ra")
+			ck.f(rd, "rb")
+			ck.r(ra, "ra")
 		case BrNZ:
-			ck(rd, false, "ra") // tested register, encoded in the rd slot
+			ck.r(rd, "ra") // tested register, encoded in the rd slot
 		case CallInd, TrapNZ:
-			ck(ra, false, "ra")
+			ck.r(ra, "ra")
 		}
-		if regErr != nil {
-			return regErr
+		if ck.err != nil {
+			return ck.err
 		}
 
 		i := Instr{Op: op}
