@@ -57,7 +57,16 @@
 #      engine sa.functions_analyzed, hoist.candidates, pcc.cache_hits+misses
 #      and the vm_fuse_* counters must not advance and Exec must stay inside
 #      its allocation budget (TestWarmHitIsFlat), then a one-iteration smoke
-#      of BenchmarkExecWarm, the hit-path breakdown's reproduction
+#      of BenchmarkExecWarm, the hit-path breakdown's reproduction.
+#      Same stage, the load path: over every TPC-H and TPC-DS module of every
+#      compiling engine on both targets the fused view must digest to the
+#      committed values and vm_fuse_orig_instrs/vm_fuse_micro_ops advance by
+#      the committed totals (TestFuseGolden), one fuse call must stay inside
+#      its allocation budget — the outputs; scratch is pooled
+#      (TestFuseAllocBudget) — and Module.Footprint's pre-fusion estimate
+#      within ±50% of the built view; then 10 s of FuzzLoadFuse (bytes →
+#      Decode → Load → fuse → structural check) and a one-iteration smoke of
+#      BenchmarkLoadFuse, the layer's one-command row
 #
 # The unchecked-conservation check (QIR marks must survive into every
 # back-end's machine code) runs inside step 5 as part of qverify.
@@ -155,5 +164,10 @@ go test ./internal/codegen -run 'TestOneAnalysisPerFunction' -count=1
 go test ./internal/codegen -run '^$' -bench FrontEnd -benchtime=1x -benchmem
 go test . -run 'TestWarmHitIsFlat' -count=1
 go test . -run '^$' -bench ExecWarm -benchtime=1x
+
+echo "== load-path gate (fused view golden, fuse allocation budget, footprint estimate, fuzz smoke) =="
+go test ./internal/vm -run 'TestFuseGolden|TestFuseAllocBudget|TestFusedFootprintEstimate' -count=1
+go test ./internal/vm -run '^$' -fuzz FuzzLoadFuse -fuzztime 10s
+go test ./internal/vm -run '^$' -bench LoadFuse -benchtime=1x -benchmem
 
 echo "== ci.sh: all checks passed =="

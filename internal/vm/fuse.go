@@ -603,8 +603,6 @@ func fuse(mod *Module) *fprog {
 	b.mod, b.instrs = nil, nil
 	fusePool.Put(b)
 
-	fp.stats.Instrs = n
-	fp.stats.CloneOps = len(fp.ins) - fp.stats.MicroOps
 	cntFuseModules.Inc()
 	cntFuseInstrs.Add(int64(n))
 	cntFuseMicro.Add(int64(fp.stats.MicroOps))
@@ -696,7 +694,7 @@ func (b *fuseBuilder) build(mod *Module, fp *fprog) {
 		}
 		s = e
 	}
-	fp.stats.MicroOps = len(b.ins)
+	fp.stats.Instrs, fp.stats.MicroOps = n, len(b.ins)
 
 	// Checked clones: guard slow paths made of checked singles, reproducing
 	// unfused per-access checks (and therefore unfused trap attribution)
@@ -716,6 +714,8 @@ func (b *fuseBuilder) build(mod *Module, fp *fprog) {
 			}
 		}
 	}
+
+	fp.stats.CloneOps = len(b.ins) - fp.stats.MicroOps
 
 	for _, p := range b.patchB {
 		b.ins[p.idx].tgt = fp.o2f[p.orig]

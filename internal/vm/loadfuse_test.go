@@ -64,22 +64,23 @@ func loadFuseCorpus(tb testing.TB) []corpusModule {
 				for _, eng := range engine.Backends(arch) {
 					group := strings.ReplaceAll(strings.ToLower(eng.Name()), " ", "-") + " " + arch.String()
 					for _, q := range qs {
+						var p *engine.Program
 						c, err := w.Lower(q.Name, q.Build())
 						if err == nil {
-							var p *engine.Program
-							if p, err = w.Compile(eng, c); err == nil {
-								if mod := backend.ModuleOf(p.Exec); mod != nil {
-									corpus.mods = append(corpus.mods, corpusModule{
-										name: workload + "/" + q.Name + " " + group, group: group,
-										arch: arch, code: mod.Code, unwind: mod.Unwind(),
-									})
-								}
-							}
+							p, err = w.Compile(eng, c)
 						}
 						if err != nil {
 							corpus.err = fmt.Errorf("%s/%s on %s: %w", workload, q.Name, group, err)
 							return
 						}
+						mod := backend.ModuleOf(p.Exec)
+						if mod == nil {
+							break // the interpreter: no machine code
+						}
+						corpus.mods = append(corpus.mods, corpusModule{
+							name: workload + "/" + q.Name + " " + group, group: group,
+							arch: arch, code: mod.Code, unwind: mod.Unwind(),
+						})
 					}
 				}
 			}
@@ -184,10 +185,6 @@ func BenchmarkLoadFuse(b *testing.B) {
 	names, groups := corpusGroups(loadFuseCorpus(b))
 	for _, g := range names {
 		cms := groups[g]
-		mods := make([]*vm.Module, len(cms))
-		for i, c := range cms {
-			mods[i] = c.load(b)
-		}
 		perInstr := func(b *testing.B, instrs int) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(instrs), "ns/instr")
 		}
@@ -205,7 +202,12 @@ func BenchmarkLoadFuse(b *testing.B) {
 			perInstr(b, instrs)
 		})
 		b.Run(strings.ReplaceAll(g, " ", "/")+"/fuse", func(b *testing.B) {
+			mods := make([]*vm.Module, len(cms))
+			for i, c := range cms {
+				mods[i] = c.load(b)
+			}
 			b.ReportAllocs()
+			b.ResetTimer()
 			instrs := 0
 			for i := 0; i < b.N; i++ {
 				st := vm.Refuse(mods[i%len(mods)])
