@@ -7,8 +7,8 @@
 //
 //	qprof [-arch vx64|va64] [-workload tpch|tpcds] [-query q1] [-engine name]
 //	      [-sf 0.01] [-mem 512] [-runs 1] [-period N] [-check] [-jobs N]
-//	      [-nofuse] [-format top|json|pprof|chrome|qir] [-top 20] [-flight]
-//	      [-o out] [profile.json ...]
+//	      [-format top|json|pprof|chrome|qir] [-top 20] [-flight] [-o out]
+//	      [profile.json ...]
 //
 // With no positional arguments qprof captures a fresh profile: it compiles
 // the selected queries on one back-end, executes them with the dispatch-loop

@@ -4,7 +4,7 @@
 // Usage:
 //
 //	qrun [-engine adaptive] [-workload tpch|tpcds] [-sf 0.05] [-arch vx64]
-//	     [-mem 512] [-nofuse] [-exec-jobs N] [-batch|-nobatch]
+//	     [-mem 512] [-exec-jobs N] [-batch|-nobatch]
 //	     [-cache-mb N] [-repeat N] "SELECT ..."
 //
 // -exec-jobs N executes table pipelines through the morsel-parallel
@@ -47,8 +47,7 @@ func main() {
 	}
 
 	db, err := qc.Open(qc.WithArch(o.Arch), qc.WithMemoryMB(o.MemMB), qc.WithEngine(o.Engine),
-		qc.WithFusion(!o.NoFuse), qc.WithExecJobs(o.ExecJobs), qc.WithBatch(o.Batch),
-		qc.WithCacheMB(o.CacheMB))
+		qc.WithExecJobs(o.ExecJobs), qc.WithBatch(o.Batch), qc.WithCacheMB(o.CacheMB))
 	if err != nil {
 		fatal(err)
 	}

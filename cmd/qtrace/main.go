@@ -7,7 +7,7 @@
 //
 //	qtrace [-arch vx64|va64] [-workload tpch|tpcds] [-query q1] [-engine all]
 //	       [-sf 0.01] [-mem 512] [-runs 1] [-allocs] [-check] [-jobs N]
-//	       [-cache-mb N] [-nofuse] [-exec-jobs N] [-batch|-nobatch]
+//	       [-cache-mb N] [-exec-jobs N] [-batch|-nobatch]
 //	       [-format chrome|prom|json] [-o trace.json]
 //
 // -exec-jobs N executes table pipelines through the morsel-parallel

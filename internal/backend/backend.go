@@ -26,12 +26,6 @@ type Options struct {
 	// Compile errors; the checker's cost appears as its own "Check.*"
 	// phases in Stats.
 	Check bool
-	// NoFuse disables the vm's load-time superinstruction fusion for the
-	// modules this compilation produces, forcing the plain decoded-switch
-	// dispatch loop. Execution semantics, counters, and trap reporting are
-	// identical either way; the toggle exists for dispatch-cost
-	// measurement and as an escape hatch.
-	NoFuse bool
 }
 
 // Env is the compilation environment: the runtime the generated code will

@@ -178,7 +178,6 @@ func (c *moduleCompiler) Link(units []*backend.Unit, ph *backend.Phaser) (backen
 		unwind[i].End = end
 	}
 	vmod.RegisterUnwind(unwind)
-	vmod.SetFuse(!c.env.Options.NoFuse)
 	if err := c.env.DB.Bind(c.mod.RTNames); err != nil {
 		return nil, err
 	}

@@ -211,7 +211,6 @@ func (c *moduleCompiler) Link(units []*backend.Unit, ph *backend.Phaser) (backen
 		return nil, fmt.Errorf("clift: %w", err)
 	}
 	vmod.RegisterUnwind(unwind)
-	vmod.SetFuse(!c.env.Options.NoFuse)
 	if err := c.env.DB.Bind(c.mod.RTNames); err != nil {
 		lsp.End()
 		return nil, err

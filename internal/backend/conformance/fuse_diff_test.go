@@ -7,6 +7,7 @@ import (
 	"qcc/internal/backend"
 	"qcc/internal/bench"
 	"qcc/internal/codegen"
+	"qcc/internal/obs"
 	"qcc/internal/vt"
 )
 
@@ -22,8 +23,10 @@ type queryOutcome struct {
 }
 
 // runSuiteMode compiles and executes every TPC-H query with one engine and
-// one fusion mode, on a fresh world, and returns the per-query outcomes.
-func runSuiteMode(t *testing.T, arch vt.Arch, eng backend.Engine, noFuse bool) map[string]queryOutcome {
+// one dispatch loop — the fused one every back-end ships, or the plain
+// decoded-switch loop the test selects on the compiled module as the
+// reference — on a fresh world, and returns the per-query outcomes.
+func runSuiteMode(t *testing.T, arch vt.Arch, eng backend.Engine, fuse bool) map[string]queryOutcome {
 	t.Helper()
 	cfg := bench.DefaultConfig()
 	cfg.Arch = arch
@@ -35,17 +38,19 @@ func runSuiteMode(t *testing.T, arch vt.Arch, eng backend.Engine, noFuse bool) m
 	}
 	out := map[string]queryOutcome{}
 	w.DB.Checkpoint()
+	fusedModules := obs.NewCounter("vm_fuse_modules")
+	fused0 := fusedModules.Load()
 	for _, q := range bench.HQueries() {
 		c, err := codegen.Compile(q.Name, q.Build(), w.Cat)
 		if err != nil {
 			t.Fatalf("codegen %s: %v", q.Name, err)
 		}
-		ex, _, err := eng.Compile(c.Module, &backend.Env{
-			DB: w.DB, Arch: arch,
-			Options: backend.Options{NoFuse: noFuse},
-		})
+		ex, _, err := eng.Compile(c.Module, &backend.Env{DB: w.DB, Arch: arch})
 		if err != nil {
 			t.Fatalf("%s/%s: compile: %v", eng.Name(), q.Name, err)
+		}
+		if mod := backend.ModuleOf(ex); mod != nil { // the interpreter has none
+			mod.SetFuse(fuse)
 		}
 		w.DB.ResetQueryState()
 		startInstr := w.DB.M.Executed
@@ -62,6 +67,10 @@ func runSuiteMode(t *testing.T, arch vt.Arch, eng backend.Engine, noFuse bool) m
 		out[q.Name] = o
 		w.DB.ResetToCheckpoint()
 	}
+	// The plain leg is only a reference if it really ran the plain loop.
+	if n := fusedModules.Load() - fused0; !fuse && n != 0 {
+		t.Fatalf("%s: %d modules built a fused view with fusion switched off", eng.Name(), n)
+	}
 	return out
 }
 
@@ -77,20 +86,20 @@ func TestFusedDispatchDifferential(t *testing.T) {
 			for _, eng := range bench.Engines(arch) {
 				eng := eng
 				t.Run(eng.Name(), func(t *testing.T) {
-					fused := runSuiteMode(t, arch, eng, false)
-					plain := runSuiteMode(t, arch, eng, true)
+					fused := runSuiteMode(t, arch, eng, true)
+					plain := runSuiteMode(t, arch, eng, false)
 					for name, f := range fused {
 						p, ok := plain[name]
 						if !ok {
-							t.Errorf("%s: missing from -nofuse run", name)
+							t.Errorf("%s: missing from the plain-loop run", name)
 							continue
 						}
 						if !reflect.DeepEqual(f.Rows, p.Rows) {
-							t.Errorf("%s: fused rows differ from -nofuse\n fused (%d rows): %.6v\n plain (%d rows): %.6v",
+							t.Errorf("%s: fused rows differ from the plain loop\n fused (%d rows): %.6v\n plain (%d rows): %.6v",
 								name, len(f.Rows), f.Rows, len(p.Rows), p.Rows)
 						}
 						if f.Executed != p.Executed || f.Branches != p.Branches || f.MemOps != p.MemOps {
-							t.Errorf("%s: counters diverge: fused instrs=%d br=%d mem=%d, -nofuse instrs=%d br=%d mem=%d",
+							t.Errorf("%s: counters diverge: fused instrs=%d br=%d mem=%d, plain instrs=%d br=%d mem=%d",
 								name, f.Executed, f.Branches, f.MemOps, p.Executed, p.Branches, p.MemOps)
 						}
 						if f.Err != p.Err {

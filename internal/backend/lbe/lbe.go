@@ -439,7 +439,6 @@ func (c *moduleCompiler) Link(units []*backend.Unit, ph *backend.Phaser) (backen
 	if err != nil {
 		return nil, err
 	}
-	vmod.SetFuse(!env.Options.NoFuse)
 
 	if env.Options.Check {
 		csp := ph.Begin("Check.Lint")

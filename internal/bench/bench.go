@@ -33,18 +33,6 @@ type World = engine.World
 // NewWorld creates a machine of the configured size.
 func NewWorld(cfg Config) *World { return engine.NewWorld(cfg) }
 
-// seedPath strips the settings an experiment does not vary — the paper
-// reproductions measure sequential, uncached compilation and tuple-at-a-time
-// sequential execution whatever -jobs, -cache-mb, -exec-jobs and -batch say
-// — and makes Runs at least 1.
-func seedPath(cfg Config) Config {
-	cfg.Jobs, cfg.CacheMB, cfg.ExecJobs, cfg.Batch = 1, 0, 1, false
-	if cfg.Runs < 1 {
-		cfg.Runs = 1
-	}
-	return cfg
-}
-
 // Report is a rendered experiment result.
 type Report struct {
 	Title string
@@ -78,8 +66,7 @@ type QueryMeasurement struct {
 	engine.Measurement
 	// FuseInstrs/FuseMicroOps record the module's superinstruction fusion
 	// outcome (decoded instructions vs primary-path micro-ops); both are 0
-	// for the interpreter or when fusion is disabled. The fusion rate is
-	// FuseMicroOps/FuseInstrs.
+	// for the interpreter. The fusion rate is FuseMicroOps/FuseInstrs.
 	FuseInstrs   int64
 	FuseMicroOps int64
 	// StaticMemOps/ChecksElim summarize the compile-time check-elimination
@@ -138,13 +125,13 @@ func RunSuite(w *World, eng backend.Engine, queries []Query, runs int) (*EngineR
 		}
 		c := p.Compiled
 		out.Stats.Merge(p.Stats)
-		m, err := bestExec(w, eng, p, runs, 0)
+		m, err := bestExec(w, eng, p, runs)
 		if err != nil {
 			return nil, err
 		}
 		qsp.End()
 		var fuseInstrs, fuseMicro int64
-		if mod := backend.ModuleOf(p.Exec); mod != nil && mod.FuseEnabled() {
+		if mod := backend.ModuleOf(p.Exec); mod != nil {
 			fs := mod.FuseStats()
 			fuseInstrs, fuseMicro = int64(fs.Instrs), int64(fs.MicroOps)
 		}
@@ -178,11 +165,11 @@ func compileQuery(w *World, eng backend.Engine, q Query) (*engine.Program, error
 	return p, nil
 }
 
-// bestExec is the harness's timed loop: warmup untimed executions of p, then
-// runs timed ones. It returns the last execution's measurement with Exec
-// replaced by the best wall time.
-func bestExec(w *World, eng backend.Engine, p *engine.Program, runs, warmup int) (m engine.Measurement, err error) {
-	best, err := engine.BestOf(runs, warmup, func() (_ time.Duration, err error) {
+// bestExec is the harness's timed loop: runs timed executions of p, no
+// warm-up. It returns the last execution's measurement with Exec replaced by
+// the best wall time.
+func bestExec(w *World, eng backend.Engine, p *engine.Program, runs int) (m engine.Measurement, err error) {
+	best, err := engine.BestOf(runs, func() (_ time.Duration, err error) {
 		m, err = w.Measure(p)
 		return m.Exec, err
 	})

@@ -48,7 +48,6 @@ func NewWorldLoaded(cfg Config, workload string) (*World, error) {
 // Table1 reproduces the GCC/C compile-time breakdown over all TPC-DS
 // queries (paper Table I).
 func Table1(cfg Config) (*Report, error) {
-	cfg = seedPath(cfg)
 	w, err := loadDS(cfg)
 	if err != nil {
 		return nil, err
@@ -66,7 +65,6 @@ func Table1(cfg Config) (*Report, error) {
 // Fig2 reproduces the LLVM compile-time breakdown, cheap vs optimized
 // (paper Figure 2).
 func Fig2(cfg Config) (*Report, error) {
-	cfg = seedPath(cfg)
 	r := &Report{Title: fmt.Sprintf("Figure 2: LLVM compile-time breakdown (%s, all TPC-DS)", cfg.Arch)}
 	for _, mode := range []struct {
 		name string
@@ -98,7 +96,6 @@ func Fig2(cfg Config) (*Report, error) {
 // Fig3 compares FastISel, SelectionDAG and GlobalISel on the va64 target
 // (paper Figure 3, AArch64).
 func Fig3(cfg Config) (*Report, error) {
-	cfg = seedPath(cfg)
 	cfg.Arch = vt.VA64
 	r := &Report{Title: "Figure 3: LLVM instruction selectors on va64 (all TPC-DS)"}
 	modes := []struct {
@@ -138,7 +135,6 @@ func Fig3(cfg Config) (*Report, error) {
 
 // Fig4 reproduces the Cranelift compile-time breakdown (paper Figure 4).
 func Fig4(cfg Config) (*Report, error) {
-	cfg = seedPath(cfg)
 	w, err := loadDS(cfg)
 	if err != nil {
 		return nil, err
@@ -159,7 +155,6 @@ func Fig4(cfg Config) (*Report, error) {
 
 // Fig5 reproduces the DirectEmit breakdown (paper Figure 5).
 func Fig5(cfg Config) (*Report, error) {
-	cfg = seedPath(cfg)
 	cfg.Arch = vt.VX64
 	w, err := loadDS(cfg)
 	if err != nil {
@@ -177,7 +172,6 @@ func Fig5(cfg Config) (*Report, error) {
 // Table2 reproduces the Cranelift custom-instruction run-time ablation
 // (paper Table II): speedup from enabling each custom instruction.
 func Table2(cfg Config) (*Report, error) {
-	cfg = seedPath(cfg)
 	r := &Report{Title: fmt.Sprintf("Table II: Cranelift custom instructions, execution speedup (%s, TPC-DS sf=%g)", cfg.Arch, cfg.SF)}
 	baseline, err := table2Run(cfg, clift.Options{})
 	if err != nil {
@@ -226,7 +220,6 @@ func table2Run(cfg Config, opts clift.Options) (*EngineRun, error) {
 // Table3 reproduces the compile-time and execution comparison of all
 // back-ends (paper Table III), optionally per-query (figure 6 data).
 func Table3(cfg Config, perQuery bool) (*Report, error) {
-	cfg = seedPath(cfg)
 	r := &Report{Title: fmt.Sprintf("Table III: back-end comparison (%s, TPC-DS sf=%g)", cfg.Arch, cfg.SF)}
 	r.addf("%-16s %12s %12s %16s", "back-end", "compile", "exec", "VM instructions")
 	for _, eng := range Engines(cfg.Arch) {
@@ -252,7 +245,6 @@ func Table3(cfg Config, perQuery bool) (*Report, error) {
 // Fig7 reproduces the best-back-end-per-query trade-off on TPC-H at two
 // scale factors (paper Figure 7).
 func Fig7(cfg Config, sfSmall, sfLarge float64) (*Report, error) {
-	cfg = seedPath(cfg)
 	cfg.Arch = vt.VX64
 	r := &Report{Title: fmt.Sprintf("Figure 7: best back-end by compile+execution time (TPC-H, vx64, sf=%g and sf=%g)", sfSmall, sfLarge)}
 	for _, sf := range []float64{sfSmall, sfLarge} {
@@ -302,7 +294,6 @@ func Fig7(cfg Config, sfSmall, sfLarge float64) (*Report, error) {
 // vs {i64,i64} structs, Small-PIC vs large code model, and TargetMachine
 // caching, plus the FastISel fallback census of Sec. V-B3b.
 func AblateLLVM(cfg Config) (*Report, error) {
-	cfg = seedPath(cfg)
 	r := &Report{Title: fmt.Sprintf("LLVM compile-time ablations (%s, all TPC-DS)", cfg.Arch)}
 	cases := []struct {
 		name string

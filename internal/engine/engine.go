@@ -49,40 +49,26 @@ type World struct {
 	DB  *rt.DB
 	Cat *rt.Catalog
 
-	shared *shared
-	mark   uint64 // heap position Release unwinds to, set by Run
-}
-
-// shared is the per-database state common to every WithExec view.
-type shared struct {
 	cache     *pcc.Cache
-	pool      *codegen.ExecPool
+	execPool  *codegen.ExecPool
 	poolBuilt bool
 	// bound is the executable whose runtime-call table the machine holds: a
 	// back-end binds its module's table when it compiles, so running an
 	// earlier program again needs a re-bind.
 	bound backend.Exec
 	// fp is Prepare's scratch: the fingerprint of the plan at hand.
-	fp plan.Fingerprint
+	fp   plan.Fingerprint
+	mark uint64 // heap position Release unwinds to, set by Run
 }
 
 // NewWorld creates an empty database on a machine of o.MemMB MiB.
 func NewWorld(o Options) *World {
 	db := rt.NewDB(vm.New(vm.Config{Arch: o.Arch, MemSize: o.MemMB << 20}))
-	w := &World{Options: o, DB: db, Cat: rt.NewCatalog(db), shared: &shared{}}
+	w := &World{Options: o, DB: db, Cat: rt.NewCatalog(db)}
 	if o.CacheMB > 0 {
-		w.shared.cache = pcc.NewCache(int64(o.CacheMB) << 20)
+		w.cache = pcc.NewCache(int64(o.CacheMB) << 20)
 	}
 	return w
-}
-
-// WithExec returns a view of the same database that lowers and runs in
-// another execution mode. Views share the data, the code cache and the worker
-// pool, so one experiment can compare modes on one world.
-func (w *World) WithExec(jobs int, batch bool) *World {
-	v := *w
-	v.ExecJobs, v.Batch = jobs, batch
-	return &v
 }
 
 // Query is a named plan builder.
@@ -218,7 +204,7 @@ func (p *Program) CompileTime() time.Duration {
 // Env is the compilation environment back-ends see for this world.
 func (w *World) Env() *backend.Env {
 	return &backend.Env{DB: w.DB, Arch: w.Arch, Trace: w.Tracer,
-		Options: backend.Options{Check: w.Check, NoFuse: w.NoFuse}}
+		Options: backend.Options{Check: w.Check}}
 }
 
 // Compile runs one back-end over lowered code. With Jobs > 1 or a code cache
@@ -230,8 +216,8 @@ func (w *World) Compile(eng backend.Engine, c *codegen.Compiled) (*Program, erro
 	if jobs < 1 {
 		jobs = 1
 	}
-	if jobs > 1 || w.shared.cache != nil {
-		eng = pcc.Wrap(eng, pcc.Config{Jobs: jobs, Cache: w.shared.cache, VariantTag: codegen.CheckElimVersion})
+	if jobs > 1 || w.cache != nil {
+		eng = pcc.Wrap(eng, pcc.Config{Jobs: jobs, Cache: w.cache, VariantTag: codegen.CheckElimVersion})
 	}
 	ex, stats, err := eng.Compile(c.Module, w.Env())
 	if err != nil {
@@ -244,7 +230,7 @@ func (w *World) Compile(eng backend.Engine, c *codegen.Compiled) (*Program, erro
 			w.Tracer.Add(name, v)
 		}
 	}
-	w.shared.bound = ex
+	w.bound = ex
 	return &Program{Compiled: c, Exec: ex, Stats: stats, Pool: c.Module.Pool}, nil
 }
 
@@ -262,11 +248,11 @@ func (w *World) pool() *codegen.ExecPool {
 	if w.ExecJobs <= 1 {
 		return nil
 	}
-	if !w.shared.poolBuilt {
-		w.shared.pool = codegen.NewExecPool(w.DB, w.ExecJobs, 0)
-		w.shared.poolBuilt = true
+	if !w.poolBuilt {
+		w.execPool = codegen.NewExecPool(w.DB, w.ExecJobs, 0)
+		w.poolBuilt = true
 	}
-	return w.shared.pool
+	return w.execPool
 }
 
 // Run executes p once and returns the wall time of bind → run; rows land in
@@ -285,9 +271,9 @@ func (w *World) Run(p *Program) (time.Duration, error) {
 	sp := w.Tracer.BeginCat("exec", "exec")
 	start := time.Now()
 	var err error
-	if w.shared.bound != p.Exec {
+	if w.bound != p.Exec {
 		if err = db.Bind(p.Compiled.Module.RTNames); err == nil {
-			w.shared.bound = p.Exec
+			w.bound = p.Exec
 		}
 	}
 	if err == nil {
@@ -306,7 +292,7 @@ func (w *World) Run(p *Program) (time.Duration, error) {
 	sp.End()
 	if p.entry != nil {
 		// Executing grows an executable (cachedProgram.footprint).
-		w.shared.cache.ChargeProgram(p.entry.key, p.entry, p.entry.footprint())
+		w.cache.ChargeProgram(p.entry.key, p.entry, p.entry.footprint())
 	}
 	return d, err
 }
@@ -339,19 +325,16 @@ func (w *World) Measure(p *Program) (Measurement, error) {
 	return res, err
 }
 
-// BestOf calls run warmup+runs times (runs at least once) and returns the
-// shortest duration among the last runs calls.
-func BestOf(runs, warmup int, run func() (time.Duration, error)) (time.Duration, error) {
-	if runs < 1 {
-		runs = 1
-	}
+// BestOf calls run runs times (at least once) and returns the shortest
+// duration.
+func BestOf(runs int, run func() (time.Duration, error)) (time.Duration, error) {
 	var best time.Duration
-	for r := 0; r < warmup+runs; r++ {
+	for r := 0; r < runs || r == 0; r++ {
 		d, err := run()
 		if err != nil {
 			return 0, err
 		}
-		if r == warmup || (r > warmup && d < best) {
+		if r == 0 || d < best {
 			best = d
 		}
 	}

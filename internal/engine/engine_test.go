@@ -4,7 +4,6 @@ import (
 	"flag"
 	"io"
 	"reflect"
-	"runtime"
 	"strconv"
 	"testing"
 
@@ -46,9 +45,15 @@ func testQueries(t *testing.T, w *World) map[string]plan.Node {
 
 func loaded(t *testing.T, o Options) *World {
 	t.Helper()
+	return loadedAt(t, o, 0.01)
+}
+
+// loadedAt is a 64 MiB world with TPC-H loaded at scale factor sf.
+func loadedAt(t *testing.T, o Options, sf float64) *World {
+	t.Helper()
 	o.MemMB = 64
 	w := NewWorld(o)
-	if err := w.Load("tpch", 0.01); err != nil {
+	if err := w.Load("tpch", sf); err != nil {
 		t.Fatal(err)
 	}
 	return w
@@ -177,8 +182,8 @@ func TestRunBuildsOnePool(t *testing.T) {
 			t.Fatalf("pass %d: heap %d, %d after the first pass", i, got, heap)
 		}
 	}
-	if w.shared.pool == nil || w.shared.pool.Jobs() != 2 {
-		t.Fatalf("pool = %v, want 2 persistent workers", w.shared.pool)
+	if w.execPool == nil || w.execPool.Jobs() != 2 {
+		t.Fatalf("pool = %v, want 2 persistent workers", w.execPool)
 	}
 }
 
@@ -219,19 +224,17 @@ func TestRunRebindsEarlierProgram(t *testing.T) {
 // and their defaults — the command-line surface must not drift when the
 // options struct changes.
 func TestCommandFlags(t *testing.T) {
-	procs := strconv.Itoa(runtime.GOMAXPROCS(0))
 	want := map[string]map[string]string{
-		"qrun": {"engine": "adaptive", "sf": "0.05", "arch": "vx64", "mem": "512", "nofuse": "false",
+		"qrun": {"engine": "adaptive", "sf": "0.05", "arch": "vx64", "mem": "512",
 			"exec-jobs": "1", "batch": "false", "nobatch": "false", "cache-mb": "0"},
 		"qtrace": {"arch": "vx64", "engine": "all", "sf": "0.01", "mem": "512", "runs": "1", "check": "false",
-			"jobs": "1", "cache-mb": "0", "nofuse": "false", "exec-jobs": "1", "batch": "false", "nobatch": "false"},
+			"jobs": "1", "cache-mb": "0", "exec-jobs": "1", "batch": "false", "nobatch": "false"},
 		"qprof": {"arch": "vx64", "engine": "", "sf": "0.01", "mem": "512", "runs": "1", "check": "false",
-			"jobs": "1", "nofuse": "false"},
+			"jobs": "1"},
 		"qverify": {"arch": "vx64", "sf": "0.01", "mem": "512", "jobs": "1"},
 		"qlint":   {"arch": "vx64", "sf": "0.01", "mem": "512"},
 		"qir":     {"sf": "0.01"},
-		"qbench": {"arch": "vx64", "sf": "0.05", "runs": "1", "mem": "1024", "jobs": procs, "cache-mb": "0",
-			"check": "false", "nofuse": "false", "exec-jobs": "1", "batch": "false", "nobatch": "false"},
+		"qbench":  {"arch": "vx64", "sf": "0.05", "runs": "1", "mem": "1024", "check": "false"},
 	}
 	if len(commands) != len(want) {
 		t.Fatalf("%d commands registered, %d expected", len(commands), len(want))
@@ -253,14 +256,10 @@ func TestCommandFlags(t *testing.T) {
 		}
 	}
 
-	parse := func(args ...string) Options {
-		fs := flag.NewFlagSet("qbench", flag.ContinueOnError)
+	parse := func(cmd string, args ...string) (Options, error) {
+		fs := flag.NewFlagSet(cmd, flag.ContinueOnError)
 		fs.SetOutput(io.Discard)
-		o, err := ParseCommand("qbench", fs, args)
-		if err != nil {
-			t.Fatalf("%v: %v", args, err)
-		}
-		return o
+		return ParseCommand(cmd, fs, args)
 	}
 	// Batch kernels default on with parallel execution; -batch and -nobatch
 	// override either way.
@@ -273,16 +272,26 @@ func TestCommandFlags(t *testing.T) {
 		{[]string{"-batch"}, true},
 		{[]string{"-batch", "-nobatch"}, false},
 	} {
-		if got := parse(c.args...).Batch; got != c.batch {
-			t.Errorf("%v: Batch = %v, want %v", c.args, got, c.batch)
+		if o, err := parse("qtrace", c.args...); err != nil || o.Batch != c.batch {
+			t.Errorf("qtrace %v: Batch = %v, want %v (err %v)", c.args, o.Batch, c.batch, err)
 		}
 	}
-	if o := parse("-arch", "va64", "-mem", "96", "-check"); o.Arch != vt.VA64 || o.MemMB != 96 || !o.Check {
-		t.Errorf("parsed options %+v", o)
+	// qbench measures the paper's configuration and has no flag that leaves
+	// it: sequential compilation, no cache, tuple-at-a-time on one worker.
+	o, err := parse("qbench", "-arch", "va64", "-mem", "96", "-check")
+	if err != nil || o.Arch != vt.VA64 || o.MemMB != 96 || !o.Check ||
+		o.Jobs != 1 || o.CacheMB != 0 || o.ExecJobs != 1 || o.Batch {
+		t.Errorf("parsed options %+v (err %v)", o, err)
 	}
-	fs := flag.NewFlagSet("qbench", flag.ContinueOnError)
-	fs.SetOutput(io.Discard)
-	if _, err := ParseCommand("qbench", fs, []string{"-arch", "mips"}); err == nil {
-		t.Error("unknown -arch accepted")
+	for _, args := range [][]string{{"-arch", "mips"}, {"-nofuse"}, {"-jobs", "4"}, {"-cache-mb", "16"},
+		{"-exec-jobs", "4"}, {"-batch"}} {
+		if _, err := parse("qbench", args...); err == nil {
+			t.Errorf("qbench %v accepted", args)
+		}
+	}
+	for _, cmd := range []string{"qrun", "qtrace", "qprof"} {
+		if _, err := parse(cmd, "-nofuse"); err == nil {
+			t.Errorf("%s -nofuse accepted", cmd)
+		}
 	}
 }

@@ -3,7 +3,6 @@ package engine
 import (
 	"flag"
 	"fmt"
-	"runtime"
 	"strings"
 
 	"qcc/internal/codegen"
@@ -36,9 +35,6 @@ type Options struct {
 	// Check runs the machine-code verifier on every compilation (-check);
 	// its cost shows up as the back-ends' "Check.*" phases.
 	Check bool
-	// NoFuse disables the vm's superinstruction fusion (-nofuse). Results
-	// and architecture-neutral counters are identical either way.
-	NoFuse bool
 	// ExecJobs is the morsel-parallel executor's worker count (-exec-jobs).
 	// 0 or 1 executes every pipeline sequentially.
 	ExecJobs int
@@ -65,19 +61,19 @@ var commands = map[string]struct {
 	flags    []string
 }{
 	"qrun": {Options{MemMB: 512, SF: 0.05, Engine: "adaptive", ExecJobs: 1},
-		[]string{"engine", "sf", "arch", "mem", "nofuse", "exec-jobs", "batch", "nobatch", "cache-mb"}},
+		[]string{"engine", "sf", "arch", "mem", "exec-jobs", "batch", "nobatch", "cache-mb"}},
 	"qtrace": {Options{MemMB: 512, SF: 0.01, Runs: 1, Engine: "all", Jobs: 1, ExecJobs: 1},
-		[]string{"arch", "engine", "sf", "mem", "runs", "check", "jobs", "cache-mb", "nofuse", "exec-jobs", "batch", "nobatch"}},
+		[]string{"arch", "engine", "sf", "mem", "runs", "check", "jobs", "cache-mb", "exec-jobs", "batch", "nobatch"}},
 	"qprof": {Options{MemMB: 512, SF: 0.01, Runs: 1, Jobs: 1},
-		[]string{"arch", "engine", "sf", "mem", "runs", "check", "jobs", "nofuse"}},
+		[]string{"arch", "engine", "sf", "mem", "runs", "check", "jobs"}},
 	"qverify": {Options{MemMB: 512, SF: 0.01, Jobs: 1},
 		[]string{"arch", "sf", "mem", "jobs"}},
 	"qlint": {Options{MemMB: 512, SF: 0.01},
 		[]string{"arch", "sf", "mem"}},
 	"qir": {Options{MemMB: 256, SF: 0.01},
 		[]string{"sf"}},
-	"qbench": {Options{MemMB: 1024, SF: 0.05, Runs: 1, Jobs: runtime.GOMAXPROCS(0), ExecJobs: 1},
-		[]string{"arch", "sf", "runs", "mem", "jobs", "cache-mb", "check", "nofuse", "exec-jobs", "batch", "nobatch"}},
+	"qbench": {Options{MemMB: 1024, SF: 0.05, Runs: 1, Jobs: 1, ExecJobs: 1},
+		[]string{"arch", "sf", "runs", "mem", "check"}},
 }
 
 // ParseCommand registers the named command's option flags on fs, next to
@@ -109,10 +105,8 @@ func ParseCommand(name string, fs *flag.FlagSet, args []string) (Options, error)
 			fs.IntVar(&o.CacheMB, f, o.CacheMB, "content-addressed code cache budget in MiB (0 = disabled)")
 		case "check":
 			fs.BoolVar(&o.Check, f, o.Check, "run the machine-code verifier on every compilation (adds Check.* phases)")
-		case "nofuse":
-			fs.BoolVar(&o.NoFuse, f, o.NoFuse, "disable vm superinstruction fusion (plain decoded-switch dispatch)")
 		case "exec-jobs":
-			fs.IntVar(&o.ExecJobs, f, o.ExecJobs, "morsel-parallel executor workers (1 = sequential; the qbench batch experiment defaults to 4)")
+			fs.IntVar(&o.ExecJobs, f, o.ExecJobs, "morsel-parallel executor workers (1 = sequential)")
 		case "batch":
 			fs.BoolVar(&batch, f, false, "compile eligible scan pipelines to batch-at-a-time kernels (default on when -exec-jobs > 1)")
 		case "nobatch":

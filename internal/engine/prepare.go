@@ -75,7 +75,7 @@ type bakedString struct {
 // plan's literals. The engine goes into the key by name: two engines of one
 // name are taken to compile a plan to interchangeable programs.
 func (w *World) Prepare(eng backend.Engine, name string, node plan.Node) (*Program, error) {
-	cache := w.shared.cache
+	cache := w.cache
 	if cache == nil {
 		return w.lowerCompile(eng, name, node)
 	}
@@ -83,7 +83,7 @@ func (w *World) Prepare(eng backend.Engine, name string, node plan.Node) (*Progr
 	sp := w.Tracer.BeginCat("prepare", "prepare")
 	defer sp.End()
 	start := time.Now()
-	fp := &w.shared.fp
+	fp := &w.fp
 	keyed := w.fingerprint(fp, eng, name, node)
 	if keyed {
 		if v, ok := cache.GetProgram(fp.Key); ok {
@@ -130,7 +130,7 @@ func (w *World) fingerprint(fp *plan.Fingerprint, eng backend.Engine, name strin
 	k = appendString(k, eng.Name())
 	k = appendString(k, name)
 	var flags byte
-	for i, on := range []bool{w.Batch, w.ExecJobs > 1, w.NoFuse, w.Check} {
+	for i, on := range []bool{w.Batch, w.ExecJobs > 1, w.Check} {
 		if on {
 			flags |= 1 << i
 		}

@@ -513,7 +513,7 @@ func TestProgramCacheBudget(t *testing.T) {
 				}
 			}
 			after, evicted := heap(), evictions.Load()-evicted0
-			cache := w.shared.cache
+			cache := w.cache
 			t.Logf("%d entries charged %d KiB; %d programs evicted; heap in use grew %d KiB",
 				cache.Len(), cache.SizeBytes()>>10, evicted, (int64(after)-int64(before))>>10)
 			if evicted == 0 || evicted >= shapes {
@@ -548,7 +548,7 @@ func TestProgramCacheChargeFollowsExec(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cache, ent := w.shared.cache, p.entry
+		cache, ent := w.cache, p.entry
 		if ent == nil {
 			t.Fatalf("%s: the compiled program was not cached", name)
 		}

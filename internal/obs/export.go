@@ -232,8 +232,9 @@ func WriteGlobalPrometheus(w io.Writer, labels map[string]string) error {
 // archiving, cmd/qtrace) key on this string; additive changes keep the
 // version, breaking changes bump it. v2: global_counters gained the batch
 // executor's rt_batch_kernel_calls/rt_batch_rows and exec_morsels/
-// exec_workers, and suite runs honor execution settings (-exec-jobs,
-// -batch), so same-schema reports are only comparable at equal settings.
+// exec_workers, and qtrace's suite runs honor execution settings
+// (-exec-jobs, -batch), so same-schema reports are only comparable at equal
+// settings.
 const Schema = "qcc.obs.report/v2"
 
 // Report is the machine-readable benchmark/observability report emitted by
@@ -286,8 +287,8 @@ type QueryReport struct {
 	MemOps    int64  `json:"vm_mem_ops"`
 	// FuseInstrs/FuseMicroOps record the vm's superinstruction fusion
 	// outcome for the query's compiled module (decoded instructions vs
-	// primary-path micro-ops). Both are omitted for the interpreter and
-	// under -nofuse; the fusion rate is fuse_micro_ops/fuse_instrs.
+	// primary-path micro-ops). Both are omitted for the interpreter; the
+	// fusion rate is fuse_micro_ops/fuse_instrs.
 	FuseInstrs   int64 `json:"fuse_instrs,omitempty"`
 	FuseMicroOps int64 `json:"fuse_micro_ops,omitempty"`
 	// StaticMemOps/ChecksEliminated report the compile-time

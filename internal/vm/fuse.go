@@ -469,8 +469,10 @@ type fprog struct {
 	stats FuseStats
 }
 
-// SetFuse enables or disables the fused dispatch view (the -nofuse escape
-// hatch). The decoded program and code bytes are unaffected either way.
+// SetFuse enables or disables the fused dispatch view. It is a test hook:
+// every back-end leaves fusion on, and the differential tests switch it off to
+// run the plain decoded-switch loop as the reference. The decoded program and
+// code bytes are unaffected either way.
 func (mod *Module) SetFuse(on bool) { mod.noFuse = !on }
 
 // FuseEnabled reports whether fused dispatch is active for this module.

@@ -77,7 +77,7 @@ type Module struct {
 	unwind    []UnwindRange
 
 	// Fused-dispatch view (fuse.go), built lazily on first Call so load
-	// time is unaffected; noFuse is the -nofuse escape hatch.
+	// time is unaffected; noFuse is the test hook that selects the plain loop.
 	noFuse   bool
 	fuseOnce sync.Once
 	fp       *fprog

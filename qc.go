@@ -10,6 +10,10 @@
 //	db.LoadTPCH(0.05)
 //	res, _ := db.Exec("SELECT l_returnflag, SUM(l_extendedprice) FROM lineitem GROUP BY l_returnflag")
 //	for _, row := range res.Rows { fmt.Println(row) }
+//
+// Open takes six options and no others: WithArch, WithMemoryMB and WithEngine
+// choose the machine and the default back-end; WithExecJobs and WithBatch the
+// execution mode; WithCacheMB the code cache. None of them changes a result.
 package qc
 
 import (
@@ -46,11 +50,6 @@ func WithMemoryMB(mb int) Option { return func(o *engine.Options) { o.MemMB = mb
 
 // WithEngine selects the default execution back-end by name; see Engines.
 func WithEngine(name string) Option { return func(o *engine.Options) { o.Engine = name } }
-
-// WithFusion toggles the vm's superinstruction fusion for compiled queries
-// (default on). Results are identical either way; off forces the plain
-// decoded-switch dispatch loop, for dispatch-cost measurement.
-func WithFusion(on bool) Option { return func(o *engine.Options) { o.NoFuse = !on } }
 
 // WithExecJobs sets the morsel-parallel executor's worker count (default 1,
 // sequential). Results are identical at any worker count — the executor
