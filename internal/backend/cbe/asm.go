@@ -122,7 +122,7 @@ var rrOps = map[string]vt.Op{
 var riOps = map[string]vt.Op{
 	"addi": vt.AddI, "subi": vt.SubI, "muli": vt.MulI, "andi": vt.AndI,
 	"ori": vt.OrI, "xori": vt.XorI, "shli": vt.ShlI, "shri": vt.ShrI,
-	"sari": vt.SarI, "rotri": vt.RotrI,
+	"sari": vt.SarI, "rotri": vt.RotrI, "lea": vt.Lea,
 }
 
 var loadOps = map[string]vt.Op{

@@ -6,107 +6,64 @@ import "fmt"
 func (g *asmgen) builtinOp(t *tac) error {
 	switch t.bi {
 	case biI128:
-		lo := g.use(t.args[0])
-		hi := g.use(t.args[1])
-		dlo, dhi := g.defPair(t.dst)
-		g.ins("mov r%d, r%d", dlo, lo)
-		g.ins("mov r%d, r%d", dhi, hi)
-		g.defDone(t.dst)
+		lo, hi := g.use(t.args[0]), g.use(t.args[1])
+		g.movTo(g.defFrom(t.dst, lo), lo)
+		g.movTo(g.defU(2*t.dst+1, hi), hi)
 
-	case biCrc32:
-		a := g.use(t.args[0])
-		b := g.use(t.args[1])
-		d := g.def(t.dst)
-		g.mov3("crc32", d, a, b)
-		g.defDone(t.dst)
+	case biCrc32, biRotr:
+		a, b := g.use(t.args[0]), g.use(t.args[1])
+		g.op3(map[builtinKind]string{biCrc32: "crc32", biRotr: "rotr"}[t.bi], g.defFrom(t.dst, a), a, b)
 
 	case biLMulFold:
-		a := g.use(t.args[0])
-		b := g.use(t.args[1])
-		d := g.def(t.dst)
-		h := g.allocGPR()
-		g.ins("mulw r%d, r%d, r%d, r%d", d, h, a, b)
-		g.mov3("xor", d, d, h)
-		g.defDone(t.dst)
-
-	case biRotr:
-		a := g.use(t.args[0])
-		b := g.use(t.args[1])
-		d := g.def(t.dst)
-		g.mov3("rotr", d, a, b)
-		g.defDone(t.dst)
+		a, b := g.use(t.args[0]), g.use(t.args[1])
+		d, h := g.def(t.dst), g.tmp()
+		g.ins("mulw", d, h, a, b)
+		g.op3("xor", d, d, h)
 
 	case biZext:
 		a := g.use(t.args[0])
-		d := g.def(t.dst)
-		g.ins("mov r%d, r%d", d, a)
-		switch t.ct2 {
-		case ctI1:
-			g.mov3i("andi", d, d, 1)
-		case ctI8:
-			g.mov3i("andi", d, d, 0xFF)
-		case ctI16:
-			g.mov3i("andi", d, d, 0xFFFF)
-		case ctI32:
-			g.mov3i("andi", d, d, 0xFFFFFFFF)
+		d := g.defFrom(t.dst, a)
+		g.movTo(d, a)
+		if t.ct2.bits() < 64 {
+			g.op3i("andi", d, d, 1<<t.ct2.bits()-1)
 		}
-		g.defDone(t.dst)
 
 	case biF64Bits:
-		a := g.useF(t.args[0])
-		d := g.def(t.dst)
-		g.ins("movrf r%d, f%d", d, a)
-		g.defDone(t.dst)
+		g.ins("movrf", g.def(t.dst), g.use(t.args[0]))
 
 	case biBitsF64:
-		a := g.use(t.args[0])
-		d := g.def(t.dst)
-		g.ins("movfr f%d, r%d", d, a)
-		g.defDone(t.dst)
+		if a := t.args[0]; g.konst[a] {
+			g.ins("fmovi", g.def(t.dst), g.kval[a])
+		} else {
+			g.ins("movfr", g.def(t.dst), g.use(a))
+		}
 
-	case biSelect:
-		cond := g.use(t.args[0])
-		x := g.use(t.args[1])
-		y := g.use(t.args[2])
-		d := g.def(t.dst)
-		m := g.allocGPR()
-		g.ins("mov r%d, r%d", m, cond)
-		g.ins("neg r%d, r%d", m, m)
-		tt := g.allocGPR()
-		g.mov3("xor", tt, x, y)
-		g.mov3("and", tt, tt, m)
-		g.ins("mov r%d, r%d", d, y)
-		g.mov3("xor", d, d, tt)
-		g.defDone(t.dst)
-
-	case biFSelect:
-		cond := g.use(t.args[0])
-		x := g.useF(t.args[1])
-		y := g.useF(t.args[2])
-		d := g.def(t.dst)
-		m := g.allocGPR()
-		g.ins("mov r%d, r%d", m, cond)
-		g.ins("neg r%d, r%d", m, m)
-		tx := g.allocGPR()
-		ty := g.allocGPR()
-		g.ins("movrf r%d, f%d", tx, x)
-		g.ins("movrf r%d, f%d", ty, y)
-		g.mov3("xor", tx, tx, ty)
-		g.mov3("and", tx, tx, m)
-		g.mov3("xor", tx, tx, ty)
-		g.ins("movfr f%d, r%d", d, tx)
-		g.defDone(t.dst)
+	case biSelect, biFSelect:
+		// y ^ ((x ^ y) & -cond), on the bit patterns.
+		cond, x, y := g.use(t.args[0]), g.use(t.args[1]), g.use(t.args[2])
+		d, m, tx := g.def(t.dst), g.tmp(), g.tmp()
+		g.ins("mov", m, cond)
+		g.ins("neg", m, m)
+		if t.bi == biSelect {
+			g.op3("xor", tx, x, y)
+			g.op3("and", tx, tx, m)
+			g.op3("xor", d, y, tx)
+			break
+		}
+		ty := g.tmp()
+		g.ins("movrf", tx, x)
+		g.ins("movrf", ty, y)
+		g.op3("xor", tx, tx, ty)
+		g.op3("and", tx, tx, m)
+		g.op3("xor", tx, tx, ty)
+		g.ins("movfr", d, tx)
 
 	case biAtomicAdd:
-		addr := g.use(t.args[0])
-		val := g.use(t.args[1])
-		d := g.def(t.dst)
-		tt := g.allocGPR()
-		g.ins("%s r%d, r%d, 0", loadMnemonic(t.ct2), d, addr)
-		g.ins("mov r%d, r%d", tt, d)
-		g.mov3("add", tt, tt, val)
-		g.ins("%s r%d, 0, r%d", storeMnemonic(t.ct2), addr, tt)
-		g.defDone(t.dst)
+		addr, val := g.use(t.args[0]), g.use(t.args[1])
+		d, tt := g.def(t.dst), g.tmp()
+		g.ins(memOp(t.ct2, 0, false), d, addr, int64(0))
+		g.op3("add", tt, d, val)
+		g.ins(memOp(t.ct2, 1, false), addr, int64(0), tt)
 
 	case biAddTrap, biSubTrap, biMulTrap:
 		return g.trapArith(t)
@@ -117,87 +74,59 @@ func (g *asmgen) builtinOp(t *tac) error {
 	return nil
 }
 
+var trapArithName = map[builtinKind]string{biAddTrap: "add", biSubTrap: "sub", biMulTrap: "mul"}
+
+// overflowTrap traps when the sign bits say an addition or subtraction
+// overflowed: for d = a + b when d differs in sign from both, for d = a - b
+// when a differs from b and d from a.
+func (g *asmgen) overflowTrap(sub bool, d, a, b reg) {
+	t1, t2 := g.tmp(), g.tmp()
+	if sub {
+		g.op3("xor", t1, a, b)
+		g.op3("xor", t2, d, a)
+	} else {
+		g.op3("xor", t1, d, a)
+		g.op3("xor", t2, d, b)
+	}
+	g.op3("and", t1, t1, t2)
+	g.op3i("shri", t1, t1, 63)
+	g.ins("trapnz", t1, int64(1))
+}
+
 func (g *asmgen) trapArith(t *tac) error {
 	w := t.ct2
 	if w == ctI128 {
-		return g.trapArith128(t)
-	}
-	a := g.use(t.args[0])
-	b := g.use(t.args[1])
-	d := g.def(t.dst)
-	if w.bits() < 64 {
-		op := map[builtinKind]string{biAddTrap: "add", biSubTrap: "sub", biMulTrap: "mul"}[t.bi]
-		g.mov3(op, d, a, b)
-		tt := g.allocGPR()
-		g.ins("mov r%d, r%d", tt, d)
-		g.canon(w, tt)
-		ov := g.allocGPR()
-		g.ins("set ne r%d, r%d, r%d", ov, tt, d)
-		g.ins("trapnz r%d, 1", ov)
-		g.ins("mov r%d, r%d", d, tt)
-		g.defDone(t.dst)
+		if t.bi == biMulTrap {
+			return fmt.Errorf("128-bit multiplication should go through the runtime helper")
+		}
+		alo, ahi, blo, bhi := g.use(t.args[0]), g.useHi(t.args[0]), g.use(t.args[1]), g.useHi(t.args[1])
+		dlo, dhi := g.def(t.dst), g.defHi(t.dst)
+		g.addSub128(t.bi == biSubTrap, dlo, dhi, alo, ahi, blo, bhi)
+		g.overflowTrap(t.bi == biSubTrap, dhi, ahi, bhi)
 		return nil
 	}
-	switch t.bi {
-	case biAddTrap, biSubTrap:
-		op := "add"
-		if t.bi == biSubTrap {
-			op = "sub"
-		}
-		g.mov3(op, d, a, b)
-		t1 := g.allocGPR()
-		t2 := g.allocGPR()
-		if t.bi == biAddTrap {
-			g.mov3("xor", t1, d, a)
-			g.mov3("xor", t2, d, b)
-		} else {
-			g.mov3("xor", t1, a, b)
-			g.mov3("xor", t2, d, a)
-		}
-		g.mov3("and", t1, t1, t2)
-		g.mov3i("shri", t1, t1, 63)
-		g.ins("trapnz r%d, 1", t1)
-	case biMulTrap:
-		h := g.allocGPR()
-		g.ins("mulws r%d, r%d, r%d, r%d", d, h, a, b)
-		t2 := g.allocGPR()
-		g.ins("mov r%d, r%d", t2, d)
-		g.mov3i("sari", t2, t2, 63)
-		g.mov3("xor", t2, t2, h)
-		g.ins("trapnz r%d, 1", t2)
+	a, b := g.use(t.args[0]), g.use(t.args[1])
+	d := g.def(t.dst)
+	switch {
+	case w.bits() < 64:
+		// Compute in 64 bits; overflow is the result changing when narrowed.
+		wide := g.tmp()
+		g.op3(trapArithName[t.bi], wide, a, b)
+		g.ins("mov", d, wide)
+		g.canon(w, d)
+		g.ins("set", "ne", wide, wide, d)
+		g.ins("trapnz", wide, int64(1))
+	case t.bi == biMulTrap:
+		// Overflow is a high word that is not the low word's sign.
+		h := g.tmp()
+		g.ins("mulws", d, h, a, b)
+		t2 := g.tmp()
+		g.op3i("sari", t2, d, 63)
+		g.op3("xor", t2, t2, h)
+		g.ins("trapnz", t2, int64(1))
+	default:
+		g.op3(trapArithName[t.bi], d, a, b)
+		g.overflowTrap(t.bi == biSubTrap, d, a, b)
 	}
-	g.defDone(t.dst)
-	return nil
-}
-
-func (g *asmgen) trapArith128(t *tac) error {
-	if t.bi == biMulTrap {
-		return fmt.Errorf("128-bit multiplication should go through the runtime helper")
-	}
-	alo, ahi := g.usePair(t.args[0])
-	blo, bhi := g.usePair(t.args[1])
-	dlo, dhi := g.defPair(t.dst)
-	c := g.allocGPR()
-	t1 := g.allocGPR()
-	t2 := g.allocGPR()
-	if t.bi == biAddTrap {
-		g.mov3("add", dlo, alo, blo)
-		g.ins("set ult r%d, r%d, r%d", c, dlo, alo)
-		g.mov3("add", dhi, ahi, bhi)
-		g.mov3("add", dhi, dhi, c)
-		g.mov3("xor", t1, dhi, ahi)
-		g.mov3("xor", t2, dhi, bhi)
-	} else {
-		g.ins("set ult r%d, r%d, r%d", c, alo, blo)
-		g.mov3("sub", dlo, alo, blo)
-		g.mov3("sub", dhi, ahi, bhi)
-		g.mov3("sub", dhi, dhi, c)
-		g.mov3("xor", t1, ahi, bhi)
-		g.mov3("xor", t2, dhi, ahi)
-	}
-	g.mov3("and", t1, t1, t2)
-	g.mov3i("shri", t1, t1, 63)
-	g.ins("trapnz r%d, 1", t1)
-	g.defDone(t.dst)
 	return nil
 }

@@ -86,7 +86,7 @@ func (e *Engine) BeginModule(mod *qir.Module, env *backend.Env, ph *backend.Phas
 }
 
 // Variant implements backend.ModuleCompiler (cache keying).
-func (c *moduleCompiler) Variant() string { return "cbe/v1" }
+func (c *moduleCompiler) Variant() string { return "cbe/v2" }
 
 // CompileFunc implements backend.ModuleCompiler: gimplify, optimize,
 // generate textual assembly, and assemble one function into object code.
@@ -103,7 +103,7 @@ func (c *moduleCompiler) CompileFunc(i int, ph *backend.Phaser) (*backend.Unit, 
 
 	// Phase 4: optimization (-O3-ish scalar pipeline).
 	sp = ph.Begin("Optimize")
-	n := optimizeGimple(gf)
+	n := optimizeGimple(gf, c.tgt)
 	sp.End()
 	ph.Count("passes_run", int64(n))
 

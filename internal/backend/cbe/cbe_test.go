@@ -3,6 +3,8 @@ package cbe
 import (
 	"strings"
 	"testing"
+
+	"qcc/internal/vt"
 )
 
 // TestLexerRoundTrip checks the C lexer on representative generated text.
@@ -62,7 +64,7 @@ L1:;
 		t.Fatal("no TAC emitted")
 	}
 	// Optimizations must not break it.
-	optimizeGimple(gf)
+	optimizeGimple(gf, vt.ForArch(vt.VX64))
 }
 
 func TestParserErrors(t *testing.T) {
@@ -113,7 +115,7 @@ i64 g(i64 v0) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	optimizeGimple(gf)
+	optimizeGimple(gf, vt.ForArch(vt.VX64))
 	// v3 must be folded to 42; the duplicate v4 must be eliminated.
 	found42 := false
 	muls := 0

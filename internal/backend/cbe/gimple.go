@@ -1,6 +1,11 @@
 package cbe
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+
+	"qcc/internal/vt"
+)
 
 // The GIMPLE-like three-address representation the mini-C compiler lowers
 // the AST into, plus the -O3-style scalar optimizations (constant folding,
@@ -11,16 +16,16 @@ type gOp uint8
 const (
 	gConst   gOp = iota // dst = imm
 	gMov                // dst = a
-	gBin                // dst = a <bin> b
+	gBin                // dst = a <bin> b, or a <bin> imm when b < 0
 	gCmp                // dst = a <pred> b (i1)
 	gCast               // dst = cast(a) from ct2 to ct
-	gLoad               // dst = *(ct*)a
-	gStore              // *(ct*)a = b
+	gLoad               // dst = *(ct*)(a + imm)
+	gStore              // *(ct*)(a + imm) = b
 	gCall               // dst? = rt<rtid>(args)
 	gBuiltin            // dst = builtin(args)
 	gAddrOf             // dst = &sym
 	gGoto               // goto label
-	gIfGoto             // if a goto label
+	gIfGoto             // if a goto label, or if a <pred> b goto label
 	gLabel              // label:
 	gRet                // return a?
 	gTrap
@@ -174,7 +179,7 @@ func gimplify(fn *cfunc) (*gimpleFunc, error) {
 			if err != nil {
 				return -1, err
 			}
-			d := newVar(loadedType(e.ct))
+			d := newVar(e.ct)
 			emit(tac{op: gLoad, dst: d, a: a, b: -1, ct: e.ct, unchecked: e.unchecked})
 			return d, nil
 		case eBin:
@@ -259,12 +264,6 @@ func gimplify(fn *cfunc) (*gimpleFunc, error) {
 		}
 	}
 	return gf, nil
-}
-
-func loadedType(ct cType) cType {
-	// Narrow loads produce canonical 64-bit values in registers but keep
-	// their declared type for downstream casts.
-	return ct
 }
 
 var cmpPreds = map[string]string{
@@ -394,28 +393,29 @@ func gimplifyCall(gf *gimpleFunc, e *cexpr, vars map[string]int32,
 	return d, nil
 }
 
-// optimizeGimple runs the scalar optimization pipeline: constant folding,
-// copy propagation, local common-subexpression elimination, and dead code
-// elimination, iterated to a fixpoint.
-func optimizeGimple(gf *gimpleFunc) (passesRun int) {
+// optimizeGimple runs the scalar optimization pipeline to a fixpoint:
+// copy propagation, constant folding with the algebraic identities and
+// immediate operands the target encodes, local common-subexpression
+// elimination, address-mode and move folding, branch clean-up, and dead code
+// elimination.
+func optimizeGimple(gf *gimpleFunc, tgt *vt.Target) (passesRun int) {
+	passes := []func() bool{
+		func() bool { return copyPropagate(gf) },
+		func() bool { return constFold(gf, tgt) },
+		func() bool { return localCSE(gf) },
+		func() bool { return foldAddresses(gf, tgt) },
+		func() bool { return coalesceMoves(gf) },
+		func() bool { return cleanBranches(gf) },
+		func() bool { return deadCodeElim(gf) },
+	}
 	for round := 0; round < 4; round++ {
 		changed := false
-		if copyPropagate(gf) {
-			changed = true
+		for _, pass := range passes {
+			if pass() {
+				changed = true
+			}
+			passesRun++
 		}
-		passesRun++
-		if constFold(gf) {
-			changed = true
-		}
-		passesRun++
-		if localCSE(gf) {
-			changed = true
-		}
-		passesRun++
-		if deadCodeElim(gf) {
-			changed = true
-		}
-		passesRun++
 		if !changed {
 			break
 		}
@@ -448,7 +448,7 @@ func copyPropagate(gf *gimpleFunc) bool {
 	for i := range gf.code {
 		t := &gf.code[i]
 		if t.op == gMov && t.dst >= 0 && counts[t.dst] == 1 && counts[t.a] == 1 &&
-			gf.vars[t.dst] == gf.vars[t.a] {
+			widens(gf.vars[t.dst], gf.vars[t.a]) {
 			repl[t.dst] = t.a
 		}
 	}
@@ -478,8 +478,27 @@ func copyPropagate(gf *gimpleFunc) bool {
 	return changed
 }
 
-// constFold evaluates pure ops over single-def constants.
-func constFold(gf *gimpleFunc) bool {
+// widens reports that a value of type from is, bit for bit, also the register
+// image of type to: the same type, or an integer no narrower (narrow integers
+// are kept sign-extended, so widening them changes nothing).
+func widens(to, from cType) bool {
+	return to == from || to.isInt() && from.isInt() && to.bits() >= from.bits()
+}
+
+// fitsImm reports whether v encodes as an immediate or displacement without
+// the encoder expanding it into a constant-synthesis sequence.
+func fitsImm(tgt *vt.Target, v int64) bool {
+	return tgt.FixedLen == 0 || v >= -2048 && v < 2048
+}
+
+var immForm = [...]bool{bAdd: true, bSub: true, bMul: true, bAnd: true, bOr: true,
+	bXor: true, bShl: true, bShr: true, bSar: true}
+
+// constFold evaluates pure ops over single-def constants and, where only
+// one operand is constant, applies the identities (x+0, x*1, x*2^k) and
+// moves the constant into the instruction as an immediate. Casts that change
+// nothing in a register become moves, for copy propagation to remove.
+func constFold(gf *gimpleFunc, tgt *vt.Target) bool {
 	counts := defCounts(gf)
 	constOf := map[int32]int64{}
 	for i := range gf.code {
@@ -491,39 +510,88 @@ func constFold(gf *gimpleFunc) bool {
 	changed := false
 	for i := range gf.code {
 		t := &gf.code[i]
-		if t.op != gBin || t.dst < 0 || counts[t.dst] != 1 || t.ct == ctI128 || t.ct == ctF64 {
+		switch {
+		case t.op == gCast && t.ct.isInt() && t.ct2.isInt():
+			if av, ok := constOf[t.a]; ok {
+				*t = tac{op: gConst, dst: t.dst, a: -1, b: -1, imm: canonC(av, t.ct), ct: t.ct}
+			} else if widens(t.ct, t.ct2) {
+				*t = tac{op: gMov, dst: t.dst, a: t.a, b: -1, ct: t.ct}
+			} else {
+				continue
+			}
+			changed = true
+			continue
+		case t.op == gMov && gf.vars[t.dst].isInt() && gf.vars[t.a].isInt():
+			if av, ok := constOf[t.a]; ok {
+				ct := gf.vars[t.dst]
+				*t = tac{op: gConst, dst: t.dst, a: -1, b: -1, imm: canonC(av, ct), ct: ct}
+				changed = true
+			}
+			continue
+		case t.op != gBin || t.ct == ctF64:
 			continue
 		}
 		av, aok := constOf[t.a]
-		bv, bok := constOf[t.b]
-		if !aok || !bok {
+		bv, bok := t.imm, true
+		if t.b >= 0 {
+			bv, bok = constOf[t.b]
+		}
+		if t.ct == ctI128 {
+			// Only the shift count of a wide shift becomes an immediate.
+			if bok && t.b >= 0 && (t.bin == bShl || t.bin == bShr || t.bin == bSar) {
+				t.b, t.imm = -1, bv
+				changed = true
+			}
 			continue
 		}
-		var r int64
-		switch t.bin {
-		case bAdd:
-			r = av + bv
-		case bSub:
-			r = av - bv
-		case bMul:
-			r = av * bv
-		case bAnd:
-			r = av & bv
-		case bOr:
-			r = av | bv
-		case bXor:
-			r = av ^ bv
-		case bShl:
-			r = av << (uint64(bv) & 63)
-		case bSar:
-			r = av >> (uint64(bv) & 63)
-		case bShr:
-			r = int64(uint64(av) >> (uint64(bv) & 63))
-		default:
-			continue // division folding skipped (traps)
+		if aok && bok && counts[t.dst] == 1 {
+			var r int64
+			switch t.bin {
+			case bAdd:
+				r = av + bv
+			case bSub:
+				r = av - bv
+			case bMul:
+				r = av * bv
+			case bAnd:
+				r = av & bv
+			case bOr:
+				r = av | bv
+			case bXor:
+				r = av ^ bv
+			case bShl:
+				r = av << (uint64(bv) & 63)
+			case bSar:
+				r = av >> (uint64(bv) & 63)
+			case bShr:
+				r = int64(uint64(av) >> (uint64(bv) & 63))
+			default:
+				continue // division folding skipped (traps)
+			}
+			*t = tac{op: gConst, dst: t.dst, a: -1, b: -1, imm: canonC(r, t.ct), ct: t.ct}
+			constOf[t.dst] = t.imm
+			changed = true
+			continue
 		}
-		*t = tac{op: gConst, dst: t.dst, a: -1, b: -1, imm: canonC(r, t.ct), ct: t.ct}
-		constOf[t.dst] = t.imm
+		if aok && !bok && (t.bin == bAdd || t.bin == bMul || t.bin == bAnd || t.bin == bOr || t.bin == bXor) {
+			t.a, t.b = t.b, t.a
+			bv, aok, bok = av, false, true
+		}
+		if t.b < 0 || !bok || aok || !immForm[t.bin] {
+			continue
+		}
+		switch {
+		case bv == 0 && t.bin != bMul && t.bin != bAnd, bv == 1 && t.bin == bMul:
+			*t = tac{op: gMov, dst: t.dst, a: t.a, b: -1, ct: gf.vars[t.dst]}
+		case t.bin == bMul && bv > 1 && bv&(bv-1) == 0:
+			t.bin, t.b, t.imm = bShl, -1, int64(bits.TrailingZeros64(uint64(bv)))
+		case t.bin == bSub && bv != -bv && fitsImm(tgt, -bv):
+			t.bin, t.b, t.imm = bAdd, -1, -bv
+		case t.bin != bSub && fitsImm(tgt, bv):
+			t.b, t.imm = -1, bv
+		default:
+			continue
+		}
 		changed = true
 	}
 	return changed
@@ -547,74 +615,47 @@ func canonC(v int64, t cType) int64 {
 // regions (between labels, branches and calls).
 func localCSE(gf *gimpleFunc) bool {
 	type key struct {
-		op   gOp
-		bin  gBinKind
-		pred string
-		a, b int32
-		imm  int64
-		ct   cType
-		ct2  cType
-		bi   builtinKind
+		op    gOp
+		bin   gBinKind
+		pred  string
+		unsig bool
+		a, b  int32
+		imm   int64
+		ct    cType
+		ct2   cType
 	}
 	counts := defCounts(gf)
 	changed := false
 	avail := map[key]int32{}
 	repl := map[int32]int32{}
+	sub := func(v *int32) {
+		if r, ok := repl[*v]; ok && *v >= 0 {
+			*v, changed = r, true
+		}
+	}
 	for i := range gf.code {
 		t := &gf.code[i]
+		sub(&t.a)
+		sub(&t.b)
+		for k := range t.args {
+			sub(&t.args[k])
+		}
 		switch t.op {
 		case gLabel, gGoto, gIfGoto, gCall, gStore, gRet, gTrap:
-			avail = map[key]int32{}
-			if t.op == gIfGoto || t.op == gRet {
-				if r, ok := repl[t.a]; ok {
-					t.a = r
-					changed = true
-				}
-			}
-			if t.op == gStore || t.op == gCall {
-				if r, ok := repl[t.a]; ok && t.a >= 0 {
-					t.a = r
-					changed = true
-				}
-				if r, ok := repl[t.b]; ok && t.b >= 0 {
-					t.b = r
-					changed = true
-				}
-				for k := range t.args {
-					if r, ok := repl[t.args[k]]; ok {
-						t.args[k] = r
-						changed = true
-					}
-				}
-			}
+			clear(avail)
 			continue
 		}
-		// Substitute known replacements in operands.
-		if t.a >= 0 {
-			if r, ok := repl[t.a]; ok {
-				t.a = r
-				changed = true
-			}
+		// Only pure single-def defs participate; a redefinition makes
+		// whatever was computed from the old value unavailable.
+		if t.dst >= 0 && counts[t.dst] != 1 {
+			clear(avail)
 		}
-		if t.b >= 0 {
-			if r, ok := repl[t.b]; ok {
-				t.b = r
-				changed = true
-			}
-		}
-		for k := range t.args {
-			if r, ok := repl[t.args[k]]; ok {
-				t.args[k] = r
-				changed = true
-			}
-		}
-		// Only pure single-def defs participate.
 		if t.dst < 0 || counts[t.dst] != 1 {
 			continue
 		}
 		switch t.op {
 		case gConst, gBin, gCmp, gCast, gAddrOf:
-			k := key{op: t.op, bin: t.bin, pred: t.pred, a: t.a, b: t.b,
+			k := key{op: t.op, bin: t.bin, pred: t.pred, unsig: t.unsig, a: t.a, b: t.b,
 				imm: t.imm, ct: t.ct, ct2: t.ct2}
 			if prev, ok := avail[k]; ok {
 				repl[t.dst] = prev
@@ -651,7 +692,7 @@ func deadCodeElim(gf *gimpleFunc) bool {
 		pure := t.op == gConst || t.op == gMov || t.op == gBin && t.bin != bDiv &&
 			t.bin != bRem && t.bin != bUDiv && t.bin != bURem ||
 			t.op == gCmp || t.op == gCast || t.op == gAddrOf
-		if pure && t.dst >= 0 && !used[t.dst] && counts[t.dst] == 1 {
+		if pure && t.dst >= 0 && !used[t.dst] && counts[t.dst] == 1 || t.op == gMov && t.dst == t.a {
 			changed = true
 			continue
 		}

@@ -1,148 +1,82 @@
 package cbe
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+	"strconv"
+)
 
 // inst lowers one TAC instruction to assembly text.
 func (g *asmgen) inst(t *tac) error {
-	sp := g.tgt.SP
 	switch t.op {
 	case gLabel:
-		g.clearCaches()
-		fmt.Fprintf(g.sb, ".L%d:\n", t.label)
+		if g.reachable {
+			g.flush(t.label)
+		}
+		g.forget(^uint64(0))
+		g.sb.WriteString(".L" + strconv.Itoa(int(t.label)) + ":\n")
+		g.reachable, g.end = true, g.regionEnd(g.pos+1)
 	case gGoto:
-		g.clearCaches()
-		g.ins("br .L%d", t.label)
+		g.flush(t.label)
+		g.ins("br", label(t.label))
+		g.reachable = false
 	case gIfGoto:
-		a := g.use(t.a)
-		g.unpin()
-		g.clearCaches()
-		g.ins("brnz r%d, .L%d", a, t.label)
+		g.branch(t)
 	case gRet:
 		if t.a >= 0 {
+			r0, r1 := reg(g.tgt.IntRet[0]), reg(g.tgt.IntRet[1])
 			switch g.gf.vars[t.a] {
 			case ctI128:
-				lo, hi := g.usePair(t.a)
-				r0, r1 := int16(g.tgt.IntRet[0]), int16(g.tgt.IntRet[1])
-				if hi == r0 {
-					tmp := g.allocGPR()
-					g.ins("mov r%d, r%d", tmp, hi)
-					hi = tmp
-				}
-				if lo != r0 {
-					g.ins("mov r%d, r%d", r0, lo)
-				}
-				if hi != r1 {
-					g.ins("mov r%d, r%d", r1, hi)
-				}
+				g.parMove([]reg{r0, r1}, []reg{g.use(t.a), g.useHi(t.a)})
 			case ctF64:
-				f := g.useF(t.a)
-				g.ins("movrf r%d, f%d", g.tgt.IntRet[0], f)
+				g.ins("movrf", r0, g.use(t.a))
 			default:
-				a := g.use(t.a)
-				if a != int16(g.tgt.IntRet[0]) {
-					g.ins("mov r%d, r%d", g.tgt.IntRet[0], a)
-				}
+				g.parMove([]reg{r0}, []reg{g.use(t.a)})
 			}
 		}
-		for i, r := range g.tgt.CalleeSaved {
-			g.ins("ld64 r%d, r%d, %d", r, sp, int64(i)*8)
-		}
-		g.ins("addi r%d, r%d, %d", sp, sp, g.frame)
-		g.ins("ret")
-		g.unpin()
-		g.clearCaches()
+		g.rets = append(g.rets, g.sb.Len())
+		g.reachable = false
 	case gTrap:
-		g.ins("trap 0")
-		g.clearCaches()
+		g.ins("trap", int64(0))
+		g.reachable = false
 
 	case gConst:
-		if t.ct == ctI128 {
-			lo, hi := g.defPair(t.dst)
-			g.ins("movi r%d, %d", lo, t.imm)
-			g.ins("movi r%d, %d", hi, t.imm>>63)
-			g.defDone(t.dst)
-			return nil
-		}
-		d := g.def(t.dst)
-		g.ins("movi r%d, %d", d, t.imm)
-		g.defDone(t.dst)
-
-	case gMov:
-		switch g.gf.vars[t.dst] {
-		case ctI128:
-			if g.gf.vars[t.a] == ctI128 {
-				alo, ahi := g.usePair(t.a)
-				dlo, dhi := g.defPair(t.dst)
-				g.ins("mov r%d, r%d", dlo, alo)
-				g.ins("mov r%d, r%d", dhi, ahi)
-			} else {
-				a := g.use(t.a)
-				dlo, dhi := g.defPair(t.dst)
-				g.ins("mov r%d, r%d", dlo, a)
-				g.ins("mov r%d, r%d", dhi, a)
-				g.mov3i("sari", dhi, dhi, 63)
-			}
-		case ctF64:
-			a := g.useF(t.a)
-			d := g.def(t.dst)
-			g.ins("fmov f%d, f%d", d, a)
+		switch {
+		case g.konst[t.dst]: // materialized where it is used
+		case t.ct == ctI128:
+			g.ins("movi", g.def(t.dst), t.imm)
+			g.ins("movi", g.defHi(t.dst), t.imm>>63)
 		default:
-			if g.gf.vars[t.a] == ctI128 {
-				alo, _ := g.usePair(t.a)
-				d := g.def(t.dst)
-				g.ins("mov r%d, r%d", d, alo)
-				g.canon(g.gf.vars[t.dst], d)
-			} else {
-				a := g.use(t.a)
-				d := g.def(t.dst)
-				g.ins("mov r%d, r%d", d, a)
-				g.canon(g.gf.vars[t.dst], d)
-			}
+			g.ins("movi", g.def(t.dst), t.imm)
 		}
-		g.defDone(t.dst)
-
+	case gMov:
+		return g.castOp(t, g.gf.vars[t.a], g.gf.vars[t.dst])
+	case gCast:
+		return g.castOp(t, t.ct2, t.ct)
 	case gBin:
 		return g.binOp(t)
 	case gCmp:
-		return g.cmpOp(t)
-	case gCast:
-		return g.castOp(t)
+		g.cmpOp(t)
 	case gLoad:
-		addr := g.use(t.a)
+		addr, ld := g.use(t.a), memOp(t.ct, 0, t.unchecked)
 		if t.ct == ctI128 {
-			dlo, dhi := g.defPair(t.dst)
-			g.ins("%s r%d, r%d, 0", uqMnem("ld64", t.unchecked), dlo, addr)
-			g.ins("%s r%d, r%d, 8", uqMnem("ld64", t.unchecked), dhi, addr)
-		} else if t.ct == ctF64 {
-			d := g.def(t.dst)
-			g.ins("%s f%d, r%d, 0", uqMnem("fld", t.unchecked), d, addr)
-		} else {
-			d := g.def(t.dst)
-			g.ins("%s r%d, r%d, 0", uqMnem(loadMnemonic(t.ct), t.unchecked), d, addr)
-			if t.ct == ctI1 {
-				g.mov3i("andi", d, d, 1)
-			}
+			g.ins(ld, g.def(t.dst), addr, t.imm)
+			g.ins(ld, g.defU(2*t.dst+1, addr), addr, t.imm+8)
+			break
 		}
-		g.defDone(t.dst)
+		d := g.defFrom(t.dst, addr)
+		g.ins(ld, d, addr, t.imm)
+		if t.ct == ctI1 {
+			g.op3i("andi", d, d, 1)
+		}
 	case gStore:
-		addr := g.use(t.a)
-		switch t.ct {
-		case ctI128:
-			lo, hi := g.usePair(t.b)
-			g.ins("%s r%d, 0, r%d", uqMnem("st64", t.unchecked), addr, lo)
-			g.ins("%s r%d, 8, r%d", uqMnem("st64", t.unchecked), addr, hi)
-		case ctF64:
-			f := g.useF(t.b)
-			g.ins("%s r%d, 0, f%d", uqMnem("fst", t.unchecked), addr, f)
-		default:
-			v := g.use(t.b)
-			g.ins("%s r%d, 0, r%d", uqMnem(storeMnemonic(t.ct), t.unchecked), addr, v)
+		addr, st := g.use(t.a), memOp(t.ct, 1, t.unchecked)
+		g.ins(st, addr, t.imm, g.use(t.b))
+		if t.ct == ctI128 {
+			g.ins(st, addr, t.imm+8, g.useHi(t.b))
 		}
-		g.unpin()
 	case gAddrOf:
-		d := g.def(t.dst)
-		g.ins("movsym r%d, %s", d, t.sym)
-		g.defDone(t.dst)
+		g.ins("movsym", g.def(t.dst), t.sym)
 	case gCall:
 		return g.callOp(t)
 	case gBuiltin:
@@ -153,354 +87,366 @@ func (g *asmgen) inst(t *tac) error {
 	return nil
 }
 
-func loadMnemonic(t cType) string {
+// memMnem gives the load and store mnemonics of a memory type; loads of the
+// narrow signed types extend.
+var memMnem = map[cType][2]string{
+	ctI1: {"ld8", "st8"}, ctI8: {"ld8s", "st8"}, ctI16: {"ld16s", "st16"},
+	ctI32: {"ld32s", "st32"}, ctF64: {"fld", "fst"},
+}
+
+// memOp returns the mnemonic of a load (store = 0) or store (1) of type t,
+// in its unchecked form ("ldu64", "stu8", "fldu") when the access's check was
+// discharged statically, matching the vt op names.
+func memOp(t cType, store int, unchecked bool) string {
+	m, ok := memMnem[t]
+	if !ok {
+		m = [2]string{"ld64", "st64"}
+	}
+	if !unchecked {
+		return m[store]
+	}
+	if t == ctF64 {
+		return m[store] + "u"
+	}
+	return m[store][:2] + "u" + m[store][2:]
+}
+
+// movTo copies src into d with the move of d's register file.
+func (g *asmgen) movTo(d, src reg) {
+	switch {
+	case d == src:
+	case d >= fpr0:
+		g.ins("fmov", d, src)
+	default:
+		g.ins("mov", d, src)
+	}
+}
+
+var commutes = map[string]bool{"add": true, "mul": true, "and": true, "or": true, "xor": true,
+	"fadd": true, "fmul": true}
+
+// op3 emits d = a op b, honouring the two-address constraint.
+func (g *asmgen) op3(op string, d, a, b reg) {
+	if g.tgt.TwoAddress && d != a {
+		switch {
+		case d != b:
+			g.movTo(d, a)
+		case commutes[op]:
+			b = a
+		default:
+			t := g.alloc(d >= fpr0)
+			g.movTo(t, b)
+			g.movTo(d, a)
+			b = t
+		}
+		a = d
+	}
+	g.ins(op, d, a, b)
+}
+
+// op3i emits d = a op imm; on a two-address target an addition to another
+// register is a lea.
+func (g *asmgen) op3i(op string, d, a reg, imm int64) {
+	if g.tgt.TwoAddress && d != a {
+		if op == "addi" {
+			op = "lea"
+		} else {
+			g.ins("mov", d, a)
+			a = d
+		}
+	}
+	g.ins(op, d, a, imm)
+}
+
+// canon restores the sign-extended register image of a narrow type.
+func (g *asmgen) canon(t cType, r reg) {
 	switch t {
 	case ctI1:
-		return "ld8"
-	case ctI8:
-		return "ld8s"
-	case ctI16:
-		return "ld16s"
-	case ctI32:
-		return "ld32s"
+		g.op3i("andi", r, r, 1)
+	case ctI8, ctI16, ctI32:
+		g.op3i("shli", r, r, int64(64-t.bits()))
+		g.op3i("sari", r, r, int64(64-t.bits()))
 	}
-	return "ld64"
 }
 
-// uqMnem rewrites a memory mnemonic to its unchecked form ("ld64" ->
-// "ldu64", "st8" -> "stu8", "fld" -> "fldu"), matching the vt op names.
-func uqMnem(m string, unchecked bool) string {
-	if !unchecked {
-		return m
-	}
-	switch m {
-	case "fld":
-		return "fldu"
-	case "fst":
-		return "fstu"
-	}
-	// ldNN[s] / stNN -> lduNN[s] / stuNN.
-	return m[:2] + "u" + m[2:]
+var gBinName = [...]string{
+	bAdd: "add", bSub: "sub", bMul: "mul", bDiv: "sdiv", bRem: "srem",
+	bUDiv: "udiv", bURem: "urem", bAnd: "and", bOr: "or", bXor: "xor",
+	bShl: "shl", bShr: "shr", bSar: "sar",
 }
 
-func storeMnemonic(t cType) string {
-	switch t {
-	case ctI1, ctI8:
-		return "st8"
-	case ctI16:
-		return "st16"
-	case ctI32:
-		return "st32"
+// condName returns the machine condition of a compare: the predicate, with
+// its signedness unless it tests equality.
+func condName(t *tac) string {
+	switch {
+	case t.pred == "eq" || t.pred == "ne":
+		return t.pred
+	case t.unsig:
+		return "u" + t.pred
 	}
-	return "st64"
+	return "s" + t.pred
+}
+
+// branch lowers a conditional branch, on a flag or on a folded compare. The
+// flush comes first: next no longer counts the branch itself as a reader, so
+// loading an operand could drop a value only the target still needs.
+func (g *asmgen) branch(t *tac) {
+	g.flush(t.label)
+	a, l := g.use(t.a), label(t.label)
+	if t.pred == "" || t.pred == "ne" && g.konst[t.b] && g.kval[t.b] == 0 {
+		g.ins("brnz", a, l)
+	} else {
+		g.ins("brcc", condName(t), a, g.use(t.b), l)
+	}
 }
 
 func (g *asmgen) binOp(t *tac) error {
-	if t.ct == ctF64 {
-		a := g.useF(t.a)
-		b := g.useF(t.b)
-		d := g.def(t.dst)
-		op := map[gBinKind]string{bAdd: "fadd", bSub: "fsub", bMul: "fmul", bDiv: "fdiv"}[t.bin]
-		if op == "" {
+	switch t.ct {
+	case ctF64:
+		if t.bin > bDiv {
 			return fmt.Errorf("bad float op")
 		}
-		if g.tgt.TwoAddress && d != a {
-			if d == b {
-				f := g.allocFPR()
-				g.ins("fmov f%d, f%d", f, b)
-				b = f
-			}
-			g.ins("fmov f%d, f%d", d, a)
-			a = d
-		}
-		g.ins("%s f%d, f%d, f%d", op, d, a, b)
-		g.defDone(t.dst)
+		a, b := g.use(t.a), g.use(t.b)
+		g.op3([...]string{bAdd: "fadd", bSub: "fsub", bMul: "fmul", bDiv: "fdiv"}[t.bin], g.defFrom(t.dst, a), a, b)
 		return nil
-	}
-	if t.ct == ctI128 {
+	case ctI128:
 		return g.bin128(t)
 	}
-	a := g.use(t.a)
-	b := g.use(t.b)
-	if t.bin == bShr {
-		// Logical shift: source was cast to u64 (no-op at register
-		// level); plain shr works on the canonical value.
-		d := g.def(t.dst)
-		g.mov3("shr", d, a, b)
-		g.defDone(t.dst)
-		return nil
+	if t.b >= 0 && commutes[gBinName[t.bin]] && !g.dies(t.a) && g.dies(t.b) {
+		t.a, t.b = t.b, t.a
 	}
-	d := g.def(t.dst)
-	g.mov3(gBinName[t.bin], d, a, b)
-	if t.ct != ctI64 && t.ct != ctU64 && t.ct != ctPtr {
+	a := g.use(t.a)
+	var d reg
+	if t.b < 0 {
+		d = g.defFrom(t.dst, a)
+		g.op3i(gBinName[t.bin]+"i", d, a, t.imm)
+	} else {
+		b := g.use(t.b)
+		d = g.defFrom(t.dst, a)
+		g.op3(gBinName[t.bin], d, a, b)
+	}
+	if t.ct.bits() < 64 {
 		switch t.bin {
 		case bAnd, bOr, bXor, bSar, bDiv, bRem:
 		default:
 			g.canon(t.ct, d)
 		}
 	}
-	g.defDone(t.dst)
 	return nil
+}
+
+// addSub128 emits the carry or borrow chain of a 128-bit addition or
+// subtraction; the results never share a register with an operand.
+func (g *asmgen) addSub128(sub bool, dlo, dhi, alo, ahi, blo, bhi reg) {
+	c := g.tmp()
+	if sub {
+		g.ins("set", "ult", c, alo, blo)
+		g.op3("sub", dlo, alo, blo)
+		g.op3("sub", dhi, ahi, bhi)
+		g.op3("sub", dhi, dhi, c)
+	} else {
+		g.op3("add", dlo, alo, blo)
+		g.ins("set", "ult", c, dlo, alo)
+		g.op3("add", dhi, ahi, bhi)
+		g.op3("add", dhi, dhi, c)
+	}
 }
 
 func (g *asmgen) bin128(t *tac) error {
-	alo, ahi := g.usePair(t.a)
+	alo, ahi := g.use(t.a), g.useHi(t.a)
+	if t.b < 0 {
+		if t.bin != bShl && t.bin != bShr && t.bin != bSar {
+			return fmt.Errorf("128-bit op %d with an immediate", t.bin)
+		}
+		g.shift128(t.bin, g.def(t.dst), g.defHi(t.dst), alo, ahi, uint(t.imm)&127)
+		return nil
+	}
+	blo, bhi := g.use(t.b), g.useHi(t.b)
 	switch t.bin {
 	case bAdd, bSub:
-		blo, bhi := g.usePair(t.b)
-		dlo, dhi := g.defPair(t.dst)
-		c := g.allocGPR()
-		if t.bin == bAdd {
-			g.mov3("add", dlo, alo, blo)
-			g.ins("set ult r%d, r%d, r%d", c, dlo, alo)
-			g.mov3("add", dhi, ahi, bhi)
-			g.mov3("add", dhi, dhi, c)
-		} else {
-			g.ins("set ult r%d, r%d, r%d", c, alo, blo)
-			g.mov3("sub", dlo, alo, blo)
-			g.mov3("sub", dhi, ahi, bhi)
-			g.mov3("sub", dhi, dhi, c)
-		}
+		g.addSub128(t.bin == bSub, g.def(t.dst), g.defHi(t.dst), alo, ahi, blo, bhi)
 	case bMul:
-		blo, bhi := g.usePair(t.b)
-		dlo, dhi := g.defPair(t.dst)
-		tt := g.allocGPR()
-		g.ins("mulw r%d, r%d, r%d, r%d", dlo, dhi, alo, blo)
-		g.mov3("mul", tt, alo, bhi)
-		g.mov3("add", dhi, dhi, tt)
-		g.mov3("mul", tt, ahi, blo)
-		g.mov3("add", dhi, dhi, tt)
+		dlo, dhi, tt := g.def(t.dst), g.defHi(t.dst), g.tmp()
+		g.ins("mulw", dlo, dhi, alo, blo)
+		g.op3("mul", tt, alo, bhi)
+		g.op3("add", dhi, dhi, tt)
+		g.op3("mul", tt, ahi, blo)
+		g.op3("add", dhi, dhi, tt)
 	case bAnd, bOr, bXor:
-		blo, bhi := g.usePair(t.b)
-		dlo, dhi := g.defPair(t.dst)
-		g.mov3(gBinName[t.bin], dlo, alo, blo)
-		g.mov3(gBinName[t.bin], dhi, ahi, bhi)
+		g.op3(gBinName[t.bin], g.defFrom(t.dst, alo), alo, blo)
+		g.op3(gBinName[t.bin], g.defU(2*t.dst+1, ahi), ahi, bhi)
 	case bShr, bSar, bShl:
-		// Only constant shifts appear (generated code shifts by 64).
-		kv, ok := g.constOf(t.b)
-		if !ok {
-			return fmt.Errorf("dynamic 128-bit shift in C back-end")
-		}
-		k := uint(kv) & 127
-		dlo, dhi := g.defPair(t.dst)
-		g.shift128(t.bin, dlo, dhi, alo, ahi, k)
+		return fmt.Errorf("dynamic 128-bit shift in C back-end")
 	default:
 		return fmt.Errorf("128-bit op %d unsupported", t.bin)
 	}
-	g.defDone(t.dst)
 	return nil
 }
 
-// constOf scans backwards for the constant defining var v (single-def
-// constants only).
-func (g *asmgen) constOf(v int32) (int64, bool) {
-	var val int64
-	found := 0
-	for i := range g.gf.code {
-		t := &g.gf.code[i]
-		if t.dst == v {
-			if t.op != gConst {
-				return 0, false
-			}
-			val = t.imm
-			found++
+// shift128 shifts the pair (alo, ahi) by the constant n into (dlo, dhi),
+// which share no register with it.
+func (g *asmgen) shift128(k gBinKind, dlo, dhi, alo, ahi reg, n uint) {
+	fill := func() { // the high word of a shift by 64 or more
+		if k == bSar {
+			g.op3i("sari", dhi, ahi, 63)
+		} else {
+			g.ins("movi", dhi, int64(0))
 		}
 	}
-	return val, found == 1
-}
-
-func (g *asmgen) shift128(k gBinKind, dlo, dhi, alo, ahi int16, n uint) {
 	switch {
 	case n == 0:
-		g.ins("mov r%d, r%d", dlo, alo)
-		g.ins("mov r%d, r%d", dhi, ahi)
-	case k == bShr && n == 64:
-		g.ins("mov r%d, r%d", dlo, ahi)
-		g.ins("movi r%d, 0", dhi)
-	case k == bSar && n == 64:
-		g.ins("mov r%d, r%d", dlo, ahi)
-		g.ins("mov r%d, r%d", dhi, ahi)
-		g.mov3i("sari", dhi, dhi, 63)
-	case k == bShl && n == 64:
-		g.ins("mov r%d, r%d", dhi, alo)
-		g.ins("movi r%d, 0", dlo)
-	case k == bShl && n < 64:
-		t := g.allocGPR()
-		g.ins("mov r%d, r%d", t, alo)
-		g.mov3i("shri", t, t, int64(64-n))
-		g.mov3i("shli", dhi, ahi, int64(n))
-		g.mov3("or", dhi, dhi, t)
-		g.mov3i("shli", dlo, alo, int64(n))
-	case n < 64:
-		t := g.allocGPR()
-		g.ins("mov r%d, r%d", t, ahi)
-		g.mov3i("shli", t, t, int64(64-n))
-		g.mov3i("shri", dlo, alo, int64(n))
-		g.mov3("or", dlo, dlo, t)
-		if k == bSar {
-			g.mov3i("sari", dhi, ahi, int64(n))
-		} else {
-			g.mov3i("shri", dhi, ahi, int64(n))
-		}
+		g.ins("mov", dlo, alo)
+		g.ins("mov", dhi, ahi)
+	case k == bShl && n >= 64:
+		g.op3i("shli", dhi, alo, int64(n-64))
+		g.ins("movi", dlo, int64(0))
 	case k == bShl:
-		g.mov3i("shli", dhi, alo, int64(n-64))
-		g.ins("movi r%d, 0", dlo)
-	case k == bShr:
-		g.mov3i("shri", dlo, ahi, int64(n-64))
-		g.ins("movi r%d, 0", dhi)
+		t := g.tmp()
+		g.op3i("shri", t, alo, int64(64-n))
+		g.op3i("shli", dhi, ahi, int64(n))
+		g.op3("or", dhi, dhi, t)
+		g.op3i("shli", dlo, alo, int64(n))
+	case n == 64:
+		g.ins("mov", dlo, ahi)
+		fill()
+	case n > 64:
+		g.op3i(gBinName[k]+"i", dlo, ahi, int64(n-64))
+		fill()
 	default:
-		g.mov3i("sari", dlo, ahi, int64(n-64))
-		g.mov3i("sari", dhi, ahi, 63)
+		t := g.tmp()
+		g.op3i("shli", t, ahi, int64(64-n))
+		g.op3i("shri", dlo, alo, int64(n))
+		g.op3("or", dlo, dlo, t)
+		g.op3i(gBinName[k]+"i", dhi, ahi, int64(n))
 	}
 }
 
-func (g *asmgen) cmpOp(t *tac) error {
-	if g.gf.vars[t.a] == ctF64 {
-		a := g.useF(t.a)
-		b := g.useF(t.b)
-		d := g.def(t.dst)
-		g.ins("fcmp %s r%d, f%d, f%d", predName[t.pred].s, d, a, b)
-		g.defDone(t.dst)
-		return nil
+func (g *asmgen) cmpOp(t *tac) {
+	switch g.gf.vars[t.a] {
+	case ctF64:
+		a, b := g.use(t.a), g.use(t.b)
+		g.ins("fcmp", condName(t), g.def(t.dst), a, b)
+	case ctI128:
+		g.cmp128(t)
+	default:
+		a, b := g.use(t.a), g.use(t.b)
+		g.ins("set", condName(t), g.defFrom(t.dst, a), a, b)
 	}
-	if g.gf.vars[t.a] == ctI128 {
-		return g.cmp128(t)
-	}
-	a := g.use(t.a)
-	b := g.use(t.b)
-	d := g.def(t.dst)
-	p := predName[t.pred].s
-	if t.unsig {
-		p = predName[t.pred].u
-	}
-	g.ins("set %s r%d, r%d, r%d", p, d, a, b)
-	g.defDone(t.dst)
-	return nil
 }
 
-func (g *asmgen) cmp128(t *tac) error {
-	alo, ahi := g.usePair(t.a)
-	blo, bhi := g.usePair(t.b)
-	d := g.def(t.dst)
+func (g *asmgen) cmp128(t *tac) {
+	alo, ahi, blo, bhi := g.use(t.a), g.useHi(t.a), g.use(t.b), g.useHi(t.b)
+	d, t1 := g.def(t.dst), g.tmp()
 	switch t.pred {
 	case "eq", "ne":
-		t1 := g.allocGPR()
-		t2 := g.allocGPR()
-		g.mov3("xor", t1, alo, blo)
-		g.mov3("xor", t2, ahi, bhi)
-		g.mov3("or", t1, t1, t2)
-		g.ins("movi r%d, 0", t2)
-		g.ins("set %s r%d, r%d, r%d", t.pred, d, t1, t2)
+		g.op3("xor", t1, alo, blo)
+		g.op3("xor", d, ahi, bhi)
+		g.op3("or", t1, t1, d)
+		g.ins("movi", d, int64(0))
+		g.ins("set", t.pred, d, t1, d)
 	default:
-		strict := map[string]string{"lt": "slt", "le": "slt", "gt": "sgt", "ge": "sgt"}[t.pred]
-		low := map[string]string{"lt": "ult", "le": "ule", "gt": "ugt", "ge": "uge"}[t.pred]
-		t1 := g.allocGPR()
-		t2 := g.allocGPR()
-		t3 := g.allocGPR()
-		g.ins("set %s r%d, r%d, r%d", strict, t1, ahi, bhi)
-		g.ins("set eq r%d, r%d, r%d", t2, ahi, bhi)
-		g.ins("set %s r%d, r%d, r%d", low, t3, alo, blo)
-		g.mov3("and", t2, t2, t3)
-		g.ins("mov r%d, r%d", d, t1)
-		g.mov3("or", d, d, t2)
+		// Decided by the high words, or by the low ones when those are equal.
+		t2 := g.tmp()
+		g.ins("set", "s"+t.pred[:1]+"t", d, ahi, bhi)
+		g.ins("set", "eq", t1, ahi, bhi)
+		g.ins("set", "u"+t.pred, t2, alo, blo)
+		g.op3("and", t1, t1, t2)
+		g.op3("or", d, d, t1)
 	}
-	g.defDone(t.dst)
-	return nil
 }
 
-func (g *asmgen) castOp(t *tac) error {
-	from, to := t.ct2, t.ct
+// castOp converts t.a from type from to type to into t.dst; a move is the
+// conversion between a variable's type and another's.
+func (g *asmgen) castOp(t *tac, from, to cType) error {
 	switch {
-	case to == ctI128 && from != ctI128:
-		if from == ctF64 {
-			return fmt.Errorf("f64 to i128 cast unsupported")
-		}
+	case to == ctI128 && from == ctF64:
+		return fmt.Errorf("f64 to i128 cast unsupported")
+	case to == ctI128 && from == ctI128:
+		alo, ahi := g.use(t.a), g.useHi(t.a)
+		g.movTo(g.defFrom(t.dst, alo), alo)
+		g.movTo(g.defU(2*t.dst+1, ahi), ahi)
+	case to == ctI128:
 		a := g.use(t.a)
-		dlo, dhi := g.defPair(t.dst)
-		g.ins("mov r%d, r%d", dlo, a)
-		g.ins("mov r%d, r%d", dhi, a)
-		g.mov3i("sari", dhi, dhi, 63)
-	case from == ctI128 && to != ctI128:
-		alo, _ := g.usePair(t.a)
-		d := g.def(t.dst)
-		g.ins("mov r%d, r%d", d, alo)
-		g.canon(to, d)
-	case to == ctF64 && from != ctF64:
+		dlo := g.defFrom(t.dst, a)
+		g.movTo(dlo, a)
+		g.op3i("sari", g.defHi(t.dst), dlo, 63)
+	case to == ctF64 && from == ctF64:
 		a := g.use(t.a)
+		g.movTo(g.defFrom(t.dst, a), a)
+	case to == ctF64:
+		g.ins("si2f", g.def(t.dst), g.use(t.a))
+	case from == ctF64:
 		d := g.def(t.dst)
-		g.ins("si2f f%d, r%d", d, a)
-	case from == ctF64 && to != ctF64:
-		a := g.useF(t.a)
-		d := g.def(t.dst)
-		g.ins("f2si r%d, f%d", d, a)
+		g.ins("f2si", d, g.use(t.a))
 		g.canon(to, d)
 	default:
-		// Integer-to-integer: canonicalize to the target width.
-		a := g.use(t.a)
-		d := g.def(t.dst)
-		g.ins("mov r%d, r%d", d, a)
-		if to != ctU64 && to != ctPtr && to.bits() < from.bits() || to.bits() < 64 && from == ctU64 {
-			g.canon(to, d)
-		} else if to.bits() < 64 && from.bits() > to.bits() {
+		a := g.use(t.a) // the low word, if from is i128
+		d := g.defFrom(t.dst, a)
+		g.movTo(d, a)
+		if to.bits() < from.bits() {
 			g.canon(to, d)
 		}
 	}
-	g.defDone(t.dst)
 	return nil
 }
 
 func (g *asmgen) callOp(t *tac) error {
-	// Stage arguments (write-through policy makes slots authoritative, so
-	// caches can simply be dropped afterwards).
-	reg := 0
-	sp := g.tgt.SP
-	stage := func(slotOff int64) error {
-		if reg >= len(g.tgt.IntArgs) {
-			return fmt.Errorf("too many call arguments")
-		}
-		g.ins("ld64 r%d, r%d, %d", g.tgt.IntArgs[reg], sp, slotOff)
-		reg++
-		return nil
+	// Arguments already in registers move in parallel; the rest are loaded
+	// or materialized into their argument registers afterwards.
+	var dst, src []reg
+	type late struct {
+		to reg
+		u  int32
 	}
-	// Drop caches first so argument registers are free.
-	g.unpin()
-	g.clearCaches()
+	var lates []late
+	n := 0
 	for _, a := range t.args {
-		switch g.gf.vars[a] {
-		case ctI128:
-			if err := stage(g.slot[a]); err != nil {
-				return err
+		for h := int32(0); h < g.halves(a); h++ {
+			if n >= len(g.tgt.IntArgs) {
+				return fmt.Errorf("too many call arguments")
 			}
-			if err := stage(g.slot[a] + 8); err != nil {
-				return err
-			}
-		case ctF64:
-			if err := stage(g.slot[a]); err != nil {
-				return err
-			}
-		default:
-			if err := stage(g.slot[a]); err != nil {
-				return err
+			to, u := reg(g.tgt.IntArgs[n]), 2*a+h
+			n++
+			if r := g.loc[u]; r != noR && r < fpr0 {
+				dst, src = append(dst, to), append(src, r)
+			} else {
+				lates = append(lates, late{to, u})
 			}
 		}
 	}
-	g.ins("callrt %d", t.rtid)
-	g.clearCaches()
-	if t.dst >= 0 {
-		dlo, dhi := g.defPair(t.dst)
-		r0, r1 := int16(g.tgt.IntRet[0]), int16(g.tgt.IntRet[1])
-		if dlo == r1 {
-			g.ins("mov r%d, r%d", dhi, r1)
-			g.ins("mov r%d, r%d", dlo, r0)
-		} else {
-			if dlo != r0 {
-				g.ins("mov r%d, r%d", dlo, r0)
-			}
-			if dhi != r1 {
-				g.ins("mov r%d, r%d", dhi, r1)
+	// A call clobbers the caller-saved registers: store what is needed
+	// after it, before the argument moves overwrite anything.
+	clobbered := uint64(1<<numRegs - 1<<fpr0) // every float register
+	for _, r := range g.tgt.CallerSaved {
+		clobbered |= 1 << r
+	}
+	for m := g.dirty & clobbered; m != 0; m &= m - 1 {
+		r := reg(bits.TrailingZeros64(m))
+		if g.next(g.held[r]>>1) >= 0 {
+			g.store(r)
+		}
+	}
+	g.parMove(dst, src)
+	sp := reg(g.tgt.SP)
+	for _, l := range lates {
+		v := l.u >> 1
+		switch r := g.loc[l.u]; {
+		case r != noR:
+			g.ins("movrf", l.to, r)
+		case g.konst[v]:
+			g.ins("movi", l.to, g.kval[v])
+		default:
+			g.ins("ld64", l.to, sp, g.slotOf(v)+int64(l.u&1)*8)
+		}
+	}
+	g.ins("callrt", int64(t.rtid))
+	g.forget(clobbered)
+	if t.dst >= 0 && g.next(t.dst) >= 0 {
+		for h, r := range g.tgt.IntRet[:2] {
+			if d := g.defU(2*t.dst+int32(h), reg(r)); d != reg(r) {
+				g.ins("mov", d, reg(r))
 			}
 		}
-		g.defDone(t.dst)
 	}
 	return nil
 }

@@ -24,6 +24,9 @@ var typeNamesC = map[string]cType{
 	"i64": ctI64, "i128": ctI128, "u64": ctU64, "f64": ctF64, "ptr": ctPtr,
 }
 
+// isInt reports a type whose values occupy one integer register.
+func (t cType) isInt() bool { return t != ctVoid && t != ctI128 && t != ctF64 }
+
 func (t cType) bits() int {
 	switch t {
 	case ctI1:
