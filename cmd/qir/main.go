@@ -1,10 +1,10 @@
 // Command qir shows the compilation artifacts for a SQL query: the QIR the
 // data-centric code generator produces, the generated C source of the GCC
-// back-end, and the DirectEmit machine code.
+// back-end, and the machine code of the back-end -engine names.
 //
 // Usage:
 //
-//	qir [-workload tpch|tpcds] [-sf 0.01] [-show qir|c|asm|all] "SELECT ..."
+//	qir [-workload tpch|tpcds] [-sf 0.01] [-engine directemit] [-show qir|c|asm|all] "SELECT ..."
 //
 // Flags shared with other commands are registered by engine.ParseCommand
 // (DESIGN.md, "Query path").
@@ -14,11 +14,13 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
+	"qcc/internal/backend"
 	"qcc/internal/backend/cbe"
-	"qcc/internal/backend/direct"
 	"qcc/internal/bench"
 	"qcc/internal/engine"
+	"qcc/internal/vt"
 )
 
 func main() {
@@ -58,13 +60,17 @@ func main() {
 		fmt.Println(src)
 	}
 	if *show == "asm" || *show == "all" {
-		p, err := w.Compile(direct.New(), c)
+		eng := engine.Backend(cfg.Engine)
+		if eng == nil {
+			fatal(fmt.Errorf("unknown engine %q (have: %s)", cfg.Engine, strings.Join(engine.BackendNames(), ", ")))
+		}
+		p, err := w.Compile(eng, c)
 		if err != nil {
 			fatal(err)
 		}
-		fmt.Printf("; DirectEmit: %d bytes in %v\n", p.Stats.CodeBytes, p.Stats.Total)
-		if d, ok := p.Exec.(interface{ Disasm() string }); ok {
-			fmt.Print(d.Disasm())
+		fmt.Printf("; %s: %d bytes in %v\n", eng.Name(), p.Stats.CodeBytes, p.Stats.Total)
+		if mod := backend.ModuleOf(p.Exec); mod != nil {
+			fmt.Print(vt.DisasmAll(mod.Prog))
 		}
 	}
 }

@@ -3,6 +3,8 @@ package pcc
 import (
 	"testing"
 
+	"qcc/internal/backend"
+	"qcc/internal/backend/cbe"
 	"qcc/internal/qir"
 	"qcc/internal/rt"
 	"qcc/internal/vm"
@@ -52,6 +54,17 @@ func TestUnitKeyArchAndVariantSensitivity(t *testing.T) {
 	}
 	if unitKey(vt.VX64, "v2", m, nil, 0) == base {
 		t.Fatal("keys must differ across back-end variants")
+	}
+
+	// GCC's variant names the frame layout of its units: a cache filled by
+	// the write-through allocator ("cbe/v1") must not serve this one.
+	mc, err := cbe.New().BeginModule(m, &backend.Env{Arch: vt.VX64}, backend.NewPhaser(&backend.Stats{}, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := mc.Variant(); v == "" || v == "cbe/v1" ||
+		unitKey(vt.VX64, v, m, nil, 0) == unitKey(vt.VX64, "cbe/v1", m, nil, 0) {
+		t.Fatalf("GCC units are keyed under variant %q, as the write-through frames were", v)
 	}
 }
 

@@ -233,7 +233,7 @@ func TestCommandFlags(t *testing.T) {
 			"jobs": "1"},
 		"qverify": {"arch": "vx64", "sf": "0.01", "mem": "512", "jobs": "1"},
 		"qlint":   {"arch": "vx64", "sf": "0.01", "mem": "512"},
-		"qir":     {"sf": "0.01"},
+		"qir":     {"sf": "0.01", "engine": "directemit"},
 		"qbench":  {"arch": "vx64", "sf": "0.05", "runs": "1", "mem": "1024", "check": "false"},
 	}
 	if len(commands) != len(want) {

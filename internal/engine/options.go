@@ -70,8 +70,8 @@ var commands = map[string]struct {
 		[]string{"arch", "sf", "mem", "jobs"}},
 	"qlint": {Options{MemMB: 512, SF: 0.01},
 		[]string{"arch", "sf", "mem"}},
-	"qir": {Options{MemMB: 256, SF: 0.01},
-		[]string{"sf"}},
+	"qir": {Options{MemMB: 256, SF: 0.01, Engine: "directemit"},
+		[]string{"sf", "engine"}},
 	"qbench": {Options{MemMB: 1024, SF: 0.05, Runs: 1, Jobs: 1, ExecJobs: 1},
 		[]string{"arch", "sf", "runs", "mem", "check"}},
 }
@@ -98,7 +98,7 @@ func ParseCommand(name string, fs *flag.FlagSet, args []string) (Options, error)
 		case "runs":
 			fs.IntVar(&o.Runs, f, o.Runs, "execution repetitions (best-of; qprof: samples accumulate)")
 		case "engine":
-			fs.StringVar(&o.Engine, f, o.Engine, "back-end: "+strings.Join(BackendNames(), ", ")+" (qrun); qtrace and qprof match a display-name substring such as \"llvm cheap\" (qtrace: \"all\" = every engine; qprof: \"\" = first compiling engine)")
+			fs.StringVar(&o.Engine, f, o.Engine, "back-end: "+strings.Join(BackendNames(), ", ")+" (qrun, qir); qtrace and qprof match a display-name substring such as \"llvm cheap\" (qtrace: \"all\" = every engine; qprof: \"\" = first compiling engine)")
 		case "jobs":
 			fs.IntVar(&o.Jobs, f, o.Jobs, "parallel compilation workers (1 = sequential)")
 		case "cache-mb":
