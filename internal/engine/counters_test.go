@@ -61,7 +61,7 @@ func lowerCompile(t *testing.T, w *World, eng backend.Engine, q Query) *Program 
 // most the tuple path's count on all 22 queries — and on q1 and q6, each one
 // wholly batch-eligible scan of lineitem, the kernels see every lineitem row
 // exactly once, the executor hands ⌈rows ÷ 256⌉ morsels to its four workers,
-// and the instruction count drops at least 50-fold (measured 145× to 1 350×,
+// and the instruction count drops at least 50-fold (measured 180× to 1 350×,
 // per engine and query) with identical rows.
 func TestCountersBatchMorsel(t *testing.T) {
 	const sf, jobs, morsel = 0.02, 4, 256 // autoMorsel's floor; 16 slices of 1 200 rows would be smaller
@@ -232,8 +232,8 @@ func TestCountersSampler(t *testing.T) {
 // target — a function of the generated code alone. LLVM cheap (-O0 by
 // design) executes the most. GCC, whose code the paper has second-fastest,
 // executes at most 1.15 times what the single-pass engine of the target does
-// (DirectEmit on vx64, Cranelift on va64; measured 0.56 and 0.77) and stays
-// under a ceiling recorded from this tree (measured 982 376 and 1 008 932;
+// (DirectEmit on vx64, Cranelift on va64; measured 0.57 and 0.78) and stays
+// under a ceiling recorded from this tree (measured 995 943 and 1 022 122;
 // 3 618 328 and 3 607 477 with the write-through frames it replaced). LLVM
 // optimized and Cranelift stay close to each other: within 1.25 on vx64
 // (measured 1.17), 1.35 on va64 (1.32).
