@@ -7,20 +7,24 @@ import "qcc/internal/vt"
 // what printing SSA as C left behind (phi copies, a label and two gotos per
 // block).
 
+// eachUse calls f with every variable t reads.
+func (t *tac) eachUse(f func(v int32)) {
+	if t.a >= 0 {
+		f(t.a)
+	}
+	if t.b >= 0 {
+		f(t.b)
+	}
+	for _, a := range t.args {
+		f(a)
+	}
+}
+
 // useCounts returns how often each variable is read.
 func useCounts(gf *gimpleFunc) []int32 {
 	uses := make([]int32, len(gf.vars))
 	for i := range gf.code {
-		t := &gf.code[i]
-		if t.a >= 0 {
-			uses[t.a]++
-		}
-		if t.b >= 0 {
-			uses[t.b]++
-		}
-		for _, a := range t.args {
-			uses[a]++
-		}
+		gf.code[i].eachUse(func(v int32) { uses[v]++ })
 	}
 	return uses
 }
@@ -36,15 +40,9 @@ func (t *tac) isJump() bool {
 
 // refers reports whether t reads or writes v.
 func (t *tac) refers(v int32) bool {
-	if t.dst == v || t.a == v || t.b == v {
-		return true
-	}
-	for _, a := range t.args {
-		if a == v {
-			return true
-		}
-	}
-	return false
+	found := t.dst == v
+	t.eachUse(func(u int32) { found = found || u == v })
+	return found
 }
 
 // foldWindow bounds how far the folding passes look back for a definition.

@@ -673,16 +673,7 @@ func localCSE(gf *gimpleFunc) bool {
 func deadCodeElim(gf *gimpleFunc) bool {
 	used := make([]bool, len(gf.vars))
 	for i := range gf.code {
-		t := &gf.code[i]
-		if t.a >= 0 {
-			used[t.a] = true
-		}
-		if t.b >= 0 {
-			used[t.b] = true
-		}
-		for _, a := range t.args {
-			used[a] = true
-		}
+		gf.code[i].eachUse(func(v int32) { used[v] = true })
 	}
 	counts := defCounts(gf)
 	changed := false

@@ -55,9 +55,9 @@ type asmgen struct {
 	saved    uint64         // callee-saved registers the function writes
 	gprs     []reg          // allocation order: caller-saved first
 	fprs     []reg
-	homeMove []reg    // pairs (home, temporary) to move when the instruction ends
-	pro      []string // prologue lines that fill homes
-	rets     []int    // body offsets where an epilogue goes
+	homeMove []reg           // pairs (home, temporary) to move when the instruction ends
+	pro      strings.Builder // prologue lines that fill homes
+	rets     []int           // body offsets where an epilogue goes
 }
 
 // reg numbers both register files: integer registers from 0, float from fpr0.
@@ -177,7 +177,7 @@ func (g *asmgen) analyze() error {
 	live, crossing := make([]uint64, W), make([]uint64, W)
 	at := func(l int32) []uint64 { return g.liveIn[int(l)*W : int(l+1)*W] }
 	read := func(v int32) {
-		if v >= 0 && !g.konst[v] {
+		if !g.konst[v] {
 			live[v>>6] |= 1 << (v & 63)
 		}
 	}
@@ -212,16 +212,12 @@ func (g *asmgen) analyze() error {
 					crossing[k] |= live[k]
 				}
 			}
-			read(t.a)
-			read(t.b)
-			for _, a := range t.args {
-				read(a)
-			}
+			t.eachUse(read)
 		}
 	}
 
-	// Loop depth, from the backward branches: each encloses the code from
-	// its target to itself. An access weighs 8 times one a level further out.
+	// Loops, from the backward branches: each encloses the code from its
+	// target to itself. depth sums to the number of loops around a position.
 	depth := make([]int32, len(code)+1)
 	labelAt := make([]int32, gf.nlabels)
 	for i := range code {
@@ -251,7 +247,10 @@ func (g *asmgen) analyze() error {
 	for i := range code {
 		t, e := &code[i], int32(i)<<1
 		d += depth[i]
-		w := int64(1) << (3 * min(d, 1))
+		w := int64(1) // an access in a loop weighs eight outside
+		if d > 0 {
+			w = 8
+		}
 		switch t.op {
 		case gLabel:
 			if falls {
@@ -260,16 +259,10 @@ func (g *asmgen) analyze() error {
 		case gGoto, gIfGoto:
 			exit(t.label, e)
 		}
-		for _, v := range [2]int32{t.a, t.b} {
-			if v >= 0 {
-				event(v, e)
-				weight[v] += w
-			}
-		}
-		for _, v := range t.args {
+		t.eachUse(func(v int32) {
 			event(v, e)
 			weight[v] += w
-		}
+		})
 		if t.dst >= 0 && !g.konst[t.dst] {
 			event(t.dst, e|1)
 			weight[t.dst] += w
@@ -328,7 +321,7 @@ func (g *asmgen) analyze() error {
 			g.home[2*int(v)+h], g.loc[2*int(v)+h], g.held[r] = r, r, 2*v+int32(h)
 			g.homes |= 1 << r
 			if g.konst[v] {
-				g.pro = append(g.pro, "  movi "+regNames[r]+", "+strconv.FormatInt(g.kval[v], 10)+"\n")
+				g.pro.WriteString("  movi " + regNames[r] + ", " + strconv.FormatInt(g.kval[v], 10) + "\n")
 			}
 		}
 		free = free[n:]
@@ -357,7 +350,7 @@ func (g *asmgen) analyze() error {
 			switch {
 			case g.evAt[p] == g.evEnd[p]: // never read
 			case g.home[u] != noR:
-				g.pro = append(g.pro, "  mov "+regNames[g.home[u]]+", "+regNames[a]+"\n")
+				g.pro.WriteString("  mov " + regNames[g.home[u]] + ", " + regNames[a] + "\n")
 			default:
 				g.bind(u, a)
 				g.dirty |= 1 << a
@@ -524,20 +517,13 @@ func (g *asmgen) defFrom(v int32, s reg) reg { return g.defU(2*v, s) }
 // pinOperands keeps what the instruction reads and is in a register there
 // until it has read it: next speaks of the time after the instruction.
 func (g *asmgen) pinOperands(t *tac) {
-	pin := func(v int32) {
-		if v >= 0 {
-			for _, r := range [2]reg{g.loc[2*v], g.loc[2*v+1]} {
-				if r != noR {
-					g.pins |= 1 << r
-				}
+	t.eachUse(func(v int32) {
+		for _, r := range [2]reg{g.loc[2*v], g.loc[2*v+1]} {
+			if r != noR {
+				g.pins |= 1 << r
 			}
 		}
-	}
-	pin(t.a)
-	pin(t.b)
-	for _, a := range t.args {
-		pin(a)
-	}
+	})
 }
 
 // release ends an instruction: results computed beside their home move in,
@@ -549,16 +535,14 @@ func (g *asmgen) release(t *tac) {
 	g.homeMove = g.homeMove[:0]
 	g.pins = 0
 	drop := func(v int32) {
-		if v >= 0 && g.next(v) < 0 {
+		if g.next(v) < 0 {
 			g.unbind(2 * v)
 			g.unbind(2*v + 1)
 		}
 	}
-	drop(t.a)
-	drop(t.b)
-	drop(t.dst)
-	for _, a := range t.args {
-		drop(a)
+	t.eachUse(drop)
+	if t.dst >= 0 {
+		drop(t.dst)
 	}
 }
 
@@ -634,12 +618,12 @@ func (g *asmgen) parMove(dst, src []reg) {
 // first, then the callee-saved registers the body turned out to write.
 func (g *asmgen) finish(out *strings.Builder) {
 	sp := regNames[g.tgt.SP]
-	var pro, epi strings.Builder
+	var save, epi strings.Builder
 	size := g.frame
 	for _, r := range g.tgt.CalleeSaved {
 		if g.saved&(1<<r) != 0 {
 			off := strconv.FormatInt(size, 10)
-			pro.WriteString("  st64 " + sp + ", " + off + ", " + regNames[r] + "\n")
+			save.WriteString("  st64 " + sp + ", " + off + ", " + regNames[r] + "\n")
 			epi.WriteString("  ld64 " + regNames[r] + ", " + sp + ", " + off + "\n")
 			size += 8
 		}
@@ -651,10 +635,8 @@ func (g *asmgen) finish(out *strings.Builder) {
 		epi.WriteString("  addi " + adjust)
 	}
 	epi.WriteString("  ret\n")
-	out.WriteString(pro.String())
-	for _, s := range g.pro {
-		out.WriteString(s)
-	}
+	out.WriteString(save.String())
+	out.WriteString(g.pro.String())
 	body, from := g.sb.String(), 0
 	for _, at := range g.rets {
 		out.WriteString(body[from:at])
