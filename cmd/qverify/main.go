@@ -2,8 +2,11 @@
 //
 //  1. the QIR verifier (SSA, CFG, type, and terminator-payload invariants)
 //     on every query module;
-//  2. a checked compile on every verifier-wired back-end — the symbolic
-//     register-allocation checker plus the machine-code lint;
+//  2. a checked compile on every compiling back-end — the machine-code lint
+//     everywhere, plus the symbolic register-allocation checker where there
+//     is a pre-allocation program to check against (Cranelift, both LLVM
+//     modes; DirectEmit allocates on the fly and GCC's allocator works on
+//     its own TAC);
 //  3. the cross-backend structural differential (per-function runtime-call
 //     and trap sets must agree across back-ends, modulo the canonicalized
 //     failure idiom).
@@ -30,6 +33,7 @@ import (
 	"sort"
 
 	"qcc/internal/backend"
+	"qcc/internal/backend/cbe"
 	"qcc/internal/backend/clift"
 	"qcc/internal/backend/direct"
 	"qcc/internal/backend/lbe"
@@ -60,6 +64,7 @@ func main() {
 
 	engines := map[string]backend.Engine{
 		"clift":      clift.New(),
+		"gcc":        cbe.New(),
 		"llvm-cheap": lbe.NewCheap(),
 		"llvm-opt":   lbe.NewOpt(),
 	}

@@ -75,11 +75,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if d, ok := ex.(interface{ Disasm() string }); ok {
-		fmt.Println("\nDirectEmit machine code (first 24 instructions):")
-		lines := strings.SplitN(d.Disasm(), "\n", 25)
-		for _, l := range lines[:min(24, len(lines))] {
-			fmt.Println(" ", l)
-		}
+	fmt.Println("\nDirectEmit machine code (first 24 instructions):")
+	lines := strings.SplitN(vt.DisasmAll(backend.ModuleOf(ex).Prog), "\n", 25)
+	for _, l := range lines[:min(24, len(lines))] {
+		fmt.Println(" ", l)
 	}
 }

@@ -6,7 +6,6 @@ package backend
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"qcc/internal/mcv"
@@ -164,16 +163,6 @@ func (s *Stats) PhaseDur(name string) time.Duration {
 	return 0
 }
 
-// SortedCounters returns counter names in stable order.
-func (s *Stats) SortedCounters() []string {
-	names := make([]string, 0, len(s.Counters))
-	for k := range s.Counters {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	return names
-}
-
 // Engine is one compilation back-end.
 type Engine interface {
 	// Name is the display name used in benchmark tables.
@@ -282,10 +271,9 @@ func CompileUnits(e FuncEngine, mod *qir.Module, env *Env) (Exec, *Stats, error)
 	return exec, stats, nil
 }
 
-// Phaser measures compile phases as explicit begin/end spans. It replaces
-// the flat Timer.Lap pattern, which charged everything since the previous
-// lap to a single phase and therefore mis-attributed time whenever phases
-// nested (ISel calling into the encoder) or interleaved.
+// Phaser measures compile phases as explicit begin/end spans, so that time
+// is attributed correctly where phases nest (ISel calling into the encoder)
+// or interleave.
 //
 // Top-level phase spans accumulate into Stats.Phases; nested phase spans
 // appear only in the attached trace, so their time rolls up into the
@@ -408,27 +396,6 @@ func (p *Phaser) Count(name string, delta int64) {
 		return
 	}
 	p.s.Count(name, delta)
-}
-
-// Timer is the legacy flat phase timer, kept as a migration shim.
-//
-// Deprecated: Lap charges everything since the previous lap to one phase
-// and cannot express nesting; use Phaser begin/end spans instead.
-type Timer struct {
-	s    *Stats
-	last time.Time
-}
-
-// NewTimer starts a phase timer writing into s.
-func NewTimer(s *Stats) *Timer {
-	return &Timer{s: s, last: time.Now()}
-}
-
-// Lap records the time since the previous lap under the given phase name.
-func (t *Timer) Lap(name string) {
-	now := time.Now()
-	t.s.AddPhase(name, now.Sub(t.last))
-	t.last = now
 }
 
 // ErrUnsupported reports a module using features a back-end cannot compile.

@@ -20,20 +20,6 @@ func New() *Engine { return &Engine{} }
 // Name implements backend.Engine.
 func (e *Engine) Name() string { return "GCC" }
 
-type exec struct {
-	m       *vm.Machine
-	mod     *vm.Module
-	offsets []int32
-}
-
-func (x *exec) Call(fn int, args ...uint64) ([2]uint64, error) {
-	return x.m.Call(x.mod, x.offsets[fn], args...)
-}
-
-// Module exposes the linked machine-code image (byte-identity tests,
-// disassembly tooling).
-func (x *exec) Module() *vm.Module { return x.mod }
-
 // Compile implements backend.Engine via the shared sequential unit driver.
 // The phases correspond to the Table I breakdown: C code generation,
 // re-parsing the text, lowering to the GIMPLE-like IR, -O3-style
@@ -137,24 +123,21 @@ func (c *moduleCompiler) CompileFunc(i int, ph *backend.Phaser) (*backend.Unit, 
 // shared-object image, which is then dlopen'ed (loaded into the machine).
 func (c *moduleCompiler) Link(units []*backend.Unit, ph *backend.Phaser) (backend.Exec, error) {
 	sp := ph.Begin("Link")
-	defer sp.End()
 	objs := make([]*asmFunc, len(units))
 	for i, u := range units {
 		objs[i] = u.Payload.(*asmFunc)
 	}
 	code, offsets, err := link(objs, c.env.Arch)
 	if err != nil {
+		sp.End()
 		return nil, err
-	}
-	vmod, err := vm.Load(c.env.Arch, code)
-	if err != nil {
-		return nil, fmt.Errorf("cbe: %w", err)
 	}
 	var unwind []vm.UnwindRange
 	fnOffsets := make([]int32, len(c.mod.Funcs))
 	for i, f := range c.mod.Funcs {
 		off, ok := offsets[mangle(f.Name)]
 		if !ok {
+			sp.End()
 			return nil, fmt.Errorf("cbe: dlsym: %s not found", f.Name)
 		}
 		fnOffsets[i] = off
@@ -177,11 +160,6 @@ func (c *moduleCompiler) Link(units []*backend.Unit, ph *backend.Phaser) (backen
 		}
 		unwind[i].End = end
 	}
-	vmod.RegisterUnwind(unwind)
-	if err := c.env.DB.Bind(c.mod.RTNames); err != nil {
-		return nil, err
-	}
-
-	ph.Stats().CodeBytes = len(code)
-	return &exec{m: c.env.DB.M, mod: vmod, offsets: fnOffsets}, nil
+	img := &backend.Image{Code: code, Unwind: unwind, Offsets: fnOffsets}
+	return img.Load("cbe", c.mod, c.env, sp, ph)
 }

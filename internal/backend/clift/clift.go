@@ -7,7 +7,6 @@ import (
 	"qcc/internal/mcv"
 	"qcc/internal/qir"
 	"qcc/internal/rt"
-	"qcc/internal/vm"
 	"qcc/internal/vt"
 )
 
@@ -27,20 +26,6 @@ func NewWithOptions(opts Options) *Engine { return &Engine{opts: opts} }
 // Name implements backend.Engine.
 func (e *Engine) Name() string { return "Cranelift" }
 
-type exec struct {
-	m       *vm.Machine
-	mod     *vm.Module
-	offsets []int32
-}
-
-func (x *exec) Call(fn int, args ...uint64) ([2]uint64, error) {
-	return x.m.Call(x.mod, x.offsets[fn], args...)
-}
-
-// Module exposes the linked machine-code image (byte-identity tests,
-// disassembly tooling).
-func (x *exec) Module() *vm.Module { return x.mod }
-
 // Compile implements backend.Engine via the shared sequential unit driver:
 // each function runs through the full Cranelift-style pipeline individually
 // (Cranelift compiles one function at a time); the link step then
@@ -55,13 +40,6 @@ type moduleCompiler struct {
 	env  *backend.Env
 	opts Options
 	tgt  *vt.Target
-}
-
-// unit is the per-function payload: one function's emitted buffer (branches
-// PC-relative) plus its unit-relative function-index relocations.
-type unit struct {
-	code   []byte
-	relocs []vt.Reloc
 }
 
 // BeginModule implements backend.FuncEngine. Shared-state mutation happens
@@ -172,65 +150,16 @@ func (c *moduleCompiler) CompileFunc(i int, ph *backend.Phaser) (*backend.Unit, 
 	}
 	return &backend.Unit{
 		Index: i, Name: f.Name, Bytes: len(code),
-		Payload: &unit{code: code, relocs: relocs},
+		Payload: &backend.CodeUnit{Code: code, Relocs: relocs},
 	}, nil
 }
 
 // Link implements backend.ModuleCompiler: concatenate function buffers,
-// apply relocations, register unwind info.
+// apply relocations, register unwind info, load.
 func (c *moduleCompiler) Link(units []*backend.Unit, ph *backend.Phaser) (backend.Exec, error) {
-	lsp := ph.Begin("Link")
-	total := 0
-	for _, u := range units {
-		total += len(u.Payload.(*unit).code)
-	}
-	code := make([]byte, 0, total)
-	offsets := make([]int32, len(units))
-	var unwind []vm.UnwindRange
-	for i, u := range units {
-		p := u.Payload.(*unit)
-		offsets[i] = int32(len(code))
-		code = append(code, p.code...)
-		unwind = append(unwind, vm.UnwindRange{
-			Start: offsets[i], End: int32(len(code)), Name: u.Name,
-			CFI:  []byte{0x01},
-			Func: int32(u.Index),
-		})
-	}
-	// Relocations are unit-relative; rebase copies rather than the
-	// (possibly cache-shared) payload entries.
-	for i, u := range units {
-		for _, r := range u.Payload.(*unit).relocs {
-			r.Offset += offsets[i]
-			r.Patch(code, int64(offsets[r.Sym]))
-		}
-	}
-	vmod, err := vm.Load(c.env.Arch, code)
-	if err != nil {
-		lsp.End()
-		return nil, fmt.Errorf("clift: %w", err)
-	}
-	vmod.RegisterUnwind(unwind)
-	if err := c.env.DB.Bind(c.mod.RTNames); err != nil {
-		lsp.End()
-		return nil, err
-	}
-	lsp.End()
-
-	if c.env.Options.Check {
-		csp := ph.Begin("Check.Lint")
-		ldiags := mcv.Lint(vmod.Prog, vmod.Funcs(), len(c.mod.RTNames))
-		csp.End()
-		if err := mcv.Error("clift: machine lint", ldiags); err != nil {
-			return nil, err
-		}
-		csp = ph.Begin("Check.Summary")
-		ph.Stats().Summaries = mcv.Summarize(vmod.Prog, vmod.Funcs(), c.mod.RTNames)
-		csp.End()
-	}
-
-	ph.Stats().CodeBytes = len(code)
-	return &exec{m: c.env.DB.M, mod: vmod, offsets: offsets}, nil
+	sp := ph.Begin("Link")
+	cfi := func(int32, int32, int64) []byte { return []byte{0x01} }
+	return backend.Concat(units, cfi).Load("clift", c.mod, c.env, sp, ph)
 }
 
 // computeDomTree runs the Cooper–Harvey–Kennedy dominator algorithm over

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"qcc/internal/backend"
+	"qcc/internal/backend/cbe"
 	"qcc/internal/backend/clift"
 	"qcc/internal/backend/direct"
 	"qcc/internal/backend/lbe"
@@ -16,10 +17,11 @@ import (
 // checkedEngines are the back-ends wired to the machine-code verifier:
 // both register allocators of lbe (fast and greedy) exercise the symbolic
 // regalloc checker, clift exercises it through its edge-move model, and
-// direct (vx64 only) runs lint and summary over single-pass output.
+// direct (vx64 only) and gcc run lint and summary over their output.
 func checkedEngines(arch vt.Arch) map[string]backend.Engine {
 	es := map[string]backend.Engine{
 		"clift":      clift.New(),
+		"gcc":        cbe.New(),
 		"llvm-cheap": lbe.NewCheap(),
 		"llvm-opt":   lbe.NewOpt(),
 	}

@@ -21,10 +21,8 @@ import (
 	"fmt"
 
 	"qcc/internal/backend"
-	"qcc/internal/mcv"
 	"qcc/internal/qir"
 	"qcc/internal/rt"
-	"qcc/internal/vm"
 	"qcc/internal/vt"
 )
 
@@ -37,20 +35,6 @@ func New() *Engine { return &Engine{} }
 // Name implements backend.Engine.
 func (e *Engine) Name() string { return "DirectEmit" }
 
-type exec struct {
-	m       *vm.Machine
-	mod     *vm.Module
-	offsets []int32
-}
-
-func (x *exec) Call(fn int, args ...uint64) ([2]uint64, error) {
-	return x.m.Call(x.mod, x.offsets[fn], args...)
-}
-
-// Module exposes the linked machine-code image (byte-identity tests,
-// disassembly tooling).
-func (x *exec) Module() *vm.Module { return x.mod }
-
 // Compile implements backend.Engine via the shared sequential unit driver.
 func (e *Engine) Compile(mod *qir.Module, env *backend.Env) (backend.Exec, *backend.Stats, error) {
 	return backend.CompileUnits(e, mod, env)
@@ -60,15 +44,6 @@ func (e *Engine) Compile(mod *qir.Module, env *backend.Env) (backend.Exec, *back
 type moduleCompiler struct {
 	mod *qir.Module
 	env *backend.Env
-}
-
-// unit is the per-function payload: position-independent code (branches are
-// PC-relative, immediates fixed-width) plus unit-relative function-address
-// relocations and the frame size needed to build CFI at link time.
-type unit struct {
-	code      []byte
-	relocs    []vt.Reloc
-	frameSize int64
 }
 
 // BeginModule implements backend.FuncEngine. All shared-state mutation
@@ -122,68 +97,17 @@ func (c *moduleCompiler) CompileFunc(i int, ph *backend.Phaser) (*backend.Unit, 
 	}
 	return &backend.Unit{
 		Index: i, Name: f.Name, Bytes: len(code),
-		Payload: &unit{code: code, relocs: relocs, frameSize: g.frameSize},
+		Payload: &backend.CodeUnit{Code: code, Relocs: relocs, FrameSize: g.frameSize},
 	}, nil
 }
 
 // Link implements backend.ModuleCompiler: concatenate the unit buffers,
-// resolve function-address relocations, build unwind info, load.
+// resolve function-address relocations, build unwind info, load. DirectEmit
+// has no pre-allocation program to check symbolically, so its verification is
+// the shared epilogue's machine-code lint plus the structural summary.
 func (c *moduleCompiler) Link(units []*backend.Unit, ph *backend.Phaser) (backend.Exec, error) {
 	sp := ph.Begin("Emit")
-	total := 0
-	for _, u := range units {
-		total += len(u.Payload.(*unit).code)
-	}
-	code := make([]byte, 0, total)
-	offsets := make([]int32, len(units))
-	var unwind []vm.UnwindRange
-	for i, u := range units {
-		p := u.Payload.(*unit)
-		offsets[i] = int32(len(code))
-		code = append(code, p.code...)
-		unwind = append(unwind, vm.UnwindRange{
-			Start: offsets[i], End: int32(len(code)), Name: u.Name,
-			CFI:  encodeCFI(offsets[i], int32(len(code)), p.frameSize),
-			Func: int32(u.Index),
-		})
-	}
-	// Resolve function-address relocations (FuncAddr constants). The
-	// recorded offsets are unit-relative; rebase without mutating the
-	// (possibly cache-shared) payloads.
-	for i, u := range units {
-		for _, r := range u.Payload.(*unit).relocs {
-			r.Offset += offsets[i]
-			r.Patch(code, int64(offsets[r.Sym]))
-		}
-	}
-	vmod, err := vm.Load(vt.VX64, code)
-	if err != nil {
-		sp.End()
-		return nil, fmt.Errorf("direct: %w", err)
-	}
-	vmod.RegisterUnwind(unwind)
-	if err := c.env.DB.Bind(c.mod.RTNames); err != nil {
-		sp.End()
-		return nil, err
-	}
-	sp.End()
-
-	// DirectEmit has no pre-allocation program to check symbolically, so
-	// verification is the machine-code lint plus the structural summary.
-	if c.env.Options.Check {
-		csp := ph.Begin("Check.Lint")
-		ldiags := mcv.Lint(vmod.Prog, vmod.Funcs(), len(c.mod.RTNames))
-		csp.End()
-		if err := mcv.Error("direct: machine lint", ldiags); err != nil {
-			return nil, err
-		}
-		csp = ph.Begin("Check.Summary")
-		ph.Stats().Summaries = mcv.Summarize(vmod.Prog, vmod.Funcs(), c.mod.RTNames)
-		csp.End()
-	}
-
-	ph.Stats().CodeBytes = len(code)
-	return &exec{m: c.env.DB.M, mod: vmod, offsets: offsets}, nil
+	return backend.Concat(units, encodeCFI).Load("direct", c.mod, c.env, sp, ph)
 }
 
 // analysis bundles the single analysis pass results.
@@ -242,7 +166,3 @@ func appendULEB(b []byte, v uint64) []byte {
 		}
 	}
 }
-
-// Disasm renders the compiled module's machine code (one instruction per
-// line with byte offsets); used by tools and examples.
-func (x *exec) Disasm() string { return vt.DisasmAll(x.mod.Prog) }

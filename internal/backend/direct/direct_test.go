@@ -63,11 +63,7 @@ func TestCompileAndRun(t *testing.T) {
 
 func TestDisassembly(t *testing.T) {
 	ex, _ := compileSum(t)
-	d, ok := ex.(interface{ Disasm() string })
-	if !ok {
-		t.Fatal("exec does not expose Disasm")
-	}
-	asm := d.Disasm()
+	asm := vt.DisasmAll(backend.ModuleOf(ex).Prog)
 	for _, want := range []string{"subi", "brnz", "ret"} {
 		if !strings.Contains(asm, want) {
 			t.Errorf("disassembly missing %q:\n%s", want, asm)

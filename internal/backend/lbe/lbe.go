@@ -8,7 +8,6 @@ import (
 	"qcc/internal/mcv"
 	"qcc/internal/qir"
 	"qcc/internal/rt"
-	"qcc/internal/vm"
 	"qcc/internal/vt"
 )
 
@@ -88,20 +87,6 @@ func newTargetMachine(arch vt.Arch) *targetMachine {
 	}
 	return tm
 }
-
-type exec struct {
-	m       *vm.Machine
-	mod     *vm.Module
-	offsets []int32
-}
-
-func (x *exec) Call(fn int, args ...uint64) ([2]uint64, error) {
-	return x.m.Call(x.mod, x.offsets[fn], args...)
-}
-
-// Module exposes the linked machine-code image (byte-identity tests,
-// disassembly tooling).
-func (x *exec) Module() *vm.Module { return x.mod }
 
 // Compile implements backend.Engine via the shared sequential unit driver.
 func (e *Engine) Compile(qmod *qir.Module, env *backend.Env) (backend.Exec, *backend.Stats, error) {
@@ -430,26 +415,17 @@ func (c *moduleCompiler) Link(units []*backend.Unit, ph *backend.Phaser) (backen
 	obj.text = text
 	obj.cfi = cfi
 	objBytes := encodeObject(obj)
-	ph.Stats().CodeBytes = len(text)
 	sp.End()
 
 	sp = ph.Begin("Linking")
-	vmod, offsets, err := jitLink(objBytes, env.Arch, fnNames)
-	sp.End()
+	img, err := jitLink(objBytes, fnNames)
 	if err != nil {
+		sp.End()
 		return nil, err
 	}
-
-	if env.Options.Check {
-		csp := ph.Begin("Check.Lint")
-		ldiags := mcv.Lint(vmod.Prog, vmod.Funcs(), len(qmod.RTNames))
-		csp.End()
-		if err := mcv.Error("lbe: machine lint", ldiags); err != nil {
-			return nil, err
-		}
-		csp = ph.Begin("Check.Summary")
-		ph.Stats().Summaries = mcv.Summarize(vmod.Prog, vmod.Funcs(), qmod.RTNames)
-		csp.End()
+	exec, err := img.Load("lbe", qmod, env, sp, ph)
+	if err != nil {
+		return nil, err
 	}
 
 	// Destructing the IR module is measurably expensive in LLVM; walk and
@@ -475,11 +451,7 @@ func (c *moduleCompiler) Link(units []*backend.Unit, ph *backend.Phaser) (backen
 		fn.Params = nil
 	}
 	sp.End()
-
-	if err := env.DB.Bind(qmod.RTNames); err != nil {
-		return nil, err
-	}
-	return &exec{m: env.DB.M, mod: vmod, offsets: offsets}, nil
+	return exec, nil
 }
 
 // runMachineScanPasses models the tail of the codegen pipeline: many small

@@ -108,17 +108,17 @@ func TestObjectRoundTrip(t *testing.T) {
 		},
 	}
 	enc := encodeObject(o)
-	mod, offs, err := jitLink(enc, vt.VX64, []string{"main", "aux"})
+	img, err := jitLink(enc, []string{"main", "aux"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if offs[0] != 0 || offs[1] != 2 {
+	if offs := img.Offsets; offs[0] != 0 || offs[1] != 2 {
 		t.Errorf("offsets = %v", offs)
 	}
-	if len(mod.Funcs()) != 2 {
-		t.Errorf("unwind ranges = %d", len(mod.Funcs()))
+	if len(img.Unwind) != 2 {
+		t.Errorf("unwind ranges = %d", len(img.Unwind))
 	}
-	if _, _, err := jitLink([]byte("bogus"), vt.VX64, nil); err == nil {
+	if _, err := jitLink([]byte("bogus"), nil); err == nil {
 		t.Error("bogus object accepted")
 	}
 }

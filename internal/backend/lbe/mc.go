@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 
+	"qcc/internal/backend"
 	"qcc/internal/vm"
 	"qcc/internal/vt"
 )
@@ -390,10 +391,10 @@ func encodeObject(o *object) []byte {
 // the JITLink flow of the paper: (1) recover symbols and allocate memory,
 // (2) assign addresses and resolve, (3) apply relocations and copy, (4)
 // look up entry addresses.
-func jitLink(objBytes []byte, arch vt.Arch, fnNames []string) (*vm.Module, []int32, error) {
+func jitLink(objBytes []byte, fnNames []string) (*backend.Image, error) {
 	// Phase 1: parse the object, recover symbols, allocate.
 	if len(objBytes) < 24 || string(objBytes[:4]) != "QELF" {
-		return nil, nil, fmt.Errorf("lbe: bad object file")
+		return nil, fmt.Errorf("lbe: bad object file")
 	}
 	r32 := func(off int) int32 {
 		return int32(binary.LittleEndian.Uint32(objBytes[off:]))
@@ -441,7 +442,7 @@ func jitLink(objBytes []byte, arch vt.Arch, fnNames []string) (*vm.Module, []int
 	for i, n := range fnNames {
 		a, ok := symAddr[n]
 		if !ok {
-			return nil, nil, fmt.Errorf("lbe: symbol %s not found", n)
+			return nil, fmt.Errorf("lbe: symbol %s not found", n)
 		}
 		offsets[i] = int32(a)
 	}
@@ -464,10 +465,5 @@ func jitLink(objBytes []byte, arch vt.Arch, fnNames []string) (*vm.Module, []int
 			Func: fi,
 		})
 	}
-	mod, err := vm.Load(arch, mem)
-	if err != nil {
-		return nil, nil, err
-	}
-	mod.RegisterUnwind(unwind)
-	return mod, offsets, nil
+	return &backend.Image{Code: mem, Unwind: unwind, Offsets: offsets}, nil
 }
