@@ -23,8 +23,8 @@ var (
 	obsAnalysisNs  = obs.NewCounter("sa.analysis_ns")
 	obsElimModules = obs.NewCounter("sa.modules_analyzed")
 	// obsFuncsAnalyzed counts analyses executed; a compile runs one per
-	// generated function unless hoist classification or a full constant pool
-	// forces more.
+	// generated function unless a literal kept inline or a full constant pool
+	// forces a second.
 	obsFuncsAnalyzed = obs.NewCounter("sa.functions_analyzed")
 )
 
@@ -45,8 +45,8 @@ type ElimStats struct {
 	// MaxLive is the maximum register pressure over all functions.
 	MaxLive int
 	// AnalysisNs is wall time of the pass from its first analysis to its
-	// last mark: every analysis run (hoist classification included), the
-	// literal rewrites between them, liveness and marking.
+	// last mark: every analysis run, the literal rewrites between them,
+	// liveness and marking.
 	AnalysisNs int64
 }
 
@@ -133,24 +133,25 @@ func (c *Compiled) factsFor(fi int, regions []sa.Region, cat *rt.Catalog) *sa.Fa
 // The two interact: the eliminator exploits the compile-time value of some
 // literals — a filter constant can bound an index, making a bounds check
 // provably redundant — and hoisting such a range-load-bearing literal would
-// silently re-introduce the check, so it has to stay inline. Rather than
-// analyse the function as written, again with the literals widened, and a
-// third time after the rewrite, the pass analyses it once in its all-hoisted
-// form: every candidate listed in sa.Facts.WideConsts, which gives an OpConst
-// the transfer function of the OpConstPool that will replace it. Whether that
-// analysis could have proven more with the literals inline is decided without
-// running it: if no candidate reaches a memory address
-// (sa.Analysis.ReachesAddress), every access has the same verdict either way,
-// all candidates are hoisted, and the analysis in hand is already the
-// analysis of the final IR. Otherwise classifyHoists decides by running the
-// baseline and the per-candidate rounds.
+// silently re-introduce the check, so it has to stay inline. The pass analyses
+// the function once in its all-hoisted form: every candidate listed in
+// sa.Facts.WideConsts, which gives an OpConst the transfer function of the
+// OpConstPool that will replace it. Which literals the eliminator could have
+// used is decided per candidate and without another analysis: a candidate
+// stays inline iff it alone can reach a memory address
+// (sa.Analysis.ReachesAddress), the rest are pooled. When none can — every
+// TPC-H, TPC-DS and ad-hoc SQL plan — all are pooled and the analysis in hand
+// is already the analysis of the final IR.
 //
 // Soundness: every SetUnchecked mark comes from an analysis whose abstract
 // semantics equal those of the function as finally rewritten. The all-hoisted
 // analysis qualifies only if exactly the candidates it widened were pooled;
-// after a classification, or when rewriteToPool refused a literal (pool
+// when a candidate stayed inline, or rewriteToPool refused a literal (pool
 // full), the rewritten function is analysed again and the marks come from
-// that. The StrictUnchecked differentials are the referee.
+// that. Nothing is lost by pooling the rest: the closure of a set is the union
+// of its members' closures, so the pooled set reaches no address and every
+// access has the verdict it would have with those literals inline. The
+// StrictUnchecked differentials are the referee.
 func (c *Compiler) hoistAndEliminate(cat *rt.Catalog) {
 	hoist := HoistStats{Enabled: c.opts.Hoist}
 	elim := ElimStats{Enabled: c.opts.Elim}
@@ -174,10 +175,17 @@ func (c *Compiler) hoistAndEliminate(cat *rt.Catalog) {
 		a.Run(f, facts)
 		var accs []sa.Access
 		var finds []sa.Finding
-		pool, final := cands, true
+		pool := cands
 		if len(cands) > 0 && a.ReachesAddress(cands) {
-			pool, final = c.classifyHoists(&a, facts, cands, countSafe(a.Accesses())), false
-		} else {
+			pool = nil
+			for i := range cands {
+				if !a.ReachesAddress(cands[i : i+1]) {
+					pool = append(pool, cands[i])
+				}
+			}
+		}
+		final := len(pool) == len(cands)
+		if final {
 			// Read the verdicts before the rewrite moves instructions the
 			// analysis has positions for.
 			accs, finds = a.Accesses(), a.Lint()

@@ -5,15 +5,13 @@ import (
 	"qcc/internal/plan"
 	"qcc/internal/qir"
 	"qcc/internal/rt"
-	"qcc/internal/sa"
 )
 
 var (
-	obsHoistCands  = obs.NewCounter("hoist.candidates")
-	obsHoisted     = obs.NewCounter("hoist.hoisted")
-	obsKeptInline  = obs.NewCounter("hoist.kept_inline")
-	obsHoistSlots  = obs.NewCounter("hoist.pool_slots")
-	obsHoistRounds = obs.NewCounter("hoist.analysis_rounds")
+	obsHoistCands = obs.NewCounter("hoist.candidates")
+	obsHoisted    = obs.NewCounter("hoist.hoisted")
+	obsKeptInline = obs.NewCounter("hoist.kept_inline")
+	obsHoistSlots = obs.NewCounter("hoist.pool_slots")
 )
 
 // HoistStats summarizes the constant-hoisting pass over one module.
@@ -24,9 +22,9 @@ type HoistStats struct {
 	Candidates int
 	// Hoisted is how many were moved to the constant pool.
 	Hoisted int
-	// KeptInline is how many stayed inline because the static analysis
-	// proved fewer checks redundant with the literal widened (the literal
-	// is range-load-bearing), or because the pool was full.
+	// KeptInline is how many stayed inline because their value can reach a
+	// memory address, where it may be what proves a check redundant (the
+	// literal is range-load-bearing), or because the pool was full.
 	KeptInline int
 	// PoolSlots is the number of pool slots the module uses.
 	PoolSlots int
@@ -61,51 +59,6 @@ func (c *Compiler) poolLiterals(f *qir.Func, cands, pool []qir.Value, stats *Hoi
 		f.Prov.KeptInline++
 	}
 	return all
-}
-
-// classifyHoists partitions a function's candidates into hoistable ones,
-// returned, and range-load-bearing ones, omitted, by hypothetical widening:
-// a literal may be hoisted only if the analysis proves as many accesses safe
-// with it widened as with every literal inline (base). allSafe is that count
-// with all candidates widened, which the caller's analysis already gave; when
-// it falls short, candidates are tried greedily one at a time in emission
-// order, keeping each only if the count stays at base. The greedy order makes
-// the decision deterministic, which the cache keying relies on.
-//
-// It runs only for functions where a candidate can reach a memory address
-// (sa.Analysis.ReachesAddress) — none in TPC-H, TPC-DS or the ad-hoc SQL
-// stream — so every analysis here is counted in hoist.analysis_rounds. It
-// leaves a holding the last round's results, of no use to the caller.
-func (c *Compiler) classifyHoists(a *sa.Analysis, facts *sa.Facts, cands []qir.Value, allSafe int) []qir.Value {
-	safeWith := func(wide []qir.Value) int {
-		facts.WideConsts = wide
-		obsHoistRounds.Inc()
-		obsFuncsAnalyzed.Inc()
-		a.Rerun(facts)
-		return countSafe(a.Accesses())
-	}
-	base := safeWith(nil)
-	if allSafe == base {
-		return cands
-	}
-	var hoist []qir.Value
-	for _, v := range cands {
-		hoist = append(hoist, v)
-		if safeWith(hoist) < base {
-			hoist = hoist[:len(hoist)-1]
-		}
-	}
-	return hoist
-}
-
-func countSafe(accs []sa.Access) int {
-	n := 0
-	for i := range accs {
-		if accs[i].Safe {
-			n++
-		}
-	}
-	return n
 }
 
 // rewriteToPool replaces literal instruction v, emitted for plan literal lit,

@@ -13,7 +13,7 @@ import (
 // bearingCase is a hand-built setup function f(state ptr, x i64) over a
 // 64-byte state block whose literals the hoisting pass has to classify. No
 // plan the generator emits today has a range-load-bearing literal, so these
-// are the only inputs that reach classifyHoists.
+// are the only inputs on which a literal stays inline.
 type bearingCase struct {
 	name string
 	// build emits the body and returns the hoist candidates in emission
@@ -21,8 +21,6 @@ type bearingCase struct {
 	build func(b *qir.Builder) []qir.Value
 	// pooled says, per candidate, whether it may move to the constant pool.
 	pooled []bool
-	// classified says whether deciding takes the baseline + greedy rounds.
-	classified bool
 }
 
 var bearingCases = []bearingCase{
@@ -37,7 +35,7 @@ var bearingCases = []bearingCase{
 			b.Ret(qir.NoValue)
 			return []qir.Value{lit}
 		},
-		pooled: []bool{false}, classified: true,
+		pooled: []bool{false},
 	},
 	{
 		// The literal never flows into the address; it reaches the load only
@@ -55,7 +53,7 @@ var bearingCases = []bearingCase{
 			b.Ret(qir.NoValue)
 			return []qir.Value{lit}
 		},
-		pooled: []bool{false}, classified: true,
+		pooled: []bool{false},
 	},
 	{
 		// Two candidates: the mask is load-bearing, the addend only feeds a
@@ -70,7 +68,7 @@ var bearingCases = []bearingCase{
 			b.Ret(qir.NoValue)
 			return []qir.Value{mask, add}
 		},
-		pooled: []bool{false, true}, classified: true,
+		pooled: []bool{false, true},
 	},
 	{
 		// The literal is compared and stored, never near an address: one
@@ -83,7 +81,7 @@ var bearingCases = []bearingCase{
 			b.Ret(qir.NoValue)
 			return []qir.Value{lit}
 		},
-		pooled: []bool{true}, classified: false,
+		pooled: []bool{true},
 	},
 }
 
@@ -121,9 +119,21 @@ func uncheckedSet(f *qir.Func) []qir.Value {
 	return out
 }
 
-// oldClassifyHoists is the classifier the single-analysis pass replaced,
-// kept as the oracle: baseline, all widened, then greedy per candidate, each
-// a standalone analysis of the unrewritten function.
+func countSafe(accs []sa.Access) int {
+	n := 0
+	for i := range accs {
+		if accs[i].Safe {
+			n++
+		}
+	}
+	return n
+}
+
+// oldClassifyHoists is the classifier by hypothetical widening that the
+// reachability rule replaced, kept as the oracle: a literal may be hoisted only
+// if the analysis proves as many accesses safe with it widened as with every
+// literal inline — baseline, all widened, then greedy per candidate, each a
+// standalone analysis of the unrewritten function.
 func oldClassifyHoists(f *qir.Func, facts func() *sa.Facts, cands []qir.Value) []qir.Value {
 	elimCount := func(wide []qir.Value) int {
 		ft := facts()
@@ -146,11 +156,11 @@ func oldClassifyHoists(f *qir.Func, facts func() *sa.Facts, cands []qir.Value) [
 	return hoist
 }
 
-// TestRangeLoadBearingLiterals drives the classification fallback: a literal
-// whose widening would lose an eliminated check stays inline, the others are
-// pooled, the unchecked marks equal those of the all-inline compile, the
-// decisions equal the old classifier's, and hoist.analysis_rounds moves only
-// when a candidate can reach an address.
+// TestRangeLoadBearingLiterals: a literal whose widening would lose an
+// eliminated check stays inline, the others are pooled, the unchecked marks
+// equal those of the all-inline compile, the decisions equal the old
+// classifier's, and the function is analysed a second time only when a
+// literal stayed inline.
 func TestRangeLoadBearingLiterals(t *testing.T) {
 	for _, bc := range bearingCases {
 		t.Run(bc.name, func(t *testing.T) {
@@ -160,9 +170,9 @@ func TestRangeLoadBearingLiterals(t *testing.T) {
 				t.Fatal("the all-inline compile eliminated no check; the case proves nothing")
 			}
 
-			rounds0, analyzed0 := obsHoistRounds.Load(), obsFuncsAnalyzed.Load()
+			analyzed0 := obsFuncsAnalyzed.Load()
 			c, f, cands := compileBearing(bc, Options{Elim: true, Hoist: true})
-			rounds, analyzed := obsHoistRounds.Load()-rounds0, obsFuncsAnalyzed.Load()-analyzed0
+			analyzed := obsFuncsAnalyzed.Load() - analyzed0
 			if err := c.mod.VerifyModule(); err != nil {
 				t.Fatal(err)
 			}
@@ -204,13 +214,8 @@ func TestRangeLoadBearingLiterals(t *testing.T) {
 					t.Errorf("slot %d holds %+v, its literal encodes as %+v", s, c.mod.Pool[s], pc)
 				}
 			}
-			if bc.classified {
-				if rounds == 0 || analyzed != rounds+2 {
-					t.Errorf("%d classification rounds in %d analyses, want rounds > 0 plus the first and the final analysis",
-						rounds, analyzed)
-				}
-			} else if rounds != 0 || analyzed != 1 {
-				t.Errorf("%d classification rounds in %d analyses, want one analysis and no rounds", rounds, analyzed)
+			if want := 1 + min(1, len(cands)-len(pooled)); analyzed != int64(want) {
+				t.Errorf("%d analyses with %d of %d literals inline, want %d", analyzed, len(cands)-len(pooled), len(cands), want)
 			}
 
 			// The oracle classifies a fresh, unrewritten copy.

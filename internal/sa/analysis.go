@@ -130,8 +130,8 @@ type Analysis struct {
 
 	vals []absVal
 
-	// Structure of F, built once per Run and shared by both fixpoint rounds
-	// and by every Rerun: where each instruction sits (block -1 for
+	// Structure of F, built once per Run and shared by both fixpoint
+	// rounds: where each instruction sits (block -1 for
 	// instructions not listed in any block), and the def-use chains in CSR
 	// form — the users of v are useList[useOff[v]:useOff[v+1]], ascending.
 	posBlock []qir.BlockID
@@ -184,13 +184,6 @@ func Analyze(f *qir.Func, facts *Facts) *Analysis {
 // Run analyses f under facts, reusing a's storage from earlier runs.
 func (a *Analysis) Run(f *qir.Func, facts *Facts) {
 	a.prepare(f)
-	a.Rerun(facts)
-}
-
-// Rerun analyses the function of the last Run again under different facts,
-// keeping its dominator tree, positions and def-use chains. The function
-// must not have changed since.
-func (a *Analysis) Rerun(facts *Facts) {
 	if facts == nil {
 		facts = NewFacts()
 	}
