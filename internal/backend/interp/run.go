@@ -395,7 +395,7 @@ func (x *exec) rtCall(f *bcFunc, in *bcInstr, vals []uint64, tgt *vt.Target) err
 	if id >= len(x.m.RT) || x.m.RT[id] == nil {
 		return fmt.Errorf("interp: unbound runtime function %d", id)
 	}
-	if err := x.m.RT[id](x.m); err != nil {
+	if err := x.m.CallRT(id); err != nil {
 		return err
 	}
 	if in.Type != qir.Void {

@@ -5,6 +5,7 @@ import (
 
 	"qcc/internal/qir"
 	"qcc/internal/rt"
+	"qcc/internal/vm"
 )
 
 // CallFunc invokes compiled function fn of the query with the given integer
@@ -37,7 +38,8 @@ func RunConsts(db *rt.DB, cat *rt.Catalog, c *Compiled, call CallFunc, consts []
 	return runConsts(db, cat, c, call, consts, DefaultMorselSize)
 }
 
-func runConsts(db *rt.DB, cat *rt.Catalog, c *Compiled, call CallFunc, consts []qir.PoolConst, morsel int64) error {
+func runConsts(db *rt.DB, cat *rt.Catalog, c *Compiled, call CallFunc, consts []qir.PoolConst, morsel int64) (err error) {
+	defer vm.CatchOOM(&err) // the state block is allocated outside any call
 	if morsel <= 0 {
 		return fmt.Errorf("codegen: bad morsel size %d", morsel)
 	}

@@ -57,7 +57,8 @@ type worker struct {
 // count. Ineligible pipelines (non-table sources, LIMIT, float running
 // sums, aggregations compiled without Options.Parallel) run sequentially
 // through the same engine call path Run uses.
-func RunParallel(db *rt.DB, cat *rt.Catalog, c *Compiled, call CallFunc, opts ExecOptions) error {
+func RunParallel(db *rt.DB, cat *rt.Catalog, c *Compiled, call CallFunc, opts ExecOptions) (err error) {
+	defer vm.CatchOOM(&err) // state blocks and per-run arenas are allocated outside any call
 	jobs := opts.Jobs
 	if jobs <= 0 {
 		jobs = 1
@@ -247,7 +248,7 @@ func runPipelinePar(db *rt.DB, c *Compiled, p *Pipeline, pi int, call CallFunc,
 			defer wg.Done()
 			defer func() {
 				if r := recover(); r != nil {
-					fail(-1, fmt.Errorf("pipeline %d: parallel worker panic (likely worker arena exhaustion; raise the arena size or run with 1 job): %v", pi, r))
+					fail(-1, fmt.Errorf("pipeline %d: parallel worker panic: %v", pi, r))
 				}
 			}()
 			wk.db.Own()

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"qcc/internal/qir"
+	"qcc/internal/vm"
 )
 
 // Runtime constant pool: a fixed area of machine memory holding the values
@@ -38,7 +39,8 @@ func (db *DB) ConstPoolAddr(slot int) uint64 {
 // DB, so repeated binds of the same value are stable). Callers bind before
 // every execution of a pooled module; binding is cheap (a few stores per
 // slot) compared to the compilation it displaces.
-func (db *DB) BindConstPool(pool []qir.PoolConst) error {
+func (db *DB) BindConstPool(pool []qir.PoolConst) (err error) {
+	defer vm.CatchOOM(&err) // interning a long string allocates
 	if len(pool) > ConstPoolSlots {
 		return fmt.Errorf("rt: module needs %d const-pool slots, capacity is %d", len(pool), ConstPoolSlots)
 	}

@@ -13,6 +13,7 @@ import (
 	"qcc/internal/plan"
 	"qcc/internal/qir"
 	"qcc/internal/rt"
+	"qcc/internal/vm"
 )
 
 var (
@@ -54,7 +55,8 @@ func Rows(sf float64) map[string]int64 {
 }
 
 // Load generates all tables at the given scale factor.
-func Load(cat *rt.Catalog, sf float64) error {
+func Load(cat *rt.Catalog, sf float64) (err error) {
+	defer vm.CatchOOM(&err) // tables larger than the machine's memory
 	rows := Rows(sf)
 	rng := &prng{s: 0xA076_1D64_78BD_642F}
 

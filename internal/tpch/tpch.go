@@ -13,6 +13,7 @@ import (
 	"qcc/internal/plan"
 	"qcc/internal/qir"
 	"qcc/internal/rt"
+	"qcc/internal/vm"
 )
 
 // rowsAt returns per-table row counts at a scale factor. SF=1 corresponds
@@ -61,7 +62,8 @@ var (
 )
 
 // Load generates all tables at the given scale factor into the catalog.
-func Load(cat *rt.Catalog, sf float64) error {
+func Load(cat *rt.Catalog, sf float64) (err error) {
+	defer vm.CatchOOM(&err) // tables larger than the machine's memory
 	rows := rowsAt(sf)
 	rng := &prng{s: 0x9E3779B97F4A7C15}
 

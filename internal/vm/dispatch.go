@@ -1219,7 +1219,7 @@ func (st *fstate) fuCallRT(in *finstr, fpc int32) int32 {
 	if id >= len(m.RT) || m.RT[id] == nil {
 		return st.trap(in.pc0, vt.TrapUnreachable, fmt.Sprintf("runtime function %d", id))
 	}
-	if err := m.RT[id](m); err != nil {
+	if err := m.CallRT(id); err != nil {
 		// A trap raised by the runtime function itself carries no frames
 		// yet and is attributed here; a trap re-raised through nested
 		// CallAt re-entry keeps its innermost location.

@@ -243,17 +243,41 @@ func New(cfg Config) *Machine {
 func (m *Machine) Target() *vt.Target { return m.target }
 
 // Alloc reserves size bytes of machine memory (8-byte aligned) and returns
-// the address. The heap grows toward the stack region at the top of memory;
-// exhausting it panics, as the memory size is a benchmark configuration
-// rather than a recoverable condition.
+// the address. The heap grows toward the stack region at the top of memory.
+// Exhausting it panics with a *Trap of code TrapOOM and leaves the heap as it
+// was: a runtime function called from generated code unwinds to its call site,
+// which reports the trap (CallRT); code that allocates outside any call
+// defers CatchOOM and returns it as an error.
 func (m *Machine) Alloc(size uint64) uint64 {
 	size = (size + 7) &^ 7
+	if size > m.HeapRoom() {
+		panic(&Trap{Code: vt.TrapOOM, Msg: fmt.Sprintf("out of memory: %d bytes wanted, %d free", size, m.HeapRoom())})
+	}
 	addr := m.heapTop
 	m.heapTop += size
-	if m.heapTop > m.stackTop-uint64(1<<20) {
-		panic(fmt.Sprintf("vm: out of memory (heap %d, mem %d); increase Config.MemSize", m.heapTop, len(m.Mem)))
-	}
 	return addr
+}
+
+// CatchOOM, deferred, ends Alloc's heap-exhaustion panic and stores its trap
+// in *err; any other panic continues.
+func CatchOOM(err *error) {
+	r := recover()
+	if r == nil {
+		return
+	}
+	if t, ok := r.(*Trap); ok && t.Code == vt.TrapOOM {
+		*err = t
+		return
+	}
+	panic(r)
+}
+
+// CallRT invokes runtime function id, which the caller has checked is bound.
+// Heap exhaustion inside it comes back as the TrapOOM error, for the call site
+// to attribute like any other trap a runtime function returns.
+func (m *Machine) CallRT(id int) (err error) {
+	defer CatchOOM(&err)
+	return m.RT[id](m)
 }
 
 // HeapUsed returns the number of allocated heap bytes.
@@ -273,8 +297,8 @@ func (m *Machine) ResetHeapTo(mark uint64) {
 	}
 }
 
-// HeapRoom returns how many more bytes Alloc can hand out before the
-// out-of-memory panic (the 1 MiB stack margin is already subtracted).
+// HeapRoom returns how many more bytes Alloc can hand out before it runs out
+// of memory (the 1 MiB stack margin is already subtracted).
 // The morsel-parallel executor uses it to size worker arenas.
 func (m *Machine) HeapRoom() uint64 {
 	limit := m.stackTop - uint64(1<<20)
@@ -400,8 +424,7 @@ func (m *Machine) CallAt(addr uint64, args ...uint64) ([2]uint64, error) {
 // faults (out-of-range slice accesses from unchecked memory operations whose
 // eliminated check would have fired) into TrapElimCheck traps so a
 // static-analysis bug surfaces as a diagnosable trap instead of crashing the
-// host. Non-runtime panics — e.g. Alloc's deliberate out-of-memory panic —
-// propagate unchanged.
+// host. Other panics propagate unchanged.
 func (m *Machine) runGuarded(f func() error) (err error) {
 	defer func() {
 		r := recover()
@@ -773,7 +796,7 @@ func (m *Machine) run(mod *Module, pc int32) error {
 			if id >= len(m.RT) || m.RT[id] == nil {
 				return trap(vt.TrapUnreachable, fmt.Sprintf("runtime function %d", id))
 			}
-			if err := m.RT[id](m); err != nil {
+			if err := m.CallRT(id); err != nil {
 				if t, ok := err.(*Trap); ok {
 					// Only attribute the trap here when it came from the
 					// runtime function itself (no frames yet); a trap

@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -371,4 +372,44 @@ func TestAllocAlignmentAndReset(t *testing.T) {
 	if c != a {
 		t.Errorf("post-reset alloc %d != first alloc %d", c, a)
 	}
+}
+
+// TestAllocExhaustionTraps: a runtime function that exhausts the heap — of the
+// main machine or of a worker's arena — ends the Call with a TrapOOM at the
+// CallRT that made it, on both dispatch loops, leaves the heap where it was,
+// and outside a Call is an error for a deferred CatchOOM.
+func TestAllocExhaustionTraps(t *testing.T) {
+	both(t, func(t *testing.T, arch vt.Arch) {
+		for _, fuse := range []bool{true, false} {
+			mod := assemble(t, arch, func(a vt.Assembler) {
+				a.Emit(vt.Instr{Op: vt.Nop})
+				a.Emit(vt.Instr{Op: vt.CallRT, Imm: 0})
+				a.Emit(vt.Instr{Op: vt.Ret})
+			})
+			mod.SetFuse(fuse)
+			mod.RegisterUnwind([]UnwindRange{{Start: 0, End: int32(len(mod.Code)), Name: "f"}})
+			base := New(Config{Arch: arch, MemSize: 8 << 20})
+			arena := base.Alloc(2 << 20)
+			for name, m := range map[string]*Machine{"main": base, "worker": NewWorker(base, arena, arena+2<<20)} {
+				m.RT = []RTFunc{func(m *Machine) error { m.Alloc(8 << 20); return nil }}
+				mark := m.HeapMark()
+				_, err := m.Call(mod, 0)
+				tr, ok := err.(*Trap)
+				if !ok || tr.Code != vt.TrapOOM || tr.PC != mod.Prog.Offsets[1] || len(tr.Frames) != 1 || tr.Frames[0] != fmt.Sprintf("f+%d", tr.PC) {
+					t.Errorf("%s fuse=%v: %v (%+v), want an oom trap at the CallRT", name, fuse, err, tr)
+				}
+				if m.HeapMark() != mark {
+					t.Errorf("%s fuse=%v: heap moved from %d to %d", name, fuse, mark, m.HeapMark())
+				}
+				err = func() (err error) {
+					defer CatchOOM(&err)
+					m.Alloc(8 << 20)
+					return nil
+				}()
+				if tr, ok := err.(*Trap); !ok || tr.Code != vt.TrapOOM {
+					t.Errorf("%s: Alloc outside a call: %v", name, err)
+				}
+			}
+		}
+	})
 }

@@ -250,9 +250,12 @@ const (
 	// strict verification mode (or a host fault on the fast path) and always
 	// indicates a static-analysis or lowering bug, never program behavior.
 	TrapElimCheck
+	// TrapOOM reports that a runtime function exhausted the machine's heap.
+	// The vm raises it; generated code never encodes it.
+	TrapOOM
 )
 
-var trapNames = [...]string{"unreachable", "overflow", "divzero", "null", "oob", "elimcheck"}
+var trapNames = [...]string{"unreachable", "overflow", "divzero", "null", "oob", "elimcheck", "oom"}
 
 func (t TrapCode) String() string {
 	if int(t) < len(trapNames) {

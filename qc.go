@@ -27,6 +27,7 @@ import (
 	"qcc/internal/rt"
 	"qcc/internal/tpcds"
 	"qcc/internal/tpch"
+	"qcc/internal/vm"
 	"qcc/internal/vt"
 )
 
@@ -129,18 +130,19 @@ type Table struct {
 }
 
 // CreateTable allocates a table with a fixed row capacity.
-func (d *DB) CreateTable(name string, rows int64, cols ...Column) (*Table, error) {
+func (d *DB) CreateTable(name string, rows int64, cols ...Column) (t *Table, err error) {
+	defer vm.CatchOOM(&err) // more rows than the machine's memory holds
 	specs := make([]rt.ColSpec, len(cols))
 	for i, c := range cols {
 		specs[i] = rt.ColSpec{Name: c.Name, Type: c.Type}
 	}
-	t := d.w.Cat.CreateTable(name, rows, specs...)
-	return &Table{db: d, tbl: t}, nil
+	return &Table{db: d, tbl: d.w.Cat.CreateTable(name, rows, specs...)}, nil
 }
 
 // Append adds one row; values must match the column declaration order and
 // types (int64, float64, string, or qc.Dec for decimals).
-func (t *Table) Append(values ...any) error {
+func (t *Table) Append(values ...any) (err error) {
+	defer vm.CatchOOM(&err) // a string longer than 12 bytes is stored out of line
 	if t.row >= t.tbl.Rows {
 		return fmt.Errorf("qc: table %s is full (%d rows)", t.tbl.Name, t.tbl.Rows)
 	}

@@ -1,11 +1,14 @@
 package qc
 
 import (
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
 
 	"qcc/internal/obs"
+	"qcc/internal/vm"
+	"qcc/internal/vt"
 )
 
 func openSmall(t *testing.T) *DB {
@@ -353,4 +356,79 @@ func TestExecSequentialHeapFlat(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestOutOfMemoryIsATrap: a statement that exhausts the machine's heap fails
+// with a TrapOOM that names the code position, on every engine, tuple at a
+// time and with batch kernels, and the same database runs the next statement.
+func TestOutOfMemoryIsATrap(t *testing.T) {
+	const sorted = "SELECT l_orderkey, l_extendedprice FROM lineitem ORDER BY l_extendedprice"
+	wantOOM := func(t *testing.T, what string, err error) *vm.Trap {
+		t.Helper()
+		var trap *vm.Trap
+		if !errors.As(err, &trap) || trap.Code != vt.TrapOOM {
+			t.Fatalf("%s: %v, want an out-of-memory trap", what, err)
+		}
+		return trap
+	}
+	for name, opts := range map[string][]Option{
+		"tuple": {WithMemoryMB(4)},
+		"batch": {WithMemoryMB(4), WithExecJobs(2), WithBatch(true)},
+	} {
+		t.Run(name, func(t *testing.T) {
+			db, err := Open(opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := db.LoadTPCH(0.3); err != nil {
+				t.Fatal(err)
+			}
+			for _, e := range Engines() {
+				_, err := db.ExecWith(e, sorted)
+				if trap := wantOOM(t, e+": sort of 18 000 rows", err); e != "interpreter" && len(trap.Frames) == 0 {
+					t.Errorf("%s: trap without a frame: %v", e, trap)
+				}
+				res, err := db.ExecWith(e, "SELECT COUNT(*) FROM lineitem")
+				if err != nil || len(res.Rows) != 1 || res.Rows[0][0] != "18000" {
+					t.Fatalf("%s: statement after the trap: %v, %v", e, res, err)
+				}
+			}
+		})
+	}
+
+	// A machine with room for worker arenas: the sort runs out of memory on
+	// a worker (the interpreter, which runs it on the main machine, has room).
+	t.Run("workers", func(t *testing.T) {
+		db, err := Open(WithMemoryMB(96), WithExecJobs(2), WithBatch(true))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := db.LoadTPCH(2); err != nil {
+			t.Fatal(err)
+		}
+		workers := obs.NewCounter("exec_workers")
+		before := workers.Load()
+		_, err = db.ExecWith("cranelift", sorted)
+		wantOOM(t, "cranelift: sort of 120 000 rows on two 4 MiB arenas", err)
+		if workers.Load() == before {
+			t.Error("cranelift ran without workers")
+		}
+		for _, e := range []string{"interpreter", "cranelift"} {
+			if _, err := db.ExecWith(e, strings.Replace(sorted, "ORDER", "WHERE l_quantity < 10 ORDER", 1)); err != nil {
+				t.Errorf("%s after the trap: %v", e, err)
+			}
+		}
+		if _, err := db.ExecWith("interpreter", sorted); err != nil {
+			t.Errorf("interpreter, on the main machine: %v", err)
+		}
+	})
+
+	// Outside any call.
+	db, err := Open(WithMemoryMB(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantOOM(t, "loading sf 1 into 4 MiB", db.LoadTPCH(1))
+	_, err = db.CreateTable("big", 1<<20, Column{Name: "v", Type: Int64})
+	wantOOM(t, "an 8 MiB table in 4 MiB", err)
 }
