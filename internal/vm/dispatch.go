@@ -3,13 +3,12 @@
 // The dispatch loop is one dense switch over the micro-opcode byte, which
 // the compiler lowers to a jump table — the token-threaded shape of a fast
 // interpreter: fetch, indexed jump, execute, repeat. Fused micro-ops (runs,
-// pairs, compare-and-branch, immediate folds) cover several original
-// instructions per dispatch, and xRun superinstructions execute their steps
-// in a tight local loop with no trap paths and no per-step accounting. The
-// loop pre-charges each micro-op's covered instruction count; handlers that
-// trap partway through a pair subtract the constituents that never
-// executed, so Executed/Branches/MemOps match the unfused loop exactly, as
-// do trap PCs and frames.
+// compare-and-branch, immediate folds) cover several original instructions
+// per dispatch, and xRun superinstructions execute their steps in a tight
+// local loop with no trap paths and no per-step accounting. The loop
+// pre-charges each micro-op's covered instruction count, and every micro-op
+// that can trap covers one instruction, so Executed/Branches/MemOps match the
+// unfused loop exactly, as do trap PCs and frames.
 package vm
 
 import (
@@ -83,7 +82,7 @@ func memMsg(op vt.Op) string {
 
 // stepRun executes the steps of one xRun superinstruction. Every step is
 // trap-free by construction — memory steps use the unchecked u* opcodes
-// (uLoad8..uFStore) or fused c*/t3*/q4* combinations whose bounds were
+// (uLoad8..uFStore) or fused c*/t3* combinations whose bounds were
 // validated by the enclosing block's guard — so the loop is pure dispatch:
 // one dense switch per step, no program counter, no counters, no trap
 // paths. Counters are settled in bulk by the dispatching x* case: the
@@ -299,15 +298,6 @@ func stepRun(steps []fstep, R *[32]uint64, F *[16]float64, mem []byte) {
 		case c2MovMulI:
 			R[s.rd] = R[s.ra]
 			R[s.rb] = R[s.rc] * uint64(s.imm)
-		case c2MulILea:
-			R[s.rd] = R[s.ra] * uint64(s.imm)
-			R[s.rb] = R[s.rc] + uint64(s.imm2)
-		case c2LeaAdd:
-			R[s.rd] = R[s.ra] + uint64(s.imm)
-			R[s.rb] = R[s.rc] + R[s.re]
-		case c2AddLea:
-			R[s.rd] = R[s.ra] + R[s.rb]
-			R[s.rc] = R[s.re] + uint64(s.imm)
 		case c2MulIAdd:
 			R[s.rd] = R[s.ra] * uint64(s.imm)
 			R[s.rb] = R[s.rc] + R[s.re]
@@ -349,70 +339,6 @@ func stepRun(steps []fstep, R *[32]uint64, F *[16]float64, mem []byte) {
 		case c2LeaSt64:
 			R[s.rd] = R[s.ra] + uint64(s.imm)
 			put64(mem[R[s.rb]+uint64(s.imm2):], R[s.rc])
-		case c2MovStMovI:
-			R[s.rd] = R[s.ra]
-			put64(mem[R[s.rb]+uint64(s.imm):], R[s.rc])
-			R[s.re] = uint64(s.imm2)
-		case c2MovILdMov:
-			R[s.rd] = uint64(s.imm)
-			R[s.ra] = le64(mem[R[s.rb]+uint64(s.imm2):])
-			R[s.rc] = R[s.re]
-		case t3Ld64SetSt64:
-			R[s.rd] = le64(mem[R[s.ra]+uint64(s.imm):])
-			if evalCond(s.cond, R[s.rc], R[s.re]) {
-				R[s.rb] = 1
-			} else {
-				R[s.rb] = 0
-			}
-			put64(mem[R[s.rf]+uint64(s.imm2):], R[s.rg])
-		case t3St64MovSt64:
-			put64(mem[R[s.ra]+uint64(s.imm):], R[s.rb])
-			R[s.rd] = R[s.rc]
-			put64(mem[R[s.re]+uint64(s.imm2):], R[s.rf])
-		case t3MovILd64Set:
-			R[s.rd] = uint64(s.imm)
-			R[s.rb] = le64(mem[R[s.rc]+uint64(s.imm2):])
-			if evalCond(s.cond, R[s.rf], R[s.rg]) {
-				R[s.re] = 1
-			} else {
-				R[s.re] = 0
-			}
-		case t3Ld64MovMulI:
-			R[s.rd] = le64(mem[R[s.ra]+uint64(s.imm):])
-			R[s.rb] = R[s.rc]
-			R[s.re] = R[s.rf] * uint64(s.imm2)
-		case t3MulIMovAdd:
-			R[s.rd] = R[s.ra] * uint64(s.imm)
-			R[s.rb] = R[s.rc]
-			R[s.re] = R[s.rf] + R[s.rg]
-		case t3MovLd64Mov:
-			R[s.rd] = R[s.ra]
-			R[s.rb] = le64(mem[R[s.rc]+uint64(s.imm):])
-			R[s.re] = R[s.rf]
-		case t3St64MovMov:
-			put64(mem[R[s.ra]+uint64(s.imm):], R[s.rb])
-			R[s.rd] = R[s.rc]
-			R[s.re] = R[s.rf]
-		case t3St64Ld64Mov:
-			put64(mem[R[s.ra]+uint64(s.imm):], R[s.rb])
-			R[s.rd] = le64(mem[R[s.re]+uint64(s.imm2):])
-			R[s.rf] = R[s.rg]
-		case t3MovSt64Ld64:
-			R[s.rd] = R[s.ra]
-			put64(mem[R[s.rb]+uint64(s.imm):], R[s.rc])
-			R[s.re] = le64(mem[R[s.rf]+uint64(s.imm2):])
-		case t3St64AddSt64:
-			put64(mem[R[s.ra]+uint64(s.imm):], R[s.rb])
-			R[s.rd] = R[s.rc] + R[s.re]
-			put64(mem[R[s.rf]+uint64(s.imm2):], R[s.rg])
-		case t3Ld64MovSt64:
-			R[s.rd] = le64(mem[R[s.ra]+uint64(s.imm):])
-			R[s.rb] = R[s.rc]
-			put64(mem[R[s.re]+uint64(s.imm2):], R[s.rf])
-		case t3St64MovISt64:
-			put64(mem[R[s.ra]+uint64(s.imm):], R[s.rb])
-			R[s.rd] = uint64(s.imm2)
-			put64(mem[R[s.re]+uint64(s.imm3):], R[s.rf])
 		case t3SetSet:
 			if evalCond(s.cond, R[s.ra], R[s.rb]) {
 				R[s.rd] = 1
@@ -432,21 +358,6 @@ func stepRun(steps []fstep, R *[32]uint64, F *[16]float64, mem []byte) {
 			R[s.rd] = lo
 			R[s.ra] = hi
 			R[s.re] = R[s.rf] ^ R[s.rg]
-		case q4MovIStLdMov:
-			R[s.rd] = uint64(s.imm)
-			put64(mem[R[s.ra]+uint64(s.imm2):], R[s.rb])
-			R[s.rc] = le64(mem[R[s.re]+uint64(s.imm3):])
-			R[s.rf] = R[s.rg]
-		case q4MovStMovSt:
-			R[s.rd] = R[s.ra]
-			put64(mem[R[s.rb]+uint64(s.imm):], R[s.rc])
-			R[s.re] = R[s.rf]
-			put64(mem[R[s.rg]+uint64(s.imm2):], R[s.re])
-		case q4StLdMovSt:
-			put64(mem[R[s.ra]+uint64(s.imm):], R[s.rb])
-			R[s.rc] = le64(mem[R[s.rd]+uint64(s.imm2):])
-			R[s.re] = R[s.rf]
-			put64(mem[R[s.rg]+uint64(s.imm3):], R[s.re])
 		default:
 			panic(fmt.Sprintf("vm: bad fused step op %d", s.op))
 		}
@@ -526,76 +437,6 @@ func (m *Machine) runFused(mod *Module, fp *fprog, start int32) error {
 			if R[in.ra] != 0 {
 				fpc = in.tgt
 			}
-		// Guard+run merges: one dispatch for a whole block. The guard op
-		// charges nothing (n=0); on pass, the absorbed run micro-op at fpc
-		// supplies the steps, counters and branch fields, and is consumed
-		// inline. On fail, the checked clone re-runs the block per-access.
-		case xG1Run:
-			a := R[in.ra]
-			lo, hi := a+uint64(in.imm), a+uint64(in.imm2)
-			if lo < nullGuard || hi > uint64(len(mem)) || lo > hi {
-				fpc = in.tgt
-				continue
-			}
-			in = &ins[fpc]
-			fpc++
-			count += int64(in.n)
-			stepRun(stepsAll[in.imm:in.imm+int64(in.cnt)], R, F, mem)
-			memops += int64(in.rc)
-		case xG1RunBr:
-			a := R[in.ra]
-			lo, hi := a+uint64(in.imm), a+uint64(in.imm2)
-			if lo < nullGuard || hi > uint64(len(mem)) || lo > hi {
-				fpc = in.tgt
-				continue
-			}
-			in = &ins[fpc]
-			count += int64(in.n)
-			stepRun(stepsAll[in.imm:in.imm+int64(in.cnt)], R, F, mem)
-			memops += int64(in.rc)
-			branches++
-			if sm != nil && m.Executed+count >= sm.next {
-				sm.take(mod, offs[in.pc0+int32(in.n)-1], m.Executed+count)
-			}
-			fpc = in.tgt
-		case xG1RunBrCC:
-			a := R[in.ra]
-			lo, hi := a+uint64(in.imm), a+uint64(in.imm2)
-			if lo < nullGuard || hi > uint64(len(mem)) || lo > hi {
-				fpc = in.tgt
-				continue
-			}
-			in = &ins[fpc]
-			fpc++
-			count += int64(in.n)
-			stepRun(stepsAll[in.imm:in.imm+int64(in.cnt)], R, F, mem)
-			memops += int64(in.rc)
-			branches++
-			if sm != nil && m.Executed+count >= sm.next {
-				sm.take(mod, offs[in.pc0+int32(in.n)-1], m.Executed+count)
-			}
-			if evalCond(in.cond, R[in.ra], R[in.rb]) {
-				fpc = in.tgt
-			}
-		case xG1RunBrNZ:
-			a := R[in.ra]
-			lo, hi := a+uint64(in.imm), a+uint64(in.imm2)
-			if lo < nullGuard || hi > uint64(len(mem)) || lo > hi {
-				fpc = in.tgt
-				continue
-			}
-			in = &ins[fpc]
-			fpc++
-			count += int64(in.n)
-			stepRun(stepsAll[in.imm:in.imm+int64(in.cnt)], R, F, mem)
-			memops += int64(in.rc)
-			branches++
-			if sm != nil && m.Executed+count >= sm.next {
-				sm.take(mod, offs[in.pc0+int32(in.n)-1], m.Executed+count)
-			}
-			if R[in.ra] != 0 {
-				fpc = in.tgt
-			}
 		case xGuard1:
 			a := R[in.ra]
 			lo := a + uint64(in.imm)
@@ -628,68 +469,6 @@ func (m *Machine) runFused(mod *Module, fp *fprog, start int32) error {
 				fpc = in.tgt
 			} else {
 				R[in.rd] = 0
-			}
-		case xFCmpBr:
-			branches++
-			if sm != nil && m.Executed+count >= sm.next {
-				sm.take(mod, offs[in.pc0+int32(in.n)-1], m.Executed+count)
-			}
-			if evalFCond(in.cond, F[in.ra], F[in.rb]) {
-				R[in.rd] = 1
-				fpc = in.tgt
-			} else {
-				R[in.rd] = 0
-			}
-		case xLoadOp:
-			a, ok := loadAddr(R[in.ra]+uint64(in.imm), uint64(in.cnt))
-			if !ok {
-				count-- // the fused follow-op never executed
-				fpc = st.trap(in.pc0, vt.TrapOOB, memMsg(vt.Op(in.op1)))
-				continue
-			}
-			switch vt.Op(in.op1) {
-			case vt.Load8:
-				R[in.rd] = uint64(mem[a])
-			case vt.Load8S:
-				R[in.rd] = uint64(int64(int8(mem[a])))
-			case vt.Load16:
-				R[in.rd] = uint64(mem[a]) | uint64(mem[a+1])<<8
-			case vt.Load16S:
-				R[in.rd] = uint64(int64(int16(uint16(mem[a]) | uint16(mem[a+1])<<8)))
-			case vt.Load32:
-				R[in.rd] = uint64(le32(mem[a:]))
-			case vt.Load32S:
-				R[in.rd] = uint64(int64(int32(le32(mem[a:]))))
-			case vt.Load64:
-				R[in.rd] = le64(mem[a:])
-			case vt.FLoad:
-				F[in.rd] = fromBits(le64(mem[a:]))
-			}
-			stepRun(stepsAll[in.tgt:in.tgt+1], R, F, mem)
-		case xOpStore:
-			stepRun(stepsAll[in.tgt:in.tgt+1], R, F, mem)
-			a, ok := loadAddr(R[in.ra]+uint64(in.imm), uint64(in.cnt))
-			if !ok {
-				// Both constituents were dispatched (the op ran, the
-				// store trapped), so the pre-charged count of 2 is
-				// already exact. The trap belongs to the store, the
-				// pair's second constituent.
-				fpc = st.trap(in.pc0+1, vt.TrapOOB, memMsg(vt.Op(in.op1)))
-				continue
-			}
-			switch vt.Op(in.op1) {
-			case vt.Store8:
-				mem[a] = byte(R[in.rb])
-			case vt.Store16:
-				v := R[in.rb]
-				mem[a] = byte(v)
-				mem[a+1] = byte(v >> 8)
-			case vt.Store32:
-				put32(mem[a:], uint32(R[in.rb]))
-			case vt.Store64:
-				put64(mem[a:], R[in.rb])
-			case vt.FStore:
-				put64(mem[a:], toBits(F[in.rb]))
 			}
 
 		// ---- control flow ----
@@ -887,8 +666,8 @@ func (m *Machine) runFused(mod *Module, fp *fprog, start int32) error {
 			put64(mem[R[in.ra]+uint64(in.imm):], toBits(F[in.rb]))
 
 		// ---- combined steps emitted directly (short runs) ----
-		// Same semantics as the stepRun cases; cnt carries the guarded
-		// memory-access count, op1 the second operation's extra register.
+		// Same semantics as the stepRun cases; op1 is the second operation's
+		// extra register, and each case charges its own memory accesses.
 		case cMovSt64:
 			memops++
 			R[in.rd] = R[in.ra]
@@ -950,39 +729,12 @@ func (m *Machine) runFused(mod *Module, fp *fprog, start int32) error {
 		case cMovIMovI:
 			R[in.rd] = uint64(in.imm)
 			R[in.rb] = uint64(in.imm2)
-		case c2MovXor:
-			R[in.rd] = R[in.ra]
-			R[in.rb] = R[in.rc] ^ R[in.op1]
-		case c2MovAnd:
-			R[in.rd] = R[in.ra]
-			R[in.rb] = R[in.rc] & R[in.op1]
-		case c2XorMov:
-			R[in.rd] = R[in.ra] ^ R[in.rb]
-			R[in.rc] = R[in.op1]
-		case c2AndMov:
-			R[in.rd] = R[in.ra] & R[in.rb]
-			R[in.rc] = R[in.op1]
 		case c2MovMulI:
 			R[in.rd] = R[in.ra]
 			R[in.rb] = R[in.rc] * uint64(in.imm)
-		case c2MulILea:
-			R[in.rd] = R[in.ra] * uint64(in.imm)
-			R[in.rb] = R[in.rc] + uint64(in.imm2)
-		case c2LeaAdd:
-			R[in.rd] = R[in.ra] + uint64(in.imm)
-			R[in.rb] = R[in.rc] + R[in.op1]
-		case c2AddLea:
-			R[in.rd] = R[in.ra] + R[in.rb]
-			R[in.rc] = R[in.op1] + uint64(in.imm)
 		case c2MulIAdd:
 			R[in.rd] = R[in.ra] * uint64(in.imm)
 			R[in.rb] = R[in.rc] + R[in.op1]
-		case c2MovIMulI:
-			R[in.rd] = uint64(in.imm)
-			R[in.rb] = R[in.rc] * uint64(in.imm2)
-		case c2AddMovI:
-			R[in.rd] = R[in.ra] + R[in.rb]
-			R[in.rc] = uint64(in.imm)
 		case c2MovAddI:
 			R[in.rd] = R[in.ra]
 			R[in.rb] = R[in.rc] + uint64(in.imm)
@@ -992,14 +744,6 @@ func (m *Machine) runFused(mod *Module, fp *fprog, start int32) error {
 		case c2MovIMov:
 			R[in.rd] = uint64(in.imm)
 			R[in.rb] = R[in.rc]
-		case c2MovIMulwu:
-			R[in.rd] = uint64(in.imm)
-			hi, lo := bits.Mul64(R[in.rc], R[in.op1])
-			R[in.ra] = lo
-			R[in.rb] = hi
-		case c2CrcMovI:
-			R[in.rd] = crc32c8(R[in.ra], R[in.rb])
-			R[in.rc] = uint64(in.imm)
 		case c2MovCrc:
 			R[in.rd] = R[in.ra]
 			R[in.rb] = crc32c8(R[in.rc], R[in.op1])
@@ -1019,16 +763,6 @@ func (m *Machine) runFused(mod *Module, fp *fprog, start int32) error {
 			memops++
 			R[in.rd] = R[in.ra] + uint64(in.imm)
 			put64(mem[R[in.rb]+uint64(in.imm2):], R[in.rc])
-		case c2MovStMovI:
-			memops++
-			R[in.rd] = R[in.ra]
-			put64(mem[R[in.rb]+uint64(in.imm):], R[in.rc])
-			R[in.op1] = uint64(in.imm2)
-		case c2MovILdMov:
-			memops++
-			R[in.rd] = uint64(in.imm)
-			R[in.ra] = le64(mem[R[in.rb]+uint64(in.imm2):])
-			R[in.rc] = R[in.op1]
 
 		// ---- plain singles (no fusion covered them) ----
 		case uint8(vt.Nop):

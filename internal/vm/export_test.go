@@ -44,7 +44,6 @@ func FusedDigest(mod *Module) string {
 		u32(s.pc0)
 		u64(s.imm)
 		u64(s.imm2)
-		u64(s.imm3)
 	}
 	u64(int64(len(fp.guards)))
 	for _, g := range fp.guards {
@@ -62,10 +61,40 @@ func FusedDigest(mod *Module) string {
 	return fmt.Sprintf("%x", sha256.Sum256(b))[:24]
 }
 
+// The combined step opcodes are [CombinedFirst, CombinedEnd); from RunOnlyFirst
+// on they have no main-stream case in runFused.
+const (
+	CombinedFirst = cMovSt64
+	RunOnlyFirst  = cWideFirst
+	CombinedEnd   = xGuard
+)
+
+// Census adds the run steps and the micro-ops of mod's fused view to steps and
+// main, by opcode.
+func Census(mod *Module, steps, main *[256]int) {
+	fp := mod.fused()
+	for i := range fp.steps {
+		steps[fp.steps[i].op]++
+	}
+	for i := range fp.ins {
+		main[fp.ins[i].op]++
+	}
+}
+
+// CheckWithOp is the structural verifier's verdict on mod's fused view with
+// the opcode of micro-op i replaced by op.
+func CheckWithOp(mod *Module, i int, op uint8) error {
+	fp := *mod.fused()
+	fp.ins = append([]finstr(nil), fp.ins...)
+	fp.ins[i].op = op
+	return fp.check()
+}
+
 // check verifies what runFused takes on trust from the builder: every branch,
 // guard-fail and call-continuation patch resolved to a micro-op index in
 // range, every run's step range and every guard's range table inside their
-// arrays, and the primary stream covering each decoded instruction once.
+// arrays, no run-only step in the main stream, and the primary stream covering
+// each decoded instruction once.
 func (fp *fprog) check() error {
 	n := len(fp.o2f) - 1
 	nins, primary := int32(len(fp.ins)), int32(fp.stats.MicroOps)
@@ -101,9 +130,12 @@ func (fp *fprog) check() error {
 		if in.pc0 < 0 || int(in.pc0) >= n {
 			return bad("pc0 out of range")
 		}
+		if in.op >= cWideFirst && in.op < xGuard {
+			return bad("run-only step in the main stream")
+		}
 		switch op := in.op; {
 		case op == uint8(vt.Br), op == uint8(vt.BrCC), op == uint8(vt.BrNZ),
-			op == xCmpBr, op == xFCmpBr, op == xJmp:
+			op == xCmpBr, op == xJmp:
 			if !inIns(in.tgt) || in.tgt >= primary {
 				return bad(fmt.Sprintf("branch target %d", in.tgt))
 			}
@@ -116,17 +148,12 @@ func (fp *fprog) check() error {
 			if c := int32(in.imm2); !(inIns(c) && c < primary) && !(c == -1 && int(in.pc0) == n-1) {
 				return bad(fmt.Sprintf("call continuation %d", in.imm2))
 			}
-		case op == xGuard, op == xGuard1, op >= xG1Run && op <= xG1RunBrNZ:
+		case op == xGuard, op == xGuard1:
 			if in.tgt < primary || !inIns(in.tgt) {
 				return bad(fmt.Sprintf("guard-fail target %d", in.tgt))
 			}
 			if op == xGuard && (in.cnt < 2 || in.imm < 0 || in.imm+int64(in.cnt) > int64(len(fp.guards))) {
 				return bad(fmt.Sprintf("guard ranges [%d,+%d) of %d", in.imm, in.cnt, len(fp.guards)))
-			}
-			if op >= xG1Run {
-				if run := xRun + (op - xG1Run); !inIns(int32(i)+1) || fp.ins[i+1].op != run {
-					return bad("merged guard without its run slot")
-				}
 			}
 		case op >= xRun && op <= xRunBrNZ:
 			if in.cnt == 0 || in.imm < 0 || in.imm+int64(in.cnt) > int64(len(fp.steps)) {
@@ -134,10 +161,6 @@ func (fp *fprog) check() error {
 			}
 			if op != xRun && (!inIns(in.tgt) || in.tgt >= primary) {
 				return bad(fmt.Sprintf("run branch target %d", in.tgt))
-			}
-		case op == xLoadOp, op == xOpStore:
-			if in.tgt < 0 || int(in.tgt) >= len(fp.steps) {
-				return bad(fmt.Sprintf("pair step %d of %d", in.tgt, len(fp.steps)))
 			}
 		}
 	}

@@ -21,14 +21,11 @@
 //   - Superinstruction runs: maximal sequences of trap-free operations
 //     (plus guarded memory accesses) collapse into one xRun micro-op
 //     executed by a compact step loop — one dispatch for the whole run.
-//   - Compare-and-branch fusion: SetCC/FCmp feeding BrNZ on the result
-//     register becomes one xCmpBr/xFCmpBr micro-op.
+//   - Compare-and-branch fusion: SetCC feeding BrNZ on the result register
+//     becomes one xCmpBr micro-op.
 //   - Immediate materialization: MovZ followed by MovK chains folds into a
 //     single constant store; AddI/SubI/Lea address chains on one register
 //     fold into a single add.
-//   - Memory pairs: an unguarded load feeding a simple op (xLoadOp), and a
-//     simple op feeding an unguarded store (xOpStore), fuse with the
-//     bounds check kept inline and partial instruction counts on trap.
 package vm
 
 import (
@@ -82,87 +79,57 @@ const (
 	// Combined step opcodes: one step executing two adjacent operations.
 	// The pair set was chosen from dynamic frequency profiles of TPC-H
 	// execution (register copies and 64-bit column stores/loads dominate
-	// compiled query code); combineSteps performs the greedy matching.
-	cMovSt64  // MovRR + Store64u
-	cSt64Mov  // Store64u + MovRR
-	cSt64Ld64 // Store64u + Load64u (different address)
-	cLd64Mov  // Load64u + MovRR
-	cMovISt64 // MovRI + Store64u
-	cSt64MovI // Store64u + MovRI
-	cMovAdd   // MovRR + Add
-	cAddSt64  // Add + Store64u
-	cSetSt64  // SetCC + Store64u
-	cLd64Set  // Load64u + SetCC
-	cSt64St64 // Store64u + Store64u
-	cLd64Ld64 // Load64u + Load64u
-	cMovMov   // MovRR + MovRR
-	cMovIMovI // MovRI + MovRI
-	// Second-round combined steps, formed by running the combiner to a
-	// fixpoint so first-round products merge with their neighbours. The
-	// narrow group below fits the five-register/two-immediate main-stream
-	// encoding and may be inlined as direct micro-ops; the wide group
-	// (cWideFirst onward) uses the rf/rg/imm3 step fields and only ever
-	// executes inside runs.
-	c2MovXor       // MovRR + Xor:          rd←ra;         rb←rc^re
-	c2MovAnd       // MovRR + And:          rd←ra;         rb←rc&re
-	c2XorMov       // Xor + MovRR:          rd←ra^rb;      rc←re
-	c2AndMov       // And + MovRR:          rd←ra&rb;      rc←re
-	c2MovMulI      // MovRR + MulI:         rd←ra;         rb←rc*imm
-	c2MulILea      // MulI + AddI:          rd←ra*imm;     rb←rc+imm2
-	c2LeaAdd       // AddI + Add:           rd←ra+imm;     rb←rc+re
-	c2AddLea       // Add + AddI:           rd←ra+rb;      rc←re+imm
-	c2MulIAdd      // MulI + Add:           rd←ra*imm;     rb←rc+re
-	c2MovIMulI     // MovRI + MulI:         rd←imm;        rb←rc*imm2
-	c2AddMovI      // Add + MovRI:          rd←ra+rb;      rc←imm
-	c2MovAddI      // MovRR + AddI:         rd←ra;         rb←rc+imm
-	c2AddIMov      // AddI + MovRR:         rd←ra+imm;     rb←rc
-	c2MovIMov      // MovRI + MovRR:        rd←imm;        rb←rc
-	c2MovIMulwu    // MovRI + MulWideU:     rd←imm;        ra,rb←lo,hi(rc*re)
-	c2CrcMovI      // Crc32 + MovRI:        rd←crc(ra,rb); rc←imm
-	c2MovCrc       // MovRR + Crc32:        rd←ra;         rb←crc(rc,re)
-	c2MovLd64      // MovRR + Load64u:      rd←ra;         rb←[rc+imm]
-	c2MovILd64     // MovRI + Load64u:      rd←imm;        rb←[rc+imm2]
-	c2Ld64Lea      // Load64u + AddI:       rd←[ra+imm];   rb←rc+imm2
-	c2LeaSt64      // AddI + Store64u:      rd←ra+imm;     [rb+imm2]←rc
-	c2MovStMovI    // cMovSt64 + MovRI:     rd←ra; [rb+imm]←rc; re←imm2
-	c2MovILdMov    // MovRI + cLd64Mov:     rd←imm; ra←[rb+imm2]; rc←re
-	t3Ld64SetSt64  // cLd64Set + Store64u:  rd←[ra+imm]; set rb←rc?re; [rf+imm2]←rg
-	t3St64MovSt64  // cSt64Mov + Store64u:  [ra+imm]←rb; rd←rc; [re+imm2]←rf
-	t3MovILd64Set  // MovRI + cLd64Set:     rd←imm; rb←[rc+imm2]; set re←rf?rg
-	t3Ld64MovMulI  // cLd64Mov + MulI:      rd←[ra+imm]; rb←rc; re←rf*imm2
-	t3MulIMovAdd   // MulI + cMovAdd:       rd←ra*imm; rb←rc; re←rf+rg
-	t3MovLd64Mov   // MovRR + cLd64Mov:     rd←ra; rb←[rc+imm]; re←rf
-	t3St64MovMov   // cSt64Mov + MovRR:     [ra+imm]←rb; rd←rc; re←rf
-	t3St64Ld64Mov  // cSt64Ld64 + MovRR:    [ra+imm]←rb; rd←[re+imm2]; rf←rg
-	t3MovSt64Ld64  // cMovSt64 + Load64u:   rd←ra; [rb+imm]←rc; re←[rf+imm2]
-	t3St64AddSt64  // Store64u + cAddSt64:  [ra+imm]←rb; rd←rc+re; [rf+imm2]←rg
-	t3Ld64MovSt64  // cLd64Mov + Store64u:  rd←[ra+imm]; rb←rc; [re+imm2]←rf
-	t3St64MovISt64 // cSt64MovI + Store64u: [ra+imm]←rb; rd←imm2; [re+imm3]←rf
-	t3SetSet       // SetCC + SetCC:        rd←ra?rb; (cond rg) rc←re?rf
-	t3XorAnd       // Xor + And:            rd←ra^rb; rc←re&rf
-	t3MulwuXor     // MulWideU + Xor:       rd,ra←lo,hi(rb*rc); re←rf^rg
-	q4MovIStLdMov  // cMovISt64 + cLd64Mov: rd←imm; [ra+imm2]←rb; rc←[re+imm3]; rf←rg
-	q4MovStMovSt   // cMovSt64 + cMovSt64(v=dst): rd←ra; [rb+imm]←rc; re←rf; [rg+imm2]←re
-	q4StLdMovSt    // cSt64Ld64 + cMovSt64(v=dst): [ra+imm]←rb; rc←[rd+imm2]; re←rf; [rg+imm3]←re
-	xGuard         // hoisted block bounds check (cnt ranges at guards[imm])
-	xGuard1        // hoisted single-range bounds check (base ra, [imm, imm2))
-	xJmp           // stream glue (clone fall-through), charges nothing
-	xRun           // superinstruction: cnt steps at steps[imm]
-	xRunBr         // run whose block ends in Br: steps, then jump tgt
-	xRunBrCC       // run whose block ends in BrCC
-	xRunBrNZ       // run whose block ends in BrNZ
-	// Guard+run merges: a single-range guard whose block encoded to exactly
-	// one following run micro-op. One dispatch checks bounds and executes
-	// the whole block (the absorbed run micro-op stays in the stream as a
-	// dead slot holding the steps/branch payload).
-	xG1Run     // xGuard1 + xRun
-	xG1RunBr   // xGuard1 + xRunBr
-	xG1RunBrCC // xGuard1 + xRunBrCC
-	xG1RunBrNZ // xGuard1 + xRunBrNZ
-	xCmpBr     // SetCC + BrNZ
-	xFCmpBr    // FCmp + BrNZ
-	xLoadOp    // checked load + simple op
-	xOpStore   // simple op + checked store
+	// compiled query code); combineSteps performs the greedy matching. The
+	// narrow ones, up to cWideFirst, fit the five-register/two-immediate
+	// main-stream encoding and are inlined as direct micro-ops when a run
+	// closes on one or two steps. From cWideFirst on a step only ever
+	// executes inside a run: the t3* steps need the rf/rg fields, and the
+	// narrow ones that lead that group close no one- or two-step run in any
+	// corpus module, so runFused carries no copy of them (TestFuseCensus
+	// keeps the split honest in both directions).
+	cMovSt64    // MovRR + Store64u
+	cSt64Mov    // Store64u + MovRR
+	cSt64Ld64   // Store64u + Load64u (different address)
+	cLd64Mov    // Load64u + MovRR
+	cMovISt64   // MovRI + Store64u
+	cSt64MovI   // Store64u + MovRI
+	cMovAdd     // MovRR + Add
+	cAddSt64    // Add + Store64u
+	cSetSt64    // SetCC + Store64u
+	cLd64Set    // Load64u + SetCC
+	cSt64St64   // Store64u + Store64u
+	cLd64Ld64   // Load64u + Load64u
+	cMovMov     // MovRR + MovRR
+	cMovIMovI   // MovRI + MovRI
+	c2MovMulI   // MovRR + MulI:         rd←ra;         rb←rc*imm
+	c2MulIAdd   // MulI + Add:           rd←ra*imm;     rb←rc+re
+	c2MovAddI   // MovRR + AddI:         rd←ra;         rb←rc+imm
+	c2AddIMov   // AddI + MovRR:         rd←ra+imm;     rb←rc
+	c2MovIMov   // MovRI + MovRR:        rd←imm;        rb←rc
+	c2MovCrc    // MovRR + Crc32:        rd←ra;         rb←crc(rc,re)
+	c2MovLd64   // MovRR + Load64u:      rd←ra;         rb←[rc+imm]
+	c2MovILd64  // MovRI + Load64u:      rd←imm;        rb←[rc+imm2]
+	c2Ld64Lea   // Load64u + AddI:       rd←[ra+imm];   rb←rc+imm2
+	c2LeaSt64   // AddI + Store64u:      rd←ra+imm;     [rb+imm2]←rc
+	c2MovXor    // MovRR + Xor:          rd←ra;         rb←rc^re
+	c2MovAnd    // MovRR + And:          rd←ra;         rb←rc&re
+	c2XorMov    // Xor + MovRR:          rd←ra^rb;      rc←re
+	c2AndMov    // And + MovRR:          rd←ra&rb;      rc←re
+	c2MovIMulI  // MovRI + MulI:         rd←imm;        rb←rc*imm2
+	c2AddMovI   // Add + MovRI:          rd←ra+rb;      rc←imm
+	c2MovIMulwu // MovRI + MulWideU:     rd←imm;        ra,rb←lo,hi(rc*re)
+	c2CrcMovI   // Crc32 + MovRI:        rd←crc(ra,rb); rc←imm
+	t3SetSet    // SetCC + SetCC:        rd←ra?rb; (cond rg) rc←re?rf
+	t3XorAnd    // Xor + And:            rd←ra^rb; rc←re&rf
+	t3MulwuXor  // MulWideU + Xor:       rd,ra←lo,hi(rb*rc); re←rf^rg
+	xGuard      // hoisted block bounds check (cnt ranges at guards[imm])
+	xGuard1     // hoisted single-range bounds check (base ra, [imm, imm2))
+	xJmp        // stream glue (clone fall-through), charges nothing
+	xRun        // superinstruction: cnt steps at steps[imm]
+	xRunBr      // run whose block ends in Br: steps, then jump tgt
+	xRunBrCC    // run whose block ends in BrCC
+	xRunBrNZ    // run whose block ends in BrNZ
+	xCmpBr      // SetCC + BrNZ
 )
 
 // unchecked maps a memory operation (checked or statically unchecked) to its
@@ -184,28 +151,26 @@ func unchecked(op vt.Op) uint8 {
 type finstr struct {
 	op   uint8 // micro-opcode (vt.Op, |uncheckedBit, or x*)
 	n    uint8 // original instructions covered (0 for guard/jmp glue)
-	cnt  uint8 // run step count / guard range count / pair access size
-	rc   uint8 // run mem-op count / RC register / pair second-op RC
+	cnt  uint8 // run step count / guard range count
+	rc   uint8 // run mem-op count / RC register
 	rd   uint8
 	ra   uint8
 	rb   uint8
 	cond vt.Cond
-	op1  uint8 // pair memory operation (vt.Op)
+	op1  uint8 // combined step's extra register (fstep.re)
 	pc0  int32 // original instruction index of the first constituent
-	tgt  int32 // fused branch/guard-fail/jmp target, or pair step index
+	tgt  int32 // fused branch/guard-fail/jmp target
 	imm  int64
 	imm2 int64 // call continuation
 }
 
-// cWideFirst is the first combined step opcode that needs the wide fields
-// (rf/rg/imm3); steps at or above it cannot be inlined as main-stream
-// micro-ops and only execute inside runs.
-const cWideFirst = t3Ld64SetSt64
+// cWideFirst is the first combined step opcode with no main-stream case in
+// runFused; steps at or above it only execute inside runs.
+const cWideFirst = c2MovXor
 
 // fstep is one step of an xRun superinstruction. Combined steps (c*) hold
 // two operations: re and imm2 carry the second operation's extra register
-// and immediate. Wide combined steps (t3*/q4*) hold three or four
-// operations using rf, rg and imm3.
+// and immediate; the wide ones (t3*) use rf and rg as well.
 type fstep struct {
 	op   uint8 // vt.Op, unchecked memory operation, or combined group
 	rd   uint8
@@ -219,58 +184,29 @@ type fstep struct {
 	pc0  int32
 	imm  int64
 	imm2 int64
-	imm3 int64
 }
 
 // combineSteps greedily replaces adjacent step pairs with single combined
-// steps, halving dispatch count for the patterns that dominate compiled
-// query code (register copies feeding/following 64-bit stores and loads
-// cover roughly two thirds of adjacent pairs on TPC-H). Combining is a pure
-// re-encoding: each combined step performs both constituent operations in
+// steps, in place, halving dispatch count for the patterns that dominate
+// compiled query code (register copies feeding/following 64-bit stores and
+// loads cover roughly two thirds of adjacent pairs on TPC-H). Combining is a
+// pure re-encoding: each combined step performs both constituent operations in
 // original order, so register/memory effects are identical, counters are
 // unaffected (run memory-op counts are fixed at push time), and trap
 // attribution is unaffected (all constituents are trap-free).
 func combineSteps(steps []fstep) []fstep {
-	// Run the pairwise pass to a fixpoint: second-round rules merge
-	// first-round products with their neighbours into triples and quads.
-	for len(steps) >= 2 {
-		out := steps[:0]
-		i := 0
-		for i < len(steps) {
-			if i+1 < len(steps) {
-				if c, ok := combinePair(&steps[i], &steps[i+1]); ok {
-					out = append(out, c)
-					i += 2
-					continue
-				}
+	out := steps[:0]
+	for i := 0; i < len(steps); i++ {
+		if i+1 < len(steps) {
+			if c, ok := combinePair(&steps[i], &steps[i+1]); ok {
+				out = append(out, c)
+				i++
+				continue
 			}
-			out = append(out, steps[i])
-			i++
 		}
-		if len(out) == i {
-			return out
-		}
-		steps = out
+		out = append(out, steps[i])
 	}
-	return steps
-}
-
-// cMemOps is the number of guarded memory accesses a combined step performs
-// (charged as MemOps by the main-stream dispatch cases; runs charge in bulk
-// via the run's rc field instead).
-func cMemOps(op uint8) uint8 {
-	switch op {
-	case cSt64Ld64, cSt64St64, cLd64Ld64,
-		t3Ld64SetSt64, t3St64MovSt64, t3St64Ld64Mov, t3MovSt64Ld64,
-		t3St64AddSt64, t3Ld64MovSt64, t3St64MovISt64,
-		q4MovIStLdMov, q4MovStMovSt, q4StLdMovSt:
-		return 2
-	case cMovSt64, cSt64Mov, cLd64Mov, cMovISt64, cSt64MovI, cAddSt64, cSetSt64, cLd64Set,
-		c2MovLd64, c2MovILd64, c2Ld64Lea, c2LeaSt64, c2MovStMovI, c2MovILdMov,
-		t3MovILd64Set, t3Ld64MovMulI, t3MovLd64Mov, t3St64MovMov:
-		return 1
-	}
-	return 0
+	return out
 }
 
 // combinePair encodes two adjacent steps as one combined step when the pair
@@ -297,8 +233,6 @@ func combinePair(a, b *fstep) (fstep, bool) {
 			return fstep{op: c2MovCrc, rd: a.rd, ra: a.ra, rb: b.rd, rc: b.ra, re: b.rb, pc0: a.pc0}, true
 		case uLoad64:
 			return fstep{op: c2MovLd64, rd: a.rd, ra: a.ra, rb: b.rd, rc: b.ra, imm: b.imm, pc0: a.pc0}, true
-		case cLd64Mov:
-			return fstep{op: t3MovLd64Mov, rd: a.rd, ra: a.ra, rb: b.rd, rc: b.ra, imm: b.imm, re: b.rb, rf: b.rc, pc0: a.pc0}, true
 		}
 	case uint8(vt.MovRI):
 		switch b.op {
@@ -314,10 +248,6 @@ func combinePair(a, b *fstep) (fstep, bool) {
 			return fstep{op: c2MovIMulwu, rd: a.rd, imm: a.imm, ra: b.rd, rb: b.rc, rc: b.ra, re: b.rb, pc0: a.pc0}, true
 		case uLoad64:
 			return fstep{op: c2MovILd64, rd: a.rd, imm: a.imm, rb: b.rd, rc: b.ra, imm2: b.imm, pc0: a.pc0}, true
-		case cLd64Mov:
-			return fstep{op: c2MovILdMov, rd: a.rd, imm: a.imm, ra: b.rd, rb: b.ra, imm2: b.imm, rc: b.rb, re: b.rc, pc0: a.pc0}, true
-		case cLd64Set:
-			return fstep{op: t3MovILd64Set, rd: a.rd, imm: a.imm, rb: b.rd, rc: b.ra, imm2: b.imm, cond: b.cond, re: b.rb, rf: b.rc, rg: b.re, pc0: a.pc0}, true
 		}
 	case uStore64:
 		switch b.op {
@@ -329,8 +259,6 @@ func combinePair(a, b *fstep) (fstep, bool) {
 			return fstep{op: cSt64MovI, ra: a.ra, rb: a.rb, imm: a.imm, rd: b.rd, imm2: b.imm, pc0: a.pc0}, true
 		case uStore64:
 			return fstep{op: cSt64St64, ra: a.ra, rb: a.rb, imm: a.imm, rc: b.ra, re: b.rb, imm2: b.imm, pc0: a.pc0}, true
-		case cAddSt64:
-			return fstep{op: t3St64AddSt64, ra: a.ra, rb: a.rb, imm: a.imm, rd: b.rd, rc: b.ra, re: b.rb, rf: b.rc, rg: b.re, imm2: b.imm, pc0: a.pc0}, true
 		}
 	case uLoad64:
 		switch b.op {
@@ -347,8 +275,6 @@ func combinePair(a, b *fstep) (fstep, bool) {
 		switch b.op {
 		case uStore64:
 			return fstep{op: cAddSt64, rd: a.rd, ra: a.ra, rb: a.rb, rc: b.ra, re: b.rb, imm: b.imm, pc0: a.pc0}, true
-		case uint8(vt.AddI):
-			return fstep{op: c2AddLea, rd: a.rd, ra: a.ra, rb: a.rb, rc: b.rd, re: b.ra, imm: b.imm, pc0: a.pc0}, true
 		case uint8(vt.MovRI):
 			return fstep{op: c2AddMovI, rd: a.rd, ra: a.ra, rb: a.rb, rc: b.rd, imm: b.imm, pc0: a.pc0}, true
 		}
@@ -361,21 +287,14 @@ func combinePair(a, b *fstep) (fstep, bool) {
 		}
 	case uint8(vt.AddI):
 		switch b.op {
-		case uint8(vt.Add):
-			return fstep{op: c2LeaAdd, rd: a.rd, ra: a.ra, imm: a.imm, rb: b.rd, rc: b.ra, re: b.rb, pc0: a.pc0}, true
 		case uint8(vt.MovRR):
 			return fstep{op: c2AddIMov, rd: a.rd, ra: a.ra, imm: a.imm, rb: b.rd, rc: b.ra, pc0: a.pc0}, true
 		case uStore64:
 			return fstep{op: c2LeaSt64, rd: a.rd, ra: a.ra, imm: a.imm, rb: b.ra, rc: b.rb, imm2: b.imm, pc0: a.pc0}, true
 		}
 	case uint8(vt.MulI):
-		switch b.op {
-		case uint8(vt.AddI):
-			return fstep{op: c2MulILea, rd: a.rd, ra: a.ra, imm: a.imm, rb: b.rd, rc: b.ra, imm2: b.imm, pc0: a.pc0}, true
-		case uint8(vt.Add):
+		if b.op == uint8(vt.Add) {
 			return fstep{op: c2MulIAdd, rd: a.rd, ra: a.ra, imm: a.imm, rb: b.rd, rc: b.ra, re: b.rb, pc0: a.pc0}, true
-		case cMovAdd:
-			return fstep{op: t3MulIMovAdd, rd: a.rd, ra: a.ra, imm: a.imm, rb: b.rd, rc: b.ra, re: b.rb, rf: b.rc, rg: b.re, pc0: a.pc0}, true
 		}
 	case uint8(vt.Xor):
 		switch b.op {
@@ -395,56 +314,6 @@ func combinePair(a, b *fstep) (fstep, bool) {
 	case uint8(vt.MulWideU):
 		if b.op == uint8(vt.Xor) {
 			return fstep{op: t3MulwuXor, rd: a.rd, ra: a.rc, rb: a.ra, rc: a.rb, re: b.rd, rf: b.ra, rg: b.rb, pc0: a.pc0}, true
-		}
-	case cMovSt64:
-		switch b.op {
-		case uint8(vt.MovRI):
-			return fstep{op: c2MovStMovI, rd: a.rd, ra: a.ra, rb: a.rb, rc: a.rc, imm: a.imm, re: b.rd, imm2: b.imm, pc0: a.pc0}, true
-		case uLoad64:
-			return fstep{op: t3MovSt64Ld64, rd: a.rd, ra: a.ra, rb: a.rb, rc: a.rc, imm: a.imm, re: b.rd, rf: b.ra, imm2: b.imm, pc0: a.pc0}, true
-		case cMovSt64:
-			if b.rc == b.rd {
-				return fstep{op: q4MovStMovSt, rd: a.rd, ra: a.ra, rb: a.rb, rc: a.rc, imm: a.imm, re: b.rd, rf: b.ra, rg: b.rb, imm2: b.imm, pc0: a.pc0}, true
-			}
-		}
-	case cSt64Mov:
-		switch b.op {
-		case uStore64:
-			return fstep{op: t3St64MovSt64, ra: a.ra, rb: a.rb, imm: a.imm, rd: a.rd, rc: a.rc, re: b.ra, rf: b.rb, imm2: b.imm, pc0: a.pc0}, true
-		case uint8(vt.MovRR):
-			return fstep{op: t3St64MovMov, ra: a.ra, rb: a.rb, imm: a.imm, rd: a.rd, rc: a.rc, re: b.rd, rf: b.ra, pc0: a.pc0}, true
-		}
-	case cSt64Ld64:
-		switch b.op {
-		case uint8(vt.MovRR):
-			return fstep{op: t3St64Ld64Mov, ra: a.ra, rb: a.rb, imm: a.imm, rd: a.rd, re: a.re, imm2: a.imm2, rf: b.rd, rg: b.ra, pc0: a.pc0}, true
-		case cMovSt64:
-			if b.rc == b.rd {
-				return fstep{op: q4StLdMovSt, ra: a.ra, rb: a.rb, imm: a.imm, rc: a.rd, rd: a.re, imm2: a.imm2, re: b.rd, rf: b.ra, rg: b.rb, imm3: b.imm, pc0: a.pc0}, true
-			}
-		}
-	case cLd64Mov:
-		switch b.op {
-		case uint8(vt.MulI):
-			return fstep{op: t3Ld64MovMulI, rd: a.rd, ra: a.ra, imm: a.imm, rb: a.rb, rc: a.rc, re: b.rd, rf: b.ra, imm2: b.imm, pc0: a.pc0}, true
-		case uStore64:
-			return fstep{op: t3Ld64MovSt64, rd: a.rd, ra: a.ra, imm: a.imm, rb: a.rb, rc: a.rc, re: b.ra, rf: b.rb, imm2: b.imm, pc0: a.pc0}, true
-		}
-	case cLd64Set:
-		if b.op == uStore64 {
-			return fstep{op: t3Ld64SetSt64, rd: a.rd, ra: a.ra, imm: a.imm, cond: a.cond, rb: a.rb, rc: a.rc, re: a.re, rf: b.ra, rg: b.rb, imm2: b.imm, pc0: a.pc0}, true
-		}
-	case cMovISt64:
-		if b.op == cLd64Mov {
-			return fstep{op: q4MovIStLdMov, rd: a.rd, imm: a.imm, ra: a.ra, rb: a.rb, imm2: a.imm2, rc: b.rd, re: b.ra, imm3: b.imm, rf: b.rb, rg: b.rc, pc0: a.pc0}, true
-		}
-	case cSt64MovI:
-		if b.op == uStore64 {
-			return fstep{op: t3St64MovISt64, ra: a.ra, rb: a.rb, imm: a.imm, rd: a.rd, imm2: a.imm2, re: b.ra, rf: b.rb, imm3: b.imm, pc0: a.pc0}, true
-		}
-	case c2MovILd64:
-		if b.op == uint8(vt.MovRR) {
-			return fstep{op: c2MovILdMov, rd: a.rd, imm: a.imm, ra: a.rb, rb: a.rc, imm2: a.imm2, rc: b.rd, re: b.ra, pc0: a.pc0}, true
 		}
 	}
 	return fstep{}, false
@@ -513,7 +382,6 @@ type cloneReq struct {
 // memory operation in the low bits, flags above.
 const (
 	opSize     = 0x0F
-	opStore    = 0x10
 	opRunnable = 0x20 // may live inside an xRun: no trap, no control transfer
 	opIntDst   = 0x40 // writes integer register RD (MulWide: and RC)
 	opMem      = 0x80
@@ -521,11 +389,8 @@ const (
 
 var opClass = func() (t [256]uint8) {
 	for op := vt.Op(0); op < vt.NumOps; op++ {
-		if sz, isStore, isMem := op.MemRef(); isMem {
+		if sz, _, isMem := op.MemRef(); isMem {
 			t[op] = opMem | sz
-			if isStore {
-				t[op] |= opStore
-			}
 		}
 		if !op.CanTrap() && !op.IsBranch() && !op.IsCall() && op != vt.Ret {
 			t[op] |= opRunnable
@@ -685,15 +550,6 @@ func (b *fuseBuilder) build(mod *Module, fp *fprog) {
 			}
 		}
 		b.encodeBody(s, e)
-		// Guard+run merge: when a single-range guard's whole block encoded
-		// to exactly one run micro-op, one dispatch does both (xG1Run* mirror
-		// xRun* in order). The run slot stays behind as a dead payload holder
-		// whose steps and branch fields the merged op reads.
-		if gidx >= 0 && b.ins[gidx].op == xGuard1 && int(gidx)+2 == len(b.ins) {
-			if op := b.ins[gidx+1].op; op >= xRun && op <= xRunBrNZ {
-				b.ins[gidx].op = xG1Run + (op - xRun)
-			}
-		}
 		s = e
 	}
 	fp.stats.Instrs, fp.stats.MicroOps = n, len(b.ins)
@@ -885,21 +741,10 @@ func (b *fuseBuilder) closeRun() bool {
 	if len(b.run) > 2 {
 		return true
 	}
-	// Per-op MemOps charges of the main-stream cases. Store-to-load
-	// forwarding can hide a load's charge inside a MovRR, in which case
-	// only a run's bulk rc charge stays exact — then keep the run.
-	exp := 0
 	for i := range b.run {
-		if st := &b.run[i]; st.op >= uLoad8 && st.op < cMovSt64 {
-			exp++
-		} else if st.op < cWideFirst {
-			exp += int(cMemOps(st.op))
-		} else {
+		if b.run[i].op >= cWideFirst {
 			return true
 		}
-	}
-	if exp != b.runMem {
-		return true
 	}
 	nn := uint8(b.runN)
 	for i := range b.run {
@@ -907,7 +752,6 @@ func (b *fuseBuilder) closeRun() bool {
 		b.emit(finstr{
 			op: st.op, n: nn, cond: st.cond,
 			rd: st.rd, ra: st.ra, rb: st.rb, rc: st.rc, op1: st.re,
-			cnt: cMemOps(st.op),
 			imm: st.imm, imm2: st.imm2, pc0: st.pc0,
 		})
 		nn = 0
@@ -946,7 +790,7 @@ func (b *fuseBuilder) flushBr(xop uint8, k int) bool {
 }
 
 // encodeBody encodes block [s,e) with every fusion applied: covered accesses
-// unchecked, runs, pairs, folds, compare-and-branch.
+// unchecked, runs, folds, compare-and-branch.
 func (b *fuseBuilder) encodeBody(s, e int) {
 	instrs := b.instrs
 	for k := s; k < e; {
@@ -954,18 +798,14 @@ func (b *fuseBuilder) encodeBody(s, e int) {
 		op := in.Op
 		cls := opClass[op]
 
-		// Compare-and-branch fusion: SetCC/FCmp feeding BrNZ on the
-		// result register. The 0/1 result is still written, so register
-		// state matches the unfused loop exactly.
-		if (op == vt.SetCC || op == vt.FCmp) && k+1 < e &&
-			instrs[k+1].Op == vt.BrNZ && instrs[k+1].RA == in.RD {
+		// Compare-and-branch fusion: SetCC feeding BrNZ on the result
+		// register. The 0/1 result is still written, so register state
+		// matches the unfused loop exactly. (An FCmp feeding BrNZ is a run
+		// step and its branch an xRunBrNZ: one dispatch as well.)
+		if op == vt.SetCC && k+1 < e && instrs[k+1].Op == vt.BrNZ && instrs[k+1].RA == in.RD {
 			b.flush()
-			fop := xCmpBr
-			if op == vt.FCmp {
-				fop = xFCmpBr
-			}
 			idx := b.emit(finstr{
-				op: fop, n: 2, cond: in.Cond,
+				op: xCmpBr, n: 2, cond: in.Cond,
 				rd: in.RD, ra: in.RA, rb: in.RB, pc0: int32(k),
 			})
 			b.patchB = append(b.patchB, patch{idx: idx, orig: b.mod.branchIdx[k+1]})
@@ -1013,24 +853,6 @@ func (b *fuseBuilder) encodeBody(s, e int) {
 		// Statically unchecked accesses take the same unchecked-step path
 		// as guard-covered ones: the compile-time proof replaces the guard.
 		if cls&opMem != 0 && (op.UncheckedMem() || b.guarded(k)) {
-			// Store-to-load forwarding: a guarded 64-bit load from the
-			// address an adjacent guarded store just wrote reads the
-			// stored register instead of memory. Still one MemOp.
-			if cls&opStore == 0 && len(b.run) > 0 {
-				pv := &b.run[len(b.run)-1]
-				ck := op.CheckedMem()
-				if (ck == vt.Load64 && pv.op == uStore64 || ck == vt.FLoad && pv.op == uFStore) &&
-					pv.ra == in.RA && pv.imm == in.Imm {
-					mv := uint8(vt.MovRR)
-					if ck == vt.FLoad {
-						mv = uint8(vt.FMovRR)
-					}
-					b.push(fstep{op: mv, rd: in.RD, ra: pv.rb, pc0: int32(k)}, 1)
-					b.runMem++
-					k++
-					continue
-				}
-			}
 			// Bounds hoisted into the block guard: unchecked step.
 			b.push(fstep{
 				op: unchecked(op), cond: in.Cond,
@@ -1041,24 +863,7 @@ func (b *fuseBuilder) encodeBody(s, e int) {
 		}
 
 		if cls&opRunnable != 0 {
-			st := stepOf(in, k)
-			// op+Store fusion: a lone simple op feeding a checked store.
-			if len(b.run) == 0 && k+1 < e {
-				nx := &instrs[k+1]
-				if nc := opClass[nx.Op]; nc&opStore != 0 && !nx.Op.UncheckedMem() && !b.guarded(k+1) {
-					// The simple op lives as a one-step run referenced by
-					// tgt; the dispatcher executes it before the store.
-					b.emit(finstr{
-						op: xOpStore, n: 2, cnt: nc & opSize,
-						op1: uint8(nx.Op), ra: nx.RA, rb: nx.RB, imm: nx.Imm,
-						pc0: int32(k), tgt: int32(len(b.steps)),
-					})
-					b.steps = append(b.steps, st)
-					k += 2
-					continue
-				}
-			}
-			b.push(st, 1)
+			b.push(stepOf(in, k), 1)
 			k++
 			continue
 		}
@@ -1070,26 +875,8 @@ func (b *fuseBuilder) encodeBody(s, e int) {
 			continue
 		}
 
-		// Non-runnable: flush the pending run, then try memory pairs.
+		// Non-runnable: flush the pending run.
 		b.flush()
-		if cls&(opMem|opStore) == opMem && k+1 < e {
-			// Load+op fusion: checked load feeding a simple operation. An
-			// unchecked memory op is runnable but must not ride along as the
-			// follow step: its access would bypass the MemOps charge.
-			nx := &instrs[k+1]
-			if opClass[nx.Op]&opRunnable != 0 && !nx.Op.UncheckedMem() {
-				// The follow op lives as a one-step run referenced by tgt;
-				// the dispatcher executes it after the load succeeds.
-				b.emit(finstr{
-					op: xLoadOp, n: 2, cnt: cls & opSize,
-					op1: uint8(op), rd: in.RD, ra: in.RA, imm: in.Imm,
-					pc0: int32(k), tgt: int32(len(b.steps)),
-				})
-				b.steps = append(b.steps, stepOf(nx, k+1))
-				k += 2
-				continue
-			}
-		}
 		b.emitSingle(k)
 		k++
 	}

@@ -129,19 +129,16 @@ func TestStoreWraparound(t *testing.T) {
 	})
 }
 
-// TestTrapAttributionOpStore: the store of a fused op+store pair traps; the
-// trap must carry the PC and frame of the original store instruction, and
-// both pair constituents count as executed.
+// TestTrapAttributionOpStore: a checked store right after a simple op traps;
+// the trap must carry the PC and frame of the store instruction, and both
+// instructions count as executed.
 func TestTrapAttributionOpStore(t *testing.T) {
 	both(t, func(t *testing.T, arch vt.Arch) {
 		code := build(t, arch, func(a vt.Assembler) {
-			a.Emit(vt.Instr{Op: vt.Lea, RD: 2, RA: 0, Imm: 7})     // 0: fuses with...
-			a.Emit(vt.Instr{Op: vt.Store64, RA: 1, RB: 2, Imm: 0}) // 1: ...this store (bad base)
+			a.Emit(vt.Instr{Op: vt.Lea, RD: 2, RA: 0, Imm: 7})     // 0
+			a.Emit(vt.Instr{Op: vt.Store64, RA: 1, RB: 2, Imm: 0}) // 1: bad base
 			a.Emit(vt.Instr{Op: vt.Ret})                           // 2
 		})
-		if !hasMicroOp(t, arch, code, xOpStore) {
-			t.Fatal("op+store pair did not fuse")
-		}
 		_, err, c := runEngines(t, arch, code, 5, 16) // r1=16: below nullGuard
 		tr, ok := err.(*Trap)
 		if !ok || tr.Code != vt.TrapOOB {
@@ -157,18 +154,15 @@ func TestTrapAttributionOpStore(t *testing.T) {
 	})
 }
 
-// TestTrapAttributionLoadOp: the load of a fused load+op pair traps; the
-// fused follow-op must not count as executed and the PC is the load's.
+// TestTrapAttributionLoadOp: a checked load ahead of a simple op traps; the
+// follow-op must not count as executed and the PC is the load's.
 func TestTrapAttributionLoadOp(t *testing.T) {
 	both(t, func(t *testing.T, arch vt.Arch) {
 		code := build(t, arch, func(a vt.Assembler) {
 			a.Emit(vt.Instr{Op: vt.Load64, RD: 2, RA: 1, Imm: 0}) // 0: bad base
-			a.Emit(vt.Instr{Op: vt.AddI, RD: 2, RA: 2, Imm: 3})   // 1: fused follow-op
+			a.Emit(vt.Instr{Op: vt.AddI, RD: 2, RA: 2, Imm: 3})   // 1: follow-op
 			a.Emit(vt.Instr{Op: vt.Ret})                          // 2
 		})
-		if !hasMicroOp(t, arch, code, xLoadOp) {
-			t.Fatal("load+op pair did not fuse")
-		}
 		_, err, c := runEngines(t, arch, code, 0, 3) // r1=3: below nullGuard
 		tr, ok := err.(*Trap)
 		if !ok || tr.Code != vt.TrapOOB {
@@ -217,30 +211,40 @@ func TestTrapAttributionGuardedBlock(t *testing.T) {
 	})
 }
 
-// TestCmpBranchFusionCounters: SetCC+BrNZ fuses into one micro-op that
-// still charges two instructions, one branch, and writes the 0/1 result.
+// TestCmpBranchFusionCounters: a compare feeding BrNZ takes one dispatch —
+// SetCC+BrNZ as one xCmpBr micro-op, FCmp+BrNZ as the last step and the
+// branch of one run — that still charges every instruction, one branch, and
+// writes the 0/1 result.
 func TestCmpBranchFusionCounters(t *testing.T) {
 	both(t, func(t *testing.T, arch vt.Arch) {
-		code := build(t, arch, func(a vt.Assembler) {
-			done := a.NewLabel()
-			a.Emit(vt.Instr{Op: vt.SetCC, Cond: vt.CondULT, RD: 2, RA: 0, RB: 1})
-			a.Emit(vt.Instr{Op: vt.BrNZ, RA: 2, Target: int32(done)})
-			a.Emit(vt.Instr{Op: vt.MovRI, RD: 2, Imm: 99})
-			a.Bind(done)
-			a.Emit(vt.Instr{Op: vt.MovRR, RD: 0, RA: 2})
-			a.Emit(vt.Instr{Op: vt.Ret})
-		})
-		if !hasMicroOp(t, arch, code, xCmpBr) {
-			t.Fatal("compare-and-branch did not fuse")
+		for _, float := range []bool{false, true} {
+			code := build(t, arch, func(a vt.Assembler) {
+				done := a.NewLabel()
+				if float {
+					a.Emit(vt.Instr{Op: vt.CvtSI2F, RD: 0, RA: 0})
+					a.Emit(vt.Instr{Op: vt.CvtSI2F, RD: 1, RA: 1})
+					a.Emit(vt.Instr{Op: vt.FCmp, Cond: vt.CondSLT, RD: 2, RA: 0, RB: 1})
+				} else {
+					a.Emit(vt.Instr{Op: vt.SetCC, Cond: vt.CondULT, RD: 2, RA: 0, RB: 1})
+				}
+				a.Emit(vt.Instr{Op: vt.BrNZ, RA: 2, Target: int32(done)})
+				a.Emit(vt.Instr{Op: vt.MovRI, RD: 2, Imm: 99})
+				a.Bind(done)
+				a.Emit(vt.Instr{Op: vt.MovRR, RD: 0, RA: 2})
+				a.Emit(vt.Instr{Op: vt.Ret})
+			})
+			if want := map[bool]uint8{false: xCmpBr, true: xRunBrNZ}[float]; !hasMicroOp(t, arch, code, want) {
+				t.Fatalf("float=%v: compare-and-branch did not fuse into micro-op %d", float, want)
+			}
+			res, _, c := runEngines(t, arch, code, 1, 2) // 1 < 2: taken
+			if res[0] != 1 {
+				t.Errorf("float=%v: result = %d, want 1 (the compare's result must be written)", float, res[0])
+			}
+			if c.Branches != 1 {
+				t.Errorf("float=%v: Branches = %d, want 1", float, c.Branches)
+			}
+			runEngines(t, arch, code, 2, 1) // not taken
 		}
-		res, _, c := runEngines(t, arch, code, 1, 2) // 1 < 2: taken
-		if res[0] != 1 {
-			t.Errorf("result = %d, want 1 (SetCC result must be written)", res[0])
-		}
-		if c.Branches != 1 {
-			t.Errorf("Branches = %d, want 1", c.Branches)
-		}
-		runEngines(t, arch, code, 2, 1) // not taken
 	})
 }
 

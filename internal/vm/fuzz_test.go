@@ -11,7 +11,7 @@ import (
 // fuse without panicking into a view that passes the structural verifier;
 // whatever does not decode must be refused with an error. Seeds: the fusion
 // shapes of fuse_test.go (guarded loop, compare-and-branch, immediate folds,
-// load+op and op+store pairs, call with continuation) plus the committed
+// checked accesses beside simple ops, call with continuation) plus the committed
 // corpus under testdata/fuzz/FuzzLoadFuse.
 //
 //	go test ./internal/vm -run '^$' -fuzz FuzzLoadFuse -fuzztime 10s
@@ -47,7 +47,7 @@ func fuzzSeeds(arch vt.Arch) [][]byte {
 		return code
 	}
 	return [][]byte{
-		asm(func(a vt.Assembler) { // guarded loop with a store-to-load forward
+		asm(func(a vt.Assembler) { // guarded loop that reloads what it just stored
 			loop, done := a.NewLabel(), a.NewLabel()
 			a.Emit(vt.Instr{Op: vt.MovRI, RD: 1, Imm: nullGuard})
 			a.Emit(vt.Instr{Op: vt.MovRI, RD: 3, Imm: 64})
@@ -62,7 +62,7 @@ func fuzzSeeds(arch vt.Arch) [][]byte {
 			a.Bind(done)
 			a.Emit(vt.Instr{Op: vt.Ret})
 		}),
-		asm(func(a vt.Assembler) { // compare-and-branch, pairs, a call and its continuation
+		asm(func(a vt.Assembler) { // compare-and-branch, checked accesses, a call and its continuation
 			skip := a.NewLabel()
 			a.Emit(vt.Instr{Op: vt.LoadU64, RD: 0, RA: 1, Imm: 16}) // callee at offset 0
 			a.Emit(vt.Instr{Op: vt.Ret})

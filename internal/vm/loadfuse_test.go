@@ -172,6 +172,39 @@ func TestFuseGolden(t *testing.T) {
 	}
 }
 
+// TestFuseCensus keeps the combined-step set derived from the traffic it
+// serves: every combined step opcode occurs in the steps of at least one
+// corpus module, every one below the run-only boundary as a micro-op of at
+// least one main stream (a runFused case nothing reaches is dead weight in the
+// hot switch), and the structural verifier refuses a run-only step in a main
+// stream, where runFused has no case for it.
+func TestFuseCensus(t *testing.T) {
+	mods := loadFuseCorpus(t)
+	var steps, main [256]int
+	for i := range mods {
+		vm.Census(mods[i].load(t), &steps, &main)
+	}
+	for op := int(vm.CombinedFirst); op < int(vm.CombinedEnd); op++ {
+		if steps[op] == 0 {
+			t.Errorf("combined step opcode %d (CombinedFirst+%d) occurs in no module's steps", op, op-int(vm.CombinedFirst))
+		}
+		if op < int(vm.RunOnlyFirst) && main[op] == 0 {
+			t.Errorf("combined step opcode %d (CombinedFirst+%d) is below the run-only boundary and in no main stream", op, op-int(vm.CombinedFirst))
+		}
+	}
+	// Micro-op 0 of any module, re-labelled: a narrow combined opcode passes
+	// the verifier (it checks structure, not operands), a run-only one must not.
+	mod := mods[0].load(t)
+	if err := vm.CheckWithOp(mod, 0, vm.RunOnlyFirst-1); err != nil {
+		t.Errorf("narrow combined micro-op refused: %v", err)
+	}
+	for op := int(vm.RunOnlyFirst); op < int(vm.CombinedEnd); op++ {
+		if vm.CheckWithOp(mod, 0, uint8(op)) == nil {
+			t.Errorf("run-only opcode %d accepted as a main-stream micro-op", op)
+		}
+	}
+}
+
 var loadFuseSink int
 
 // BenchmarkLoadFuse is the load path's one-command row: what vm.Load (decode

@@ -109,7 +109,7 @@ func (mod *Module) Footprint() int64 {
 
 // fusedPerInstr is what the fused view of a module takes per decoded
 // instruction: micro-ops are wider than instructions but fewer, guarded blocks
-// are cloned, and run steps sit in a second array. Measured 61–79 bytes over
+// are cloned, and run steps sit in a second array. Measured 53–76 bytes over
 // the TPC-H and TPC-DS modules of every engine (TestFusedFootprintEstimate).
 const fusedPerInstr = 70
 
