@@ -18,20 +18,20 @@ type Image struct {
 	Offsets []int32
 }
 
-// image is the Exec of every machine-code back-end: a loaded Image on the
+// exec is the Exec of every machine-code back-end: a loaded Image on the
 // machine it was bound to.
-type image struct {
+type exec struct {
 	m       *vm.Machine
 	mod     *vm.Module
 	offsets []int32
 }
 
-func (x *image) Call(fn int, args ...uint64) ([2]uint64, error) {
+func (x *exec) Call(fn int, args ...uint64) ([2]uint64, error) {
 	return x.m.Call(x.mod, x.offsets[fn], args...)
 }
 
 // Module exposes the loaded image (see ModuleOf).
-func (x *image) Module() *vm.Module { return x.mod }
+func (x *exec) Module() *vm.Module { return x.mod }
 
 // Load is the epilogue every machine-code back-end's Link ends in. Inside
 // final — the back-end's open last phase (Emit, Link, Linking), which Load
@@ -61,7 +61,7 @@ func (img *Image) Load(who string, mod *qir.Module, env *Env, final PhaseSpan, p
 		sp.End()
 	}
 	ph.Stats().CodeBytes = len(img.Code)
-	return &image{m: env.DB.M, mod: vmod, offsets: img.Offsets}, nil
+	return &exec{m: env.DB.M, mod: vmod, offsets: img.Offsets}, nil
 }
 
 // CodeUnit is the Unit payload of the back-ends whose units are finished
