@@ -21,7 +21,8 @@
 #   7. a smoke run of the reproduction harness emitting the stable JSON report
 #   8. the verification stack (qir verifier, regalloc checker, machine lint,
 #      cross-backend differential, unchecked-mark conservation) over the
-#      TPC-H suite on both targets, sequentially
+#      TPC-H suite on both targets and every compiling engine, GCC included,
+#      sequentially
 #   9. the same on vx64 through the parallel driver (-jobs 4)
 #  10. a qprof smoke run (one TPC-H query per arch): the profiler must
 #      produce a valid qcc.prof/v1 report attributing >= 95% of sampled VM
@@ -53,8 +54,8 @@
 #      samples its period and the instruction count bound
 #  16. the front-end and hit-path gate, counts only: over the TPC-H and
 #      TPC-DS plans sa.functions_analyzed must equal the number of generated
-#      functions, hoist.analysis_rounds must stay 0, and CompileOpts on q1
-#      and q6 must stay inside the committed allocation budget; across warm
+#      functions, every literal must be pooled, and CompileOpts on q1 and q6
+#      must stay inside the committed allocation budget; across warm
 #      program-cache hits on every engine sa.functions_analyzed,
 #      hoist.candidates, pcc.cache_hits+misses and the vm_fuse_* counters
 #      must not advance and Exec must stay inside its allocation budget
@@ -63,7 +64,9 @@
 #  17. the load-path gate: over every TPC-H and TPC-DS module of every
 #      compiling engine on both targets the fused view must digest to the
 #      committed values and vm_fuse_orig_instrs/vm_fuse_micro_ops advance by
-#      the committed totals (TestFuseGolden), one fuse call must stay inside
+#      the committed totals (TestFuseGolden), every combined step opcode
+#      must occur in some module and every one with a main-stream case in
+#      some main stream (TestFuseCensus), one fuse call must stay inside
 #      its allocation budget — the outputs; scratch is pooled
 #      (TestFuseAllocBudget) — and Module.Footprint's pre-fusion estimate
 #      within ±50% of the built view; then 10 s of FuzzLoadFuse (bytes →
@@ -115,12 +118,20 @@ go run ./cmd/qbench -sf 0.01 -json "$tmp"
 grep -q '"schema": "qcc.obs.report/v2"' "$tmp"
 echo "report OK: $tmp"
 
-echo "== 8. qverify (tpch, vx64 + va64) =="
-go run ./cmd/qverify -sf 0.01
-go run ./cmd/qverify -sf 0.01 -arch va64
+# qverify runs the stack and requires that GCC went through its checked
+# compiles (a pipe into grep would hide qverify's exit status).
+qverify() {
+	go run ./cmd/qverify "$@" >"$tmp"
+	cat "$tmp"
+	grep -q '^qverify: gcc: ' "$tmp"
+}
 
-echo "== 9. qverify (tpch, vx64, parallel driver -jobs 4) =="
-go run ./cmd/qverify -sf 0.01 -jobs 4
+echo "== 8. qverify (tpch, vx64 + va64, gcc included) =="
+qverify -sf 0.01
+qverify -sf 0.01 -arch va64
+
+echo "== 9. qverify (tpch, vx64, parallel driver -jobs 4, gcc included) =="
+qverify -sf 0.01 -jobs 4
 
 echo "== 10. qprof smoke (q6, vx64 + va64) =="
 for arch in vx64 va64; do
@@ -157,8 +168,8 @@ go test ./internal/codegen -run '^$' -bench FrontEnd -benchtime=1x -benchmem
 go test . -run 'TestWarmHitIsFlat' -count=1
 go test . -run '^$' -bench ExecWarm -benchtime=1x
 
-echo "== 17. load-path gate (fused view golden, fuse allocation budget, footprint estimate, fuzz smoke) =="
-go test ./internal/vm -run 'TestFuseGolden|TestFuseAllocBudget|TestFusedFootprintEstimate' -count=1
+echo "== 17. load-path gate (fused view golden, opcode census, fuse allocation budget, footprint estimate, fuzz smoke) =="
+go test ./internal/vm -run 'TestFuseGolden|TestFuseCensus|TestFuseAllocBudget|TestFusedFootprintEstimate' -count=1
 go test ./internal/vm -run '^$' -fuzz FuzzLoadFuse -fuzztime 10s
 go test ./internal/vm -run '^$' -bench LoadFuse -benchtime=1x -benchmem
 
