@@ -15,7 +15,10 @@
 #      and the parallel compilation driver's worker pool); the fused-vs-plain
 #      dispatch differential (identical results, counters and trap PCs on
 #      every TPC-H query, all back-ends, both archs) runs here as
-#      TestFusedDispatchDifferential
+#      TestFusedDispatchDifferential, and the SQL join-planning differential
+#      (generated 2-3-table joins planned vs the old planner kept as the
+#      test oracle: equal rows on every engine, no trap the oracle lacks) in
+#      its -short form
 #   6. the benchmark module's own tests, which root `go test ./...` never
 #      compiles
 #   7. a smoke run of the reproduction harness emitting the stable JSON report
@@ -51,7 +54,11 @@
 #      parameterized families after the first misses nothing in the unit
 #      cache, and pooled bodies run <= 1.03x the inline bodies' instructions;
 #      a sampler changes no row and no counter, and takes the number of
-#      samples its period and the instruction count bound
+#      samples its period and the instruction count bound; the SQL-join
+#      counters: the q3- and q12-shaped sql_adhoc statements run <= 0.5x the
+#      old planner's vm instructions with equal rows, and single-table
+#      statements plan to the old planner's fingerprint
+#      (TestCountersSQLJoinPlans)
 #  16. the front-end and hit-path gate, counts only: over the TPC-H and
 #      TPC-DS plans sa.functions_analyzed must equal the number of generated
 #      functions, every literal must be pooled, and CompileOpts on q1 and q6
@@ -109,6 +116,7 @@ fi
 
 echo "== 5. go test -race =="
 go test -race ./...
+go test -race -short ./internal/sql -run 'TestJoinPlanDifferential' -count=1
 
 echo "== 6. go test (benchmark module) =="
 go test -C benchmark ./...
@@ -159,8 +167,9 @@ echo "== 14. hoist differential (-race, short) =="
 go test -race -short ./internal/backend/conformance/ \
 	-run 'TestHoistDifferential|TestHoistTrapBoundaryCorpus' -count=1
 
-echo "== 15. execution-mode counters (batch/morsel, plan cache, sampler; no clock) =="
+echo "== 15. execution-mode counters (batch/morsel, plan cache, sampler, SQL join plans; no clock) =="
 go test ./internal/engine -run 'TestCounters' -count=1
+go test ./internal/sql -run 'TestCountersSQLJoinPlans' -count=1
 
 echo "== 16. front-end and hit-path gate (one analysis per function, allocation budgets; nothing compiled on a warm program hit) =="
 go test ./internal/codegen -run 'TestOneAnalysisPerFunction' -count=1

@@ -197,100 +197,129 @@ func (l *Limit) name() string     { return "limit" }
 // Validate type-checks expressions against input schemas over the whole
 // tree, returning the first inconsistency.
 func Validate(n Node) error {
-	var check func(n Node) error
-	check = func(n Node) error {
-		for _, c := range n.Children() {
-			if err := check(c); err != nil {
-				return err
-			}
-		}
-		exprCheck := func(e Expr, schema []ColInfo) error {
-			var err error
-			Walk(e, func(x Expr) {
-				if err != nil {
-					return
-				}
-				if c, ok := x.(*Col); ok {
-					if c.Idx < 0 || c.Idx >= len(schema) {
-						err = fmt.Errorf("plan: %s: column #%d out of range (%d cols)", n.name(), c.Idx, len(schema))
-						return
-					}
-					if schema[c.Idx].Type != c.Ty {
-						err = fmt.Errorf("plan: %s: column #%d is %s, referenced as %s",
-							n.name(), c.Idx, schema[c.Idx].Type, c.Ty)
-					}
-				}
-			})
-			return err
-		}
-		switch x := n.(type) {
-		case *Scan:
-			if len(x.Cols) == 0 {
-				return fmt.Errorf("plan: scan of %s has no schema", x.Table)
-			}
-			if x.Filter != nil {
-				if x.Filter.Type() != qir.I1 {
-					return fmt.Errorf("plan: scan filter is %s, not boolean", x.Filter.Type())
-				}
-				return exprCheck(x.Filter, x.Cols)
-			}
-		case *Select:
-			if x.Pred.Type() != qir.I1 {
-				return fmt.Errorf("plan: select predicate is %s, not boolean", x.Pred.Type())
-			}
-			return exprCheck(x.Pred, x.Input.Schema())
-		case *Project:
-			for _, e := range x.Exprs {
-				if err := exprCheck(e, x.Input.Schema()); err != nil {
-					return err
-				}
-			}
-		case *HashJoin:
-			if len(x.BuildKeys) != len(x.ProbeKeys) || len(x.BuildKeys) == 0 {
-				return fmt.Errorf("plan: hashjoin with %d/%d keys", len(x.BuildKeys), len(x.ProbeKeys))
-			}
-			for i := range x.BuildKeys {
-				if x.BuildKeys[i].Type() != x.ProbeKeys[i].Type() {
-					return fmt.Errorf("plan: join key %d type mismatch: %s vs %s",
-						i, x.BuildKeys[i].Type(), x.ProbeKeys[i].Type())
-				}
-				if err := exprCheck(x.BuildKeys[i], x.Build.Schema()); err != nil {
-					return err
-				}
-				if err := exprCheck(x.ProbeKeys[i], x.Probe.Schema()); err != nil {
-					return err
-				}
-			}
-		case *GroupBy:
-			for _, k := range x.Keys {
-				if err := exprCheck(k, x.Input.Schema()); err != nil {
-					return err
-				}
-			}
-			for _, a := range x.Aggs {
-				if a.Fn != AggCount && a.Arg == nil {
-					return fmt.Errorf("plan: aggregate %s without argument", aggNames[a.Fn])
-				}
-				if a.Arg != nil {
-					if err := exprCheck(a.Arg, x.Input.Schema()); err != nil {
-						return err
-					}
-				}
-			}
-		case *Sort:
-			for _, k := range x.Keys {
-				if err := exprCheck(k.E, x.Input.Schema()); err != nil {
-					return err
-				}
-			}
-		case *Limit:
-			if x.N < 0 {
-				return fmt.Errorf("plan: negative limit")
-			}
-		}
-		return nil
+	_, err := validate(n)
+	return err
+}
+
+// validate checks n's subtree, children first, and returns n's schema: each
+// node's schema is computed once, however many expressions read it.
+func validate(n Node) ([]ColInfo, error) {
+	var input Node
+	switch x := n.(type) {
+	case *Select:
+		input = x.Input
+	case *Project:
+		input = x.Input
+	case *GroupBy:
+		input = x.Input
+	case *Sort:
+		input = x.Input
+	case *Limit:
+		input = x.Input
 	}
-	return check(n)
+	var in []ColInfo // input's schema
+	if input != nil {
+		var err error
+		if in, err = validate(input); err != nil {
+			return nil, err
+		}
+	}
+	switch x := n.(type) {
+	case *Scan:
+		if len(x.Cols) == 0 {
+			return nil, fmt.Errorf("plan: scan of %s has no schema", x.Table)
+		}
+		if x.Filter != nil {
+			if x.Filter.Type() != qir.I1 {
+				return nil, fmt.Errorf("plan: scan filter is %s, not boolean", x.Filter.Type())
+			}
+			if err := checkCols(n, x.Filter, x.Cols); err != nil {
+				return nil, err
+			}
+		}
+		return x.Cols, nil
+	case *Select:
+		if x.Pred.Type() != qir.I1 {
+			return nil, fmt.Errorf("plan: select predicate is %s, not boolean", x.Pred.Type())
+		}
+		return in, checkCols(n, x.Pred, in)
+	case *Project:
+		for _, e := range x.Exprs {
+			if err := checkCols(n, e, in); err != nil {
+				return nil, err
+			}
+		}
+	case *HashJoin:
+		build, err := validate(x.Build)
+		if err != nil {
+			return nil, err
+		}
+		probe, err := validate(x.Probe)
+		if err != nil {
+			return nil, err
+		}
+		if len(x.BuildKeys) != len(x.ProbeKeys) || len(x.BuildKeys) == 0 {
+			return nil, fmt.Errorf("plan: hashjoin with %d/%d keys", len(x.BuildKeys), len(x.ProbeKeys))
+		}
+		for i := range x.BuildKeys {
+			if x.BuildKeys[i].Type() != x.ProbeKeys[i].Type() {
+				return nil, fmt.Errorf("plan: join key %d type mismatch: %s vs %s",
+					i, x.BuildKeys[i].Type(), x.ProbeKeys[i].Type())
+			}
+			if err := checkCols(n, x.BuildKeys[i], build); err != nil {
+				return nil, err
+			}
+			if err := checkCols(n, x.ProbeKeys[i], probe); err != nil {
+				return nil, err
+			}
+		}
+		return append(build[:len(build):len(build)], probe...), nil
+	case *GroupBy:
+		for _, k := range x.Keys {
+			if err := checkCols(n, k, in); err != nil {
+				return nil, err
+			}
+		}
+		for _, a := range x.Aggs {
+			if a.Fn != AggCount && a.Arg == nil {
+				return nil, fmt.Errorf("plan: aggregate %s without argument", aggNames[a.Fn])
+			}
+			if a.Arg != nil {
+				if err := checkCols(n, a.Arg, in); err != nil {
+					return nil, err
+				}
+			}
+		}
+	case *Sort:
+		for _, k := range x.Keys {
+			if err := checkCols(n, k.E, in); err != nil {
+				return nil, err
+			}
+		}
+		return in, nil
+	case *Limit:
+		if x.N < 0 {
+			return nil, fmt.Errorf("plan: negative limit")
+		}
+		return in, nil
+	}
+	return n.Schema(), nil
+}
+
+// checkCols checks every column e reads against the schema of n's input.
+func checkCols(n Node, e Expr, schema []ColInfo) error {
+	var err error
+	Walk(e, func(x Expr) {
+		if c, ok := x.(*Col); ok && err == nil {
+			if c.Idx < 0 || c.Idx >= len(schema) {
+				err = fmt.Errorf("plan: %s: column #%d out of range (%d cols)", n.name(), c.Idx, len(schema))
+			} else if schema[c.Idx].Type != c.Ty {
+				err = fmt.Errorf("plan: %s: column #%d is %s, referenced as %s",
+					n.name(), c.Idx, schema[c.Idx].Type, c.Ty)
+			}
+		}
+	})
+	return err
 }
 
 // Dump renders the plan tree for debugging.

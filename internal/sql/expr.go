@@ -21,6 +21,11 @@ func (p *parser) orExpr() (deferred, error) {
 	if err != nil {
 		return nil, err
 	}
+	return p.orRest(l)
+}
+
+// orRest parses the OR operands that follow l.
+func (p *parser) orRest(l deferred) (deferred, error) {
 	for p.accept("OR") {
 		r, err := p.andExpr()
 		if err != nil {
@@ -42,30 +47,71 @@ func (p *parser) orExpr() (deferred, error) {
 	return l, nil
 }
 
-func (p *parser) andExpr() (deferred, error) {
-	l, err := p.notExpr()
+// conjuncts parses a predicate as the operands of its top-level AND: one
+// operand when an OR binds them.
+func (p *parser) conjuncts() ([]deferred, error) {
+	c, err := p.notExpr()
 	if err != nil {
 		return nil, err
 	}
+	cs, err := p.andRest(c)
+	if err != nil || p.peek().text != "OR" {
+		return cs, err
+	}
+	l, err := p.orRest(andDeferred(cs))
+	return []deferred{l}, err
+}
+
+func (p *parser) andExpr() (deferred, error) {
+	c, err := p.notExpr()
+	if err != nil || p.peek().text != "AND" {
+		return c, err
+	}
+	cs, err := p.andRest(c)
+	if err != nil {
+		return nil, err
+	}
+	return andDeferred(cs), nil
+}
+
+// andRest parses the AND operands that follow first and returns them all.
+func (p *parser) andRest(first deferred) ([]deferred, error) {
+	cs := []deferred{first}
 	for p.accept("AND") {
-		r, err := p.notExpr()
+		c, err := p.notExpr()
 		if err != nil {
 			return nil, err
 		}
-		lc, rc := l, r
-		l = func(b *binding) (plan.Expr, error) {
-			le, err := lc(b)
-			if err != nil {
-				return nil, err
-			}
-			re, err := rc(b)
-			if err != nil {
-				return nil, err
-			}
-			return &plan.Logic{Op: plan.OpAnd, L: le, R: re}, nil
-		}
+		cs = append(cs, c)
 	}
-	return l, nil
+	return cs, nil
+}
+
+// andDeferred resolves each operand in turn and joins them with and.
+func andDeferred(cs []deferred) deferred {
+	if len(cs) == 1 {
+		return cs[0]
+	}
+	return func(b *binding) (plan.Expr, error) {
+		var e plan.Expr
+		for _, c := range cs {
+			x, err := c(b)
+			if err != nil {
+				return nil, err
+			}
+			e = and(e, x)
+		}
+		return e, nil
+	}
+}
+
+// and is l AND r, or r alone when l is nil: folded left to right, a list of
+// operands makes the tree the grammar's left-associative AND makes.
+func and(l, r plan.Expr) plan.Expr {
+	if l == nil {
+		return r
+	}
+	return &plan.Logic{Op: plan.OpAnd, L: l, R: r}
 }
 
 func (p *parser) notExpr() (deferred, error) {

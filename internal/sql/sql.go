@@ -15,18 +15,25 @@ import (
 )
 
 // Parse compiles a SQL string into a validated plan against the catalog.
+// The FROM and WHERE clauses of a join are planned (from.go): single-table
+// filters sit on their scans and every hash join builds on its smaller input.
 func Parse(query string, cat *rt.Catalog) (plan.Node, error) {
+	return parse(query, cat, (*parser).fromWhere)
+}
+
+// parse is Parse with the FROM and WHERE clauses built by fromWhere.
+func parse(query string, cat *rt.Catalog, fromWhere func(*parser) (plan.Node, *binding, error)) (plan.Node, error) {
 	toks, err := lex(query)
 	if err != nil {
 		return nil, err
 	}
 	p := &parser{toks: toks, cat: cat}
-	n, err := p.selectStmt()
+	n, err := p.selectStmt(fromWhere)
 	if err != nil {
 		return nil, err
 	}
-	if p.peek().kind != tkEOF {
-		return nil, fmt.Errorf("sql: trailing input at %q", p.peek().text)
+	if t := p.peek(); t.kind != tkEOF {
+		return nil, fmt.Errorf("sql: trailing input at %q", t.raw+t.text)
 	}
 	if err := plan.Validate(n); err != nil {
 		return nil, err
@@ -46,12 +53,39 @@ const (
 
 type token struct {
 	kind tkKind
-	text string // uppercased for idents
+	text string // punctuation; for an identifier its keyword upper-cased, or ""
 	raw  string
 }
 
+// keywords holds every word the grammar reads, upper-cased.
+var keywords = map[string]string{}
+
+func init() {
+	for _, w := range []string{"SELECT", "FROM", "JOIN", "ON", "WHERE", "GROUP", "BY", "HAVING", "ORDER",
+		"ASC", "DESC", "LIMIT", "AS", "AND", "OR", "NOT", "LIKE", "BETWEEN", "CASE", "WHEN", "THEN", "ELSE",
+		"END", "SUM", "COUNT", "AVG", "MIN", "MAX"} {
+		keywords[w] = w
+	}
+}
+
+// keyword returns the keyword identifier raw spells in any case, or "".
+func keyword(raw string) string {
+	var up [7]byte // BETWEEN is the longest keyword
+	if len(raw) > len(up) {
+		return ""
+	}
+	for i := 0; i < len(raw); i++ {
+		c := raw[i]
+		if c >= 'a' && c <= 'z' {
+			c -= 'a' - 'A'
+		}
+		up[i] = c
+	}
+	return keywords[string(up[:len(raw)])]
+}
+
 func lex(src string) ([]token, error) {
-	var toks []token
+	toks := make([]token, 0, len(src)/5+2) // statements average five bytes a token
 	i := 0
 	for i < len(src) {
 		c := src[i]
@@ -82,7 +116,7 @@ func lex(src string) ([]token, error) {
 				src[j] >= '0' && src[j] <= '9') {
 				j++
 			}
-			toks = append(toks, token{kind: tkIdent, text: strings.ToUpper(src[i:j]), raw: src[i:j]})
+			toks = append(toks, token{kind: tkIdent, text: keyword(src[i:j]), raw: src[i:j]})
 			i = j
 		default:
 			two := ""
@@ -97,7 +131,7 @@ func lex(src string) ([]token, error) {
 			}
 			switch c {
 			case '(', ')', ',', '*', '+', '-', '/', '%', '=', '<', '>':
-				toks = append(toks, token{kind: tkPunct, text: string(c)})
+				toks = append(toks, token{kind: tkPunct, text: src[i : i+1]})
 				i++
 			default:
 				return nil, fmt.Errorf("sql: bad character %q", string(c))
@@ -108,10 +142,20 @@ func lex(src string) ([]token, error) {
 	return toks, nil
 }
 
-// binding maps visible column names to output ordinals and types.
+// binding maps visible column names to ordinals and types: the columns of
+// tabs in order, each named by its table's qualifier and its own name.
 type binding struct {
-	names []string // qualified "table.col" and bare "col" both resolve
-	types []qir.Type
+	tabs []boundTable
+	// at maps a column's position in tabs to the ordinal of the input it
+	// resolves to; nil is the identity. A planned join lays its inputs out in
+	// another order than the one names resolve in (from.go).
+	at []int
+}
+
+// boundTable is one table's columns as a binding sees them.
+type boundTable struct {
+	qual string // "" for columns named without a qualifier
+	cols []plan.ColInfo
 }
 
 // lookup resolves a column reference, case-insensitively: an exact match of
@@ -119,24 +163,57 @@ type binding struct {
 // the table qualifier, which must be unique. It runs once per identifier per
 // visible column and does not allocate.
 func (b *binding) lookup(name string) (int, qir.Type, bool) {
-	for i, n := range b.names {
-		if strings.EqualFold(n, name) {
-			return i, b.types[i], true
+	i := 0
+	for _, t := range b.tabs {
+		for _, c := range t.cols {
+			if named(t.qual, c.Name, name) {
+				return b.ord(i), c.Type, true
+			}
+			i++
 		}
 	}
-	found := -1
-	for i, n := range b.names {
-		if strings.EqualFold(n[strings.LastIndexByte(n, '.')+1:], name) {
-			if found >= 0 {
-				return 0, 0, false // ambiguous
+	if strings.IndexByte(name, '.') >= 0 {
+		return 0, 0, false // the part after a column's qualifier has no dot
+	}
+	found, ty := -1, qir.Type(0)
+	i = 0
+	for _, t := range b.tabs {
+		for _, c := range t.cols {
+			if k := len(c.Name) - len(name); k >= 0 && (k == 0 || c.Name[k-1] == '.') && strings.EqualFold(c.Name[k:], name) {
+				if found >= 0 {
+					return 0, 0, false // ambiguous
+				}
+				found, ty = i, c.Type
 			}
-			found = i
+			i++
 		}
 	}
 	if found >= 0 {
-		return found, b.types[found], true
+		return b.ord(found), ty, true
 	}
 	return 0, 0, false
+}
+
+// named reports whether name spells column col of a table qualified as qual
+// ("" for none), ignoring case, as comparing it with qual+"."+col would.
+func named(qual, col, name string) bool {
+	if qual == "" {
+		return strings.EqualFold(col, name)
+	}
+	return len(name) == len(qual)+1+len(col) && name[len(qual)] == '.' &&
+		strings.EqualFold(name[:len(qual)], qual) && strings.EqualFold(name[len(qual)+1:], col)
+}
+
+func (b *binding) ord(i int) int {
+	if b.at == nil {
+		return i
+	}
+	return b.at[i]
+}
+
+// schemaBinding binds the output columns of a node by their bare names.
+func schemaBinding(n plan.Node) *binding {
+	return &binding{tabs: []boundTable{{cols: n.Schema()}}}
 }
 
 type parser struct {
@@ -170,8 +247,9 @@ func (p *parser) expect(word string) error {
 	return nil
 }
 
-// selectStmt parses one SELECT statement.
-func (p *parser) selectStmt() (plan.Node, error) {
+// selectStmt parses one SELECT statement, its FROM and WHERE clauses with
+// fromWhere.
+func (p *parser) selectStmt(fromWhere func(*parser) (plan.Node, *binding, error)) (plan.Node, error) {
 	if err := p.expect("SELECT"); err != nil {
 		return nil, err
 	}
@@ -226,24 +304,9 @@ func (p *parser) selectStmt() (plan.Node, error) {
 	if err := p.expect("FROM"); err != nil {
 		return nil, err
 	}
-	node, bind, err := p.fromClause()
+	node, bind, err := fromWhere(p)
 	if err != nil {
 		return nil, err
-	}
-
-	if p.accept("WHERE") {
-		pe, err := p.parseExprDeferred()
-		if err != nil {
-			return nil, err
-		}
-		pred, err := pe(bind)
-		if err != nil {
-			return nil, err
-		}
-		if pred.Type() != qir.I1 {
-			return nil, fmt.Errorf("sql: WHERE predicate is %s", pred.Type())
-		}
-		node = &plan.Select{Input: node, Pred: pred}
 	}
 
 	hasAgg := false
@@ -273,7 +336,6 @@ func (p *parser) selectStmt() (plan.Node, error) {
 	outBind := bind
 	if hasAgg {
 		g := &plan.GroupBy{Input: node}
-		nb := &binding{}
 		for ki, ke := range groupKeys {
 			e, err := ke(bind)
 			if err != nil {
@@ -285,8 +347,6 @@ func (p *parser) selectStmt() (plan.Node, error) {
 				name = c.Name
 			}
 			g.Names = append(g.Names, name)
-			nb.names = append(nb.names, name)
-			nb.types = append(nb.types, e.Type())
 		}
 		for i, it := range items {
 			if it.agg == nil {
@@ -307,13 +367,8 @@ func (p *parser) selectStmt() (plan.Node, error) {
 			g.Aggs = append(g.Aggs, plan.AggExpr{Fn: *it.agg, Arg: arg, Name: name})
 		}
 		node = g
-		sch := g.Schema()
-		nb2 := &binding{}
-		for _, ci := range sch {
-			nb2.names = append(nb2.names, ci.Name)
-			nb2.types = append(nb2.types, ci.Type)
-		}
-		outBind = nb2
+		outBind = schemaBinding(g)
+		sch := outBind.tabs[0].cols
 
 		// Non-aggregate select items must be group keys; build the final
 		// projection mapping select order onto the group-by schema.
@@ -347,41 +402,33 @@ func (p *parser) selectStmt() (plan.Node, error) {
 			node = &plan.Select{Input: node, Pred: pred}
 		}
 		node = &plan.Project{Input: node, Exprs: exprs, Names: names}
-		pb := &binding{}
-		for i, e := range exprs {
-			pb.names = append(pb.names, names[i])
-			pb.types = append(pb.types, e.Type())
+		outBind = schemaBinding(node)
+	} else if star {
+		if bind.at != nil {
+			// Over a re-oriented join: the columns in the order names resolve.
+			node, outBind = bind.fromOrder(node)
 		}
-		outBind = pb
 	} else {
-		// Plain projection (unless SELECT *).
-		if !star {
-			var exprs []plan.Expr
-			var names []string
-			for i, it := range items {
-				e, err := it.expr(bind)
-				if err != nil {
-					return nil, err
-				}
-				exprs = append(exprs, e)
-				name := it.name
-				if name == "" {
-					if c, ok := e.(*plan.Col); ok && c.Name != "" {
-						name = c.Name
-					} else {
-						name = fmt.Sprintf("col%d", i)
-					}
-				}
-				names = append(names, name)
+		var exprs []plan.Expr
+		var names []string
+		for i, it := range items {
+			e, err := it.expr(bind)
+			if err != nil {
+				return nil, err
 			}
-			node = &plan.Project{Input: node, Exprs: exprs, Names: names}
-			pb := &binding{}
-			for i, e := range exprs {
-				pb.names = append(pb.names, names[i])
-				pb.types = append(pb.types, e.Type())
+			exprs = append(exprs, e)
+			name := it.name
+			if name == "" {
+				if c, ok := e.(*plan.Col); ok && c.Name != "" {
+					name = c.Name
+				} else {
+					name = fmt.Sprintf("col%d", i)
+				}
 			}
-			outBind = pb
+			names = append(names, name)
 		}
+		node = &plan.Project{Input: node, Exprs: exprs, Names: names}
+		outBind = schemaBinding(node)
 	}
 
 	if p.accept("ORDER") {
@@ -445,99 +492,6 @@ func aggByName(s string) plan.AggFn {
 		return plan.AggMin
 	}
 	return plan.AggMax
-}
-
-// fromClause parses `table [alias] (JOIN table [alias] ON a = b)*`,
-// building left-deep hash joins with the new table on the build side.
-func (p *parser) fromClause() (plan.Node, *binding, error) {
-	node, bind, err := p.tableRef()
-	if err != nil {
-		return nil, nil, err
-	}
-	for p.accept("JOIN") {
-		rnode, rbind, err := p.tableRef()
-		if err != nil {
-			return nil, nil, err
-		}
-		if err := p.expect("ON"); err != nil {
-			return nil, nil, err
-		}
-		// Join keys are simple column expressions around the equality.
-		le, err := p.addExpr()
-		if err != nil {
-			return nil, nil, err
-		}
-		if err := p.expect("="); err != nil {
-			return nil, nil, err
-		}
-		re, err := p.addExpr()
-		if err != nil {
-			return nil, nil, err
-		}
-		// Resolve each side against whichever input defines it.
-		lx, lerr := le(bind)
-		var buildKey, probeKey plan.Expr
-		if lerr == nil {
-			probeKey = lx
-			bk, err := re(rbind)
-			if err != nil {
-				return nil, nil, fmt.Errorf("sql: join key: %w", err)
-			}
-			buildKey = bk
-		} else {
-			bk, err := le(rbind)
-			if err != nil {
-				return nil, nil, fmt.Errorf("sql: join key: %w", err)
-			}
-			buildKey = bk
-			pk, err := re(bind)
-			if err != nil {
-				return nil, nil, fmt.Errorf("sql: join key: %w", err)
-			}
-			probeKey = pk
-		}
-		buildKey, probeKey, err = coercePair(buildKey, probeKey)
-		if err != nil {
-			return nil, nil, err
-		}
-		node = &plan.HashJoin{
-			Build: rnode, Probe: node,
-			BuildKeys: []plan.Expr{buildKey},
-			ProbeKeys: []plan.Expr{probeKey},
-		}
-		// Join schema: build columns, then probe columns.
-		nb := &binding{}
-		nb.names = append(nb.names, rbind.names...)
-		nb.names = append(nb.names, bind.names...)
-		nb.types = append(nb.types, rbind.types...)
-		nb.types = append(nb.types, bind.types...)
-		// Rebase probe-side column ordinals.
-		bind = nb
-	}
-	return node, bind, nil
-}
-
-func (p *parser) tableRef() (plan.Node, *binding, error) {
-	t := p.next()
-	if t.kind != tkIdent {
-		return nil, nil, fmt.Errorf("sql: expected table name")
-	}
-	tbl, err := p.cat.Table(strings.ToLower(t.raw))
-	if err != nil {
-		return nil, nil, err
-	}
-	alias := tbl.Name
-	if p.peek().kind == tkIdent && !reserved(p.peek().text) {
-		alias = p.next().raw
-	}
-	var cols []plan.ColInfo
-	b := &binding{}
-	for _, c := range tbl.Cols {
-		cols = append(cols, plan.ColInfo{Name: c.Name, Type: c.Type})
-		b.names = append(b.names, alias+"."+c.Name)
-		b.types = append(b.types, c.Type)
-	}
-	return &plan.Scan{Table: tbl.Name, Cols: cols}, b, nil
 }
 
 func reserved(s string) bool {
