@@ -71,10 +71,24 @@ type ColSpec struct {
 // CreateTable allocates columnar storage for rows rows and registers the
 // table in the catalog.
 func (c *Catalog) CreateTable(name string, rows int64, cols ...ColSpec) *Table {
-	t := &Table{Name: name, Rows: rows}
-	for _, cs := range cols {
-		base := c.db.M.Alloc(uint64(rows) * uint64(cs.Type.Size()))
-		t.Cols = append(t.Cols, Column{Name: cs.Name, Type: cs.Type, Base: base})
+	bases := make([]uint64, len(cols))
+	for i, cs := range cols {
+		bases[i] = c.db.M.Alloc(uint64(rows) * uint64(cs.Type.Size()))
+	}
+	t := c.DeclareTable(name, rows, cols...)
+	for i := range t.Cols {
+		t.Cols[i].Base = bases[i]
+	}
+	return t
+}
+
+// DeclareTable registers a table of rows rows without storage: its columns
+// have no addresses. A catalog of declared tables, as NewCatalog(nil) makes,
+// is enough to plan queries against but not to run them.
+func (c *Catalog) DeclareTable(name string, rows int64, cols ...ColSpec) *Table {
+	t := &Table{Name: name, Rows: rows, Cols: make([]Column, len(cols))}
+	for i, cs := range cols {
+		t.Cols[i] = Column{Name: cs.Name, Type: cs.Type}
 	}
 	c.Tables[name] = t
 	return t

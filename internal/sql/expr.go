@@ -159,7 +159,7 @@ func (p *parser) cmpExpr() (deferred, error) {
 				if err != nil {
 					return nil, err
 				}
-				le, re, err = coercePair(le, re)
+				le, re, err = coerceCmp(le, re)
 				if err != nil {
 					return nil, err
 				}
@@ -212,11 +212,11 @@ func (p *parser) cmpExpr() (deferred, error) {
 			if err != nil {
 				return nil, err
 			}
-			le2, loe, err := coercePair(le, loe)
+			le2, loe, err := coerceCmp(le, loe)
 			if err != nil {
 				return nil, err
 			}
-			le3, hie, err := coercePair(le2, hie)
+			le3, hie, err := coerceCmp(le2, hie)
 			if err != nil {
 				return nil, err
 			}
@@ -397,6 +397,37 @@ func (p *parser) primary() (deferred, error) {
 			}
 			return &plan.Case{Cond: ce, Then: te, Else: ee}, nil
 		}, nil
+	case t.kind == tkIdent && t.text == "CAST":
+		p.next()
+		if err := p.expect("("); err != nil {
+			return nil, err
+		}
+		e, err := p.parseExprDeferred()
+		if err != nil {
+			return nil, err
+		}
+		if err := p.expect("AS"); err != nil {
+			return nil, err
+		}
+		if to := p.next(); to.kind != tkIdent || !strings.EqualFold(to.raw, "BIGINT") {
+			return nil, fmt.Errorf("sql: CAST to %q: BIGINT is the only type CAST converts to", to.raw+to.text)
+		}
+		if err := p.expect(")"); err != nil {
+			return nil, err
+		}
+		return func(b *binding) (plan.Expr, error) {
+			x, err := e(b)
+			if err != nil {
+				return nil, err
+			}
+			if !x.Type().IsInt() {
+				return nil, fmt.Errorf("sql: CAST of %s to BIGINT", x.Type())
+			}
+			if x.Type() == qir.I64 {
+				return x, nil
+			}
+			return &plan.Cast{E: x, To: qir.I64}, nil
+		}, nil
 	case t.kind == tkIdent:
 		p.next()
 		name := t.raw
@@ -416,7 +447,12 @@ func constDeferred(e plan.Expr) deferred {
 }
 
 // Type coercion: widen integers toward I128; mix of float and int converts
-// the integer side.
+// the integer side. An integer literal is never cast: coerced, it becomes a
+// literal of the target type (a ConstDec for I128), and in a comparison or a
+// BETWEEN one that fits the other operand's integer type takes that type
+// instead of widening the other operand. Arithmetic never narrows: an I32
+// column plus a literal is I64 arithmetic, which cannot overflow where the
+// column's own width would.
 func rank(t qir.Type) int {
 	switch t {
 	case qir.I1:
@@ -438,6 +474,9 @@ func rank(t qir.Type) int {
 func coerceTo(e plan.Expr, t qir.Type) (plan.Expr, error) {
 	if e.Type() == t {
 		return e, nil
+	}
+	if c, ok := e.(*plan.ConstInt); ok && t.IsInt() {
+		return intLit(c.V, t), nil
 	}
 	if e.Type().IsInt() && (t.IsInt() || t == qir.F64) {
 		return &plan.Cast{E: e, To: t}, nil
@@ -466,4 +505,35 @@ func coercePair(l, r plan.Expr) (plan.Expr, plan.Expr, error) {
 		return le, r, err
 	}
 	return nil, nil, fmt.Errorf("sql: incompatible types %s and %s", lt, rt_)
+}
+
+// coerceCmp is coercePair for the operands of a comparison: an integer
+// literal that fits the other operand's integer type takes that type.
+func coerceCmp(l, r plan.Expr) (plan.Expr, plan.Expr, error) {
+	if c, ok := r.(*plan.ConstInt); ok && fits(c.V, l.Type()) {
+		r = intLit(c.V, l.Type())
+	} else if c, ok := l.(*plan.ConstInt); ok && fits(c.V, r.Type()) {
+		l = intLit(c.V, r.Type())
+	}
+	return coercePair(l, r)
+}
+
+// fits reports whether v is a value of the integer type t.
+func fits(v int64, t qir.Type) bool {
+	switch t {
+	case qir.I8, qir.I16, qir.I32:
+		bits := 8 * t.Size()
+		return v >= -1<<(bits-1) && v < 1<<(bits-1)
+	case qir.I64, qir.I128:
+		return true
+	}
+	return false
+}
+
+// intLit is the literal v of the integer type t.
+func intLit(v int64, t qir.Type) plan.Expr {
+	if t == qir.I128 {
+		return &plan.ConstDec{V: rt.I128FromInt64(v)}
+	}
+	return &plan.ConstInt{Ty: t, V: v}
 }

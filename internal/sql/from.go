@@ -8,9 +8,10 @@ import (
 	"qcc/internal/qir"
 )
 
-// Join planning. A FROM clause names its tables left to right, and each JOIN
-// equates an expression over the new table with one over the tables before
-// it. The joins stay left-deep in that order; the parser plans the rest as an
+// Join planning. A FROM clause names its tables left to right — a table of
+// the catalog, or a derived table `(SELECT …) alias` — and each JOIN equates
+// an expression over the new table with one over the tables before it. The
+// joins stay left-deep in that order; the parser plans the rest as an
 // optimizer would, by three rules:
 //
 //   - WHERE is split at its top-level ANDs. A conjunct that reads one table
@@ -27,8 +28,9 @@ import (
 //   - Each HashJoin builds on the input with the smaller estimated
 //     cardinality: a table's catalog row count, divided by filterCut if it
 //     has a filter, and a join's its probe side's (a probe row finds one
-//     partner, as along a foreign key). On a tie the table named later
-//     builds, as every join did before planning.
+//     partner, as along a foreign key). A derived table is estimated by the
+//     same rules, as its FROM clause (estimate). On a tie the table named
+//     later builds, as every join did before planning.
 //
 // Names resolve as they always did, against the columns in the order the
 // unplanned tree had them — each joined table's ahead of the tables named
@@ -58,9 +60,9 @@ type from struct {
 }
 
 type fromTable struct {
-	scan *plan.Scan
-	rows int64
-	off  int // where the table's columns start in bind, set by plan
+	node plan.Node // a scan, or a derived table's plan
+	est  float64   // estimated cardinality
+	off  int       // where the table's columns start in bind, set by plan
 }
 
 // fromWhere parses the FROM clause and an optional WHERE clause and plans
@@ -87,7 +89,7 @@ func (p *parser) fromWhere() (plan.Node, *binding, error) {
 	if len(f.tabs) > 1 {
 		return f.plan(conj)
 	}
-	var node plan.Node = f.tabs[0].scan
+	node := f.tabs[0].node
 	if conj != nil {
 		var pred plan.Expr
 		for _, e := range conj {
@@ -153,6 +155,9 @@ func (p *parser) fromClause() (*from, error) {
 }
 
 func (p *parser) tableRef() (fromTable, *binding, error) {
+	if t := p.peek(); t.kind == tkPunct && t.text == "(" {
+		return p.derivedTable()
+	}
 	t := p.next()
 	if t.kind != tkIdent {
 		return fromTable{}, nil, fmt.Errorf("sql: expected table name")
@@ -169,8 +174,45 @@ func (p *parser) tableRef() (fromTable, *binding, error) {
 	for i, c := range tbl.Cols {
 		cols[i] = plan.ColInfo{Name: c.Name, Type: c.Type}
 	}
-	return fromTable{scan: &plan.Scan{Table: tbl.Name, Cols: cols}, rows: tbl.Rows},
+	return fromTable{node: &plan.Scan{Table: tbl.Name, Cols: cols}, est: float64(tbl.Rows)},
 		&binding{tabs: []boundTable{{qual: alias, cols: cols}}}, nil
+}
+
+// derivedTable parses `(SELECT …) [alias]`, a table whose columns are named
+// as its select list names them.
+func (p *parser) derivedTable() (fromTable, *binding, error) {
+	p.next() // '('
+	node, err := p.selectStmt((*parser).fromWhere)
+	if err != nil {
+		return fromTable{}, nil, err
+	}
+	if err := p.expect(")"); err != nil {
+		return fromTable{}, nil, err
+	}
+	bind := schemaBinding(node)
+	if t := p.peek(); t.kind == tkIdent && !reserved(t.text) {
+		bind.tabs[0].qual = p.next().raw
+	}
+	return fromTable{node: node, est: p.estimate(node)}, bind, nil
+}
+
+// estimate is a derived table's estimated cardinality, by plan's rules: a
+// table's row count, divided by filterCut under a filter on its scan, and a
+// join its probe side's. The operators above pass their input's estimate on,
+// so a grouping or a LIMIT is taken at the size of what it reads.
+func (p *parser) estimate(n plan.Node) float64 {
+	switch x := n.(type) {
+	case *plan.Scan:
+		t, _ := p.cat.Table(x.Table) // the scan was built from the catalog
+		return float64(t.Rows)
+	case *plan.Select:
+		if s, ok := x.Input.(*plan.Scan); ok {
+			return p.estimate(s) / filterCut
+		}
+	case *plan.HashJoin:
+		return p.estimate(x.Probe)
+	}
+	return p.estimate(n.Children()[0])
 }
 
 // plan builds the join tree of two or more tables with the WHERE conjuncts,
@@ -180,7 +222,7 @@ func (f *from) plan(conj []plan.Expr) (plan.Node, *binding, error) {
 	n, width := len(f.tabs), 0
 	for t := n - 1; t >= 0; t-- {
 		f.tabs[t].off = width
-		width += len(f.tabs[t].scan.Cols)
+		width += len(f.tabs[t].node.Schema())
 	}
 	// slot[i] says where conj[i] goes: t < n filters table t, n+k sits above
 	// the join that adds table k.
@@ -216,9 +258,9 @@ func (f *from) plan(conj []plan.Expr) (plan.Node, *binding, error) {
 	// scan returns table t with its filter and its estimated cardinality.
 	scan := func(t int) (plan.Node, float64) {
 		if pred := where(t, nil); pred != nil {
-			return &plan.Select{Input: f.tabs[t].scan, Pred: pred}, float64(f.tabs[t].rows) / filterCut
+			return &plan.Select{Input: f.tabs[t].node, Pred: pred}, f.tabs[t].est / filterCut
 		}
-		return f.tabs[t].scan, float64(f.tabs[t].rows)
+		return f.tabs[t].node, f.tabs[t].est
 	}
 
 	// pos[i] is the ordinal in node of bind's column i.
@@ -232,7 +274,7 @@ func (f *from) plan(conj []plan.Expr) (plan.Node, *binding, error) {
 		left := f.tabs[k-1].off // where the tables node joins start in bind
 		remap(lkey, left, pos)
 		r, rest := scan(k)
-		off, w := f.tabs[k].off, len(f.tabs[k].scan.Cols)
+		off, w := f.tabs[k].off, len(f.tabs[k].node.Schema())
 		if est < rest {
 			node = &plan.HashJoin{Build: node, Probe: r,
 				BuildKeys: []plan.Expr{lkey}, ProbeKeys: []plan.Expr{rkey}}

@@ -44,7 +44,7 @@ func oldFromClause(p *parser) (plan.Node, *binding, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	var node plan.Node = t.scan
+	node := t.node
 	for p.accept("JOIN") {
 		r, rbind, err := p.tableRef()
 		if err != nil {
@@ -92,7 +92,7 @@ func oldFromClause(p *parser) (plan.Node, *binding, error) {
 			return nil, nil, err
 		}
 		node = &plan.HashJoin{
-			Build: r.scan, Probe: node,
+			Build: r.node, Probe: node,
 			BuildKeys: []plan.Expr{buildKey},
 			ProbeKeys: []plan.Expr{probeKey},
 		}

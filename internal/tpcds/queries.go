@@ -4,8 +4,7 @@ import (
 	"fmt"
 
 	"qcc/internal/plan"
-	"qcc/internal/qir"
-	"qcc/internal/rt"
+	"qcc/internal/sql"
 )
 
 // Query is one benchmark query.
@@ -14,89 +13,46 @@ type Query struct {
 	Build func() plan.Node
 }
 
-func col(i int, t qir.Type) *plan.Col { return &plan.Col{Idx: i, Ty: t} }
-func i32v(v int64) plan.Expr          { return &plan.ConstInt{Ty: qir.I32, V: v} }
-func i64v(v int64) plan.Expr          { return &plan.ConstInt{Ty: qir.I64, V: v} }
-func decv(v int64) plan.Expr          { return &plan.ConstDec{V: rt.I128FromInt64(v)} }
-func strv(s string) plan.Expr         { return &plan.ConstStr{V: s} }
-
-func arith(op plan.ArithOp, l, r plan.Expr) plan.Expr {
-	e, err := plan.NewArith(op, l, r)
-	if err != nil {
-		panic(err)
-	}
-	return e
-}
-
-func cmp(op plan.CmpOp, l, r plan.Expr) plan.Expr {
-	e, err := plan.NewCmp(op, l, r)
-	if err != nil {
-		panic(err)
-	}
-	return e
-}
-
-func and(l, r plan.Expr) plan.Expr { return &plan.Logic{Op: plan.OpAnd, L: l, R: r} }
-
-func scanSS() *plan.Scan { return &plan.Scan{Table: "store_sales", Cols: ssSchema()} }
-func scanI() *plan.Scan  { return &plan.Scan{Table: "item", Cols: itemSchema()} }
-func scanC() *plan.Scan  { return &plan.Scan{Table: "customer", Cols: customerSchema()} }
-func scanD() *plan.Scan  { return &plan.Scan{Table: "date_dim", Cols: dateSchema()} }
-func scanST() *plan.Scan { return &plan.Scan{Table: "store", Cols: storeSchema()} }
-
 // Queries returns the 103-query suite. Templates are instantiated with
-// varying parameters so every query compiles a distinct plan.
+// varying parameters so every query compiles a distinct plan; each Build
+// parses the query's SQL against the schema catalog.
 func Queries() []Query {
 	var qs []Query
-	add := func(build func() plan.Node) {
-		qs = append(qs, Query{Name: fmt.Sprintf("q%d", len(qs)+1), Build: build})
+	add := func(text string) {
+		qs = append(qs, Query{fmt.Sprintf("q%d", len(qs)+1), func() plan.Node { return parse(text) }})
 	}
 
 	// Family 1 (15): sales aggregation by category for one year.
 	for k := 0; k < 15; k++ {
-		year := int64(1998 + k%5)
-		minQty := int64(5 * (k % 4))
-		add(func() plan.Node { return aggByCategory(year, minQty) })
+		add(aggByCategory(1998+k%5, 5*(k%4)))
 	}
 	// Family 2 (15): brand LIKE filter, grouped revenue.
 	for k := 0; k < 15; k++ {
-		pat := fmt.Sprintf("Brand#%d%%", 1+k%9)
-		topN := int64(5 + k)
-		add(func() plan.Node { return brandRevenue(pat, topN) })
+		add(brandRevenue(fmt.Sprintf("Brand#%d%%", 1+k%9), 5+k))
 	}
 	// Family 3 (15): 3-way join with date dimension and decimal math.
 	for k := 0; k < 15; k++ {
-		moy := int64(1 + k%12)
-		state := states[k%10]
-		add(func() plan.Node { return monthlyStoreProfit(moy, state) })
+		add(monthlyStoreProfit(1+k%12, states[k%10]))
 	}
 	// Family 4 (12): top-k customers by spending.
 	for k := 0; k < 12; k++ {
-		limit := int64(10 + 5*k)
-		minSpend := int64(1000 * (k + 1))
-		add(func() plan.Node { return topCustomers(limit, minSpend) })
+		add(topCustomers(10+5*k, 1000*(k+1)))
 	}
 	// Family 5 (12): case-when bucketing by quantity.
 	for k := 0; k < 12; k++ {
-		cut := int64(10 + 5*k)
-		add(func() plan.Node { return quantityBuckets(cut) })
+		add(quantityBuckets(10 + 5*k))
 	}
 	// Family 6 (12): selective global aggregates with BETWEEN predicates.
 	for k := 0; k < 12; k++ {
-		lo := int64(100 * k)
-		hi := lo + 3000
-		add(func() plan.Node { return priceBandTotals(lo, hi) })
+		add(priceBandTotals(100*k, 100*k+3000))
 	}
 	// Family 7 (6): same-item cross join counting (heavy probe chains).
 	for k := 0; k < 6; k++ {
-		cls := classes[k]
-		add(func() plan.Node { return classAffinity(cls) })
+		add(classAffinity(classes[k]))
 	}
 	// Family 8 (16): multi-aggregate reports per class or store.
 	for k := 0; k < 16; k++ {
-		byStore := k%2 == 0
-		year := int64(1998 + k%6)
-		add(func() plan.Node { return multiAggReport(byStore, year) })
+		add(multiAggReport(k%2 == 0, 1998+k%6))
 	}
 	if len(qs) != 103 {
 		panic(fmt.Sprintf("tpcds: suite has %d queries, want 103", len(qs)))
@@ -104,200 +60,84 @@ func Queries() []Query {
 	return qs
 }
 
-// aggByCategory: store_sales x date_dim x item, grouped by category.
-func aggByCategory(year, minQty int64) plan.Node {
-	dates := &plan.Select{Input: scanD(), Pred: cmp(plan.CmpEQ, col(1, qir.I32), i32v(year))}
-	jd := &plan.HashJoin{
-		Build: dates, Probe: scanSS(),
-		BuildKeys: []plan.Expr{col(0, qir.I32)},
-		ProbeKeys: []plan.Expr{col(0, qir.I32)},
+// parse plans one statement of the suite, which is fixed: a statement that
+// does not parse is a bug in this package.
+func parse(text string) plan.Node {
+	n, err := sql.Parse(text, schema())
+	if err != nil {
+		panic(fmt.Sprintf("tpcds: %v\n%s", err, text))
 	}
-	// d(0..3) ++ ss(4..11)
-	sel := &plan.Select{Input: jd, Pred: cmp(plan.CmpGE, col(8, qir.I32), i32v(minQty))}
-	ji := &plan.HashJoin{
-		Build: scanI(), Probe: sel,
-		BuildKeys: []plan.Expr{col(0, qir.I64)},
-		ProbeKeys: []plan.Expr{col(5, qir.I64)},
-	}
-	// i(0..4) ++ d(5..8) ++ ss(9..16)
-	g := &plan.GroupBy{
-		Input: ji,
-		Keys:  []plan.Expr{col(2, qir.Str)},
-		Aggs: []plan.AggExpr{
-			{Fn: plan.AggSum, Arg: col(15, qir.I128)},
-			{Fn: plan.AggCount},
-		},
-	}
-	return &plan.Sort{Input: g, Keys: []plan.SortKey{{E: col(0, qir.Str)}}}
+	return n
+}
+
+// aggByCategory: store_sales x date_dim x item, grouped by category. The
+// quantity filter applies to the year's sales, after the join with date_dim:
+// on a store_sales scan it would test seven years of rows to drop few.
+func aggByCategory(year, minQty int) string {
+	return fmt.Sprintf(`SELECT i_category, SUM(ss_ext_sales_price), COUNT(*)
+	FROM (SELECT * FROM store_sales JOIN date_dim ON d_date_sk = ss_sold_date_sk WHERE d_year = %d) sales
+		JOIN item ON ss_item_sk = i_item_sk
+	WHERE ss_quantity >= %d
+	GROUP BY i_category ORDER BY i_category`, year, minQty)
 }
 
 // brandRevenue: LIKE filter on brand, top-N by revenue.
-func brandRevenue(pattern string, topN int64) plan.Node {
-	items := &plan.Select{Input: scanI(), Pred: &plan.Like{E: col(1, qir.Str), Pattern: pattern}}
-	j := &plan.HashJoin{
-		Build: items, Probe: scanSS(),
-		BuildKeys: []plan.Expr{col(0, qir.I64)},
-		ProbeKeys: []plan.Expr{col(1, qir.I64)},
-	}
-	// i(0..4) ++ ss(5..12)
-	g := &plan.GroupBy{
-		Input: j,
-		Keys:  []plan.Expr{col(1, qir.Str)},
-		Aggs:  []plan.AggExpr{{Fn: plan.AggSum, Arg: col(11, qir.I128)}},
-	}
-	s := &plan.Sort{Input: g, Keys: []plan.SortKey{{E: &plan.Cast{E: col(1, qir.I128), To: qir.I64}, Desc: true}}}
-	return &plan.Limit{Input: s, N: topN}
+func brandRevenue(pattern string, topN int) string {
+	return fmt.Sprintf(`SELECT i_brand, SUM(ss_ext_sales_price) AS revenue
+	FROM item JOIN store_sales ON i_item_sk = ss_item_sk
+	WHERE i_brand LIKE '%s'
+	GROUP BY i_brand ORDER BY CAST(revenue AS BIGINT) DESC LIMIT %d`, pattern, topN)
 }
 
 // monthlyStoreProfit: 3-way join, profit-margin decimal arithmetic.
-func monthlyStoreProfit(moy int64, state string) plan.Node {
-	dates := &plan.Select{Input: scanD(), Pred: cmp(plan.CmpEQ, col(2, qir.I32), i32v(moy))}
-	jd := &plan.HashJoin{
-		Build: dates, Probe: scanSS(),
-		BuildKeys: []plan.Expr{col(0, qir.I32)},
-		ProbeKeys: []plan.Expr{col(0, qir.I32)},
-	}
-	// d(0..3) ++ ss(4..11)
-	stores := &plan.Select{Input: scanST(), Pred: cmp(plan.CmpEQ, col(2, qir.Str), strv(state))}
-	js := &plan.HashJoin{
-		Build: stores, Probe: jd,
-		BuildKeys: []plan.Expr{col(0, qir.I32)},
-		ProbeKeys: []plan.Expr{col(7, qir.I32)},
-	}
-	// st(0..2) ++ d(3..6) ++ ss(7..14)
-	margin := arith(plan.OpMul, col(14, qir.I128), decv(100))
-	g := &plan.GroupBy{
-		Input: js,
-		Keys:  []plan.Expr{col(1, qir.Str)},
-		Aggs: []plan.AggExpr{
-			{Fn: plan.AggSum, Arg: margin},
-			{Fn: plan.AggSum, Arg: col(13, qir.I128)},
-			{Fn: plan.AggCount},
-		},
-	}
-	return &plan.Sort{Input: g, Keys: []plan.SortKey{{E: col(0, qir.Str)}}}
+func monthlyStoreProfit(moy int, state string) string {
+	return fmt.Sprintf(`SELECT s_store_name, SUM(ss_net_profit * 100), SUM(ss_ext_sales_price), COUNT(*)
+	FROM date_dim JOIN store_sales ON d_date_sk = ss_sold_date_sk JOIN store ON ss_store_sk = s_store_sk
+	WHERE d_moy = %d AND s_state = '%s'
+	GROUP BY s_store_name ORDER BY s_store_name`, moy, state)
 }
 
 // topCustomers: per-customer spending, HAVING, top-k with names.
-func topCustomers(limit, minSpend int64) plan.Node {
-	j := &plan.HashJoin{
-		Build: scanC(), Probe: scanSS(),
-		BuildKeys: []plan.Expr{col(0, qir.I64)},
-		ProbeKeys: []plan.Expr{col(2, qir.I64)},
-	}
-	// c(0..3) ++ ss(4..11)
-	g := &plan.GroupBy{
-		Input: j,
-		Keys:  []plan.Expr{col(0, qir.I64), col(1, qir.Str), col(2, qir.Str)},
-		Aggs:  []plan.AggExpr{{Fn: plan.AggSum, Arg: col(10, qir.I128)}},
-	}
-	big := &plan.Select{Input: g, Pred: cmp(plan.CmpGT, col(3, qir.I128), decv(minSpend))}
-	s := &plan.Sort{Input: big, Keys: []plan.SortKey{
-		{E: &plan.Cast{E: col(3, qir.I128), To: qir.I64}, Desc: true},
-		{E: col(0, qir.I64)},
-	}}
-	return &plan.Limit{Input: s, N: limit}
+func topCustomers(limit, minSpend int) string {
+	return fmt.Sprintf(`SELECT c_customer_sk, c_first_name, c_last_name, SUM(ss_ext_sales_price) AS spend
+	FROM customer JOIN store_sales ON c_customer_sk = ss_customer_sk
+	GROUP BY c_customer_sk, c_first_name, c_last_name HAVING spend > %d
+	ORDER BY CAST(spend AS BIGINT) DESC, c_customer_sk LIMIT %d`, minSpend, limit)
 }
 
 // quantityBuckets: case-when bucket sums over the fact table.
-func quantityBuckets(cut int64) plan.Node {
-	small := cmp(plan.CmpLT, col(4, qir.I32), i32v(cut))
-	bucket := &plan.Case{Cond: small, Then: i64v(0), Else: i64v(1)}
-	proj := &plan.Project{
-		Input: scanSS(),
-		Exprs: []plan.Expr{bucket, col(6, qir.I128), col(7, qir.I128)},
-	}
-	g := &plan.GroupBy{
-		Input: proj,
-		Keys:  []plan.Expr{col(0, qir.I64)},
-		Aggs: []plan.AggExpr{
-			{Fn: plan.AggCount},
-			{Fn: plan.AggSum, Arg: col(1, qir.I128)},
-			{Fn: plan.AggAvg, Arg: col(2, qir.I128)},
-		},
-	}
-	return &plan.Sort{Input: g, Keys: []plan.SortKey{{E: col(0, qir.I64)}}}
+func quantityBuckets(cut int) string {
+	return fmt.Sprintf(`SELECT bucket, COUNT(*), SUM(sales), AVG(profit)
+	FROM (SELECT CASE WHEN ss_quantity < %d THEN 0 ELSE 1 END AS bucket,
+			ss_ext_sales_price AS sales, ss_net_profit AS profit
+		FROM store_sales) buckets
+	GROUP BY bucket ORDER BY bucket`, cut)
 }
 
 // priceBandTotals: selective BETWEEN scan with global aggregates.
-func priceBandTotals(lo, hi int64) plan.Node {
-	sel := &plan.Select{Input: scanSS(), Pred: and(
-		&plan.Between{E: col(5, qir.I128), Lo: decv(lo), Hi: decv(hi)},
-		cmp(plan.CmpGT, col(4, qir.I32), i32v(2)))}
-	return &plan.GroupBy{
-		Input: sel,
-		Aggs: []plan.AggExpr{
-			{Fn: plan.AggCount},
-			{Fn: plan.AggSum, Arg: col(6, qir.I128)},
-			{Fn: plan.AggMin, Arg: col(7, qir.I128)},
-			{Fn: plan.AggMax, Arg: col(7, qir.I128)},
-		},
-	}
+func priceBandTotals(lo, hi int) string {
+	return fmt.Sprintf(`SELECT COUNT(*), SUM(ss_ext_sales_price), MIN(ss_net_profit), MAX(ss_net_profit)
+	FROM store_sales WHERE ss_sales_price BETWEEN %d AND %d AND ss_quantity > 2`, lo, hi)
 }
 
 // classAffinity: items of a class self-joined through sales (long hash
 // chains on the probe side).
-func classAffinity(class string) plan.Node {
-	items := &plan.Select{Input: scanI(), Pred: cmp(plan.CmpEQ, col(3, qir.Str), strv(class))}
-	j := &plan.HashJoin{
-		Build: items, Probe: scanSS(),
-		BuildKeys: []plan.Expr{col(0, qir.I64)},
-		ProbeKeys: []plan.Expr{col(1, qir.I64)},
-	}
-	// i(0..4) ++ ss(5..12)
-	g := &plan.GroupBy{
-		Input: j,
-		Keys:  []plan.Expr{col(8, qir.I32)}, // ss_store_sk
-		Aggs:  []plan.AggExpr{{Fn: plan.AggCount}, {Fn: plan.AggSum, Arg: col(11, qir.I128)}},
-	}
-	return &plan.Sort{Input: g, Keys: []plan.SortKey{{E: &plan.Cast{E: col(0, qir.I32), To: qir.I64}}}}
+func classAffinity(class string) string {
+	return fmt.Sprintf(`SELECT ss_store_sk, COUNT(*), SUM(ss_ext_sales_price)
+	FROM item JOIN store_sales ON i_item_sk = ss_item_sk
+	WHERE i_class = '%s'
+	GROUP BY ss_store_sk ORDER BY CAST(ss_store_sk AS BIGINT)`, class)
 }
 
 // multiAggReport: wide aggregate over a year, grouped by store or class.
-func multiAggReport(byStore bool, year int64) plan.Node {
-	dates := &plan.Select{Input: scanD(), Pred: cmp(plan.CmpEQ, col(1, qir.I32), i32v(year))}
-	jd := &plan.HashJoin{
-		Build: dates, Probe: scanSS(),
-		BuildKeys: []plan.Expr{col(0, qir.I32)},
-		ProbeKeys: []plan.Expr{col(0, qir.I32)},
-	}
-	// d(0..3) ++ ss(4..11)
-	var keyed plan.Node
-	var key plan.Expr
+func multiAggReport(byStore bool, year int) string {
+	key, join := "i_class", "JOIN item ON ss_item_sk = i_item_sk"
 	if byStore {
-		js := &plan.HashJoin{
-			Build: scanST(), Probe: jd,
-			BuildKeys: []plan.Expr{col(0, qir.I32)},
-			ProbeKeys: []plan.Expr{col(7, qir.I32)},
-		}
-		// st(0..2) ++ d(3..6) ++ ss(7..14)
-		keyed = js
-		key = col(1, qir.Str)
-	} else {
-		ji := &plan.HashJoin{
-			Build: scanI(), Probe: jd,
-			BuildKeys: []plan.Expr{col(0, qir.I64)},
-			ProbeKeys: []plan.Expr{col(5, qir.I64)},
-		}
-		// i(0..4) ++ d(5..8) ++ ss(9..16)
-		keyed = ji
-		key = col(3, qir.Str)
+		key, join = "s_store_name", "JOIN store ON ss_store_sk = s_store_sk"
 	}
-	base := 7
-	if !byStore {
-		base = 9
-	}
-	g := &plan.GroupBy{
-		Input: keyed,
-		Keys:  []plan.Expr{key},
-		Aggs: []plan.AggExpr{
-			{Fn: plan.AggCount},
-			{Fn: plan.AggSum, Arg: col(base+4, qir.I32)},
-			{Fn: plan.AggAvg, Arg: col(base+5, qir.I128)},
-			{Fn: plan.AggMin, Arg: col(base+7, qir.I128)},
-			{Fn: plan.AggMax, Arg: col(base+7, qir.I128)},
-			{Fn: plan.AggSum, Arg: col(base+6, qir.I128)},
-		},
-	}
-	return &plan.Sort{Input: g, Keys: []plan.SortKey{{E: col(0, qir.Str)}}}
+	return fmt.Sprintf(`SELECT %[1]s, COUNT(*), SUM(ss_quantity), AVG(ss_sales_price), MIN(ss_net_profit),
+		MAX(ss_net_profit), SUM(ss_ext_sales_price)
+	FROM date_dim JOIN store_sales ON d_date_sk = ss_sold_date_sk %[2]s
+	WHERE d_year = %[3]d
+	GROUP BY %[1]s ORDER BY %[1]s`, key, join, year)
 }

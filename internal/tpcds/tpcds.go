@@ -1,16 +1,16 @@
 // Package tpcds provides the synthetic TPC-DS analog used for the
 // compile-time experiments: a star-schema subset (store_sales fact table
 // with item, customer, date_dim and store dimensions), a deterministic data
-// generator, and a 103-query suite built from parametric templates so the
-// workload matches the paper's "all TPC-DS queries" compilations in breadth
-// (many distinct plans with varying join depth, predicate mix, decimal
-// arithmetic, string matching, and sort shapes).
+// generator, and a 103-query suite built from eight parametric SQL
+// templates so the workload matches the paper's "all TPC-DS queries"
+// compilations in breadth (many distinct plans with varying join depth,
+// predicate mix, decimal arithmetic, string matching, and sort shapes).
 package tpcds
 
 import (
 	"fmt"
+	"sync"
 
-	"qcc/internal/plan"
 	"qcc/internal/qir"
 	"qcc/internal/rt"
 	"qcc/internal/vm"
@@ -54,124 +54,94 @@ func Rows(sf float64) map[string]int64 {
 	}
 }
 
+// table is one table of the schema: its columns, and how Load fills row i.
+type table struct {
+	name string
+	cols []rt.ColSpec
+	row  func(g *gen, i int64)
+}
+
+func col(name string, t qir.Type) rt.ColSpec { return rt.ColSpec{Name: name, Type: t} }
+
+// tables is the schema, in the order Load creates and fills the tables. The
+// order fixes every column's address, which the generated code bakes in.
+var tables = []table{
+	{"item", []rt.ColSpec{col("i_item_sk", qir.I64), col("i_brand", qir.Str), col("i_category", qir.Str),
+		col("i_class", qir.Str), col("i_current_price", qir.I128)}, func(g *gen, i int64) {
+		g.int("i_item_sk", i, i)
+		g.str("i_brand", i, fmt.Sprintf("Brand#%d%d", 1+g.intn(9), 1+g.intn(9)))
+		g.str("i_category", i, categories[g.intn(10)])
+		g.str("i_class", i, classes[g.intn(10)])
+		g.dec("i_current_price", i, 99+g.intn(9900))
+	}},
+	{"customer", []rt.ColSpec{col("c_customer_sk", qir.I64), col("c_first_name", qir.Str), col("c_last_name", qir.Str),
+		col("c_birth_year", qir.I32)}, func(g *gen, i int64) {
+		g.int("c_customer_sk", i, i)
+		g.str("c_first_name", i, firstNames[g.intn(10)])
+		g.str("c_last_name", i, lastNames[g.intn(10)])
+		g.int("c_birth_year", i, 1930+g.intn(70))
+	}},
+	{"date_dim", []rt.ColSpec{col("d_date_sk", qir.I32), col("d_year", qir.I32), col("d_moy", qir.I32),
+		col("d_dow", qir.I32)}, func(g *gen, i int64) {
+		g.int("d_date_sk", i, i)
+		g.int("d_year", i, 1998+i/365)
+		g.int("d_moy", i, 1+(i/30)%12)
+		g.int("d_dow", i, i%7)
+	}},
+	{"store", []rt.ColSpec{col("s_store_sk", qir.I32), col("s_store_name", qir.Str), col("s_state", qir.Str)}, func(g *gen, i int64) {
+		g.int("s_store_sk", i, i)
+		g.str("s_store_name", i, fmt.Sprintf("Store %c", 'A'+byte(i%26)))
+		g.str("s_state", i, states[g.intn(10)])
+	}},
+	{"store_sales", []rt.ColSpec{col("ss_sold_date_sk", qir.I32), col("ss_item_sk", qir.I64), col("ss_customer_sk", qir.I64),
+		col("ss_store_sk", qir.I32), col("ss_quantity", qir.I32), col("ss_sales_price", qir.I128),
+		col("ss_ext_sales_price", qir.I128), col("ss_net_profit", qir.I128)}, func(g *gen, i int64) {
+		g.int("ss_sold_date_sk", i, g.intn(g.rows["date_dim"]))
+		g.int("ss_item_sk", i, g.intn(g.rows["item"]))
+		g.int("ss_customer_sk", i, g.intn(g.rows["customer"]))
+		g.int("ss_store_sk", i, g.intn(g.rows["store"]))
+		q := 1 + g.intn(100)
+		price := 50 + g.intn(20000)
+		g.int("ss_quantity", i, q)
+		g.dec("ss_sales_price", i, price)
+		g.dec("ss_ext_sales_price", i, price*q)
+		g.dec("ss_net_profit", i, price*q/10-g.intn(5000))
+	}},
+}
+
+// gen is the state Load threads through the tables' row functions: the
+// table being filled, every table's row count and the random draws.
+type gen struct {
+	prng
+	cat  *rt.Catalog
+	t    *rt.Table
+	rows map[string]int64
+}
+
+func (g *gen) int(c string, i, v int64)        { g.cat.SetInt(g.t.MustCol(c), i, v) }
+func (g *gen) dec(c string, i, v int64)        { g.cat.SetI128(g.t.MustCol(c), i, rt.I128FromInt64(v)) }
+func (g *gen) str(c string, i int64, v string) { g.cat.SetStr(g.t.MustCol(c), i, v) }
+
 // Load generates all tables at the given scale factor.
 func Load(cat *rt.Catalog, sf float64) (err error) {
 	defer vm.CatchOOM(&err) // tables larger than the machine's memory
-	rows := Rows(sf)
-	rng := &prng{s: 0xA076_1D64_78BD_642F}
-
-	nItem := rows["item"]
-	nCust := rows["customer"]
-	nDate := rows["date_dim"]
-	nStore := rows["store"]
-
-	item := cat.CreateTable("item", nItem,
-		rt.ColSpec{Name: "i_item_sk", Type: qir.I64},
-		rt.ColSpec{Name: "i_brand", Type: qir.Str},
-		rt.ColSpec{Name: "i_category", Type: qir.Str},
-		rt.ColSpec{Name: "i_class", Type: qir.Str},
-		rt.ColSpec{Name: "i_current_price", Type: qir.I128})
-	for i := int64(0); i < nItem; i++ {
-		cat.SetInt(item.MustCol("i_item_sk"), i, i)
-		cat.SetStr(item.MustCol("i_brand"), i, fmt.Sprintf("Brand#%d%d", 1+rng.intn(9), 1+rng.intn(9)))
-		cat.SetStr(item.MustCol("i_category"), i, categories[rng.intn(10)])
-		cat.SetStr(item.MustCol("i_class"), i, classes[rng.intn(10)])
-		cat.SetI128(item.MustCol("i_current_price"), i, rt.I128FromInt64(99+rng.intn(9900)))
-	}
-
-	customer := cat.CreateTable("customer", nCust,
-		rt.ColSpec{Name: "c_customer_sk", Type: qir.I64},
-		rt.ColSpec{Name: "c_first_name", Type: qir.Str},
-		rt.ColSpec{Name: "c_last_name", Type: qir.Str},
-		rt.ColSpec{Name: "c_birth_year", Type: qir.I32})
-	for i := int64(0); i < nCust; i++ {
-		cat.SetInt(customer.MustCol("c_customer_sk"), i, i)
-		cat.SetStr(customer.MustCol("c_first_name"), i, firstNames[rng.intn(10)])
-		cat.SetStr(customer.MustCol("c_last_name"), i, lastNames[rng.intn(10)])
-		cat.SetInt(customer.MustCol("c_birth_year"), i, 1930+rng.intn(70))
-	}
-
-	dateDim := cat.CreateTable("date_dim", nDate,
-		rt.ColSpec{Name: "d_date_sk", Type: qir.I32},
-		rt.ColSpec{Name: "d_year", Type: qir.I32},
-		rt.ColSpec{Name: "d_moy", Type: qir.I32},
-		rt.ColSpec{Name: "d_dow", Type: qir.I32})
-	for i := int64(0); i < nDate; i++ {
-		cat.SetInt(dateDim.MustCol("d_date_sk"), i, i)
-		cat.SetInt(dateDim.MustCol("d_year"), i, 1998+i/365)
-		cat.SetInt(dateDim.MustCol("d_moy"), i, 1+(i/30)%12)
-		cat.SetInt(dateDim.MustCol("d_dow"), i, i%7)
-	}
-
-	store := cat.CreateTable("store", nStore,
-		rt.ColSpec{Name: "s_store_sk", Type: qir.I32},
-		rt.ColSpec{Name: "s_store_name", Type: qir.Str},
-		rt.ColSpec{Name: "s_state", Type: qir.Str})
-	for i := int64(0); i < nStore; i++ {
-		cat.SetInt(store.MustCol("s_store_sk"), i, i)
-		cat.SetStr(store.MustCol("s_store_name"), i, fmt.Sprintf("Store %c", 'A'+byte(i%26)))
-		cat.SetStr(store.MustCol("s_state"), i, states[rng.intn(10)])
-	}
-
-	ss := cat.CreateTable("store_sales", rows["store_sales"],
-		rt.ColSpec{Name: "ss_sold_date_sk", Type: qir.I32},
-		rt.ColSpec{Name: "ss_item_sk", Type: qir.I64},
-		rt.ColSpec{Name: "ss_customer_sk", Type: qir.I64},
-		rt.ColSpec{Name: "ss_store_sk", Type: qir.I32},
-		rt.ColSpec{Name: "ss_quantity", Type: qir.I32},
-		rt.ColSpec{Name: "ss_sales_price", Type: qir.I128},
-		rt.ColSpec{Name: "ss_ext_sales_price", Type: qir.I128},
-		rt.ColSpec{Name: "ss_net_profit", Type: qir.I128})
-	for i := int64(0); i < rows["store_sales"]; i++ {
-		cat.SetInt(ss.MustCol("ss_sold_date_sk"), i, rng.intn(nDate))
-		cat.SetInt(ss.MustCol("ss_item_sk"), i, rng.intn(nItem))
-		cat.SetInt(ss.MustCol("ss_customer_sk"), i, rng.intn(nCust))
-		cat.SetInt(ss.MustCol("ss_store_sk"), i, rng.intn(nStore))
-		q := 1 + rng.intn(100)
-		price := 50 + rng.intn(20000)
-		cat.SetInt(ss.MustCol("ss_quantity"), i, q)
-		cat.SetI128(ss.MustCol("ss_sales_price"), i, rt.I128FromInt64(price))
-		cat.SetI128(ss.MustCol("ss_ext_sales_price"), i, rt.I128FromInt64(price*q))
-		cat.SetI128(ss.MustCol("ss_net_profit"), i, rt.I128FromInt64(price*q/10-rng.intn(5000)))
+	g := &gen{prng: prng{s: 0xA076_1D64_78BD_642F}, cat: cat, rows: Rows(sf)}
+	for _, t := range tables {
+		g.t = cat.CreateTable(t.name, g.rows[t.name], t.cols...)
+		for i := int64(0); i < g.rows[t.name]; i++ {
+			t.row(g, i)
+		}
 	}
 	return nil
 }
 
-// Schemas.
-func ssSchema() []plan.ColInfo {
-	return []plan.ColInfo{
-		{Name: "ss_sold_date_sk", Type: qir.I32}, {Name: "ss_item_sk", Type: qir.I64},
-		{Name: "ss_customer_sk", Type: qir.I64}, {Name: "ss_store_sk", Type: qir.I32},
-		{Name: "ss_quantity", Type: qir.I32}, {Name: "ss_sales_price", Type: qir.I128},
-		{Name: "ss_ext_sales_price", Type: qir.I128}, {Name: "ss_net_profit", Type: qir.I128},
+// schema is the catalog the queries are parsed against: every table declared
+// at its sf-1 row count, without storage, so that no plan depends on the
+// scale factor loaded (the join planner orients each join by row counts).
+var schema = sync.OnceValue(func() *rt.Catalog {
+	cat, rows := rt.NewCatalog(nil), Rows(1)
+	for _, t := range tables {
+		cat.DeclareTable(t.name, rows[t.name], t.cols...)
 	}
-}
-
-func itemSchema() []plan.ColInfo {
-	return []plan.ColInfo{
-		{Name: "i_item_sk", Type: qir.I64}, {Name: "i_brand", Type: qir.Str},
-		{Name: "i_category", Type: qir.Str}, {Name: "i_class", Type: qir.Str},
-		{Name: "i_current_price", Type: qir.I128},
-	}
-}
-
-func customerSchema() []plan.ColInfo {
-	return []plan.ColInfo{
-		{Name: "c_customer_sk", Type: qir.I64}, {Name: "c_first_name", Type: qir.Str},
-		{Name: "c_last_name", Type: qir.Str}, {Name: "c_birth_year", Type: qir.I32},
-	}
-}
-
-func dateSchema() []plan.ColInfo {
-	return []plan.ColInfo{
-		{Name: "d_date_sk", Type: qir.I32}, {Name: "d_year", Type: qir.I32},
-		{Name: "d_moy", Type: qir.I32}, {Name: "d_dow", Type: qir.I32},
-	}
-}
-
-func storeSchema() []plan.ColInfo {
-	return []plan.ColInfo{
-		{Name: "s_store_sk", Type: qir.I32}, {Name: "s_store_name", Type: qir.Str},
-		{Name: "s_state", Type: qir.Str},
-	}
-}
+	return cat
+})

@@ -4,8 +4,7 @@ import (
 	"fmt"
 
 	"qcc/internal/plan"
-	"qcc/internal/qir"
-	"qcc/internal/rt"
+	"qcc/internal/sql"
 )
 
 // Query is one benchmark query.
@@ -14,432 +13,122 @@ type Query struct {
 	Build func() plan.Node
 }
 
-// Expression helpers (panic on type errors: the suite is static).
-func col(i int, t qir.Type) *plan.Col { return &plan.Col{Idx: i, Ty: t} }
-
-func i32v(v int64) plan.Expr  { return &plan.ConstInt{Ty: qir.I32, V: v} }
-func i64v(v int64) plan.Expr  { return &plan.ConstInt{Ty: qir.I64, V: v} }
-func decv(v int64) plan.Expr  { return &plan.ConstDec{V: rt.I128FromInt64(v)} }
-func strv(s string) plan.Expr { return &plan.ConstStr{V: s} }
-
-func arith(op plan.ArithOp, l, r plan.Expr) plan.Expr {
-	e, err := plan.NewArith(op, l, r)
-	if err != nil {
-		panic(err)
-	}
-	return e
-}
-
-func cmp(op plan.CmpOp, l, r plan.Expr) plan.Expr {
-	e, err := plan.NewCmp(op, l, r)
-	if err != nil {
-		panic(err)
-	}
-	return e
-}
-
-func and(l, r plan.Expr) plan.Expr { return &plan.Logic{Op: plan.OpAnd, L: l, R: r} }
-func or(l, r plan.Expr) plan.Expr  { return &plan.Logic{Op: plan.OpOr, L: l, R: r} }
-
-func scanL() *plan.Scan { return &plan.Scan{Table: "lineitem", Cols: lineitemSchema()} }
-func scanO() *plan.Scan { return &plan.Scan{Table: "orders", Cols: ordersSchema()} }
-func scanC() *plan.Scan { return &plan.Scan{Table: "customer", Cols: customerSchema()} }
-func scanP() *plan.Scan { return &plan.Scan{Table: "part", Cols: partSchema()} }
-func scanS() *plan.Scan { return &plan.Scan{Table: "supplier", Cols: supplierSchema()} }
-func scanN() *plan.Scan { return &plan.Scan{Table: "nation", Cols: nationSchema()} }
-
-// revenue computes extendedprice * (100 - discount) over the lineitem
-// schema starting at column offset off.
-func revenue(off int) plan.Expr {
-	hundred := decv(100)
-	disc := col(off+5, qir.I128)
-	return arith(plan.OpMul, col(off+4, qir.I128), arith(plan.OpSub, hundred, disc))
-}
-
-// Queries returns the 22 query plans.
+// Queries returns the 22 queries. Each Build parses the query's SQL against
+// the schema catalog.
 func Queries() []Query {
-	return []Query{
-		{"q1", q1}, {"q2", q2}, {"q3", q3}, {"q4", q4}, {"q5", q5},
-		{"q6", q6}, {"q7", q7}, {"q8", q8}, {"q9", q9}, {"q10", q10},
-		{"q11", q11}, {"q12", q12}, {"q13", q13}, {"q14", q14}, {"q15", q15},
-		{"q16", q16}, {"q17", q17}, {"q18", q18}, {"q19", q19}, {"q20", q20},
-		{"q21", q21}, {"q22", q22},
+	qs := make([]Query, len(queries))
+	for i, text := range queries {
+		qs[i] = Query{fmt.Sprintf("q%d", i+1), func() plan.Node { return parse(text) }}
 	}
+	return qs
 }
 
-// q1: pricing summary report — heavy decimal aggregation.
-func q1() plan.Node { return q1Param(10400) }
-
-// q2: minimum-cost supplier (simplified): part x lineitem, min price per brand.
-func q2() plan.Node {
-	j := &plan.HashJoin{
-		Build:     scanP(),
-		Probe:     scanL(),
-		BuildKeys: []plan.Expr{col(0, qir.I64)},
-		ProbeKeys: []plan.Expr{col(1, qir.I64)},
+// parse plans one statement of the suite, which is fixed: a statement that
+// does not parse is a bug in this package.
+func parse(text string) plan.Node {
+	n, err := sql.Parse(text, schema())
+	if err != nil {
+		panic(fmt.Sprintf("tpch: %v\n%s", err, text))
 	}
-	// schema: p(0..4) ++ l(5..17)
-	g := &plan.GroupBy{
-		Input: j,
-		Keys:  []plan.Expr{col(2, qir.Str)},
-		Aggs: []plan.AggExpr{
-			{Fn: plan.AggMin, Arg: col(9, qir.I128)},
-			{Fn: plan.AggCount},
-		},
-	}
-	return &plan.Sort{Input: g, Keys: []plan.SortKey{{E: col(0, qir.Str)}}}
+	return n
 }
 
-// q3: shipping priority — 3-way join, revenue sort, limit 10.
-func q3() plan.Node { return q3Param("BUILDING", 9200) }
+// revenue is extendedprice * (100 - discount).
+const revenue = "l_extendedprice * (100 - l_discount)"
 
-// q4: order priority checking (simplified join form).
-func q4() plan.Node {
-	ords := &plan.Select{Input: scanO(), Pred: and(
-		cmp(plan.CmpGE, col(4, qir.I32), i32v(9000)),
-		cmp(plan.CmpLT, col(4, qir.I32), i32v(9090)))}
-	late := &plan.Select{Input: scanL(), Pred: cmp(plan.CmpLT, col(10, qir.I32), col(11, qir.I32))}
-	j := &plan.HashJoin{
-		Build: ords, Probe: late,
-		BuildKeys: []plan.Expr{col(0, qir.I64)},
-		ProbeKeys: []plan.Expr{col(0, qir.I64)},
-	}
-	g := &plan.GroupBy{
-		Input: j,
-		Keys:  []plan.Expr{col(5, qir.Str)},
-		Aggs:  []plan.AggExpr{{Fn: plan.AggCount}},
-	}
-	return &plan.Sort{Input: g, Keys: []plan.SortKey{{E: col(0, qir.Str)}}}
+var queries = [...]string{
+	// q1: pricing summary report — heavy decimal aggregation.
+	q1(10400),
+	// q2: minimum-cost supplier (simplified): part x lineitem, min price per brand.
+	`SELECT p_brand, MIN(l_extendedprice), COUNT(*)
+	FROM part JOIN lineitem ON p_partkey = l_partkey
+	GROUP BY p_brand ORDER BY p_brand`,
+	// q3: shipping priority — 3-way join, revenue sort, limit 10.
+	q3("BUILDING", 9200),
+	// q4: order priority checking (simplified join form).
+	`SELECT o_orderpriority, COUNT(*)
+	FROM orders JOIN lineitem ON o_orderkey = l_orderkey
+	WHERE o_orderdate >= 9000 AND o_orderdate < 9090 AND l_commitdate < l_receiptdate
+	GROUP BY o_orderpriority ORDER BY o_orderpriority`,
+	// q5: local supplier volume — 4-way join grouped by nation.
+	`SELECT n_name, SUM(` + revenue + `)
+	FROM nation JOIN customer ON n_nationkey = c_nationkey JOIN orders ON c_custkey = o_custkey
+		JOIN lineitem ON o_orderkey = l_orderkey
+	GROUP BY n_name ORDER BY n_name`,
+	// q6: forecasting revenue change — highly selective scan.
+	q6(9000, 9365, 4, 6, 24),
+	// q7: volume shipping (simplified 3-way join by nation).
+	`SELECT n_name, SUM(` + revenue + `), COUNT(*)
+	FROM nation JOIN supplier ON n_nationkey = s_nationkey JOIN lineitem ON s_suppkey = l_suppkey
+	GROUP BY n_name ORDER BY n_name`,
+	// q8: market share (simplified): part type filter, share via case-when.
+	`SELECT SUM(CASE WHEN p_brand = 'Brand#11' THEN ` + revenue + ` ELSE 0 END), SUM(` + revenue + `)
+	FROM part JOIN lineitem ON p_partkey = l_partkey
+	WHERE p_type = 'ECONOMY ANODIZED STEEL'`,
+	// q9: product type profit (simplified 3-way join, LIKE filter).
+	`SELECT s_nationkey, SUM(` + revenue + `)
+	FROM part JOIN lineitem ON p_partkey = l_partkey JOIN supplier ON l_suppkey = s_suppkey
+	WHERE p_name LIKE '%STEEL%'
+	GROUP BY s_nationkey ORDER BY CAST(s_nationkey AS BIGINT)`,
+	// q10: returned item reporting — join + top 20 by revenue.
+	`SELECT c_custkey, c_name, SUM(` + revenue + `) AS revenue
+	FROM orders JOIN lineitem ON o_orderkey = l_orderkey JOIN customer ON o_custkey = c_custkey
+	WHERE l_returnflag = 'R'
+	GROUP BY c_custkey, c_name ORDER BY CAST(revenue AS BIGINT) DESC LIMIT 20`,
+	// q11: important stock (simplified supplier aggregation).
+	`SELECT s_suppkey, SUM(l_extendedprice * l_quantity) AS value
+	FROM supplier JOIN lineitem ON s_suppkey = l_suppkey
+	GROUP BY s_suppkey HAVING value > 500000 ORDER BY s_suppkey`,
+	// q12: shipping mode and order priority, with case-when counting.
+	`SELECT l_shipmode,
+		SUM(CASE WHEN o_orderpriority = '1-URGENT' OR o_orderpriority = '2-HIGH' THEN 1 ELSE 0 END),
+		SUM(CASE WHEN NOT (o_orderpriority = '1-URGENT' OR o_orderpriority = '2-HIGH') THEN 1 ELSE 0 END)
+	FROM orders JOIN lineitem ON o_orderkey = l_orderkey
+	WHERE l_shipmode = 'MAIL' OR l_shipmode = 'SHIP'
+	GROUP BY l_shipmode ORDER BY l_shipmode`,
+	// q13: customer order counts, then distribution of counts.
+	`SELECT order_count, COUNT(*) AS custdist
+	FROM (SELECT c_custkey, COUNT(*) AS order_count
+		FROM customer JOIN orders ON c_custkey = o_custkey GROUP BY c_custkey) counts
+	GROUP BY order_count ORDER BY custdist DESC, order_count DESC`,
+	// q14: promotion effect — LIKE on part type with ratio components.
+	`SELECT SUM(CASE WHEN p_type LIKE 'PROMO%' THEN ` + revenue + ` ELSE 0 END), SUM(` + revenue + `)
+	FROM part JOIN lineitem ON p_partkey = l_partkey`,
+	// q15: top supplier — per-supplier revenue, descending, limit 1.
+	q15(9800, 9890),
+	// q16: parts/supplier relationship counts.
+	`SELECT p_brand, p_size, COUNT(*) AS supplier_cnt
+	FROM part JOIN lineitem ON p_partkey = l_partkey
+	WHERE NOT p_brand = 'Brand#45'
+	GROUP BY p_brand, p_size ORDER BY supplier_cnt DESC, p_brand`,
+	// q17: small-quantity-order revenue for one brand.
+	`SELECT SUM(l_extendedprice), COUNT(*)
+	FROM part JOIN lineitem ON p_partkey = l_partkey
+	WHERE p_brand = 'Brand#23' AND l_quantity < 10`,
+	// q18: large-volume customers — grouped sum with HAVING and top-k.
+	`SELECT o_orderkey, o_custkey, SUM(l_quantity) AS quantity
+	FROM orders JOIN lineitem ON o_orderkey = l_orderkey
+	GROUP BY o_orderkey, o_custkey HAVING quantity > 150
+	ORDER BY CAST(quantity AS BIGINT) DESC LIMIT 100`,
+	// q19: discounted revenue — disjunctive brand/quantity predicates.
+	`SELECT SUM(` + revenue + `), COUNT(*)
+	FROM part JOIN lineitem ON p_partkey = l_partkey
+	WHERE (p_brand = 'Brand#12' AND l_quantity BETWEEN 1 AND 11)
+		OR ((p_brand = 'Brand#23' AND l_quantity BETWEEN 10 AND 20)
+			OR (p_brand = 'Brand#34' AND l_quantity BETWEEN 20 AND 30))`,
+	// q20: potential part promotion (simplified): supplier quantities.
+	`SELECT s_name, SUM(l_quantity)
+	FROM supplier JOIN lineitem ON s_suppkey = l_suppkey
+	WHERE l_shipdate >= 9400 AND l_shipdate < 9750
+	GROUP BY s_name ORDER BY s_name`,
+	// q21: suppliers who kept orders waiting (simplified).
+	`SELECT s_name, COUNT(*) AS numwait
+	FROM supplier JOIN lineitem ON s_suppkey = l_suppkey
+	WHERE l_receiptdate > l_commitdate
+	GROUP BY s_name ORDER BY numwait DESC, s_name LIMIT 25`,
+	// q22: global sales opportunity — customers without recent orders
+	// (simplified to an account-balance report).
+	`SELECT c_nationkey, COUNT(*), SUM(c_acctbal)
+	FROM customer WHERE c_acctbal > 400000
+	GROUP BY c_nationkey ORDER BY CAST(c_nationkey AS BIGINT)`,
 }
-
-// q5: local supplier volume — 4-way join grouped by nation.
-func q5() plan.Node {
-	jcn := &plan.HashJoin{
-		Build: scanN(), Probe: scanC(),
-		BuildKeys: []plan.Expr{col(0, qir.I32)},
-		ProbeKeys: []plan.Expr{col(2, qir.I32)},
-	}
-	// n(0..2) ++ c(3..7)
-	jo := &plan.HashJoin{
-		Build: jcn, Probe: scanO(),
-		BuildKeys: []plan.Expr{col(3, qir.I64)},
-		ProbeKeys: []plan.Expr{col(1, qir.I64)},
-	}
-	// n,c (0..7) ++ o(8..13)
-	j := &plan.HashJoin{
-		Build: jo, Probe: scanL(),
-		BuildKeys: []plan.Expr{col(8, qir.I64)},
-		ProbeKeys: []plan.Expr{col(0, qir.I64)},
-	}
-	// (0..13) ++ l(14..26)
-	g := &plan.GroupBy{
-		Input: j,
-		Keys:  []plan.Expr{col(1, qir.Str)},
-		Aggs:  []plan.AggExpr{{Fn: plan.AggSum, Arg: revenue(14)}},
-	}
-	return &plan.Sort{Input: g, Keys: []plan.SortKey{{E: col(0, qir.Str)}}}
-}
-
-// q6: forecasting revenue change — highly selective scan.
-func q6() plan.Node { return q6Param(9000, 9365, 4, 6, 24) }
-
-// q7: volume shipping (simplified 3-way join by nation pair).
-func q7() plan.Node {
-	js := &plan.HashJoin{
-		Build: scanN(), Probe: scanS(),
-		BuildKeys: []plan.Expr{col(0, qir.I32)},
-		ProbeKeys: []plan.Expr{col(1, qir.I32)},
-	}
-	// n(0..2) ++ s(3..5)
-	j := &plan.HashJoin{
-		Build: js, Probe: scanL(),
-		BuildKeys: []plan.Expr{col(3, qir.I64)},
-		ProbeKeys: []plan.Expr{col(2, qir.I64)},
-	}
-	// (0..5) ++ l(6..18)
-	g := &plan.GroupBy{
-		Input: j,
-		Keys:  []plan.Expr{col(1, qir.Str)},
-		Aggs:  []plan.AggExpr{{Fn: plan.AggSum, Arg: revenue(6)}, {Fn: plan.AggCount}},
-	}
-	return &plan.Sort{Input: g, Keys: []plan.SortKey{{E: col(0, qir.Str)}}}
-}
-
-// q8: market share (simplified): part type filter, share via case-when.
-func q8() plan.Node {
-	parts := &plan.Select{Input: scanP(), Pred: cmp(plan.CmpEQ, col(3, qir.Str), strv("ECONOMY ANODIZED STEEL"))}
-	j := &plan.HashJoin{
-		Build: parts, Probe: scanL(),
-		BuildKeys: []plan.Expr{col(0, qir.I64)},
-		ProbeKeys: []plan.Expr{col(1, qir.I64)},
-	}
-	// p(0..4) ++ l(5..17)
-	isBrand := cmp(plan.CmpEQ, col(2, qir.Str), strv("Brand#11"))
-	share := &plan.Case{Cond: isBrand, Then: revenue(5), Else: decv(0)}
-	g := &plan.GroupBy{
-		Input: j,
-		Aggs: []plan.AggExpr{
-			{Fn: plan.AggSum, Arg: share},
-			{Fn: plan.AggSum, Arg: revenue(5)},
-		},
-	}
-	return g
-}
-
-// q9: product type profit (simplified 3-way join, LIKE filter).
-func q9() plan.Node {
-	parts := &plan.Select{Input: scanP(), Pred: &plan.Like{E: col(1, qir.Str), Pattern: "%STEEL%"}}
-	j := &plan.HashJoin{
-		Build: parts, Probe: scanL(),
-		BuildKeys: []plan.Expr{col(0, qir.I64)},
-		ProbeKeys: []plan.Expr{col(1, qir.I64)},
-	}
-	js := &plan.HashJoin{
-		Build: scanS(), Probe: j,
-		BuildKeys: []plan.Expr{col(0, qir.I64)},
-		ProbeKeys: []plan.Expr{col(7, qir.I64)},
-	}
-	// s(0..2) ++ p(3..7) ++ l(8..20)
-	g := &plan.GroupBy{
-		Input: js,
-		Keys:  []plan.Expr{col(1, qir.I32)},
-		Aggs:  []plan.AggExpr{{Fn: plan.AggSum, Arg: revenue(8)}},
-	}
-	return &plan.Sort{Input: g, Keys: []plan.SortKey{{E: &plan.Cast{E: col(0, qir.I32), To: qir.I64}}}}
-}
-
-// q10: returned item reporting — join + top 20 by revenue.
-func q10() plan.Node {
-	returned := &plan.Select{Input: scanL(), Pred: cmp(plan.CmpEQ, col(7, qir.Str), strv("R"))}
-	jo := &plan.HashJoin{
-		Build: scanO(), Probe: returned,
-		BuildKeys: []plan.Expr{col(0, qir.I64)},
-		ProbeKeys: []plan.Expr{col(0, qir.I64)},
-	}
-	// o(0..5) ++ l(6..18)
-	jc := &plan.HashJoin{
-		Build: scanC(), Probe: jo,
-		BuildKeys: []plan.Expr{col(0, qir.I64)},
-		ProbeKeys: []plan.Expr{col(1, qir.I64)},
-	}
-	// c(0..4) ++ o(5..10) ++ l(11..23)
-	g := &plan.GroupBy{
-		Input: jc,
-		Keys:  []plan.Expr{col(0, qir.I64), col(1, qir.Str)},
-		Aggs:  []plan.AggExpr{{Fn: plan.AggSum, Arg: revenue(11)}},
-	}
-	s := &plan.Sort{Input: g, Keys: []plan.SortKey{{E: &plan.Cast{E: col(2, qir.I128), To: qir.I64}, Desc: true}}}
-	return &plan.Limit{Input: s, N: 20}
-}
-
-// q11: important stock (simplified supplier aggregation).
-func q11() plan.Node {
-	j := &plan.HashJoin{
-		Build: scanS(), Probe: scanL(),
-		BuildKeys: []plan.Expr{col(0, qir.I64)},
-		ProbeKeys: []plan.Expr{col(2, qir.I64)},
-	}
-	// s(0..2) ++ l(3..15)
-	g := &plan.GroupBy{
-		Input: j,
-		Keys:  []plan.Expr{col(0, qir.I64)},
-		Aggs:  []plan.AggExpr{{Fn: plan.AggSum, Arg: arith(plan.OpMul, col(7, qir.I128), col(6, qir.I128))}},
-	}
-	having := &plan.Select{Input: g, Pred: cmp(plan.CmpGT, col(1, qir.I128), decv(500000))}
-	return &plan.Sort{Input: having, Keys: []plan.SortKey{{E: col(0, qir.I64)}}}
-}
-
-// q12: shipping mode and order priority, with case-when counting.
-func q12() plan.Node {
-	modes := &plan.Select{Input: scanL(), Pred: or(
-		cmp(plan.CmpEQ, col(12, qir.Str), strv("MAIL")),
-		cmp(plan.CmpEQ, col(12, qir.Str), strv("SHIP")))}
-	j := &plan.HashJoin{
-		Build: scanO(), Probe: modes,
-		BuildKeys: []plan.Expr{col(0, qir.I64)},
-		ProbeKeys: []plan.Expr{col(0, qir.I64)},
-	}
-	// o(0..5) ++ l(6..18)
-	high := or(
-		cmp(plan.CmpEQ, col(5, qir.Str), strv("1-URGENT")),
-		cmp(plan.CmpEQ, col(5, qir.Str), strv("2-HIGH")))
-	g := &plan.GroupBy{
-		Input: j,
-		Keys:  []plan.Expr{col(18, qir.Str)},
-		Aggs: []plan.AggExpr{
-			{Fn: plan.AggSum, Arg: &plan.Case{Cond: high, Then: i64v(1), Else: i64v(0)}},
-			{Fn: plan.AggSum, Arg: &plan.Case{Cond: &plan.Not{E: high}, Then: i64v(1), Else: i64v(0)}},
-		},
-	}
-	return &plan.Sort{Input: g, Keys: []plan.SortKey{{E: col(0, qir.Str)}}}
-}
-
-// q13: customer order counts, then distribution of counts.
-func q13() plan.Node {
-	j := &plan.HashJoin{
-		Build: scanC(), Probe: scanO(),
-		BuildKeys: []plan.Expr{col(0, qir.I64)},
-		ProbeKeys: []plan.Expr{col(1, qir.I64)},
-	}
-	perCust := &plan.GroupBy{
-		Input: j,
-		Keys:  []plan.Expr{col(0, qir.I64)},
-		Aggs:  []plan.AggExpr{{Fn: plan.AggCount}},
-	}
-	dist := &plan.GroupBy{
-		Input: perCust,
-		Keys:  []plan.Expr{col(1, qir.I64)},
-		Aggs:  []plan.AggExpr{{Fn: plan.AggCount}},
-	}
-	return &plan.Sort{Input: dist, Keys: []plan.SortKey{{E: col(1, qir.I64), Desc: true}, {E: col(0, qir.I64), Desc: true}}}
-}
-
-// q14: promotion effect — LIKE on part type with ratio components.
-func q14() plan.Node {
-	j := &plan.HashJoin{
-		Build: scanP(), Probe: scanL(),
-		BuildKeys: []plan.Expr{col(0, qir.I64)},
-		ProbeKeys: []plan.Expr{col(1, qir.I64)},
-	}
-	// p(0..4) ++ l(5..17)
-	isPromo := &plan.Like{E: col(3, qir.Str), Pattern: "PROMO%"}
-	g := &plan.GroupBy{
-		Input: j,
-		Aggs: []plan.AggExpr{
-			{Fn: plan.AggSum, Arg: &plan.Case{Cond: isPromo, Then: revenue(5), Else: decv(0)}},
-			{Fn: plan.AggSum, Arg: revenue(5)},
-		},
-	}
-	return g
-}
-
-// q15: top supplier — per-supplier revenue, descending, limit 1.
-func q15() plan.Node { return q15Param(9800, 9890) }
-
-// q16: parts/supplier relationship counts.
-func q16() plan.Node {
-	parts := &plan.Select{Input: scanP(), Pred: &plan.Not{
-		E: cmp(plan.CmpEQ, col(2, qir.Str), strv("Brand#45"))}}
-	j := &plan.HashJoin{
-		Build: parts, Probe: scanL(),
-		BuildKeys: []plan.Expr{col(0, qir.I64)},
-		ProbeKeys: []plan.Expr{col(1, qir.I64)},
-	}
-	g := &plan.GroupBy{
-		Input: j,
-		Keys:  []plan.Expr{col(2, qir.Str), col(4, qir.I32)},
-		Aggs:  []plan.AggExpr{{Fn: plan.AggCount}},
-	}
-	return &plan.Sort{Input: g, Keys: []plan.SortKey{
-		{E: col(2, qir.I64), Desc: true}, {E: col(0, qir.Str)},
-	}}
-}
-
-// q17: small-quantity-order revenue for one brand.
-func q17() plan.Node {
-	parts := &plan.Select{Input: scanP(), Pred: cmp(plan.CmpEQ, col(2, qir.Str), strv("Brand#23"))}
-	j := &plan.HashJoin{
-		Build: parts, Probe: scanL(),
-		BuildKeys: []plan.Expr{col(0, qir.I64)},
-		ProbeKeys: []plan.Expr{col(1, qir.I64)},
-	}
-	// p(0..4) ++ l(5..17)
-	small := &plan.Select{Input: j, Pred: cmp(plan.CmpLT, col(8, qir.I128), decv(10))}
-	return &plan.GroupBy{
-		Input: small,
-		Aggs:  []plan.AggExpr{{Fn: plan.AggSum, Arg: col(9, qir.I128)}, {Fn: plan.AggCount}},
-	}
-}
-
-// q18: large-volume customers — grouped sum with HAVING and top-k.
-func q18() plan.Node {
-	j := &plan.HashJoin{
-		Build: scanO(), Probe: scanL(),
-		BuildKeys: []plan.Expr{col(0, qir.I64)},
-		ProbeKeys: []plan.Expr{col(0, qir.I64)},
-	}
-	// o(0..5) ++ l(6..18)
-	g := &plan.GroupBy{
-		Input: j,
-		Keys:  []plan.Expr{col(0, qir.I64), col(1, qir.I64)},
-		Aggs:  []plan.AggExpr{{Fn: plan.AggSum, Arg: col(9, qir.I128)}},
-	}
-	big := &plan.Select{Input: g, Pred: cmp(plan.CmpGT, col(2, qir.I128), decv(150))}
-	s := &plan.Sort{Input: big, Keys: []plan.SortKey{{E: &plan.Cast{E: col(2, qir.I128), To: qir.I64}, Desc: true}}}
-	return &plan.Limit{Input: s, N: 100}
-}
-
-// q19: discounted revenue — disjunctive brand/quantity predicates.
-func q19() plan.Node {
-	j := &plan.HashJoin{
-		Build: scanP(), Probe: scanL(),
-		BuildKeys: []plan.Expr{col(0, qir.I64)},
-		ProbeKeys: []plan.Expr{col(1, qir.I64)},
-	}
-	// p(0..4) ++ l(5..17)
-	c1 := and(cmp(plan.CmpEQ, col(2, qir.Str), strv("Brand#12")),
-		&plan.Between{E: col(8, qir.I128), Lo: decv(1), Hi: decv(11)})
-	c2 := and(cmp(plan.CmpEQ, col(2, qir.Str), strv("Brand#23")),
-		&plan.Between{E: col(8, qir.I128), Lo: decv(10), Hi: decv(20)})
-	c3 := and(cmp(plan.CmpEQ, col(2, qir.Str), strv("Brand#34")),
-		&plan.Between{E: col(8, qir.I128), Lo: decv(20), Hi: decv(30)})
-	sel := &plan.Select{Input: j, Pred: or(c1, or(c2, c3))}
-	return &plan.GroupBy{
-		Input: sel,
-		Aggs:  []plan.AggExpr{{Fn: plan.AggSum, Arg: revenue(5)}, {Fn: plan.AggCount}},
-	}
-}
-
-// q20: potential part promotion (simplified): supplier quantities.
-func q20() plan.Node {
-	sel := &plan.Select{Input: scanL(), Pred: and(
-		cmp(plan.CmpGE, col(9, qir.I32), i32v(9400)),
-		cmp(plan.CmpLT, col(9, qir.I32), i32v(9750)))}
-	j := &plan.HashJoin{
-		Build: scanS(), Probe: sel,
-		BuildKeys: []plan.Expr{col(0, qir.I64)},
-		ProbeKeys: []plan.Expr{col(2, qir.I64)},
-	}
-	// s(0..2) ++ l(3..15)
-	g := &plan.GroupBy{
-		Input: j,
-		Keys:  []plan.Expr{col(2, qir.Str)},
-		Aggs:  []plan.AggExpr{{Fn: plan.AggSum, Arg: col(6, qir.I128)}},
-	}
-	return &plan.Sort{Input: g, Keys: []plan.SortKey{{E: col(0, qir.Str)}}}
-}
-
-// q21: suppliers who kept orders waiting (simplified).
-func q21() plan.Node {
-	late := &plan.Select{Input: scanL(), Pred: cmp(plan.CmpGT, col(11, qir.I32), col(10, qir.I32))}
-	j := &plan.HashJoin{
-		Build: scanS(), Probe: late,
-		BuildKeys: []plan.Expr{col(0, qir.I64)},
-		ProbeKeys: []plan.Expr{col(2, qir.I64)},
-	}
-	// s(0..2) ++ l(3..15)
-	g := &plan.GroupBy{
-		Input: j,
-		Keys:  []plan.Expr{col(2, qir.Str)},
-		Aggs:  []plan.AggExpr{{Fn: plan.AggCount}},
-	}
-	s := &plan.Sort{Input: g, Keys: []plan.SortKey{{E: col(1, qir.I64), Desc: true}, {E: col(0, qir.Str)}}}
-	return &plan.Limit{Input: s, N: 25}
-}
-
-// q22: global sales opportunity — customers without recent orders
-// (simplified to an account-balance report).
-func q22() plan.Node {
-	rich := &plan.Select{Input: scanC(), Pred: cmp(plan.CmpGT, col(4, qir.I128), decv(400000))}
-	g := &plan.GroupBy{
-		Input: rich,
-		Keys:  []plan.Expr{col(2, qir.I32)},
-		Aggs: []plan.AggExpr{
-			{Fn: plan.AggCount},
-			{Fn: plan.AggSum, Arg: col(4, qir.I128)},
-		},
-	}
-	return &plan.Sort{Input: g, Keys: []plan.SortKey{{E: &plan.Cast{E: col(0, qir.I32), To: qir.I64}}}}
-}
-
-var _ = fmt.Sprintf

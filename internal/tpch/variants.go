@@ -1,8 +1,9 @@
 package tpch
 
 import (
+	"fmt"
+
 	"qcc/internal/plan"
-	"qcc/internal/qir"
 )
 
 // Parameterized query families for the plan-cache experiment. Each family
@@ -27,101 +28,52 @@ func ParamQueries() []ParamQuery {
 	segments := []string{"BUILDING", "AUTOMOBILE", "MACHINERY", "FURNITURE", "HOUSEHOLD"}
 	return []ParamQuery{
 		{"q1", func(v int) plan.Node {
-			return q1Param(10400 - int64(v)*15)
+			return parse(q1(10400 - int64(v)*15))
 		}},
 		{"q3", func(v int) plan.Node {
-			return q3Param(segments[v%len(segments)], 9200-int64(v)*10)
+			return parse(q3(segments[v%len(segments)], 9200-int64(v)*10))
 		}},
 		{"q6", func(v int) plan.Node {
 			lo := 9000 + int64(v)*20
-			return q6Param(lo, lo+365, 3+int64(v%3), 6+int64(v%3), 24-int64(v%6))
+			return parse(q6(lo, lo+365, 3+int64(v%3), 6+int64(v%3), 24-int64(v%6)))
 		}},
 		{"q15", func(v int) plan.Node {
 			lo := 9800 - int64(v)*12
-			return q15Param(lo, lo+90)
+			return parse(q15(lo, lo+90))
 		}},
 	}
 }
 
-// q1Param is q1 with a parameterized shipdate cutoff.
-func q1Param(shipCut int64) plan.Node {
-	sel := &plan.Select{
-		Input: scanL(),
-		Pred:  cmp(plan.CmpLE, col(9, qir.I32), i32v(shipCut)),
-	}
-	g := &plan.GroupBy{
-		Input: sel,
-		Keys:  []plan.Expr{col(7, qir.Str), col(8, qir.Str)},
-		Aggs: []plan.AggExpr{
-			{Fn: plan.AggSum, Arg: col(3, qir.I128)},
-			{Fn: plan.AggSum, Arg: col(4, qir.I128)},
-			{Fn: plan.AggSum, Arg: revenue(0)},
-			{Fn: plan.AggAvg, Arg: col(3, qir.I128)},
-			{Fn: plan.AggAvg, Arg: col(4, qir.I128)},
-			{Fn: plan.AggCount},
-		},
-	}
-	return &plan.Sort{Input: g, Keys: []plan.SortKey{
-		{E: col(0, qir.Str)}, {E: col(1, qir.Str)},
-	}}
+// q1 is q1 with a parameterized shipdate cutoff.
+func q1(shipCut int64) string {
+	return fmt.Sprintf(`SELECT l_returnflag, l_linestatus, SUM(l_quantity), SUM(l_extendedprice), SUM(%s),
+		AVG(l_quantity), AVG(l_extendedprice), COUNT(*)
+	FROM lineitem WHERE l_shipdate <= %d
+	GROUP BY l_returnflag, l_linestatus ORDER BY l_returnflag, l_linestatus`, revenue, shipCut)
 }
 
-// q3Param is q3 with a parameterized market segment and order-date cutoff
-// (the cutoff bounds both the order date and the ship date, as in the
-// canonical query).
-func q3Param(segment string, dateCut int64) plan.Node {
-	cust := &plan.Select{Input: scanC(), Pred: cmp(plan.CmpEQ, col(3, qir.Str), strv(segment))}
-	ords := &plan.Select{Input: scanO(), Pred: cmp(plan.CmpLT, col(4, qir.I32), i32v(dateCut))}
-	jco := &plan.HashJoin{
-		Build: cust, Probe: ords,
-		BuildKeys: []plan.Expr{col(0, qir.I64)},
-		ProbeKeys: []plan.Expr{col(1, qir.I64)},
-	}
-	// schema: c(0..4) ++ o(5..10)
-	line := &plan.Select{Input: scanL(), Pred: cmp(plan.CmpGT, col(9, qir.I32), i32v(dateCut))}
-	j := &plan.HashJoin{
-		Build: jco, Probe: line,
-		BuildKeys: []plan.Expr{col(5, qir.I64)},
-		ProbeKeys: []plan.Expr{col(0, qir.I64)},
-	}
-	// schema: c,o (0..10) ++ l (11..23)
-	g := &plan.GroupBy{
-		Input: j,
-		Keys:  []plan.Expr{col(5, qir.I64), col(9, qir.I32)},
-		Aggs:  []plan.AggExpr{{Fn: plan.AggSum, Arg: revenue(11)}},
-	}
-	s := &plan.Sort{Input: g, Keys: []plan.SortKey{{E: &plan.Cast{E: col(2, qir.I128), To: qir.I64}, Desc: true}}}
-	return &plan.Limit{Input: s, N: 10}
+// q3 is q3 with a parameterized market segment and order-date cutoff (the
+// cutoff bounds both the order date and the ship date, as in the canonical
+// query).
+func q3(segment string, dateCut int64) string {
+	return fmt.Sprintf(`SELECT o_orderkey, o_orderdate, SUM(%s) AS revenue
+	FROM customer JOIN orders ON c_custkey = o_custkey JOIN lineitem ON o_orderkey = l_orderkey
+	WHERE c_mktsegment = '%s' AND o_orderdate < %d AND l_shipdate > %[3]d
+	GROUP BY o_orderkey, o_orderdate ORDER BY CAST(revenue AS BIGINT) DESC LIMIT 10`, revenue, segment, dateCut)
 }
 
-// q6Param is q6 with a parameterized shipdate window [shipLo, shipHi),
-// discount band [discLo, discHi], and quantity cutoff.
-func q6Param(shipLo, shipHi, discLo, discHi, qty int64) plan.Node {
-	pred := and(
-		and(cmp(plan.CmpGE, col(9, qir.I32), i32v(shipLo)),
-			cmp(plan.CmpLT, col(9, qir.I32), i32v(shipHi))),
-		and(&plan.Between{E: col(5, qir.I128), Lo: decv(discLo), Hi: decv(discHi)},
-			cmp(plan.CmpLT, col(3, qir.I128), decv(qty))))
-	sel := &plan.Select{Input: scanL(), Pred: pred}
-	return &plan.GroupBy{
-		Input: sel,
-		Aggs: []plan.AggExpr{
-			{Fn: plan.AggSum, Arg: arith(plan.OpMul, col(4, qir.I128), col(5, qir.I128))},
-			{Fn: plan.AggCount},
-		},
-	}
+// q6 is q6 with a parameterized shipdate window [shipLo, shipHi), discount
+// band [discLo, discHi], and quantity cutoff.
+func q6(shipLo, shipHi, discLo, discHi, qty int64) string {
+	return fmt.Sprintf(`SELECT SUM(l_extendedprice * l_discount), COUNT(*)
+	FROM lineitem
+	WHERE (l_shipdate >= %d AND l_shipdate < %d) AND (l_discount BETWEEN %d AND %d AND l_quantity < %d)`,
+		shipLo, shipHi, discLo, discHi, qty)
 }
 
-// q15Param is q15 with a parameterized shipdate window [shipLo, shipHi).
-func q15Param(shipLo, shipHi int64) plan.Node {
-	sel := &plan.Select{Input: scanL(), Pred: and(
-		cmp(plan.CmpGE, col(9, qir.I32), i32v(shipLo)),
-		cmp(plan.CmpLT, col(9, qir.I32), i32v(shipHi)))}
-	g := &plan.GroupBy{
-		Input: sel,
-		Keys:  []plan.Expr{col(2, qir.I64)},
-		Aggs:  []plan.AggExpr{{Fn: plan.AggSum, Arg: revenue(0)}},
-	}
-	s := &plan.Sort{Input: g, Keys: []plan.SortKey{{E: &plan.Cast{E: col(1, qir.I128), To: qir.I64}, Desc: true}}}
-	return &plan.Limit{Input: s, N: 1}
+// q15 is q15 with a parameterized shipdate window [shipLo, shipHi).
+func q15(shipLo, shipHi int64) string {
+	return fmt.Sprintf(`SELECT l_suppkey, SUM(%s) AS revenue
+	FROM lineitem WHERE l_shipdate >= %d AND l_shipdate < %d
+	GROUP BY l_suppkey ORDER BY CAST(revenue AS BIGINT) DESC LIMIT 1`, revenue, shipLo, shipHi)
 }
