@@ -4,10 +4,12 @@
 # holds is a count, a digest, a differential or an exit status.
 #   1. go vet, here and in the separate benchmark/ module
 #   2. full build
-#   3. one query path: outside internal/backend/, internal/engine/,
-#      examples/irtour and benchmark/ no non-test file may build a
-#      backend.Env or call codegen.Run/RunParallel/RunConsts — a copy of the
-#      compile→run sequence fails the build instead of drifting
+#   3. one query path and one query language: outside internal/backend/,
+#      internal/engine/, examples/irtour and benchmark/ no non-test file may
+#      build a backend.Env or call codegen.Run/RunParallel/RunConsts — a copy
+#      of the compile→run sequence fails the build instead of drifting — and
+#      no non-test file of internal/tpch or internal/tpcds may build a plan
+#      node: the workloads are SQL text the front-end plans
 #   4. one ledger: benchmark/ is where wall-clock numbers come from, so no
 #      BENCH_*.json may reappear at the root and this script may not pass a
 #      wall-clock gate or budget flag to anything
@@ -79,6 +81,9 @@
 #      within ±50% of the built view; then 10 s of FuzzLoadFuse (bytes →
 #      Decode → Load → fuse → structural check) and a one-iteration smoke of
 #      BenchmarkLoadFuse, the layer's one-command row
+#  18. 10 s of FuzzParse: arbitrary text through the SQL front-end over the
+#      TPC-H and TPC-DS schemas, from a corpus of every workload statement —
+#      no panic, and every plan it returns validates and has a fingerprint
 set -eu
 
 cd "$(dirname "$0")"
@@ -94,7 +99,7 @@ go vet -C benchmark ./...
 echo "== 2. go build =="
 go build ./...
 
-echo "== 3. one query path (no compile/run copies outside internal/engine) =="
+echo "== 3. one query path and one query language (no compile/run copies outside internal/engine, no hand-built workload plans) =="
 copies="$(find . -name '*.go' ! -name '*_test.go' \
 	! -path './internal/backend/*' ! -path './internal/engine/*' \
 	! -path './examples/irtour/*' ! -path './benchmark/*' ! -path './.bench_build/*' \
@@ -102,6 +107,12 @@ copies="$(find . -name '*.go' ! -name '*_test.go' \
 if [ -n "$copies" ]; then
 	echo "$copies"
 	echo "compile and run queries through the internal/engine stages, not a copy of them" >&2
+	exit 1
+fi
+hand="$(find ./internal/tpch ./internal/tpcds -name '*.go' ! -name '*_test.go' -exec grep -n '&plan\.' {} + || true)"
+if [ -n "$hand" ]; then
+	echo "$hand"
+	echo "write workload queries as SQL text; internal/sql plans them" >&2
 	exit 1
 fi
 
@@ -181,5 +192,8 @@ echo "== 17. load-path gate (fused view golden, opcode census, fuse allocation b
 go test ./internal/vm -run 'TestFuseGolden|TestFuseCensus|TestFuseAllocBudget|TestFusedFootprintEstimate' -count=1
 go test ./internal/vm -run '^$' -fuzz FuzzLoadFuse -fuzztime 10s
 go test ./internal/vm -run '^$' -bench LoadFuse -benchtime=1x -benchmem
+
+echo "== 18. SQL parser fuzz smoke =="
+go test ./internal/sql -run '^$' -fuzz FuzzParse -fuzztime 10s
 
 echo "ci.sh: all checks passed"
