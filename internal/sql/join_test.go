@@ -165,7 +165,7 @@ func TestCountersSQLJoinPlans(t *testing.T) {
 }
 
 // TestQ3PlansAsQ3Param: the q3-shaped family statement plans its joins as the
-// hand-built tpch q3 does — each scan filtered by its own conjunct, customer
+// SQL of tpch q3 does — each scan filtered by its own conjunct, customer
 // the build side of its join with orders, and that join the build side of
 // the join with lineitem, on the same key columns.
 func TestQ3PlansAsQ3Param(t *testing.T) {
