@@ -9,7 +9,11 @@
 #      build a backend.Env or call codegen.Run/RunParallel/RunConsts — a copy
 #      of the compile→run sequence fails the build instead of drifting — and
 #      no non-test file of internal/tpch or internal/tpcds may build a plan
-#      node: the workloads are SQL text the front-end plans
+#      node: the workloads are SQL text the front-end plans; and one
+#      definition of an operation: outside internal/sem, internal/vm and
+#      benchmark/ no non-test file may define a top-level canon… function
+#      or apply the signed-high-multiply correction (hi -= uint64(…)), so
+#      the meaning of an operation is not copied out of internal/sem again
 #   4. one ledger: benchmark/ is where wall-clock numbers come from, so no
 #      BENCH_*.json may reappear at the root and this script may not pass a
 #      wall-clock gate or budget flag to anything
@@ -19,8 +23,10 @@
 #      every TPC-H query, all back-ends, both archs) runs here as
 #      TestFusedDispatchDifferential, and the SQL join-planning differential
 #      (generated 2-3-table joins planned vs the old planner kept as the
-#      test oracle: equal rows on every engine, no trap the oracle lacks) in
-#      its -short form
+#      test oracle: equal rows on every engine, no trap the oracle lacks) and
+#      the operation-semantics conformance (TestOpSemantics: every engine
+#      and both dispatch loops against internal/sem on edge operands) in
+#      their -short forms
 #   6. the benchmark module's own tests, which root `go test ./...` never
 #      compiles
 #   7. a smoke run of the reproduction harness emitting the stable JSON report
@@ -84,6 +90,9 @@
 #  18. 10 s of FuzzParse: arbitrary text through the SQL front-end over the
 #      TPC-H and TPC-DS schemas, from a corpus of every workload statement —
 #      no panic, and every plan it returns validates and has a fingerprint
+#  19. 10 s of FuzzSem: random (operation, width, operands) through
+#      internal/sem against a math/big evaluation, from a corpus of every
+#      operation at every width
 set -eu
 
 cd "$(dirname "$0")"
@@ -99,7 +108,7 @@ go vet -C benchmark ./...
 echo "== 2. go build =="
 go build ./...
 
-echo "== 3. one query path and one query language (no compile/run copies outside internal/engine, no hand-built workload plans) =="
+echo "== 3. one query path, one query language, one meaning per operation (no compile/run copies outside internal/engine, no hand-built workload plans, no operation semantics outside internal/sem) =="
 copies="$(find . -name '*.go' ! -name '*_test.go' \
 	! -path './internal/backend/*' ! -path './internal/engine/*' \
 	! -path './examples/irtour/*' ! -path './benchmark/*' ! -path './.bench_build/*' \
@@ -115,6 +124,14 @@ if [ -n "$hand" ]; then
 	echo "write workload queries as SQL text; internal/sql plans them" >&2
 	exit 1
 fi
+sems="$(find . -name '*.go' ! -name '*_test.go' \
+	! -path './internal/sem/*' ! -path './internal/vm/*' ! -path './benchmark/*' ! -path './.bench_build/*' \
+	-exec grep -nE '^func canon|hi -= uint64\(' {} + || true)"
+if [ -n "$sems" ]; then
+	echo "$sems"
+	echo "call internal/sem for what an operation means instead of defining it again" >&2
+	exit 1
+fi
 
 echo "== 4. one ledger (no BENCH_*.json at the root, no wall-clock gate in this script) =="
 # The pattern is split so that this line is not itself a match.
@@ -128,6 +145,7 @@ fi
 echo "== 5. go test -race =="
 go test -race ./...
 go test -race -short ./internal/sql -run 'TestJoinPlanDifferential' -count=1
+go test -race -short ./internal/backend/conformance -run 'TestOpSemantics' -count=1
 
 echo "== 6. go test (benchmark module) =="
 go test -C benchmark ./...
@@ -195,5 +213,8 @@ go test ./internal/vm -run '^$' -bench LoadFuse -benchtime=1x -benchmem
 
 echo "== 18. SQL parser fuzz smoke =="
 go test ./internal/sql -run '^$' -fuzz FuzzParse -fuzztime 10s
+
+echo "== 19. operation semantics fuzz smoke =="
+go test ./internal/sem -run '^$' -fuzz FuzzSem -fuzztime 10s
 
 echo "ci.sh: all checks passed"

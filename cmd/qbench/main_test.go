@@ -14,7 +14,6 @@ func TestUsageErrors(t *testing.T) {
 		args []string
 		msg  string
 	}{
-		{[]string{"-nofuse"}, "flag provided but not defined: -nofuse"},
 		{[]string{"-batch-gate", "1.3", "batch"}, "flag provided but not defined: -batch-gate"},
 		{[]string{"batch"}, `unknown experiment "batch"`},
 		{[]string{"-sf", "0.01", "table1", "cache"}, `unknown experiment "cache"`},

@@ -334,7 +334,13 @@ func (g *cgen) inst(v qir.Value, in *qir.Instr) error {
 		qir.OpAnd, qir.OpOr, qir.OpXor, qir.OpShl, qir.OpSar:
 		asgn("(%s)(v%d %s v%d)", typeName(in.Type), in.A, cBinOp[in.Op], in.B)
 	case qir.OpShr:
-		asgn("(%s)((u64)v%d >> v%d)", typeName(in.Type), in.A, in.B)
+		// A narrow operand shifts as its zero-extension: the unsigned value
+		// of its own width.
+		a := fmt.Sprintf("v%d", in.A)
+		if in.Type < qir.I64 {
+			a = fmt.Sprintf("__zext_%s(%s)", typeName(in.Type), a)
+		}
+		asgn("(%s)((u64)%s >> v%d)", typeName(in.Type), a, in.B)
 	case qir.OpUDiv:
 		asgn("(%s)((u64)v%d / (u64)v%d)", typeName(in.Type), in.A, in.B)
 	case qir.OpURem:
@@ -371,7 +377,13 @@ func (g *cgen) inst(v qir.Value, in *qir.Instr) error {
 
 	case qir.OpZExt:
 		from := f.ValueType(in.A)
-		asgn("(%s)__zext_%s(v%d)", typeName(in.Type), typeName(from), in.A)
+		if in.Type == qir.I128 {
+			// A cast to i128 sign-extends; the high word of a zero-extension
+			// is zero.
+			asgn("__i128(__zext_%s(v%d), 0LL)", typeName(from), in.A)
+		} else {
+			asgn("(%s)__zext_%s(v%d)", typeName(in.Type), typeName(from), in.A)
+		}
 	case qir.OpSExt:
 		asgn("(%s)v%d", typeName(in.Type), in.A)
 	case qir.OpTrunc:

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math/bits"
 
+	"qcc/internal/qir"
+	"qcc/internal/sem"
 	"qcc/internal/vt"
 )
 
@@ -513,7 +515,7 @@ func constFold(gf *gimpleFunc, tgt *vt.Target) bool {
 		switch {
 		case t.op == gCast && t.ct.isInt() && t.ct2.isInt():
 			if av, ok := constOf[t.a]; ok {
-				*t = tac{op: gConst, dst: t.dst, a: -1, b: -1, imm: canonC(av, t.ct), ct: t.ct}
+				*t = tac{op: gConst, dst: t.dst, a: -1, b: -1, imm: int64(sem.Canon(semTypes[t.ct], uint64(av))), ct: t.ct}
 			} else if widens(t.ct, t.ct2) {
 				*t = tac{op: gMov, dst: t.dst, a: t.a, b: -1, ct: t.ct}
 			} else {
@@ -524,7 +526,7 @@ func constFold(gf *gimpleFunc, tgt *vt.Target) bool {
 		case t.op == gMov && gf.vars[t.dst].isInt() && gf.vars[t.a].isInt():
 			if av, ok := constOf[t.a]; ok {
 				ct := gf.vars[t.dst]
-				*t = tac{op: gConst, dst: t.dst, a: -1, b: -1, imm: canonC(av, ct), ct: ct}
+				*t = tac{op: gConst, dst: t.dst, a: -1, b: -1, imm: int64(sem.Canon(semTypes[ct], uint64(av))), ct: ct}
 				changed = true
 			}
 			continue
@@ -545,30 +547,12 @@ func constFold(gf *gimpleFunc, tgt *vt.Target) bool {
 			continue
 		}
 		if aok && bok && counts[t.dst] == 1 {
-			var r int64
-			switch t.bin {
-			case bAdd:
-				r = av + bv
-			case bSub:
-				r = av - bv
-			case bMul:
-				r = av * bv
-			case bAnd:
-				r = av & bv
-			case bOr:
-				r = av | bv
-			case bXor:
-				r = av ^ bv
-			case bShl:
-				r = av << (uint64(bv) & 63)
-			case bSar:
-				r = av >> (uint64(bv) & 63)
-			case bShr:
-				r = int64(uint64(av) >> (uint64(bv) & 63))
-			default:
+			op := semOps[t.bin]
+			if op == qir.OpInvalid {
 				continue // division folding skipped (traps)
 			}
-			*t = tac{op: gConst, dst: t.dst, a: -1, b: -1, imm: canonC(r, t.ct), ct: t.ct}
+			r, _, _ := sem.Eval(op, semTypes[t.ct], uint64(av), uint64(bv))
+			*t = tac{op: gConst, dst: t.dst, a: -1, b: -1, imm: int64(r), ct: t.ct}
 			constOf[t.dst] = t.imm
 			changed = true
 			continue
@@ -597,19 +581,14 @@ func constFold(gf *gimpleFunc, tgt *vt.Target) bool {
 	return changed
 }
 
-func canonC(v int64, t cType) int64 {
-	switch t {
-	case ctI1:
-		return v & 1
-	case ctI8:
-		return int64(int8(v))
-	case ctI16:
-		return int64(int16(v))
-	case ctI32:
-		return int64(int32(v))
-	}
-	return v
-}
+// semOps maps the binary operations constFold evaluates to the QIR
+// operations whose meaning internal/sem defines; the divisions are absent.
+var semOps = [...]qir.Op{bAdd: qir.OpAdd, bSub: qir.OpSub, bMul: qir.OpMul, bAnd: qir.OpAnd,
+	bOr: qir.OpOr, bXor: qir.OpXor, bShl: qir.OpShl, bShr: qir.OpShr, bSar: qir.OpSar}
+
+// semTypes is the QIR type of each integer C type; u64 and ptr are words.
+var semTypes = [...]qir.Type{ctI1: qir.I1, ctI8: qir.I8, ctI16: qir.I16, ctI32: qir.I32,
+	ctI64: qir.I64, ctU64: qir.I64, ctPtr: qir.I64}
 
 // localCSE removes duplicated pure computations within straight-line
 // regions (between labels, branches and calls).

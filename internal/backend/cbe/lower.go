@@ -227,7 +227,7 @@ func (g *asmgen) binOp(t *tac) error {
 	}
 	if t.ct.bits() < 64 {
 		switch t.bin {
-		case bAnd, bOr, bXor, bSar, bDiv, bRem:
+		case bAnd, bOr, bXor, bSar, bRem:
 		default:
 			g.canon(t.ct, d)
 		}

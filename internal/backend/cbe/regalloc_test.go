@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"qcc/internal/sem"
 	"qcc/internal/vm"
 	"qcc/internal/vt"
 )
@@ -27,7 +28,7 @@ func sext(v uint64) uint64 { return uint64(int64(v) >> 63) }
 // rtModel is the one runtime function the test programs call.
 func rtModel(a, b uint64) val { return val{a*1000003 ^ b, a + b} }
 
-func canonV(t cType, v uint64) uint64 { return uint64(canonC(int64(v), t)) }
+func canonV(t cType, v uint64) uint64 { return sem.Canon(semTypes[t], v) }
 
 func convert(from, to cType, a val) val {
 	switch {

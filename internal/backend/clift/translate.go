@@ -310,7 +310,7 @@ func (tr *translator) inst(v qir.Value, in *qir.Instr) error {
 		r := tr.op2(binMap[in.Op], a, b)
 		if isNarrow(in.Type) {
 			switch in.Op {
-			case qir.OpAnd, qir.OpOr, qir.OpSar, qir.OpSDiv, qir.OpSRem, qir.OpXor:
+			case qir.OpAnd, qir.OpOr, qir.OpSar, qir.OpSRem, qir.OpXor:
 			default:
 				r = tr.canon(in.Type, r)
 			}

@@ -130,7 +130,7 @@ func (g *codegen) genInstr(v qir.Value, in *qir.Instr) error {
 		}
 		if isNarrow(in.Type) {
 			switch in.Op {
-			case qir.OpAnd, qir.OpOr, qir.OpSar, qir.OpSDiv, qir.OpSRem:
+			case qir.OpAnd, qir.OpOr, qir.OpSar, qir.OpSRem:
 				// Canonical-form preserving.
 			default:
 				g.canonReg(in.Type, d)

@@ -221,8 +221,8 @@ func translate(f *qir.Func, env *backend.Env) (*bcFunc, error) {
 				case qir.OpICmp:
 					// Record the operand type (result is always I1).
 					bc.Type = f.ValueType(in.A)
-				case qir.OpZExt:
-					// Record the source type in Aux for masking.
+				case qir.OpZExt, qir.OpSExt, qir.OpTrunc:
+					// Record the source type in Aux.
 					bc.Aux = uint32(f.ValueType(in.A))
 				}
 				bf.code = append(bf.code, bc)

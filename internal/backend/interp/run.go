@@ -6,7 +6,7 @@ import (
 	"runtime"
 
 	"qcc/internal/qir"
-	"qcc/internal/rt"
+	"qcc/internal/sem"
 	"qcc/internal/vm"
 	"qcc/internal/vt"
 )
@@ -154,84 +154,48 @@ func (x *exec) run(fn int, args []uint64) ([2]uint64, error) {
 		case qir.OpFuncAddr:
 			store(vals, in.A, uint64(in.Aux))
 		case qir.OpAdd, qir.OpSub, qir.OpMul, qir.OpAnd, qir.OpOr, qir.OpXor,
-			qir.OpShl, qir.OpShr, qir.OpSar, qir.OpRotr:
+			qir.OpShl, qir.OpShr, qir.OpSar, qir.OpRotr, qir.OpSDiv, qir.OpSRem,
+			qir.OpUDiv, qir.OpURem, qir.OpSAddTrap, qir.OpSSubTrap, qir.OpSMulTrap:
+			// One call into internal/sem per operation (too large to inline):
+			// the evaluation cost the interpreter models.
+			var code vt.TrapCode
+			var ok bool
 			if in.Type == qir.I128 {
-				a := rt.I128{Lo: fetch(vals, in.S), Hi: fetchHi(vals, in.S)}
-				b := rt.I128{Lo: fetch(vals, in.B), Hi: fetchHi(vals, in.B)}
-				r, err := eval128(in.Op, a, b)
-				if err != nil {
-					return [2]uint64{}, err
-				}
+				var r sem.I128
+				r, code, ok = sem.Eval128(in.Op, sem.I128{Lo: fetch(vals, in.S), Hi: fetchHi(vals, in.S)},
+					sem.I128{Lo: fetch(vals, in.B), Hi: fetchHi(vals, in.B)})
 				store2(vals, in.A, r.Lo, r.Hi)
 			} else {
-				store(vals, in.A, canon(in.Type, evalBin(in.Op, fetch(vals, in.S), fetch(vals, in.B))))
+				var r uint64
+				r, code, ok = sem.Eval(in.Op, in.Type, fetch(vals, in.S), fetch(vals, in.B))
+				store(vals, in.A, r)
 			}
-		case qir.OpSDiv, qir.OpSRem, qir.OpUDiv, qir.OpURem:
-			b := fetch(vals, in.B)
-			if in.Type == qir.I128 && fetchHi(vals, in.B) == 0 && b == 0 || in.Type != qir.I128 && b == 0 {
-				return [2]uint64{}, trap(vt.TrapDivZero)
+			if !ok {
+				return [2]uint64{}, trap(code)
 			}
-			if in.Type == qir.I128 {
-				a128 := rt.I128{Lo: fetch(vals, in.S), Hi: fetchHi(vals, in.S)}
-				b128 := rt.I128{Lo: fetch(vals, in.B), Hi: fetchHi(vals, in.B)}
-				q := a128.Div(b128)
-				if in.Op == qir.OpSRem {
-					q = a128.Sub(q.Mul(b128))
-				}
-				store2(vals, in.A, q.Lo, q.Hi)
-			} else {
-				store(vals, in.A, canon(in.Type, evalDiv(in.Op, fetch(vals, in.S), b)))
-			}
-		case qir.OpNeg:
-			if in.Type == qir.I128 {
-				r := (rt.I128{Lo: fetch(vals, in.S), Hi: fetchHi(vals, in.S)}).Neg()
-				store2(vals, in.A, r.Lo, r.Hi)
-			} else if in.Type == qir.F64 {
+		case qir.OpNeg, qir.OpNot:
+			switch in.Type {
+			case qir.F64:
 				store(vals, in.A, math.Float64bits(-math.Float64frombits(fetch(vals, in.S))))
-			} else {
-				store(vals, in.A, canon(in.Type, -fetch(vals, in.S)))
-			}
-		case qir.OpNot:
-			store(vals, in.A, canon(in.Type, ^fetch(vals, in.S)))
-		case qir.OpSAddTrap, qir.OpSSubTrap, qir.OpSMulTrap:
-			if in.Type == qir.I128 {
-				a := rt.I128{Lo: fetch(vals, in.S), Hi: fetchHi(vals, in.S)}
-				b := rt.I128{Lo: fetch(vals, in.B), Hi: fetchHi(vals, in.B)}
-				r, ov := eval128Trap(in.Op, a, b)
-				if ov {
-					return [2]uint64{}, trap(vt.TrapOverflow)
-				}
+			case qir.I128:
+				r, _, _ := sem.Eval128(in.Op, sem.I128{Lo: fetch(vals, in.S), Hi: fetchHi(vals, in.S)}, sem.I128{})
 				store2(vals, in.A, r.Lo, r.Hi)
-			} else {
-				r, ov := evalTrapOp(in.Op, in.Type, int64(fetch(vals, in.S)), int64(fetch(vals, in.B)))
-				if ov {
-					return [2]uint64{}, trap(vt.TrapOverflow)
-				}
-				store(vals, in.A, uint64(r))
+			default:
+				r, _, _ := sem.Eval(in.Op, in.Type, fetch(vals, in.S), 0)
+				store(vals, in.A, r)
 			}
 		case qir.OpICmp:
 			var r bool
 			if in.Type == qir.I128 {
-				a := rt.I128{Lo: fetch(vals, in.S), Hi: fetchHi(vals, in.S)}
-				b := rt.I128{Lo: fetch(vals, in.B), Hi: fetchHi(vals, in.B)}
-				r = cmp128(qir.Cmp(in.Aux), a, b)
+				r = sem.ICmp128(qir.Cmp(in.Aux), sem.I128{Lo: fetch(vals, in.S), Hi: fetchHi(vals, in.S)},
+					sem.I128{Lo: fetch(vals, in.B), Hi: fetchHi(vals, in.B)})
 			} else {
-				r = cmpInt(qir.Cmp(in.Aux), fetch(vals, in.S), fetch(vals, in.B))
+				r = sem.ICmp(qir.Cmp(in.Aux), fetch(vals, in.S), fetch(vals, in.B))
 			}
 			store(vals, in.A, b2u(r))
-		case qir.OpZExt:
-			lo, hi := zext(in.Type, qir.Type(in.Aux), fetch(vals, in.S))
+		case qir.OpZExt, qir.OpSExt, qir.OpTrunc:
+			lo, hi := sem.Convert(in.Op, in.Type, qir.Type(in.Aux), fetch(vals, in.S))
 			store2(vals, in.A, lo, hi)
-		case qir.OpSExt:
-			// Canonical form is already sign-extended in the low word.
-			if in.Type == qir.I128 {
-				store(vals, in.A, fetch(vals, in.S))
-				vals[2*in.A+1] = uint64(int64(fetch(vals, in.S)) >> 63)
-			} else {
-				store(vals, in.A, fetch(vals, in.S))
-			}
-		case qir.OpTrunc:
-			store(vals, in.A, canon(in.Type, fetch(vals, in.S)))
 		case qir.OpFAdd:
 			store(vals, in.A, math.Float64bits(math.Float64frombits(fetch(vals, in.S))+math.Float64frombits(fetch(vals, in.B))))
 		case qir.OpFSub:
@@ -241,12 +205,12 @@ func (x *exec) run(fn int, args []uint64) ([2]uint64, error) {
 		case qir.OpFDiv:
 			store(vals, in.A, math.Float64bits(math.Float64frombits(fetch(vals, in.S))/math.Float64frombits(fetch(vals, in.B))))
 		case qir.OpFCmp:
-			store(vals, in.A, b2u(cmpFloat(qir.Cmp(in.Aux),
+			store(vals, in.A, b2u(sem.FCmp(qir.Cmp(in.Aux),
 				math.Float64frombits(fetch(vals, in.S)), math.Float64frombits(fetch(vals, in.B)))))
 		case qir.OpSIToFP:
 			store(vals, in.A, math.Float64bits(float64(int64(fetch(vals, in.S)))))
 		case qir.OpFPToSI:
-			store(vals, in.A, canon(in.Type, uint64(int64(math.Float64frombits(fetch(vals, in.S))))))
+			store(vals, in.A, sem.Canon(in.Type, uint64(int64(math.Float64frombits(fetch(vals, in.S))))))
 		case qir.OpFBits, qir.OpBitsF:
 			store(vals, in.A, fetch(vals, in.S))
 		case qir.OpCrc32:
@@ -274,7 +238,7 @@ func (x *exec) run(fn int, args []uint64) ([2]uint64, error) {
 			if err := x.load(in.Type, fetch(vals, in.S), tmp[:], false); err != nil {
 				return [2]uint64{}, err
 			}
-			nv := canon(in.Type, tmp[0]+fetch(vals, in.B))
+			nv := sem.Canon(in.Type, tmp[0]+fetch(vals, in.B))
 			if err := x.storeRaw(in.Type, fetch(vals, in.S), nv, 0, false); err != nil {
 				return [2]uint64{}, err
 			}

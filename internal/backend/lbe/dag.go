@@ -2,8 +2,9 @@ package lbe
 
 import (
 	"fmt"
-	"math"
 
+	"qcc/internal/qir"
+	"qcc/internal/sem"
 	"qcc/internal/vt"
 )
 
@@ -247,10 +248,7 @@ func (dag *selectionDAG) combine(n *dnode) bool {
 		a, aok := isConst(n.ops[0])
 		b, bok := isConst(n.ops[1])
 		if aok && bok {
-			folded := foldBinOp(n.op, n.ty, a, b)
-			n.op = LOpConst
-			n.imm = folded
-			n.ops = nil
+			n.op, n.imm, n.ops = LOpConst, fold(n.op, n.ty, a, b), nil
 			return true
 		}
 		if bok {
@@ -287,14 +285,7 @@ func (dag *selectionDAG) combine(n *dnode) bool {
 		a, aok := isConst(n.ops[0])
 		b, bok := isConst(n.ops[1])
 		if aok && bok {
-			r := int64(0)
-			if evalPred(n.pred, a, b) {
-				r = 1
-			}
-			n.op = LOpConst
-			n.ty = TI1
-			n.imm = r
-			n.ops = nil
+			n.op, n.ty, n.imm, n.ops = LOpConst, TI1, foldCmp(n.pred, a, b), nil
 			return true
 		}
 	case LOpSelect:
@@ -310,7 +301,7 @@ func (dag *selectionDAG) combine(n *dnode) bool {
 		// zext(const)/sext(const) folding.
 		if c, ok := isConst(n.ops[0]); ok && !wideType(n.ty) {
 			if n.op == LOpZExt {
-				c = int64(maskTo(uint64(c), n.ops[0].ty.Bits))
+				c = int64(sem.ZExt(semType(n.ops[0].ty), uint64(c)))
 			}
 			n.op = LOpConst
 			n.imm = c
@@ -321,82 +312,40 @@ func (dag *selectionDAG) combine(n *dnode) bool {
 	return false
 }
 
-func nodeOp(n *dnode) Opcode { return n.op }
-
-func foldBin(op Opcode, t *Type, a, b int64) int64 { return foldBinOp(op, t, a, b) }
-
-func foldBinOp(op Opcode, t *Type, a, b int64) int64 {
-	var r int64
-	switch op {
-	case LOpAdd:
-		r = a + b
-	case LOpSub:
-		r = a - b
-	case LOpMul:
-		r = a * b
-	case LOpAnd:
-		r = a & b
-	case LOpOr:
-		r = a | b
-	case LOpXor:
-		r = a ^ b
-	case LOpShl:
-		r = a << (uint64(b) & 63)
-	case LOpLShr:
-		r = int64(maskTo(uint64(a), t.Bits) >> (uint64(b) & 63))
-	case LOpAShr:
-		r = a >> (uint64(b) & 63)
-	default:
-		return a
-	}
-	return canon64(r, t.Bits)
+// semOps maps each opcode the combiners fold to the QIR operation it
+// implements, whose meaning internal/sem defines.
+var semOps = [...]qir.Op{
+	LOpAdd: qir.OpAdd, LOpSub: qir.OpSub, LOpMul: qir.OpMul, LOpAnd: qir.OpAnd, LOpOr: qir.OpOr,
+	LOpXor: qir.OpXor, LOpShl: qir.OpShl, LOpLShr: qir.OpShr, LOpAShr: qir.OpSar,
 }
 
-func maskTo(v uint64, bits int) uint64 {
-	if bits >= 64 {
-		return v
-	}
-	return v & (1<<uint(bits) - 1)
+// fold evaluates a foldable operation on constant operands of type t.
+func fold(op Opcode, t *Type, a, b int64) int64 {
+	r, _, _ := sem.Eval(semOps[op], semType(t), uint64(a), uint64(b))
+	return int64(r)
 }
 
-func canon64(v int64, bits int) int64 {
-	switch bits {
+// foldCmp evaluates an integer comparison of constants to 0 or 1.
+func foldCmp(pred uint8, a, b int64) int64 {
+	if sem.ICmp(qir.Cmp(pred), uint64(a), uint64(b)) {
+		return 1
+	}
+	return 0
+}
+
+// semType is the QIR type of a scalar LIR type; a pointer is a word.
+func semType(t *Type) qir.Type {
+	switch t.Bits {
 	case 1:
-		return v & 1
+		return qir.I1
 	case 8:
-		return int64(int8(v))
+		return qir.I8
 	case 16:
-		return int64(int16(v))
+		return qir.I16
 	case 32:
-		return int64(int32(v))
+		return qir.I32
 	}
-	return v
-}
-
-func evalPred(p uint8, a, b int64) bool {
-	switch vt.Cond(p) {
-	case vt.CondEQ:
-		return a == b
-	case vt.CondNE:
-		return a != b
-	case vt.CondSLT:
-		return a < b
-	case vt.CondSLE:
-		return a <= b
-	case vt.CondSGT:
-		return a > b
-	case vt.CondSGE:
-		return a >= b
-	case vt.CondULT:
-		return uint64(a) < uint64(b)
-	case vt.CondULE:
-		return uint64(a) <= uint64(b)
-	case vt.CondUGT:
-		return uint64(a) > uint64(b)
-	case vt.CondUGE:
-		return uint64(a) >= uint64(b)
-	}
-	return false
+	return qir.I64
 }
 
 // knownBits computes which bits of a node are known zero/one, by recursive
@@ -429,7 +378,7 @@ func (dag *selectionDAG) knownBits(n *dnode, depth int) (zeros, ones uint64) {
 	case LOpZExt:
 		src := n.ops[0]
 		z, o := dag.knownBits(src, depth+1)
-		hiMask := ^maskTo(^uint64(0), src.ty.Bits)
+		hiMask := ^sem.ZExt(semType(src.ty), ^uint64(0))
 		return z&^hiMask | hiMask, o &^ hiMask
 	case LOpShl:
 		if c, ok := isConst(n.ops[1]); ok {
@@ -448,8 +397,6 @@ func (dag *selectionDAG) knownBits(n *dnode, depth int) (zeros, ones uint64) {
 	}
 	return 0, 0
 }
-
-var _ = math.MaxInt64
 
 // pairOf allocates legalized halves for a wide node if absent.
 func (dag *selectionDAG) pairOf(n *dnode) (*dnode, *dnode, error) {

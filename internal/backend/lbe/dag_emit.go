@@ -108,7 +108,7 @@ func (dag *selectionDAG) emitNode(n *dnode) error {
 		}
 		if bits < 64 {
 			switch n.op {
-			case LOpAnd, LOpOr, LOpXor, LOpAShr, LOpSDiv, LOpSRem:
+			case LOpAnd, LOpOr, LOpXor, LOpAShr, LOpSRem:
 			default:
 				t := dag.temp()
 				dag.canonInto(bits, t, d)
@@ -559,6 +559,7 @@ func (dag *selectionDAG) emitIntrinsicNode(n *dnode) error {
 	case IntrRotr:
 		d := dag.temp()
 		dag.emit3(vt.Rotr, d, n.ops[0].res.a, n.ops[1].res.a)
+		dag.canonInto(n.ty.Bits, d, d)
 		n.res = mval{a: d, b: mnone}
 		return nil
 	case intrMulWide:

@@ -73,7 +73,7 @@ func (g *gISel) selectOne(gi *ginst, r func(gvr) mreg) error {
 			t := is.temp()
 			is.emit3(fiBinMap[gi.op], t, a, b)
 			switch gi.op {
-			case LOpAnd, LOpOr, LOpXor, LOpAShr, LOpSDiv, LOpSRem:
+			case LOpAnd, LOpOr, LOpXor, LOpAShr, LOpSRem:
 				is.emit3(vt.MovRR, d, t, mnone)
 			default:
 				is.canonInto(bits, d, t)
@@ -220,6 +220,7 @@ func (g *gISel) selectOne(gi *ginst, r func(gvr) mreg) error {
 			is.emit3(vt.Crc32, r(gi.dst), r(gi.srcs[0]), r(gi.srcs[1]))
 		case IntrRotr:
 			is.emit3(vt.Rotr, r(gi.dst), r(gi.srcs[0]), r(gi.srcs[1]))
+			is.canonInto(gi.ty.Bits, r(gi.dst), r(gi.dst))
 		case IntrSAddOv, IntrSSubOv, IntrSMulOv:
 			return g.selectOvf(gi, r)
 		default:

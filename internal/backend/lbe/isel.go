@@ -295,7 +295,7 @@ func (fi *fastISel) lowerFast(in *Instr) error {
 			t := is.temp()
 			is.emit3(fiBinMap[in.Op], t, a, b)
 			switch in.Op {
-			case LOpAnd, LOpOr, LOpXor, LOpAShr, LOpSDiv, LOpSRem:
+			case LOpAnd, LOpOr, LOpXor, LOpAShr, LOpSRem:
 				is.emit3(vt.MovRR, d, t, mnone)
 			default:
 				is.canonInto(bits, d, t)
@@ -602,7 +602,9 @@ func (is *isel) lowerIntrinsic(in *Instr) error {
 		is.emit3(vt.Crc32, is.getVal(in).a, is.getVal(in.Ops[0]).a, is.getVal(in.Ops[1]).a)
 		return nil
 	case IntrRotr:
-		is.emit3(vt.Rotr, is.getVal(in).a, is.getVal(in.Ops[0]).a, is.getVal(in.Ops[1]).a)
+		d := is.getVal(in).a
+		is.emit3(vt.Rotr, d, is.getVal(in.Ops[0]).a, is.getVal(in.Ops[1]).a)
+		is.canonInto(in.Typ.Bits, d, d)
 		return nil
 	case IntrSAddOv, IntrSSubOv, IntrSMulOv:
 		return is.lowerOverflowIntr(in)

@@ -6,29 +6,6 @@ import (
 	"qcc/internal/vt"
 )
 
-func TestFoldBinOp(t *testing.T) {
-	cases := []struct {
-		op   Opcode
-		t    *Type
-		a, b int64
-		want int64
-	}{
-		{LOpAdd, TI64, 3, 4, 7},
-		{LOpSub, TI32, -1 << 31, 1, canon64(-1<<31-1, 32)},
-		{LOpMul, TI64, 6, 7, 42},
-		{LOpAnd, TI64, 0xFF, 0x0F, 0x0F},
-		{LOpShl, TI64, 1, 10, 1024},
-		{LOpLShr, TI32, -1, 28, 0xF},
-		{LOpAShr, TI64, -8, 2, -2},
-		{LOpXor, TI8, 0x7F, -1, canon64(^0x7F, 8)},
-	}
-	for _, c := range cases {
-		if got := foldBinOp(c.op, c.t, c.a, c.b); got != c.want {
-			t.Errorf("fold %s(%d, %d) = %d, want %d", c.op, c.a, c.b, got, c.want)
-		}
-	}
-}
-
 func TestKnownBits(t *testing.T) {
 	dag := &selectionDAG{isel: &isel{}}
 	c := func(v int64) *dnode { return &dnode{op: LOpConst, ty: TI64, imm: v} }

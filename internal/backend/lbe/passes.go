@@ -507,10 +507,8 @@ func combineOne(in *Instr) bool {
 		a, aok := constOf(in.Ops[0])
 		b, bok := constOf(in.Ops[1])
 		if aok && bok {
-			folded := foldBinOp(in.Op, in.Typ, a, b)
 			op0 := in.Ops[0]
-			in.Op = LOpConst
-			in.Imm = folded
+			in.Op, in.Imm = LOpConst, fold(in.Op, in.Typ, a, b)
 			op0.RemoveUse(in)
 			in.Ops[1].RemoveUse(in)
 			in.Ops = nil
@@ -528,16 +526,9 @@ func combineOne(in *Instr) bool {
 		a, aok := constOf(in.Ops[0])
 		b, bok := constOf(in.Ops[1])
 		if aok && bok {
-			r := int64(0)
-			if evalPred(in.Pred, a, b) {
-				r = 1
-			}
 			in.Ops[0].RemoveUse(in)
 			in.Ops[1].RemoveUse(in)
-			in.Op = LOpConst
-			in.Typ = TI1
-			in.Imm = r
-			in.Ops = nil
+			in.Op, in.Typ, in.Imm, in.Ops = LOpConst, TI1, foldCmp(in.Pred, a, b), nil
 			return true
 		}
 	case LOpSelect:

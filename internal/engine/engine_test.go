@@ -283,15 +283,10 @@ func TestCommandFlags(t *testing.T) {
 		o.Jobs != 1 || o.CacheMB != 0 || o.ExecJobs != 1 || o.Batch {
 		t.Errorf("parsed options %+v (err %v)", o, err)
 	}
-	for _, args := range [][]string{{"-arch", "mips"}, {"-nofuse"}, {"-jobs", "4"}, {"-cache-mb", "16"},
+	for _, args := range [][]string{{"-arch", "mips"}, {"-jobs", "4"}, {"-cache-mb", "16"},
 		{"-exec-jobs", "4"}, {"-batch"}} {
 		if _, err := parse("qbench", args...); err == nil {
 			t.Errorf("qbench %v accepted", args)
-		}
-	}
-	for _, cmd := range []string{"qrun", "qtrace", "qprof"} {
-		if _, err := parse(cmd, "-nofuse"); err == nil {
-			t.Errorf("%s -nofuse accepted", cmd)
 		}
 	}
 }

@@ -5,6 +5,8 @@ import (
 	"math/bits"
 
 	"qcc/internal/obs"
+	"qcc/internal/qir"
+	"qcc/internal/sem"
 	"qcc/internal/vm"
 	"qcc/internal/vt"
 )
@@ -488,26 +490,16 @@ func (db *DB) bEval(e *BatchExpr, sel []int64) (bVals, int, error) {
 			for k := 0; k < stop; k++ {
 				a, b := lv.i[k], rv.i[k]
 				var r int64
-				var ov bool
+				var ok bool
 				switch e.Op {
 				case BArithAdd:
-					r = a + b
-					ov = (r^a)&(r^b) < 0
+					r, ok = sem.SAdd(a, b)
 				case BArithSub:
-					r = a - b
-					ov = (a^b)&(r^a) < 0
+					r, ok = sem.SSub(a, b)
 				default:
-					hi, lo := bits.Mul64(uint64(a), uint64(b))
-					if a < 0 {
-						hi -= uint64(b)
-					}
-					if b < 0 {
-						hi -= uint64(a)
-					}
-					r = int64(lo)
-					ov = int64(hi) != r>>63
+					r, ok = sem.SMul(a, b)
 				}
-				if ov {
+				if !ok {
 					return v, k, &vm.Trap{Code: vt.TrapOverflow}
 				}
 				v.i[k] = r
@@ -517,21 +509,18 @@ func (db *DB) bEval(e *BatchExpr, sel []int64) (bVals, int, error) {
 			for k := 0; k < stop; k++ {
 				a, b := lv.d[k], rv.d[k]
 				var r I128
-				var ov bool
+				var ok bool
 				switch e.Op {
 				case BArithAdd:
-					r = a.Add(b)
-					ov = (r.Hi^a.Hi)&(r.Hi^b.Hi)&(1<<63) != 0
+					r, ok = a.SAdd(b)
 				case BArithSub:
-					r = a.Sub(b)
-					ov = (a.Hi^b.Hi)&(r.Hi^a.Hi)&(1<<63) != 0
+					r, ok = a.SSub(b)
 				default:
-					r, ov = a.MulCheck(b)
-					if ov {
-						return v, k, &vm.Trap{Code: vt.TrapOverflow, Msg: "128-bit multiplication"}
+					if r, ok = a.SMul(b); !ok {
+						return v, k, &vm.Trap{Code: vt.TrapOverflow, Msg: mul128Msg}
 					}
 				}
-				if ov {
+				if !ok {
 					return v, k, &vm.Trap{Code: vt.TrapOverflow}
 				}
 				v.d[k] = r
@@ -603,22 +592,9 @@ func (db *DB) strEqVals(alo, ahi, blo, bhi uint64) (bool, error) {
 	return string(a) == string(b), nil
 }
 
-func icmpOK(op uint8, c int) bool {
-	switch op {
-	case BCmpEQ:
-		return c == 0
-	case BCmpNE:
-		return c != 0
-	case BCmpLT:
-		return c < 0
-	case BCmpLE:
-		return c <= 0
-	case BCmpGT:
-		return c > 0
-	default:
-		return c >= 0
-	}
-}
+// bCmps maps the batch comparison operators to QIR predicates.
+var bCmps = [...]qir.Cmp{BCmpEQ: qir.CmpEQ, BCmpNE: qir.CmpNE, BCmpLT: qir.CmpSLT,
+	BCmpLE: qir.CmpSLE, BCmpGT: qir.CmpSGT, BCmpGE: qir.CmpSGE}
 
 // bFilter refines the selection vector by one boolean conjunct, in place.
 // Eligible filters are trap-free by construction (column and constant
@@ -650,46 +626,27 @@ func (db *DB) bFilter(e *BatchExpr, sel []int64) ([]int64, error) {
 			}
 			rv = v
 		}
+		if int(e.Op) >= len(bCmps) {
+			return nil, fmt.Errorf("rt: batch: bad comparison %d", e.Op)
+		}
+		c := bCmps[e.Op]
 		out := sel[:0]
 		switch e.Ty {
 		case BTInt:
 			for k, r := range sel {
-				a, b := lv.i[k], rv.i[k]
-				c := 0
-				if a < b {
-					c = -1
-				} else if a > b {
-					c = 1
-				}
-				if icmpOK(e.Op, c) {
+				if sem.ICmp(c, uint64(lv.i[k]), uint64(rv.i[k])) {
 					out = append(out, r)
 				}
 			}
 		case BTI128:
 			for k, r := range sel {
-				if icmpOK(e.Op, lv.d[k].Cmp(rv.d[k])) {
+				if sem.ICmp128(c, lv.d[k], rv.d[k]) {
 					out = append(out, r)
 				}
 			}
 		case BTF64:
 			for k, r := range sel {
-				a, b := lv.f[k], rv.f[k]
-				var ok bool
-				switch e.Op {
-				case BCmpEQ:
-					ok = a == b
-				case BCmpNE:
-					ok = a != b
-				case BCmpLT:
-					ok = a < b
-				case BCmpLE:
-					ok = a <= b
-				case BCmpGT:
-					ok = a > b
-				default:
-					ok = a >= b
-				}
-				if ok {
+				if sem.FCmp(c, lv.f[k], rv.f[k]) {
 					out = append(out, r)
 				}
 			}
@@ -977,18 +934,15 @@ func (db *DB) batchAggSink(spec *BatchSpec, ht *hashTable, keyV, argV []bVals, s
 						put64(mem[off:], toBits(fbits(le64(mem[off:]))+argV[i].f[k]))
 					case BTI128:
 						cur := I128{Lo: le64(mem[off:]), Hi: le64(mem[off+8:])}
-						v := argV[i].d[k]
-						r := cur.Add(v)
-						if (r.Hi^cur.Hi)&(r.Hi^v.Hi)&(1<<63) != 0 {
+						r, ok := cur.SAdd(argV[i].d[k])
+						if !ok {
 							return &vm.Trap{Code: vt.TrapOverflow}
 						}
 						put64(mem[off:], r.Lo)
 						put64(mem[off+8:], r.Hi)
 					default:
-						cur := int64(le64(mem[off:]))
-						v := argV[i].i[k]
-						s := cur + v
-						if (s^cur)&(s^v) < 0 {
+						s, ok := sem.SAdd(int64(le64(mem[off:])), argV[i].i[k])
+						if !ok {
 							return &vm.Trap{Code: vt.TrapOverflow}
 						}
 						put64(mem[off:], uint64(s))

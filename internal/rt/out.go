@@ -43,33 +43,6 @@ func (v OutVal) String() string {
 	return "?"
 }
 
-// DecString renders a signed 128-bit value in decimal.
-func (a I128) DecString() string {
-	if a.Lo == 0 && a.Hi == 0 {
-		return "0"
-	}
-	neg := a.IsNeg()
-	u := a
-	if neg {
-		u = u.Neg()
-	}
-	var digits []byte
-	ten := I128{Lo: 10}
-	for u.Lo != 0 || u.Hi != 0 {
-		q := u.Div(ten)
-		r := u.Sub(q.Mul(ten))
-		digits = append(digits, byte('0'+r.Lo))
-		u = q
-	}
-	for i, j := 0, len(digits)-1; i < j; i, j = i+1, j-1 {
-		digits[i], digits[j] = digits[j], digits[i]
-	}
-	if neg {
-		return "-" + string(digits)
-	}
-	return string(digits)
-}
-
 // OutBuffer collects query result rows.
 type OutBuffer struct {
 	Rows [][]OutVal

@@ -3,6 +3,8 @@ package rt
 import (
 	"math/bits"
 
+	"qcc/internal/qir"
+	"qcc/internal/sem"
 	"qcc/internal/vm"
 	"qcc/internal/vt"
 )
@@ -54,6 +56,16 @@ const (
 	FnMulOv64   = "smul_ov64"
 	FnMulWide   = "mul_wide"
 )
+
+// The helpers that are one QIR operation each, evaluated by internal/sem.
+var (
+	i128Helpers    = map[string]qir.Op{FnI128Div: qir.OpSDiv, FnI128Rem: qir.OpSRem, FnI128MulOv: qir.OpSMulTrap}
+	checkedHelpers = map[string]qir.Op{FnAddOv64: qir.OpSAddTrap, FnSubOv64: qir.OpSSubTrap, FnMulOv64: qir.OpSMulTrap}
+)
+
+// mul128Msg is the message of a 128-bit multiplication's overflow trap,
+// raised alike by the runtime helper and the batch kernels.
+const mul128Msg = "128-bit multiplication"
 
 // impl builds the handler for one runtime function name, or nil if unknown.
 func (db *DB) impl(name string) vm.RTFunc {
@@ -250,36 +262,16 @@ func (db *DB) impl(name string) vm.RTFunc {
 			db.ret2(lo, hi)
 			return nil
 		}
-	case FnI128Div:
+	case FnI128Div, FnI128Rem, FnI128MulOv:
+		op := i128Helpers[name]
 		return func(m *vm.Machine) error {
-			a := I128{Lo: db.arg(0), Hi: db.arg(1)}
-			b := I128{Lo: db.arg(2), Hi: db.arg(3)}
-			if b.Lo == 0 && b.Hi == 0 {
-				return &vm.Trap{Code: vt.TrapDivZero}
-			}
-			q := a.Div(b)
-			db.ret2(q.Lo, q.Hi)
-			return nil
-		}
-	case FnI128Rem:
-		return func(m *vm.Machine) error {
-			a := I128{Lo: db.arg(0), Hi: db.arg(1)}
-			b := I128{Lo: db.arg(2), Hi: db.arg(3)}
-			if b.Lo == 0 && b.Hi == 0 {
-				return &vm.Trap{Code: vt.TrapDivZero}
-			}
-			q := a.Div(b)
-			r := a.Sub(q.Mul(b))
-			db.ret2(r.Lo, r.Hi)
-			return nil
-		}
-	case FnI128MulOv:
-		return func(m *vm.Machine) error {
-			a := I128{Lo: db.arg(0), Hi: db.arg(1)}
-			b := I128{Lo: db.arg(2), Hi: db.arg(3)}
-			r, ov := a.MulCheck(b)
-			if ov {
-				return &vm.Trap{Code: vt.TrapOverflow, Msg: "128-bit multiplication"}
+			r, trap, ok := sem.Eval128(op, I128{Lo: db.arg(0), Hi: db.arg(1)}, I128{Lo: db.arg(2), Hi: db.arg(3)})
+			if !ok {
+				t := &vm.Trap{Code: trap}
+				if trap == vt.TrapOverflow {
+					t.Msg = mul128Msg
+				}
+				return t
 			}
 			db.ret2(r.Lo, r.Hi)
 			return nil
@@ -332,40 +324,14 @@ func (db *DB) impl(name string) vm.RTFunc {
 			db.ret(vt.Crc32c8(db.arg(0), db.arg(1)))
 			return nil
 		}
-	case FnAddOv64:
+	case FnAddOv64, FnSubOv64, FnMulOv64:
+		op := checkedHelpers[name]
 		return func(m *vm.Machine) error {
-			a, b := int64(db.arg(0)), int64(db.arg(1))
-			s := a + b
-			if (s > a) != (b > 0) {
-				return &vm.Trap{Code: vt.TrapOverflow}
+			r, trap, ok := sem.Eval(op, qir.I64, db.arg(0), db.arg(1))
+			if !ok {
+				return &vm.Trap{Code: trap}
 			}
-			db.ret(uint64(s))
-			return nil
-		}
-	case FnSubOv64:
-		return func(m *vm.Machine) error {
-			a, b := int64(db.arg(0)), int64(db.arg(1))
-			d := a - b
-			if (d < a) != (b > 0) {
-				return &vm.Trap{Code: vt.TrapOverflow}
-			}
-			db.ret(uint64(d))
-			return nil
-		}
-	case FnMulOv64:
-		return func(m *vm.Machine) error {
-			a, b := int64(db.arg(0)), int64(db.arg(1))
-			hi, lo := bits.Mul64(uint64(a), uint64(b))
-			if a < 0 {
-				hi -= uint64(b)
-			}
-			if b < 0 {
-				hi -= uint64(a)
-			}
-			if int64(hi) != int64(lo)>>63 {
-				return &vm.Trap{Code: vt.TrapOverflow}
-			}
-			db.ret(lo)
+			db.ret(r)
 			return nil
 		}
 	case FnMulWide:

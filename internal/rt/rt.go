@@ -13,10 +13,10 @@ package rt
 
 import (
 	"fmt"
-	"math/bits"
 	"runtime"
 	"sort"
 
+	"qcc/internal/sem"
 	"qcc/internal/vm"
 	"qcc/internal/vt"
 )
@@ -396,191 +396,12 @@ func (db *DB) vecAppend(v *vector) uint64 {
 	return slot
 }
 
-// --------------------------------------------------------------------------
-// 128-bit helpers.
-// --------------------------------------------------------------------------
-
-// I128 is a signed 128-bit integer as lo/hi halves (two's complement).
-type I128 struct {
-	Lo, Hi uint64
-}
+// I128 is a signed 128-bit integer, the value of a SQL decimal; its
+// arithmetic is internal/sem's.
+type I128 = sem.I128
 
 // I128FromInt64 sign-extends v.
-func I128FromInt64(v int64) I128 {
-	return I128{Lo: uint64(v), Hi: uint64(v >> 63)}
-}
-
-// Neg returns -a.
-func (a I128) Neg() I128 {
-	lo := -a.Lo
-	hi := ^a.Hi
-	if a.Lo == 0 {
-		hi++
-	}
-	return I128{lo, hi}
-}
-
-// IsNeg reports whether a < 0.
-func (a I128) IsNeg() bool { return int64(a.Hi) < 0 }
-
-// Add returns a+b.
-func (a I128) Add(b I128) I128 {
-	lo, c := bits.Add64(a.Lo, b.Lo, 0)
-	hi, _ := bits.Add64(a.Hi, b.Hi, c)
-	return I128{lo, hi}
-}
-
-// Sub returns a-b.
-func (a I128) Sub(b I128) I128 {
-	lo, brw := bits.Sub64(a.Lo, b.Lo, 0)
-	hi, _ := bits.Sub64(a.Hi, b.Hi, brw)
-	return I128{lo, hi}
-}
-
-// Mul returns a*b truncated to 128 bits.
-func (a I128) Mul(b I128) I128 {
-	hi, lo := bits.Mul64(a.Lo, b.Lo)
-	hi += a.Hi*b.Lo + a.Lo*b.Hi
-	return I128{lo, hi}
-}
-
-// MulCheck returns a*b and whether the signed product overflowed.
-func (a I128) MulCheck(b I128) (I128, bool) {
-	neg := false
-	ua, ub := a, b
-	if ua.IsNeg() {
-		ua = ua.Neg()
-		neg = !neg
-	}
-	if ub.IsNeg() {
-		ub = ub.Neg()
-		neg = !neg
-	}
-	// Unsigned 128x128 with overflow detection.
-	if ua.Hi != 0 && ub.Hi != 0 {
-		return I128{}, true
-	}
-	carryHi, midLo := bits.Mul64(ua.Hi, ub.Lo)
-	carryHi2, midLo2 := bits.Mul64(ua.Lo, ub.Hi)
-	if carryHi != 0 || carryHi2 != 0 {
-		return I128{}, true
-	}
-	hi, lo := bits.Mul64(ua.Lo, ub.Lo)
-	hi2, c := bits.Add64(hi, midLo, 0)
-	if c != 0 {
-		return I128{}, true
-	}
-	hi3, c := bits.Add64(hi2, midLo2, 0)
-	if c != 0 {
-		return I128{}, true
-	}
-	r := I128{lo, hi3}
-	if neg {
-		r = r.Neg()
-		if !r.IsNeg() && !(r.Lo == 0 && r.Hi == 0) {
-			return I128{}, true
-		}
-	} else if r.IsNeg() {
-		return I128{}, true
-	}
-	return r, false
-}
-
-// Div returns the signed quotient a/b, truncating toward zero.
-// Division by zero must be checked by the caller.
-func (a I128) Div(b I128) I128 {
-	neg := false
-	ua, ub := a, b
-	if ua.IsNeg() {
-		ua = ua.Neg()
-		neg = !neg
-	}
-	if ub.IsNeg() {
-		ub = ub.Neg()
-		neg = !neg
-	}
-	q := udiv128(ua, ub)
-	if neg {
-		q = q.Neg()
-	}
-	return q
-}
-
-// Cmp returns -1, 0 or 1 comparing signed a and b.
-func (a I128) Cmp(b I128) int {
-	if int64(a.Hi) != int64(b.Hi) {
-		if int64(a.Hi) < int64(b.Hi) {
-			return -1
-		}
-		return 1
-	}
-	if a.Lo != b.Lo {
-		if a.Lo < b.Lo {
-			return -1
-		}
-		return 1
-	}
-	return 0
-}
-
-func udiv128(a, b I128) I128 {
-	if b.Hi == 0 {
-		if b.Lo == 0 {
-			panic("rt: division by zero")
-		}
-		if a.Hi < b.Lo {
-			q, _ := bits.Div64(a.Hi, a.Lo, b.Lo)
-			return I128{Lo: q}
-		}
-		qhi := a.Hi / b.Lo
-		rem := a.Hi % b.Lo
-		qlo, _ := bits.Div64(rem, a.Lo, b.Lo)
-		return I128{Lo: qlo, Hi: qhi}
-	}
-	// b.Hi != 0: quotient fits in 64 bits; shift-subtract.
-	var q I128
-	rem := a
-	for i := 127; i >= 0; i-- {
-		// shifted = b << i; only feasible while i small because b.Hi!=0.
-		if i > 63 {
-			continue
-		}
-		var sh I128
-		if i == 0 {
-			sh = b
-		} else {
-			sh = I128{Lo: b.Lo << uint(i), Hi: b.Hi<<uint(i) | b.Lo>>uint(64-i)}
-			if b.Hi>>(64-uint(i)) != 0 {
-				continue // would overflow 128 bits
-			}
-		}
-		if ucmp128(rem, sh) >= 0 {
-			rem = rem.Sub(sh)
-			if i >= 64 {
-				q.Hi |= 1 << uint(i-64)
-			} else {
-				q.Lo |= 1 << uint(i)
-			}
-		}
-	}
-	return q
-}
-
-func ucmp128(a, b I128) int {
-	if a.Hi != b.Hi {
-		if a.Hi < b.Hi {
-			return -1
-		}
-		return 1
-	}
-	if a.Lo != b.Lo {
-		if a.Lo < b.Lo {
-			return -1
-		}
-		return 1
-	}
-	return 0
-}
+func I128FromInt64(v int64) I128 { return I128{Lo: uint64(v), Hi: uint64(v >> 63)} }
 
 // --------------------------------------------------------------------------
 // Little-endian helpers on byte slices.

@@ -89,11 +89,11 @@ func TestI128MulCheck(t *testing.T) {
 		b := I128{Lo: blo, Hi: bhi}
 		prod := new(big.Int).Mul(toBig(a), toBig(b))
 		wantOv := prod.Cmp(max128) > 0 || prod.Cmp(min128) < 0
-		got, ov := a.MulCheck(b)
-		if ov != wantOv {
+		got, ok := a.SMul(b)
+		if ov := !ok; ov != wantOv {
 			return false
 		}
-		if !ov && got != fromBig(prod) {
+		if ok && got != fromBig(prod) {
 			return false
 		}
 		return true
@@ -104,8 +104,8 @@ func TestI128MulCheck(t *testing.T) {
 	// Also check small-value products, which quick rarely generates.
 	for _, c := range [][2]int64{{3, 4}, {-3, 4}, {1 << 40, 1 << 40}, {0, 0}} {
 		a, b := I128FromInt64(c[0]), I128FromInt64(c[1])
-		got, ov := a.MulCheck(b)
-		if ov {
+		got, ok := a.SMul(b)
+		if !ok {
 			t.Errorf("%d*%d unexpectedly overflowed", c[0], c[1])
 			continue
 		}

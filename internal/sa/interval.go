@@ -9,6 +9,8 @@ package sa
 import (
 	"math"
 	"strconv"
+
+	"qcc/internal/sem"
 )
 
 // Infinity sentinels. Interval arithmetic saturates at these bounds, so an
@@ -82,47 +84,14 @@ func (i Interval) Meet(o Interval) Interval {
 // branch predicates (where endpoint saturation is sound) and for the
 // trap-on-overflow arithmetic ops (which never wrap at runtime).
 func SatAdd(a, b int64) int64 {
-	s := a + b
-	// Overflow iff both operands share a sign the sum lost.
-	if a > 0 && b > 0 && s < 0 {
+	s, ok := sem.SAdd(a, b)
+	switch {
+	case ok:
+		return s
+	case a > 0:
 		return PosInf
 	}
-	if a < 0 && b < 0 && s >= 0 {
-		return NegInf
-	}
-	return s
-}
-
-func addExact(a, b int64) (int64, bool) {
-	s := a + b
-	if (a > 0 && b > 0 && s < 0) || (a < 0 && b < 0 && s >= 0) {
-		return 0, false
-	}
-	return s, true
-}
-
-func subExact(a, b int64) (int64, bool) {
-	s := a - b
-	// Overflow iff a and b have opposite signs and the result flipped away
-	// from a's sign.
-	if (a^b) < 0 && (a^s) < 0 {
-		return 0, false
-	}
-	return s, true
-}
-
-func mulExact(a, b int64) (int64, bool) {
-	if a == 0 || b == 0 {
-		return 0, true
-	}
-	if (a == NegInf && b == -1) || (b == NegInf && a == -1) {
-		return 0, false
-	}
-	p := a * b
-	if p/b != a {
-		return 0, false
-	}
-	return p, true
+	return NegInf
 }
 
 // Add returns the interval of sums. Runtime arithmetic wraps at 64 bits, so
@@ -132,8 +101,8 @@ func (i Interval) Add(o Interval) Interval {
 	if i.Empty() || o.Empty() {
 		return i
 	}
-	lo, ok1 := addExact(i.Lo, o.Lo)
-	hi, ok2 := addExact(i.Hi, o.Hi)
+	lo, ok1 := sem.SAdd(i.Lo, o.Lo)
+	hi, ok2 := sem.SAdd(i.Hi, o.Hi)
 	if !ok1 || !ok2 {
 		return Top()
 	}
@@ -146,8 +115,8 @@ func (i Interval) Sub(o Interval) Interval {
 	if i.Empty() || o.Empty() {
 		return i
 	}
-	lo, ok1 := subExact(i.Lo, o.Hi)
-	hi, ok2 := subExact(i.Hi, o.Lo)
+	lo, ok1 := sem.SSub(i.Lo, o.Hi)
+	hi, ok2 := sem.SSub(i.Hi, o.Lo)
 	if !ok1 || !ok2 {
 		return Top()
 	}
@@ -163,7 +132,7 @@ func (i Interval) Mul(o Interval) Interval {
 	var c [4]int64
 	pairs := [4][2]int64{{i.Lo, o.Lo}, {i.Lo, o.Hi}, {i.Hi, o.Lo}, {i.Hi, o.Hi}}
 	for k, p := range pairs {
-		v, ok := mulExact(p[0], p[1])
+		v, ok := sem.SMul(p[0], p[1])
 		if !ok {
 			return Top()
 		}
@@ -212,7 +181,7 @@ func satNeg(v int64) int64 {
 }
 
 func satMul(a, b int64) int64 {
-	v, ok := mulExact(a, b)
+	v, ok := sem.SMul(a, b)
 	if !ok {
 		if (a > 0) == (b > 0) {
 			return PosInf
