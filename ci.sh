@@ -10,23 +10,23 @@
 #      of the compile→run sequence fails the build instead of drifting — and
 #      no non-test file of internal/tpch or internal/tpcds may build a plan
 #      node: the workloads are SQL text the front-end plans; and one
-#      definition of an operation: outside internal/sem, internal/vm and
-#      benchmark/ no non-test file may define a top-level canon… function
-#      or apply the signed-high-multiply correction (hi -= uint64(…)), so
-#      the meaning of an operation is not copied out of internal/sem again
+#      definition of an operation: outside internal/sem and benchmark/ no
+#      non-test file may define a top-level canon… function or apply the
+#      signed-high-multiply correction (hi -= uint64(…)), so the meaning of
+#      an operation is not copied out of internal/sem again
 #   4. one ledger: benchmark/ is where wall-clock numbers come from, so no
 #      BENCH_*.json may reappear at the root and this script may not pass a
 #      wall-clock gate or budget flag to anything
 #   5. tests under the race detector (exercises the concurrent obs counters
-#      and the parallel compilation driver's worker pool); the fused-vs-plain
-#      dispatch differential (identical results, counters and trap PCs on
-#      every TPC-H query, all back-ends, both archs) runs here as
+#      and the parallel compilation driver's worker pool); the fused-vs-unfused
+#      view differential (identical results, counters and trap PCs on every
+#      TPC-H query, all back-ends, both archs) runs here as
 #      TestFusedDispatchDifferential, and the SQL join-planning differential
 #      (generated 2-3-table joins planned vs the old planner kept as the
 #      test oracle: equal rows on every engine, no trap the oracle lacks) and
 #      the operation-semantics conformance (TestOpSemantics: every engine
-#      and both dispatch loops against internal/sem on edge operands) in
-#      their -short forms
+#      and the fused and unfused views against internal/sem on edge
+#      operands) in their -short forms
 #   6. the benchmark module's own tests, which root `go test ./...` never
 #      compiles
 #   7. a smoke run of the reproduction harness emitting the stable JSON report
@@ -125,7 +125,7 @@ if [ -n "$hand" ]; then
 	exit 1
 fi
 sems="$(find . -name '*.go' ! -name '*_test.go' \
-	! -path './internal/sem/*' ! -path './internal/vm/*' ! -path './benchmark/*' ! -path './.bench_build/*' \
+	! -path './internal/sem/*' ! -path './benchmark/*' ! -path './.bench_build/*' \
 	-exec grep -nE '^func canon|hi -= uint64\(' {} + || true)"
 if [ -n "$sems" ]; then
 	echo "$sems"

@@ -48,7 +48,7 @@ type Exec interface {
 }
 
 // ModuleOf returns the vm module behind a compiled query, or nil for
-// executables that do not run on the vm dispatch loops (the QIR interpreter,
+// executables that do not run on the vm dispatch loop (the QIR interpreter,
 // the adaptive tier driver). The morsel-parallel executor, the dispatch
 // toggles and the profiler all need the module; this is the one accessor.
 func ModuleOf(ex Exec) *vm.Module {

@@ -23,9 +23,9 @@ type queryOutcome struct {
 }
 
 // runSuiteMode compiles and executes every TPC-H query with one engine and
-// one dispatch loop — the fused one every back-end ships, or the plain
-// decoded-switch loop the test selects on the compiled module as the
-// reference — on a fresh world, and returns the per-query outcomes.
+// one view of the compiled module — the fused one every back-end ships, or
+// the unfused one the test selects on the module as the reference — on a
+// fresh world, and returns the per-query outcomes.
 func runSuiteMode(t *testing.T, arch vt.Arch, eng backend.Engine, fuse bool) map[string]queryOutcome {
 	t.Helper()
 	cfg := bench.DefaultConfig()
@@ -67,7 +67,7 @@ func runSuiteMode(t *testing.T, arch vt.Arch, eng backend.Engine, fuse bool) map
 		out[q.Name] = o
 		w.DB.ResetToCheckpoint()
 	}
-	// The plain leg is only a reference if it really ran the plain loop.
+	// The unfused leg is only a reference if it really built no fused view.
 	if n := fusedModules.Load() - fused0; !fuse && n != 0 {
 		t.Fatalf("%s: %d modules built a fused view with fusion switched off", eng.Name(), n)
 	}
@@ -87,23 +87,23 @@ func TestFusedDispatchDifferential(t *testing.T) {
 				eng := eng
 				t.Run(eng.Name(), func(t *testing.T) {
 					fused := runSuiteMode(t, arch, eng, true)
-					plain := runSuiteMode(t, arch, eng, false)
+					unfused := runSuiteMode(t, arch, eng, false)
 					for name, f := range fused {
-						p, ok := plain[name]
+						p, ok := unfused[name]
 						if !ok {
-							t.Errorf("%s: missing from the plain-loop run", name)
+							t.Errorf("%s: missing from the unfused run", name)
 							continue
 						}
 						if !reflect.DeepEqual(f.Rows, p.Rows) {
-							t.Errorf("%s: fused rows differ from the plain loop\n fused (%d rows): %.6v\n plain (%d rows): %.6v",
+							t.Errorf("%s: fused rows differ from the unfused view\n fused (%d rows): %.6v\n unfused (%d rows): %.6v",
 								name, len(f.Rows), f.Rows, len(p.Rows), p.Rows)
 						}
 						if f.Executed != p.Executed || f.Branches != p.Branches || f.MemOps != p.MemOps {
-							t.Errorf("%s: counters diverge: fused instrs=%d br=%d mem=%d, plain instrs=%d br=%d mem=%d",
+							t.Errorf("%s: counters diverge: fused instrs=%d br=%d mem=%d, unfused instrs=%d br=%d mem=%d",
 								name, f.Executed, f.Branches, f.MemOps, p.Executed, p.Branches, p.MemOps)
 						}
 						if f.Err != p.Err {
-							t.Errorf("%s: errors diverge:\n fused: %s\n plain: %s", name, f.Err, p.Err)
+							t.Errorf("%s: errors diverge:\n fused: %s\n unfused: %s", name, f.Err, p.Err)
 						}
 					}
 				})

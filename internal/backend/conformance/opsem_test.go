@@ -15,14 +15,15 @@ import (
 	"qcc/internal/vt"
 )
 
-// TestOpSemantics holds every engine, and both vm dispatch loops, to
+// TestOpSemantics holds every engine, and both views the vm dispatches, to
 // internal/sem, the one definition of what an operation means. Each integer
 // QIR operation at each width that takes it runs over a grid of edge
 // operands and must give sem's result or raise sem's trap: with register
 // operands (one function per operation, called once per pair) and with
 // constant operands on a smaller grid, which is what the constant folders
 // see. Each vt ALU operation the lowerings emit runs as a one-instruction
-// program on the plain and on the fused dispatch loop over the same grid.
+// program, and each trap-free one also inside a run, on the unfused and on
+// the fused view over the same grid.
 // With -short only I8 and I64 are swept.
 func TestOpSemantics(t *testing.T) {
 	widths := []qir.Type{qir.I8, qir.I16, qir.I32, qir.I64, qir.I128}
@@ -354,8 +355,11 @@ func checkEngineOps(t *testing.T, arch vt.Arch, eng backend.Engine, fns []opFn) 
 }
 
 // checkVMOps runs each vt ALU operation as a one-instruction program on the
-// plain and on the fused dispatch loop. Operands arrive in r0 and r1 and the
-// result leaves in r0 (and r1), which both targets' conventions agree on.
+// unfused and on the fused view. Operands arrive in r0 and r1 and the result
+// leaves in r0 (and r1), which both targets' conventions agree on. The fuser
+// emits a run of one step as a main-stream micro-op, so each trap-free
+// operation also runs behind two Nops: one run of three steps, executed by
+// stepRun.
 func checkVMOps(t *testing.T, arch vt.Arch) {
 	words := edges(qir.I64)
 	m := vm.New(vm.Config{Arch: arch, MemSize: 4 << 20})
@@ -370,6 +374,8 @@ func checkVMOps(t *testing.T, arch vt.Arch) {
 		// brcc is the condition of a program with no body: a conditional
 		// branch that returns 1 when taken and 0 when not.
 		brcc vt.Cond
+		// wide is set when the result is two words.
+		wide bool
 	}
 	eval := func(op qir.Op, imm *int64) func(a, b uint64) (sem.I128, vt.TrapCode, bool) {
 		return func(a, b uint64) (sem.I128, vt.TrapCode, bool) {
@@ -400,11 +406,11 @@ func checkVMOps(t *testing.T, arch vt.Arch) {
 	progs = append(progs,
 		prog{name: "neg", imm: true, body: []vt.Instr{{Op: vt.Neg, RD: 0, RA: 0}}, want: eval(qir.OpNeg, nil)},
 		prog{name: "not", imm: true, body: []vt.Instr{{Op: vt.Not, RD: 0, RA: 0}}, want: eval(qir.OpNot, nil)},
-		prog{name: "mulwu", body: []vt.Instr{{Op: vt.MulWideU, RD: 0, RC: 1, RA: 0, RB: 1}},
+		prog{name: "mulwu", wide: true, body: []vt.Instr{{Op: vt.MulWideU, RD: 0, RC: 1, RA: 0, RB: 1}},
 			want: func(a, b uint64) (sem.I128, vt.TrapCode, bool) {
 				return sem.I128{Lo: a}.Mul(sem.I128{Lo: b}), 0, true
 			}},
-		prog{name: "mulws", body: []vt.Instr{{Op: vt.MulWideS, RD: 0, RC: 1, RA: 0, RB: 1}},
+		prog{name: "mulws", wide: true, body: []vt.Instr{{Op: vt.MulWideS, RD: 0, RC: 1, RA: 0, RB: 1}},
 			want: func(a, b uint64) (sem.I128, vt.TrapCode, bool) {
 				hi, lo := sem.MulWideS(a, b)
 				return sem.I128{Lo: lo, Hi: hi}, 0, true
@@ -416,6 +422,13 @@ func checkVMOps(t *testing.T, arch vt.Arch) {
 		progs = append(progs,
 			prog{name: "set " + c.String(), body: []vt.Instr{{Op: vt.SetCC, Cond: c, RD: 0, RA: 0, RB: 1}}, want: cmp},
 			prog{name: "brcc " + c.String(), brcc: c, want: cmp})
+	}
+	for _, p := range progs {
+		if p.body != nil && !p.body[0].Op.CanTrap() {
+			p.name += " (run)"
+			p.body = append([]vt.Instr{{Op: vt.Nop}, {Op: vt.Nop}}, p.body...)
+			progs = append(progs, p)
+		}
 	}
 	for _, p := range progs {
 		asm := vt.NewAssembler(arch)
@@ -450,7 +463,7 @@ func checkVMOps(t *testing.T, arch vt.Arch) {
 					res, err := m.Call(mod, 0, a.Lo, b.Lo)
 					want, trap, ok := p.want(a.Lo, b.Lo)
 					got := sem.I128{Lo: res[0], Hi: res[1]}
-					if p.name != "mulwu" && p.name != "mulws" {
+					if !p.wide {
 						got.Hi = 0
 					}
 					tr, isTrap := err.(*vm.Trap)

@@ -37,8 +37,8 @@ func tpchWorld(t *testing.T, arch vt.Arch, names ...string) (*engine.World, back
 // TestProfileAttribution drives the whole attribution chain — codegen
 // provenance, back-end PC-range maps, dispatch-loop sampling, collector
 // resolution — on TPC-H Q1 and Q6 for both target architectures and both
-// dispatch loops (the fused one, and the plain one selected on the compiled
-// module) and checks that at least 95% of sampled VM time resolves to named
+// views of the compiled module the vm dispatches (the fused one, and the
+// unfused one selected on the module) and checks that at least 95% of sampled VM time resolves to named
 // plan operators.
 func TestProfileAttribution(t *testing.T) {
 	for _, arch := range []vt.Arch{vt.VX64, vt.VA64} {

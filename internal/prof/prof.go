@@ -1,5 +1,5 @@
 // Package prof is the source-attributed VM profiler: it turns cheap PC
-// samples from the vm dispatch loops into profiles whose rows are named plan
+// samples from the vm dispatch loop into profiles whose rows are named plan
 // operators, not machine addresses. The attribution chain is
 //
 //	sampled byte offset

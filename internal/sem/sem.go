@@ -6,9 +6,10 @@
 //
 // The interpreter, the LLVM and GCC analogs' constant folders, the batch
 // kernels, the runtime's overflow and 128-bit helpers and the static
-// analyser's exact arithmetic call it. The vm's two dispatch loops and the
-// machine-code back-ends implement the same meaning in their own terms and
-// are held to this package, op by op, by TestOpSemantics.
+// analyser's exact arithmetic call it. The vm's dispatch loop (runFused and
+// its run-step loop stepRun) and the machine-code back-ends implement the
+// same meaning in their own terms and are held to this package, op by op,
+// by TestOpSemantics.
 //
 // A value of integer type is a 64-bit word in canonical form: an I1 is 0 or
 // 1, an I8, I16 or I32 is sign-extended to 64 bits. An I128 is two words.

@@ -1,4 +1,6 @@
-// Threaded dispatch over the fused micro-op stream built in fuse.go.
+// Threaded dispatch over the micro-op streams built in fuse.go: runFused is
+// the machine's one instruction dispatch loop, for the fused view and the
+// unfused one alike.
 //
 // The dispatch loop is one dense switch over the micro-opcode byte, which
 // the compiler lowers to a jump table — the token-threaded shape of a fast
@@ -7,14 +9,15 @@
 // per dispatch, and xRun superinstructions execute their steps in a tight
 // local loop with no trap paths and no per-step accounting. The loop
 // pre-charges each micro-op's covered instruction count, and every micro-op
-// that can trap covers one instruction, so Executed/Branches/MemOps match the
-// unfused loop exactly, as do trap PCs and frames.
+// that can trap covers one instruction, so Executed/Branches/MemOps are the
+// same on either view, as are trap PCs and frames.
 package vm
 
 import (
 	"fmt"
 	"math/bits"
 
+	"qcc/internal/sem"
 	"qcc/internal/vt"
 )
 
@@ -32,10 +35,14 @@ type fstate struct {
 	err      error
 }
 
-// trap terminates execution with the same Trap value the unfused loop would
-// build at original instruction index orig. Returns -1, the stop pc.
+// trap terminates execution with a Trap at original instruction index orig.
+// Returns -1, the stop pc. Only the unfused view checks a statically
+// unchecked access, and a failed check there is the eliminated check firing.
 func (st *fstate) trap(orig int32, code vt.TrapCode, msg string) int32 {
 	m, mod := st.m, st.mod
+	if op := mod.Prog.Instrs[orig].Op; op.UncheckedMem() {
+		code, msg = vt.TrapElimCheck, op.String()
+	}
 	offs := mod.Prog.Offsets
 	t := &Trap{Code: code, PC: offs[orig], Msg: msg}
 	t.Frames = append(t.Frames, mod.symbolize(offs[orig]))
@@ -153,14 +160,7 @@ func stepRun(steps []fstep, R *[32]uint64, F *[16]float64, mem []byte) {
 			R[s.rd] = lo
 			R[s.rc] = hi
 		case uint8(vt.MulWideS):
-			a, b := int64(R[s.ra]), int64(R[s.rb])
-			hi, lo := bits.Mul64(uint64(a), uint64(b))
-			if a < 0 {
-				hi -= uint64(b)
-			}
-			if b < 0 {
-				hi -= uint64(a)
-			}
+			hi, lo := sem.MulWideS(R[s.ra], R[s.rb])
 			R[s.rd] = lo
 			R[s.rc] = hi
 		case uint8(vt.SetCC):
@@ -364,12 +364,11 @@ func stepRun(steps []fstep, R *[32]uint64, F *[16]float64, mem []byte) {
 	}
 }
 
-// runFused executes the fused stream starting at micro-op index start. The
-// structure deliberately mirrors Machine.run: counters and the memory slice
-// are locals with a deferred flush, registers are direct array pointers,
-// and every hot micro-op is an inline case of one jump-table switch. Only
-// traps and calls that can leave the fused view (CallInd to an unmapped
-// target, CallRT) go through out-of-line helpers.
+// runFused executes view fp of mod starting at micro-op index start.
+// Counters and the memory slice are locals with a deferred flush, registers
+// are direct array pointers, and every hot micro-op is an inline case of one
+// jump-table switch. Only traps and calls that can leave the view (CallInd
+// to an unmapped target, CallRT) go through out-of-line helpers.
 func (m *Machine) runFused(mod *Module, fp *fprog, start int32) error {
 	st := fstate{
 		m: m, mod: mod, fp: fp, mem: m.Mem,
@@ -381,10 +380,10 @@ func (m *Machine) runFused(mod *Module, fp *fprog, start int32) error {
 	ins := fp.ins
 	stepsAll := fp.steps
 	guardsAll := fp.guards
-	// PC sampling shares the branch micro-ops as checkpoints (cf. run): a
-	// nil test when off, a two-load compare when armed. pc0 gives the exact
-	// original instruction index, so fused and unfused execution attribute
-	// samples to identical code positions.
+	// PC sampling uses the branch, call and return micro-ops as checkpoints:
+	// a nil test when off, a two-load compare when armed. pc0 gives the exact
+	// original instruction index, so both views attribute samples to
+	// identical code positions.
 	sm := m.sampler
 	offs := mod.Prog.Offsets
 	var count, branches, memops int64
@@ -503,7 +502,7 @@ func (m *Machine) runFused(mod *Module, fp *fprog, start int32) error {
 			fpc = in.tgt
 		case uint8(vt.CallInd):
 			fpc = st.fuCallInd(in)
-			mem = st.mem // a nested unfused run may have grown memory
+			mem = st.mem // a nested run may have grown memory
 		case uint8(vt.CallRT):
 			fpc = st.fuCallRT(in, fpc)
 			mem = st.mem // runtime call may have grown memory
@@ -862,14 +861,7 @@ func (m *Machine) runFused(mod *Module, fp *fprog, start int32) error {
 			R[in.rd] = lo
 			R[in.rc] = hi
 		case uint8(vt.MulWideS):
-			a, b := int64(R[in.ra]), int64(R[in.rb])
-			hi, lo := bits.Mul64(uint64(a), uint64(b))
-			if a < 0 {
-				hi -= uint64(b)
-			}
-			if b < 0 {
-				hi -= uint64(a)
-			}
+			hi, lo := sem.MulWideS(R[in.ra], R[in.rb])
 			R[in.rd] = lo
 			R[in.rc] = hi
 		case uint8(vt.SetCC):
@@ -914,9 +906,9 @@ func (m *Machine) runFused(mod *Module, fp *fprog, start int32) error {
 }
 
 // fuCallInd resolves and performs an indirect call. Mapped targets continue
-// in the fused stream; unmapped targets (an address computed at run time
-// from arithmetic the leader scan cannot see) execute in the unfused loop
-// with their frames stitched to ours.
+// in this view; unmapped targets (an address computed at run time from
+// arithmetic the leader scan cannot see) execute in a nested run of the
+// unfused view with their frames stitched to ours.
 func (st *fstate) fuCallInd(in *finstr) int32 {
 	m := st.m
 	idx := st.mod.indexOf(int32(m.R[in.ra]))
@@ -928,7 +920,7 @@ func (st *fstate) fuCallInd(in *finstr) int32 {
 		m.fret = append(m.fret, int32(in.imm2))
 		return f
 	}
-	err := m.run(st.mod, idx)
+	err := m.runFused(st.mod, st.mod.unfused(), idx)
 	st.mem = m.Mem
 	if err == nil {
 		return int32(in.imm2)

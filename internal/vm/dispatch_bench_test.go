@@ -37,7 +37,7 @@ func benchSweep(b *testing.B, arch vt.Arch, fuse bool) {
 	}
 	mod.SetFuse(fuse)
 	m := New(Config{Arch: arch})
-	if _, err := m.Call(mod, 0); err != nil { // warm-up builds the fused view
+	if _, err := m.Call(mod, 0); err != nil { // warm-up builds the view
 		b.Fatal(err)
 	}
 	start := m.Executed

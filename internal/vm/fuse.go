@@ -5,10 +5,12 @@
 // Fusion is a pure *view* of the decoded program. Module.Code, the decoded
 // vt.Program, and every byte-identity comparison are untouched; the fused
 // stream is built lazily on first Call so load time (measured by the
-// compile-time benchmarks) is unaffected. The fused handlers charge the
-// exact same Executed/Branches/MemOps counts and report the exact same trap
-// PCs and frames as the unfused switch loop, so the architecture-neutral
-// metrics stay comparable between the two dispatch strategies.
+// compile-time benchmarks) is unaffected. The same dispatcher also runs a
+// second view of the module, the unfused one (unfuse): one checked micro-op
+// per instruction, which a call may enter at any instruction. The fused view
+// charges the exact same Executed/Branches/MemOps counts and reports the
+// exact same trap PCs and frames as the unfused one, so the
+// architecture-neutral metrics do not depend on which view ran.
 //
 // The pass works on basic blocks (leader-to-leader ranges):
 //
@@ -340,8 +342,8 @@ type fprog struct {
 
 // SetFuse enables or disables the fused dispatch view. It is a test hook:
 // every back-end leaves fusion on, and the differential tests switch it off to
-// run the plain decoded-switch loop as the reference. The decoded program and
-// code bytes are unaffected either way.
+// run the unfused view as the reference. The decoded program and code bytes
+// are unaffected either way.
 func (mod *Module) SetFuse(on bool) { mod.noFuse = !on }
 
 // FuseEnabled reports whether fused dispatch is active for this module.
@@ -351,20 +353,26 @@ func (mod *Module) FuseEnabled() bool { return !mod.noFuse }
 // fused view if it does not exist yet. The zero value is returned when
 // fusion is disabled.
 func (mod *Module) FuseStats() FuseStats {
-	if fp := mod.fused(); fp != nil {
-		return fp.stats
+	if mod.noFuse {
+		return FuseStats{}
 	}
-	return FuseStats{}
+	return mod.fused().stats
 }
 
 // fused returns the module's fused program, building it on first use, or
-// nil when fusion is disabled.
+// the unfused one when fusion is disabled.
 func (mod *Module) fused() *fprog {
 	if mod.noFuse {
-		return nil
+		return mod.unfused()
 	}
 	mod.fuseOnce.Do(func() { mod.fp = fuse(mod) })
 	return mod.fp
+}
+
+// unfused returns the module's unfused program, building it on first use.
+func (mod *Module) unfused() *fprog {
+	mod.unfuseOnce.Do(func() { mod.ufp = unfuse(mod) })
+	return mod.ufp
 }
 
 type patch struct {
@@ -476,15 +484,54 @@ func fuse(mod *Module) *fprog {
 	return fp
 }
 
+// unfuse builds the unfused view of a loaded module: instruction k is
+// micro-op k, a checked single, so o2f is the identity and a call may enter
+// anywhere. A statically unchecked access is emitted as its checked twin;
+// when that check fails, fstate.trap reports the eliminated check
+// (TrapElimCheck) at the access. It bumps no fusion counter.
+func unfuse(mod *Module) *fprog {
+	n := len(mod.Prog.Instrs)
+	fp := &fprog{o2f: make([]int32, n+1), stats: FuseStats{Instrs: n, MicroOps: n}}
+	b := fusePool.Get().(*fuseBuilder)
+	b.start(mod)
+	for k := range n {
+		fp.o2f[k] = int32(k)
+		b.emitSingle(k)
+		b.ins[k].op = uint8(b.instrs[k].Op.CheckedMem())
+	}
+	fp.o2f[n] = -1
+	b.resolve(fp)
+	fp.ins = exact(b.ins)
+	b.mod, b.instrs = nil, nil
+	fusePool.Put(b)
+	return fp
+}
+
+// start resets the builder's outputs for building a view of mod.
+func (b *fuseBuilder) start(mod *Module) {
+	b.mod, b.instrs = mod, mod.Prog.Instrs
+	b.ins, b.steps, b.guards = b.ins[:0], b.steps[:0], b.guards[:0]
+	b.patchB, b.patchC, b.clones = b.patchB[:0], b.patchC[:0], b.clones[:0]
+}
+
+// resolve points every branch target and call continuation at the micro-op
+// that fp.o2f maps its original instruction to.
+func (b *fuseBuilder) resolve(fp *fprog) {
+	for _, p := range b.patchB {
+		b.ins[p.idx].tgt = fp.o2f[p.orig]
+	}
+	for _, p := range b.patchC {
+		b.ins[p.idx].imm2 = int64(fp.o2f[p.orig])
+	}
+}
+
 // build runs the pass: leaders, every block in original order (so
 // fall-through between consecutive blocks needs no glue), the checked clones,
 // the patches. It fills fp.o2f and fp.stats; the streams stay in b.
 func (b *fuseBuilder) build(mod *Module, fp *fprog) {
 	instrs := mod.Prog.Instrs
 	n := len(instrs)
-	b.mod, b.instrs = mod, instrs
-	b.ins, b.steps, b.guards = b.ins[:0], b.steps[:0], b.guards[:0]
-	b.patchB, b.patchC, b.clones = b.patchB[:0], b.patchC[:0], b.clones[:0]
+	b.start(mod)
 	if cap(b.marks) < n+1 {
 		b.marks = make([]uint8, n+1)
 	}
@@ -574,13 +621,7 @@ func (b *fuseBuilder) build(mod *Module, fp *fprog) {
 	}
 
 	fp.stats.CloneOps = len(b.ins) - fp.stats.MicroOps
-
-	for _, p := range b.patchB {
-		b.ins[p.idx].tgt = fp.o2f[p.orig]
-	}
-	for _, p := range b.patchC {
-		b.ins[p.idx].imm2 = int64(fp.o2f[p.orig])
-	}
+	b.resolve(fp)
 }
 
 // movChain folds the MovZ at k and the MovK instructions on the same register
@@ -693,8 +734,8 @@ func (b *fuseBuilder) emit(fi finstr) int32 {
 	return int32(len(b.ins) - 1)
 }
 
-// emitSingle emits instruction k as a checked single micro-op: the fused
-// engine's exact transliteration of one unfused dispatch.
+// emitSingle emits instruction k as a single micro-op: the dispatcher's
+// exact transliteration of the instruction.
 func (b *fuseBuilder) emitSingle(k int) {
 	in := &b.instrs[k]
 	idx := b.emit(finstr{
@@ -800,7 +841,7 @@ func (b *fuseBuilder) encodeBody(s, e int) {
 
 		// Compare-and-branch fusion: SetCC feeding BrNZ on the result
 		// register. The 0/1 result is still written, so register state
-		// matches the unfused loop exactly. (An FCmp feeding BrNZ is a run
+		// matches the unfused view exactly. (An FCmp feeding BrNZ is a run
 		// step and its branch an xRunBrNZ: one dispatch as well.)
 		if op == vt.SetCC && k+1 < e && instrs[k+1].Op == vt.BrNZ && instrs[k+1].RA == in.RD {
 			b.flush()

@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -12,9 +13,9 @@ type counters struct {
 	Executed, Branches, MemOps int64
 }
 
-// runEngines executes the same code fused and unfused on fresh machines and
-// requires identical results, errors (including trap PC, frames, code and
-// message), and Executed/Branches/MemOps. It returns the fused machine's
+// runEngines executes the same code on the fused and the unfused view, on
+// fresh machines, and requires identical results, errors (including trap PC,
+// frames, code and message), and Executed/Branches/MemOps. It returns the fused machine's
 // outcome for further assertions.
 func runEngines(t *testing.T, arch vt.Arch, code []byte, args ...uint64) ([2]uint64, error, counters) {
 	t.Helper()
@@ -282,8 +283,136 @@ func TestCallRTNestedTrapPC(t *testing.T) {
 	})
 }
 
+// TestUnseenEntries: code may be entered where the fuser's leader scan saw no
+// block start — by an indirect call to an address built by arithmetic, or by
+// Machine.Call at an instruction inside a block. Results, counters, trap
+// code, PC and frames, including those of a trap in a callee entered that
+// way, must be the same with fusion on, with it off and in strict mode.
+func TestUnseenEntries(t *testing.T) {
+	both(t, func(t *testing.T, arch vt.Arch) {
+		sp := vt.ForArch(arch).SP
+		a := vt.NewAssembler(arch)
+		// callee: r0 += 100 through a stack slot, trap when r1 != 0, then
+		// r0 *= 3 when r0 < 1000.
+		skip := a.NewLabel()
+		a.Emit(vt.Instr{Op: vt.Nop})
+		entry := int32(a.PCOffset()) // no branch, call or constant names it
+		a.Emit(vt.Instr{Op: vt.AddI, RD: 0, RA: 0, Imm: 100})
+		a.Emit(vt.Instr{Op: vt.MovRI, RD: 9, Imm: 1000})
+		a.Emit(vt.Instr{Op: vt.SubI, RD: sp, RA: sp, Imm: 16})
+		a.Emit(vt.Instr{Op: vt.Store64, RA: sp, RB: 0, Imm: 0})
+		a.Emit(vt.Instr{Op: vt.Load64, RD: 2, RA: sp, Imm: 0})
+		a.Emit(vt.Instr{Op: vt.AddI, RD: sp, RA: sp, Imm: 16})
+		trapAt := int32(a.PCOffset())
+		a.Emit(vt.Instr{Op: vt.TrapNZ, RA: 1, Imm: int64(vt.TrapOverflow)})
+		a.Emit(vt.Instr{Op: vt.MovRR, RD: 0, RA: 2})
+		a.Emit(vt.Instr{Op: vt.BrCC, Cond: vt.CondUGE, RA: 0, RB: 9, Target: int32(skip)})
+		a.Emit(vt.Instr{Op: vt.MulI, RD: 0, RA: 0, Imm: 3})
+		a.Bind(skip)
+		a.Emit(vt.Instr{Op: vt.Ret})
+		// caller: an indirect call to 0 + entry, then r0 += 1.
+		caller := int32(a.PCOffset())
+		a.Emit(vt.Instr{Op: vt.MovRI, RD: 5, Imm: 0})
+		a.Emit(vt.Instr{Op: vt.AddI, RD: 5, RA: 5, Imm: int64(entry)})
+		callAt := int32(a.PCOffset())
+		a.Emit(vt.Instr{Op: vt.CallInd, RA: 5})
+		a.Emit(vt.Instr{Op: vt.AddI, RD: 0, RA: 0, Imm: 1})
+		a.Emit(vt.Instr{Op: vt.Ret})
+		code, _, err := a.Finish()
+		if err != nil {
+			t.Fatal(err)
+		}
+		unwind := []UnwindRange{{Start: 0, End: caller, Name: "callee"}, {Start: caller, End: int32(len(code)), Name: "caller"}}
+		calleeTrap := &Trap{Code: vt.TrapOverflow, PC: trapAt, Frames: []string{fmt.Sprintf("callee+%d", trapAt)}}
+		callerTrap := &Trap{Code: vt.TrapOverflow, PC: trapAt, Frames: []string{fmt.Sprintf("callee+%d", trapAt), fmt.Sprintf("caller+%d", callAt-caller)}}
+		cases := []struct {
+			name     string
+			at       int32
+			args     []uint64
+			want     uint64
+			wantTrap *Trap
+		}{
+			{"callind", caller, []uint64{5, 0}, 316, nil},
+			{"callind/skip", caller, []uint64{2000, 0}, 2101, nil},
+			{"call", entry, []uint64{5, 0}, 315, nil},
+			{"callind/trap", caller, []uint64{5, 1}, 0, callerTrap},
+			{"call/trap", entry, []uint64{5, 1}, 0, calleeTrap},
+		}
+		type outcome struct {
+			res [2]uint64
+			err error
+			c   counters
+		}
+		for _, tc := range cases {
+			var ref outcome
+			for i, mode := range []string{"fused", "unfused", "strict"} {
+				mod, err := Load(arch, code)
+				if err != nil {
+					t.Fatal(err)
+				}
+				mod.RegisterUnwind(unwind)
+				mod.SetFuse(mode != "unfused")
+				if k := mod.Prog.Index[entry]; mode == "fused" && mod.fused().o2f[k] >= 0 {
+					t.Fatalf("the fuser starts a block at the entry (instruction %d)", k)
+				}
+				m := New(Config{Arch: arch})
+				m.StrictUnchecked = mode == "strict"
+				res, err := m.Call(mod, tc.at, tc.args...)
+				got := outcome{res, err, counters{m.Executed, m.Branches, m.MemOps}}
+				if tc.wantTrap == nil && (err != nil || res[0] != tc.want) {
+					t.Errorf("%s %s: got %d, %v; want %d", tc.name, mode, res[0], err, tc.want)
+				}
+				if tc.wantTrap != nil && !reflect.DeepEqual(err, error(tc.wantTrap)) {
+					t.Errorf("%s %s: got %#v, want %#v", tc.name, mode, err, tc.wantTrap)
+				}
+				if got.c.Executed == 0 || got.c.MemOps != 2 {
+					t.Errorf("%s %s: counters %+v, want instructions and two memory operations", tc.name, mode, got.c)
+				}
+				if i == 0 {
+					ref = got
+				} else if got.res != ref.res || got.c != ref.c || !reflect.DeepEqual(got.err, ref.err) {
+					t.Errorf("%s: %s gives %v, %v, %+v; fused %v, %v, %+v", tc.name, mode, got.res, got.err, got.c, ref.res, ref.err, ref.c)
+				}
+			}
+		}
+	})
+}
+
+// TestStrictUncheckedTraps: in strict mode a statically unchecked access
+// whose eliminated check would have fired raises TrapElimCheck at that
+// access, named by its op, whether or not a guard would have covered it.
+func TestStrictUncheckedTraps(t *testing.T) {
+	both(t, func(t *testing.T, arch vt.Arch) {
+		for _, op := range []vt.Op{vt.LoadU64, vt.StoreU32, vt.FLoadU} {
+			a := vt.NewAssembler(arch)
+			a.Emit(vt.Instr{Op: vt.LoadU64, RD: 2, RA: 0, Imm: 0})
+			at := int32(a.PCOffset())
+			a.Emit(vt.Instr{Op: op, RD: 3, RA: 1, RB: 2, Imm: 8})
+			a.Emit(vt.Instr{Op: vt.Ret})
+			code, _, err := a.Finish()
+			if err != nil {
+				t.Fatal(err)
+			}
+			mod, err := Load(arch, code)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m := New(Config{Arch: arch})
+			m.StrictUnchecked = true
+			_, err = m.Call(mod, 0, nullGuard, 16) // the second access is below nullGuard
+			want := &Trap{Code: vt.TrapElimCheck, PC: at, Frames: []string{fmt.Sprintf("+%d", at)}, Msg: op.String()}
+			if !reflect.DeepEqual(err, error(want)) {
+				t.Errorf("%s: got %#v, want %#v", op, err, want)
+			}
+			if m.Executed != 2 || m.MemOps != 2 {
+				t.Errorf("%s: %d instructions, %d memory operations; want 2 and 2", op, m.Executed, m.MemOps)
+			}
+		}
+	})
+}
+
 // TestFusionCompresses: a realistic loop must dispatch fewer micro-ops than
-// instructions and agree with the unfused engine on a memory-heavy
+// instructions and agree with the unfused view on a memory-heavy
 // workload, including a trapping run off the end of memory.
 func TestFusionCompresses(t *testing.T) {
 	both(t, func(t *testing.T, arch vt.Arch) {

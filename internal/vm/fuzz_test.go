@@ -7,9 +7,11 @@ import (
 )
 
 // FuzzLoadFuse feeds arbitrary bytes through the whole load path — vt.Decode,
-// Load's branch resolution, fuse — on either target. Whatever decodes must
-// fuse without panicking into a view that passes the structural verifier;
-// whatever does not decode must be refused with an error. Seeds: the fusion
+// Load's branch resolution, fuse and unfuse — on either target. Whatever
+// decodes must build, without panicking, a fused and an unfused view that
+// pass the structural verifier, the unfused one of checked singles only with
+// micro-op k at instruction k; whatever does not decode must be refused with
+// an error. Seeds: the fusion
 // shapes of fuse_test.go (guarded loop, compare-and-branch, immediate folds,
 // checked accesses beside simple ops, call with continuation) plus the committed
 // corpus under testdata/fuzz/FuzzLoadFuse.
@@ -32,6 +34,15 @@ func FuzzLoadFuse(f *testing.F) {
 		}
 		if err := fuse(mod).check(); err != nil {
 			t.Fatalf("%s\n%s", err, vt.DisasmAll(mod.Prog))
+		}
+		u := unfuse(mod)
+		if err := u.check(); err != nil {
+			t.Fatalf("unfused: %s\n%s", err, vt.DisasmAll(mod.Prog))
+		}
+		for k := range mod.Prog.Instrs {
+			if op := u.ins[k].op; op >= uLoad8 || vt.Op(op).UncheckedMem() || u.o2f[k] != int32(k) {
+				t.Fatalf("unfused: instruction %d (%s) is micro-op %d, op %d\n%s", k, mod.Prog.Instrs[k].Op, u.o2f[k], op, vt.DisasmAll(mod.Prog))
+			}
 		}
 	})
 }

@@ -7,11 +7,11 @@ package vm
 // makes the profiler's attribution rate a testable quantity.
 const DefaultSamplePeriod = 16384
 
-// Sampler implements cheap epoch-based PC sampling of the dispatch loops.
+// Sampler implements cheap epoch-based PC sampling of the dispatch loop.
 // The machine checks the sampler only at branch checkpoints (every taken or
-// fall-through branch, call, and return in both the decoded-switch loop and
-// the fused threaded dispatcher), so the cost is amortized over basic blocks
-// rather than paid per instruction:
+// fall-through branch, call, and return, on the fused and the unfused view
+// alike), so the cost is amortized over basic blocks rather than paid per
+// instruction:
 //
 //   - sampling off (no sampler installed): one predictable nil test per
 //     branch — within measurement noise;

@@ -26,11 +26,11 @@ func loopMod(t *testing.T, arch vt.Arch) *Module {
 	})
 }
 
-// TestSamplerDeterministicAcrossDispatch checks that the fused threaded
-// dispatcher and the plain decoded-switch loop take the same samples at the
-// same byte offsets: epochs count executed instructions, and fused micro-ops
-// attribute to the terminating branch's original instruction (pc0+n-1),
-// matching where the plain loop's checkpoint sits.
+// TestSamplerDeterministicAcrossDispatch checks that the fused and the
+// unfused view take the same samples at the same byte offsets: epochs count
+// executed instructions, and fused micro-ops attribute to the terminating
+// branch's original instruction (pc0+n-1), matching where the unfused view's
+// checkpoint sits.
 func TestSamplerDeterministicAcrossDispatch(t *testing.T) {
 	both(t, func(t *testing.T, arch vt.Arch) {
 		capture := func(fuse bool) (int64, map[int32]int64) {

@@ -4,17 +4,17 @@
 // A Machine owns a flat byte-addressable memory, a register file, a runtime
 // function table, and the unwind-information registry. Compiled code is
 // loaded as a Module: the byte stream is decoded once (the analog of mapping
-// executable memory) and then executed by a dispatch loop. The machine counts
-// executed instructions, so code quality differences between back-ends are
-// observable both as wall-clock time and as architecture-neutral instruction
-// counts.
+// executable memory) and then executed by the one dispatch loop, runFused,
+// over a micro-op view of the decoded program (fuse.go, dispatch.go). The
+// machine counts executed instructions, so code quality differences between
+// back-ends are observable both as wall-clock time and as
+// architecture-neutral instruction counts.
 package vm
 
 import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"math/bits"
 	"runtime"
 	"sync"
 	"unsafe"
@@ -76,17 +76,21 @@ type Module struct {
 	branchIdx []int32
 	unwind    []UnwindRange
 
-	// Fused-dispatch view (fuse.go), built lazily on first Call so load
-	// time is unaffected; noFuse is the test hook that selects the plain loop.
-	noFuse   bool
-	fuseOnce sync.Once
-	fp       *fprog
+	// The two views runFused executes (fuse.go), each built lazily on first
+	// use so load time is unaffected: the fused view fp, and the unfused
+	// view ufp of one checked micro-op per instruction. noFuse is the test
+	// hook that makes every Call run the unfused view.
+	noFuse     bool
+	fuseOnce   sync.Once
+	fp         *fprog
+	unfuseOnce sync.Once
+	ufp        *fprog
 }
 
 // Footprint returns the bytes of Go heap the module holds: the code image,
-// the decoded program with its offset tables, the unwind table and the fused
-// view. The fused view is built on first Call; until then it is estimated at
-// fusedPerInstr bytes per decoded instruction.
+// the decoded program with its offset tables, the unwind table and the views
+// built so far. The fused view is built on first Call; until then it is
+// estimated at fusedPerInstr bytes per decoded instruction.
 func (mod *Module) Footprint() int64 {
 	n := int64(unsafe.Sizeof(*mod)) + int64(unsafe.Sizeof(*mod.Prog)) + int64(cap(mod.Code)) +
 		int64(cap(mod.Prog.Instrs))*int64(unsafe.Sizeof(vt.Instr{})) +
@@ -95,16 +99,22 @@ func (mod *Module) Footprint() int64 {
 	for i := range mod.unwind {
 		n += int64(len(mod.unwind[i].Name) + cap(mod.unwind[i].CFI))
 	}
-	switch fp := mod.fp; {
-	case mod.noFuse:
-	case fp != nil:
-		n += int64(unsafe.Sizeof(*fp)) + int64(cap(fp.ins))*int64(unsafe.Sizeof(finstr{})) +
-			int64(cap(fp.steps))*int64(unsafe.Sizeof(fstep{})) +
-			int64(cap(fp.guards))*int64(unsafe.Sizeof(guardRange{})) + int64(cap(fp.o2f))*4
-	default:
+	if mod.ufp != nil {
+		n += mod.ufp.bytes()
+	}
+	switch {
+	case mod.fp != nil:
+		n += mod.fp.bytes()
+	case !mod.noFuse:
 		n += fusedPerInstr * int64(len(mod.Prog.Instrs))
 	}
 	return n
+}
+
+func (fp *fprog) bytes() int64 {
+	return int64(unsafe.Sizeof(*fp)) + int64(cap(fp.ins))*int64(unsafe.Sizeof(finstr{})) +
+		int64(cap(fp.steps))*int64(unsafe.Sizeof(fstep{})) +
+		int64(cap(fp.guards))*int64(unsafe.Sizeof(guardRange{})) + int64(cap(fp.o2f))*4
 }
 
 // fusedPerInstr is what the fused view of a module takes per decoded
@@ -198,10 +208,10 @@ type Machine struct {
 	// RT is the runtime function table.
 	RT []RTFunc
 	// StrictUnchecked enables the safety-differential verification mode:
-	// unchecked memory operations (vt.LoadU*/StoreU*/FLoadU/FStoreU) re-run
-	// the full bounds/null check and raise TrapElimCheck when it would have
-	// fired. It also disables fused dispatch so every unchecked access is
-	// individually verified rather than covered by run guards.
+	// every Call runs the module's unfused view, where each unchecked memory
+	// operation (vt.LoadU*/StoreU*/FLoadU/FStoreU) re-runs the full
+	// bounds/null check and raises TrapElimCheck when it would have fired,
+	// one access at a time rather than covered by a block guard.
 	StrictUnchecked bool
 
 	target   *vt.Target
@@ -367,12 +377,16 @@ func (m *Machine) Call(mod *Module, entry int32, args ...uint64) ([2]uint64, err
 	prevMod := m.mod
 	m.mod = mod
 	m.depth++
-	var err error
-	if fp := mod.fused(); fp != nil && !m.StrictUnchecked && int(idx) < len(fp.o2f) && fp.o2f[idx] >= 0 {
-		err = m.runGuarded(func() error { return m.runFused(mod, fp, fp.o2f[idx]) })
-	} else {
-		err = m.runGuarded(func() error { return m.run(mod, idx) })
+	var fp *fprog
+	if !m.StrictUnchecked {
+		fp = mod.fused()
 	}
+	if fp == nil || fp.o2f[idx] < 0 {
+		// Strict mode, or an entry the leader scan did not see: it may lie
+		// inside a fused block.
+		fp = mod.unfused()
+	}
+	err := m.runGuarded(func() error { return m.runFused(mod, fp, fp.o2f[idx]) })
 	m.depth--
 	m.mod = prevMod
 	if t, ok := err.(*Trap); ok {
@@ -421,10 +435,10 @@ func (m *Machine) CallAt(addr uint64, args ...uint64) ([2]uint64, error) {
 }
 
 // runGuarded executes one dispatch-loop invocation, converting host runtime
-// faults (out-of-range slice accesses from unchecked memory operations whose
-// eliminated check would have fired) into TrapElimCheck traps so a
-// static-analysis bug surfaces as a diagnosable trap instead of crashing the
-// host. Other panics propagate unchanged.
+// faults (out-of-range slice accesses from unchecked memory operations of the
+// fused view whose eliminated check would have fired) into TrapElimCheck
+// traps so a static-analysis bug surfaces as a diagnosable trap instead of
+// crashing the host. Other panics propagate unchanged.
 func (m *Machine) runGuarded(f func() error) (err error) {
 	defer func() {
 		r := recover()
@@ -438,441 +452,6 @@ func (m *Machine) runGuarded(f func() error) (err error) {
 		err = &Trap{Code: vt.TrapElimCheck, Msg: re.Error()}
 	}()
 	return f()
-}
-
-func (m *Machine) run(mod *Module, pc int32) error {
-	instrs := mod.Prog.Instrs
-	offs := mod.Prog.Offsets
-	bidx := mod.branchIdx
-	R := &m.R
-	F := &m.F
-	callBase := len(m.callPCs)
-	count := int64(0)
-	branches := int64(0)
-	memops := int64(0)
-	defer func() {
-		m.Executed += count
-		m.Branches += branches
-		m.MemOps += memops
-	}()
-
-	trap := func(code vt.TrapCode, msg string) error {
-		t := &Trap{Code: code, PC: offs[pc], Msg: msg}
-		t.Frames = append(t.Frames, mod.symbolize(offs[pc]))
-		for i := len(m.callPCs) - 1; i >= callBase; i-- {
-			t.Frames = append(t.Frames, mod.symbolize(offs[m.callPCs[i]]))
-		}
-		m.callPCs = m.callPCs[:callBase]
-		return t
-	}
-
-	mem := m.Mem
-	loadAddr := func(a uint64, n uint64) (uint64, bool) {
-		memops++
-		// a+n >= a rejects address wraparound, which would otherwise pass
-		// the length test and panic on the slice index (cf. Machine.Bytes).
-		return a, a >= nullGuard && a+n <= uint64(len(mem)) && a+n >= a
-	}
-	// uncheckedAddr is the unchecked-access path: static analysis proved the
-	// access safe, so the software check is skipped (a genuinely bad address
-	// faults on the slice index and runGuarded reports TrapElimCheck).
-	// StrictUnchecked re-runs the full check to catch analysis bugs eagerly.
-	strict := m.StrictUnchecked
-	uncheckedAddr := func(a uint64, n uint64) (uint64, bool) {
-		memops++
-		if strict {
-			return a, a >= nullGuard && a+n <= uint64(len(mem)) && a+n >= a
-		}
-		return a, true
-	}
-
-	// PC sampling is checked at branch checkpoints only (see Sampler); sm
-	// is nil on the default path, making the check one predictable test.
-	sm := m.sampler
-
-	for {
-		in := &instrs[pc]
-		count++
-		switch in.Op {
-		case vt.Nop:
-		case vt.MovRR:
-			R[in.RD] = R[in.RA]
-		case vt.MovRI:
-			R[in.RD] = uint64(in.Imm)
-		case vt.MovZ:
-			R[in.RD] = uint64(uint16(in.Imm)) << (16 * uint(in.Cond))
-		case vt.MovK:
-			sh := 16 * uint(in.Cond)
-			R[in.RD] = R[in.RD]&^(uint64(0xFFFF)<<sh) | uint64(uint16(in.Imm))<<sh
-		case vt.Load8:
-			a, ok := loadAddr(R[in.RA]+uint64(in.Imm), 1)
-			if !ok {
-				return trap(vt.TrapOOB, "load8")
-			}
-			R[in.RD] = uint64(mem[a])
-		case vt.Load8S:
-			a, ok := loadAddr(R[in.RA]+uint64(in.Imm), 1)
-			if !ok {
-				return trap(vt.TrapOOB, "load8s")
-			}
-			R[in.RD] = uint64(int64(int8(mem[a])))
-		case vt.Load16:
-			a, ok := loadAddr(R[in.RA]+uint64(in.Imm), 2)
-			if !ok {
-				return trap(vt.TrapOOB, "load16")
-			}
-			R[in.RD] = uint64(mem[a]) | uint64(mem[a+1])<<8
-		case vt.Load16S:
-			a, ok := loadAddr(R[in.RA]+uint64(in.Imm), 2)
-			if !ok {
-				return trap(vt.TrapOOB, "load16s")
-			}
-			R[in.RD] = uint64(int64(int16(uint16(mem[a]) | uint16(mem[a+1])<<8)))
-		case vt.Load32:
-			a, ok := loadAddr(R[in.RA]+uint64(in.Imm), 4)
-			if !ok {
-				return trap(vt.TrapOOB, "load32")
-			}
-			R[in.RD] = uint64(le32(mem[a:]))
-		case vt.Load32S:
-			a, ok := loadAddr(R[in.RA]+uint64(in.Imm), 4)
-			if !ok {
-				return trap(vt.TrapOOB, "load32s")
-			}
-			R[in.RD] = uint64(int64(int32(le32(mem[a:]))))
-		case vt.Load64:
-			a, ok := loadAddr(R[in.RA]+uint64(in.Imm), 8)
-			if !ok {
-				return trap(vt.TrapOOB, "load64")
-			}
-			R[in.RD] = le64(mem[a:])
-		case vt.Store8:
-			a, ok := loadAddr(R[in.RA]+uint64(in.Imm), 1)
-			if !ok {
-				return trap(vt.TrapOOB, "store8")
-			}
-			mem[a] = byte(R[in.RB])
-		case vt.Store16:
-			a, ok := loadAddr(R[in.RA]+uint64(in.Imm), 2)
-			if !ok {
-				return trap(vt.TrapOOB, "store16")
-			}
-			v := R[in.RB]
-			mem[a] = byte(v)
-			mem[a+1] = byte(v >> 8)
-		case vt.Store32:
-			a, ok := loadAddr(R[in.RA]+uint64(in.Imm), 4)
-			if !ok {
-				return trap(vt.TrapOOB, "store32")
-			}
-			put32(mem[a:], uint32(R[in.RB]))
-		case vt.Store64:
-			a, ok := loadAddr(R[in.RA]+uint64(in.Imm), 8)
-			if !ok {
-				return trap(vt.TrapOOB, "store64")
-			}
-			put64(mem[a:], R[in.RB])
-		case vt.LoadU8:
-			a, ok := uncheckedAddr(R[in.RA]+uint64(in.Imm), 1)
-			if !ok {
-				return trap(vt.TrapElimCheck, "ldu8")
-			}
-			R[in.RD] = uint64(mem[a])
-		case vt.LoadU8S:
-			a, ok := uncheckedAddr(R[in.RA]+uint64(in.Imm), 1)
-			if !ok {
-				return trap(vt.TrapElimCheck, "ldu8s")
-			}
-			R[in.RD] = uint64(int64(int8(mem[a])))
-		case vt.LoadU16:
-			a, ok := uncheckedAddr(R[in.RA]+uint64(in.Imm), 2)
-			if !ok {
-				return trap(vt.TrapElimCheck, "ldu16")
-			}
-			R[in.RD] = uint64(mem[a]) | uint64(mem[a+1])<<8
-		case vt.LoadU16S:
-			a, ok := uncheckedAddr(R[in.RA]+uint64(in.Imm), 2)
-			if !ok {
-				return trap(vt.TrapElimCheck, "ldu16s")
-			}
-			R[in.RD] = uint64(int64(int16(uint16(mem[a]) | uint16(mem[a+1])<<8)))
-		case vt.LoadU32:
-			a, ok := uncheckedAddr(R[in.RA]+uint64(in.Imm), 4)
-			if !ok {
-				return trap(vt.TrapElimCheck, "ldu32")
-			}
-			R[in.RD] = uint64(le32(mem[a:]))
-		case vt.LoadU32S:
-			a, ok := uncheckedAddr(R[in.RA]+uint64(in.Imm), 4)
-			if !ok {
-				return trap(vt.TrapElimCheck, "ldu32s")
-			}
-			R[in.RD] = uint64(int64(int32(le32(mem[a:]))))
-		case vt.LoadU64:
-			a, ok := uncheckedAddr(R[in.RA]+uint64(in.Imm), 8)
-			if !ok {
-				return trap(vt.TrapElimCheck, "ldu64")
-			}
-			R[in.RD] = le64(mem[a:])
-		case vt.StoreU8:
-			a, ok := uncheckedAddr(R[in.RA]+uint64(in.Imm), 1)
-			if !ok {
-				return trap(vt.TrapElimCheck, "stu8")
-			}
-			mem[a] = byte(R[in.RB])
-		case vt.StoreU16:
-			a, ok := uncheckedAddr(R[in.RA]+uint64(in.Imm), 2)
-			if !ok {
-				return trap(vt.TrapElimCheck, "stu16")
-			}
-			v := R[in.RB]
-			mem[a] = byte(v)
-			mem[a+1] = byte(v >> 8)
-		case vt.StoreU32:
-			a, ok := uncheckedAddr(R[in.RA]+uint64(in.Imm), 4)
-			if !ok {
-				return trap(vt.TrapElimCheck, "stu32")
-			}
-			put32(mem[a:], uint32(R[in.RB]))
-		case vt.StoreU64:
-			a, ok := uncheckedAddr(R[in.RA]+uint64(in.Imm), 8)
-			if !ok {
-				return trap(vt.TrapElimCheck, "stu64")
-			}
-			put64(mem[a:], R[in.RB])
-		case vt.FLoadU:
-			a, ok := uncheckedAddr(R[in.RA]+uint64(in.Imm), 8)
-			if !ok {
-				return trap(vt.TrapElimCheck, "fldu")
-			}
-			F[in.RD] = fromBits(le64(mem[a:]))
-		case vt.FStoreU:
-			a, ok := uncheckedAddr(R[in.RA]+uint64(in.Imm), 8)
-			if !ok {
-				return trap(vt.TrapElimCheck, "fstu")
-			}
-			put64(mem[a:], toBits(F[in.RB]))
-		case vt.Lea:
-			R[in.RD] = R[in.RA] + uint64(in.Imm)
-		case vt.Add:
-			R[in.RD] = R[in.RA] + R[in.RB]
-		case vt.Sub:
-			R[in.RD] = R[in.RA] - R[in.RB]
-		case vt.Mul:
-			R[in.RD] = R[in.RA] * R[in.RB]
-		case vt.And:
-			R[in.RD] = R[in.RA] & R[in.RB]
-		case vt.Or:
-			R[in.RD] = R[in.RA] | R[in.RB]
-		case vt.Xor:
-			R[in.RD] = R[in.RA] ^ R[in.RB]
-		case vt.Shl:
-			R[in.RD] = R[in.RA] << (R[in.RB] & 63)
-		case vt.Shr:
-			R[in.RD] = R[in.RA] >> (R[in.RB] & 63)
-		case vt.Sar:
-			R[in.RD] = uint64(int64(R[in.RA]) >> (R[in.RB] & 63))
-		case vt.Rotr:
-			R[in.RD] = bits.RotateLeft64(R[in.RA], -int(R[in.RB]&63))
-		case vt.SDiv:
-			d := int64(R[in.RB])
-			if d == 0 {
-				return trap(vt.TrapDivZero, "")
-			}
-			n := int64(R[in.RA])
-			if n == -1<<63 && d == -1 {
-				R[in.RD] = uint64(n)
-			} else {
-				R[in.RD] = uint64(n / d)
-			}
-		case vt.SRem:
-			d := int64(R[in.RB])
-			if d == 0 {
-				return trap(vt.TrapDivZero, "")
-			}
-			n := int64(R[in.RA])
-			if n == -1<<63 && d == -1 {
-				R[in.RD] = 0
-			} else {
-				R[in.RD] = uint64(n % d)
-			}
-		case vt.UDiv:
-			if R[in.RB] == 0 {
-				return trap(vt.TrapDivZero, "")
-			}
-			R[in.RD] = R[in.RA] / R[in.RB]
-		case vt.URem:
-			if R[in.RB] == 0 {
-				return trap(vt.TrapDivZero, "")
-			}
-			R[in.RD] = R[in.RA] % R[in.RB]
-		case vt.AddI:
-			R[in.RD] = R[in.RA] + uint64(in.Imm)
-		case vt.SubI:
-			R[in.RD] = R[in.RA] - uint64(in.Imm)
-		case vt.MulI:
-			R[in.RD] = R[in.RA] * uint64(in.Imm)
-		case vt.AndI:
-			R[in.RD] = R[in.RA] & uint64(in.Imm)
-		case vt.OrI:
-			R[in.RD] = R[in.RA] | uint64(in.Imm)
-		case vt.XorI:
-			R[in.RD] = R[in.RA] ^ uint64(in.Imm)
-		case vt.ShlI:
-			R[in.RD] = R[in.RA] << (uint64(in.Imm) & 63)
-		case vt.ShrI:
-			R[in.RD] = R[in.RA] >> (uint64(in.Imm) & 63)
-		case vt.SarI:
-			R[in.RD] = uint64(int64(R[in.RA]) >> (uint64(in.Imm) & 63))
-		case vt.RotrI:
-			R[in.RD] = bits.RotateLeft64(R[in.RA], -int(uint64(in.Imm)&63))
-		case vt.Neg:
-			R[in.RD] = -R[in.RA]
-		case vt.Not:
-			R[in.RD] = ^R[in.RA]
-		case vt.MulWideU:
-			hi, lo := bits.Mul64(R[in.RA], R[in.RB])
-			R[in.RD] = lo
-			R[in.RC] = hi
-		case vt.MulWideS:
-			a, b := int64(R[in.RA]), int64(R[in.RB])
-			hi, lo := bits.Mul64(uint64(a), uint64(b))
-			if a < 0 {
-				hi -= uint64(b)
-			}
-			if b < 0 {
-				hi -= uint64(a)
-			}
-			R[in.RD] = lo
-			R[in.RC] = hi
-		case vt.SetCC:
-			if evalCond(in.Cond, R[in.RA], R[in.RB]) {
-				R[in.RD] = 1
-			} else {
-				R[in.RD] = 0
-			}
-		case vt.Br:
-			branches++
-			if sm != nil && m.Executed+count >= sm.next {
-				sm.take(mod, offs[pc], m.Executed+count)
-			}
-			pc = bidx[pc]
-			continue
-		case vt.BrCC:
-			branches++
-			if sm != nil && m.Executed+count >= sm.next {
-				sm.take(mod, offs[pc], m.Executed+count)
-			}
-			if evalCond(in.Cond, R[in.RA], R[in.RB]) {
-				pc = bidx[pc]
-				continue
-			}
-		case vt.BrNZ:
-			branches++
-			if sm != nil && m.Executed+count >= sm.next {
-				sm.take(mod, offs[pc], m.Executed+count)
-			}
-			if R[in.RA] != 0 {
-				pc = bidx[pc]
-				continue
-			}
-		case vt.Call:
-			if sm != nil && m.Executed+count >= sm.next {
-				sm.take(mod, offs[pc], m.Executed+count)
-			}
-			m.callPCs = append(m.callPCs, pc)
-			pc = bidx[pc]
-			continue
-		case vt.CallInd:
-			idx := mod.indexOf(int32(R[in.RA]))
-			if idx < 0 {
-				return trap(vt.TrapOOB, "indirect call target")
-			}
-			m.callPCs = append(m.callPCs, pc)
-			pc = idx
-			continue
-		case vt.CallRT:
-			id := int(in.Imm)
-			if id >= len(m.RT) || m.RT[id] == nil {
-				return trap(vt.TrapUnreachable, fmt.Sprintf("runtime function %d", id))
-			}
-			if err := m.CallRT(id); err != nil {
-				if t, ok := err.(*Trap); ok {
-					// Only attribute the trap here when it came from the
-					// runtime function itself (no frames yet); a trap
-					// re-raised through nested CallAt re-entry keeps its
-					// innermost location.
-					if len(t.Frames) == 0 {
-						t.PC = offs[pc]
-						t.Frames = append(t.Frames, mod.symbolize(offs[pc]))
-					}
-					m.callPCs = m.callPCs[:callBase]
-					return t
-				}
-				m.callPCs = m.callPCs[:callBase]
-				return err
-			}
-			mem = m.Mem // runtime call may have grown memory
-		case vt.Ret:
-			if sm != nil && m.Executed+count >= sm.next {
-				sm.take(mod, offs[pc], m.Executed+count)
-			}
-			if len(m.callPCs) == callBase {
-				return nil
-			}
-			pc = m.callPCs[len(m.callPCs)-1]
-			m.callPCs = m.callPCs[:len(m.callPCs)-1]
-		case vt.Trap:
-			return trap(vt.TrapCode(in.Imm), "")
-		case vt.TrapNZ:
-			if R[in.RA] != 0 {
-				return trap(vt.TrapCode(in.Imm), "")
-			}
-		case vt.Crc32:
-			R[in.RD] = crc32c8(R[in.RA], R[in.RB])
-		case vt.FMovRR:
-			F[in.RD] = F[in.RA]
-		case vt.FMovRI:
-			F[in.RD] = fromBits(uint64(in.Imm))
-		case vt.FLoad:
-			a, ok := loadAddr(R[in.RA]+uint64(in.Imm), 8)
-			if !ok {
-				return trap(vt.TrapOOB, "fload")
-			}
-			F[in.RD] = fromBits(le64(mem[a:]))
-		case vt.FStore:
-			a, ok := loadAddr(R[in.RA]+uint64(in.Imm), 8)
-			if !ok {
-				return trap(vt.TrapOOB, "fstore")
-			}
-			put64(mem[a:], toBits(F[in.RB]))
-		case vt.FAdd:
-			F[in.RD] = F[in.RA] + F[in.RB]
-		case vt.FSub:
-			F[in.RD] = F[in.RA] - F[in.RB]
-		case vt.FMul:
-			F[in.RD] = F[in.RA] * F[in.RB]
-		case vt.FDiv:
-			F[in.RD] = F[in.RA] / F[in.RB]
-		case vt.FCmp:
-			if evalFCond(in.Cond, F[in.RA], F[in.RB]) {
-				R[in.RD] = 1
-			} else {
-				R[in.RD] = 0
-			}
-		case vt.CvtSI2F:
-			F[in.RD] = float64(int64(R[in.RA]))
-		case vt.CvtF2SI:
-			R[in.RD] = uint64(int64(F[in.RA]))
-		case vt.MovRF:
-			R[in.RD] = toBits(F[in.RA])
-		case vt.MovFR:
-			F[in.RD] = fromBits(R[in.RA])
-		default:
-			return trap(vt.TrapUnreachable, fmt.Sprintf("bad op %d", in.Op))
-		}
-		pc++
-	}
 }
 
 func evalCond(c vt.Cond, a, b uint64) bool {
@@ -923,7 +502,7 @@ func crc32c8(seed, v uint64) uint64 { return vt.Crc32c8(seed, v) }
 
 // The little-endian accessors use encoding/binary, which the compiler
 // recognizes and lowers to single unaligned load/store instructions — they
-// are on the hot path of both dispatch loops.
+// are on the dispatch loop's hot path.
 func le32(b []byte) uint32     { return binary.LittleEndian.Uint32(b) }
 func le64(b []byte) uint64     { return binary.LittleEndian.Uint64(b) }
 func put32(b []byte, v uint32) { binary.LittleEndian.PutUint32(b, v) }

@@ -376,8 +376,8 @@ func TestAllocAlignmentAndReset(t *testing.T) {
 
 // TestAllocExhaustionTraps: a runtime function that exhausts the heap — of the
 // main machine or of a worker's arena — ends the Call with a TrapOOM at the
-// CallRT that made it, on both dispatch loops, leaves the heap where it was,
-// and outside a Call is an error for a deferred CatchOOM.
+// CallRT that made it, on the fused and the unfused view, leaves the heap
+// where it was, and outside a Call is an error for a deferred CatchOOM.
 func TestAllocExhaustionTraps(t *testing.T) {
 	both(t, func(t *testing.T, arch vt.Arch) {
 		for _, fuse := range []bool{true, false} {
