@@ -13,7 +13,12 @@
 #      definition of an operation: outside internal/sem and benchmark/ no
 #      non-test file may define a top-level canon… function or apply the
 #      signed-high-multiply correction (hi -= uint64(…)), so the meaning of
-#      an operation is not copied out of internal/sem again
+#      an operation is not copied out of internal/sem again; and one
+#      description per target op: outside internal/vt and benchmark/ no
+#      non-test file may define visitOperands, visitMOperands, accessSize
+#      or immToRR or spell out the register-immediate ALU list
+#      (vt.AddI, vt.SubI, …) — what a vt op reads, writes, encodes and
+#      commutes is read from the internal/vt table
 #   4. one ledger: benchmark/ is where wall-clock numbers come from, so no
 #      BENCH_*.json may reappear at the root and this script may not pass a
 #      wall-clock gate or budget flag to anything
@@ -93,6 +98,9 @@
 #  19. 10 s of FuzzSem: random (operation, width, operands) through
 #      internal/sem against a math/big evaluation, from a corpus of every
 #      operation at every width
+#  20. 10 s of FuzzAssemble: arbitrary text through the C back-end's
+#      assembler on both targets, from a corpus of its own output for TPC-H
+#      functions — no panic, and every function it accepts decodes
 set -eu
 
 cd "$(dirname "$0")"
@@ -108,7 +116,7 @@ go vet -C benchmark ./...
 echo "== 2. go build =="
 go build ./...
 
-echo "== 3. one query path, one query language, one meaning per operation (no compile/run copies outside internal/engine, no hand-built workload plans, no operation semantics outside internal/sem) =="
+echo "== 3. one query path, one query language, one meaning per operation, one description per target op (no compile/run copies outside internal/engine, no hand-built workload plans, no operation semantics outside internal/sem, no operand walks or op lists outside internal/vt) =="
 copies="$(find . -name '*.go' ! -name '*_test.go' \
 	! -path './internal/backend/*' ! -path './internal/engine/*' \
 	! -path './examples/irtour/*' ! -path './benchmark/*' ! -path './.bench_build/*' \
@@ -130,6 +138,15 @@ sems="$(find . -name '*.go' ! -name '*_test.go' \
 if [ -n "$sems" ]; then
 	echo "$sems"
 	echo "call internal/sem for what an operation means instead of defining it again" >&2
+	exit 1
+fi
+
+ops="$(find . -name '*.go' ! -name '*_test.go' \
+	! -path './internal/vt/*' ! -path './benchmark/*' ! -path './.bench_build/*' \
+	-exec grep -nE '^func (\([^)]*\) )?(visitOperands|visitMOperands|accessSize|immToRR)\(|vt\.AddI, vt\.SubI' {} + || true)"
+if [ -n "$ops" ]; then
+	echo "$ops"
+	echo "read what a target op reads, writes, encodes and commutes from the internal/vt table" >&2
 	exit 1
 fi
 
@@ -216,5 +233,8 @@ go test ./internal/sql -run '^$' -fuzz FuzzParse -fuzztime 10s
 
 echo "== 19. operation semantics fuzz smoke =="
 go test ./internal/sem -run '^$' -fuzz FuzzSem -fuzztime 10s
+
+echo "== 20. C back-end assembler fuzz smoke =="
+go test ./internal/backend/cbe -run '^$' -fuzz FuzzAssemble -fuzztime 10s
 
 echo "ci.sh: all checks passed"

@@ -58,13 +58,6 @@ func (g *asmgen) builtinOp(t *tac) error {
 		g.op3("xor", tx, tx, ty)
 		g.ins("movfr", d, tx)
 
-	case biAtomicAdd:
-		addr, val := g.use(t.args[0]), g.use(t.args[1])
-		d, tt := g.def(t.dst), g.tmp()
-		g.ins(memOp(t.ct2, 0, false), d, addr, int64(0))
-		g.op3("add", tt, d, val)
-		g.ins(memOp(t.ct2, 1, false), addr, int64(0), tt)
-
 	case biAddTrap, biSubTrap, biMulTrap:
 		return g.trapArith(t)
 

@@ -143,3 +143,51 @@ func TestMangle(t *testing.T) {
 		t.Errorf("leading digit not mangled: %q", mangle("9abc"))
 	}
 }
+
+// TestAssembleRejectsMalformedLines feeds the assembler one malformed line
+// each, on both targets: every one must come back as an error naming its
+// line, neither a panic nor silently wrong code.
+func TestAssembleRejectsMalformedLines(t *testing.T) {
+	lines := []string{
+		"fmov r1",           // too few operands
+		"ld64 r1, r2",       // missing displacement
+		"set eq r1 r2",      // missing second source
+		"add r1, rX, r2",    // bad register
+		"add r1, r1, r99",   // register the target does not have
+		"fadd r1, r1, f2",   // wrong register file
+		"movrf f0, f1",      // wrong register file
+		"mulw r1, r2, r3",   // too few operands
+		"set xx r1, r1, r2", // bad condition
+		"st64 r1, x, r2",    // bad displacement
+		"frob r1",           // unknown mnemonic
+		"movsym r1",         // missing symbol
+		"trapnz r1, 3, 4",   // too many operands
+	}
+	for _, arch := range []vt.Arch{vt.VX64, vt.VA64} {
+		for _, line := range lines {
+			_, err := assemble(".func f\n"+line+"\n.endfunc\n", arch)
+			if err == nil || !strings.Contains(err.Error(), "line 2 ") {
+				t.Errorf("%v: %q: want an error at line 2, got %v", arch, line, err)
+			}
+		}
+	}
+}
+
+// FuzzAssemble runs arbitrary text through the assembler on both targets,
+// from a corpus of the compiler's own output for TPC-H functions: no panic,
+// and every function it accepts decodes.
+func FuzzAssemble(f *testing.F) {
+	f.Fuzz(func(t *testing.T, text string) {
+		for _, arch := range []vt.Arch{vt.VX64, vt.VA64} {
+			fns, err := assemble(text, arch)
+			if err != nil {
+				continue
+			}
+			for _, fn := range fns {
+				if _, err := vt.Decode(arch, fn.code); err != nil {
+					t.Fatalf("%v: %s assembled into code that does not decode: %v", arch, fn.name, err)
+				}
+			}
+		}
+	})
+}

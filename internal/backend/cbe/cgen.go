@@ -439,9 +439,6 @@ func (g *cgen) inst(v qir.Value, in *qir.Instr) error {
 		} else {
 			fmt.Fprintf(w, "  *(%s%s*)(v%d + 0LL) = v%d;\n", q, typeName(t), in.A, in.B)
 		}
-	case qir.OpAtomicAdd:
-		asgn("__atomicadd_%s(v%d, v%d)", typeName(in.Type), in.A, in.B)
-
 	case qir.OpSelect:
 		if in.Type == qir.Str {
 			fmt.Fprintf(w, "  v%d_lo = __select(v%d, v%d_lo, v%d_lo);\n", v, in.A, in.B, in.C)

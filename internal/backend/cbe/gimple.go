@@ -66,7 +66,6 @@ const (
 	biBitsF64
 	biSelect
 	biFSelect
-	biAtomicAdd
 	biTrapStmt
 )
 
@@ -311,39 +310,35 @@ var builtinByName = map[string]struct {
 	kind builtinKind
 	ct   cType
 }{
-	"__i128":          {biI128, ctI128},
-	"__addtrap_i16":   {biAddTrap, ctI16},
-	"__addtrap_i32":   {biAddTrap, ctI32},
-	"__addtrap_i64":   {biAddTrap, ctI64},
-	"__addtrap_i128":  {biAddTrap, ctI128},
-	"__subtrap_i16":   {biSubTrap, ctI16},
-	"__subtrap_i32":   {biSubTrap, ctI32},
-	"__subtrap_i64":   {biSubTrap, ctI64},
-	"__subtrap_i128":  {biSubTrap, ctI128},
-	"__multrap_i16":   {biMulTrap, ctI16},
-	"__multrap_i32":   {biMulTrap, ctI32},
-	"__multrap_i64":   {biMulTrap, ctI64},
-	"__multrap_i128":  {biMulTrap, ctI128},
-	"__addtrap_i8":    {biAddTrap, ctI8},
-	"__subtrap_i8":    {biSubTrap, ctI8},
-	"__multrap_i8":    {biMulTrap, ctI8},
-	"__crc32":         {biCrc32, ctI64},
-	"__lmulfold":      {biLMulFold, ctI64},
-	"__rotr":          {biRotr, ctI64},
-	"__zext_i1":       {biZext, ctI1},
-	"__zext_i8":       {biZext, ctI8},
-	"__zext_i16":      {biZext, ctI16},
-	"__zext_i32":      {biZext, ctI32},
-	"__zext_i64":      {biZext, ctI64},
-	"__zext_ptr":      {biZext, ctPtr},
-	"__f64bits":       {biF64Bits, ctI64},
-	"__bitsf64":       {biBitsF64, ctF64},
-	"__select":        {biSelect, ctI64},
-	"__fselect":       {biFSelect, ctF64},
-	"__atomicadd_i32": {biAtomicAdd, ctI32},
-	"__atomicadd_i64": {biAtomicAdd, ctI64},
-	"__atomicadd_i8":  {biAtomicAdd, ctI8},
-	"__atomicadd_i16": {biAtomicAdd, ctI16},
+	"__i128":         {biI128, ctI128},
+	"__addtrap_i16":  {biAddTrap, ctI16},
+	"__addtrap_i32":  {biAddTrap, ctI32},
+	"__addtrap_i64":  {biAddTrap, ctI64},
+	"__addtrap_i128": {biAddTrap, ctI128},
+	"__subtrap_i16":  {biSubTrap, ctI16},
+	"__subtrap_i32":  {biSubTrap, ctI32},
+	"__subtrap_i64":  {biSubTrap, ctI64},
+	"__subtrap_i128": {biSubTrap, ctI128},
+	"__multrap_i16":  {biMulTrap, ctI16},
+	"__multrap_i32":  {biMulTrap, ctI32},
+	"__multrap_i64":  {biMulTrap, ctI64},
+	"__multrap_i128": {biMulTrap, ctI128},
+	"__addtrap_i8":   {biAddTrap, ctI8},
+	"__subtrap_i8":   {biSubTrap, ctI8},
+	"__multrap_i8":   {biMulTrap, ctI8},
+	"__crc32":        {biCrc32, ctI64},
+	"__lmulfold":     {biLMulFold, ctI64},
+	"__rotr":         {biRotr, ctI64},
+	"__zext_i1":      {biZext, ctI1},
+	"__zext_i8":      {biZext, ctI8},
+	"__zext_i16":     {biZext, ctI16},
+	"__zext_i32":     {biZext, ctI32},
+	"__zext_i64":     {biZext, ctI64},
+	"__zext_ptr":     {biZext, ctPtr},
+	"__f64bits":      {biF64Bits, ctI64},
+	"__bitsf64":      {biBitsF64, ctF64},
+	"__select":       {biSelect, ctI64},
+	"__fselect":      {biFSelect, ctF64},
 }
 
 func gimplifyCall(gf *gimpleFunc, e *cexpr, vars map[string]int32,
@@ -383,7 +378,7 @@ func gimplifyCall(gf *gimpleFunc, e *cexpr, vars map[string]int32,
 	switch bi.kind {
 	case biI128:
 		resT = ctI128
-	case biAddTrap, biSubTrap, biMulTrap, biAtomicAdd:
+	case biAddTrap, biSubTrap, biMulTrap:
 		resT = bi.ct
 	case biBitsF64, biFSelect:
 		resT = ctF64

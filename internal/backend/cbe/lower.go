@@ -122,16 +122,13 @@ func (g *asmgen) movTo(d, src reg) {
 	}
 }
 
-var commutes = map[string]bool{"add": true, "mul": true, "and": true, "or": true, "xor": true,
-	"fadd": true, "fmul": true}
-
 // op3 emits d = a op b, honouring the two-address constraint.
 func (g *asmgen) op3(op string, d, a, b reg) {
 	if g.tgt.TwoAddress && d != a {
 		switch {
 		case d != b:
 			g.movTo(d, a)
-		case commutes[op]:
+		case asmOps[op].Info().Commutes:
 			b = a
 		default:
 			t := g.alloc(d >= fpr0)
@@ -212,7 +209,7 @@ func (g *asmgen) binOp(t *tac) error {
 	case ctI128:
 		return g.bin128(t)
 	}
-	if t.b >= 0 && commutes[gBinName[t.bin]] && !g.dies(t.a) && g.dies(t.b) {
+	if t.b >= 0 && asmOps[gBinName[t.bin]].Info().Commutes && !g.dies(t.a) && g.dies(t.b) {
 		t.a, t.b = t.b, t.a
 	}
 	a := g.use(t.a)

@@ -22,13 +22,13 @@ func buildCheckFunc(vc *vcode, ra *raResult, tgt *vt.Target) (*mcv.Func, []mcv.D
 
 	var diags []mcv.Diag
 	curB, curI := int32(0), 0
-	locV := func(r vreg, cls RegClass) (int32, mcv.Loc, bool) {
+	locV := func(r vreg, cls vt.RegClass) (int32, mcv.Loc, bool) {
 		if r == vnone {
 			return -1, mcv.LocNone, false
 		}
 		if isPreg(r) {
 			p := pregNum(r)
-			if cls == ClassFloat {
+			if cls == vt.FPR {
 				return -1, mcv.FPR(p), true
 			}
 			return -1, mcv.GPR(p), true
@@ -42,7 +42,7 @@ func buildCheckFunc(vc *vcode, ra *raResult, tgt *vt.Target) (*mcv.Func, []mcv.D
 			})
 			return -1, mcv.LocNone, false
 		case a >= 0:
-			if cls == ClassFloat {
+			if cls == vt.FPR {
 				return r, mcv.FPR(uint8(a)), true
 			}
 			return r, mcv.GPR(uint8(a)), true
@@ -50,11 +50,11 @@ func buildCheckFunc(vc *vcode, ra *raResult, tgt *vt.Target) (*mcv.Func, []mcv.D
 			return r, mcv.Slot(-1 - a), true
 		}
 	}
-	classOf := func(r vreg) RegClass {
+	classOf := func(r vreg) vt.RegClass {
 		if r >= 0 {
 			return vc.classes[r]
 		}
-		return ClassInt
+		return vt.GPR
 	}
 	convMoves := func(mv [2][]vreg) []mcv.Move {
 		dsts, srcs := mv[0], mv[1]
@@ -92,16 +92,16 @@ func buildCheckFunc(vc *vcode, ra *raResult, tgt *vt.Target) (*mcv.Func, []mcv.D
 			case vt.BrCC, vt.BrNZ:
 				edge++ // brif edges carry no moves by construction
 				inst := mcv.Inst{Op: in.op, Edge: &mcv.Edge{Succ: in.target}}
-				visitOperands(in, func(r *vreg, isDef bool, cls RegClass) {
+				in.operands(func(r *vreg, isDef bool, cls vt.RegClass) {
 					if v, l, ok := locV(*r, cls); ok {
 						inst.Ops = append(inst.Ops, mcv.Operand{V: v, Loc: l, Def: isDef})
 					}
 				})
 				cb.Insts = append(cb.Insts, inst)
 			case vt.MovRR, vt.FMovRR:
-				cls := ClassInt
+				cls := vt.GPR
 				if in.op == vt.FMovRR {
-					cls = ClassFloat
+					cls = vt.FPR
 				}
 				sv, sl, sok := locV(in.ra, cls)
 				dv, dl, dok := locV(in.rd, cls)
@@ -113,7 +113,7 @@ func buildCheckFunc(vc *vcode, ra *raResult, tgt *vt.Target) (*mcv.Func, []mcv.D
 				}
 			default:
 				inst := mcv.Inst{Op: in.op, Call: in.isCall}
-				visitOperands(in, func(r *vreg, isDef bool, cls RegClass) {
+				in.operands(func(r *vreg, isDef bool, cls vt.RegClass) {
 					if v, l, ok := locV(*r, cls); ok {
 						inst.Ops = append(inst.Ops, mcv.Operand{V: v, Loc: l, Def: isDef})
 					}

@@ -23,22 +23,17 @@
 // addresses are hard-wired into the IR.
 package clift
 
-import "fmt"
+import (
+	"fmt"
+
+	"qcc/internal/vt"
+)
 
 // Val is a CIR value id.
 type Val = int32
 
 // noVal marks absent operands.
 const noVal Val = -1
-
-// RegClass is the register class of a value.
-type RegClass uint8
-
-// Register classes.
-const (
-	ClassInt RegClass = iota
-	ClassFloat
-)
 
 // Op is a CIR operation. All integer values are 64-bit (the translator
 // legalizes narrow and 128-bit QIR types); loads and stores carry their
@@ -200,7 +195,7 @@ type Func struct {
 	Extra  []Val
 
 	// Per-value metadata (values are dense ids).
-	ValClass []RegClass
+	ValClass []vt.RegClass
 	ValDef   []int32 // defining instruction (-1 for block params)
 	NumVals  int
 
@@ -213,7 +208,7 @@ type Func struct {
 }
 
 // newVal allocates a value id of the given class.
-func (f *Func) newVal(class RegClass, def int32) Val {
+func (f *Func) newVal(class vt.RegClass, def int32) Val {
 	v := Val(f.NumVals)
 	f.NumVals++
 	f.ValClass = append(f.ValClass, class)
@@ -246,7 +241,7 @@ func (f *Func) newBlock() int32 {
 }
 
 // addBlockParam declares a parameter value on block b.
-func (f *Func) addBlockParam(b int32, class RegClass) Val {
+func (f *Func) addBlockParam(b int32, class vt.RegClass) Val {
 	v := f.newVal(class, -1)
 	f.Blocks[b].Params = append(f.Blocks[b].Params, v)
 	return v

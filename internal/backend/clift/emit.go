@@ -29,6 +29,9 @@ type emitter struct {
 	calleeRegs  []uint8
 	estBytes    int64 // veneer-estimation result
 	clobberMask uint64
+	// loc is the instruction being encoded, its registers resolved in
+	// place (a field, so that the operand walk does not allocate it).
+	loc vinst
 }
 
 // loc is a post-RA location: preg >= 0 or spill slot encoded negative.
@@ -111,8 +114,8 @@ func (e *emitter) clobberScan() {
 	for b := range e.vc.blocks {
 		blk := &e.vc.blocks[b]
 		for i := range blk.insts {
-			visitOperands(&blk.insts[i], func(r *vreg, isDef bool, cls RegClass) {
-				if !isDef || cls == ClassFloat {
+			blk.insts[i].operands(func(r *vreg, isDef bool, cls vt.RegClass) {
+				if !isDef || cls == vt.FPR {
 					return
 				}
 				if isPreg(*r) {
@@ -165,384 +168,118 @@ func (e *emitter) locOf(r vreg) raLoc {
 
 func (e *emitter) slotOff(l raLoc) int64 { return e.spillBase + int64(-1-l)*8 }
 
+// scratch returns the k-th (0 or 1) reserved scratch register of class cls.
+func (e *emitter) scratch(cls vt.RegClass, k int) uint8 {
+	if cls == vt.FPR {
+		return [2]uint8{e.fs0, e.fs1}[k]
+	}
+	return [2]uint8{e.s0, e.s1}[k]
+}
+
 // inst encodes one vinst, fixing up spilled operands through scratch
-// registers and two-address constraints through moves.
+// registers and two-address constraints through moves. What the operation
+// reads, writes and commutes comes from vt's table.
 func (e *emitter) inst(in *vinst) error {
+	if in.op == vt.Ret {
+		e.epilogue()
+		return nil
+	}
+	info := in.op.Info()
+	if info.Form == vt.FormInvalid {
+		return fmt.Errorf("cannot emit vinst %s", in.op)
+	}
 	sp := e.tgt.SP
-	// Resolve operand locations; spilled uses load into scratch.
-	resolve := func(r vreg, cls RegClass, scratch uint8) (uint8, error) {
-		l := e.locOf(r)
-		if l == assignNone {
-			return 0, fmt.Errorf("operand vreg %d unallocated", r)
-		}
-		if l >= 0 {
-			return uint8(l), nil
-		}
-		if cls == ClassFloat {
-			e.asm.Emit(vt.Instr{Op: vt.FLoad, RD: scratch, RA: sp, Imm: e.slotOff(l)})
-		} else {
-			e.asm.Emit(vt.Instr{Op: vt.Load64, RD: scratch, RA: sp, Imm: e.slotOff(l)})
-		}
-		return scratch, nil
+	// Operands resolve in vt.Walk's order, each into loc as a physical
+	// register: the k-th use (def) of a class that is spilled loads into
+	// (computes into) that class's k-th scratch register, and a spilled
+	// def is stored after the instruction.
+	loc := &e.loc
+	*loc = *in
+	var nuse, ndef [2]int
+	var fixes [2]struct {
+		slot int64
+		reg  uint8
+		cls  vt.RegClass
 	}
-	// Defs: spilled results compute into scratch and store after.
-	type defFix struct {
-		slot  int64
-		reg   uint8
-		float bool
-	}
-	var fixes []defFix
-	defReg := func(r vreg, cls RegClass, scratch uint8) (uint8, error) {
-		l := e.locOf(r)
-		if l == assignNone {
-			return 0, fmt.Errorf("def vreg %d unallocated", r)
+	nfix := 0
+	var err error
+	vt.Walk(in.op, vnone, &loc.rd, &loc.ra, &loc.rb, &loc.rc, func(r *vreg, def bool, cls vt.RegClass) {
+		n := &nuse[cls]
+		if def {
+			n = &ndef[cls]
 		}
-		if l >= 0 {
-			return uint8(l), nil
+		sc := e.scratch(cls, *n)
+		*n++
+		l := e.locOf(*r)
+		switch {
+		case err != nil:
+		case l == assignNone && def:
+			err = fmt.Errorf("def vreg %d unallocated", *r)
+		case l == assignNone:
+			err = fmt.Errorf("operand vreg %d unallocated", *r)
+		case l >= 0:
+			*r = l
+		case def:
+			fixes[nfix].slot, fixes[nfix].reg, fixes[nfix].cls = e.slotOff(l), sc, cls
+			nfix++
+			*r = vreg(sc)
+		default:
+			ld := vt.Load64
+			if cls == vt.FPR {
+				ld = vt.FLoad
+			}
+			e.asm.Emit(vt.Instr{Op: ld, RD: sc, RA: sp, Imm: e.slotOff(l)})
+			*r = vreg(sc)
 		}
-		fixes = append(fixes, defFix{slot: e.slotOff(l), reg: scratch, float: cls == ClassFloat})
-		return scratch, nil
+	})
+	if err != nil {
+		return err
 	}
-	flush := func() {
-		for _, f := range fixes {
-			if f.float {
-				e.asm.Emit(vt.Instr{Op: vt.FStore, RA: sp, RB: f.reg, Imm: f.slot})
-			} else {
-				e.asm.Emit(vt.Instr{Op: vt.Store64, RA: sp, RB: f.reg, Imm: f.slot})
+	used := info.Use | info.Def
+	reg := func(f vt.Regs, r vreg) uint8 {
+		if used&f == 0 {
+			return 0
+		}
+		return uint8(r)
+	}
+	out := vt.Instr{Op: in.op, Cond: in.cond, Imm: in.imm,
+		RD: reg(vt.RD, loc.rd), RA: reg(vt.RA, loc.ra), RB: reg(vt.RB, loc.rb), RC: reg(vt.RC, loc.rc)}
+	if in.op.IsBranch() {
+		out.Target = int32(e.labels[in.target])
+	}
+
+	switch {
+	case (in.op == vt.MovRR || in.op == vt.FMovRR) && out.RD == out.RA:
+		// The move is elided.
+	case in.op == vt.MovRI && in.sym >= 0:
+		e.asm.EmitMovSym(out.RD, in.sym)
+	case info.Form == vt.FormMulWide && out.RD == out.RC:
+		return fmt.Errorf("mulwide results share register r%d", out.RD)
+	default:
+		if e.tgt.TwoAddress && info.TwoAddr && out.RD != out.RA {
+			cls := info.Class(vt.RD)
+			mov := vt.MovOf(cls)
+			if info.Use&vt.RB != 0 && out.RD == out.RB {
+				if info.Commutes {
+					out.RA, out.RB = out.RB, out.RA
+				} else {
+					e.asm.Emit(vt.Instr{Op: mov, RD: e.scratch(cls, 1), RA: out.RB})
+					out.RB = e.scratch(cls, 1)
+				}
+			}
+			if out.RD != out.RA {
+				e.asm.Emit(vt.Instr{Op: mov, RD: out.RD, RA: out.RA})
+				out.RA = out.RD
 			}
 		}
+		e.asm.Emit(out)
 	}
-
-	emitALU := func(op vt.Op, rd, ra, rb uint8, commutative bool) {
-		if !e.tgt.TwoAddress {
-			e.asm.Emit(vt.Instr{Op: op, RD: rd, RA: ra, RB: rb})
-			return
+	for _, f := range fixes[:nfix] {
+		st := vt.Store64
+		if f.cls == vt.FPR {
+			st = vt.FStore
 		}
-		switch {
-		case rd == ra:
-			e.asm.Emit(vt.Instr{Op: op, RD: rd, RA: rd, RB: rb})
-		case rd == rb && commutative:
-			e.asm.Emit(vt.Instr{Op: op, RD: rd, RA: rd, RB: ra})
-		case rd == rb:
-			e.asm.Emit(vt.Instr{Op: vt.MovRR, RD: e.s1, RA: rb})
-			e.asm.Emit(vt.Instr{Op: vt.MovRR, RD: rd, RA: ra})
-			e.asm.Emit(vt.Instr{Op: op, RD: rd, RA: rd, RB: e.s1})
-		default:
-			e.asm.Emit(vt.Instr{Op: vt.MovRR, RD: rd, RA: ra})
-			e.asm.Emit(vt.Instr{Op: op, RD: rd, RA: rd, RB: rb})
-		}
-	}
-	emitALUImm := func(op vt.Op, rd, ra uint8, imm int64) {
-		if !e.tgt.TwoAddress || rd == ra {
-			e.asm.Emit(vt.Instr{Op: op, RD: rd, RA: ra, Imm: imm})
-			return
-		}
-		e.asm.Emit(vt.Instr{Op: vt.MovRR, RD: rd, RA: ra})
-		e.asm.Emit(vt.Instr{Op: op, RD: rd, RA: rd, Imm: imm})
-	}
-	emitFALU := func(op vt.Op, rd, ra, rb uint8, commutative bool) {
-		if !e.tgt.TwoAddress {
-			e.asm.Emit(vt.Instr{Op: op, RD: rd, RA: ra, RB: rb})
-			return
-		}
-		switch {
-		case rd == ra:
-			e.asm.Emit(vt.Instr{Op: op, RD: rd, RA: rd, RB: rb})
-		case rd == rb && commutative:
-			e.asm.Emit(vt.Instr{Op: op, RD: rd, RA: rd, RB: ra})
-		case rd == rb:
-			e.asm.Emit(vt.Instr{Op: vt.FMovRR, RD: e.fs1, RA: rb})
-			e.asm.Emit(vt.Instr{Op: vt.FMovRR, RD: rd, RA: ra})
-			e.asm.Emit(vt.Instr{Op: op, RD: rd, RA: rd, RB: e.fs1})
-		default:
-			e.asm.Emit(vt.Instr{Op: vt.FMovRR, RD: rd, RA: ra})
-			e.asm.Emit(vt.Instr{Op: op, RD: rd, RA: rd, RB: rb})
-		}
-	}
-
-	switch in.op {
-	case vt.MovRR:
-		ra, err := resolve(in.ra, ClassInt, e.s0)
-		if err != nil {
-			return err
-		}
-		rd, err := defReg(in.rd, ClassInt, e.s0)
-		if err != nil {
-			return err
-		}
-		if rd != ra {
-			e.asm.Emit(vt.Instr{Op: vt.MovRR, RD: rd, RA: ra})
-		}
-		flush()
-	case vt.FMovRR:
-		ra, err := resolve(in.ra, ClassFloat, e.fs0)
-		if err != nil {
-			return err
-		}
-		rd, err := defReg(in.rd, ClassFloat, e.fs0)
-		if err != nil {
-			return err
-		}
-		if rd != ra {
-			e.asm.Emit(vt.Instr{Op: vt.FMovRR, RD: rd, RA: ra})
-		}
-		flush()
-	case vt.MovRI:
-		rd, err := defReg(in.rd, ClassInt, e.s0)
-		if err != nil {
-			return err
-		}
-		if in.sym >= 0 {
-			e.asm.EmitMovSym(rd, in.sym)
-		} else {
-			e.asm.Emit(vt.Instr{Op: vt.MovRI, RD: rd, Imm: in.imm})
-		}
-		flush()
-	case vt.FMovRI:
-		rd, err := defReg(in.rd, ClassFloat, e.fs0)
-		if err != nil {
-			return err
-		}
-		e.asm.Emit(vt.Instr{Op: vt.FMovRI, RD: rd, Imm: in.imm})
-		flush()
-
-	case vt.Add, vt.Sub, vt.Mul, vt.And, vt.Or, vt.Xor, vt.Shl, vt.Shr, vt.Sar,
-		vt.Rotr, vt.SDiv, vt.SRem, vt.UDiv, vt.URem, vt.Crc32:
-		ra, err := resolve(in.ra, ClassInt, e.s0)
-		if err != nil {
-			return err
-		}
-		rb, err := resolve(in.rb, ClassInt, e.s1)
-		if err != nil {
-			return err
-		}
-		rd, err := defReg(in.rd, ClassInt, e.s0)
-		if err != nil {
-			return err
-		}
-		comm := in.op == vt.Add || in.op == vt.Mul || in.op == vt.And ||
-			in.op == vt.Or || in.op == vt.Xor
-		emitALU(in.op, rd, ra, rb, comm)
-		flush()
-
-	case vt.AddI, vt.SubI, vt.MulI, vt.AndI, vt.OrI, vt.XorI, vt.ShlI, vt.ShrI,
-		vt.SarI, vt.RotrI:
-		ra, err := resolve(in.ra, ClassInt, e.s0)
-		if err != nil {
-			return err
-		}
-		rd, err := defReg(in.rd, ClassInt, e.s0)
-		if err != nil {
-			return err
-		}
-		emitALUImm(in.op, rd, ra, in.imm)
-		flush()
-
-	case vt.Neg, vt.Not:
-		ra, err := resolve(in.ra, ClassInt, e.s0)
-		if err != nil {
-			return err
-		}
-		rd, err := defReg(in.rd, ClassInt, e.s0)
-		if err != nil {
-			return err
-		}
-		if e.tgt.TwoAddress && rd != ra {
-			e.asm.Emit(vt.Instr{Op: vt.MovRR, RD: rd, RA: ra})
-			ra = rd
-		}
-		e.asm.Emit(vt.Instr{Op: in.op, RD: rd, RA: ra})
-		flush()
-
-	case vt.MulWideU, vt.MulWideS:
-		ra, err := resolve(in.ra, ClassInt, e.s0)
-		if err != nil {
-			return err
-		}
-		rb, err := resolve(in.rb, ClassInt, e.s1)
-		if err != nil {
-			return err
-		}
-		rd, err := defReg(in.rd, ClassInt, e.s0)
-		if err != nil {
-			return err
-		}
-		rc, err := defReg(in.rc, ClassInt, e.s1)
-		if err != nil {
-			return err
-		}
-		if rd == rc {
-			return fmt.Errorf("mulwide results share register r%d", rd)
-		}
-		e.asm.Emit(vt.Instr{Op: in.op, RD: rd, RC: rc, RA: ra, RB: rb})
-		flush()
-
-	case vt.SetCC:
-		ra, err := resolve(in.ra, ClassInt, e.s0)
-		if err != nil {
-			return err
-		}
-		rb, err := resolve(in.rb, ClassInt, e.s1)
-		if err != nil {
-			return err
-		}
-		rd, err := defReg(in.rd, ClassInt, e.s0)
-		if err != nil {
-			return err
-		}
-		e.asm.Emit(vt.Instr{Op: vt.SetCC, Cond: in.cond, RD: rd, RA: ra, RB: rb})
-		flush()
-
-	case vt.Load8, vt.Load8S, vt.Load16, vt.Load16S, vt.Load32, vt.Load32S, vt.Load64,
-		vt.LoadU8, vt.LoadU8S, vt.LoadU16, vt.LoadU16S, vt.LoadU32, vt.LoadU32S, vt.LoadU64:
-		ra, err := resolve(in.ra, ClassInt, e.s0)
-		if err != nil {
-			return err
-		}
-		rd, err := defReg(in.rd, ClassInt, e.s0)
-		if err != nil {
-			return err
-		}
-		e.asm.Emit(vt.Instr{Op: in.op, RD: rd, RA: ra, Imm: in.imm})
-		flush()
-	case vt.Store8, vt.Store16, vt.Store32, vt.Store64,
-		vt.StoreU8, vt.StoreU16, vt.StoreU32, vt.StoreU64:
-		ra, err := resolve(in.ra, ClassInt, e.s0)
-		if err != nil {
-			return err
-		}
-		rb, err := resolve(in.rb, ClassInt, e.s1)
-		if err != nil {
-			return err
-		}
-		e.asm.Emit(vt.Instr{Op: in.op, RA: ra, RB: rb, Imm: in.imm})
-	case vt.FLoad, vt.FLoadU:
-		ra, err := resolve(in.ra, ClassInt, e.s0)
-		if err != nil {
-			return err
-		}
-		rd, err := defReg(in.rd, ClassFloat, e.fs0)
-		if err != nil {
-			return err
-		}
-		e.asm.Emit(vt.Instr{Op: in.op, RD: rd, RA: ra, Imm: in.imm})
-		flush()
-	case vt.FStore, vt.FStoreU:
-		ra, err := resolve(in.ra, ClassInt, e.s0)
-		if err != nil {
-			return err
-		}
-		rb, err := resolve(in.rb, ClassFloat, e.fs0)
-		if err != nil {
-			return err
-		}
-		e.asm.Emit(vt.Instr{Op: in.op, RA: ra, RB: rb, Imm: in.imm})
-
-	case vt.FAdd, vt.FSub, vt.FMul, vt.FDiv:
-		ra, err := resolve(in.ra, ClassFloat, e.fs0)
-		if err != nil {
-			return err
-		}
-		rb, err := resolve(in.rb, ClassFloat, e.fs1)
-		if err != nil {
-			return err
-		}
-		rd, err := defReg(in.rd, ClassFloat, e.fs0)
-		if err != nil {
-			return err
-		}
-		emitFALU(in.op, rd, ra, rb, in.op == vt.FAdd || in.op == vt.FMul)
-		flush()
-	case vt.FCmp:
-		ra, err := resolve(in.ra, ClassFloat, e.fs0)
-		if err != nil {
-			return err
-		}
-		rb, err := resolve(in.rb, ClassFloat, e.fs1)
-		if err != nil {
-			return err
-		}
-		rd, err := defReg(in.rd, ClassInt, e.s0)
-		if err != nil {
-			return err
-		}
-		e.asm.Emit(vt.Instr{Op: vt.FCmp, Cond: in.cond, RD: rd, RA: ra, RB: rb})
-		flush()
-	case vt.CvtSI2F:
-		ra, err := resolve(in.ra, ClassInt, e.s0)
-		if err != nil {
-			return err
-		}
-		rd, err := defReg(in.rd, ClassFloat, e.fs0)
-		if err != nil {
-			return err
-		}
-		e.asm.Emit(vt.Instr{Op: vt.CvtSI2F, RD: rd, RA: ra})
-		flush()
-	case vt.CvtF2SI:
-		ra, err := resolve(in.ra, ClassFloat, e.fs0)
-		if err != nil {
-			return err
-		}
-		rd, err := defReg(in.rd, ClassInt, e.s0)
-		if err != nil {
-			return err
-		}
-		e.asm.Emit(vt.Instr{Op: vt.CvtF2SI, RD: rd, RA: ra})
-		flush()
-	case vt.MovRF:
-		ra, err := resolve(in.ra, ClassFloat, e.fs0)
-		if err != nil {
-			return err
-		}
-		rd, err := defReg(in.rd, ClassInt, e.s0)
-		if err != nil {
-			return err
-		}
-		e.asm.Emit(vt.Instr{Op: vt.MovRF, RD: rd, RA: ra})
-		flush()
-	case vt.MovFR:
-		ra, err := resolve(in.ra, ClassInt, e.s0)
-		if err != nil {
-			return err
-		}
-		rd, err := defReg(in.rd, ClassFloat, e.fs0)
-		if err != nil {
-			return err
-		}
-		e.asm.Emit(vt.Instr{Op: vt.MovFR, RD: rd, RA: ra})
-		flush()
-
-	case vt.BrCC:
-		ra, err := resolve(in.ra, ClassInt, e.s0)
-		if err != nil {
-			return err
-		}
-		rb, err := resolve(in.rb, ClassInt, e.s1)
-		if err != nil {
-			return err
-		}
-		e.asm.Emit(vt.Instr{Op: vt.BrCC, Cond: in.cond, RA: ra, RB: rb, Target: int32(e.labels[in.target])})
-	case vt.BrNZ:
-		ra, err := resolve(in.ra, ClassInt, e.s0)
-		if err != nil {
-			return err
-		}
-		e.asm.Emit(vt.Instr{Op: vt.BrNZ, RA: ra, Target: int32(e.labels[in.target])})
-	case vt.TrapNZ:
-		ra, err := resolve(in.ra, ClassInt, e.s0)
-		if err != nil {
-			return err
-		}
-		e.asm.Emit(vt.Instr{Op: vt.TrapNZ, RA: ra, Imm: in.imm})
-	case vt.Trap:
-		e.asm.Emit(vt.Instr{Op: vt.Trap, Imm: in.imm})
-	case vt.CallRT:
-		e.asm.Emit(vt.Instr{Op: vt.CallRT, Imm: in.imm})
-	case vt.Ret:
-		e.epilogue()
-	default:
-		return fmt.Errorf("cannot emit vinst %s", in.op)
+		e.asm.Emit(vt.Instr{Op: st, RA: sp, RB: f.reg, Imm: f.slot})
 	}
 	return nil
 }
@@ -552,7 +289,7 @@ func (e *emitter) inst(in *vinst) error {
 func (e *emitter) parallelMoves(dsts, srcs []vreg) {
 	type move struct {
 		dst, src raLoc
-		cls      RegClass
+		cls      vt.RegClass
 		fromCyc  bool
 	}
 	var pending []move
@@ -574,7 +311,7 @@ func (e *emitter) parallelMoves(dsts, srcs []vreg) {
 		} else if srcIsSlot {
 			srcSlot = e.slotOff(m.src)
 		}
-		if m.cls == ClassFloat {
+		if m.cls == vt.FPR {
 			switch {
 			case !srcIsSlot && m.dst >= 0:
 				e.asm.Emit(vt.Instr{Op: vt.FMovRR, RD: uint8(m.dst), RA: uint8(m.src)})
@@ -628,7 +365,7 @@ func (e *emitter) parallelMoves(dsts, srcs []vreg) {
 		// redirect those readers, then perform the move.
 		m := pending[0]
 		sp := e.tgt.SP
-		if m.cls == ClassFloat {
+		if m.cls == vt.FPR {
 			if m.dst >= 0 {
 				e.asm.Emit(vt.Instr{Op: vt.FStore, RA: sp, RB: uint8(m.dst), Imm: e.cycleSlot})
 			} else {

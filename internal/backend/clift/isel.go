@@ -30,8 +30,6 @@ type vinst struct {
 	rc     vreg
 	imm    int64
 	target int32
-	// float marks rd/ra/rb as float-class (FPR) registers.
-	float bool
 	// isCall marks runtime calls (clobbers caller-saved registers).
 	isCall bool
 	// sym is a relocation symbol for MovRI of function addresses (-1
@@ -52,7 +50,7 @@ type vcode struct {
 	// nvregs is the virtual register count; classes[v] is each vreg's
 	// register class.
 	nvregs  int32
-	classes []RegClass
+	classes []vt.RegClass
 	name    string
 	rets    int
 }
@@ -62,7 +60,7 @@ type vcode struct {
 // partitioning, and use counting via depth-first search.
 type prepare struct {
 	vregOf    []vreg // CIR value -> vreg
-	classes   []RegClass
+	classes   []vt.RegClass
 	partition []int32 // per CIR instruction: side-effect partition index
 	uses      []int32 // per CIR value: number of uses (2 = "many")
 	nvregs    int32
@@ -74,7 +72,7 @@ func runPrepare(f *Func) *prepare {
 
 	// Pass 1: allocate virtual registers and mark register classes.
 	p.vregOf = make([]vreg, f.NumVals)
-	p.classes = make([]RegClass, f.NumVals)
+	p.classes = make([]vt.RegClass, f.NumVals)
 	for v := 0; v < f.NumVals; v++ {
 		p.vregOf[v] = vreg(v)
 		p.classes[v] = f.ValClass[v]
@@ -120,7 +118,7 @@ func runPrepare(f *Func) *prepare {
 	return p
 }
 
-func (p *prepare) newTemp(cls RegClass) vreg {
+func (p *prepare) newTemp(cls vt.RegClass) vreg {
 	v := p.nvregs
 	p.nvregs++
 	p.classes = append(p.classes, cls)
@@ -171,10 +169,10 @@ func (lo *lowerer) lowerEntryParams() {
 	regIdx := 0
 	fregIdx := 0
 	for _, v := range lo.f.Params {
-		if lo.f.ValClass[v] == ClassFloat {
+		if lo.f.ValClass[v] == vt.FPR {
 			src := lo.tgt.FloatArgs[fregIdx]
 			fregIdx++
-			lo.emit(vinst{op: vt.FMovRR, rd: lo.p.vregOf[v], ra: preg(src), float: true, rc: vnone, rb: vnone, sym: -1})
+			lo.emit(vinst{op: vt.FMovRR, rd: lo.p.vregOf[v], ra: preg(src), rc: vnone, rb: vnone, sym: -1})
 		} else {
 			src := lo.tgt.IntArgs[regIdx]
 			regIdx++

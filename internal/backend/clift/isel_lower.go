@@ -40,17 +40,6 @@ var vBinOpImm = map[Op]vt.Op{
 	OpIshl: vt.ShlI, OpUshr: vt.ShrI, OpSshr: vt.SarI, OpRotr: vt.RotrI,
 }
 
-// memVOp maps a memory op to its unchecked variant when the CIR instruction
-// carries the check-elimination flag (Aux 1 on memory ops).
-func memVOp(o vt.Op, in *Inst) vt.Op {
-	if in.Aux != 0 {
-		if u, ok := vt.UncheckedMemOf(o); ok {
-			return u
-		}
-	}
-	return o
-}
-
 var vLoadOp = map[Op]vt.Op{
 	OpLoad8U: vt.Load8, OpLoad8S: vt.Load8S, OpLoad16S: vt.Load16S,
 	OpLoad32S: vt.Load32S, OpLoad64: vt.Load64,
@@ -73,7 +62,6 @@ func (lo *lowerer) lowerInst(b, idx int32, in *Inst) error {
 		v := mk(vt.FMovRI)
 		v.rd = lo.val(in.Res[0])
 		v.imm = in.Imm
-		v.float = true
 		lo.emit(v)
 	case OpFuncAddr:
 		v := mk(vt.MovRI)
@@ -121,7 +109,7 @@ func (lo *lowerer) lowerInst(b, idx int32, in *Inst) error {
 			op = vt.MulWideS
 		}
 		v := mk(op)
-		v.rd = lo.p.newTemp(ClassInt) // low half discarded
+		v.rd = lo.p.newTemp(vt.GPR) // low half discarded
 		v.rc = lo.val(in.Res[0])
 		v.ra = lo.val(in.Args[0])
 		v.rb = lo.val(in.Args[1])
@@ -151,7 +139,7 @@ func (lo *lowerer) lowerInst(b, idx int32, in *Inst) error {
 		v.ra = lo.val(in.Args[0])
 		if imm, _, ok := lo.constArg(in.Args[1]); ok {
 			// No compare-immediate form: materialize into a temp.
-			t := lo.p.newTemp(ClassInt)
+			t := lo.p.newTemp(vt.GPR)
 			m := mk(vt.MovRI)
 			m.rd = t
 			m.imm = imm
@@ -167,33 +155,31 @@ func (lo *lowerer) lowerInst(b, idx int32, in *Inst) error {
 
 	case OpLoad8U, OpLoad8S, OpLoad16S, OpLoad32S, OpLoad64:
 		base, disp := lo.amode(in.Args[0])
-		v := mk(memVOp(vLoadOp[in.Op], in))
+		v := mk(vLoadOp[in.Op].UncheckedIf(in.Aux != 0))
 		v.rd = lo.val(in.Res[0])
 		v.ra = base
 		v.imm = disp
 		lo.emit(v)
 	case OpFload:
 		base, disp := lo.amode(in.Args[0])
-		v := mk(memVOp(vt.FLoad, in))
+		v := mk(vt.FLoad.UncheckedIf(in.Aux != 0))
 		v.rd = lo.val(in.Res[0])
 		v.ra = base
 		v.imm = disp
-		v.float = true
 		lo.emit(v)
 	case OpStore8, OpStore16, OpStore32, OpStore64:
 		base, disp := lo.amode(in.Args[0])
-		v := mk(memVOp(vStoreOp[in.Op], in))
+		v := mk(vStoreOp[in.Op].UncheckedIf(in.Aux != 0))
 		v.ra = base
 		v.rb = lo.val(in.Args[1])
 		v.imm = disp
 		lo.emit(v)
 	case OpFstore:
 		base, disp := lo.amode(in.Args[0])
-		v := mk(memVOp(vt.FStore, in))
+		v := mk(vt.FStore.UncheckedIf(in.Aux != 0))
 		v.ra = base
 		v.rb = lo.val(in.Args[1])
 		v.imm = disp
-		v.float = true
 		lo.emit(v)
 
 	case OpFadd, OpFsub, OpFmul, OpFdiv:
@@ -212,7 +198,6 @@ func (lo *lowerer) lowerInst(b, idx int32, in *Inst) error {
 		v.rd = lo.val(in.Res[0])
 		v.ra = lo.val(in.Args[0])
 		v.rb = lo.val(in.Args[1])
-		v.float = true
 		lo.emit(v)
 	case OpFcmp:
 		v := mk(vt.FCmp)
@@ -220,7 +205,6 @@ func (lo *lowerer) lowerInst(b, idx int32, in *Inst) error {
 		v.rd = lo.val(in.Res[0]) // integer result
 		v.ra = lo.val(in.Args[0])
 		v.rb = lo.val(in.Args[1])
-		v.float = true // ra/rb are float; rd handled as int by RA
 		lo.emit(v)
 	case OpFcvtFromSint:
 		v := mk(vt.CvtSI2F)
@@ -258,11 +242,10 @@ func (lo *lowerer) lowerInst(b, idx int32, in *Inst) error {
 		c.isCall = true
 		lo.emit(c)
 		for i := 0; i < in.numResults(); i++ {
-			if lo.f.ValClass[in.Res[i]] == ClassFloat {
+			if lo.f.ValClass[in.Res[i]] == vt.FPR {
 				m := mk(vt.MovFR)
 				m.rd = lo.val(in.Res[i])
 				m.ra = preg(lo.tgt.IntRet[i])
-				m.float = true
 				lo.emit(m)
 			} else {
 				m := mk(vt.MovRR)
@@ -294,7 +277,7 @@ func (lo *lowerer) lowerInst(b, idx int32, in *Inst) error {
 			v.cond = vt.Cond(cmp.Aux)
 			v.ra = lo.val(cmp.Args[0])
 			if imm, _, ok := lo.constArg(cmp.Args[1]); ok {
-				t := lo.p.newTemp(ClassInt)
+				t := lo.p.newTemp(vt.GPR)
 				m := mk(vt.MovRI)
 				m.rd = t
 				m.imm = imm
@@ -321,9 +304,8 @@ func (lo *lowerer) lowerInst(b, idx int32, in *Inst) error {
 		n := 0
 		if in.Args[0] != noVal {
 			m := mk(vt.MovRR)
-			if lo.f.ValClass[in.Args[0]] == ClassFloat {
+			if lo.f.ValClass[in.Args[0]] == vt.FPR {
 				m.op = vt.MovRF
-				m.float = true
 			}
 			m.rd = preg(lo.tgt.IntRet[0])
 			m.ra = lo.val(in.Args[0])
@@ -372,8 +354,8 @@ func (lo *lowerer) lowerOverflow(in *Inst) {
 		v.rd, v.ra, v.imm = d, a, imm
 		lo.emit(v)
 	}
-	t1 := lo.p.newTemp(ClassInt)
-	t2 := lo.p.newTemp(ClassInt)
+	t1 := lo.p.newTemp(vt.GPR)
+	t2 := lo.p.newTemp(vt.GPR)
 	switch in.Op {
 	case OpIaddOv:
 		emit2(vt.Add, rd, ra, rb)
@@ -403,13 +385,13 @@ func (lo *lowerer) lowerOverflow(in *Inst) {
 // lowerSelect emits the branch-free xor-mask select.
 func (lo *lowerer) lowerSelect(in *Inst) {
 	cond := lo.val(in.Args[0])
-	isFloat := lo.f.ValClass[in.Res[0]] == ClassFloat
-	mask := lo.p.newTemp(ClassInt)
+	isFloat := lo.f.ValClass[in.Res[0]] == vt.FPR
+	mask := lo.p.newTemp(vt.GPR)
 	m := mk(vt.Neg)
 	m.rd, m.ra = mask, cond
 	lo.emit(m)
 	selInt := func(rd, a, b vreg) {
-		t := lo.p.newTemp(ClassInt)
+		t := lo.p.newTemp(vt.GPR)
 		x := mk(vt.Xor)
 		x.rd, x.ra, x.rb = t, a, b
 		lo.emit(x)
@@ -424,9 +406,9 @@ func (lo *lowerer) lowerSelect(in *Inst) {
 		selInt(lo.val(in.Res[0]), lo.val(in.Args[1]), lo.val(in.Args[2]))
 		return
 	}
-	ta := lo.p.newTemp(ClassInt)
-	tb := lo.p.newTemp(ClassInt)
-	td := lo.p.newTemp(ClassInt)
+	ta := lo.p.newTemp(vt.GPR)
+	tb := lo.p.newTemp(vt.GPR)
+	td := lo.p.newTemp(vt.GPR)
 	mv := mk(vt.MovRF)
 	mv.rd, mv.ra = ta, lo.val(in.Args[1])
 	lo.emit(mv)
@@ -436,6 +418,5 @@ func (lo *lowerer) lowerSelect(in *Inst) {
 	selInt(td, ta, tb)
 	fr := mk(vt.MovFR)
 	fr.rd, fr.ra = lo.val(in.Res[0]), td
-	fr.float = true
 	lo.emit(fr)
 }

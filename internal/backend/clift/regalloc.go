@@ -41,92 +41,10 @@ const (
 	assignNone = int32(-0x40000000)
 )
 
-// opndVisit calls fn for every register operand of in: first uses, then
-// defs. Class is the operand's register file.
-type opndFn func(r *vreg, isDef bool, cls RegClass)
-
-func visitOperands(in *vinst, fn opndFn) {
-	use := func(r *vreg, cls RegClass) {
-		if *r != vnone {
-			fn(r, false, cls)
-		}
-	}
-	def := func(r *vreg, cls RegClass) {
-		if *r != vnone {
-			fn(r, true, cls)
-		}
-	}
-	switch in.op {
-	case vt.MovRR, vt.Neg, vt.Not, vt.Lea:
-		use(&in.ra, ClassInt)
-		def(&in.rd, ClassInt)
-	case vt.MovRI:
-		def(&in.rd, ClassInt)
-	case vt.FMovRI:
-		def(&in.rd, ClassFloat)
-	case vt.FMovRR:
-		use(&in.ra, ClassFloat)
-		def(&in.rd, ClassFloat)
-	case vt.Add, vt.Sub, vt.Mul, vt.And, vt.Or, vt.Xor, vt.Shl, vt.Shr, vt.Sar,
-		vt.Rotr, vt.SDiv, vt.SRem, vt.UDiv, vt.URem, vt.Crc32:
-		use(&in.ra, ClassInt)
-		use(&in.rb, ClassInt)
-		def(&in.rd, ClassInt)
-	case vt.AddI, vt.SubI, vt.MulI, vt.AndI, vt.OrI, vt.XorI, vt.ShlI, vt.ShrI,
-		vt.SarI, vt.RotrI:
-		use(&in.ra, ClassInt)
-		def(&in.rd, ClassInt)
-	case vt.MulWideU, vt.MulWideS:
-		use(&in.ra, ClassInt)
-		use(&in.rb, ClassInt)
-		def(&in.rd, ClassInt)
-		def(&in.rc, ClassInt)
-	case vt.SetCC:
-		use(&in.ra, ClassInt)
-		use(&in.rb, ClassInt)
-		def(&in.rd, ClassInt)
-	case vt.Load8, vt.Load8S, vt.Load16, vt.Load16S, vt.Load32, vt.Load32S, vt.Load64,
-		vt.LoadU8, vt.LoadU8S, vt.LoadU16, vt.LoadU16S, vt.LoadU32, vt.LoadU32S, vt.LoadU64:
-		use(&in.ra, ClassInt)
-		def(&in.rd, ClassInt)
-	case vt.Store8, vt.Store16, vt.Store32, vt.Store64,
-		vt.StoreU8, vt.StoreU16, vt.StoreU32, vt.StoreU64:
-		use(&in.ra, ClassInt)
-		use(&in.rb, ClassInt)
-	case vt.FLoad, vt.FLoadU:
-		use(&in.ra, ClassInt)
-		def(&in.rd, ClassFloat)
-	case vt.FStore, vt.FStoreU:
-		use(&in.ra, ClassInt)
-		use(&in.rb, ClassFloat)
-	case vt.FAdd, vt.FSub, vt.FMul, vt.FDiv:
-		use(&in.ra, ClassFloat)
-		use(&in.rb, ClassFloat)
-		def(&in.rd, ClassFloat)
-	case vt.FCmp:
-		use(&in.ra, ClassFloat)
-		use(&in.rb, ClassFloat)
-		def(&in.rd, ClassInt)
-	case vt.CvtSI2F:
-		use(&in.ra, ClassInt)
-		def(&in.rd, ClassFloat)
-	case vt.CvtF2SI:
-		use(&in.ra, ClassFloat)
-		def(&in.rd, ClassInt)
-	case vt.MovRF:
-		use(&in.ra, ClassFloat)
-		def(&in.rd, ClassInt)
-	case vt.MovFR:
-		use(&in.ra, ClassInt)
-		def(&in.rd, ClassFloat)
-	case vt.BrCC:
-		use(&in.ra, ClassInt)
-		use(&in.rb, ClassInt)
-	case vt.BrNZ, vt.TrapNZ:
-		use(&in.ra, ClassInt)
-	case vt.CallInd:
-		use(&in.ra, ClassInt)
-	}
+// operands calls fn for every register operand of in: first uses, then
+// defs (vt.Walk).
+func (in *vinst) operands(fn func(r *vreg, isDef bool, cls vt.RegClass)) {
+	vt.Walk(in.op, vnone, &in.rd, &in.ra, &in.rb, &in.rc, fn)
 }
 
 // allocate runs register allocation over vc for the given target; ph
@@ -171,7 +89,7 @@ func allocate(vc *vcode, tgt *vt.Target, ph *backend.Phaser) *raResult {
 		kill[b] = map[vreg]struct{}{}
 		blk := &vc.blocks[b]
 		for i := range blk.insts {
-			visitOperands(&blk.insts[i], func(r *vreg, isDef bool, cls RegClass) {
+			blk.insts[i].operands(func(r *vreg, isDef bool, cls vt.RegClass) {
 				if isPreg(*r) {
 					return
 				}
@@ -260,7 +178,7 @@ func allocate(vc *vcode, tgt *vt.Target, ph *backend.Phaser) *raResult {
 		}
 		for i := range blk.insts {
 			at := idxOf[b][i]
-			visitOperands(&blk.insts[i], func(r *vreg, isDef bool, cls RegClass) {
+			blk.insts[i].operands(func(r *vreg, isDef bool, cls vt.RegClass) {
 				if !isPreg(*r) {
 					touch(*r, at)
 				}
@@ -384,7 +302,7 @@ func allocate(vc *vcode, tgt *vt.Target, ph *backend.Phaser) *raResult {
 		for i := range blk.insts {
 			in := &blk.insts[i]
 			at := idxOf[b][i]
-			visitOperands(in, func(r *vreg, isDef bool, cls RegClass) {
+			in.operands(func(r *vreg, isDef bool, cls vt.RegClass) {
 				if !isPreg(*r) {
 					return
 				}
@@ -395,7 +313,7 @@ func allocate(vc *vcode, tgt *vt.Target, ph *backend.Phaser) *raResult {
 				} else {
 					iv = ival{prevCall(at), at}
 				}
-				if cls == ClassFloat {
+				if cls == vt.FPR {
 					fixedFlt[p] = append(fixedFlt[p], iv)
 				} else {
 					fixedInt[p] = append(fixedInt[p], iv)
@@ -462,7 +380,7 @@ func allocate(vc *vcode, tgt *vt.Target, ph *backend.Phaser) *raResult {
 		cls := vc.classes[bd.rep]
 		var cands []uint8
 		var trees []*intervalTree
-		if cls == ClassFloat {
+		if cls == vt.FPR {
 			cands, trees = fprs, fltTrees
 		} else {
 			cands, trees = gprs, intTrees
@@ -475,7 +393,7 @@ func allocate(vc *vcode, tgt *vt.Target, ph *backend.Phaser) *raResult {
 			trees[p].insert(bd.start, bd.end)
 			res.btreeInserts++
 			res.assign[bd.rep] = int32(p)
-			if cls == ClassInt && tgt.IsCalleeSaved(p) {
+			if cls == vt.GPR && tgt.IsCalleeSaved(p) {
 				usedCallee[p] = true
 			}
 			assigned = true

@@ -6,6 +6,7 @@ import (
 	"qcc/internal/backend"
 	"qcc/internal/qir"
 	"qcc/internal/rt"
+	"qcc/internal/vt"
 )
 
 // Options toggle the custom CIR instructions the paper added to Cranelift
@@ -57,16 +58,16 @@ func translate(f *qir.Func, env *backend.Env, opts Options) (*Func, error) {
 	for i, pt := range f.Params {
 		v := qir.Value(i)
 		if pt == qir.F64 {
-			cv := out.addBlockParam(tr.blocks[0], ClassFloat)
+			cv := out.addBlockParam(tr.blocks[0], vt.FPR)
 			out.Params = append(out.Params, cv)
 			tr.vals[v] = [2]Val{cv, noVal}
 		} else if pt.Is128() {
-			lo := out.addBlockParam(tr.blocks[0], ClassInt)
-			hi := out.addBlockParam(tr.blocks[0], ClassInt)
+			lo := out.addBlockParam(tr.blocks[0], vt.GPR)
+			hi := out.addBlockParam(tr.blocks[0], vt.GPR)
 			out.Params = append(out.Params, lo, hi)
 			tr.vals[v] = [2]Val{lo, hi}
 		} else {
-			cv := out.addBlockParam(tr.blocks[0], ClassInt)
+			cv := out.addBlockParam(tr.blocks[0], vt.GPR)
 			out.Params = append(out.Params, cv)
 			tr.vals[v] = [2]Val{cv, noVal}
 		}
@@ -82,14 +83,14 @@ func translate(f *qir.Func, env *backend.Env, opts Options) (*Func, error) {
 			}
 			switch {
 			case in.Type == qir.F64:
-				cv := out.addBlockParam(tr.blocks[b], ClassFloat)
+				cv := out.addBlockParam(tr.blocks[b], vt.FPR)
 				tr.vals[v] = [2]Val{cv, noVal}
 			case in.Type.Is128():
-				lo := out.addBlockParam(tr.blocks[b], ClassInt)
-				hi := out.addBlockParam(tr.blocks[b], ClassInt)
+				lo := out.addBlockParam(tr.blocks[b], vt.GPR)
+				hi := out.addBlockParam(tr.blocks[b], vt.GPR)
 				tr.vals[v] = [2]Val{lo, hi}
 			default:
-				cv := out.addBlockParam(tr.blocks[b], ClassInt)
+				cv := out.addBlockParam(tr.blocks[b], vt.GPR)
 				tr.vals[v] = [2]Val{cv, noVal}
 			}
 		}
@@ -131,7 +132,7 @@ func (tr *translator) computePreds() {
 }
 
 // emit appends a CIR instruction with nres fresh results of class cls.
-func (tr *translator) emit(in Inst, nres int, cls RegClass) *Inst {
+func (tr *translator) emit(in Inst, nres int, cls vt.RegClass) *Inst {
 	in.Res = [2]Val{noVal, noVal}
 	idx := tr.out.appendInst(tr.cur, in)
 	for i := 0; i < nres; i++ {
@@ -141,11 +142,11 @@ func (tr *translator) emit(in Inst, nres int, cls RegClass) *Inst {
 }
 
 func (tr *translator) op1(op Op, a Val) Val {
-	return tr.emit(Inst{Op: op, Args: [3]Val{a, noVal, noVal}}, 1, ClassInt).Res[0]
+	return tr.emit(Inst{Op: op, Args: [3]Val{a, noVal, noVal}}, 1, vt.GPR).Res[0]
 }
 
 func (tr *translator) op2(op Op, a, b Val) Val {
-	return tr.emit(Inst{Op: op, Args: [3]Val{a, b, noVal}}, 1, ClassInt).Res[0]
+	return tr.emit(Inst{Op: op, Args: [3]Val{a, b, noVal}}, 1, vt.GPR).Res[0]
 }
 
 // memAux converts a QIR instruction's check-elimination mark into the Aux
@@ -159,19 +160,19 @@ func memAux(in *qir.Instr) uint32 {
 
 // mem1 emits a single-result memory operation with the given Aux flag.
 func (tr *translator) mem1(op Op, a Val, aux uint32) Val {
-	return tr.emit(Inst{Op: op, Args: [3]Val{a, noVal, noVal}, Aux: aux}, 1, ClassInt).Res[0]
+	return tr.emit(Inst{Op: op, Args: [3]Val{a, noVal, noVal}, Aux: aux}, 1, vt.GPR).Res[0]
 }
 
 func (tr *translator) fop2(op Op, a, b Val) Val {
-	return tr.emit(Inst{Op: op, Args: [3]Val{a, b, noVal}}, 1, ClassFloat).Res[0]
+	return tr.emit(Inst{Op: op, Args: [3]Val{a, b, noVal}}, 1, vt.FPR).Res[0]
 }
 
 func (tr *translator) iconst(v int64) Val {
-	return tr.emit(Inst{Op: OpIconst, Imm: v, Args: [3]Val{noVal, noVal, noVal}}, 1, ClassInt).Res[0]
+	return tr.emit(Inst{Op: OpIconst, Imm: v, Args: [3]Val{noVal, noVal, noVal}}, 1, vt.GPR).Res[0]
 }
 
 func (tr *translator) icmp(c qir.Cmp, a, b Val) Val {
-	return tr.emit(Inst{Op: OpIcmp, Aux: uint32(c), Args: [3]Val{a, b, noVal}}, 1, ClassInt).Res[0]
+	return tr.emit(Inst{Op: OpIcmp, Aux: uint32(c), Args: [3]Val{a, b, noVal}}, 1, vt.GPR).Res[0]
 }
 
 // lo returns the (low) CIR value of a QIR value.
@@ -224,7 +225,7 @@ func (tr *translator) helperCall(name string, nres int, args ...Val) [2]Val {
 	in := tr.emit(Inst{
 		Op: OpCallExt, Aux: id, ExtraAt: at, NArgs: int32(len(args)),
 		Args: [3]Val{noVal, noVal, noVal},
-	}, nres, ClassInt)
+	}, nres, vt.GPR)
 	return in.Res
 }
 
@@ -272,7 +273,7 @@ func (tr *translator) inst(v qir.Value, in *qir.Instr) error {
 		lo, hi := tr.env.DB.InternString(tr.mod.Strings[in.Imm])
 		tr.setPair(v, tr.iconst(int64(lo)), tr.iconst(int64(hi)))
 	case qir.OpConstF:
-		cv := tr.emit(Inst{Op: OpF64const, Imm: in.Imm, Args: [3]Val{noVal, noVal, noVal}}, 1, ClassFloat).Res[0]
+		cv := tr.emit(Inst{Op: OpF64const, Imm: in.Imm, Args: [3]Val{noVal, noVal, noVal}}, 1, vt.FPR).Res[0]
 		tr.set(v, cv)
 	case qir.OpConstPool:
 		// Execution-time load from the DB's constant pool; the slot address
@@ -287,14 +288,14 @@ func (tr *translator) inst(v qir.Value, in *qir.Instr) error {
 			hiAddr := tr.op2(OpIadd, addr, tr.iconst(8))
 			tr.setPair(v, lo, tr.mem1(OpLoad64, hiAddr, 1))
 		case qir.F64:
-			tr.set(v, tr.emit(Inst{Op: OpFload, Args: [3]Val{addr, noVal, noVal}, Aux: 1}, 1, ClassFloat).Res[0])
+			tr.set(v, tr.emit(Inst{Op: OpFload, Args: [3]Val{addr, noVal, noVal}, Aux: 1}, 1, vt.FPR).Res[0])
 		default:
 			tr.set(v, tr.mem1(OpLoad64, addr, 1))
 		}
 	case qir.OpNull:
 		tr.set(v, tr.iconst(0))
 	case qir.OpFuncAddr:
-		cv := tr.emit(Inst{Op: OpFuncAddr, Aux: in.Aux, Args: [3]Val{noVal, noVal, noVal}}, 1, ClassInt).Res[0]
+		cv := tr.emit(Inst{Op: OpFuncAddr, Aux: in.Aux, Args: [3]Val{noVal, noVal, noVal}}, 1, vt.GPR).Res[0]
 		tr.set(v, cv)
 
 	case qir.OpAdd, qir.OpSub, qir.OpMul, qir.OpSDiv, qir.OpSRem, qir.OpUDiv,
@@ -377,7 +378,7 @@ func (tr *translator) inst(v qir.Value, in *qir.Instr) error {
 		}
 		tr.set(v, tr.fop2(op, tr.lo(in.A), tr.lo(in.B)))
 	case qir.OpFCmp:
-		tr.set(v, tr.emit(Inst{Op: OpFcmp, Aux: in.Aux, Args: [3]Val{tr.lo(in.A), tr.lo(in.B), noVal}}, 1, ClassInt).Res[0])
+		tr.set(v, tr.emit(Inst{Op: OpFcmp, Aux: in.Aux, Args: [3]Val{tr.lo(in.A), tr.lo(in.B), noVal}}, 1, vt.GPR).Res[0])
 	case qir.OpSIToFP:
 		tr.set(v, tr.fop2(OpFcvtFromSint, tr.lo(in.A), noVal))
 	case qir.OpFPToSI:
@@ -422,7 +423,7 @@ func (tr *translator) inst(v qir.Value, in *qir.Instr) error {
 			hiAddr := tr.op2(OpIadd, addr, tr.iconst(8))
 			tr.setPair(v, lo, tr.mem1(OpLoad64, hiAddr, uc))
 		case qir.F64:
-			tr.set(v, tr.emit(Inst{Op: OpFload, Args: [3]Val{addr, noVal, noVal}, Aux: uc}, 1, ClassFloat).Res[0])
+			tr.set(v, tr.emit(Inst{Op: OpFload, Args: [3]Val{addr, noVal, noVal}, Aux: uc}, 1, vt.FPR).Res[0])
 		case qir.I1:
 			tr.set(v, tr.op2(OpBand, tr.mem1(OpLoad8U, addr, uc), tr.iconst(1)))
 		case qir.I8:
@@ -441,27 +442,20 @@ func (tr *translator) inst(v qir.Value, in *qir.Instr) error {
 		switch t := f.ValueType(in.B); t {
 		case qir.I128, qir.Str:
 			lo, hi := tr.pair(in.B)
-			tr.emit(Inst{Op: OpStore64, Args: [3]Val{addr, lo, noVal}, Aux: uc}, 0, ClassInt)
+			tr.emit(Inst{Op: OpStore64, Args: [3]Val{addr, lo, noVal}, Aux: uc}, 0, vt.GPR)
 			hiAddr := tr.op2(OpIadd, addr, tr.iconst(8))
-			tr.emit(Inst{Op: OpStore64, Args: [3]Val{hiAddr, hi, noVal}, Aux: uc}, 0, ClassInt)
+			tr.emit(Inst{Op: OpStore64, Args: [3]Val{hiAddr, hi, noVal}, Aux: uc}, 0, vt.GPR)
 		case qir.F64:
-			tr.emit(Inst{Op: OpFstore, Args: [3]Val{addr, tr.lo(in.B), noVal}, Aux: uc}, 0, ClassInt)
+			tr.emit(Inst{Op: OpFstore, Args: [3]Val{addr, tr.lo(in.B), noVal}, Aux: uc}, 0, vt.GPR)
 		case qir.I1, qir.I8:
-			tr.emit(Inst{Op: OpStore8, Args: [3]Val{addr, tr.lo(in.B), noVal}, Aux: uc}, 0, ClassInt)
+			tr.emit(Inst{Op: OpStore8, Args: [3]Val{addr, tr.lo(in.B), noVal}, Aux: uc}, 0, vt.GPR)
 		case qir.I16:
-			tr.emit(Inst{Op: OpStore16, Args: [3]Val{addr, tr.lo(in.B), noVal}, Aux: uc}, 0, ClassInt)
+			tr.emit(Inst{Op: OpStore16, Args: [3]Val{addr, tr.lo(in.B), noVal}, Aux: uc}, 0, vt.GPR)
 		case qir.I32:
-			tr.emit(Inst{Op: OpStore32, Args: [3]Val{addr, tr.lo(in.B), noVal}, Aux: uc}, 0, ClassInt)
+			tr.emit(Inst{Op: OpStore32, Args: [3]Val{addr, tr.lo(in.B), noVal}, Aux: uc}, 0, vt.GPR)
 		default:
-			tr.emit(Inst{Op: OpStore64, Args: [3]Val{addr, tr.lo(in.B), noVal}, Aux: uc}, 0, ClassInt)
+			tr.emit(Inst{Op: OpStore64, Args: [3]Val{addr, tr.lo(in.B), noVal}, Aux: uc}, 0, vt.GPR)
 		}
-
-	case qir.OpAtomicAdd:
-		addr := tr.lo(in.A)
-		old := tr.op1(loadOpFor(in.Type), addr)
-		sum := tr.op2(OpIadd, old, tr.lo(in.B))
-		tr.emit(Inst{Op: storeOpFor(in.Type), Args: [3]Val{addr, sum, noVal}}, 0, ClassInt)
-		tr.set(v, tr.canon(in.Type, old))
 
 	case qir.OpSelect:
 		cond := tr.lo(in.A)
@@ -469,14 +463,14 @@ func (tr *translator) inst(v qir.Value, in *qir.Instr) error {
 		case in.Type.Is128():
 			xlo, xhi := tr.pair(in.B)
 			ylo, yhi := tr.pair(in.C)
-			lo := tr.emit(Inst{Op: OpSelect, Args: [3]Val{cond, xlo, ylo}}, 1, ClassInt).Res[0]
-			hi := tr.emit(Inst{Op: OpSelect, Args: [3]Val{cond, xhi, yhi}}, 1, ClassInt).Res[0]
+			lo := tr.emit(Inst{Op: OpSelect, Args: [3]Val{cond, xlo, ylo}}, 1, vt.GPR).Res[0]
+			hi := tr.emit(Inst{Op: OpSelect, Args: [3]Val{cond, xhi, yhi}}, 1, vt.GPR).Res[0]
 			tr.setPair(v, lo, hi)
 		case in.Type == qir.F64:
-			r := tr.emit(Inst{Op: OpSelect, Args: [3]Val{cond, tr.lo(in.B), tr.lo(in.C)}}, 1, ClassFloat).Res[0]
+			r := tr.emit(Inst{Op: OpSelect, Args: [3]Val{cond, tr.lo(in.B), tr.lo(in.C)}}, 1, vt.FPR).Res[0]
 			tr.set(v, r)
 		default:
-			r := tr.emit(Inst{Op: OpSelect, Args: [3]Val{cond, tr.lo(in.B), tr.lo(in.C)}}, 1, ClassInt).Res[0]
+			r := tr.emit(Inst{Op: OpSelect, Args: [3]Val{cond, tr.lo(in.B), tr.lo(in.C)}}, 1, vt.GPR).Res[0]
 			tr.set(v, r)
 		}
 
@@ -490,14 +484,14 @@ func (tr *translator) inst(v qir.Value, in *qir.Instr) error {
 			}
 		}
 		nres := 0
-		cls := ClassInt
+		cls := vt.GPR
 		switch {
 		case in.Type == qir.Void:
 		case in.Type.Is128():
 			nres = 2
 		case in.Type == qir.F64:
 			nres = 1
-			cls = ClassFloat
+			cls = vt.FPR
 		default:
 			nres = 1
 		}
@@ -524,7 +518,7 @@ func (tr *translator) inst(v qir.Value, in *qir.Instr) error {
 		at := int32(len(tr.out.Extra))
 		tr.out.Extra = append(tr.out.Extra, args...)
 		tr.emit(Inst{Op: OpJump, Aux: uint32(tr.blocks[succ]), ExtraAt: at, NArgs: int32(len(args)),
-			Args: [3]Val{noVal, noVal, noVal}}, 0, ClassInt)
+			Args: [3]Val{noVal, noVal, noVal}}, 0, vt.GPR)
 
 	case qir.OpCondBr:
 		pred := tr.qb
@@ -538,7 +532,7 @@ func (tr *translator) inst(v qir.Value, in *qir.Instr) error {
 		tr.emit(Inst{
 			Op: OpBrif, Aux: uint32(thenC), Imm: int64(elseC),
 			Args: [3]Val{tr.lo(in.A), noVal, noVal},
-		}, 0, ClassInt)
+		}, 0, vt.GPR)
 
 	case qir.OpRet:
 		args := [3]Val{noVal, noVal, noVal}
@@ -547,10 +541,10 @@ func (tr *translator) inst(v qir.Value, in *qir.Instr) error {
 			args[0] = p[0]
 			args[1] = p[1]
 		}
-		tr.emit(Inst{Op: OpRet, Args: args}, 0, ClassInt)
+		tr.emit(Inst{Op: OpRet, Args: args}, 0, vt.GPR)
 
 	case qir.OpUnreachable:
-		tr.emit(Inst{Op: OpTrap, Imm: 0, Args: [3]Val{noVal, noVal, noVal}}, 0, ClassInt)
+		tr.emit(Inst{Op: OpTrap, Imm: 0, Args: [3]Val{noVal, noVal, noVal}}, 0, vt.GPR)
 
 	default:
 		return fmt.Errorf("cannot translate %s", in.Op)
@@ -609,7 +603,7 @@ func storeOpFor(t qir.Type) Op {
 // otherwise (Cranelift's selector cannot merge them, as the paper notes).
 func (tr *translator) mul64wide(a, b Val) (lo, hi Val) {
 	if !tr.opts.NoMulWide {
-		in := tr.emit(Inst{Op: OpMulWide, Args: [3]Val{a, b, noVal}}, 2, ClassInt)
+		in := tr.emit(Inst{Op: OpMulWide, Args: [3]Val{a, b, noVal}}, 2, vt.GPR)
 		return in.Res[0], in.Res[1]
 	}
 	lo = tr.op2(OpImul, a, b)
@@ -707,7 +701,7 @@ func (tr *translator) trapArith(v qir.Value, in *qir.Instr) error {
 			carry := tr.icmp(qir.CmpULT, lo, alo)
 			hi := tr.op2(OpIadd, tr.op2(OpIadd, ahi, bhi), carry)
 			ov := tr.op2(OpUshr, tr.op2(OpBand, tr.op2(OpBxor, hi, ahi), tr.op2(OpBxor, hi, bhi)), tr.iconst(63))
-			tr.emit(Inst{Op: OpTrapnz, Args: [3]Val{ov, noVal, noVal}, Imm: 1}, 0, ClassInt)
+			tr.emit(Inst{Op: OpTrapnz, Args: [3]Val{ov, noVal, noVal}, Imm: 1}, 0, vt.GPR)
 			tr.setPair(v, lo, hi)
 			return nil
 		default: // SSubTrap
@@ -715,7 +709,7 @@ func (tr *translator) trapArith(v qir.Value, in *qir.Instr) error {
 			lo := tr.op2(OpIsub, alo, blo)
 			hi := tr.op2(OpIsub, tr.op2(OpIsub, ahi, bhi), borrow)
 			ov := tr.op2(OpUshr, tr.op2(OpBand, tr.op2(OpBxor, ahi, bhi), tr.op2(OpBxor, hi, ahi)), tr.iconst(63))
-			tr.emit(Inst{Op: OpTrapnz, Args: [3]Val{ov, noVal, noVal}, Imm: 1}, 0, ClassInt)
+			tr.emit(Inst{Op: OpTrapnz, Args: [3]Val{ov, noVal, noVal}, Imm: 1}, 0, vt.GPR)
 			tr.setPair(v, lo, hi)
 			return nil
 		}
@@ -734,7 +728,7 @@ func (tr *translator) trapArith(v qir.Value, in *qir.Instr) error {
 		wide := tr.op2(op, a, b)
 		c := tr.canon(in.Type, wide)
 		ne := tr.icmp(qir.CmpNE, c, wide)
-		tr.emit(Inst{Op: OpTrapnz, Args: [3]Val{ne, noVal, noVal}, Imm: 1}, 0, ClassInt)
+		tr.emit(Inst{Op: OpTrapnz, Args: [3]Val{ne, noVal, noVal}, Imm: 1}, 0, vt.GPR)
 		tr.set(v, c)
 		return nil
 	}

@@ -91,14 +91,14 @@ func (g *codegen) genInstr(v qir.Value, in *qir.Instr) error {
 		switch in.Type {
 		case qir.I128, qir.Str:
 			dlo, dhi := g.defPair(v)
-			g.emit(vt.Instr{Op: uncheckedOf(vt.Load64), RD: uint8(dlo), RA: uint8(t)})
-			g.emit(vt.Instr{Op: uncheckedOf(vt.Load64), RD: uint8(dhi), RA: uint8(t), Imm: 8})
+			g.emit(vt.Instr{Op: vt.LoadU64, RD: uint8(dlo), RA: uint8(t)})
+			g.emit(vt.Instr{Op: vt.LoadU64, RD: uint8(dhi), RA: uint8(t), Imm: 8})
 		case qir.F64:
 			d := g.defFPR(v)
-			g.emit(vt.Instr{Op: uncheckedOf(vt.FLoad), RD: uint8(d), RA: uint8(t)})
+			g.emit(vt.Instr{Op: vt.FLoadU, RD: uint8(d), RA: uint8(t)})
 		default:
 			d := g.defGPR(v)
-			g.emit(vt.Instr{Op: uncheckedOf(vt.Load64), RD: uint8(d), RA: uint8(t)})
+			g.emit(vt.Instr{Op: vt.LoadU64, RD: uint8(d), RA: uint8(t)})
 		}
 		g.finishDef(v)
 	case qir.OpNull:
@@ -328,14 +328,14 @@ func (g *codegen) genInstr(v qir.Value, in *qir.Instr) error {
 		switch in.Type {
 		case qir.I128, qir.Str:
 			dlo, dhi := g.defPair(v)
-			g.emit(vt.Instr{Op: memOp(vt.Load64, in), RD: uint8(dlo), RA: uint8(addr)})
-			g.emit(vt.Instr{Op: memOp(vt.Load64, in), RD: uint8(dhi), RA: uint8(addr), Imm: 8})
+			g.emit(vt.Instr{Op: vt.Load64.UncheckedIf(in.Unchecked()), RD: uint8(dlo), RA: uint8(addr)})
+			g.emit(vt.Instr{Op: vt.Load64.UncheckedIf(in.Unchecked()), RD: uint8(dhi), RA: uint8(addr), Imm: 8})
 		case qir.F64:
 			d := g.defFPR(v)
-			g.emit(vt.Instr{Op: memOp(vt.FLoad, in), RD: uint8(d), RA: uint8(addr)})
+			g.emit(vt.Instr{Op: vt.FLoad.UncheckedIf(in.Unchecked()), RD: uint8(d), RA: uint8(addr)})
 		default:
 			d := g.defGPR(v)
-			g.emit(vt.Instr{Op: memOp(loadOp(in.Type), in), RD: uint8(d), RA: uint8(addr)})
+			g.emit(vt.Instr{Op: loadOp(in.Type).UncheckedIf(in.Unchecked()), RD: uint8(d), RA: uint8(addr)})
 			if in.Type == qir.I1 {
 				g.emit(vt.Instr{Op: vt.AndI, RD: uint8(d), RA: uint8(d), Imm: 1})
 			}
@@ -348,28 +348,16 @@ func (g *codegen) genInstr(v qir.Value, in *qir.Instr) error {
 		switch vt_ {
 		case qir.I128, qir.Str:
 			lo, hi := g.usePair(in.B)
-			g.emit(vt.Instr{Op: memOp(vt.Store64, in), RA: uint8(addr), RB: uint8(lo)})
-			g.emit(vt.Instr{Op: memOp(vt.Store64, in), RA: uint8(addr), RB: uint8(hi), Imm: 8})
+			g.emit(vt.Instr{Op: vt.Store64.UncheckedIf(in.Unchecked()), RA: uint8(addr), RB: uint8(lo)})
+			g.emit(vt.Instr{Op: vt.Store64.UncheckedIf(in.Unchecked()), RA: uint8(addr), RB: uint8(hi), Imm: 8})
 		case qir.F64:
 			fv := g.useFPR(in.B)
-			g.emit(vt.Instr{Op: memOp(vt.FStore, in), RA: uint8(addr), RB: uint8(fv)})
+			g.emit(vt.Instr{Op: vt.FStore.UncheckedIf(in.Unchecked()), RA: uint8(addr), RB: uint8(fv)})
 		default:
 			val := g.useGPR(in.B)
-			g.emit(vt.Instr{Op: memOp(storeOp(vt_), in), RA: uint8(addr), RB: uint8(val)})
+			g.emit(vt.Instr{Op: storeOp(vt_).UncheckedIf(in.Unchecked()), RA: uint8(addr), RB: uint8(val)})
 		}
 		g.unpinAll()
-
-	case qir.OpAtomicAdd:
-		// Single-threaded machine: plain load-add-store.
-		addr := g.useGPR(in.A)
-		b := g.useGPR(in.B)
-		d := g.defGPR(v)
-		t := g.tempGPR()
-		g.emit(vt.Instr{Op: loadOp(in.Type), RD: uint8(d), RA: uint8(addr)})
-		g.mov(t, d)
-		g.emit(vt.Instr{Op: vt.Add, RD: uint8(t), RA: uint8(t), RB: uint8(b)})
-		g.emit(vt.Instr{Op: storeOp(in.Type), RA: uint8(addr), RB: uint8(t)})
-		g.finishDef(v)
 
 	case qir.OpSelect:
 		return g.genSelect(v, in)
@@ -395,26 +383,6 @@ func (g *codegen) zextReg(from qir.Type, r int16) {
 	case qir.I32:
 		g.emit(vt.Instr{Op: vt.AndI, RD: uint8(r), RA: uint8(r), Imm: 0xFFFFFFFF})
 	}
-}
-
-// uncheckedOf returns the unconditionally-unchecked variant of a memory op
-// (for accesses the back-end itself knows are valid, like const-pool slots).
-func uncheckedOf(o vt.Op) vt.Op {
-	if u, ok := vt.UncheckedMemOf(o); ok {
-		return u
-	}
-	return o
-}
-
-// memOp selects the unchecked variant of a memory op when the QIR
-// instruction carries the static-analysis "check eliminated" mark.
-func memOp(o vt.Op, in *qir.Instr) vt.Op {
-	if in.Unchecked() {
-		if u, ok := vt.UncheckedMemOf(o); ok {
-			return u
-		}
-	}
-	return o
 }
 
 func loadOp(t qir.Type) vt.Op {

@@ -233,16 +233,6 @@ func (x *exec) run(fn int, args []uint64) ([2]uint64, error) {
 				in.Aux&qir.MemUnchecked != 0); err != nil {
 				return [2]uint64{}, err
 			}
-		case qir.OpAtomicAdd:
-			var tmp [2]uint64
-			if err := x.load(in.Type, fetch(vals, in.S), tmp[:], false); err != nil {
-				return [2]uint64{}, err
-			}
-			nv := sem.Canon(in.Type, tmp[0]+fetch(vals, in.B))
-			if err := x.storeRaw(in.Type, fetch(vals, in.S), nv, 0, false); err != nil {
-				return [2]uint64{}, err
-			}
-			store(vals, in.A, tmp[0])
 		case qir.OpSelect:
 			if fetch(vals, in.S) != 0 {
 				store2(vals, in.A, fetch(vals, in.B), fetchHi(vals, in.B))

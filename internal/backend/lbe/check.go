@@ -36,11 +36,11 @@ func buildMCheckFunc(mf *mfunc, pre [][]minst, ra *raState, tgt *vt.Target) (*mc
 			Msg: fmt.Sprintf(format, args...),
 		})
 	}
-	regLoc := func(r mreg, cls regClass) (mcv.Loc, bool) {
+	regLoc := func(r mreg, cls vt.RegClass) (mcv.Loc, bool) {
 		if !isMPreg(r) {
 			return mcv.LocNone, false
 		}
-		if cls == rcFloat {
+		if cls == vt.FPR {
 			return mcv.FPR(mpregNum(r)), true
 		}
 		return mcv.GPR(mpregNum(r)), true
@@ -49,7 +49,7 @@ func buildMCheckFunc(mf *mfunc, pre [][]minst, ra *raState, tgt *vt.Target) (*mc
 	type opnd struct {
 		r   mreg
 		def bool
-		cls regClass
+		cls vt.RegClass
 	}
 	for b := range mf.blocks {
 		blk := &mf.blocks[b]
@@ -61,9 +61,9 @@ func buildMCheckFunc(mf *mfunc, pre [][]minst, ra *raState, tgt *vt.Target) (*mc
 			if in.inserted {
 				switch in.op {
 				case vt.Load64, vt.FLoad:
-					cls := rcInt
+					cls := vt.GPR
 					if in.op == vt.FLoad {
-						cls = rcFloat
+						cls = vt.FPR
 					}
 					dst, ok := regLoc(in.rd, cls)
 					if !ok {
@@ -75,9 +75,9 @@ func buildMCheckFunc(mf *mfunc, pre [][]minst, ra *raState, tgt *vt.Target) (*mc
 						Move: mcv.Move{SrcV: in.mval, DstV: in.mval, Src: mcv.Slot(int32(in.imm)), Dst: dst},
 					})
 				case vt.Store64, vt.FStore:
-					cls := rcInt
+					cls := vt.GPR
 					if in.op == vt.FStore {
-						cls = rcFloat
+						cls = vt.FPR
 					}
 					src, ok := regLoc(in.rb, cls)
 					if !ok {
@@ -89,7 +89,7 @@ func buildMCheckFunc(mf *mfunc, pre [][]minst, ra *raState, tgt *vt.Target) (*mc
 						Move: mcv.Move{SrcV: in.mval, DstV: in.mval, Src: src, Dst: mcv.Slot(int32(in.imm))},
 					})
 				case vt.MovRI:
-					dst, ok := regLoc(in.rd, rcInt)
+					dst, ok := regLoc(in.rd, vt.GPR)
 					if !ok {
 						bad(int32(b), ci, "inserted remat of v%d has non-physical destination", in.mval)
 						continue
@@ -115,10 +115,10 @@ func buildMCheckFunc(mf *mfunc, pre [][]minst, ra *raState, tgt *vt.Target) (*mc
 				continue
 			}
 			var post, prev []opnd
-			visitMOperands(in, func(r *mreg, isDef bool, cls regClass) {
+			in.operands(func(r *mreg, isDef bool, cls vt.RegClass) {
 				post = append(post, opnd{*r, isDef, cls})
 			})
-			visitMOperands(snap, func(r *mreg, isDef bool, cls regClass) {
+			snap.operands(func(r *mreg, isDef bool, cls vt.RegClass) {
 				prev = append(prev, opnd{*r, isDef, cls})
 			})
 			if len(post) != len(prev) {

@@ -398,20 +398,6 @@ func (dag *selectionDAG) knownBits(n *dnode, depth int) (zeros, ones uint64) {
 	return 0, 0
 }
 
-// pairOf allocates legalized halves for a wide node if absent.
-func (dag *selectionDAG) pairOf(n *dnode) (*dnode, *dnode, error) {
-	if n.lo != nil {
-		return n.lo, n.hi, nil
-	}
-	if err := dag.legalize(n); err != nil {
-		return nil, nil, err
-	}
-	if n.lo == nil {
-		return nil, nil, fmt.Errorf("lbe: node %s not legalizable", n.op)
-	}
-	return n.lo, n.hi, nil
-}
-
 func dnodeBin(op Opcode, t *Type, a, b *dnode) *dnode {
 	return &dnode{op: op, ty: t, ops: []*dnode{a, b}}
 }

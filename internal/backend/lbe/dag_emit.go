@@ -69,7 +69,7 @@ func (dag *selectionDAG) emitNode(n *dnode) error {
 		dag.emitMovI(d, n.imm)
 		n.res = mval{a: d, b: mnone}
 	case LOpConstF:
-		d := dag.mf.newVReg(rcFloat)
+		d := dag.mf.newVReg(vt.FPR)
 		m := newMinst(vt.FMovRI)
 		m.rd, m.imm = d, n.imm
 		dag.emit(m)
@@ -165,7 +165,7 @@ func (dag *selectionDAG) emitNode(n *dnode) error {
 		if err := emitOps(); err != nil {
 			return err
 		}
-		d := dag.mf.newVReg(rcFloat)
+		d := dag.mf.newVReg(vt.FPR)
 		dag.emit3(vt.CvtSI2F, d, n.ops[0].res.a, mnone)
 		n.res = mval{a: d, b: mnone}
 	case LOpFPToSI:
@@ -182,7 +182,7 @@ func (dag *selectionDAG) emitNode(n *dnode) error {
 			return err
 		}
 		if n.ty == TDouble {
-			d := dag.mf.newVReg(rcFloat)
+			d := dag.mf.newVReg(vt.FPR)
 			dag.emit3(vt.MovFR, d, n.ops[0].res.a, mnone)
 			n.res = mval{a: d, b: mnone}
 		} else {
@@ -206,7 +206,7 @@ func (dag *selectionDAG) emitNode(n *dnode) error {
 		default:
 			op = vt.FDiv
 		}
-		d := dag.mf.newVReg(rcFloat)
+		d := dag.mf.newVReg(vt.FPR)
 		dag.emit3(op, d, n.ops[0].res.a, n.ops[1].res.a)
 		n.res = mval{a: d, b: mnone}
 	case LOpFNeg:
@@ -219,7 +219,7 @@ func (dag *selectionDAG) emitNode(n *dnode) error {
 		dag.emitMovI(t2, -1<<63)
 		t3 := dag.temp()
 		dag.emit3(vt.Xor, t3, t, t2)
-		d := dag.mf.newVReg(rcFloat)
+		d := dag.mf.newVReg(vt.FPR)
 		dag.emit3(vt.MovFR, d, t3, mnone)
 		n.res = mval{a: d, b: mnone}
 
@@ -267,20 +267,6 @@ func (dag *selectionDAG) emitNode(n *dnode) error {
 			return err
 		}
 		dag.lowerStore(n.ops[1].ty, n.ops[1].res, addr, disp, n.unchecked)
-	case LOpAtomicRMWAdd:
-		if err := emitOps(); err != nil {
-			return err
-		}
-		addr := n.ops[0].res.a
-		old := dag.temp()
-		dag.lowerLoad(n.ty, mval{a: old, b: mnone}, addr, 0, false)
-		sum := dag.temp()
-		dag.emit3(vt.Add, sum, old, n.ops[1].res.a)
-		t := dag.temp()
-		dag.canonInto(n.ty.Bits, t, sum)
-		dag.lowerStore(n.ty, mval{a: t, b: mnone}, addr, 0, false)
-		n.res = mval{a: old, b: mnone}
-
 	case LOpSelect:
 		if err := emitOps(); err != nil {
 			return err
@@ -520,7 +506,7 @@ func (dag *selectionDAG) emitCallNode(n *dnode) error {
 	dag.emit(c)
 	if n.ty != TVoid {
 		if n.ty.Kind == KDouble {
-			d := dag.mf.newVReg(rcFloat)
+			d := dag.mf.newVReg(vt.FPR)
 			dag.emit3(vt.MovFR, d, mpreg(dag.tgt.IntRet[0]), mnone)
 			n.res = mval{a: d, b: mnone}
 		} else {

@@ -46,12 +46,12 @@ type ginst struct {
 type gfunc struct {
 	blocks [][]ginst
 	types  []*Type
-	banks  []regClass
+	banks  []vt.RegClass
 }
 
 func (gf *gfunc) newGVR(t *Type) gvr {
 	gf.types = append(gf.types, t)
-	gf.banks = append(gf.banks, rcInt)
+	gf.banks = append(gf.banks, vt.GPR)
 	return gvr(len(gf.types) - 1)
 }
 
@@ -632,9 +632,9 @@ func (g *gISel) legalCmpG(gf *gfunc, emit func(ginst), gi *ginst, alo, ahi, blo,
 func (g *gISel) regBankSelect(gf *gfunc) {
 	for v := range gf.types {
 		if gf.types[v].Kind == KDouble {
-			gf.banks[v] = rcFloat
+			gf.banks[v] = vt.FPR
 		} else {
-			gf.banks[v] = rcInt
+			gf.banks[v] = vt.GPR
 		}
 	}
 	// The pass also walks every instruction validating operand banks.

@@ -160,26 +160,17 @@ func (g *gISel) selectOne(gi *ginst, r func(gvr) mreg) error {
 	case LOpLoad:
 		is.lowerLoad(gi.ty, mval{a: r(gi.dst), b: mnone}, r(gi.srcs[0]), 0, gi.unchecked)
 	case gopLoadPair:
-		is.emitImm(uncheckedOp(vt.Load64, gi.unchecked), r(gi.dst), r(gi.srcs[0]), 0)
-		is.emitImm(uncheckedOp(vt.Load64, gi.unchecked), r(gi.dst2), r(gi.srcs[0]), 8)
+		is.emitImm(vt.Load64.UncheckedIf(gi.unchecked), r(gi.dst), r(gi.srcs[0]), 0)
+		is.emitImm(vt.Load64.UncheckedIf(gi.unchecked), r(gi.dst2), r(gi.srcs[0]), 8)
 	case LOpStore:
 		is.lowerStore(g.gvrType(gi.srcs[1]), mval{a: r(gi.srcs[1]), b: mnone}, r(gi.srcs[0]), 0, gi.unchecked)
 	case gopStorePair:
-		m := newMinst(uncheckedOp(vt.Store64, gi.unchecked))
+		m := newMinst(vt.Store64.UncheckedIf(gi.unchecked))
 		m.ra, m.rb = r(gi.srcs[0]), r(gi.srcs[1])
 		is.emit(m)
-		m2 := newMinst(uncheckedOp(vt.Store64, gi.unchecked))
+		m2 := newMinst(vt.Store64.UncheckedIf(gi.unchecked))
 		m2.ra, m2.rb, m2.imm = r(gi.srcs[0]), r(gi.srcs[2]), 8
 		is.emit(m2)
-	case LOpAtomicRMWAdd:
-		old := r(gi.dst)
-		is.lowerLoad(gi.ty, mval{a: old, b: mnone}, r(gi.srcs[0]), 0, false)
-		sum := is.temp()
-		is.emit3(vt.Add, sum, old, r(gi.srcs[1]))
-		t := is.temp()
-		is.canonInto(gi.ty.Bits, t, sum)
-		is.lowerStore(gi.ty, mval{a: t, b: mnone}, r(gi.srcs[0]), 0, false)
-
 	case LOpSelect:
 		is.lowerSelect(mval{a: r(gi.dst), b: mnone}, r(gi.srcs[0]),
 			mval{a: r(gi.srcs[1]), b: mnone}, mval{a: r(gi.srcs[2]), b: mnone}, gi.ty)

@@ -18,7 +18,7 @@ type gInterval struct {
 	vreg       mreg // representative after coalescing
 	start, end int32
 	weight     float64
-	cls        regClass
+	cls        vt.RegClass
 	preg       int32 // assigned preg or -1
 	slot       int32 // spill slot or -1
 }
@@ -51,7 +51,7 @@ func greedyRegAlloc(mf *mfunc, tgt *vt.Target) (*raState, error) {
 		gen[b] = map[mreg]struct{}{}
 		kill[b] = map[mreg]struct{}{}
 		for i := range mf.blocks[b].insts {
-			visitMOperands(&mf.blocks[b].insts[i], func(r *mreg, isDef bool, cls regClass) {
+			mf.blocks[b].insts[i].operands(func(r *mreg, isDef bool, cls vt.RegClass) {
 				if isMPreg(*r) {
 					return
 				}
@@ -126,7 +126,7 @@ func greedyRegAlloc(mf *mfunc, tgt *vt.Target) (*raState, error) {
 		}
 		for i := range mf.blocks[b].insts {
 			at := idx[b][i]
-			visitMOperands(&mf.blocks[b].insts[i], func(r *mreg, isDef bool, cls regClass) {
+			mf.blocks[b].insts[i].operands(func(r *mreg, isDef bool, cls vt.RegClass) {
 				if !isMPreg(*r) {
 					touch(*r, at, freq)
 				}
@@ -225,7 +225,7 @@ func greedyRegAlloc(mf *mfunc, tgt *vt.Target) (*raState, error) {
 		for i := range mf.blocks[b].insts {
 			in := &mf.blocks[b].insts[i]
 			at := idx[b][i]
-			visitMOperands(in, func(r *mreg, isDef bool, cls regClass) {
+			in.operands(func(r *mreg, isDef bool, cls vt.RegClass) {
 				if !isMPreg(*r) {
 					return
 				}
@@ -236,7 +236,7 @@ func greedyRegAlloc(mf *mfunc, tgt *vt.Target) (*raState, error) {
 				} else {
 					o = occ{prevCall(at), at}
 				}
-				if cls == rcFloat {
+				if cls == vt.FPR {
 					fixedFlt[p] = append(fixedFlt[p], o)
 				} else {
 					fixedInt[p] = append(fixedInt[p], o)
@@ -255,10 +255,10 @@ func greedyRegAlloc(mf *mfunc, tgt *vt.Target) (*raState, error) {
 
 	// Per-preg assigned interval lists.
 	assigned := map[int][]*gInterval{} // key: preg | class<<8
-	key := func(p uint8, cls regClass) int { return int(p) | int(cls)<<8 }
-	overlapsFixed := func(p uint8, cls regClass, s, e int32) bool {
+	key := func(p uint8, cls vt.RegClass) int { return int(p) | int(cls)<<8 }
+	overlapsFixed := func(p uint8, cls vt.RegClass, s, e int32) bool {
 		var list []occ
-		if cls == rcFloat {
+		if cls == vt.FPR {
 			list = fixedFlt[p]
 		} else {
 			list = fixedInt[p]
@@ -293,7 +293,7 @@ func greedyRegAlloc(mf *mfunc, tgt *vt.Target) (*raState, error) {
 		iv := queue[0]
 		queue = queue[1:]
 		cands := gprs
-		if iv.cls == rcFloat {
+		if iv.cls == vt.FPR {
 			cands = fprs
 		}
 		done := false
@@ -313,7 +313,7 @@ func greedyRegAlloc(mf *mfunc, tgt *vt.Target) (*raState, error) {
 			}
 			iv.preg = int32(p)
 			assigned[key(p, iv.cls)] = append(assigned[key(p, iv.cls)], iv)
-			if iv.cls == rcInt && tgt.IsCalleeSaved(p) {
+			if iv.cls == vt.GPR && tgt.IsCalleeSaved(p) {
 				usedCallee[p] = true
 			}
 			done = true
@@ -362,7 +362,7 @@ func greedyRegAlloc(mf *mfunc, tgt *vt.Target) (*raState, error) {
 			}
 			assigned[key(uint8(bestP), iv.cls)] = append(kept, iv)
 			iv.preg = int32(bestP)
-			if iv.cls == rcInt && tgt.IsCalleeSaved(uint8(bestP)) {
+			if iv.cls == vt.GPR && tgt.IsCalleeSaved(uint8(bestP)) {
 				usedCallee[uint8(bestP)] = true
 			}
 			for _, v := range bestVictims {
@@ -410,7 +410,7 @@ func greedyRegAlloc(mf *mfunc, tgt *vt.Target) (*raState, error) {
 	for b := range mf.blocks {
 		for i := range mf.blocks[b].insts {
 			in := &mf.blocks[b].insts[i]
-			visitMOperands(in, func(r *mreg, isDef bool, cls regClass) {
+			in.operands(func(r *mreg, isDef bool, cls vt.RegClass) {
 				if isDef && !isMPreg(*r) {
 					defCount[*r]++
 				}
@@ -440,7 +440,7 @@ func greedyRegAlloc(mf *mfunc, tgt *vt.Target) (*raState, error) {
 			// two-address rd==ra constraint through spills).
 			perInst := map[mreg]uint8{}
 			var err error
-			visitMOperands(&in, func(r *mreg, isDef bool, cls regClass) {
+			in.operands(func(r *mreg, isDef bool, cls vt.RegClass) {
 				if err != nil || isMPreg(*r) {
 					return
 				}
@@ -453,7 +453,7 @@ func greedyRegAlloc(mf *mfunc, tgt *vt.Target) (*raState, error) {
 					*r = mpreg(p)
 					if isDef {
 						stn := newMinst(vt.Store64)
-						if cls == rcFloat {
+						if cls == vt.FPR {
 							stn.op = vt.FStore
 						}
 						stn.ra = mpreg(tgt.SP)
@@ -466,7 +466,7 @@ func greedyRegAlloc(mf *mfunc, tgt *vt.Target) (*raState, error) {
 					return
 				}
 				var p uint8
-				if cls == rcFloat {
+				if cls == vt.FPR {
 					if len(scratchF) == 0 {
 						err = fmt.Errorf("lbe: greedy RA out of float scratch registers")
 						return
@@ -490,7 +490,7 @@ func greedyRegAlloc(mf *mfunc, tgt *vt.Target) (*raState, error) {
 				if isDef {
 					if _, remat := rematImm[v]; !remat {
 						stn := newMinst(vt.Store64)
-						if cls == rcFloat {
+						if cls == vt.FPR {
 							stn.op = vt.FStore
 						}
 						stn.ra = mpreg(tgt.SP)
@@ -508,7 +508,7 @@ func greedyRegAlloc(mf *mfunc, tgt *vt.Target) (*raState, error) {
 					pre = append(pre, mv)
 				} else {
 					ld := newMinst(vt.Load64)
-					if cls == rcFloat {
+					if cls == vt.FPR {
 						ld.op = vt.FLoad
 					}
 					ld.rd = mpreg(p)

@@ -30,11 +30,11 @@ func wideType(t *Type) bool {
 	return t.Kind == KInt && t.Bits == 128 || t.Kind == KStruct
 }
 
-func classFor(t *Type) regClass {
+func classFor(t *Type) vt.RegClass {
 	if t.Kind == KDouble {
-		return rcFloat
+		return vt.FPR
 	}
-	return rcInt
+	return vt.GPR
 }
 
 // getVal returns (allocating on demand) the vregs of an LIR value.
@@ -46,7 +46,7 @@ func (is *isel) getVal(v *Instr) mval {
 	mv.a = is.mf.newVReg(classFor(v.Typ))
 	mv.b = mnone
 	if wideType(v.Typ) {
-		mv.b = is.mf.newVReg(rcInt)
+		mv.b = is.mf.newVReg(vt.GPR)
 	}
 	is.vals[v] = mv
 	return mv
@@ -74,7 +74,7 @@ func (is *isel) emitMovI(rd mreg, imm int64) {
 	is.emit(in)
 }
 
-func (is *isel) temp() mreg { return is.mf.newVReg(rcInt) }
+func (is *isel) temp() mreg { return is.mf.newVReg(vt.GPR) }
 
 // canonInto emits canonicalization (sign-extension to 64 bits) of a narrow
 // result.
@@ -165,8 +165,6 @@ func (fi *fastISel) fallbackCause(in *Instr) (cause string, callOnly bool) {
 		default:
 			return cntFallbackOther, true
 		}
-	case LOpAtomicRMWAdd:
-		return cntFallbackOther, false
 	case LOpExtractVal:
 		// Supported only for the virtually-expanded overflow results.
 		src := in.Ops[0]
@@ -447,26 +445,15 @@ func (is *isel) lowerGEP(in *Instr) {
 	}
 }
 
-// uncheckedOp maps a checked memory op to its unchecked variant when the
-// originating LIR instruction carried the check-elimination mark.
-func uncheckedOp(op vt.Op, unchecked bool) vt.Op {
-	if unchecked {
-		if u, ok := vt.UncheckedMemOf(op); ok {
-			return u
-		}
-	}
-	return op
-}
-
 func (is *isel) lowerLoad(t *Type, mv mval, addr mreg, disp int64, unchecked bool) {
 	switch {
 	case t.Kind == KDouble:
-		m := newMinst(uncheckedOp(vt.FLoad, unchecked))
+		m := newMinst(vt.FLoad.UncheckedIf(unchecked))
 		m.rd, m.ra, m.imm = mv.a, addr, disp
 		is.emit(m)
 	case wideType(t):
-		is.emitImm(uncheckedOp(vt.Load64, unchecked), mv.a, addr, disp)
-		is.emitImm(uncheckedOp(vt.Load64, unchecked), mv.b, addr, disp+8)
+		is.emitImm(vt.Load64.UncheckedIf(unchecked), mv.a, addr, disp)
+		is.emitImm(vt.Load64.UncheckedIf(unchecked), mv.b, addr, disp+8)
 	default:
 		var op vt.Op
 		switch t.Bits {
@@ -481,7 +468,7 @@ func (is *isel) lowerLoad(t *Type, mv mval, addr mreg, disp int64, unchecked boo
 		default:
 			op = vt.Load64
 		}
-		is.emitImm(uncheckedOp(op, unchecked), mv.a, addr, disp)
+		is.emitImm(op.UncheckedIf(unchecked), mv.a, addr, disp)
 		if t.Bits == 1 {
 			is.emitImm(vt.AndI, mv.a, mv.a, 1)
 		}
@@ -490,7 +477,7 @@ func (is *isel) lowerLoad(t *Type, mv mval, addr mreg, disp int64, unchecked boo
 
 func (is *isel) lowerStore(t *Type, mv mval, addr mreg, disp int64, unchecked bool) {
 	st := func(op vt.Op, src mreg, d int64) {
-		m := newMinst(uncheckedOp(op, unchecked))
+		m := newMinst(op.UncheckedIf(unchecked))
 		m.ra, m.rb, m.imm = addr, src, d
 		is.emit(m)
 	}

@@ -56,31 +56,14 @@ type patternInfo struct {
 	latency  int
 	size     int
 	commutes bool
-	hasImm   bool
 }
 
 func newTargetMachine(arch vt.Arch) *targetMachine {
 	tm := &targetMachine{tgt: vt.ForArch(arch), patterns: map[vt.Op]patternInfo{}}
 	// Build the per-opcode tables (the construction cost being cached).
 	for op := vt.Op(0); op < vt.NumOps; op++ {
-		pi := patternInfo{latency: 1, size: 4}
-		switch op {
-		case vt.Mul, vt.MulI, vt.MulWideU, vt.MulWideS:
-			pi.latency = 3
-		case vt.SDiv, vt.SRem, vt.UDiv, vt.URem, vt.FDiv:
-			pi.latency = 20
-		case vt.Load64, vt.Load32, vt.FLoad, vt.LoadU64, vt.LoadU32, vt.FLoadU:
-			pi.latency = 4
-		}
-		switch op {
-		case vt.Add, vt.Mul, vt.And, vt.Or, vt.Xor, vt.FAdd, vt.FMul:
-			pi.commutes = true
-		}
-		if _, ok := map[vt.Op]bool{vt.AddI: true, vt.SubI: true, vt.MulI: true,
-			vt.AndI: true, vt.OrI: true, vt.XorI: true}[op]; ok {
-			pi.hasImm = true
-		}
-		tm.patterns[op] = pi
+		info := op.Info()
+		tm.patterns[op] = patternInfo{latency: max(1, int(info.Latency)), size: 4, commutes: info.Commutes}
 	}
 	for i := 0; i < 32; i++ {
 		tm.features = append(tm.features, fmt.Sprintf("feature%d", i))

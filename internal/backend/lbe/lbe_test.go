@@ -57,8 +57,8 @@ func TestFastISelFallbackCauses(t *testing.T) {
 	if cause, _ := fi.fallbackCause(mk(TI64, LOpAdd)); cause != "" {
 		t.Errorf("i64 add cause = %q", cause)
 	}
-	if cause, _ := fi.fallbackCause(mk(TI64, LOpAtomicRMWAdd)); cause != cntFallbackOther {
-		t.Errorf("atomic cause = %q", cause)
+	if cause, _ := fi.fallbackCause(&Instr{Op: LOpIntrinsic, Typ: TI64, Intr: IntrMul128}); cause != cntFallbackOther {
+		t.Errorf("mul128 intrinsic cause = %q", cause)
 	}
 	// Calls: fine under Small-PIC, fallback with wide args or large CM.
 	call := &Instr{Op: LOpCallRT, Typ: TVoid, Ops: []*Instr{{Op: LOpConst, Typ: TI64}}}

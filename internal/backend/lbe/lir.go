@@ -131,7 +131,6 @@ const (
 	LOpGEP // ptr + Imm + idx*Scale
 	LOpLoad
 	LOpStore
-	LOpAtomicRMWAdd
 
 	LOpSelect
 	LOpPhi
@@ -159,8 +158,7 @@ var lopNames = [LOpNum]string{
 	LOpSIToFP: "sitofp", LOpFPToSI: "fptosi", LOpBitcast: "bitcast",
 	LOpFAdd: "fadd", LOpFSub: "fsub", LOpFMul: "fmul", LOpFDiv: "fdiv", LOpFNeg: "fneg",
 	LOpGEP: "getelementptr", LOpLoad: "load", LOpStore: "store",
-	LOpAtomicRMWAdd: "atomicrmw.add",
-	LOpSelect:       "select", LOpPhi: "phi", LOpCallRT: "call", LOpIntrinsic: "intrinsic",
+	LOpSelect: "select", LOpPhi: "phi", LOpCallRT: "call", LOpIntrinsic: "intrinsic",
 	LOpExtractVal: "extractvalue", LOpInsertVal: "insertvalue", LOpBuildPair: "buildpair",
 	LOpBr: "br", LOpCondBr: "condbr", LOpRet: "ret", LOpUnreachable: "unreachable",
 }
@@ -184,7 +182,7 @@ func (o Opcode) IsTerminator() bool {
 // HasSideEffects reports opcodes that cannot be erased when unused.
 func (o Opcode) HasSideEffects() bool {
 	switch o {
-	case LOpStore, LOpAtomicRMWAdd, LOpCallRT, LOpIntrinsic,
+	case LOpStore, LOpCallRT, LOpIntrinsic,
 		LOpBr, LOpCondBr, LOpRet, LOpUnreachable,
 		LOpSDiv, LOpSRem, LOpUDiv, LOpURem:
 		return true

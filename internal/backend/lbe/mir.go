@@ -20,14 +20,6 @@ func mpreg(p uint8) mreg    { return -1 - int32(p) }
 func isMPreg(r mreg) bool   { return r < 0 && r != mnone }
 func mpregNum(r mreg) uint8 { return uint8(-1 - r) }
 
-// regClass is the register file of a vreg.
-type regClass uint8
-
-const (
-	rcInt regClass = iota
-	rcFloat
-)
-
 // minst is one machine instruction. For op == vt.Nop with phi != nil, the
 // instruction is a PHI pseudo.
 type minst struct {
@@ -74,21 +66,21 @@ type mfunc struct {
 	name    string
 	blocks  []mblock
 	nvregs  mreg
-	classes []regClass
+	classes []vt.RegClass
 }
 
-func (mf *mfunc) newVReg(cls regClass) mreg {
+func (mf *mfunc) newVReg(cls vt.RegClass) mreg {
 	v := mf.nvregs
 	mf.nvregs++
 	mf.classes = append(mf.classes, cls)
 	return v
 }
 
-func (mf *mfunc) classOf(r mreg) regClass {
+func (mf *mfunc) classOf(r mreg) vt.RegClass {
 	if r >= 0 {
 		return mf.classes[r]
 	}
-	return rcInt
+	return vt.GPR
 }
 
 // computeCFG fills preds from succs.
@@ -103,93 +95,17 @@ func (mf *mfunc) computeCFG() {
 	}
 }
 
-// visitMOperands calls fn over the register operands of one instruction
-// (uses first, then defs). PHIs report their destination only; incoming
+// operands calls fn over the register operands of one instruction, uses
+// first, then defs (vt.Walk). PHIs report their destination only; incoming
 // values are handled by the passes that understand them.
-func visitMOperands(in *minst, fn func(r *mreg, isDef bool, cls regClass)) {
-	use := func(r *mreg, cls regClass) {
-		if *r != mnone {
-			fn(r, false, cls)
-		}
-	}
-	def := func(r *mreg, cls regClass) {
-		if *r != mnone {
-			fn(r, true, cls)
-		}
-	}
+func (in *minst) operands(fn func(r *mreg, isDef bool, cls vt.RegClass)) {
 	if in.phi != nil {
-		def(&in.rd, rcInt) // class refined by caller via classOf
+		if in.rd != mnone {
+			fn(&in.rd, true, vt.GPR) // class refined by caller via classOf
+		}
 		return
 	}
-	switch in.op {
-	case vt.MovRR, vt.Neg, vt.Not, vt.Lea:
-		use(&in.ra, rcInt)
-		def(&in.rd, rcInt)
-	case vt.MovRI:
-		def(&in.rd, rcInt)
-	case vt.FMovRI:
-		def(&in.rd, rcFloat)
-	case vt.FMovRR:
-		use(&in.ra, rcFloat)
-		def(&in.rd, rcFloat)
-	case vt.Add, vt.Sub, vt.Mul, vt.And, vt.Or, vt.Xor, vt.Shl, vt.Shr, vt.Sar,
-		vt.Rotr, vt.SDiv, vt.SRem, vt.UDiv, vt.URem, vt.Crc32:
-		use(&in.ra, rcInt)
-		use(&in.rb, rcInt)
-		def(&in.rd, rcInt)
-	case vt.AddI, vt.SubI, vt.MulI, vt.AndI, vt.OrI, vt.XorI, vt.ShlI, vt.ShrI,
-		vt.SarI, vt.RotrI:
-		use(&in.ra, rcInt)
-		def(&in.rd, rcInt)
-	case vt.MulWideU, vt.MulWideS:
-		use(&in.ra, rcInt)
-		use(&in.rb, rcInt)
-		def(&in.rd, rcInt)
-		def(&in.rc, rcInt)
-	case vt.SetCC:
-		use(&in.ra, rcInt)
-		use(&in.rb, rcInt)
-		def(&in.rd, rcInt)
-	case vt.Load8, vt.Load8S, vt.Load16, vt.Load16S, vt.Load32, vt.Load32S, vt.Load64,
-		vt.LoadU8, vt.LoadU8S, vt.LoadU16, vt.LoadU16S, vt.LoadU32, vt.LoadU32S, vt.LoadU64:
-		use(&in.ra, rcInt)
-		def(&in.rd, rcInt)
-	case vt.Store8, vt.Store16, vt.Store32, vt.Store64,
-		vt.StoreU8, vt.StoreU16, vt.StoreU32, vt.StoreU64:
-		use(&in.ra, rcInt)
-		use(&in.rb, rcInt)
-	case vt.FLoad, vt.FLoadU:
-		use(&in.ra, rcInt)
-		def(&in.rd, rcFloat)
-	case vt.FStore, vt.FStoreU:
-		use(&in.ra, rcInt)
-		use(&in.rb, rcFloat)
-	case vt.FAdd, vt.FSub, vt.FMul, vt.FDiv:
-		use(&in.ra, rcFloat)
-		use(&in.rb, rcFloat)
-		def(&in.rd, rcFloat)
-	case vt.FCmp:
-		use(&in.ra, rcFloat)
-		use(&in.rb, rcFloat)
-		def(&in.rd, rcInt)
-	case vt.CvtSI2F:
-		use(&in.ra, rcInt)
-		def(&in.rd, rcFloat)
-	case vt.CvtF2SI:
-		use(&in.ra, rcFloat)
-		def(&in.rd, rcInt)
-	case vt.MovRF:
-		use(&in.ra, rcFloat)
-		def(&in.rd, rcInt)
-	case vt.MovFR:
-		use(&in.ra, rcInt)
-		def(&in.rd, rcFloat)
-	case vt.BrCC:
-		use(&in.ra, rcInt)
-		use(&in.rb, rcInt)
-	case vt.BrNZ, vt.TrapNZ, vt.CallInd:
-		use(&in.ra, rcInt)
-	}
+	vt.Walk(in.op, mnone, &in.rd, &in.ra, &in.rb, &in.rc, fn)
 }
 
 func (in *minst) String() string {

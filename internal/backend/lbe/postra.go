@@ -15,7 +15,7 @@ func phiElim(mf *mfunc) {
 		pred int32
 		src  mreg
 		dst  mreg
-		cls  regClass
+		cls  vt.RegClass
 	}
 	var copies []edgeCopy
 	for b := range mf.blocks {
@@ -35,10 +35,7 @@ func phiElim(mf *mfunc) {
 			for k := range in.phi.srcs {
 				copies = append(copies, edgeCopy{pred: in.phi.blocks[k], src: in.phi.srcs[k], dst: tmp, cls: cls})
 			}
-			cp := newMinst(vt.MovRR)
-			if cls == rcFloat {
-				cp.op = vt.FMovRR
-			}
+			cp := newMinst(vt.MovOf(cls))
 			cp.rd, cp.ra = in.rd, tmp
 			// The head copy replaces the phi in place (before rest).
 			rest = append([]minst{cp}, rest...)
@@ -55,10 +52,7 @@ func phiElim(mf *mfunc) {
 				break
 			}
 		}
-		cp := newMinst(vt.MovRR)
-		if c.cls == rcFloat {
-			cp.op = vt.FMovRR
-		}
+		cp := newMinst(vt.MovOf(c.cls))
 		cp.rd, cp.ra = c.dst, c.src
 		blk.insts = append(blk.insts[:pos], append([]minst{cp}, blk.insts[pos:]...)...)
 	}
@@ -83,57 +77,31 @@ func twoAddress(mf *mfunc, tgt *vt.Target) int {
 		blk := &mf.blocks[b]
 		var out []minst
 		for _, in := range blk.insts {
-			switch in.op {
-			case vt.Add, vt.Sub, vt.Mul, vt.And, vt.Or, vt.Xor, vt.Shl, vt.Shr,
-				vt.Sar, vt.Rotr, vt.SDiv, vt.SRem, vt.UDiv, vt.URem, vt.Crc32,
-				vt.FAdd, vt.FSub, vt.FMul, vt.FDiv:
-				if in.rd == in.ra {
-					out = append(out, in)
-					continue
-				}
-				isFloat := in.op == vt.FAdd || in.op == vt.FSub || in.op == vt.FMul || in.op == vt.FDiv
-				movOp := vt.MovRR
-				if isFloat {
-					movOp = vt.FMovRR
-				}
-				comm := in.op == vt.Add || in.op == vt.Mul || in.op == vt.And ||
-					in.op == vt.Or || in.op == vt.Xor || in.op == vt.FAdd || in.op == vt.FMul
-				if in.rd == in.rb {
-					if comm {
-						in.ra, in.rb = in.rb, in.ra
-					} else {
-						cls := rcInt
-						if isFloat {
-							cls = rcFloat
-						}
-						t := mf.newVReg(cls)
-						cp := newMinst(movOp)
-						cp.rd, cp.ra = t, in.rb
-						out = append(out, cp)
-						in.rb = t
-					}
-				}
-				if in.rd != in.ra {
-					cp := newMinst(movOp)
-					cp.rd, cp.ra = in.rd, in.ra
-					out = append(out, cp)
-					in.ra = in.rd
-					rewrites++
-				}
+			info := in.op.Info()
+			if !info.TwoAddr || in.rd == in.ra {
 				out = append(out, in)
-			case vt.AddI, vt.SubI, vt.MulI, vt.AndI, vt.OrI, vt.XorI, vt.ShlI,
-				vt.ShrI, vt.SarI, vt.RotrI, vt.Neg, vt.Not:
-				if in.rd != in.ra {
-					cp := newMinst(vt.MovRR)
-					cp.rd, cp.ra = in.rd, in.ra
-					out = append(out, cp)
-					in.ra = in.rd
-					rewrites++
-				}
-				out = append(out, in)
-			default:
-				out = append(out, in)
+				continue
 			}
+			cls := info.Class(vt.RD)
+			if info.Use&vt.RB != 0 && in.rd == in.rb {
+				if info.Commutes {
+					in.ra, in.rb = in.rb, in.ra
+				} else {
+					t := mf.newVReg(cls)
+					cp := newMinst(vt.MovOf(cls))
+					cp.rd, cp.ra = t, in.rb
+					out = append(out, cp)
+					in.rb = t
+				}
+			}
+			if in.rd != in.ra {
+				cp := newMinst(vt.MovOf(cls))
+				cp.rd, cp.ra = in.rd, in.ra
+				out = append(out, cp)
+				in.ra = in.rd
+				rewrites++
+			}
+			out = append(out, in)
 		}
 		blk.insts = out
 	}
@@ -208,8 +176,8 @@ func fastRegAlloc(mf *mfunc, tgt *vt.Target) (*raState, error) {
 			}
 		}
 
-		dropReg := func(p uint8, cls regClass) {
-			if cls == rcFloat {
+		dropReg := func(p uint8, cls vt.RegClass) {
+			if cls == vt.FPR {
 				if o := fregOwner[p]; o != mnone {
 					fcached.del(o)
 					fregOwner[p] = mnone
@@ -230,16 +198,16 @@ func fastRegAlloc(mf *mfunc, tgt *vt.Target) (*raState, error) {
 			// grabbed while resolving its other operands.
 			inUse := uint32(0)
 			finUse := uint32(0)
-			visitMOperands(&in, func(r *mreg, isDef bool, cls regClass) {
+			in.operands(func(r *mreg, isDef bool, cls vt.RegClass) {
 				if isMPreg(*r) {
-					if cls == rcFloat {
+					if cls == vt.FPR {
 						finUse |= 1 << mpregNum(*r)
 					} else {
 						inUse |= 1 << mpregNum(*r)
 					}
 					return
 				}
-				if p, ok := cached.get(*r); ok && mf.classOf(*r) == rcInt {
+				if p, ok := cached.get(*r); ok && mf.classOf(*r) == vt.GPR {
 					inUse |= 1 << p
 				}
 				if p, ok := fcached.get(*r); ok {
@@ -271,7 +239,7 @@ func fastRegAlloc(mf *mfunc, tgt *vt.Target) (*raState, error) {
 					if inUse&(1<<p) != 0 || reserved&(1<<p) != 0 {
 						continue
 					}
-					dropReg(p, rcInt) // values are stored at def: drop is free
+					dropReg(p, vt.GPR) // values are stored at def: drop is free
 					return grab(p), nil
 				}
 				return 0, fmt.Errorf("lbe: fast RA out of registers")
@@ -290,7 +258,7 @@ func fastRegAlloc(mf *mfunc, tgt *vt.Target) (*raState, error) {
 					if finUse&(1<<uint(p)) != 0 || freserved&(1<<uint(p)) != 0 {
 						continue
 					}
-					dropReg(uint8(p), rcFloat)
+					dropReg(uint8(p), vt.FPR)
 					finUse |= 1 << uint(p)
 					return uint8(p), nil
 				}
@@ -300,9 +268,9 @@ func fastRegAlloc(mf *mfunc, tgt *vt.Target) (*raState, error) {
 			var err error
 			var defs []struct {
 				r   *mreg
-				cls regClass
+				cls vt.RegClass
 			}
-			visitMOperands(&in, func(r *mreg, isDef bool, cls regClass) {
+			in.operands(func(r *mreg, isDef bool, cls vt.RegClass) {
 				if err != nil {
 					return
 				}
@@ -310,14 +278,14 @@ func fastRegAlloc(mf *mfunc, tgt *vt.Target) (*raState, error) {
 					p := mpregNum(*r)
 					if isDef {
 						dropReg(p, cls)
-						if cls == rcFloat {
+						if cls == vt.FPR {
 							freserved |= 1 << p
 						} else {
 							reserved |= 1 << p
 						}
 					} else {
 						// A fixed value was consumed; release it.
-						if cls == rcFloat {
+						if cls == vt.FPR {
 							freserved &^= 1 << p
 						} else {
 							reserved &^= 1 << p
@@ -330,12 +298,12 @@ func fastRegAlloc(mf *mfunc, tgt *vt.Target) (*raState, error) {
 				if isDef {
 					defs = append(defs, struct {
 						r   *mreg
-						cls regClass
+						cls vt.RegClass
 					}{r, cls})
 					return
 				}
 				// Use: reload if not cached.
-				if cls == rcFloat {
+				if cls == vt.FPR {
 					if p, ok := fcached.get(v); ok {
 						*r = mpreg(p)
 						return
@@ -384,7 +352,7 @@ func fastRegAlloc(mf *mfunc, tgt *vt.Target) (*raState, error) {
 			var defStores []minst
 			for _, d := range defs {
 				v := *d.r
-				if d.cls == rcFloat {
+				if d.cls == vt.FPR {
 					p, ok := fcached.get(v)
 					if !ok {
 						var e error
@@ -392,7 +360,7 @@ func fastRegAlloc(mf *mfunc, tgt *vt.Target) (*raState, error) {
 						if e != nil {
 							return nil, e
 						}
-						dropReg(p, rcFloat)
+						dropReg(p, vt.FPR)
 						fcached.set(v, p)
 						fregOwner[p] = v
 					}
@@ -414,7 +382,7 @@ func fastRegAlloc(mf *mfunc, tgt *vt.Target) (*raState, error) {
 						if e != nil {
 							return nil, e
 						}
-						dropReg(p, rcInt)
+						dropReg(p, vt.GPR)
 						cached.set(v, p)
 						regOwner[p] = v
 					}
@@ -427,7 +395,7 @@ func fastRegAlloc(mf *mfunc, tgt *vt.Target) (*raState, error) {
 					stn.inserted, stn.mval = true, v
 					defStores = append(defStores, stn)
 				}
-				if tgt.IsCalleeSaved(mpregNum(*d.r)) && d.cls == rcInt {
+				if tgt.IsCalleeSaved(mpregNum(*d.r)) && d.cls == vt.GPR {
 					usedCallee[mpregNum(*d.r)] = true
 				}
 			}
@@ -437,10 +405,10 @@ func fastRegAlloc(mf *mfunc, tgt *vt.Target) (*raState, error) {
 			if in.isCall {
 				// Caller-saved registers die; caches over them drop.
 				for _, p := range tgt.CallerSaved {
-					dropReg(p, rcInt)
+					dropReg(p, vt.GPR)
 				}
 				for p := 0; p < nfpr; p++ {
-					dropReg(uint8(p), rcFloat)
+					dropReg(uint8(p), vt.FPR)
 				}
 				reserved = 0
 				freserved = 0

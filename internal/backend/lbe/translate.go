@@ -228,18 +228,6 @@ func (bld *irBuilder) checkOverflow(ovf *Instr) {
 	bld.cur = cont
 }
 
-// strVal returns the lval of a string-typed QIR value; in struct mode the
-// pair halves are produced with extractvalue on demand.
-func (bld *irBuilder) strHalves(v qir.Value) (*Instr, *Instr) {
-	lv := bld.vals[v]
-	if !bld.cfg.StructPairs {
-		return lv.a, lv.b
-	}
-	lo := bld.append(&Instr{Op: LOpExtractVal, Typ: TI64, Imm: 0, Ops: []*Instr{lv.a}})
-	hi := bld.append(&Instr{Op: LOpExtractVal, Typ: TI64, Imm: 1, Ops: []*Instr{lv.a}})
-	return lo, hi
-}
-
 func (bld *irBuilder) set(v qir.Value, in *Instr)       { bld.vals[v] = lval{a: in} }
 func (bld *irBuilder) setPair(v qir.Value, a, b *Instr) { bld.vals[v] = lval{a: a, b: b} }
 

@@ -157,10 +157,6 @@ func (bld *irBuilder) inst(qb qir.BlockID, v qir.Value, in *qir.Instr) error {
 			bld.append(&Instr{Op: LOpStore, Typ: TVoid, Ops: []*Instr{addr, bld.a(in.B)}, Unchecked: uc})
 		}
 
-	case qir.OpAtomicAdd:
-		bld.set(v, bld.append(&Instr{Op: LOpAtomicRMWAdd, Typ: typeOf(in.Type),
-			Ops: []*Instr{bld.a(in.A), bld.a(in.B)}}))
-
 	case qir.OpSelect:
 		cond := bld.a(in.A)
 		if in.Type == qir.Str && !bld.cfg.StructPairs {

@@ -83,7 +83,7 @@ func lintFunc(prog *vt.Program, fn *vm.UnwindRange, numRT int, diags *[]Diag) {
 		}
 
 		if frame >= 0 && in.RA == sp {
-			if sz := accessSize(in.Op); sz > 0 {
+			if sz, _, mem := in.Op.MemRef(); mem {
 				if in.Imm < 0 || in.Imm+int64(sz) > frame {
 					bad(off, "%s: stack access [%d,%d) outside frame of %d bytes",
 						vt.Disasm(in), in.Imm, in.Imm+int64(sz), frame)
@@ -91,22 +91,6 @@ func lintFunc(prog *vt.Program, fn *vm.UnwindRange, numRT int, diags *[]Diag) {
 			}
 		}
 	}
-}
-
-// accessSize returns the byte width of an SP-relative memory access (0 for
-// non-memory operations and Lea, which only computes an address).
-func accessSize(op vt.Op) int {
-	switch op {
-	case vt.Load8, vt.Load8S, vt.Store8:
-		return 1
-	case vt.Load16, vt.Load16S, vt.Store16:
-		return 2
-	case vt.Load32, vt.Load32S, vt.Store32:
-		return 4
-	case vt.Load64, vt.Store64, vt.FLoad, vt.FStore:
-		return 8
-	}
-	return 0
 }
 
 func forArch(a vt.Arch) *vt.Target { return vt.ForArch(a) }

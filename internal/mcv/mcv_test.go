@@ -163,3 +163,42 @@ func TestLintBadRuntimeCallIndex(t *testing.T) {
 		t.Errorf("bad runtime-call index: got %v", diags)
 	}
 }
+
+// TestLintStackAccessOutsideFrame: an SP-relative access at the frame's end
+// is flagged whether its check is in place or was eliminated, and the last
+// in-frame slot is not.
+func TestLintStackAccessOutsideFrame(t *testing.T) {
+	const frame = 32
+	for _, arch := range []vt.Arch{vt.VX64, vt.VA64} {
+		sp := vt.ForArch(arch).SP
+		for _, op := range []vt.Op{vt.Store64, vt.StoreU64, vt.Load32, vt.LoadU32S, vt.FLoadU, vt.FStoreU} {
+			lint := func(disp int64) []Diag {
+				a := vt.NewAssembler(arch)
+				a.Emit(vt.Instr{Op: vt.SubI, RD: sp, RA: sp, Imm: frame})
+				if _, store, _ := op.MemRef(); store {
+					a.Emit(vt.Instr{Op: op, RA: sp, RB: 1, Imm: disp})
+				} else {
+					a.Emit(vt.Instr{Op: op, RD: 1, RA: sp, Imm: disp})
+				}
+				a.Emit(vt.Instr{Op: vt.AddI, RD: sp, RA: sp, Imm: frame})
+				a.Emit(vt.Instr{Op: vt.Ret})
+				code, _, err := a.Finish()
+				if err != nil {
+					t.Fatalf("assemble: %v", err)
+				}
+				prog, err := vt.Decode(arch, code)
+				if err != nil {
+					t.Fatalf("decode: %v", err)
+				}
+				return Lint(prog, []vm.UnwindRange{{Start: 0, End: int32(len(code)), Name: "f"}}, 0)
+			}
+			size, _, _ := op.MemRef()
+			if diags := lint(frame - int64(size)); len(diags) != 0 {
+				t.Errorf("%v %s [sp+%d]: in-frame access flagged: %v", arch, op, frame-int64(size), diags)
+			}
+			if diags := lint(frame); len(diags) != 1 || !strings.Contains(diags[0].Msg, "outside frame") {
+				t.Errorf("%v %s [sp+%d]: want one outside-frame finding, got %v", arch, op, frame, diags)
+			}
+		}
+	}
+}

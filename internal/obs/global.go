@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -60,19 +59,6 @@ func GlobalCounters() map[string]int64 {
 		}
 	}
 	return out
-}
-
-// GlobalCounterNames returns registered counter names in sorted order
-// (including zero-valued ones).
-func GlobalCounterNames() []string {
-	regMu.Lock()
-	defer regMu.Unlock()
-	names := make([]string, 0, len(registry))
-	for _, c := range registry {
-		names = append(names, c.name)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // Vector is a fixed-size set of concurrent counters indexed by a small

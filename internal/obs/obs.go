@@ -75,9 +75,6 @@ func New(opts Options) *Tracer {
 // Enabled reports whether the tracer records anything (false for nil).
 func (t *Tracer) Enabled() bool { return t != nil }
 
-// AllocsEnabled reports whether per-span allocation deltas are captured.
-func (t *Tracer) AllocsEnabled() bool { return t != nil && t.allocs }
-
 // ReadAllocs returns the cumulative heap allocation totals of the Go
 // runtime (bytes, objects). Deltas of successive calls give the allocation
 // volume of the enclosed code on a single-goroutine path.

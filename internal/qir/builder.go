@@ -168,11 +168,6 @@ func (b *Builder) Store(addr, v Value) Value {
 	return b.append(Instr{Op: OpStore, Type: Void, A: addr, B: v, C: NoValue})
 }
 
-// AtomicAdd emits an atomic fetch-add returning the previous value.
-func (b *Builder) AtomicAdd(addr, v Value) Value {
-	return b.append(Instr{Op: OpAtomicAdd, Type: b.f.ValueType(v), A: addr, B: v, C: NoValue})
-}
-
 // Select emits cond ? x : y.
 func (b *Builder) Select(cond, x, y Value) Value {
 	return b.append(Instr{Op: OpSelect, Type: b.f.ValueType(x), A: cond, B: x, C: y})
@@ -233,9 +228,4 @@ func (b *Builder) CondBr(cond Value, ifTrue, ifFalse BlockID) {
 // Ret emits a return; v may be NoValue for void functions.
 func (b *Builder) Ret(v Value) {
 	b.append(Instr{Op: OpRet, Type: Void, A: v, B: NoValue, C: NoValue})
-}
-
-// Unreachable emits a trap terminator.
-func (b *Builder) Unreachable() {
-	b.append(Instr{Op: OpUnreachable, Type: Void, A: NoValue, B: NoValue, C: NoValue})
 }

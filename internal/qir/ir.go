@@ -180,10 +180,9 @@ const (
 	OpGEP
 
 	// Memory. OpLoad: *A with result Type. OpStore: *A = B (B's type
-	// decides the width). OpAtomicAdd: atomic *A += B, returns old value.
+	// decides the width).
 	OpLoad
 	OpStore
-	OpAtomicAdd
 
 	// OpSelect: A ? B : C.
 	OpSelect
@@ -223,7 +222,7 @@ var opNames = [NumOps]string{
 	OpFBits: "fbits", OpBitsF: "bitsf",
 	OpCrc32: "crc32", OpLMulFold: "lmulfold",
 	OpGEP: "getelementptr", OpLoad: "load", OpStore: "store",
-	OpAtomicAdd: "atomicadd", OpSelect: "select", OpCall: "call",
+	OpSelect: "select", OpCall: "call",
 	OpPhi: "phi", OpBr: "br", OpCondBr: "condbr", OpRet: "return",
 	OpUnreachable: "unreachable",
 }
@@ -260,7 +259,7 @@ func (o Op) IsConst() bool {
 // reordered across other side-effecting operations.
 func (o Op) HasSideEffects() bool {
 	switch o {
-	case OpStore, OpAtomicAdd, OpCall, OpBr, OpCondBr, OpRet, OpUnreachable,
+	case OpStore, OpCall, OpBr, OpCondBr, OpRet, OpUnreachable,
 		OpSAddTrap, OpSSubTrap, OpSMulTrap, OpSDiv, OpSRem, OpUDiv, OpURem:
 		return true
 	}

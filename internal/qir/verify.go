@@ -284,10 +284,6 @@ func (f *Func) checkTypes(v Value) error {
 		if ty(in.A) != Ptr {
 			return fail("store address not a pointer")
 		}
-	case OpAtomicAdd:
-		if ty(in.A) != Ptr || ty(in.B) != in.Type {
-			return fail("atomicadd types")
-		}
 	case OpSelect:
 		if ty(in.A) != I1 || ty(in.B) != in.Type || ty(in.C) != in.Type {
 			return fail("select types")

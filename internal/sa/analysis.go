@@ -488,7 +488,7 @@ func (a *Analysis) eval(v qir.Value, b qir.BlockID, depth int) absVal {
 	case qir.OpConstF, qir.OpConst128, qir.OpConstStr, qir.OpFuncAddr,
 		qir.OpCrc32, qir.OpLMulFold, qir.OpFBits,
 		qir.OpFAdd, qir.OpFSub, qir.OpFMul, qir.OpFDiv,
-		qir.OpBitsF, qir.OpSIToFP, qir.OpAtomicAdd, qir.OpCall:
+		qir.OpBitsF, qir.OpSIToFP, qir.OpCall:
 		return topVal()
 
 	case qir.OpAdd:
@@ -1107,14 +1107,9 @@ func (a *Analysis) Derivation(v qir.Value) (anchor qir.Value, off Interval, ok b
 	return av.anchor, av.off, av.anchor != qir.NoValue
 }
 
-// AccessSafe reports whether a size-byte access through addr, executed in
-// block b, is statically proven in-bounds. reason describes the proof.
-func (a *Analysis) AccessSafe(b qir.BlockID, addr qir.Value, size int64) (bool, string) {
-	return a.accessSafe(b, a.valAt(b, addr, maxRefineDepth), size)
-}
-
-// accessSafe is AccessSafe for an address whose contextual value av the
-// caller already has.
+// accessSafe reports whether a size-byte access through an address whose
+// contextual value is av, executed in block b, is statically proven
+// in-bounds. reason describes the proof.
 func (a *Analysis) accessSafe(b qir.BlockID, av absVal, size int64) (bool, string) {
 	if size <= 0 {
 		return false, ""

@@ -89,7 +89,7 @@ func (a *Analysis) lintBlock(b qir.BlockID, out []Finding) []Finding {
 	for _, v := range f.Blocks[b].List {
 		in := &f.Instrs[v]
 		switch in.Op {
-		case qir.OpLoad, qir.OpStore, qir.OpAtomicAdd:
+		case qir.OpLoad, qir.OpStore:
 			size := in.Type.Size()
 			if in.Op == qir.OpStore {
 				size = f.ValueType(in.B).Size()
@@ -104,7 +104,7 @@ func (a *Analysis) lintBlock(b qir.BlockID, out []Finding) []Finding {
 						in.Op, av.r.Lo, av.r.Hi, a.Facts.MinValid),
 				})
 			}
-			if in.Op == qir.OpLoad || in.Op == qir.OpAtomicAdd {
+			if in.Op == qir.OpLoad {
 				// Any read (address may alias anything) observes all
 				// pending stores.
 				clobberAll()
@@ -152,9 +152,4 @@ func (a *Analysis) lintBlock(b qir.BlockID, out []Finding) []Finding {
 		}
 	}
 	return out
-}
-
-// LintFunc is the convenience entry point: analyze f under facts and lint it.
-func LintFunc(f *qir.Func, facts *Facts) []Finding {
-	return Analyze(f, facts).Lint()
 }

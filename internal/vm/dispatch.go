@@ -55,38 +55,6 @@ func (st *fstate) trap(orig int32, code vt.TrapCode, msg string) int32 {
 	return -1
 }
 
-func memMsg(op vt.Op) string {
-	switch op {
-	case vt.Load8:
-		return "load8"
-	case vt.Load8S:
-		return "load8s"
-	case vt.Load16:
-		return "load16"
-	case vt.Load16S:
-		return "load16s"
-	case vt.Load32:
-		return "load32"
-	case vt.Load32S:
-		return "load32s"
-	case vt.Load64:
-		return "load64"
-	case vt.Store8:
-		return "store8"
-	case vt.Store16:
-		return "store16"
-	case vt.Store32:
-		return "store32"
-	case vt.Store64:
-		return "store64"
-	case vt.FLoad:
-		return "fload"
-	case vt.FStore:
-		return "fstore"
-	}
-	return op.String()
-}
-
 // stepRun executes the steps of one xRun superinstruction. Every step is
 // trap-free by construction — memory steps use the unchecked u* opcodes
 // (uLoad8..uFStore) or fused c*/t3* combinations whose bounds were

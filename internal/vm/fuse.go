@@ -403,15 +403,9 @@ var opClass = func() (t [256]uint8) {
 		if !op.CanTrap() && !op.IsBranch() && !op.IsCall() && op != vt.Ret {
 			t[op] |= opRunnable
 		}
-		t[op] |= opIntDst
-	}
-	for _, op := range []vt.Op{vt.Nop, vt.Store8, vt.Store16, vt.Store32, vt.Store64,
-		vt.StoreU8, vt.StoreU16, vt.StoreU32, vt.StoreU64,
-		vt.FStore, vt.FStoreU, vt.FLoad, vt.FLoadU, vt.FMovRR, vt.FMovRI,
-		vt.FAdd, vt.FSub, vt.FMul, vt.FDiv, vt.CvtSI2F, vt.MovFR,
-		vt.Br, vt.BrCC, vt.BrNZ, vt.Call, vt.CallInd, vt.CallRT,
-		vt.Ret, vt.Trap, vt.TrapNZ} {
-		t[op] &^= opIntDst
+		if i := op.Info(); i.Def&vt.RD != 0 && i.Class(vt.RD) == vt.GPR {
+			t[op] |= opIntDst
+		}
 	}
 	return t
 }()

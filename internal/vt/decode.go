@@ -126,165 +126,96 @@ func (p *Program) scanX64() error {
 		op := Op(code[r.pc])
 		r.pc++
 		i := Instr{Op: op}
-
-		switch op {
-		case Nop, Ret:
-			// nothing
-		case MovRR, FMovRR, MovRF, MovFR, CvtSI2F, CvtF2SI:
-			if !r.need(1) {
-				return x64Truncated(op, start)
+		info := op.Info()
+		ok := true
+		switch info.Form {
+		case FormNone:
+		case FormUnary:
+			if ok = r.need(1); ok {
+				i.RD, i.RA = r.regs()
+				if info.TwoAddr {
+					i.RA = i.RD
+				}
 			}
-			i.RD, i.RA = r.regs()
-		case Add, Sub, Mul, And, Or, Xor, Shl, Shr, Sar, Rotr, SDiv, SRem, UDiv, URem,
-			Crc32, FAdd, FSub, FMul, FDiv:
-			if !r.need(1) {
-				return x64Truncated(op, start)
+		case FormRR:
+			if ok = r.need(1); ok {
+				i.RD, i.RB = r.regs()
+				i.RA = i.RD
 			}
-			i.RD, i.RB = r.regs()
-			i.RA = i.RD
-		case Neg, Not:
-			if !r.need(1) {
-				return x64Truncated(op, start)
+		case FormSetCC:
+			if ok = r.need(2); ok {
+				i.RD, i.RA = r.regs()
+				c, rb := r.regs()
+				i.Cond, i.RB = Cond(c), rb
 			}
-			i.RD, _ = r.regs()
-			i.RA = i.RD
-		case SetCC, FCmp:
-			if !r.need(2) {
-				return x64Truncated(op, start)
+		case FormMulWide:
+			if ok = r.need(2); ok {
+				i.RD, i.RC = r.regs()
+				i.RA, i.RB = r.regs()
 			}
-			i.RD, i.RA = r.regs()
-			c, rb := r.regs()
-			i.Cond, i.RB = Cond(c), rb
-		case MulWideU, MulWideS:
-			if !r.need(2) {
-				return x64Truncated(op, start)
+		case FormMovI:
+			if ok = r.need(1); ok {
+				i.RD, _ = r.regs()
+				i.Imm, ok = r.imm()
 			}
-			i.RD, i.RC = r.regs()
-			i.RA, i.RB = r.regs()
-		case MovRI, FMovRI:
-			if !r.need(1) {
-				return x64Truncated(op, start)
+		case FormRI, FormLoad:
+			if ok = r.need(1); ok {
+				i.RD, i.RA = r.regs()
+				i.Imm, ok = r.imm()
 			}
-			i.RD, _ = r.regs()
-			v, ok := r.imm()
-			if !ok {
-				return x64Truncated(op, start)
+		case FormStore:
+			if ok = r.need(1); ok {
+				i.RA, i.RB = r.regs()
+				i.Imm, ok = r.imm()
 			}
-			i.Imm = v
-		case AddI, SubI, MulI, AndI, OrI, XorI, ShlI, ShrI, SarI, RotrI, Lea,
-			Load8, Load8S, Load16, Load16S, Load32, Load32S, Load64, FLoad,
-			LoadU8, LoadU8S, LoadU16, LoadU16S, LoadU32, LoadU32S, LoadU64, FLoadU:
-			if !r.need(1) {
-				return x64Truncated(op, start)
+		case FormBr:
+			i.Target, ok = r.rel32()
+		case FormBrCC:
+			if ok = r.need(2); ok {
+				i.RA, i.RB = r.regs()
+				i.Cond = Cond(code[r.pc])
+				r.pc++
+				i.Target, ok = r.rel32()
 			}
-			i.RD, i.RA = r.regs()
-			v, ok := r.imm()
-			if !ok {
-				return x64Truncated(op, start)
+		case FormBrNZ:
+			if ok = r.need(1); ok {
+				i.RA, _ = r.regs()
+				i.Target, ok = r.rel32()
 			}
-			i.Imm = v
-		case Store8, Store16, Store32, Store64, FStore,
-			StoreU8, StoreU16, StoreU32, StoreU64, FStoreU:
-			if !r.need(1) {
-				return x64Truncated(op, start)
+		case FormCall:
+			if ok = r.need(4); ok {
+				i.Imm = int64(binary.LittleEndian.Uint32(code[r.pc:]))
+				r.pc += 4
 			}
-			i.RA, i.RB = r.regs()
-			v, ok := r.imm()
-			if !ok {
-				return x64Truncated(op, start)
+		case FormCallInd:
+			if ok = r.need(1); ok {
+				i.RA, _ = r.regs()
 			}
-			i.Imm = v
-		case Br:
-			t, ok := r.rel32()
-			if !ok {
-				return x64Truncated(op, start)
+		case FormCallRT:
+			if ok = r.need(2); ok {
+				i.Imm = int64(binary.LittleEndian.Uint16(code[r.pc:]))
+				r.pc += 2
 			}
-			i.Target = t
-		case BrCC:
-			if !r.need(2) {
-				return x64Truncated(op, start)
+		case FormTrap:
+			if ok = r.need(1); ok {
+				i.Imm = int64(code[r.pc])
+				r.pc++
 			}
-			i.RA, i.RB = r.regs()
-			i.Cond = Cond(code[r.pc])
-			r.pc++
-			t, ok := r.rel32()
-			if !ok {
-				return x64Truncated(op, start)
+		case FormTrapNZ:
+			if ok = r.need(2); ok {
+				i.RA, _ = r.regs()
+				i.Imm = int64(code[r.pc])
+				r.pc++
 			}
-			i.Target = t
-		case BrNZ:
-			if !r.need(1) {
-				return x64Truncated(op, start)
-			}
-			i.RA, _ = r.regs()
-			t, ok := r.rel32()
-			if !ok {
-				return x64Truncated(op, start)
-			}
-			i.Target = t
-		case Call:
-			if !r.need(4) {
-				return x64Truncated(op, start)
-			}
-			i.Imm = int64(binary.LittleEndian.Uint32(code[r.pc:]))
-			r.pc += 4
-		case CallInd:
-			if !r.need(1) {
-				return x64Truncated(op, start)
-			}
-			i.RA, _ = r.regs()
-		case CallRT:
-			if !r.need(2) {
-				return x64Truncated(op, start)
-			}
-			i.Imm = int64(binary.LittleEndian.Uint16(code[r.pc:]))
-			r.pc += 2
-		case Trap:
-			if !r.need(1) {
-				return x64Truncated(op, start)
-			}
-			i.Imm = int64(code[r.pc])
-			r.pc++
-		case TrapNZ:
-			if !r.need(2) {
-				return x64Truncated(op, start)
-			}
-			i.RA, _ = r.regs()
-			i.Imm = int64(code[r.pc])
-			r.pc++
-		default:
+		default: // FormMovZK is va64 only
 			return fmt.Errorf("vx64: bad opcode %d at %d", op, start)
+		}
+		if !ok {
+			return x64Truncated(op, start)
 		}
 		p.add(start, i)
 	}
 	return nil
-}
-
-// a64RegCheck validates the register fields of one va64 instruction word,
-// keeping the first that names a register the machine does not have.
-type a64RegCheck struct {
-	ngpr, nfpr uint8
-	op         Op
-	pc         int
-	err        error
-}
-
-func (c *a64RegCheck) r(n uint8, field string) {
-	if n >= c.ngpr {
-		c.fail(n, field, "r")
-	}
-}
-
-func (c *a64RegCheck) f(n uint8, field string) {
-	if n >= c.nfpr {
-		c.fail(n, field, "f")
-	}
-}
-
-func (c *a64RegCheck) fail(n uint8, field, cls string) {
-	if c.err == nil {
-		c.err = fmt.Errorf("va64: %s: register field %s=%s%d out of range at %d", c.op, field, cls, n, c.pc)
-	}
 }
 
 func (p *Program) decodeA64() error {
@@ -293,7 +224,7 @@ func (p *Program) decodeA64() error {
 		return fmt.Errorf("va64: code length %d not word-aligned", len(code))
 	}
 	p.Instrs, p.Offsets = make([]Instr, 0, len(code)/4), make([]int32, 0, len(code)/4)
-	ck := a64RegCheck{ngpr: uint8(ForArch(VA64).NumGPR), nfpr: uint8(ForArch(VA64).NumFPR)}
+	t := ForArch(VA64)
 	for pc := 0; pc < len(code); pc += 4 {
 		w := binary.LittleEndian.Uint32(code[pc:])
 		op := Op(w & 0xFF)
@@ -302,178 +233,143 @@ func (p *Program) decodeA64() error {
 		rb := uint8(w >> 20 & 0x3F)
 		x := uint8(w >> 26 & 0x3F)
 
-		// Register fields are 6 bits wide but the machine has only 32
-		// integer and 16 float registers; reject encodings that name a
-		// register that does not exist rather than aliasing it later.
-		ck.op, ck.pc = op, pc
-		switch op {
-		case MovRR, Neg, Not,
-			AddI, SubI, MulI, AndI, OrI, XorI, ShlI, ShrI, SarI, RotrI, Lea,
-			Load8, Load8S, Load16, Load16S, Load32, Load32S, Load64,
-			LoadU8, LoadU8S, LoadU16, LoadU16S, LoadU32, LoadU32S, LoadU64:
-			ck.r(rd, "rd")
-			ck.r(ra, "ra")
-		case FMovRR:
-			ck.f(rd, "rd")
-			ck.f(ra, "ra")
-		case MovRF, CvtF2SI:
-			ck.r(rd, "rd")
-			ck.f(ra, "ra")
-		case MovFR, CvtSI2F, FLoad, FLoadU:
-			ck.f(rd, "rd")
-			ck.r(ra, "ra")
-		case Add, Sub, Mul, And, Or, Xor, Shl, Shr, Sar, Rotr, SDiv, SRem, UDiv, URem,
-			Crc32, SetCC:
-			ck.r(rd, "rd")
-			ck.r(ra, "ra")
-			ck.r(rb, "rb")
-		case FAdd, FSub, FMul, FDiv:
-			ck.f(rd, "rd")
-			ck.f(ra, "ra")
-			ck.f(rb, "rb")
-		case FCmp:
-			ck.r(rd, "rd")
-			ck.f(ra, "ra")
-			ck.f(rb, "rb")
-		case MulWideU, MulWideS:
-			ck.r(rd, "rd")
-			ck.r(ra, "ra")
-			ck.r(rb, "rb")
-			ck.r(x, "rc")
-		case MovZ, MovK:
-			ck.r(rd, "rd")
-		case Store8, Store16, Store32, Store64,
-			StoreU8, StoreU16, StoreU32, StoreU64:
-			ck.r(rd, "rb") // value field, encoded in the rd slot
-			ck.r(ra, "ra")
-		case FStore, FStoreU:
-			ck.f(rd, "rb")
-			ck.r(ra, "ra")
-		case BrNZ:
-			ck.r(rd, "ra") // tested register, encoded in the rd slot
-		case CallInd, TrapNZ:
-			ck.r(ra, "ra")
-		}
-		if ck.err != nil {
-			return ck.err
-		}
-
 		i := Instr{Op: op}
-		switch op {
-		case Nop, Ret:
+		info := op.Info()
+		switch info.Form {
+		case FormNone:
 			// nothing
-		case MovRR, FMovRR, MovRF, MovFR, CvtSI2F, CvtF2SI, Neg, Not:
+		case FormUnary:
 			i.RD, i.RA = rd, ra
-		case Add, Sub, Mul, And, Or, Xor, Shl, Shr, Sar, Rotr, SDiv, SRem, UDiv, URem,
-			Crc32, FAdd, FSub, FMul, FDiv:
+		case FormRR:
 			i.RD, i.RA, i.RB = rd, ra, rb
-		case SetCC, FCmp:
+		case FormSetCC:
 			i.RD, i.RA, i.RB, i.Cond = rd, ra, rb, Cond(x)
-		case MulWideU, MulWideS:
+		case FormMulWide:
 			i.RD, i.RA, i.RB, i.RC = rd, ra, rb, x
-		case MovZ, MovK:
+		case FormMovZK:
 			i.RD = rd
 			i.Cond = Cond(w >> 14 & 3)
 			i.Imm = int64(w >> 16 & 0xFFFF)
-		case AddI, SubI, MulI, AndI, OrI, XorI, ShlI, ShrI, SarI, RotrI, Lea,
-			Load8, Load8S, Load16, Load16S, Load32, Load32S, Load64, FLoad,
-			LoadU8, LoadU8S, LoadU16, LoadU16S, LoadU32, LoadU32S, LoadU64, FLoadU:
+		case FormRI, FormLoad:
 			i.RD, i.RA = rd, ra
 			i.Imm = int64(int32(w) >> 20)
-		case Store8, Store16, Store32, Store64, FStore,
-			StoreU8, StoreU16, StoreU32, StoreU64, FStoreU:
-			i.RB, i.RA = rd, ra
+		case FormStore:
+			i.RB, i.RA = rd, ra // the value register sits in the rd slot
 			i.Imm = int64(int32(w) >> 20)
-		case Br:
+		case FormBr:
 			rel := int32(w) >> 8
 			i.Target = int32(pc) + rel*4
-		case BrNZ:
-			i.RA = rd
+		case FormBrNZ:
+			i.RA = rd // the tested register sits in the rd slot
 			rel := int32(w) >> 14
 			i.Target = int32(pc) + rel*4
-		case Call:
+		case FormCall:
 			i.Imm = int64(w>>8) * 4
-		case CallInd:
+		case FormCallInd:
 			i.RA = ra
-		case CallRT:
+		case FormCallRT:
 			i.Imm = int64(w >> 16 & 0xFFFF)
-		case Trap:
+		case FormTrap:
 			i.Imm = int64(rd)
-		case TrapNZ:
+		case FormTrapNZ:
 			i.Imm, i.RA = int64(rd), ra
-		default:
+		default: // FormMovI and FormBrCC are vx64 only: va64 expands them
 			return fmt.Errorf("va64: bad opcode %d at %d", op, pc)
+		}
+		// Register fields are 6 bits wide but the machine has only 32
+		// integer and 16 float registers; reject encodings that name a
+		// register that does not exist rather than aliasing it later.
+		if regs := info.Use | info.Def; regs != 0 {
+			if err := a64CheckRegs(t, &i, info, regs, pc); err != nil {
+				return err
+			}
 		}
 		p.add(pc, i)
 	}
 	return nil
 }
 
+// a64CheckRegs reports the first register field of i in regs that names a
+// register the machine does not have.
+func a64CheckRegs(t *Target, i *Instr, info *Info, regs Regs, pc int) error {
+	for _, f := range [...]struct {
+		field Regs
+		name  string
+		n     uint8
+	}{{RD, "rd", i.RD}, {RA, "ra", i.RA}, {RB, "rb", i.RB}, {RC, "rc", i.RC}} {
+		if regs&f.field == 0 {
+			continue
+		}
+		cls, max := "r", t.NumGPR
+		if info.Class(f.field) == FPR {
+			cls, max = "f", t.NumFPR
+		}
+		if int(f.n) >= max {
+			return fmt.Errorf("va64: %s: register field %s=%s%d out of range at %d", i.Op, f.name, cls, f.n, pc)
+		}
+	}
+	return nil
+}
+
 // Disasm renders one instruction as assembly-like text.
 func Disasm(i Instr) string {
-	r := func(n uint8) string { return fmt.Sprintf("r%d", n) }
-	f := func(n uint8) string { return fmt.Sprintf("f%d", n) }
-	switch i.Op {
-	case Nop, Ret:
+	info := i.Op.Info()
+	reg := func(f Regs) string {
+		n := i.RD
+		switch f {
+		case RA:
+			n = i.RA
+		case RB:
+			n = i.RB
+		case RC:
+			n = i.RC
+		}
+		if info.Class(f) == FPR {
+			return fmt.Sprintf("f%d", n)
+		}
+		return fmt.Sprintf("r%d", n)
+	}
+	switch info.Form {
+	case FormNone:
 		return i.Op.String()
-	case MovRR:
-		return fmt.Sprintf("mov %s, %s", r(i.RD), r(i.RA))
-	case MovRI:
-		return fmt.Sprintf("movi %s, %d", r(i.RD), i.Imm)
-	case MovZ, MovK:
-		return fmt.Sprintf("%s %s, %d, lsl %d", i.Op, r(i.RD), i.Imm, uint8(i.Cond)*16)
-	case FMovRR:
-		return fmt.Sprintf("fmov %s, %s", f(i.RD), f(i.RA))
-	case FMovRI:
-		return fmt.Sprintf("fmovi %s, %#x", f(i.RD), uint64(i.Imm))
-	case MovRF:
-		return fmt.Sprintf("movrf %s, %s", r(i.RD), f(i.RA))
-	case MovFR:
-		return fmt.Sprintf("movfr %s, %s", f(i.RD), r(i.RA))
-	case CvtSI2F:
-		return fmt.Sprintf("si2f %s, %s", f(i.RD), r(i.RA))
-	case CvtF2SI:
-		return fmt.Sprintf("f2si %s, %s", r(i.RD), f(i.RA))
-	case Add, Sub, Mul, And, Or, Xor, Shl, Shr, Sar, Rotr, SDiv, SRem, UDiv, URem, Crc32:
-		return fmt.Sprintf("%s %s, %s, %s", i.Op, r(i.RD), r(i.RA), r(i.RB))
-	case FAdd, FSub, FMul, FDiv:
-		return fmt.Sprintf("%s %s, %s, %s", i.Op, f(i.RD), f(i.RA), f(i.RB))
-	case Neg, Not:
-		return fmt.Sprintf("%s %s", i.Op, r(i.RD))
-	case AddI, SubI, MulI, AndI, OrI, XorI, ShlI, ShrI, SarI, RotrI, Lea:
-		return fmt.Sprintf("%s %s, %s, %d", i.Op, r(i.RD), r(i.RA), i.Imm)
-	case Load8, Load8S, Load16, Load16S, Load32, Load32S, Load64,
-		LoadU8, LoadU8S, LoadU16, LoadU16S, LoadU32, LoadU32S, LoadU64:
-		return fmt.Sprintf("%s %s, [%s%+d]", i.Op, r(i.RD), r(i.RA), i.Imm)
-	case FLoad, FLoadU:
-		return fmt.Sprintf("%s %s, [%s%+d]", i.Op, f(i.RD), r(i.RA), i.Imm)
-	case Store8, Store16, Store32, Store64,
-		StoreU8, StoreU16, StoreU32, StoreU64:
-		return fmt.Sprintf("%s [%s%+d], %s", i.Op, r(i.RA), i.Imm, r(i.RB))
-	case FStore, FStoreU:
-		return fmt.Sprintf("%s [%s%+d], %s", i.Op, r(i.RA), i.Imm, f(i.RB))
-	case SetCC:
-		return fmt.Sprintf("set.%s %s, %s, %s", i.Cond, r(i.RD), r(i.RA), r(i.RB))
-	case FCmp:
-		return fmt.Sprintf("fcmp.%s %s, %s, %s", i.Cond, r(i.RD), f(i.RA), f(i.RB))
-	case MulWideU, MulWideS:
-		return fmt.Sprintf("%s %s:%s, %s, %s", i.Op, r(i.RC), r(i.RD), r(i.RA), r(i.RB))
-	case Br:
+	case FormUnary:
+		if info.TwoAddr {
+			return fmt.Sprintf("%s %s", i.Op, reg(RD))
+		}
+		return fmt.Sprintf("%s %s, %s", i.Op, reg(RD), reg(RA))
+	case FormMovI:
+		if info.Class(RD) == FPR {
+			return fmt.Sprintf("%s %s, %#x", i.Op, reg(RD), uint64(i.Imm))
+		}
+		return fmt.Sprintf("%s %s, %d", i.Op, reg(RD), i.Imm)
+	case FormMovZK:
+		return fmt.Sprintf("%s %s, %d, lsl %d", i.Op, reg(RD), i.Imm, uint8(i.Cond)*16)
+	case FormRR:
+		return fmt.Sprintf("%s %s, %s, %s", i.Op, reg(RD), reg(RA), reg(RB))
+	case FormRI:
+		return fmt.Sprintf("%s %s, %s, %d", i.Op, reg(RD), reg(RA), i.Imm)
+	case FormLoad:
+		return fmt.Sprintf("%s %s, [%s%+d]", i.Op, reg(RD), reg(RA), i.Imm)
+	case FormStore:
+		return fmt.Sprintf("%s [%s%+d], %s", i.Op, reg(RA), i.Imm, reg(RB))
+	case FormSetCC:
+		return fmt.Sprintf("%s.%s %s, %s, %s", i.Op, i.Cond, reg(RD), reg(RA), reg(RB))
+	case FormMulWide:
+		return fmt.Sprintf("%s %s:%s, %s, %s", i.Op, reg(RC), reg(RD), reg(RA), reg(RB))
+	case FormBr:
 		return fmt.Sprintf("br %d", i.Target)
-	case BrCC:
-		return fmt.Sprintf("br.%s %s, %s, %d", i.Cond, r(i.RA), r(i.RB), i.Target)
-	case BrNZ:
-		return fmt.Sprintf("brnz %s, %d", r(i.RA), i.Target)
-	case Call:
-		return fmt.Sprintf("call %d", i.Imm)
-	case CallInd:
-		return fmt.Sprintf("calli %s", r(i.RA))
-	case CallRT:
-		return fmt.Sprintf("callrt %d", i.Imm)
-	case Trap:
+	case FormBrCC:
+		return fmt.Sprintf("br.%s %s, %s, %d", i.Cond, reg(RA), reg(RB), i.Target)
+	case FormBrNZ:
+		return fmt.Sprintf("brnz %s, %d", reg(RA), i.Target)
+	case FormCall, FormCallRT:
+		return fmt.Sprintf("%s %d", i.Op, i.Imm)
+	case FormCallInd:
+		return fmt.Sprintf("calli %s", reg(RA))
+	case FormTrap:
 		return fmt.Sprintf("trap %s", TrapCode(i.Imm))
-	case TrapNZ:
-		return fmt.Sprintf("trapnz %s, %s", r(i.RA), TrapCode(i.Imm))
+	case FormTrapNZ:
+		return fmt.Sprintf("trapnz %s, %s", reg(RA), TrapCode(i.Imm))
 	}
 	return fmt.Sprintf("?%d", i.Op)
 }

@@ -117,13 +117,16 @@ const (
 // ---------------------------------------------------------------------------
 // vx64: variable-length encoding.
 //
-// byte 0: opcode. Remaining bytes depend on the operation class:
+// byte 0: opcode. Remaining bytes depend on the operation's Form (table.go):
 //
-//	none      Nop, Ret
-//	rr        byte1 = hi<<4 | lo register nibbles
+//	none      -
+//	unary     byte1 = rd<<4|ra (two-address: rd<<4)
+//	rr        byte1 = rd<<4|rb (two-address: RA is RD)
 //	setcc     byte1 = rd<<4|ra, byte2 = cond<<4|rb
 //	mulwide   byte1 = rd<<4|rc, byte2 = ra<<4|rb
-//	ri        byte1 = regs, byte2 = size code 0..3 (1/2/4/8 bytes), imm LE
+//	movi      byte1 = rd<<4, then the immediate as in ri
+//	ri, load  byte1 = rd<<4|ra, byte2 = size code 0..3 (1/2/4/8 bytes), imm LE
+//	store     byte1 = ra<<4|rb, then the immediate as in ri
 //	br        rel32
 //	brcc      byte1 = ra<<4|rb, byte2 = cond, rel32
 //	brnz      byte1 = ra<<4, rel32
@@ -218,88 +221,63 @@ func (a *x64Asm) rel32(l Label) {
 
 func (a *x64Asm) Emit(i Instr) {
 	op := i.Op
+	info := op.Info()
 	a.byte(byte(op))
-	switch op {
-	case Nop, Ret:
+	if info.TwoAddr && i.RD != i.RA {
+		a.fail("%s: two-address form requires RD==RA (got r%d, r%d)", op, i.RD, i.RA)
+	}
+	switch info.Form {
+	case FormNone:
 		// no operands
-	case MovRR:
-		a.regs(i.RD, i.RA)
-	case FMovRR:
-		a.regs(i.RD, i.RA)
-	case MovRF, CvtF2SI:
-		a.regs(i.RD, i.RA)
-	case MovFR, CvtSI2F:
-		a.regs(i.RD, i.RA)
-	case Add, Sub, Mul, And, Or, Xor, Shl, Shr, Sar, Rotr, SDiv, SRem, UDiv, URem, Crc32:
-		if i.RD != i.RA {
-			a.fail("%s: two-address form requires RD==RA (got r%d, r%d)", op, i.RD, i.RA)
+	case FormUnary:
+		if info.TwoAddr {
+			a.regs(i.RD, 0)
+		} else {
+			a.regs(i.RD, i.RA)
 		}
+	case FormRR:
 		a.regs(i.RD, i.RB)
-	case FAdd, FSub, FMul, FDiv:
-		if i.RD != i.RA {
-			a.fail("%s: two-address form requires FD==FA", op)
-		}
-		a.regs(i.RD, i.RB)
-	case Neg, Not:
-		if i.RD != i.RA {
-			a.fail("%s: two-address form requires RD==RA", op)
-		}
-		a.regs(i.RD, 0)
-	case SetCC:
+	case FormSetCC:
 		a.regs(i.RD, i.RA)
 		a.byte(byte(i.Cond)<<4 | i.RB&0xF)
-	case FCmp:
-		a.regs(i.RD, i.RA)
-		a.byte(byte(i.Cond)<<4 | i.RB&0xF)
-	case MulWideU, MulWideS:
+	case FormMulWide:
 		a.regs(i.RD, i.RC)
 		a.regs(i.RA, i.RB)
-	case MovRI, FMovRI:
+	case FormMovI:
 		a.regs(i.RD, 0)
 		a.imm(i.Imm)
-	case AddI, SubI, MulI, AndI, OrI, XorI, ShlI, ShrI, SarI, RotrI, Lea:
-		if a.t.TwoAddress && op != Lea && i.RD != i.RA {
-			a.fail("%s: two-address form requires RD==RA", op)
-		}
+	case FormRI, FormLoad:
 		a.regs(i.RD, i.RA)
 		a.imm(i.Imm)
-	case Load8, Load8S, Load16, Load16S, Load32, Load32S, Load64, FLoad,
-		LoadU8, LoadU8S, LoadU16, LoadU16S, LoadU32, LoadU32S, LoadU64, FLoadU:
-		a.regs(i.RD, i.RA)
-		a.imm(i.Imm)
-	case Store8, Store16, Store32, Store64,
-		StoreU8, StoreU16, StoreU32, StoreU64:
+	case FormStore:
 		a.regs(i.RA, i.RB)
 		a.imm(i.Imm)
-	case FStore, FStoreU:
-		a.regs(i.RA, i.RB)
-		a.imm(i.Imm)
-	case Br:
+	case FormBr:
 		a.rel32(Label(i.Target))
-	case BrCC:
+	case FormBrCC:
 		a.regs(i.RA, i.RB)
 		a.byte(byte(i.Cond))
 		a.rel32(Label(i.Target))
-	case BrNZ:
+	case FormBrNZ:
 		a.regs(i.RA, 0)
 		a.rel32(Label(i.Target))
-	case Call:
+	case FormCall:
 		// Direct call with a known offset: encode absolute 32-bit.
 		var b [4]byte
 		binary.LittleEndian.PutUint32(b[:], uint32(i.Imm))
 		a.code = append(a.code, b[:]...)
-	case CallInd:
+	case FormCallInd:
 		a.regs(i.RA, 0)
-	case CallRT:
+	case FormCallRT:
 		var b [2]byte
 		binary.LittleEndian.PutUint16(b[:], uint16(i.Imm))
 		a.code = append(a.code, b[:]...)
-	case Trap:
+	case FormTrap:
 		a.byte(byte(i.Imm))
-	case TrapNZ:
+	case FormTrapNZ:
 		a.regs(i.RA, 0)
 		a.byte(byte(i.Imm))
-	case MovZ, MovK:
+	case FormMovZK:
 		a.fail("%s not supported on vx64", op)
 	default:
 		a.fail("cannot encode %s", op)
@@ -424,106 +402,75 @@ func (a *a64Asm) movConst(rd uint8, v int64) {
 
 func (a *a64Asm) Emit(i Instr) {
 	op := i.Op
+	info := op.Info()
 	sc := a.t.Scratch
-	switch op {
-	case Nop, Ret:
+	switch info.Form {
+	case FormNone:
 		a.word(uint32(op))
-	case MovRR, FMovRR, MovRF, MovFR, CvtSI2F, CvtF2SI, Neg, Not:
+	case FormUnary:
 		a.rrWord(op, i.RD, i.RA, 0, 0)
-	case Add, Sub, Mul, And, Or, Xor, Shl, Shr, Sar, Rotr, SDiv, SRem, UDiv, URem,
-		Crc32, FAdd, FSub, FMul, FDiv:
+	case FormRR:
 		a.rrWord(op, i.RD, i.RA, i.RB, 0)
-	case SetCC, FCmp:
+	case FormSetCC:
 		a.rrWord(op, i.RD, i.RA, i.RB, uint8(i.Cond))
-	case MulWideU, MulWideS:
+	case FormMulWide:
 		a.rrWord(op, i.RD, i.RA, i.RB, i.RC)
-	case MovZ, MovK:
+	case FormMovZK:
 		a.word(uint32(op) | r6(i.RD)<<8 | uint32(i.Cond&3)<<14 | uint32(uint16(i.Imm))<<16)
-	case MovRI:
-		a.movConst(i.RD, i.Imm)
-	case FMovRI:
+	case FormMovI:
+		if info.Class(RD) == GPR {
+			a.movConst(i.RD, i.Imm)
+			return
+		}
 		a.movConst(sc, i.Imm)
 		a.rrWord(MovFR, i.RD, sc, 0, 0)
-	case AddI, SubI, MulI, AndI, OrI, XorI, ShlI, ShrI, SarI, RotrI, Lea:
+	case FormRI:
 		if fitsImm12(i.Imm) {
 			a.riWord(op, i.RD, i.RA, i.Imm)
 			return
 		}
 		a.movConst(sc, i.Imm)
-		rr := op.immToRR()
-		a.rrWord(rr, i.RD, i.RA, sc, 0)
-	case Load8, Load8S, Load16, Load16S, Load32, Load32S, Load64, FLoad,
-		LoadU8, LoadU8S, LoadU16, LoadU16S, LoadU32, LoadU32S, LoadU64, FLoadU:
+		a.rrWord(info.RR, i.RD, i.RA, sc, 0)
+	case FormLoad, FormStore:
+		// A store carries its value register in the rd slot.
+		rd := i.RD
+		if info.Form == FormStore {
+			rd = i.RB
+		}
 		if fitsImm12(i.Imm) {
-			a.riWord(op, i.RD, i.RA, i.Imm)
+			a.riWord(op, rd, i.RA, i.Imm)
 			return
 		}
 		a.movConst(sc, i.Imm)
 		a.rrWord(Add, sc, sc, i.RA, 0)
-		a.riWord(op, i.RD, sc, 0)
-	case Store8, Store16, Store32, Store64, FStore,
-		StoreU8, StoreU16, StoreU32, StoreU64, FStoreU:
-		if fitsImm12(i.Imm) {
-			a.riWord(op, i.RB, i.RA, i.Imm)
-			return
-		}
-		a.movConst(sc, i.Imm)
-		a.rrWord(Add, sc, sc, i.RA, 0)
-		a.riWord(op, i.RB, sc, 0)
-	case Br:
+		a.riWord(op, rd, sc, 0)
+	case FormBr:
 		at := int32(len(a.code))
 		a.word(uint32(op))
 		a.fixups = append(a.fixups, fixup{label: Label(i.Target), at: at, end: at, kind: fixRel24})
-	case BrNZ:
+	case FormBrNZ:
 		at := int32(len(a.code))
 		a.word(uint32(op) | r6(i.RA)<<8)
 		a.fixups = append(a.fixups, fixup{label: Label(i.Target), at: at, end: at, kind: fixRel18})
-	case BrCC:
+	case FormBrCC:
 		// Expand: SetCC scratch; BrNZ scratch.
 		a.rrWord(SetCC, sc, i.RA, i.RB, uint8(i.Cond))
 		at := int32(len(a.code))
 		a.word(uint32(BrNZ) | r6(sc)<<8)
 		a.fixups = append(a.fixups, fixup{label: Label(i.Target), at: at, end: at, kind: fixRel18})
-	case Call:
+	case FormCall:
 		a.word(uint32(op) | uint32(i.Imm/4)<<8)
-	case CallInd:
+	case FormCallInd:
 		a.rrWord(op, 0, i.RA, 0, 0)
-	case CallRT:
+	case FormCallRT:
 		a.word(uint32(op) | uint32(uint16(i.Imm))<<16)
-	case Trap:
+	case FormTrap:
 		a.rrWord(op, uint8(i.Imm), 0, 0, 0)
-	case TrapNZ:
+	case FormTrapNZ:
 		a.rrWord(op, uint8(i.Imm), i.RA, 0, 0)
 	default:
 		a.fail("cannot encode %s", op)
 	}
-}
-
-// immToRR maps a register-immediate ALU op to its register-register form.
-func (o Op) immToRR() Op {
-	switch o {
-	case AddI, Lea:
-		return Add
-	case SubI:
-		return Sub
-	case MulI:
-		return Mul
-	case AndI:
-		return And
-	case OrI:
-		return Or
-	case XorI:
-		return Xor
-	case ShlI:
-		return Shl
-	case ShrI:
-		return Shr
-	case SarI:
-		return Sar
-	case RotrI:
-		return Rotr
-	}
-	panic(fmt.Sprintf("vt: no rr form of %s", o))
 }
 
 func (a *a64Asm) EmitCallSym(sym int32) {

@@ -345,46 +345,108 @@ func evalTest(c Cond, a, b int64) bool {
 // TestRandomProgramRoundTrip encodes random straight-line programs and
 // verifies the decoder reproduces them exactly (vx64) or semantically
 // (va64 expansions decode to more instructions).
+// TestRandomProgramRoundTrip encodes random programs over every operation
+// each architecture encodes as itself — the register fields the table lists
+// filled in their class's range, the others zero — and decodes them back to
+// the same instructions.
 func TestRandomProgramRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	aluOps := []Op{Add, Sub, Mul, And, Or, Xor, Shl, Shr, Sar, Rotr}
-	for trial := 0; trial < 200; trial++ {
-		var want []Instr
-		a := NewAssembler(VX64)
-		n := 1 + rng.Intn(30)
-		for i := 0; i < n; i++ {
-			var in Instr
-			switch rng.Intn(4) {
-			case 0:
-				r := uint8(rng.Intn(16))
-				in = Instr{Op: aluOps[rng.Intn(len(aluOps))], RD: r, RA: r, RB: uint8(rng.Intn(16))}
-			case 1:
-				in = Instr{Op: MovRI, RD: uint8(rng.Intn(16)), Imm: rng.Int63() - rng.Int63()}
-			case 2:
-				in = Instr{Op: Load64, RD: uint8(rng.Intn(16)), RA: uint8(rng.Intn(16)), Imm: int64(int32(rng.Uint32()))}
-			case 3:
-				in = Instr{Op: SetCC, Cond: Cond(rng.Intn(int(NumConds))), RD: uint8(rng.Intn(16)), RA: uint8(rng.Intn(16)), RB: uint8(rng.Intn(16))}
+	for _, arch := range []Arch{VX64, VA64} {
+		tg := ForArch(arch)
+		var ops []Op
+		for op := Op(0); op < NumOps; op++ {
+			switch f := op.Info().Form; {
+			case arch == VA64 && (f == FormMovI || f == FormBrCC): // expanded
+			case arch == VX64 && f == FormMovZK: // va64 only
+			default:
+				ops = append(ops, op)
 			}
-			want = append(want, in)
-			a.Emit(in)
 		}
-		code, _, err := a.Finish()
-		if err != nil {
-			t.Fatal(err)
-		}
-		p, err := Decode(VX64, code)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(p.Instrs) != len(want) {
-			t.Fatalf("trial %d: got %d instrs want %d", trial, len(p.Instrs), len(want))
-		}
-		for i := range want {
-			if p.Instrs[i] != want[i] {
-				t.Fatalf("trial %d instr %d: got %+v want %+v", trial, i, p.Instrs[i], want[i])
+		for trial := 0; trial < 200; trial++ {
+			n := 1 + rng.Intn(40)
+			a := NewAssembler(arch)
+			labels := make([]Label, n)
+			for k := range labels {
+				labels[k] = a.NewLabel()
+			}
+			want, dest := make([]Instr, n), make([]int, n)
+			for k := range want {
+				want[k] = randomInstr(rng, tg, ops[rng.Intn(len(ops))])
+				if want[k].Op.IsBranch() {
+					dest[k] = rng.Intn(n)
+					want[k].Target = int32(labels[dest[k]])
+				}
+				a.Bind(labels[k])
+				a.Emit(want[k])
+			}
+			code, _, err := a.Finish()
+			if err != nil {
+				t.Fatalf("%v trial %d: %v", arch, trial, err)
+			}
+			p, err := Decode(arch, code)
+			if err != nil {
+				t.Fatalf("%v trial %d: %v", arch, trial, err)
+			}
+			if len(p.Instrs) != n {
+				t.Fatalf("%v trial %d: got %d instrs want %d", arch, trial, len(p.Instrs), n)
+			}
+			for k, w := range want {
+				if w.Op.IsBranch() {
+					w.Target = p.Offsets[dest[k]]
+				}
+				if p.Instrs[k] != w {
+					t.Fatalf("%v trial %d instr %d: got %+v want %+v", arch, trial, k, p.Instrs[k], w)
+				}
 			}
 		}
 	}
+}
+
+// randomInstr returns an instruction of op with random contents in the
+// fields its form encodes on tg, in ranges that encode as one instruction.
+func randomInstr(rng *rand.Rand, tg *Target, op Op) Instr {
+	info := op.Info()
+	in := Instr{Op: op}
+	reg := func(f Regs) uint8 {
+		if (info.Use|info.Def)&f == 0 {
+			return 0
+		}
+		if info.Class(f) == FPR {
+			return uint8(rng.Intn(tg.NumFPR))
+		}
+		return uint8(rng.Intn(tg.NumGPR))
+	}
+	in.RD, in.RA, in.RB, in.RC = reg(RD), reg(RA), reg(RB), reg(RC)
+	if info.TwoAddr && tg.TwoAddress {
+		in.RA = in.RD
+	}
+	imm := rng.Int63() >> (8 * rng.Intn(8))
+	if rng.Intn(2) == 0 {
+		imm = -imm
+	}
+	switch info.Form {
+	case FormRI, FormLoad, FormStore:
+		in.Imm = imm
+		if tg.FixedLen != 0 {
+			in.Imm = int64(rng.Intn(4096) - 2048)
+		}
+	case FormMovI:
+		in.Imm = imm
+	case FormMovZK:
+		in.Imm, in.Cond = int64(rng.Intn(1<<16)), Cond(rng.Intn(4))
+	case FormSetCC, FormBrCC:
+		in.Cond = Cond(rng.Intn(int(NumConds)))
+	case FormCall:
+		in.Imm = rng.Int63n(1 << 32)
+		if tg.FixedLen != 0 {
+			in.Imm = 4 * rng.Int63n(1<<24)
+		}
+	case FormCallRT:
+		in.Imm = int64(rng.Intn(1 << 16))
+	case FormTrap, FormTrapNZ:
+		in.Imm = int64(rng.Intn(int(TrapOOM) + 1))
+	}
+	return in
 }
 
 func TestTargetDescriptors(t *testing.T) {

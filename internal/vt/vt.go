@@ -26,7 +26,8 @@ import "fmt"
 // only the encoding differs.
 type Op uint8
 
-// Operation set. Field usage conventions (see Instr):
+// Operation set. What each operation reads, writes and encodes is its row
+// of the table in table.go (Op.Info). Field usage conventions (see Instr):
 //
 //	RD   destination register
 //	RA   first source register (for two-address targets RD==RA is required
@@ -277,77 +278,39 @@ type Instr struct {
 	Target int32 // label id before encoding, byte offset after decoding
 }
 
-var opNames = [NumOps]string{
-	Nop: "nop", MovRR: "mov", MovRI: "movi", MovZ: "movz", MovK: "movk",
-	Load8: "ld8", Load8S: "ld8s", Load16: "ld16", Load16S: "ld16s",
-	Load32: "ld32", Load32S: "ld32s", Load64: "ld64",
-	Store8: "st8", Store16: "st16", Store32: "st32", Store64: "st64",
-	Lea: "lea",
-	Add: "add", Sub: "sub", Mul: "mul", And: "and", Or: "or", Xor: "xor",
-	Shl: "shl", Shr: "shr", Sar: "sar", Rotr: "rotr",
-	SDiv: "sdiv", SRem: "srem", UDiv: "udiv", URem: "urem",
-	AddI: "addi", SubI: "subi", MulI: "muli", AndI: "andi", OrI: "ori",
-	XorI: "xori", ShlI: "shli", ShrI: "shri", SarI: "sari", RotrI: "rotri",
-	Neg: "neg", Not: "not",
-	MulWideU: "mulwu", MulWideS: "mulws",
-	SetCC: "set", Br: "br", BrCC: "brcc", BrNZ: "brnz",
-	Call: "call", CallInd: "calli", CallRT: "callrt", Ret: "ret",
-	Trap: "trap", TrapNZ: "trapnz", Crc32: "crc32",
-	FMovRR: "fmov", FMovRI: "fmovi", FLoad: "fld", FStore: "fst",
-	FAdd: "fadd", FSub: "fsub", FMul: "fmul", FDiv: "fdiv", FCmp: "fcmp",
-	CvtSI2F: "si2f", CvtF2SI: "f2si", MovRF: "movrf", MovFR: "movfr",
-	LoadU8: "ldu8", LoadU8S: "ldu8s", LoadU16: "ldu16", LoadU16S: "ldu16s",
-	LoadU32: "ldu32", LoadU32S: "ldu32s", LoadU64: "ldu64",
-	StoreU8: "stu8", StoreU16: "stu16", StoreU32: "stu32", StoreU64: "stu64",
-	FLoadU: "fldu", FStoreU: "fstu",
-}
-
 func (o Op) String() string {
-	if o < NumOps && opNames[o] != "" {
-		return opNames[o]
+	if n := o.Info().Name; n != "" {
+		return n
 	}
 	return fmt.Sprintf("op(%d)", uint8(o))
 }
 
 // IsBranch reports whether the operation transfers control via Target.
 func (o Op) IsBranch() bool {
-	switch o {
-	case Br, BrCC, BrNZ:
-		return true
-	}
-	return false
+	f := o.Info().Form
+	return f == FormBr || f == FormBrCC || f == FormBrNZ
 }
 
 // IsTerminator reports whether the operation ends a basic block.
 func (o Op) IsTerminator() bool {
-	switch o {
-	case Br, Ret, Trap:
-		return true
-	}
-	return false
+	f := o.Info().Form
+	return f == FormBr || f == FormTrap || o == Ret
 }
 
 // HasSideEffects reports whether the operation may be observed beyond its
 // register results (memory writes, calls, traps, control flow).
 func (o Op) HasSideEffects() bool {
-	switch o {
-	case Store8, Store16, Store32, Store64, FStore,
-		StoreU8, StoreU16, StoreU32, StoreU64, FStoreU,
-		Call, CallInd, CallRT, Ret, Trap, TrapNZ,
-		Br, BrCC, BrNZ, SDiv, SRem, UDiv, URem:
-		return true
-	}
-	return false
+	i := o.Info()
+	return i.Store || (i.Traps && i.Mem == 0) || o.IsBranch() || o.IsCall() || o == Ret
 }
 
 // UncheckedMem reports whether the operation is an unchecked memory access.
 func (o Op) UncheckedMem() bool { return o >= LoadU8 && o <= FStoreU }
 
 // CheckedMem maps an unchecked memory operation to its checked counterpart
-// and leaves every other operation unchanged. Code that classifies
-// operations structurally (encoders, decoders, fusion) switches on
-// o.CheckedMem() so the unchecked family inherits the checked family's
-// operand layout.
+// and leaves every other operation unchanged. The vm's fuser switches on
+// o.CheckedMem() so the unchecked family shares the checked family's
+// micro-ops.
 func (o Op) CheckedMem() Op {
 	switch {
 	case o >= LoadU8 && o <= StoreU64:
@@ -360,45 +323,36 @@ func (o Op) CheckedMem() Op {
 	return o
 }
 
-// UncheckedMemOf maps a checked memory operation to its unchecked variant;
-// ok is false for operations without one.
-func UncheckedMemOf(o Op) (Op, bool) {
-	switch {
-	case o >= Load8 && o <= Store64:
-		return LoadU8 + (o - Load8), true
-	case o == FLoad:
-		return FLoadU, true
-	case o == FStore:
-		return FStoreU, true
+// UncheckedIf returns o's unchecked variant when unchecked is set and o is a
+// checked memory operation, and o otherwise: how a back-end turns the static
+// analysis' check-eliminated mark into an opcode.
+func (o Op) UncheckedIf(unchecked bool) Op {
+	if unchecked {
+		switch {
+		case o >= Load8 && o <= Store64:
+			return LoadU8 + (o - Load8)
+		case o == FLoad:
+			return FLoadU
+		case o == FStore:
+			return FStoreU
+		}
 	}
-	return o, false
+	return o
 }
 
 // IsCall reports whether the operation transfers control to a callee (and,
 // except for CallRT, pushes a return address).
 func (o Op) IsCall() bool {
-	switch o {
-	case Call, CallInd, CallRT:
-		return true
-	}
-	return false
+	f := o.Info().Form
+	return f == FormCall || f == FormCallInd || f == FormCallRT
 }
 
 // MemRef describes a memory-accessing operation: the access width in bytes
 // and whether it writes memory. ok is false for non-memory operations. The
 // address of every memory operation is RA+Imm.
 func (o Op) MemRef() (size uint8, store bool, ok bool) {
-	switch c := o.CheckedMem(); c {
-	case Load8, Load8S, Store8:
-		return 1, c == Store8, true
-	case Load16, Load16S, Store16:
-		return 2, c == Store16, true
-	case Load32, Load32S, Store32:
-		return 4, c == Store32, true
-	case Load64, Store64, FLoad, FStore:
-		return 8, c == Store64 || c == FStore, true
-	}
-	return 0, false, false
+	i := o.Info()
+	return i.Mem, i.Store, i.Mem != 0
 }
 
 // CanTrap reports whether executing the operation may raise a trap (memory
@@ -407,16 +361,4 @@ func (o Op) MemRef() (size uint8, store bool, ok bool) {
 // Unchecked memory operations carry a compile-time proof of validity and do
 // not trap on the primary path (the instrumentation mode re-checks them,
 // but a failure there is an analysis bug, not program behavior).
-func (o Op) CanTrap() bool {
-	if o.UncheckedMem() {
-		return false
-	}
-	if _, _, mem := o.MemRef(); mem {
-		return true
-	}
-	switch o {
-	case SDiv, SRem, UDiv, URem, Trap, TrapNZ, CallInd, CallRT:
-		return true
-	}
-	return false
-}
+func (o Op) CanTrap() bool { return o.Info().Traps }
