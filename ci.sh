@@ -65,7 +65,12 @@
 #      see every lineitem row once, 4 workers take 5 morsels and the
 #      instruction count drops >= 50x; every constant variant of the four
 #      parameterized families after the first misses nothing in the unit
-#      cache, and pooled bodies run <= 1.03x the inline bodies' instructions;
+#      cache, tuple-at-a-time and with batch kernels, and pooled bodies run
+#      <= 1.03x the inline bodies' instructions; under qc.Open's defaults
+#      (batch kernels on) the q1- and q6-shaped sql_adhoc statements run
+#      <= 1/50 of WithBatch(false)'s instructions with equal rows, and every
+#      variant of the six sql_adhoc families after its first is a program
+#      hit on the benchmark's four engines;
 #      a sampler changes no row and no counter, and takes the number of
 #      samples its period and the instruction count bound; the SQL-join
 #      counters: the q3- and q12-shaped sql_adhoc statements run <= 0.5x the
@@ -101,6 +106,10 @@
 #  20. 10 s of FuzzAssemble: arbitrary text through the C back-end's
 #      assembler on both targets, from a corpus of its own output for TPC-H
 #      functions — no panic, and every function it accepts decodes
+#  21. 10 s of FuzzDecodeBatchSpec: arbitrary bytes through the batch-kernel
+#      spec decoder, from a corpus of the spec of every TPC-H and TPC-DS
+#      batch pipeline — no panic, no accepted out-of-range pool slot or
+#      type, and every spec it accepts re-encodes to the same bytes
 set -eu
 
 cd "$(dirname "$0")"
@@ -213,8 +222,9 @@ echo "== 14. hoist differential (-race, short) =="
 go test -race -short ./internal/backend/conformance/ \
 	-run 'TestHoistDifferential|TestHoistTrapBoundaryCorpus' -count=1
 
-echo "== 15. execution-mode counters (batch/morsel, plan cache, sampler, SQL join plans; no clock) =="
+echo "== 15. execution-mode counters (batch/morsel, plan cache, sampler, SQL join plans, batch by default; no clock) =="
 go test ./internal/engine -run 'TestCounters' -count=1
+go test . -run 'TestCounters' -count=1
 go test ./internal/sql -run 'TestCountersSQLJoinPlans' -count=1
 
 echo "== 16. front-end and hit-path gate (one analysis per function, allocation budgets; nothing compiled on a warm program hit) =="
@@ -236,5 +246,8 @@ go test ./internal/sem -run '^$' -fuzz FuzzSem -fuzztime 10s
 
 echo "== 20. C back-end assembler fuzz smoke =="
 go test ./internal/backend/cbe -run '^$' -fuzz FuzzAssemble -fuzztime 10s
+
+echo "== 21. batch-kernel spec decoder fuzz smoke =="
+go test ./internal/rt -run '^$' -fuzz FuzzDecodeBatchSpec -fuzztime 10s
 
 echo "ci.sh: all checks passed"

@@ -8,10 +8,9 @@
 //	     [-cache-mb N] [-repeat N] "SELECT ..."
 //
 // -exec-jobs N executes table pipelines through the morsel-parallel
-// executor with N workers; -batch compiles eligible scan pipelines to
-// batch-at-a-time kernels. Batch kernels default on when -exec-jobs > 1;
-// -nobatch forces tuple-at-a-time code either way. Results are identical
-// under every combination.
+// executor with N workers. Eligible scan pipelines compile to
+// batch-at-a-time kernels by default, as under qc.Open; -nobatch forces
+// tuple-at-a-time code. Results are identical under every combination.
 //
 // -cache-mb N enables the content-addressed compiled-code cache; since
 // constant hoisting parameterizes compiled bodies, re-running the query (or

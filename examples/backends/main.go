@@ -1,6 +1,7 @@
 // Backends: run the same analytical query with every compilation back-end
 // and compare compile time, execution time, and results — a miniature of
-// the paper's Table III.
+// the paper's Table III. Batch kernels are off, so every pipeline runs as the
+// code each back-end generated.
 package main
 
 import (
@@ -11,7 +12,7 @@ import (
 )
 
 func main() {
-	db, err := qc.Open(qc.WithMemoryMB(512))
+	db, err := qc.Open(qc.WithMemoryMB(512), qc.WithBatch(false))
 	if err != nil {
 		log.Fatal(err)
 	}

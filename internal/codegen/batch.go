@@ -44,11 +44,11 @@ func (c *Compiler) batchScanChain(n plan.Node) *batchChain {
 			}
 			bc := &batchChain{scan: x, tbl: tbl}
 			if x.Filter != nil {
-				bc.filters = append(bc.filters, x.Filter)
+				bc.filters = appendConjuncts(bc.filters, x.Filter)
 			}
 			bc.nodes = append(bc.nodes, x)
 			for i := len(sels) - 1; i >= 0; i-- {
-				bc.filters = append(bc.filters, sels[i].Pred)
+				bc.filters = appendConjuncts(bc.filters, sels[i].Pred)
 				bc.nodes = append(bc.nodes, sels[i])
 			}
 			return bc
@@ -56,6 +56,17 @@ func (c *Compiler) batchScanChain(n plan.Node) *batchChain {
 			return nil
 		}
 	}
+}
+
+// appendConjuncts appends the conjuncts of e to out, left to right: one
+// kernel filter each, so a long AND chain stays a flat list instead of a
+// tree deeper than rt.BatchMaxDepth. Filters are trap-free, so refining the
+// selection conjunct by conjunct keeps the rows of the tuple code's AND.
+func appendConjuncts(out []plan.Expr, e plan.Expr) []plan.Expr {
+	if x, ok := e.(*plan.Logic); ok && x.Op == plan.OpAnd {
+		return appendConjuncts(appendConjuncts(out, x.L), x.R)
+	}
+	return append(out, e)
 }
 
 // batchType maps a QIR type to its kernel evaluation type. I1 is excluded:
@@ -90,11 +101,14 @@ func batchLeaf(e plan.Expr) bool {
 	return false
 }
 
-// batchValue reports whether e is kernel-evaluable as a value (aggregate
-// arguments). Trapping arithmetic is allowed only at I64/I128/F64 width —
-// narrow-width overflow (trap when the result does not round-trip the
-// narrow type) is not vectorized.
-func batchValue(e plan.Expr) bool {
+// batchValue reports whether e, at the given depth of its expression tree,
+// is kernel-evaluable as a value (aggregate arguments). Trapping arithmetic
+// is allowed only at I64/I128/F64 width — narrow-width overflow (trap when
+// the result does not round-trip the narrow type) is not vectorized.
+func batchValue(e plan.Expr, depth int) bool {
+	if depth > rt.BatchMaxDepth {
+		return false
+	}
 	if batchLeaf(e) {
 		return true
 	}
@@ -108,14 +122,15 @@ func batchValue(e plan.Expr) bool {
 		if t != qir.I64 && t != qir.I128 && t != qir.F64 {
 			return false
 		}
-		return x.L.Type() == t && x.R.Type() == t && batchValue(x.L) && batchValue(x.R)
+		return x.L.Type() == t && x.R.Type() == t && batchValue(x.L, depth+1) && batchValue(x.R, depth+1)
 	}
 	return false
 }
 
 // batchFilter reports whether a boolean conjunct is kernel-evaluable. The
 // kernel refines a selection vector per conjunct, so filters must be
-// trap-free: leaf operands only.
+// trap-free: a compare or BETWEEN over leaf operands. AND chains arrive split
+// (appendConjuncts); any other boolean operator stays tuple code.
 func batchFilter(e plan.Expr) bool {
 	switch x := e.(type) {
 	case *plan.Cmp:
@@ -131,8 +146,6 @@ func batchFilter(e plan.Expr) bool {
 			return false
 		}
 		return batchLeaf(x.L) && batchLeaf(x.R)
-	case *plan.Logic:
-		return x.Op == plan.OpAnd && batchFilter(x.L) && batchFilter(x.R)
 	case *plan.Between:
 		t := x.E.Type()
 		if t != x.Lo.Type() || t != x.Hi.Type() || t == qir.Str {
@@ -161,9 +174,20 @@ func batchKeyOK(e plan.Expr) bool {
 
 // batchExpr lowers a plan expression to its kernel form. Callers must have
 // established eligibility first.
+//
+// With Options.Hoist a literal goes into a constant-pool slot of its own,
+// which the kernel reads when the pipeline is set up (rt.BEPool), so the
+// encoded spec — a string constant of the setup function — does not depend
+// on the literal's value. When the pool is full, or without Hoist, the spec
+// holds the value, as rewriteToPool leaves a literal inline.
 func (c *Compiler) batchExpr(e plan.Expr, tbl *rt.Table) (*rt.BatchExpr, error) {
-	if _, lit := PoolConstOf(e); lit {
-		// A kernel program holds its constants by value.
+	if pc, lit := PoolConstOf(e); lit {
+		if c.opts.Hoist && len(c.mod.Pool) < rt.ConstPoolSlots {
+			bt, _ := batchType(pc.Type)
+			slot := c.mod.AddPoolConst(pc)
+			c.out.PoolLits = append(c.out.PoolLits, e)
+			return &rt.BatchExpr{Kind: rt.BEPool, Ty: bt, Slot: uint64(slot)}, nil
+		}
 		c.out.InlineLits = append(c.out.InlineLits, e)
 	}
 	switch x := e.(type) {
@@ -215,16 +239,6 @@ func (c *Compiler) batchExpr(e plan.Expr, tbl *rt.Table) (*rt.BatchExpr, error) 
 		}
 		bt, _ := batchType(x.L.Type())
 		return &rt.BatchExpr{Kind: rt.BECmp, Ty: bt, Op: batchCmpOp(x.Op), L: l, R: r}, nil
-	case *plan.Logic:
-		l, err := c.batchExpr(x.L, tbl)
-		if err != nil {
-			return nil, err
-		}
-		r, err := c.batchExpr(x.R, tbl)
-		if err != nil {
-			return nil, err
-		}
-		return &rt.BatchExpr{Kind: rt.BEAnd, L: l, R: r}, nil
 	case *plan.Between:
 		v, err := c.batchExpr(x.E, tbl)
 		if err != nil {
@@ -281,15 +295,15 @@ func (c *Compiler) batchAggChain(g *plan.GroupBy) *batchChain {
 		a := &g.Aggs[i]
 		switch a.Fn {
 		case plan.AggCount:
-			if a.Arg != nil && !batchValue(a.Arg) {
+			if a.Arg != nil && !batchValue(a.Arg, 0) {
 				return nil
 			}
 		case plan.AggSum, plan.AggAvg:
-			if a.Arg == nil || !batchValue(a.Arg) {
+			if a.Arg == nil || !batchValue(a.Arg, 0) {
 				return nil
 			}
 		case plan.AggMin, plan.AggMax:
-			if a.Arg == nil || a.Arg.Type() == qir.Str || !batchValue(a.Arg) {
+			if a.Arg == nil || a.Arg.Type() == qir.Str || !batchValue(a.Arg, 0) {
 				return nil
 			}
 		default:

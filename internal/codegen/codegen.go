@@ -88,13 +88,13 @@ type Compiled struct {
 	// PoolLits gives, per slot of Module.Pool, the plan literal the slot's
 	// value was built from (PoolConstOf). InlineLits lists the literals whose
 	// value the generated code holds some other way: hoisting candidates kept
-	// inline, and constants copied into batch kernel programs. Together they
-	// say how far the code is parameterised: a literal that appears in
-	// PoolLits and not in InlineLits is read from its slots only, so the code
-	// serves any plan that differs from this one in that literal's value, once
-	// the slots hold the new value. Every other literal — including any the
-	// generator did not report at all, as with Options.Hoist off — has its
-	// value compiled in.
+	// inline, and literals a batch kernel program holds by value because the
+	// pool was full or Hoist is off (batchExpr). Together they say how far the
+	// code is parameterised: a literal that appears in PoolLits and not in
+	// InlineLits is read from its slots only, so the code serves any plan that
+	// differs from this one in that literal's value, once the slots hold the
+	// new value. Every other literal — including any the generator did not
+	// report at all, as with Options.Hoist off — has its value compiled in.
 	PoolLits   []plan.Expr
 	InlineLits []plan.Expr
 }

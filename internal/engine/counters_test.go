@@ -8,6 +8,7 @@ import (
 	"qcc/internal/backend"
 	"qcc/internal/codegen"
 	"qcc/internal/obs"
+	"qcc/internal/plan"
 	"qcc/internal/tpch"
 	"qcc/internal/vm"
 	"qcc/internal/vt"
@@ -175,6 +176,45 @@ func TestCountersPlanCache(t *testing.T) {
 		t.Logf("%s: pooled ÷ inline vm instructions, geomean %.3f", eng.Name(), g)
 		if g > 1.03 {
 			t.Errorf("%s: pooled bodies run %.3f times the inline bodies' vm instructions (geomean), limit 1.03", eng.Name(), g)
+		}
+	}
+}
+
+// TestCountersPlanCacheBatch is TestCountersPlanCache's unit-cache half with
+// batch kernels: a kernel program reads its literals from the constant pool,
+// so after the first variant of a family each of the next seven again finds
+// all its functions in the unit cache and misses none, and its rows are the
+// tuple-at-a-time rows.
+func TestCountersPlanCacheBatch(t *testing.T) {
+	const variants = 8
+	kernelCalls := obs.NewCounter("rt_batch_kernel_calls")
+	for _, eng := range compilingEngines(vt.VX64) {
+		w := loadedAt(t, Options{CacheMB: 16, Batch: true}, 0.02)
+		tuple := loadedAt(t, Options{}, 0.02)
+		calls0 := kernelCalls.Load()
+		for _, f := range tpch.ParamQueries() {
+			name := eng.Name() + "/" + f.Name
+			for v := 0; v < variants; v++ {
+				p, err := w.lowerCompile(eng, f.Name, f.Build(v))
+				if err != nil {
+					t.Fatalf("%s variant %d: %v", name, v, err)
+				}
+				hits, misses := p.Stats.Counters["cache_hits"], p.Stats.Counters["cache_misses"]
+				switch {
+				case v == 0 && (hits != 0 || misses != int64(p.Stats.Funcs)):
+					t.Errorf("%s: first variant hit %d and missed %d of %d functions", name, hits, misses, p.Stats.Funcs)
+				case v > 0 && (misses != 0 || hits != int64(p.Stats.Funcs)):
+					t.Errorf("%s variant %d: hit %d and missed %d of %d functions", name, v, hits, misses, p.Stats.Funcs)
+				}
+				got := runCounted(t, w, p)
+				want := runCounted(t, tuple, lowerCompile(t, tuple, eng, Query{Name: f.Name, Build: func() plan.Node { return f.Build(v) }}))
+				if !reflect.DeepEqual(got.rows, want.rows) {
+					t.Errorf("%s variant %d: batch rows differ from tuple rows", name, v)
+				}
+			}
+		}
+		if kernelCalls.Load() == calls0 {
+			t.Errorf("%s: no batch kernel ran", eng.Name())
 		}
 	}
 }

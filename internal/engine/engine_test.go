@@ -226,7 +226,7 @@ func TestRunRebindsEarlierProgram(t *testing.T) {
 func TestCommandFlags(t *testing.T) {
 	want := map[string]map[string]string{
 		"qrun": {"engine": "adaptive", "sf": "0.05", "arch": "vx64", "mem": "512",
-			"exec-jobs": "1", "batch": "false", "nobatch": "false", "cache-mb": "0"},
+			"exec-jobs": "1", "batch": "true", "nobatch": "false", "cache-mb": "0"},
 		"qtrace": {"arch": "vx64", "engine": "all", "sf": "0.01", "mem": "512", "runs": "1", "check": "false",
 			"jobs": "1", "cache-mb": "0", "exec-jobs": "1", "batch": "false", "nobatch": "false"},
 		"qprof": {"arch": "vx64", "engine": "", "sf": "0.01", "mem": "512", "runs": "1", "check": "false",
@@ -251,7 +251,9 @@ func TestCommandFlags(t *testing.T) {
 		if !reflect.DeepEqual(got, flags) {
 			t.Errorf("%s flags = %v, want %v", cmd, got, flags)
 		}
-		if o.Arch != vt.VX64 || o.Batch {
+		// qrun runs queries as qc.Open does; the other commands measure
+		// or inspect generated code, so they default to tuple-at-a-time.
+		if o.Arch != vt.VX64 || o.Batch != (cmd == "qrun") {
 			t.Errorf("%s: default options %+v", cmd, o)
 		}
 	}
@@ -262,18 +264,23 @@ func TestCommandFlags(t *testing.T) {
 		return ParseCommand(cmd, fs, args)
 	}
 	// Batch kernels default on with parallel execution; -batch and -nobatch
-	// override either way.
+	// override either way, and the parallel executor keeps qrun's default.
 	for _, c := range []struct {
+		cmd   string
 		args  []string
 		batch bool
 	}{
-		{[]string{"-exec-jobs", "4"}, true},
-		{[]string{"-exec-jobs", "4", "-nobatch"}, false},
-		{[]string{"-batch"}, true},
-		{[]string{"-batch", "-nobatch"}, false},
+		{"qtrace", []string{"-exec-jobs", "4"}, true},
+		{"qtrace", []string{"-exec-jobs", "4", "-nobatch"}, false},
+		{"qtrace", []string{"-batch"}, true},
+		{"qtrace", []string{"-batch", "-nobatch"}, false},
+		{"qrun", []string{"-exec-jobs", "4"}, true},
+		{"qrun", []string{"-nobatch"}, false},
+		{"qrun", []string{"-exec-jobs", "4", "-nobatch"}, false},
+		{"qrun", []string{"-batch=false"}, false},
 	} {
-		if o, err := parse("qtrace", c.args...); err != nil || o.Batch != c.batch {
-			t.Errorf("qtrace %v: Batch = %v, want %v (err %v)", c.args, o.Batch, c.batch, err)
+		if o, err := parse(c.cmd, c.args...); err != nil || o.Batch != c.batch {
+			t.Errorf("%s %v: Batch = %v, want %v (err %v)", c.cmd, c.args, o.Batch, c.batch, err)
 		}
 	}
 	// qbench measures the paper's configuration and has no flag that leaves
@@ -287,6 +294,38 @@ func TestCommandFlags(t *testing.T) {
 		{"-exec-jobs", "4"}, {"-batch"}} {
 		if _, err := parse("qbench", args...); err == nil {
 			t.Errorf("qbench %v accepted", args)
+		}
+	}
+}
+
+// TestBatchDeepExpressions: a filter of 300 conjuncts and an aggregate
+// argument 80 terms deep return the tuple-at-a-time rows in batch mode. The
+// conjuncts become one kernel filter each, so that pipeline still runs as a
+// kernel; the argument is deeper than a kernel spec may be, so its pipeline
+// stays tuple code.
+func TestBatchDeepExpressions(t *testing.T) {
+	conj := "SELECT COUNT(*) FROM lineitem WHERE l_quantity <> 1"
+	sum := "SELECT SUM(l_extendedprice"
+	for i := 1; i < 300; i++ {
+		conj += " AND l_orderkey <> " + strconv.Itoa(1000000+i)
+	}
+	for i := 1; i < 80; i++ {
+		sum += " + l_extendedprice"
+	}
+	sum += ") FROM lineitem"
+	batch, tuple := loaded(t, Options{Batch: true}), loaded(t, Options{})
+	kernelCalls := obs.NewCounter("rt_batch_kernel_calls")
+	for _, c := range []struct {
+		q      string
+		kernel bool
+	}{{conj, true}, {sum, false}} {
+		calls0 := kernelCalls.Load()
+		got, want := execSQL(t, batch, Backend("directemit"), c.q), execSQL(t, tuple, Backend("directemit"), c.q)
+		if got.err != "" || !reflect.DeepEqual(got.rows, want.rows) || got.err != want.err {
+			t.Errorf("%.60s...: %v (err %q), want %v (err %q)", c.q, got.rows, got.err, want.rows, want.err)
+		}
+		if ran := kernelCalls.Load() != calls0; ran != c.kernel {
+			t.Errorf("%.60s...: a kernel ran: %v, want %v", c.q, ran, c.kernel)
 		}
 	}
 }

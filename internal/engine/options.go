@@ -39,8 +39,8 @@ type Options struct {
 	// 0 or 1 executes every pipeline sequentially.
 	ExecJobs int
 	// Batch compiles eligible scan pipelines to batch-at-a-time kernel calls
-	// instead of tuple-at-a-time loops (-batch/-nobatch; on by default when
-	// -exec-jobs > 1). Results are identical either way.
+	// instead of tuple-at-a-time loops (-batch/-nobatch; on by default in qc
+	// and qrun, and when -exec-jobs > 1). Results are identical either way.
 	Batch bool
 	// Tracer, when non-nil, receives the back-ends' compile spans and
 	// counters and one "exec" span per execution.
@@ -60,7 +60,7 @@ var commands = map[string]struct {
 	defaults Options
 	flags    []string
 }{
-	"qrun": {Options{MemMB: 512, SF: 0.05, Engine: "adaptive", ExecJobs: 1},
+	"qrun": {Options{MemMB: 512, SF: 0.05, Engine: "adaptive", ExecJobs: 1, Batch: true},
 		[]string{"engine", "sf", "arch", "mem", "exec-jobs", "batch", "nobatch", "cache-mb"}},
 	"qtrace": {Options{MemMB: 512, SF: 0.01, Runs: 1, Engine: "all", Jobs: 1, ExecJobs: 1},
 		[]string{"arch", "engine", "sf", "mem", "runs", "check", "jobs", "cache-mb", "exec-jobs", "batch", "nobatch"}},
@@ -86,7 +86,7 @@ func ParseCommand(name string, fs *flag.FlagSet, args []string) (Options, error)
 	}
 	o := cmd.defaults
 	var arch string
-	var batch, noBatch bool
+	var noBatch bool
 	for _, f := range cmd.flags {
 		switch f {
 		case "arch":
@@ -108,9 +108,9 @@ func ParseCommand(name string, fs *flag.FlagSet, args []string) (Options, error)
 		case "exec-jobs":
 			fs.IntVar(&o.ExecJobs, f, o.ExecJobs, "morsel-parallel executor workers (1 = sequential)")
 		case "batch":
-			fs.BoolVar(&batch, f, false, "compile eligible scan pipelines to batch-at-a-time kernels (default on when -exec-jobs > 1)")
+			fs.BoolVar(&o.Batch, f, o.Batch, "compile eligible scan pipelines to batch-at-a-time kernels (also on when -exec-jobs > 1)")
 		case "nobatch":
-			fs.BoolVar(&noBatch, f, false, "force tuple-at-a-time execution even with -exec-jobs > 1")
+			fs.BoolVar(&noBatch, f, false, "force tuple-at-a-time execution, whatever -batch and -exec-jobs say")
 		default:
 			panic("engine: unknown option flag " + f)
 		}
@@ -127,6 +127,6 @@ func ParseCommand(name string, fs *flag.FlagSet, args []string) (Options, error)
 	default:
 		return o, fmt.Errorf("unknown arch %q (want vx64 or va64)", arch)
 	}
-	o.Batch = (o.ExecJobs > 1 || batch) && !noBatch
+	o.Batch = (o.Batch || o.ExecJobs > 1) && !noBatch
 	return o, nil
 }

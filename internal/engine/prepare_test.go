@@ -94,6 +94,39 @@ func adhocFamily(f, v int) string {
 
 const adhocFamilies = 6
 
+// checkPoolOverflow runs four statements with 300 literals, more than the
+// constant pool's 256 slots, on a world with the code cache and one without:
+// equal rows, and a hit exactly when the variant differs from the cached
+// program in a pooled literal only. The first literal the code reads is
+// pooled, the last is not.
+func checkPoolOverflow(t *testing.T, o Options, engine string) {
+	t.Helper()
+	stmt := func(first, last int) string {
+		var sb strings.Builder
+		sb.WriteString("SELECT COUNT(*) FROM lineitem WHERE l_quantity <> ")
+		fmt.Fprint(&sb, first)
+		for i := 1; i < 299; i++ {
+			fmt.Fprintf(&sb, " AND l_orderkey <> %d", 1000000+i)
+		}
+		fmt.Fprintf(&sb, " AND l_quantity <> %d", last)
+		return sb.String()
+	}
+	plain := loaded(t, o)
+	o.CacheMB = 16
+	cached := loaded(t, o)
+	engC, engP := Backend(engine), Backend(engine)
+	for i, c := range []struct {
+		first, last int
+		hit         bool
+	}{{1, 2, false}, {3, 2, true}, {3, 4, false}, {5, 4, true}} {
+		q := stmt(c.first, c.last)
+		got, want := execSQL(t, cached, engC, q), execSQL(t, plain, engP, q)
+		if !reflect.DeepEqual(got.rows, want.rows) || got.err != want.err || got.hit != c.hit {
+			t.Errorf("statement %d: %v hit=%v (err %q), want %v hit=%v (err %q)", i, got.rows, got.hit, got.err, want.rows, c.hit, want.err)
+		}
+	}
+}
+
 // novelStatement draws one statement in the style of the benchmark's
 // novel-shape grammar: 1-3 aggregates, 0-2 group keys and 0-3 column-vs-
 // constant predicates over one table. Unlike the benchmark's it lets a column
@@ -241,8 +274,8 @@ func TestProgramCacheDifferential(t *testing.T) {
 
 // TestProgramCacheParallelMode repeats the family half of the differential
 // with batch kernels and two executor workers: cached programs run on the
-// persistent worker pool, and shapes whose constants sit in a kernel program
-// are recompiled per variant instead of hit.
+// persistent worker pool, and since kernel programs read their literals from
+// the constant pool, every variant after a family's first is a hit.
 func TestProgramCacheParallelMode(t *testing.T) {
 	mode := Options{ExecJobs: 2, Batch: true}
 	cachedMode := mode
@@ -262,10 +295,44 @@ func TestProgramCacheParallelMode(t *testing.T) {
 			}
 		}
 	}
-	if hits == 0 {
-		t.Error("no program hit in batch + parallel mode")
+	if want := 3 * adhocFamilies; hits != want {
+		t.Errorf("%d program hits in batch + parallel mode, want %d", hits, want)
 	}
-	t.Logf("%d of %d statements were program hits", hits, 4*adhocFamilies)
+}
+
+// TestProgramCacheBatchVariants: with batch kernels, constant variants of a
+// batch-eligible shape — a string, an integer and decimal literals in kernel
+// filters and aggregate arguments — are program hits after the first, on
+// every engine, and each returns the rows of a world without a cache.
+func TestProgramCacheBatchVariants(t *testing.T) {
+	shipmode := func(v int) string {
+		return "SELECT l_shipmode, COUNT(*), SUM(l_quantity * " + fmt.Sprint(v+2) + ") FROM lineitem " +
+			"WHERE l_shipmode = '" + []string{"AIR", "RAIL", "SHIP", "MAIL"}[v] + "' GROUP BY l_shipmode"
+	}
+	kernelCalls := obs.NewCounter("rt_batch_kernel_calls")
+	for _, name := range BackendNames() {
+		t.Run(name, func(t *testing.T) {
+			cached, plain := loaded(t, Options{CacheMB: 16, Batch: true}), loaded(t, Options{Batch: true})
+			engC, engP := Backend(name), Backend(name)
+			calls0 := kernelCalls.Load()
+			for _, family := range []func(int) string{shipmode,
+				func(v int) string { return adhocFamily(0, v) }, func(v int) string { return adhocFamily(1, v) }} {
+				for v := 0; v < 4; v++ {
+					q := family(v)
+					got, want := execSQL(t, cached, engC, q), execSQL(t, plain, engP, q)
+					if !reflect.DeepEqual(got.rows, want.rows) || got.err != want.err {
+						t.Errorf("%q: %v (err %q), want %v (err %q)", q, got.rows, got.err, want.rows, want.err)
+					}
+					if got.hit != (v > 0) {
+						t.Errorf("%q: hit=%v, want %v", q, got.hit, v > 0)
+					}
+				}
+			}
+			if kernelCalls.Load() == calls0 {
+				t.Error("no batch kernel ran")
+			}
+		})
+	}
 }
 
 // TestProgramCacheMustMiss holds the cases a parametric entry must not serve.
@@ -283,58 +350,24 @@ func TestProgramCacheMustMiss(t *testing.T) {
 		}
 	})
 
-	t.Run("batch-pins-constants", func(t *testing.T) {
-		// A batch kernel program holds its constants by value, so variants of
-		// a batch-eligible shape are pinned mismatches, and still right.
-		cached, plain := loaded(t, Options{CacheMB: 16, Batch: true}), loaded(t, Options{Batch: true})
-		engC, engP := Backend("cranelift"), Backend("cranelift")
-		before := obsProgramPinned.Load()
-		stmt := func(mode string) string {
-			return "SELECT l_shipmode, COUNT(*) FROM lineitem WHERE l_shipmode = '" + mode + "' GROUP BY l_shipmode"
-		}
-		for _, mode := range []string{"AIR", "RAIL", "SHIP", "MAIL"} {
-			q := stmt(mode)
-			got, want := execSQL(t, cached, engC, q), execSQL(t, plain, engP, q)
-			if !reflect.DeepEqual(got.rows, want.rows) || got.err != want.err {
-				t.Errorf("%q: %v (err %q), want %v (err %q)", q, got.rows, got.err, want.rows, want.err)
-			}
-			if got.hit {
-				t.Errorf("%q served from the cache although its constants are compiled into a kernel program", q)
-			}
-		}
-		if obsProgramPinned.Load()-before != 3 {
-			t.Errorf("%d pinned mismatches, want 3", obsProgramPinned.Load()-before)
-		}
-		if again := execSQL(t, cached, engC, stmt("MAIL")); !again.hit {
-			t.Error("the same statement again is not a hit")
-		}
-	})
-
 	t.Run("pool-overflow", func(t *testing.T) {
 		// 300 literals: the pool takes 256, the rest stay inline and are
 		// compiled in. A variant in a pooled literal hits; one in an inline
 		// literal must not.
-		stmt := func(first, last int) string {
-			var sb strings.Builder
-			sb.WriteString("SELECT COUNT(*) FROM lineitem WHERE l_quantity <> ")
-			fmt.Fprint(&sb, first)
-			for i := 1; i < 299; i++ {
-				fmt.Fprintf(&sb, " AND l_orderkey <> %d", 1000000+i)
-			}
-			fmt.Fprintf(&sb, " AND l_quantity <> %d", last)
-			return sb.String()
+		checkPoolOverflow(t, Options{}, "directemit")
+	})
+
+	t.Run("batch-pool-overflow", func(t *testing.T) {
+		// The same in one batch kernel: its filter takes the 256 slots, and
+		// the program holds the 44 literals after them by value.
+		kernelCalls := obs.NewCounter("rt_batch_kernel_calls")
+		calls0, pinned0 := kernelCalls.Load(), obsProgramPinned.Load()
+		checkPoolOverflow(t, Options{Batch: true}, "cranelift")
+		if kernelCalls.Load() == calls0 {
+			t.Error("the statements ran no batch kernel")
 		}
-		cached, plain := loaded(t, Options{CacheMB: 16}), loaded(t, Options{})
-		engC, engP := Backend("directemit"), Backend("directemit")
-		for i, c := range []struct {
-			first, last int
-			hit         bool
-		}{{1, 2, false}, {3, 2, true}, {3, 4, false}, {5, 4, true}} {
-			q := stmt(c.first, c.last)
-			got, want := execSQL(t, cached, engC, q), execSQL(t, plain, engP, q)
-			if !reflect.DeepEqual(got.rows, want.rows) || got.err != want.err || got.hit != c.hit {
-				t.Errorf("statement %d: %v hit=%v (err %q), want %v hit=%v (err %q)", i, got.rows, got.hit, got.err, want.rows, c.hit, want.err)
-			}
+		if n := obsProgramPinned.Load() - pinned0; n != 1 {
+			t.Errorf("%d pinned mismatches, want 1", n)
 		}
 	})
 

@@ -21,7 +21,10 @@ import (
 //
 // The kernel is driven by a BatchSpec the code generator serializes into a
 // string constant (so it participates in code caching like any other baked
-// constant) and hands to batch_prepare during pipeline setup. Semantics
+// constant) and hands to batch_prepare during pipeline setup. A query
+// literal enters the spec as a constant-pool slot (BEPool) that
+// batch_prepare reads from the bound pool, so the spec, and with it the
+// compiled code, is the same for every constant variant of a query. Semantics
 // replicate the tuple-at-a-time code exactly — same CRC32C/long-mul-fold
 // hash, same widened slot layout, same overflow traps in the same per-row
 // order — so batch and tuple execution are byte-equivalent, including which
@@ -53,8 +56,11 @@ const (
 	BECol
 	BEArith
 	BECmp
-	BEAnd
 	BEBetween
+	// BEPool is a literal held in constant-pool slot Slot (rt.DB.
+	// BindConstPool); batchPrepare turns it into the BEConst of the value
+	// the slot holds when the pipeline is set up.
+	BEPool
 )
 
 // Batch arithmetic operators (overflow-trapping, SQL semantics).
@@ -77,8 +83,8 @@ const (
 // BatchExpr is one node of a batch-evaluable expression tree.
 type BatchExpr struct {
 	Kind BatchExprKind
-	// Ty is the value type (BEConst/BECol/BEArith) or the operand type
-	// (BECmp/BEBetween).
+	// Ty is the value type (BEConst/BEPool/BECol/BEArith) or the operand
+	// type (BECmp/BEBetween).
 	Ty BatchType
 	// Op is the arithmetic or comparison operator.
 	Op uint8
@@ -89,7 +95,9 @@ type BatchExpr struct {
 	D I128
 	F float64
 	S []byte
-	// Children: L/R for arith, cmp, and; L=value, R=lo, H=hi for between.
+	// Slot is a BEPool node's constant-pool slot.
+	Slot uint64
+	// Children: L/R for arith and cmp; L=value, R=lo, H=hi for between.
 	L, R, H *BatchExpr
 }
 
@@ -151,6 +159,10 @@ type BatchSpec struct {
 
 const batchMagic uint64 = 0x3142435148435442 // "BTCHQCB1"
 
+// BatchMaxDepth is the deepest expression node a descriptor may hold (a
+// root is at depth 0). The code generator keeps batch pipelines within it.
+const BatchMaxDepth = 64
+
 func bputU(b []byte, v uint64) []byte {
 	var t [8]byte
 	put64(t[:], v)
@@ -174,6 +186,9 @@ func encExpr(b []byte, e *BatchExpr) []byte {
 			b = bputU(b, uint64(len(e.S)))
 			b = append(b, e.S...)
 		}
+	case BEPool:
+		b = bputU(b, uint64(e.Ty))
+		b = bputU(b, e.Slot)
 	case BECol:
 		b = bputU(b, uint64(e.Ty))
 		b = bputU(b, e.Base)
@@ -181,9 +196,6 @@ func encExpr(b []byte, e *BatchExpr) []byte {
 	case BEArith, BECmp:
 		b = bputU(b, uint64(e.Ty))
 		b = bputU(b, uint64(e.Op))
-		b = encExpr(b, e.L)
-		b = encExpr(b, e.R)
-	case BEAnd:
 		b = encExpr(b, e.L)
 		b = encExpr(b, e.R)
 	case BEBetween:
@@ -238,12 +250,18 @@ type bdec struct {
 	err error
 }
 
+func (d *bdec) fail(format string, args ...any) {
+	if d.err == nil {
+		d.err = fmt.Errorf("rt: batch descriptor: "+format, args...)
+	}
+}
+
 func (d *bdec) u() uint64 {
 	if d.err != nil {
 		return 0
 	}
 	if d.pos+8 > len(d.b) {
-		d.err = fmt.Errorf("rt: batch descriptor truncated at %d", d.pos)
+		d.fail("truncated at %d", d.pos)
 		return 0
 	}
 	v := le64(d.b[d.pos:])
@@ -251,12 +269,24 @@ func (d *bdec) u() uint64 {
 	return v
 }
 
+// code reads a field whose valid values are 0..n-1. Rejecting the rest keeps
+// decoding one-to-one: an accepted descriptor re-encodes to its own bytes.
+func (d *bdec) code(n uint64, what string) uint64 {
+	v := d.u()
+	if v >= n {
+		d.fail("bad %s %d", what, v)
+	}
+	return v
+}
+
+func (d *bdec) ty() BatchType { return BatchType(d.code(uint64(BTStr)+1, "type")) }
+
 func (d *bdec) bytes(n uint64) []byte {
 	if d.err != nil {
 		return nil
 	}
-	if uint64(d.pos)+n > uint64(len(d.b)) {
-		d.err = fmt.Errorf("rt: batch descriptor truncated at %d", d.pos)
+	if n > uint64(len(d.b)-d.pos) {
+		d.fail("truncated at %d", d.pos)
 		return nil
 	}
 	out := d.b[d.pos : d.pos+int(n)]
@@ -268,14 +298,14 @@ func (d *bdec) expr(depth int) *BatchExpr {
 	if d.err != nil {
 		return nil
 	}
-	if depth > 64 {
-		d.err = fmt.Errorf("rt: batch descriptor expression too deep")
+	if depth > BatchMaxDepth {
+		d.fail("expression too deep")
 		return nil
 	}
-	e := &BatchExpr{Kind: BatchExprKind(d.u())}
+	e := &BatchExpr{Kind: BatchExprKind(d.code(uint64(BEPool)+1, "expression kind"))}
 	switch e.Kind {
 	case BEConst:
-		e.Ty = BatchType(d.u())
+		e.Ty = d.ty()
 		switch e.Ty {
 		case BTInt:
 			e.I = int64(d.u())
@@ -287,53 +317,59 @@ func (d *bdec) expr(depth int) *BatchExpr {
 		case BTStr:
 			n := d.u()
 			e.S = append([]byte(nil), d.bytes(n)...)
-		default:
-			d.err = fmt.Errorf("rt: batch descriptor: bad const type %d", e.Ty)
 		}
+	case BEPool:
+		e.Ty = d.ty()
+		e.Slot = d.code(ConstPoolSlots, "pool slot")
 	case BECol:
-		e.Ty = BatchType(d.u())
+		e.Ty = d.ty()
 		e.Base = d.u()
 		e.Elem = d.u()
-	case BEArith, BECmp:
-		e.Ty = BatchType(d.u())
-		e.Op = uint8(d.u())
+	case BEArith:
+		e.Ty = d.ty()
+		e.Op = uint8(d.code(uint64(BArithMul)+1, "arithmetic operator"))
 		e.L = d.expr(depth + 1)
 		e.R = d.expr(depth + 1)
-	case BEAnd:
+	case BECmp:
+		e.Ty = d.ty()
+		e.Op = uint8(d.code(uint64(BCmpGE)+1, "comparison"))
 		e.L = d.expr(depth + 1)
 		e.R = d.expr(depth + 1)
 	case BEBetween:
-		e.Ty = BatchType(d.u())
+		e.Ty = d.ty()
 		e.L = d.expr(depth + 1)
 		e.R = d.expr(depth + 1)
 		e.H = d.expr(depth + 1)
-	default:
-		d.err = fmt.Errorf("rt: batch descriptor: bad expr kind %d", e.Kind)
 	}
 	return e
 }
 
-// DecodeBatchSpec parses an encoded kernel program.
+// DecodeBatchSpec parses an encoded kernel program. It accepts exactly the
+// outputs of BatchSpec.Encode: every code is in range, a pool slot is below
+// ConstPoolSlots, and no bytes follow the spec.
 func DecodeBatchSpec(b []byte) (*BatchSpec, error) {
 	d := &bdec{b: b}
 	if d.u() != batchMagic {
 		return nil, fmt.Errorf("rt: batch descriptor: bad magic")
 	}
-	s := &BatchSpec{Sink: uint8(d.u()), Width: d.u()}
+	s := &BatchSpec{Sink: uint8(d.code(uint64(BatchSinkBuild)+1, "sink")), Width: d.u()}
+	if s.Sink == 0 {
+		d.fail("bad sink 0")
+	}
 	nf := d.u()
 	for i := uint64(0); i < nf && d.err == nil; i++ {
 		s.Filters = append(s.Filters, d.expr(0))
 	}
 	nk := d.u()
 	for i := uint64(0); i < nk && d.err == nil; i++ {
-		k := BatchKey{Off: int64(d.u()), Ty: BatchType(d.u())}
+		k := BatchKey{Off: int64(d.u()), Ty: d.ty()}
 		k.E = d.expr(0)
 		s.Keys = append(s.Keys, k)
 	}
 	na := d.u()
 	for i := uint64(0); i < na && d.err == nil; i++ {
-		a := BatchAgg{Fn: uint8(d.u()), Ty: BatchType(d.u()), Off: int64(d.u()), COff: int64(d.u())}
-		if d.u() != 0 {
+		a := BatchAgg{Fn: uint8(d.code(uint64(BAggAvg)+1, "aggregate")), Ty: d.ty(), Off: int64(d.u()), COff: int64(d.u())}
+		if d.code(2, "argument flag") == 1 {
 			a.Arg = d.expr(0)
 		}
 		s.Aggs = append(s.Aggs, a)
@@ -341,6 +377,9 @@ func DecodeBatchSpec(b []byte) (*BatchSpec, error) {
 	np := d.u()
 	for i := uint64(0); i < np && d.err == nil; i++ {
 		s.Payload = append(s.Payload, BatchCol{Off: int64(d.u()), Base: d.u(), Elem: d.u()})
+	}
+	if d.err == nil && d.pos != len(d.b) {
+		d.fail("%d trailing bytes", len(d.b)-d.pos)
 	}
 	if d.err != nil {
 		return nil, d.err
@@ -361,18 +400,6 @@ type batchProg struct {
 	hash []uint64
 }
 
-func collectCols(e *BatchExpr, out *[]*BatchExpr) {
-	if e == nil {
-		return
-	}
-	if e.Kind == BECol {
-		*out = append(*out, e)
-	}
-	collectCols(e.L, out)
-	collectCols(e.R, out)
-	collectCols(e.H, out)
-}
-
 func (db *DB) batchPrepare(desc []byte) (*batchProg, error) {
 	spec, err := DecodeBatchSpec(desc)
 	if err != nil {
@@ -380,15 +407,60 @@ func (db *DB) batchPrepare(desc []byte) (*batchProg, error) {
 	}
 	bp := &batchProg{spec: spec}
 	for _, f := range spec.Filters {
-		collectCols(f, &bp.cols)
+		if err := db.prepExpr(f, bp); err != nil {
+			return nil, err
+		}
 	}
 	for _, k := range spec.Keys {
-		collectCols(k.E, &bp.cols)
+		if err := db.prepExpr(k.E, bp); err != nil {
+			return nil, err
+		}
 	}
 	for _, a := range spec.Aggs {
-		collectCols(a.Arg, &bp.cols)
+		if err := db.prepExpr(a.Arg, bp); err != nil {
+			return nil, err
+		}
 	}
 	return bp, nil
+}
+
+// prepExpr readies e for the kernel: every pool-slot node becomes the
+// constant its slot holds now, and every column reference is collected for
+// the per-morsel bounds pre-check.
+func (db *DB) prepExpr(e *BatchExpr, bp *batchProg) error {
+	if e == nil {
+		return nil
+	}
+	switch e.Kind {
+	case BECol:
+		bp.cols = append(bp.cols, e)
+	case BEPool:
+		addr := db.ConstPoolAddr(int(e.Slot))
+		lo, hi := le64(db.M.Mem[addr:]), le64(db.M.Mem[addr+8:])
+		*e = BatchExpr{Kind: BEConst, Ty: e.Ty}
+		switch e.Ty {
+		case BTInt:
+			e.I = int64(lo)
+		case BTI128:
+			e.D = I128{Lo: lo, Hi: hi}
+		case BTF64:
+			e.F = fbits(lo)
+		case BTStr:
+			var buf [16]byte
+			s, err := db.strBytes(lo, hi, &buf)
+			if err != nil {
+				return err
+			}
+			e.S = append([]byte(nil), s...)
+		}
+	}
+	if err := db.prepExpr(e.L, bp); err != nil {
+		return err
+	}
+	if err := db.prepExpr(e.R, bp); err != nil {
+		return err
+	}
+	return db.prepExpr(e.H, bp)
 }
 
 // bVals holds one expression's values over the selection vector, in the
@@ -601,12 +673,6 @@ var bCmps = [...]qir.Cmp{BCmpEQ: qir.CmpEQ, BCmpNE: qir.CmpNE, BCmpLT: qir.CmpSL
 // operands only); an error here indicates a kernel or descriptor bug.
 func (db *DB) bFilter(e *BatchExpr, sel []int64) ([]int64, error) {
 	switch e.Kind {
-	case BEAnd:
-		sel, err := db.bFilter(e.L, sel)
-		if err != nil {
-			return nil, err
-		}
-		return db.bFilter(e.R, sel)
 	case BECmp:
 		// A string constant operand stays raw in the descriptor (e.S) — it
 		// has no 16-byte in-memory form, so it bypasses bEval and the BTStr

@@ -43,8 +43,8 @@ type DB struct {
 	// (ConstPoolSlots 16-byte slots). It is allocated eagerly in NewDB —
 	// before any Checkpoint — so the address compiled code bakes in stays
 	// valid across ResetToCheckpoint, which is what lets constant-only query
-	// variants share cached code. Zero on worker DBs, which read the main
-	// DB's pool through the shared machine memory.
+	// variants share cached code. Worker DBs copy it and read the main DB's
+	// pool through the shared machine memory.
 	poolBase uint64
 
 	// shared/ownerGID implement the concurrency-misuse guard: while a DB is

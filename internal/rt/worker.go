@@ -19,15 +19,16 @@ import (
 // NewWorkerDB creates a scratch runtime for one executor worker on machine
 // m (a vm.NewWorker over this DB's machine). The worker inherits a snapshot
 // of the current handle table (read-only access to tables built by earlier
-// pipelines) and shares the read-only intern map; it gets its own output
-// buffer and runs with insertion stamping enabled so partition-local sink
-// state can be merged back in deterministic order.
+// pipelines) and shares the read-only intern map and the constant pool; it
+// gets its own output buffer and runs with insertion stamping enabled so
+// partition-local sink state can be merged back in deterministic order.
 func (db *DB) NewWorkerDB(m *vm.Machine) *DB {
 	return &DB{
 		M:        m,
 		Out:      &OutBuffer{},
 		handles:  append([]any(nil), db.handles...),
-		strings:  db.strings, // read-only during execution
+		strings:  db.strings,  // read-only during execution
+		poolBase: db.poolBase, // the pool is read through the shared memory
 		target:   m.Target(),
 		stamping: true,
 	}

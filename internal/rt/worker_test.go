@@ -1,10 +1,14 @@
 package rt
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"sync"
 	"testing"
+
+	"qcc/internal/qir"
+	"qcc/internal/vm"
 )
 
 // TestSharedDBMisusePanics is the regression test for the parallel-executor
@@ -109,6 +113,59 @@ func TestWorkerOwnGuard(t *testing.T) {
 	wdb.newHandle("post-release")
 }
 
+// TestWorkerSharesConstPool: a worker runtime's pool slots are the main
+// runtime's, so a kernel set up on a worker reads the values bound on the
+// main runtime — integers, decimals, floats and strings on both sides of the
+// 12-byte inline limit.
+func TestWorkerSharesConstPool(t *testing.T) {
+	db := newDB(t)
+	const arena = 1 << 20
+	base := db.M.Alloc(arena)
+	wdb := db.NewWorkerDB(vm.NewWorker(db.M, base, base+arena))
+	for _, i := range []int{0, 1, ConstPoolSlots - 1} {
+		if w, m := wdb.ConstPoolAddr(i), db.ConstPoolAddr(i); w != m {
+			t.Errorf("slot %d: worker address %#x, main address %#x", i, w, m)
+		}
+	}
+	long := "a string longer than twelve bytes"
+	if err := db.BindConstPool([]qir.PoolConst{
+		{Type: qir.I32, Lo: uint64(1<<64 - 10)},
+		{Type: qir.I128, Lo: 5, Hi: 7},
+		{Type: qir.F64, Lo: math.Float64bits(2.5)},
+		{Type: qir.Str, Str: "AIR"},
+		{Type: qir.Str, Str: long},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	want := []*BatchExpr{
+		{Kind: BEConst, Ty: BTInt, I: -10},
+		{Kind: BEConst, Ty: BTI128, D: I128{Lo: 5, Hi: 7}},
+		{Kind: BEConst, Ty: BTF64, F: 2.5},
+		{Kind: BEConst, Ty: BTStr, S: []byte("AIR")},
+		{Kind: BEConst, Ty: BTStr, S: []byte(long)},
+	}
+	spec := &BatchSpec{Sink: BatchSinkAgg, Width: 8}
+	for i, w := range want {
+		col := &BatchExpr{Kind: BECol, Ty: w.Ty, Base: 0x1000, Elem: 8}
+		spec.Filters = append(spec.Filters, &BatchExpr{Kind: BECmp, Ty: w.Ty, Op: BCmpEQ,
+			L: col, R: &BatchExpr{Kind: BEPool, Ty: w.Ty, Slot: uint64(i)}})
+	}
+	for _, rt := range []*DB{db, wdb} {
+		bp, err := rt.batchPrepare(spec.Encode())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, f := range bp.spec.Filters {
+			if !reflect.DeepEqual(f.R, want[i]) {
+				t.Errorf("worker=%v: slot %d prepared as %+v, want %+v", rt == wdb, i, f.R, want[i])
+			}
+		}
+		if len(bp.cols) != len(want) {
+			t.Errorf("worker=%v: %d column references, want %d", rt == wdb, len(bp.cols), len(want))
+		}
+	}
+}
+
 // TestBatchSpecRoundTrip encodes a descriptor exercising every expression
 // kind, value type, sink and aggregate and decodes it back unchanged.
 func TestBatchSpecRoundTrip(t *testing.T) {
@@ -120,14 +177,13 @@ func TestBatchSpecRoundTrip(t *testing.T) {
 		Width: 64,
 		Filters: []*BatchExpr{
 			{Kind: BECmp, Ty: BTInt, Op: BCmpLE, L: col(BTInt, 0x1000, 4), R: &BatchExpr{Kind: BEConst, Ty: BTInt, I: -42}},
-			{Kind: BEAnd,
-				L: &BatchExpr{Kind: BEBetween, Ty: BTI128,
-					L: col(BTI128, 0x2000, 16),
-					R: &BatchExpr{Kind: BEConst, Ty: BTI128, D: I128{Lo: 5, Hi: 0}},
-					H: &BatchExpr{Kind: BEConst, Ty: BTI128, D: I128{Lo: ^uint64(0), Hi: ^uint64(0)}}},
-				R: &BatchExpr{Kind: BECmp, Ty: BTF64, Op: BCmpGT,
-					L: col(BTF64, 0x3000, 8),
-					R: &BatchExpr{Kind: BEConst, Ty: BTF64, F: 2.5}}},
+			{Kind: BEBetween, Ty: BTI128,
+				L: col(BTI128, 0x2000, 16),
+				R: &BatchExpr{Kind: BEConst, Ty: BTI128, D: I128{Lo: 5, Hi: 0}},
+				H: &BatchExpr{Kind: BEConst, Ty: BTI128, D: I128{Lo: ^uint64(0), Hi: ^uint64(0)}}},
+			{Kind: BECmp, Ty: BTF64, Op: BCmpGT,
+				L: col(BTF64, 0x3000, 8),
+				R: &BatchExpr{Kind: BEPool, Ty: BTF64, Slot: ConstPoolSlots - 1}},
 			{Kind: BECmp, Ty: BTStr, Op: BCmpEQ,
 				L: col(BTStr, 0x4000, 16),
 				R: &BatchExpr{Kind: BEConst, Ty: BTStr, S: []byte("BUILDING")}},

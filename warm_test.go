@@ -1,7 +1,6 @@
 package qc
 
 import (
-	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -14,17 +13,9 @@ import (
 // of the benchmark's sql_adhoc workload.
 func warmStatement(shape string, v int) string {
 	if shape == "q6" {
-		lo := 9000 + 20*v
-		return fmt.Sprintf("SELECT SUM(l_extendedprice * l_discount), COUNT(*) FROM lineitem "+
-			"WHERE l_shipdate >= %d AND l_shipdate < %d AND l_discount >= %d AND l_discount <= %d AND l_quantity < %d",
-			lo, lo+365, 3+v%3, 6+v%3, 24+v%6)
+		return adhocStatement(1, v)
 	}
-	d := 9200 - 10*v
-	return fmt.Sprintf("SELECT o_orderkey, SUM(l_extendedprice * (100 - l_discount)) AS revenue "+
-		"FROM customer JOIN orders ON c_custkey = o_custkey JOIN lineitem ON o_orderkey = l_orderkey "+
-		"WHERE c_mktsegment = '%s' AND o_orderdate < %d AND l_shipdate > %d "+
-		"GROUP BY o_orderkey ORDER BY revenue DESC, o_orderkey LIMIT 10",
-		[]string{"AUTOMOBILE", "BUILDING", "FURNITURE", "MACHINERY", "HOUSEHOLD"}[v%5], d, d)
+	return adhocStatement(2, v)
 }
 
 var warmShapes = []string{"q6", "q3"}
