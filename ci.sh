@@ -54,7 +54,9 @@
 #      TPC-H query, both archs, batch kernels off and on, at 1/2/4/8 workers
 #      must produce byte-identical ordered output to the sequential
 #      tuple-at-a-time reference (and the actually-parallel guard proves the
-#      workers really ran — no silent sequential fallback)
+#      workers really ran — no silent sequential fallback — as the
+#      differential proves that probe kernels ran on the TPC-H joins at
+#      every worker count with batch kernels on)
 #  14. the hoist differential under the race detector: every TPC-H and
 #      TPC-DS query with literals pooled vs baked inline must produce
 #      identical rows on every back-end (short mode: vx64), plus the
@@ -70,7 +72,9 @@
 #      (batch kernels on) the q1- and q6-shaped sql_adhoc statements run
 #      <= 1/50 of WithBatch(false)'s instructions with equal rows, and every
 #      variant of the six sql_adhoc families after its first is a program
-#      hit on the benchmark's four engines;
+#      hit on the benchmark's four engines, and the q3- and q12-shaped
+#      statements run probe kernels at <= 1/8 and <= 1/100 of
+#      WithBatch(false)'s instructions with equal rows;
 #      a sampler changes no row and no counter, and takes the number of
 #      samples its period and the instruction count bound; the SQL-join
 #      counters: the q3- and q12-shaped sql_adhoc statements run <= 0.5x the
@@ -108,8 +112,9 @@
 #      functions — no panic, and every function it accepts decodes
 #  21. 10 s of FuzzDecodeBatchSpec: arbitrary bytes through the batch-kernel
 #      spec decoder, from a corpus of the spec of every TPC-H and TPC-DS
-#      batch pipeline — no panic, no accepted out-of-range pool slot or
-#      type, and every spec it accepts re-encodes to the same bytes
+#      batch pipeline, probe kernels included, and a spec with a CASE — no
+#      panic, no accepted out-of-range pool slot or type, no payload that is
+#      not a column, and every spec it accepts re-encodes to the same bytes
 set -eu
 
 cd "$(dirname "$0")"

@@ -362,6 +362,24 @@ func gimplifyCall(gf *gimpleFunc, e *cexpr, vars map[string]int32,
 		emit(tac{op: gCall, dst: d, a: -1, b: -1, rtid: rtid, args: args, ct: ctI128})
 		return d, nil
 	}
+	if e.name == "__lshr_i128" {
+		// The 128-bit logical shift, which no cast can spell: the dialect
+		// has no unsigned 128-bit type.
+		if len(e.args) != 2 {
+			return -1, fmt.Errorf("cbe: __lshr_i128 takes 2 arguments")
+		}
+		a, err := flatten(e.args[0], ctI128)
+		if err != nil {
+			return -1, err
+		}
+		n, err := flatten(e.args[1], ctI128)
+		if err != nil {
+			return -1, err
+		}
+		d := newVar(ctI128)
+		emit(tac{op: gBin, bin: bShr, dst: d, a: a, b: n, ct: ctI128})
+		return d, nil
+	}
 	bi, ok := builtinByName[e.name]
 	if !ok {
 		return -1, fmt.Errorf("cbe: unknown function %s", e.name)
@@ -504,6 +522,19 @@ func constFold(gf *gimpleFunc, tgt *vt.Target) bool {
 			constOf[t.dst] = t.imm
 		}
 	}
+	// 128-bit constants, which fold only as the count of a wide shift.
+	countOf := map[int32]int64{}
+	for i := range gf.code {
+		t := &gf.code[i]
+		if t.dst < 0 || counts[t.dst] != 1 || t.ct != ctI128 {
+			continue
+		}
+		if t.op == gConst {
+			countOf[t.dst] = t.imm
+		} else if v, ok := constOf[t.a]; ok && t.op == gCast {
+			countOf[t.dst] = v
+		}
+	}
 	changed := false
 	for i := range gf.code {
 		t := &gf.code[i]
@@ -535,8 +566,12 @@ func constFold(gf *gimpleFunc, tgt *vt.Target) bool {
 		}
 		if t.ct == ctI128 {
 			// Only the shift count of a wide shift becomes an immediate.
-			if bok && t.b >= 0 && (t.bin == bShl || t.bin == bShr || t.bin == bSar) {
-				t.b, t.imm = -1, bv
+			n, ok := constOf[t.b]
+			if !ok {
+				n, ok = countOf[t.b]
+			}
+			if t.b >= 0 && ok && (t.bin == bShl || t.bin == bShr || t.bin == bSar) {
+				t.b, t.imm = -1, n
 				changed = true
 			}
 			continue

@@ -3,7 +3,6 @@ package conformance_test
 import (
 	"encoding/binary"
 	"fmt"
-	"slices"
 	"testing"
 
 	"qcc/internal/backend"
@@ -41,17 +40,6 @@ func TestOpSemantics(t *testing.T) {
 						form = "const"
 					}
 					for _, eng := range bench.Engines(arch) {
-						fns := fns
-						if w == qir.I128 && eng.Name() == "GCC" {
-							// The C dialect has no unsigned 128-bit type: the
-							// C back-end rejects 128-bit shl and sar, and its
-							// 128-bit shr and unsigned compares see the low
-							// word only. The code generator emits neither
-							// but the shr by 64 of a hash key's high word.
-							fns = slices.DeleteFunc(slices.Clone(fns), func(f opFn) bool {
-								return isShift(f.op) || f.op == qir.OpICmp && f.cmp >= qir.CmpULT
-							})
-						}
 						t.Run(fmt.Sprintf("%s/%s/%s", w, form, eng.Name()), func(t *testing.T) {
 							checkEngineOps(t, arch, eng, fns)
 						})

@@ -1,8 +1,9 @@
 // Sequential-vs-parallel differential: the morsel-parallel executor (with
-// and without batch kernels) must reproduce the sequential tuple-at-a-time
-// result byte for byte — same rows, same row order, same trap codes — for
-// every TPC-H query, on both virtual targets, at every worker count. This
-// is the executor's analog of the pcc byte-identity differential.
+// and without batch kernels, scan and probe kernels alike) must reproduce
+// the sequential tuple-at-a-time result byte for byte — same rows, same row
+// order, same trap codes — for every TPC-H query, on both virtual targets,
+// at every worker count. This is the executor's analog of the pcc
+// byte-identity differential.
 package conformance_test
 
 import (
@@ -40,12 +41,24 @@ func diffEngine(arch vt.Arch) backend.Engine {
 }
 
 func TestParallelDifferential(t *testing.T) {
+	probeCalls := obs.NewCounter("rt_batch_probe_calls")
 	for _, arch := range []vt.Arch{vt.VX64, vt.VA64} {
 		arch := arch
 		t.Run(arch.String(), func(t *testing.T) {
 			eng := diffEngine(arch)
 			w := tpchWorld(t, arch)
 			w.db.Checkpoint()
+			// Probe kernels must run on the TPC-H joins at every worker
+			// count, or the batch half of the differential silently
+			// compares tuple code with itself.
+			probes := map[int]int64{}
+			defer func() {
+				for _, jobs := range []int{1, 2, 4, 8} {
+					if probes[jobs] == 0 && !t.Failed() {
+						t.Errorf("no probe kernel ran with batch kernels on at %d workers", jobs)
+					}
+				}
+			}()
 			for _, q := range tpch.Queries() {
 				q := q
 				t.Run(q.Name, func(t *testing.T) {
@@ -84,10 +97,14 @@ func TestParallelDifferential(t *testing.T) {
 								t.Fatalf("engine %s returned no vm module", eng.Name())
 							}
 							w.db.Out.Reset()
+							p0 := probeCalls.Load()
 							err = codegen.RunParallel(w.db, w.cat, cc, cex.Call,
 								codegen.ExecOptions{Jobs: jobs, Module: mod, MorselSize: 128})
 							if err != nil {
 								t.Fatalf("batch=%v jobs=%d: run: %v", batch, jobs, err)
+							}
+							if batch {
+								probes[jobs] += probeCalls.Load() - p0
 							}
 							got := w.db.Out.Ordered()
 							if len(got) != len(ref) {

@@ -11,20 +11,32 @@ import (
 // Batch-mode lowering: when Options.Batch is set, scan-heavy pipelines that
 // end in an aggregation or join-build sink compile to a main function that
 // calls the runtime's vectorized kernel once per morsel instead of a
-// tuple-at-a-time loop. Eligibility is deliberately conservative — the
-// kernel must reproduce tuple semantics bit-for-bit, including trap order —
-// so anything with short-circuit evaluation, narrow-width trapping
-// arithmetic, or expressions the kernel does not vectorize falls back to
+// tuple-at-a-time loop. The pipeline may probe one hash join on the way (a
+// probe kernel): the kernel then also walks the join's bucket chains and
+// evaluates the sink over the matching (row, build entry) pairs. Eligibility
+// is deliberately conservative — the kernel must reproduce tuple semantics
+// bit-for-bit, including trap order — so anything with short-circuit
+// evaluation, narrow-width trapping arithmetic, a second probe, a predicate
+// after the join, or expressions the kernel does not vectorize falls back to
 // the tuple loop (the per-operator mode choice from the hybrid-engine
-// literature: Q1/Q6-style scans go batch, point-lookup shapes stay tuple).
+// literature: Q1/Q6-style scans and their join probes go batch, point-lookup
+// shapes stay tuple).
 
 // batchChain is a batch-eligible pipeline prefix: one scan plus a conjunct
-// list applied in tuple evaluation order.
+// list applied in tuple evaluation order, and for a probe kernel the join
+// its rows probe.
 type batchChain struct {
 	scan    *plan.Scan
 	tbl     *rt.Table
 	nodes   []plan.Node // scan-to-sink chain, for provenance
 	filters []plan.Expr
+	// join is a probe kernel's join, nil for a scan kernel. The chain's
+	// output is then the join's: the build side's columns, read from the
+	// matched entry at jl's slots, then the scanned table's. jl and jht (the
+	// join table's state offset) are set once the build side is generated.
+	join *plan.HashJoin
+	jl   rowLayout
+	jht  int64
 }
 
 // batchScanChain matches a pipeline input of the form
@@ -104,13 +116,19 @@ func batchLeaf(e plan.Expr) bool {
 // batchValue reports whether e, at the given depth of its expression tree,
 // is kernel-evaluable as a value (aggregate arguments). Trapping arithmetic
 // is allowed only at I64/I128/F64 width — narrow-width overflow (trap when
-// the result does not round-trip the narrow type) is not vectorized.
+// the result does not round-trip the narrow type) is not vectorized. A CASE
+// is, when it cannot trap: a filter-eligible condition and leaf branches.
 func batchValue(e plan.Expr, depth int) bool {
 	if depth > rt.BatchMaxDepth {
 		return false
 	}
 	if batchLeaf(e) {
 		return true
+	}
+	if x, ok := e.(*plan.Case); ok {
+		t := x.Type()
+		return t != qir.Str && t != qir.I1 && x.Else.Type() == t &&
+			batchLeaf(x.Then) && batchLeaf(x.Else) && batchFilter(x.Cond)
 	}
 	if x, ok := e.(*plan.Arith); ok {
 		switch x.Op {
@@ -172,15 +190,82 @@ func batchKeyOK(e plan.Expr) bool {
 	return ok
 }
 
-// batchExpr lowers a plan expression to its kernel form. Callers must have
-// established eligibility first.
+// batchSource matches the input of a batch pipeline's sink: Select*(Scan),
+// or a hash join whose probe side is one, probed on plain columns of the
+// build keys' widened types and with a build side of kernel-typed columns.
+// Its filters must be kernel filters.
+func (c *Compiler) batchSource(n plan.Node) *batchChain {
+	j, probe := n.(*plan.HashJoin)
+	if probe {
+		n = j.Probe
+	}
+	bc := c.batchScanChain(n)
+	if bc == nil {
+		return nil
+	}
+	for _, f := range bc.filters {
+		if !batchFilter(f) {
+			return nil
+		}
+	}
+	if !probe {
+		return bc
+	}
+	if len(j.ProbeKeys) == 0 {
+		return nil
+	}
+	for i, k := range j.ProbeKeys {
+		if !batchKeyOK(k) || widened(k.Type()) != widened(j.BuildKeys[i].Type()) {
+			return nil
+		}
+	}
+	for _, col := range j.Build.Schema() {
+		if _, ok := batchType(col.Type); !ok {
+			return nil
+		}
+	}
+	bc.join = j
+	return bc
+}
+
+// outCol is the kernel form of column idx of the chain's output: a column
+// of the scanned table, or of a probe kernel's build side.
+func (bc *batchChain) outCol(idx int) (*rt.BatchExpr, error) {
+	if bc.join != nil {
+		build := bc.join.Build.Schema()
+		if idx < len(build) {
+			bt, ok := batchType(build[idx].Type)
+			if !ok {
+				return nil, fmt.Errorf("codegen: batch: build column type %s", build[idx].Type)
+			}
+			slot := len(bc.join.BuildKeys) + idx
+			return &rt.BatchExpr{Kind: rt.BEBuildCol, Ty: bt, Base: uint64(bc.jl.offs[slot]),
+				Elem: uint64(build[idx].Type.Size())}, nil
+		}
+		idx -= len(build)
+	}
+	return bc.scanCol(idx)
+}
+
+// scanCol is the kernel form of column idx of the scanned table.
+func (bc *batchChain) scanCol(idx int) (*rt.BatchExpr, error) {
+	col := &bc.tbl.Cols[idx]
+	bt, ok := batchType(col.Type)
+	if !ok {
+		return nil, fmt.Errorf("codegen: batch: column type %s", col.Type)
+	}
+	return &rt.BatchExpr{Kind: rt.BECol, Ty: bt, Base: col.Base, Elem: uint64(col.Type.Size())}, nil
+}
+
+// batchExpr lowers a plan expression to its kernel form, its columns read
+// through col. Callers must have established eligibility first.
 //
 // With Options.Hoist a literal goes into a constant-pool slot of its own,
 // which the kernel reads when the pipeline is set up (rt.BEPool), so the
 // encoded spec — a string constant of the setup function — does not depend
 // on the literal's value. When the pool is full, or without Hoist, the spec
 // holds the value, as rewriteToPool leaves a literal inline.
-func (c *Compiler) batchExpr(e plan.Expr, tbl *rt.Table) (*rt.BatchExpr, error) {
+func (c *Compiler) batchExpr(e plan.Expr, col func(idx int) (*rt.BatchExpr, error)) (*rt.BatchExpr, error) {
 	if pc, lit := PoolConstOf(e); lit {
 		if c.opts.Hoist && len(c.mod.Pool) < rt.ConstPoolSlots {
 			bt, _ := batchType(pc.Type)
@@ -192,12 +277,7 @@ func (c *Compiler) batchExpr(e plan.Expr, tbl *rt.Table) (*rt.BatchExpr, error) 
 	}
 	switch x := e.(type) {
 	case *plan.Col:
-		bt, ok := batchType(x.Ty)
-		if !ok {
-			return nil, fmt.Errorf("codegen: batch: column type %s", x.Ty)
-		}
-		col := &tbl.Cols[x.Idx]
-		return &rt.BatchExpr{Kind: rt.BECol, Ty: bt, Base: col.Base, Elem: uint64(col.Type.Size())}, nil
+		return col(x.Idx)
 	case *plan.ConstInt:
 		return &rt.BatchExpr{Kind: rt.BEConst, Ty: rt.BTInt, I: x.V}, nil
 	case *plan.ConstDec:
@@ -207,11 +287,11 @@ func (c *Compiler) batchExpr(e plan.Expr, tbl *rt.Table) (*rt.BatchExpr, error) 
 	case *plan.ConstStr:
 		return &rt.BatchExpr{Kind: rt.BEConst, Ty: rt.BTStr, S: []byte(x.V)}, nil
 	case *plan.Arith:
-		l, err := c.batchExpr(x.L, tbl)
+		l, err := c.batchExpr(x.L, col)
 		if err != nil {
 			return nil, err
 		}
-		r, err := c.batchExpr(x.R, tbl)
+		r, err := c.batchExpr(x.R, col)
 		if err != nil {
 			return nil, err
 		}
@@ -229,31 +309,46 @@ func (c *Compiler) batchExpr(e plan.Expr, tbl *rt.Table) (*rt.BatchExpr, error) 
 		}
 		return &rt.BatchExpr{Kind: rt.BEArith, Ty: bt, Op: op, L: l, R: r}, nil
 	case *plan.Cmp:
-		l, err := c.batchExpr(x.L, tbl)
+		l, err := c.batchExpr(x.L, col)
 		if err != nil {
 			return nil, err
 		}
-		r, err := c.batchExpr(x.R, tbl)
+		r, err := c.batchExpr(x.R, col)
 		if err != nil {
 			return nil, err
 		}
 		bt, _ := batchType(x.L.Type())
 		return &rt.BatchExpr{Kind: rt.BECmp, Ty: bt, Op: batchCmpOp(x.Op), L: l, R: r}, nil
 	case *plan.Between:
-		v, err := c.batchExpr(x.E, tbl)
+		v, err := c.batchExpr(x.E, col)
 		if err != nil {
 			return nil, err
 		}
-		lo, err := c.batchExpr(x.Lo, tbl)
+		lo, err := c.batchExpr(x.Lo, col)
 		if err != nil {
 			return nil, err
 		}
-		hi, err := c.batchExpr(x.Hi, tbl)
+		hi, err := c.batchExpr(x.Hi, col)
 		if err != nil {
 			return nil, err
 		}
 		bt, _ := batchType(x.E.Type())
 		return &rt.BatchExpr{Kind: rt.BEBetween, Ty: bt, L: v, R: lo, H: hi}, nil
+	case *plan.Case:
+		cond, err := c.batchExpr(x.Cond, col)
+		if err != nil {
+			return nil, err
+		}
+		th, err := c.batchExpr(x.Then, col)
+		if err != nil {
+			return nil, err
+		}
+		el, err := c.batchExpr(x.Else, col)
+		if err != nil {
+			return nil, err
+		}
+		bt, _ := batchType(x.Type())
+		return &rt.BatchExpr{Kind: rt.BECase, Ty: bt, L: cond, R: th, H: el}, nil
 	}
 	return nil, fmt.Errorf("codegen: batch: unsupported expression %T", e)
 }
@@ -277,14 +372,9 @@ func batchCmpOp(op plan.CmpOp) uint8 {
 
 // batchAggChain decides batch eligibility for a GroupBy input pipeline.
 func (c *Compiler) batchAggChain(g *plan.GroupBy) *batchChain {
-	bc := c.batchScanChain(g.Input)
+	bc := c.batchSource(g.Input)
 	if bc == nil {
 		return nil
-	}
-	for _, f := range bc.filters {
-		if !batchFilter(f) {
-			return nil
-		}
 	}
 	for _, k := range g.Keys {
 		if !batchKeyOK(k) {
@@ -315,14 +405,9 @@ func (c *Compiler) batchAggChain(g *plan.GroupBy) *batchChain {
 
 // batchBuildChain decides batch eligibility for a join build pipeline.
 func (c *Compiler) batchBuildChain(j *plan.HashJoin) *batchChain {
-	bc := c.batchScanChain(j.Build)
+	bc := c.batchSource(j.Build)
 	if bc == nil {
 		return nil
-	}
-	for _, f := range bc.filters {
-		if !batchFilter(f) {
-			return nil
-		}
 	}
 	for _, k := range j.BuildKeys {
 		if !batchKeyOK(k) {
@@ -330,8 +415,8 @@ func (c *Compiler) batchBuildChain(j *plan.HashJoin) *batchChain {
 		}
 	}
 	// The payload copies build-schema columns verbatim; a Select chain
-	// leaves the scan schema intact, so every payload column is a direct
-	// table column.
+	// leaves the scan schema intact, so every payload column is a column
+	// of the scanned table or of the probed join's build side.
 	for _, col := range j.Build.Schema() {
 		if _, ok := batchType(col.Type); !ok {
 			return nil
@@ -341,10 +426,14 @@ func (c *Compiler) batchBuildChain(j *plan.HashJoin) *batchChain {
 }
 
 // pushChainProv mirrors the produce() recursion's provenance stack for a
-// chain the batch emitter lowers without recursing: outermost select first,
-// scan last (stack top = pipeline source).
+// chain the batch emitter lowers without recursing: the probed join, then
+// the outermost select, scan last (stack top = pipeline source).
 func (c *Compiler) pushChainProv(bc *batchChain) int {
 	n := 0
+	if bc.join != nil {
+		c.pushOp(joinProv(bc.join, "probe"))
+		n++
+	}
 	for i := len(bc.nodes) - 1; i >= 0; i-- {
 		if e, ok := provOf(bc.nodes[i]); ok {
 			c.pushOp(e)
@@ -385,24 +474,49 @@ func (c *Compiler) emitBatchPipeline(bc *batchChain, spec *rt.BatchSpec, sink Si
 
 	b := c.main
 	lo, hi := b.Param(1), b.Param(2)
-	b.Call(qir.Void, rt.FnBatchExec, loadStateHandle(b, bpOff), loadStateHandle(b, htOff), lo, hi)
+	if bc.join != nil {
+		b.Call(qir.Void, rt.FnBatchProbe, loadStateHandle(b, bpOff), loadStateHandle(b, htOff),
+			loadStateHandle(b, bc.jht), lo, hi)
+	} else {
+		b.Call(qir.Void, rt.FnBatchExec, loadStateHandle(b, bpOff), loadStateHandle(b, htOff), lo, hi)
+	}
 	b.Ret(qir.NoValue)
 	c.endPipeline()
 }
 
-// buildAggSpec assembles the kernel program for a batch aggregation
-// pipeline over the tuple code's exact slot layout.
-func (c *Compiler) buildAggSpec(g *plan.GroupBy, bc *batchChain, layout rowLayout, aggSlot []int) (*rt.BatchSpec, error) {
-	spec := &rt.BatchSpec{Sink: rt.BatchSinkAgg, Width: uint64(layout.width)}
+// chainSpec starts the kernel program of a chain: its filters over the
+// scanned table and, for a probe kernel, the probe keys against the join
+// table's key slots.
+func (c *Compiler) chainSpec(bc *batchChain, sink uint8, width int64) (*rt.BatchSpec, error) {
+	spec := &rt.BatchSpec{Sink: sink, Width: uint64(width)}
 	for _, f := range bc.filters {
-		be, err := c.batchExpr(f, bc.tbl)
+		be, err := c.batchExpr(f, bc.scanCol)
 		if err != nil {
 			return nil, err
 		}
 		spec.Filters = append(spec.Filters, be)
 	}
+	if bc.join != nil {
+		for i, k := range bc.join.ProbeKeys {
+			be, err := c.batchExpr(k, bc.scanCol)
+			if err != nil {
+				return nil, err
+			}
+			spec.Probe = append(spec.Probe, rt.BatchKey{Off: bc.jl.offs[i], Ty: be.Ty, E: be})
+		}
+	}
+	return spec, nil
+}
+
+// buildAggSpec assembles the kernel program for a batch aggregation
+// pipeline over the tuple code's exact slot layout.
+func (c *Compiler) buildAggSpec(g *plan.GroupBy, bc *batchChain, layout rowLayout, aggSlot []int) (*rt.BatchSpec, error) {
+	spec, err := c.chainSpec(bc, rt.BatchSinkAgg, layout.width)
+	if err != nil {
+		return nil, err
+	}
 	for i, k := range g.Keys {
-		be, err := c.batchExpr(k, bc.tbl)
+		be, err := c.batchExpr(k, bc.outCol)
 		if err != nil {
 			return nil, err
 		}
@@ -426,7 +540,7 @@ func (c *Compiler) buildAggSpec(g *plan.GroupBy, bc *batchChain, layout rowLayou
 			ba.COff = layout.offs[aggSlot[i]+1]
 		}
 		if a.Arg != nil {
-			be, err := c.batchExpr(a.Arg, bc.tbl)
+			be, err := c.batchExpr(a.Arg, bc.outCol)
 			if err != nil {
 				return nil, err
 			}
@@ -445,16 +559,12 @@ func (c *Compiler) buildAggSpec(g *plan.GroupBy, bc *batchChain, layout rowLayou
 // buildJoinSpec assembles the kernel program for a batch join-build
 // pipeline: widened keys plus verbatim column payload.
 func (c *Compiler) buildJoinSpec(j *plan.HashJoin, bc *batchChain, layout rowLayout) (*rt.BatchSpec, error) {
-	spec := &rt.BatchSpec{Sink: rt.BatchSinkBuild, Width: uint64(layout.width)}
-	for _, f := range bc.filters {
-		be, err := c.batchExpr(f, bc.tbl)
-		if err != nil {
-			return nil, err
-		}
-		spec.Filters = append(spec.Filters, be)
+	spec, err := c.chainSpec(bc, rt.BatchSinkBuild, layout.width)
+	if err != nil {
+		return nil, err
 	}
 	for i, k := range j.BuildKeys {
-		be, err := c.batchExpr(k, bc.tbl)
+		be, err := c.batchExpr(k, bc.outCol)
 		if err != nil {
 			return nil, err
 		}
@@ -462,13 +572,12 @@ func (c *Compiler) buildJoinSpec(j *plan.HashJoin, bc *batchChain, layout rowLay
 		spec.Keys = append(spec.Keys, rt.BatchKey{Off: layout.offs[i], Ty: bt, E: be})
 	}
 	nkeys := len(j.BuildKeys)
-	for i := range bc.tbl.Cols {
-		col := &bc.tbl.Cols[i]
-		spec.Payload = append(spec.Payload, rt.BatchCol{
-			Off:  layout.offs[nkeys+i],
-			Base: col.Base,
-			Elem: uint64(col.Type.Size()),
-		})
+	for i := range j.Build.Schema() {
+		src, err := bc.outCol(i)
+		if err != nil {
+			return nil, err
+		}
+		spec.Payload = append(spec.Payload, rt.BatchCol{Off: layout.offs[nkeys+i], Src: src})
 	}
 	return spec, nil
 }

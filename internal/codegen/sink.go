@@ -16,6 +16,16 @@ const htHeaderSize = 16
 // produceHashJoin generates the build-side pipelines (ending in hash-table
 // inserts), then the probe-side pipeline whose matches flow into consume.
 func (c *Compiler) produceHashJoin(j *plan.HashJoin, consume consumeFn) error {
+	layout, htOff, err := c.produceJoinBuild(j)
+	if err != nil {
+		return err
+	}
+	return c.produceJoinProbe(j, layout, htOff, consume)
+}
+
+// produceJoinBuild generates the pipelines filling j's hash table and
+// returns its entry layout and the state offset of its handle.
+func (c *Compiler) produceJoinBuild(j *plan.HashJoin) (rowLayout, int64, error) {
 	buildSchema := j.Build.Schema()
 	nkeys := len(j.BuildKeys)
 
@@ -34,15 +44,18 @@ func (c *Compiler) produceHashJoin(j *plan.HashJoin, consume consumeFn) error {
 	// hash table) and cleanup (finalize the bucket directory) — the sink
 	// closure runs while the enclosing pipeline's builders are active.
 	c.pushOp(joinProv(j, "build"))
+	defer c.popOp()
 	var bc *batchChain
 	if c.opts.Batch {
 		bc = c.batchBuildChain(j)
 	}
 	if bc != nil {
+		if err := c.produceProbedBuild(bc); err != nil {
+			return layout, 0, err
+		}
 		spec, err := c.buildJoinSpec(j, bc, layout)
 		if err != nil {
-			c.popOp()
-			return err
+			return layout, 0, err
 		}
 		c.emitBatchPipeline(bc, spec, SinkBuild, htOff,
 			func(sb *qir.Builder) {
@@ -53,8 +66,7 @@ func (c *Compiler) produceHashJoin(j *plan.HashJoin, consume consumeFn) error {
 			func(cb *qir.Builder) {
 				cb.Call(qir.Void, rt.FnHTFinal, loadStateHandle(cb, htOff))
 			})
-		c.popOp()
-		return c.produceJoinProbe(j, layout, htOff, consume)
+		return layout, htOff, nil
 	}
 	err := c.produce(j.Build, func(rc *rowCtx) error {
 		sb := c.setup
@@ -82,11 +94,19 @@ func (c *Compiler) produceHashJoin(j *plan.HashJoin, consume consumeFn) error {
 		}
 		return nil
 	})
-	c.popOp()
-	if err != nil {
-		return err
+	return layout, htOff, err
+}
+
+// produceProbedBuild generates the build side of a probe kernel's join
+// before the kernel's own pipeline, in the order the tuple code's produce
+// recursion emits them.
+func (c *Compiler) produceProbedBuild(bc *batchChain) error {
+	if bc.join == nil {
+		return nil
 	}
-	return c.produceJoinProbe(j, layout, htOff, consume)
+	var err error
+	bc.jl, bc.jht, err = c.produceJoinBuild(bc.join)
+	return err
 }
 
 // produceJoinProbe generates the probe-side pipeline of a hash join; the
@@ -220,6 +240,9 @@ func (c *Compiler) produceGroupBy(g *plan.GroupBy, consume consumeFn) error {
 		bc = c.batchAggChain(g)
 	}
 	if bc != nil {
+		if err := c.produceProbedBuild(bc); err != nil {
+			return err
+		}
 		spec, err := c.buildAggSpec(g, bc, layout, aggSlot)
 		if err != nil {
 			return err

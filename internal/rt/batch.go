@@ -1,6 +1,7 @@
 package rt
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/bits"
 
@@ -12,12 +13,15 @@ import (
 )
 
 // Batch (vectorized) operator kernels. A batch-eligible pipeline compiles
-// to a tiny main function that calls batch_exec once per morsel instead of
-// looping tuple-at-a-time through generated code; the kernel runs the
-// pipeline's filters, key/argument expressions, and aggregation or
-// join-build sink over the whole morsel with selection vectors, amortizing
-// VM dispatch over thousands of rows (the hybrid compiled+vectorized mode
-// of Kashuba & Mühleisen).
+// to a tiny main function that calls batch_exec (a scan kernel) or
+// batch_probe (a probe kernel) once per morsel instead of looping
+// tuple-at-a-time through generated code; the kernel runs the pipeline's
+// filters, key/argument expressions, and aggregation or join-build sink over
+// the whole morsel with selection vectors, amortizing VM dispatch over
+// thousands of rows (the hybrid compiled+vectorized mode of Kashuba &
+// Mühleisen). A probe kernel also probes one join's hash table with each
+// surviving row and evaluates the sink over the (row, build entry) pairs
+// that match, in the order the tuple code's chain walk visits them.
 //
 // The kernel is driven by a BatchSpec the code generator serializes into a
 // string constant (so it participates in code caching like any other baked
@@ -31,8 +35,9 @@ import (
 // trap fires first on poisoned data.
 
 var (
-	ctrBatchCalls = obs.NewCounter("rt_batch_kernel_calls")
-	ctrBatchRows  = obs.NewCounter("rt_batch_rows")
+	ctrBatchCalls      = obs.NewCounter("rt_batch_kernel_calls")
+	ctrBatchProbeCalls = obs.NewCounter("rt_batch_probe_calls")
+	ctrBatchRows       = obs.NewCounter("rt_batch_rows")
 )
 
 // BatchType is the evaluation type of a batch expression. Small integers
@@ -61,6 +66,12 @@ const (
 	// BindConstPool); batchPrepare turns it into the BEConst of the value
 	// the slot holds when the pipeline is set up.
 	BEPool
+	// BEBuildCol is a column of the build side a probe kernel matched: Elem
+	// bytes at offset Base of the matched entry's payload.
+	BEBuildCol
+	// BECase is CASE WHEN L THEN R ELSE H END, trap-free: L is a filter
+	// (BECmp or BEBetween) and R and H are leaves of type Ty.
+	BECase
 )
 
 // Batch arithmetic operators (overflow-trapping, SQL semantics).
@@ -83,21 +94,24 @@ const (
 // BatchExpr is one node of a batch-evaluable expression tree.
 type BatchExpr struct {
 	Kind BatchExprKind
-	// Ty is the value type (BEConst/BEPool/BECol/BEArith) or the operand
-	// type (BECmp/BEBetween).
+	// Ty is the value type (BEConst/BEPool/BECol/BEBuildCol/BEArith/BECase)
+	// or the operand type (BECmp/BEBetween).
 	Ty BatchType
 	// Op is the arithmetic or comparison operator.
 	Op uint8
-	// Base/Elem describe a column: base address and element width.
+	// Base/Elem describe a column: base address and element width
+	// (BECol), or payload offset and width (BEBuildCol).
 	Base, Elem uint64
-	// Constant payloads.
+	// Constant payloads. A string constant of at most 12 bytes also holds
+	// its 16-byte value's two words in D once the kernel is prepared.
 	I int64
 	D I128
 	F float64
 	S []byte
 	// Slot is a BEPool node's constant-pool slot.
 	Slot uint64
-	// Children: L/R for arith and cmp; L=value, R=lo, H=hi for between.
+	// Children: L/R for arith and cmp; L=value, R=lo, H=hi for between;
+	// L=condition, R=then, H=else for case.
 	L, R, H *BatchExpr
 }
 
@@ -133,13 +147,13 @@ type BatchAgg struct {
 	Arg  *BatchExpr
 }
 
-// BatchCol is one join-build payload column, copied into the entry verbatim
-// (the payload slot is pre-zeroed, so narrow columns match the tuple-mode
-// typed store byte-for-byte).
+// BatchCol is one join-build payload column: Src, a BECol or (in a probe
+// kernel) a BEBuildCol, copied verbatim into the entry's slot at Off (the
+// payload slot is pre-zeroed, so narrow columns match the tuple-mode typed
+// store byte-for-byte).
 type BatchCol struct {
-	Off  int64
-	Base uint64
-	Elem uint64
+	Off int64
+	Src *BatchExpr
 }
 
 // BatchSpec is the complete kernel program for one batch pipeline.
@@ -147,6 +161,10 @@ type BatchSpec struct {
 	Sink    uint8
 	Width   uint64
 	Filters []*BatchExpr
+	// Probe makes the kernel a probe kernel: one key per join key, a column
+	// of the scanned table (E) matched against the build entry's widened
+	// key slot at Off. Empty for a scan kernel.
+	Probe   []BatchKey
 	Keys    []BatchKey
 	Aggs    []BatchAgg
 	Payload []BatchCol
@@ -189,7 +207,7 @@ func encExpr(b []byte, e *BatchExpr) []byte {
 	case BEPool:
 		b = bputU(b, uint64(e.Ty))
 		b = bputU(b, e.Slot)
-	case BECol:
+	case BECol, BEBuildCol:
 		b = bputU(b, uint64(e.Ty))
 		b = bputU(b, e.Base)
 		b = bputU(b, e.Elem)
@@ -198,7 +216,7 @@ func encExpr(b []byte, e *BatchExpr) []byte {
 		b = bputU(b, uint64(e.Op))
 		b = encExpr(b, e.L)
 		b = encExpr(b, e.R)
-	case BEBetween:
+	case BEBetween, BECase:
 		b = bputU(b, uint64(e.Ty))
 		b = encExpr(b, e.L)
 		b = encExpr(b, e.R)
@@ -216,12 +234,8 @@ func (s *BatchSpec) Encode() []byte {
 	for _, f := range s.Filters {
 		b = encExpr(b, f)
 	}
-	b = bputU(b, uint64(len(s.Keys)))
-	for _, k := range s.Keys {
-		b = bputU(b, uint64(k.Off))
-		b = bputU(b, uint64(k.Ty))
-		b = encExpr(b, k.E)
-	}
+	b = encKeys(b, s.Probe)
+	b = encKeys(b, s.Keys)
 	b = bputU(b, uint64(len(s.Aggs)))
 	for _, a := range s.Aggs {
 		b = bputU(b, uint64(a.Fn))
@@ -238,8 +252,17 @@ func (s *BatchSpec) Encode() []byte {
 	b = bputU(b, uint64(len(s.Payload)))
 	for _, p := range s.Payload {
 		b = bputU(b, uint64(p.Off))
-		b = bputU(b, p.Base)
-		b = bputU(b, p.Elem)
+		b = encExpr(b, p.Src)
+	}
+	return b
+}
+
+func encKeys(b []byte, keys []BatchKey) []byte {
+	b = bputU(b, uint64(len(keys)))
+	for _, k := range keys {
+		b = bputU(b, uint64(k.Off))
+		b = bputU(b, uint64(k.Ty))
+		b = encExpr(b, k.E)
 	}
 	return b
 }
@@ -302,7 +325,7 @@ func (d *bdec) expr(depth int) *BatchExpr {
 		d.fail("expression too deep")
 		return nil
 	}
-	e := &BatchExpr{Kind: BatchExprKind(d.code(uint64(BEPool)+1, "expression kind"))}
+	e := &BatchExpr{Kind: BatchExprKind(d.code(uint64(BECase)+1, "expression kind"))}
 	switch e.Kind {
 	case BEConst:
 		e.Ty = d.ty()
@@ -321,7 +344,7 @@ func (d *bdec) expr(depth int) *BatchExpr {
 	case BEPool:
 		e.Ty = d.ty()
 		e.Slot = d.code(ConstPoolSlots, "pool slot")
-	case BECol:
+	case BECol, BEBuildCol:
 		e.Ty = d.ty()
 		e.Base = d.u()
 		e.Elem = d.u()
@@ -335,7 +358,7 @@ func (d *bdec) expr(depth int) *BatchExpr {
 		e.Op = uint8(d.code(uint64(BCmpGE)+1, "comparison"))
 		e.L = d.expr(depth + 1)
 		e.R = d.expr(depth + 1)
-	case BEBetween:
+	case BEBetween, BECase:
 		e.Ty = d.ty()
 		e.L = d.expr(depth + 1)
 		e.R = d.expr(depth + 1)
@@ -344,9 +367,20 @@ func (d *bdec) expr(depth int) *BatchExpr {
 	return e
 }
 
+func (d *bdec) keys() []BatchKey {
+	var keys []BatchKey
+	n := d.u()
+	for i := uint64(0); i < n && d.err == nil; i++ {
+		k := BatchKey{Off: int64(d.u()), Ty: d.ty()}
+		k.E = d.expr(0)
+		keys = append(keys, k)
+	}
+	return keys
+}
+
 // DecodeBatchSpec parses an encoded kernel program. It accepts exactly the
 // outputs of BatchSpec.Encode: every code is in range, a pool slot is below
-// ConstPoolSlots, and no bytes follow the spec.
+// ConstPoolSlots, a payload column is a column, and no bytes follow the spec.
 func DecodeBatchSpec(b []byte) (*BatchSpec, error) {
 	d := &bdec{b: b}
 	if d.u() != batchMagic {
@@ -360,12 +394,8 @@ func DecodeBatchSpec(b []byte) (*BatchSpec, error) {
 	for i := uint64(0); i < nf && d.err == nil; i++ {
 		s.Filters = append(s.Filters, d.expr(0))
 	}
-	nk := d.u()
-	for i := uint64(0); i < nk && d.err == nil; i++ {
-		k := BatchKey{Off: int64(d.u()), Ty: d.ty()}
-		k.E = d.expr(0)
-		s.Keys = append(s.Keys, k)
-	}
+	s.Probe = d.keys()
+	s.Keys = d.keys()
 	na := d.u()
 	for i := uint64(0); i < na && d.err == nil; i++ {
 		a := BatchAgg{Fn: uint8(d.code(uint64(BAggAvg)+1, "aggregate")), Ty: d.ty(), Off: int64(d.u()), COff: int64(d.u())}
@@ -376,7 +406,11 @@ func DecodeBatchSpec(b []byte) (*BatchSpec, error) {
 	}
 	np := d.u()
 	for i := uint64(0); i < np && d.err == nil; i++ {
-		s.Payload = append(s.Payload, BatchCol{Off: int64(d.u()), Base: d.u(), Elem: d.u()})
+		p := BatchCol{Off: int64(d.u()), Src: d.expr(0)}
+		if p.Src != nil && p.Src.Kind != BECol && p.Src.Kind != BEBuildCol {
+			d.fail("payload of expression kind %d", p.Src.Kind)
+		}
+		s.Payload = append(s.Payload, p)
 	}
 	if d.err == nil && d.pos != len(d.b) {
 		d.fail("%d trailing bytes", len(d.b)-d.pos)
@@ -391,13 +425,15 @@ func DecodeBatchSpec(b []byte) (*BatchSpec, error) {
 // Kernel execution.
 // --------------------------------------------------------------------------
 
-// batchProg is a prepared kernel: the decoded spec plus flattened column
-// references for the per-morsel bounds pre-check, and reusable scratch.
+// batchProg is a prepared kernel: the decoded spec plus its flattened column
+// references for the per-call bounds checks.
 type batchProg struct {
 	spec *BatchSpec
-	cols []*BatchExpr
-	sel  []int64
-	hash []uint64
+	// cols are the scanned table's column reads, checked over each morsel;
+	// bcols the build-entry reads, checked against the probed table's
+	// entry width.
+	cols  []*BatchExpr
+	bcols []*BatchExpr
 }
 
 func (db *DB) batchPrepare(desc []byte) (*batchProg, error) {
@@ -406,34 +442,103 @@ func (db *DB) batchPrepare(desc []byte) (*batchProg, error) {
 		return nil, err
 	}
 	bp := &batchProg{spec: spec}
+	probe := len(spec.Probe) > 0
 	for _, f := range spec.Filters {
-		if err := db.prepExpr(f, bp); err != nil {
+		if err := db.prepExpr(f, bp, false); err != nil {
+			return nil, err
+		}
+	}
+	for _, keys := range [][]BatchKey{spec.Probe, spec.Keys} {
+		for _, k := range keys {
+			if k.E == nil || k.E.Kind != BECol && k.E.Kind != BEBuildCol || k.E.Ty != k.Ty {
+				return nil, fmt.Errorf("rt: batch: a key is not a column of its type")
+			}
+		}
+	}
+	for _, k := range spec.Probe {
+		if err := db.prepExpr(k.E, bp, false); err != nil {
 			return nil, err
 		}
 	}
 	for _, k := range spec.Keys {
-		if err := db.prepExpr(k.E, bp); err != nil {
+		if err := prepSlot(spec.Width, k.Off, k.Ty); err != nil {
+			return nil, err
+		}
+		if err := db.prepExpr(k.E, bp, probe); err != nil {
 			return nil, err
 		}
 	}
 	for _, a := range spec.Aggs {
-		if err := db.prepExpr(a.Arg, bp); err != nil {
+		if err := prepSlot(spec.Width, a.Off, a.Ty); err != nil {
+			return nil, err
+		}
+		if a.Fn == BAggAvg {
+			if err := prepSlot(spec.Width, a.COff, BTInt); err != nil {
+				return nil, err
+			}
+		}
+		if err := db.prepExpr(a.Arg, bp, probe); err != nil {
+			return nil, err
+		}
+	}
+	for _, p := range spec.Payload {
+		if p.Off < 0 || uint64(p.Off) > spec.Width || p.Src.Elem > spec.Width-uint64(p.Off) {
+			return nil, fmt.Errorf("rt: batch: payload slot %d outside the entry", p.Off)
+		}
+		if err := db.prepExpr(p.Src, bp, probe); err != nil {
 			return nil, err
 		}
 	}
 	return bp, nil
 }
 
+// prepSlot checks that a value of type ty at payload offset off lies inside
+// entries of width bytes.
+func prepSlot(width uint64, off int64, ty BatchType) error {
+	size := uint64(8)
+	if ty == BTI128 || ty == BTStr {
+		size = 16
+	}
+	if off < 0 || uint64(off) > width || size > width-uint64(off) {
+		return fmt.Errorf("rt: batch: slot %d outside %d-byte entries", off, width)
+	}
+	return nil
+}
+
+// colWidth reports whether elem is a valid element width of type ty.
+func colWidth(ty BatchType, elem uint64) bool {
+	switch ty {
+	case BTInt:
+		return elem == 1 || elem == 2 || elem == 4 || elem == 8
+	case BTF64:
+		return elem == 8
+	}
+	return elem == 16
+}
+
 // prepExpr readies e for the kernel: every pool-slot node becomes the
-// constant its slot holds now, and every column reference is collected for
-// the per-morsel bounds pre-check.
-func (db *DB) prepExpr(e *BatchExpr, bp *batchProg) error {
+// constant its slot holds now, a short string constant gets its value's
+// words, and every column reference is checked and collected for the
+// per-call bounds checks. Build columns are allowed only in the sink of a
+// probe kernel (build is set).
+func (db *DB) prepExpr(e *BatchExpr, bp *batchProg, build bool) error {
 	if e == nil {
 		return nil
 	}
 	switch e.Kind {
 	case BECol:
+		if !colWidth(e.Ty, e.Elem) {
+			return fmt.Errorf("rt: batch: column of type %d and width %d", e.Ty, e.Elem)
+		}
 		bp.cols = append(bp.cols, e)
+	case BEBuildCol:
+		if !build {
+			return fmt.Errorf("rt: batch: build column outside a probe kernel's sink")
+		}
+		if !colWidth(e.Ty, e.Elem) {
+			return fmt.Errorf("rt: batch: build column of type %d and width %d", e.Ty, e.Elem)
+		}
+		bp.bcols = append(bp.bcols, e)
 	case BEPool:
 		addr := db.ConstPoolAddr(int(e.Slot))
 		lo, hi := le64(db.M.Mem[addr:]), le64(db.M.Mem[addr+8:])
@@ -454,101 +559,216 @@ func (db *DB) prepExpr(e *BatchExpr, bp *batchProg) error {
 			e.S = append([]byte(nil), s...)
 		}
 	}
-	if err := db.prepExpr(e.L, bp); err != nil {
+	if e.Kind == BEConst && e.Ty == BTStr && len(e.S) <= 12 {
+		var b [16]byte
+		put32(b[:], uint32(len(e.S)))
+		copy(b[4:], e.S)
+		e.D = I128{Lo: le64(b[:8]), Hi: le64(b[8:])}
+	}
+	if err := db.prepExpr(e.L, bp, build); err != nil {
 		return err
 	}
-	if err := db.prepExpr(e.R, bp); err != nil {
+	if err := db.prepExpr(e.R, bp, build); err != nil {
 		return err
 	}
-	return db.prepExpr(e.H, bp)
+	return db.prepExpr(e.H, bp, build)
 }
 
-// bVals holds one expression's values over the selection vector, in the
-// slice matching its type. Strings are the 16-byte value halves (lo, hi).
+// scratch is a stack of reusable buffers of one element type: get hands out
+// the next buffer, grown to n, and the buffers return when the count is
+// reset. Nothing is cleared; callers overwrite what they read.
+type scratch[T any] struct {
+	bufs [][]T
+	used int
+}
+
+func (s *scratch[T]) get(n int) []T {
+	if s.used == len(s.bufs) {
+		s.bufs = append(s.bufs, nil)
+	}
+	b := s.bufs[s.used]
+	if cap(b) < n {
+		b = make([]T, n)
+		s.bufs[s.used] = b
+	}
+	s.used++
+	return b[:n]
+}
+
+// batchScratch is a DB's kernel memory, reused across kernel calls and
+// statements: every vector a call evaluates comes from here, and returns
+// when the call ends, or at a mark between the filters of a morsel and
+// between the chunks of a probe.
+type batchScratch struct {
+	ints  scratch[int64]
+	decs  scratch[I128]
+	flts  scratch[float64]
+	strs  scratch[[2]uint64]
+	words scratch[uint64]
+	pos   scratch[int]
+	vals  scratch[bVals]
+}
+
+type scratchMark [7]int
+
+func (s *batchScratch) mark() scratchMark {
+	return scratchMark{s.ints.used, s.decs.used, s.flts.used, s.strs.used, s.words.used, s.pos.used, s.vals.used}
+}
+
+func (s *batchScratch) release(m scratchMark) {
+	s.ints.used, s.decs.used, s.flts.used, s.strs.used = m[0], m[1], m[2], m[3]
+	s.words.used, s.pos.used, s.vals.used = m[4], m[5], m[6]
+}
+
+// bRows is what kernel expressions evaluate over, position by position: a
+// row of the scanned table and, in a probe kernel's sink, the build entry
+// that row matched.
+type bRows struct {
+	row []int64
+	ent []int64
+}
+
+// bVals holds one expression's values over the positions it was evaluated
+// at, in the slice matching its type. Strings are the 16-byte value halves
+// (lo, hi). A constant has no slice: c is its node, read at every position.
 type bVals struct {
 	i []int64
 	d []I128
 	f []float64
 	s [][2]uint64
+	c *BatchExpr
 }
 
-// bEval evaluates e over the selected rows. It returns the values and the
-// sel-index of the first trapping row (-1 if none) with its trap; values at
-// and after a trapping index are unspecified. Evaluation order per row
-// matches the tuple code: left operand, right operand, then the operation.
-func (db *DB) bEval(e *BatchExpr, sel []int64) (bVals, int, error) {
-	n := len(sel)
+func (v *bVals) int(k int) int64 {
+	if v.c != nil {
+		return v.c.I
+	}
+	return v.i[k]
+}
+
+func (v *bVals) dec(k int) I128 {
+	if v.c != nil {
+		return v.c.D
+	}
+	return v.d[k]
+}
+
+func (v *bVals) flt(k int) float64 {
+	if v.c != nil {
+		return v.c.F
+	}
+	return v.f[k]
+}
+
+// bLoad reads a column of type ty and element width elem at base+idx[k]*stride
+// for every position k: a table column is (column base, row, width), a build
+// column (payload offset, entry, 1).
+func (db *DB) bLoad(ty BatchType, elem, base, stride uint64, idx []int64) bVals {
 	mem := db.M.Mem
+	sc := &db.bscr
+	var v bVals
+	switch ty {
+	case BTInt:
+		v.i = sc.ints.get(len(idx))
+		switch elem {
+		case 1:
+			for k, r := range idx {
+				v.i[k] = int64(int8(mem[base+uint64(r)*stride]))
+			}
+		case 2:
+			for k, r := range idx {
+				v.i[k] = int64(int16(binary.LittleEndian.Uint16(mem[base+uint64(r)*stride:])))
+			}
+		case 4:
+			for k, r := range idx {
+				v.i[k] = int64(int32(le32(mem[base+uint64(r)*stride:])))
+			}
+		default:
+			for k, r := range idx {
+				v.i[k] = int64(le64(mem[base+uint64(r)*stride:]))
+			}
+		}
+	case BTI128:
+		v.d = sc.decs.get(len(idx))
+		for k, r := range idx {
+			a := base + uint64(r)*stride
+			v.d[k] = I128{Lo: le64(mem[a:]), Hi: le64(mem[a+8:])}
+		}
+	case BTF64:
+		v.f = sc.flts.get(len(idx))
+		for k, r := range idx {
+			v.f[k] = fbits(le64(mem[base+uint64(r)*stride:]))
+		}
+	case BTStr:
+		v.s = sc.strs.get(len(idx))
+		for k, r := range idx {
+			a := base + uint64(r)*stride
+			v.s[k] = [2]uint64{le64(mem[a:]), le64(mem[a+8:])}
+		}
+	}
+	return v
+}
+
+// bEval evaluates e at every position of rs. It returns the values and the
+// position of the first trapping row (-1 if none) with its trap; values at
+// and after a trapping position are unspecified. Evaluation order per row
+// matches the tuple code: left operand, right operand, then the operation.
+func (db *DB) bEval(e *BatchExpr, rs bRows) (bVals, int, error) {
+	n := len(rs.row)
+	sc := &db.bscr
 	var v bVals
 	switch e.Kind {
 	case BEConst:
+		if e.Ty == BTStr {
+			return v, 0, fmt.Errorf("rt: batch: string constant not evaluable as value")
+		}
+		return bVals{c: e}, -1, nil
+	case BECol:
+		return db.bLoad(e.Ty, e.Elem, e.Base, e.Elem, rs.row), -1, nil
+	case BEBuildCol:
+		return db.bLoad(e.Ty, e.Elem, e.Base, 1, rs.ent), -1, nil
+	case BECase:
+		pos, err := db.bTest(e.L, rs)
+		if err != nil {
+			return v, 0, err
+		}
+		th, tT, errT := db.bEval(e.R, rs)
+		el, tE, errE := db.bEval(e.H, rs)
+		if tT >= 0 || tE >= 0 {
+			return v, 0, cmpErr(errT, errE)
+		}
 		switch e.Ty {
 		case BTInt:
-			v.i = make([]int64, n)
+			v.i = sc.ints.get(n)
 			for k := range v.i {
-				v.i[k] = e.I
+				v.i[k] = el.int(k)
+			}
+			for _, k := range pos {
+				v.i[k] = th.int(k)
 			}
 		case BTI128:
-			v.d = make([]I128, n)
+			v.d = sc.decs.get(n)
 			for k := range v.d {
-				v.d[k] = e.D
+				v.d[k] = el.dec(k)
+			}
+			for _, k := range pos {
+				v.d[k] = th.dec(k)
 			}
 		case BTF64:
-			v.f = make([]float64, n)
+			v.f = sc.flts.get(n)
 			for k := range v.f {
-				v.f[k] = e.F
+				v.f[k] = el.flt(k)
+			}
+			for _, k := range pos {
+				v.f[k] = th.flt(k)
 			}
 		default:
-			return v, 0, fmt.Errorf("rt: batch: const of type %d not evaluable", e.Ty)
-		}
-		return v, -1, nil
-	case BECol:
-		switch e.Ty {
-		case BTInt:
-			v.i = make([]int64, n)
-			switch e.Elem {
-			case 1:
-				for k, r := range sel {
-					v.i[k] = int64(int8(mem[e.Base+uint64(r)]))
-				}
-			case 2:
-				for k, r := range sel {
-					a := e.Base + uint64(r)*2
-					v.i[k] = int64(int16(uint16(mem[a]) | uint16(mem[a+1])<<8))
-				}
-			case 4:
-				for k, r := range sel {
-					v.i[k] = int64(int32(le32(mem[e.Base+uint64(r)*4:])))
-				}
-			case 8:
-				for k, r := range sel {
-					v.i[k] = int64(le64(mem[e.Base+uint64(r)*8:]))
-				}
-			default:
-				return v, 0, fmt.Errorf("rt: batch: bad int column width %d", e.Elem)
-			}
-		case BTI128:
-			v.d = make([]I128, n)
-			for k, r := range sel {
-				a := e.Base + uint64(r)*16
-				v.d[k] = I128{Lo: le64(mem[a:]), Hi: le64(mem[a+8:])}
-			}
-		case BTF64:
-			v.f = make([]float64, n)
-			for k, r := range sel {
-				v.f[k] = fbits(le64(mem[e.Base+uint64(r)*8:]))
-			}
-		case BTStr:
-			v.s = make([][2]uint64, n)
-			for k, r := range sel {
-				a := e.Base + uint64(r)*16
-				v.s[k] = [2]uint64{le64(mem[a:]), le64(mem[a+8:])}
-			}
+			return v, 0, fmt.Errorf("rt: batch: case of type %d", e.Ty)
 		}
 		return v, -1, nil
 	case BEArith:
-		lv, tL, errL := db.bEval(e.L, sel)
-		rv, tR, errR := db.bEval(e.R, sel)
+		lv, tL, errL := db.bEval(e.L, rs)
+		rv, tR, errR := db.bEval(e.R, rs)
 		stop := n
 		if tL >= 0 && tL < stop {
 			stop = tL
@@ -558,9 +778,9 @@ func (db *DB) bEval(e *BatchExpr, sel []int64) (bVals, int, error) {
 		}
 		switch e.Ty {
 		case BTInt:
-			v.i = make([]int64, n)
+			v.i = sc.ints.get(n)
 			for k := 0; k < stop; k++ {
-				a, b := lv.i[k], rv.i[k]
+				a, b := lv.int(k), rv.int(k)
 				var r int64
 				var ok bool
 				switch e.Op {
@@ -577,9 +797,9 @@ func (db *DB) bEval(e *BatchExpr, sel []int64) (bVals, int, error) {
 				v.i[k] = r
 			}
 		case BTI128:
-			v.d = make([]I128, n)
+			v.d = sc.decs.get(n)
 			for k := 0; k < stop; k++ {
-				a, b := lv.d[k], rv.d[k]
+				a, b := lv.dec(k), rv.dec(k)
 				var r I128
 				var ok bool
 				switch e.Op {
@@ -598,9 +818,9 @@ func (db *DB) bEval(e *BatchExpr, sel []int64) (bVals, int, error) {
 				v.d[k] = r
 			}
 		case BTF64:
-			v.f = make([]float64, n)
+			v.f = sc.flts.get(n)
 			for k := 0; k < stop; k++ {
-				a, b := lv.f[k], rv.f[k]
+				a, b := lv.flt(k), rv.flt(k)
 				switch e.Op {
 				case BArithAdd:
 					v.f[k] = a + b
@@ -626,178 +846,308 @@ func (db *DB) bEval(e *BatchExpr, sel []int64) (bVals, int, error) {
 	return v, 0, fmt.Errorf("rt: batch: expr kind %d not evaluable as value", e.Kind)
 }
 
-// strEqRaw compares a 16-byte string value against raw bytes.
-func (db *DB) strEqRaw(lo, hi uint64, b []byte) (bool, error) {
+// cmpErr is the error of the first of two trap-free operands that failed.
+func cmpErr(l, r error) error {
+	if l != nil {
+		return l
+	}
+	return r
+}
+
+// inlineMasks are the bits of a string value's two words that hold its
+// length and, when it is inline (at most 12 bytes), its n bytes: two inline
+// values are equal exactly when their words agree under the masks, whatever
+// the unused bytes hold. A longer value's first word is its length and its
+// first four bytes.
+func inlineMasks(n uint64) (lo, hi uint64) {
+	lo, hi = ^uint64(0), ^uint64(0)
+	if n < 4 {
+		lo = 1<<(32+8*n) - 1
+	}
+	switch {
+	case n <= 4:
+		hi = 0
+	case n < 12:
+		hi = 1<<(8*(n-4)) - 1
+	}
+	return lo, hi
+}
+
+// strEqConst compares a 16-byte string value with a prepared string
+// constant: an inline value by its words, a longer one by its bytes.
+func (db *DB) strEqConst(lo, hi uint64, c *BatchExpr) (bool, error) {
 	n := uint64(uint32(lo))
-	if n != uint64(len(b)) {
+	if n != uint64(len(c.S)) {
 		return false, nil
 	}
 	if n <= 12 {
-		var t [16]byte
-		put64(t[:8], lo)
-		put64(t[8:], hi)
-		return string(t[4:4+n]) == string(b), nil
+		ml, mh := inlineMasks(n)
+		return (lo^c.D.Lo)&ml == 0 && (hi^c.D.Hi)&mh == 0, nil
 	}
 	body, err := db.M.Bytes(hi, n)
 	if err != nil {
 		return false, err
 	}
-	return string(body) == string(b), nil
+	return string(body) == string(c.S), nil
 }
 
 // strEqVals compares two 16-byte string values by content.
 func (db *DB) strEqVals(alo, ahi, blo, bhi uint64) (bool, error) {
-	an := uint64(uint32(alo))
-	bn := uint64(uint32(blo))
-	if an != bn {
+	n := uint64(uint32(alo))
+	if n != uint64(uint32(blo)) {
 		return false, nil
 	}
-	var abuf, bbuf [16]byte
-	a, err := db.strBytes(alo, ahi, &abuf)
+	ml, mh := inlineMasks(n)
+	if (alo^blo)&ml != 0 {
+		return false, nil
+	}
+	if n <= 12 {
+		return (ahi^bhi)&mh == 0, nil
+	}
+	a, err := db.M.Bytes(ahi, n)
 	if err != nil {
 		return false, err
 	}
-	b, err := db.strBytes(blo, bhi, &bbuf)
+	b, err := db.M.Bytes(bhi, n)
 	if err != nil {
 		return false, err
 	}
 	return string(a) == string(b), nil
 }
 
+// flipCmp is the predicate p with its operands swapped.
+func flipCmp(p uint8) uint8 {
+	switch p {
+	case BCmpLT:
+		return BCmpGT
+	case BCmpLE:
+		return BCmpGE
+	case BCmpGT:
+		return BCmpLT
+	case BCmpGE:
+		return BCmpLE
+	}
+	return p
+}
+
+// constPos appends to out the positions k at which a[k] p c holds, for a
+// column compared with a constant: sem.ICmp's signed and sem.FCmp's
+// predicates on int64 and float64, one loop per operator.
+func constPos[T int64 | float64](p uint8, a []T, c T, out []int) []int {
+	switch p {
+	case BCmpEQ:
+		for k, x := range a {
+			if x == c {
+				out = append(out, k)
+			}
+		}
+	case BCmpNE:
+		for k, x := range a {
+			if x != c {
+				out = append(out, k)
+			}
+		}
+	case BCmpLT:
+		for k, x := range a {
+			if x < c {
+				out = append(out, k)
+			}
+		}
+	case BCmpLE:
+		for k, x := range a {
+			if x <= c {
+				out = append(out, k)
+			}
+		}
+	case BCmpGT:
+		for k, x := range a {
+			if x > c {
+				out = append(out, k)
+			}
+		}
+	default:
+		for k, x := range a {
+			if x >= c {
+				out = append(out, k)
+			}
+		}
+	}
+	return out
+}
+
 // bCmps maps the batch comparison operators to QIR predicates.
 var bCmps = [...]qir.Cmp{BCmpEQ: qir.CmpEQ, BCmpNE: qir.CmpNE, BCmpLT: qir.CmpSLT,
 	BCmpLE: qir.CmpSLE, BCmpGT: qir.CmpSGT, BCmpGE: qir.CmpSGE}
 
-// bFilter refines the selection vector by one boolean conjunct, in place.
-// Eligible filters are trap-free by construction (column and constant
-// operands only); an error here indicates a kernel or descriptor bug.
-func (db *DB) bFilter(e *BatchExpr, sel []int64) ([]int64, error) {
+// bTest returns the positions of rs, ascending, at which the boolean
+// condition e holds. Conditions are trap-free by construction (column and
+// constant operands only); an error here indicates a kernel or descriptor
+// bug.
+func (db *DB) bTest(e *BatchExpr, rs bRows) ([]int, error) {
+	n := len(rs.row)
+	out := db.bscr.pos.get(n)[:0]
 	switch e.Kind {
 	case BECmp:
-		// A string constant operand stays raw in the descriptor (e.S) — it
-		// has no 16-byte in-memory form, so it bypasses bEval and the BTStr
-		// arm below compares against the raw bytes directly.
-		var lv, rv bVals
-		if e.Ty != BTStr || e.L.Kind != BEConst {
-			v, tL, errL := db.bEval(e.L, sel)
-			if tL >= 0 {
-				return nil, errL
-			}
-			lv = v
-		}
-		if e.Ty != BTStr || e.R.Kind != BEConst {
-			v, tR, errR := db.bEval(e.R, sel)
-			if tR >= 0 {
-				return nil, errR
-			}
-			rv = v
-		}
 		if int(e.Op) >= len(bCmps) {
 			return nil, fmt.Errorf("rt: batch: bad comparison %d", e.Op)
 		}
+		if e.Ty == BTStr {
+			return db.strEqPos(e, rs, out)
+		}
+		lv, tL, errL := db.bEval(e.L, rs)
+		rv, tR, errR := db.bEval(e.R, rs)
+		if tL >= 0 || tR >= 0 {
+			return nil, cmpErr(errL, errR)
+		}
 		c := bCmps[e.Op]
-		out := sel[:0]
 		switch e.Ty {
 		case BTInt:
-			for k, r := range sel {
-				if sem.ICmp(c, uint64(lv.i[k]), uint64(rv.i[k])) {
-					out = append(out, r)
+			switch {
+			case lv.c == nil && rv.c != nil:
+				return constPos(e.Op, lv.i[:n], rv.c.I, out), nil
+			case lv.c != nil && rv.c == nil:
+				return constPos(flipCmp(e.Op), rv.i[:n], lv.c.I, out), nil
+			}
+			for k := 0; k < n; k++ {
+				if sem.ICmp(c, uint64(lv.int(k)), uint64(rv.int(k))) {
+					out = append(out, k)
 				}
 			}
-		case BTI128:
-			for k, r := range sel {
-				if sem.ICmp128(c, lv.d[k], rv.d[k]) {
-					out = append(out, r)
-				}
-			}
+			return out, nil
 		case BTF64:
-			for k, r := range sel {
-				if sem.FCmp(c, lv.f[k], rv.f[k]) {
-					out = append(out, r)
+			switch {
+			case lv.c == nil && rv.c != nil:
+				return constPos(e.Op, lv.f[:n], rv.c.F, out), nil
+			case lv.c != nil && rv.c == nil:
+				return constPos(flipCmp(e.Op), rv.f[:n], lv.c.F, out), nil
+			}
+			for k := 0; k < n; k++ {
+				if sem.FCmp(c, lv.flt(k), rv.flt(k)) {
+					out = append(out, k)
 				}
 			}
-		case BTStr:
-			// Only equality forms are batch-eligible; one side may be a
-			// raw constant from the descriptor.
-			for k, r := range sel {
-				var eq bool
-				var err error
-				switch {
-				case e.L.Kind == BEConst && e.R.Kind == BEConst:
-					eq = string(e.L.S) == string(e.R.S)
-				case e.R.Kind == BEConst:
-					eq, err = db.strEqRaw(lv.s[k][0], lv.s[k][1], e.R.S)
-				case e.L.Kind == BEConst:
-					eq, err = db.strEqRaw(rv.s[k][0], rv.s[k][1], e.L.S)
-				default:
-					eq, err = db.strEqVals(lv.s[k][0], lv.s[k][1], rv.s[k][0], rv.s[k][1])
-				}
-				if err != nil {
-					return nil, err
-				}
-				if (e.Op == BCmpEQ) == eq {
-					out = append(out, r)
+			return out, nil
+		case BTI128:
+			for k := 0; k < n; k++ {
+				if sem.ICmp128(c, lv.dec(k), rv.dec(k)) {
+					out = append(out, k)
 				}
 			}
+			return out, nil
 		}
-		return out, nil
 	case BEBetween:
 		// All three operands evaluate, then (v >= lo) AND (v <= hi) — the
 		// tuple expansion is non-short-circuit.
-		vv, tV, errV := db.bEval(e.L, sel)
-		if tV >= 0 {
-			return nil, errV
+		vv, tV, errV := db.bEval(e.L, rs)
+		lv, tLo, errLo := db.bEval(e.R, rs)
+		hv, tHi, errHi := db.bEval(e.H, rs)
+		if tV >= 0 || tLo >= 0 || tHi >= 0 {
+			return nil, cmpErr(errV, cmpErr(errLo, errHi))
 		}
-		lv, tLo, errLo := db.bEval(e.R, sel)
-		if tLo >= 0 {
-			return nil, errLo
-		}
-		hv, tHi, errHi := db.bEval(e.H, sel)
-		if tHi >= 0 {
-			return nil, errHi
-		}
-		out := sel[:0]
 		switch e.Ty {
 		case BTInt:
-			for k, r := range sel {
-				if vv.i[k] >= lv.i[k] && vv.i[k] <= hv.i[k] {
-					out = append(out, r)
+			for k := 0; k < n; k++ {
+				if x := vv.int(k); x >= lv.int(k) && x <= hv.int(k) {
+					out = append(out, k)
 				}
 			}
+			return out, nil
 		case BTI128:
-			for k, r := range sel {
-				if vv.d[k].Cmp(lv.d[k]) >= 0 && vv.d[k].Cmp(hv.d[k]) <= 0 {
-					out = append(out, r)
+			for k := 0; k < n; k++ {
+				if x := vv.dec(k); x.Cmp(lv.dec(k)) >= 0 && x.Cmp(hv.dec(k)) <= 0 {
+					out = append(out, k)
 				}
 			}
+			return out, nil
 		case BTF64:
-			for k, r := range sel {
-				if vv.f[k] >= lv.f[k] && vv.f[k] <= hv.f[k] {
-					out = append(out, r)
+			for k := 0; k < n; k++ {
+				if x := vv.flt(k); x >= lv.flt(k) && x <= hv.flt(k) {
+					out = append(out, k)
 				}
 			}
-		default:
-			return nil, fmt.Errorf("rt: batch: between over type %d", e.Ty)
+			return out, nil
+		}
+	}
+	return nil, fmt.Errorf("rt: batch: expr kind %d of type %d is not a filter", e.Kind, e.Ty)
+}
+
+// strEqPos is bTest of a string equality or inequality. A string constant
+// stays raw in the descriptor (e.S): it has no 16-byte in-memory form, so it
+// bypasses bEval and is compared through strEqConst.
+func (db *DB) strEqPos(e *BatchExpr, rs bRows, out []int) ([]int, error) {
+	if e.Op != BCmpEQ && e.Op != BCmpNE {
+		return nil, fmt.Errorf("rt: batch: string comparison %d", e.Op)
+	}
+	n := len(rs.row)
+	want := e.Op == BCmpEQ
+	l, r := e.L, e.R
+	if l.Kind == BEConst {
+		l, r = r, l
+	}
+	if l.Kind == BEConst {
+		if (string(l.S) == string(r.S)) == want {
+			for k := 0; k < n; k++ {
+				out = append(out, k)
+			}
 		}
 		return out, nil
 	}
-	return nil, fmt.Errorf("rt: batch: expr kind %d is not a filter", e.Kind)
+	lv, tL, errL := db.bEval(l, rs)
+	if tL >= 0 {
+		return nil, errL
+	}
+	if r.Kind == BEConst {
+		for k, s := range lv.s {
+			eq, err := db.strEqConst(s[0], s[1], r)
+			if err != nil {
+				return nil, err
+			}
+			if eq == want {
+				out = append(out, k)
+			}
+		}
+		return out, nil
+	}
+	rv, tR, errR := db.bEval(r, rs)
+	if tR >= 0 {
+		return nil, errR
+	}
+	for k, s := range lv.s {
+		eq, err := db.strEqVals(s[0], s[1], rv.s[k][0], rv.s[k][1])
+		if err != nil {
+			return nil, err
+		}
+		if eq == want {
+			out = append(out, k)
+		}
+	}
+	return out, nil
 }
 
 // batchStrHash replicates FnStrHash: CRC32C of the bytes with the length
-// folded into the upper word.
+// folded into the upper word. An inline value hashes from its words.
 func (db *DB) batchStrHash(lo, hi uint64) (uint64, error) {
-	var buf [16]byte
-	s, err := db.strBytes(lo, hi, &buf)
-	if err != nil {
-		return 0, err
+	n := uint64(uint32(lo))
+	if n > 12 {
+		s, err := db.M.Bytes(hi, n)
+		if err != nil {
+			return 0, err
+		}
+		return uint64(vt.Crc32c(0, s)) | n<<32, nil
 	}
-	return uint64(vt.Crc32c(0, s)) | uint64(len(s))<<32, nil
+	w := lo>>32 | hi<<32 // bytes 0-7
+	crc, rest := uint32(0), n
+	if n >= 8 {
+		crc, w, rest = uint32(vt.Crc32c8(0, w)), hi>>32, n-8
+	}
+	var b [8]byte
+	put64(b[:], w)
+	return uint64(vt.Crc32c(crc, b[:rest])) | n<<32, nil
 }
 
-// batchHashes computes the key-tuple hash for rows [0, stop): CRC32C
+// batchHashes computes the key-tuple hash of positions [0, stop): CRC32C
 // folding per 64-bit word with the final long-mul-fold mix, exactly the
-// chain hashKeys emits.
+// chain hashKeys emits. Keys are columns (batchPrepare).
 func (db *DB) batchHashes(keys []BatchKey, keyV []bVals, stop int, out []uint64) error {
 	for k := 0; k < stop; k++ {
 		h := uint64(0)
@@ -825,7 +1175,7 @@ func (db *DB) batchHashes(keys []BatchKey, keyV []bVals, stop int, out []uint64)
 }
 
 // batchKeysEqual compares the stored widened key slots at payload p against
-// row k of the evaluated keys, replicating the generated chain-walk
+// position k of the evaluated keys, replicating the generated chain-walk
 // comparison (string keys by content, everything else on the 64-bit words).
 func (db *DB) batchKeysEqual(keys []BatchKey, keyV []bVals, k int, p uint64) (bool, error) {
 	mem := db.M.Mem
@@ -855,96 +1205,162 @@ func (db *DB) batchKeysEqual(keys []BatchKey, keyV []bVals, k int, p uint64) (bo
 }
 
 // batchExec runs the prepared kernel over table rows [lo, hi): bounds
-// pre-check, selection-vector filtering, vectorized key/argument
-// evaluation, then the row-ordered sink loop. On a trapping row, every
-// earlier row's sink effect has been applied and the row's own has not —
-// the same partial state tuple-at-a-time execution leaves behind.
-func (db *DB) batchExec(bp *batchProg, ht *hashTable, lo, hi int64) error {
+// pre-check, selection-vector filtering, then — for a probe kernel, per
+// chunk of matching (row, entry) pairs — vectorized key/argument evaluation
+// and the ordered sink loop. probe is the probed join table of a probe
+// kernel, nil for a scan kernel. On a trapping row, every earlier row's
+// sink effect has been applied and the row's own has not — the same partial
+// state tuple-at-a-time execution leaves behind.
+func (db *DB) batchExec(bp *batchProg, sink, probe *hashTable, lo, hi int64) error {
 	ctrBatchCalls.Inc()
-	if hi > lo {
-		ctrBatchRows.Add(hi - lo)
+	spec := bp.spec
+	if (probe != nil) != (len(spec.Probe) > 0) {
+		return fmt.Errorf("rt: batch: kernel with %d probe keys called with probe table %v", len(spec.Probe), probe != nil)
+	}
+	if sink.width != spec.Width {
+		return fmt.Errorf("rt: batch: sink entries of %d bytes, kernel writes %d", sink.width, spec.Width)
+	}
+	if probe != nil {
+		ctrBatchProbeCalls.Inc()
+		for _, k := range spec.Probe {
+			if err := prepSlot(probe.width, k.Off, k.Ty); err != nil {
+				return err
+			}
+		}
+		for _, c := range bp.bcols {
+			if c.Base > probe.width || c.Elem > probe.width-c.Base {
+				return fmt.Errorf("rt: batch: build column at %d outside %d-byte entries", c.Base, probe.width)
+			}
+		}
 	}
 	if hi <= lo {
 		return nil
 	}
-	spec := bp.spec
+	ctrBatchRows.Add(hi - lo)
 	for _, c := range bp.cols {
 		if _, err := db.M.Bytes(c.Base+uint64(lo)*c.Elem, uint64(hi-lo)*c.Elem); err != nil {
 			return err
 		}
 	}
-	for _, p := range spec.Payload {
-		if _, err := db.M.Bytes(p.Base+uint64(lo)*p.Elem, uint64(hi-lo)*p.Elem); err != nil {
-			return err
-		}
-	}
 
-	if cap(bp.sel) < int(hi-lo) {
-		bp.sel = make([]int64, hi-lo)
-	}
-	sel := bp.sel[:hi-lo]
+	sc := &db.bscr
+	defer sc.release(sc.mark())
+	sel := sc.ints.get(int(hi - lo))
 	for i := range sel {
 		sel[i] = lo + int64(i)
 	}
-	var err error
+	m := sc.mark()
 	for _, f := range spec.Filters {
-		sel, err = db.bFilter(f, sel)
+		pos, err := db.bTest(f, bRows{row: sel})
 		if err != nil {
 			return err
 		}
+		for j, k := range pos {
+			sel[j] = sel[k]
+		}
+		sel = sel[:len(pos)]
+		sc.release(m)
 		if len(sel) == 0 {
 			return nil
 		}
 	}
+	if probe == nil {
+		return db.batchSink(bp, sink, bRows{row: sel})
+	}
 
-	// Keys, then aggregate arguments, in tuple evaluation order; the
-	// earliest trapping row across all expressions (ties to the earlier
-	// expression) bounds how many rows reach the sink.
-	trapAt, trapErr := len(sel), error(nil)
-	note := func(t int, err error) {
+	// Probe: hash every surviving row's keys, walk its bucket chain in the
+	// tuple code's order, and hand the matching pairs to the sink a chunk
+	// at a time.
+	pk := sc.vals.get(len(spec.Probe))
+	for i := range spec.Probe {
+		v, t, err := db.bEval(spec.Probe[i].E, bRows{row: sel})
+		if t >= 0 {
+			return err
+		}
+		pk[i] = v
+	}
+	hashes := sc.words.get(len(sel))
+	if err := db.batchHashes(spec.Probe, pk, len(sel), hashes); err != nil {
+		return err
+	}
+	chunk := len(sel)
+	pairs := bRows{row: sc.ints.get(chunk)[:0], ent: sc.ints.get(chunk)[:0]}
+	m = sc.mark()
+	for k, r := range sel {
+		h := hashes[k]
+		for p := db.htLookup(probe, h); p != 0; p = le64(db.M.Mem[p-entryHeader:]) {
+			if le64(db.M.Mem[p-8:]) != h {
+				continue
+			}
+			eq, err := db.batchKeysEqual(spec.Probe, pk, k, p)
+			if err != nil {
+				return err
+			}
+			if !eq {
+				continue
+			}
+			pairs.row = append(pairs.row, r)
+			pairs.ent = append(pairs.ent, int64(p))
+			if len(pairs.row) == chunk {
+				if err := db.batchSink(bp, sink, pairs); err != nil {
+					return err
+				}
+				sc.release(m)
+				pairs.row, pairs.ent = pairs.row[:0], pairs.ent[:0]
+			}
+		}
+	}
+	if len(pairs.row) == 0 {
+		return nil
+	}
+	return db.batchSink(bp, sink, pairs)
+}
+
+// batchSink evaluates the sink's keys and arguments at every position of rs,
+// in tuple evaluation order, and applies the sink position by position up to
+// the earliest trapping one (ties to the earlier expression).
+func (db *DB) batchSink(bp *batchProg, sink *hashTable, rs bRows) error {
+	spec := bp.spec
+	sc := &db.bscr
+	trapAt, trapErr := len(rs.row), error(nil)
+	keyV := sc.vals.get(len(spec.Keys))
+	for i := range spec.Keys {
+		v, t, err := db.bEval(spec.Keys[i].E, rs)
+		keyV[i] = v
 		if t >= 0 && t < trapAt {
 			trapAt, trapErr = t, err
 		}
 	}
-	keyV := make([]bVals, len(spec.Keys))
-	for i := range spec.Keys {
-		v, t, kerr := db.bEval(spec.Keys[i].E, sel)
-		keyV[i] = v
-		note(t, kerr)
-	}
-	argV := make([]bVals, len(spec.Aggs))
+	argV := sc.vals.get(len(spec.Aggs))
 	for i := range spec.Aggs {
+		argV[i] = bVals{}
 		if spec.Aggs[i].Arg != nil {
-			v, t, aerr := db.bEval(spec.Aggs[i].Arg, sel)
+			v, t, err := db.bEval(spec.Aggs[i].Arg, rs)
 			argV[i] = v
-			note(t, aerr)
+			if t >= 0 && t < trapAt {
+				trapAt, trapErr = t, err
+			}
 		}
 	}
 	stop := trapAt
 
-	if cap(bp.hash) < stop {
-		bp.hash = make([]uint64, stop)
-	}
-	hashes := bp.hash[:stop]
+	hashes := sc.words.get(stop)
 	if err := db.batchHashes(spec.Keys, keyV, stop, hashes); err != nil {
 		return err
 	}
-
+	var err error
 	switch spec.Sink {
 	case BatchSinkAgg:
-		err = db.batchAggSink(spec, ht, keyV, argV, stop, hashes)
+		err = db.batchAggSink(spec, sink, keyV, argV, stop, hashes)
 	case BatchSinkBuild:
-		err = db.batchBuildSink(spec, ht, keyV, sel, stop, hashes)
+		err = db.batchBuildSink(spec, sink, keyV, rs, stop, hashes)
 	default:
 		err = fmt.Errorf("rt: batch: bad sink kind %d", spec.Sink)
 	}
 	if err != nil {
 		return err
 	}
-	if trapErr != nil {
-		return trapErr
-	}
-	return nil
+	return trapErr
 }
 
 func (db *DB) storeKeys(keys []BatchKey, keyV []bVals, k int, p uint64) {
@@ -966,7 +1382,7 @@ func (db *DB) storeKeys(keys []BatchKey, keyV []bVals, k int, p uint64) {
 	}
 }
 
-// batchAggSink is the aggregation sink: per surviving row, probe the group
+// batchAggSink is the aggregation sink: per position, probe the group
 // table and update (with the tuple code's overflow traps, in aggregate
 // order) or insert a fresh group.
 func (db *DB) batchAggSink(spec *BatchSpec, ht *hashTable, keyV, argV []bVals, stop int, hashes []uint64) error {
@@ -997,17 +1413,17 @@ func (db *DB) batchAggSink(spec *BatchSpec, ht *hashTable, keyV, argV []bVals, s
 				case BAggSum, BAggAvg:
 					switch a.Ty {
 					case BTF64:
-						put64(mem[off:], toBits(fbits(le64(mem[off:]))+argV[i].f[k]))
+						put64(mem[off:], toBits(fbits(le64(mem[off:]))+argV[i].flt(k)))
 					case BTI128:
 						cur := I128{Lo: le64(mem[off:]), Hi: le64(mem[off+8:])}
-						r, ok := cur.SAdd(argV[i].d[k])
+						r, ok := cur.SAdd(argV[i].dec(k))
 						if !ok {
 							return &vm.Trap{Code: vt.TrapOverflow}
 						}
 						put64(mem[off:], r.Lo)
 						put64(mem[off+8:], r.Hi)
 					default:
-						s, ok := sem.SAdd(int64(le64(mem[off:])), argV[i].i[k])
+						s, ok := sem.SAdd(int64(le64(mem[off:])), argV[i].int(k))
 						if !ok {
 							return &vm.Trap{Code: vt.TrapOverflow}
 						}
@@ -1021,7 +1437,7 @@ func (db *DB) batchAggSink(spec *BatchSpec, ht *hashTable, keyV, argV []bVals, s
 					switch a.Ty {
 					case BTF64:
 						cur := fbits(le64(mem[off:]))
-						v := argV[i].f[k]
+						v := argV[i].flt(k)
 						better := v < cur
 						if a.Fn == BAggMax {
 							better = v > cur
@@ -1031,7 +1447,7 @@ func (db *DB) batchAggSink(spec *BatchSpec, ht *hashTable, keyV, argV []bVals, s
 						}
 					case BTI128:
 						cur := I128{Lo: le64(mem[off:]), Hi: le64(mem[off+8:])}
-						v := argV[i].d[k]
+						v := argV[i].dec(k)
 						c := v.Cmp(cur)
 						if (a.Fn == BAggMin && c < 0) || (a.Fn == BAggMax && c > 0) {
 							put64(mem[off:], v.Lo)
@@ -1039,7 +1455,7 @@ func (db *DB) batchAggSink(spec *BatchSpec, ht *hashTable, keyV, argV []bVals, s
 						}
 					default:
 						cur := int64(le64(mem[off:]))
-						v := argV[i].i[k]
+						v := argV[i].int(k)
 						if (a.Fn == BAggMin && v < cur) || (a.Fn == BAggMax && v > cur) {
 							put64(mem[off:], uint64(v))
 						}
@@ -1060,12 +1476,13 @@ func (db *DB) batchAggSink(spec *BatchSpec, ht *hashTable, keyV, argV []bVals, s
 				case BAggSum, BAggMin, BAggMax, BAggAvg:
 					switch a.Ty {
 					case BTF64:
-						put64(mem[off:], toBits(argV[i].f[k]))
+						put64(mem[off:], toBits(argV[i].flt(k)))
 					case BTI128:
-						put64(mem[off:], argV[i].d[k].Lo)
-						put64(mem[off+8:], argV[i].d[k].Hi)
+						v := argV[i].dec(k)
+						put64(mem[off:], v.Lo)
+						put64(mem[off+8:], v.Hi)
 					default:
-						put64(mem[off:], uint64(argV[i].i[k]))
+						put64(mem[off:], uint64(argV[i].int(k)))
 					}
 					if a.Fn == BAggAvg {
 						put64(mem[np+uint64(a.COff):], 1)
@@ -1077,18 +1494,22 @@ func (db *DB) batchAggSink(spec *BatchSpec, ht *hashTable, keyV, argV []bVals, s
 	return nil
 }
 
-// batchBuildSink is the join-build sink: insert every surviving row with
-// widened keys and a verbatim copy of the payload columns.
-func (db *DB) batchBuildSink(spec *BatchSpec, ht *hashTable, keyV []bVals, sel []int64, stop int, hashes []uint64) error {
+// batchBuildSink is the join-build sink: insert every position with widened
+// keys and a verbatim copy of the payload columns, read from the scanned
+// row or from the build entry it matched.
+func (db *DB) batchBuildSink(spec *BatchSpec, ht *hashTable, keyV []bVals, rs bRows, stop int, hashes []uint64) error {
 	for k := 0; k < stop; k++ {
 		np := db.htInsert(ht, hashes[k])
 		mem := db.M.Mem
 		db.storeKeys(spec.Keys, keyV, k, np)
-		r := uint64(sel[k])
 		for _, pc := range spec.Payload {
+			src := pc.Src
+			a := src.Base + uint64(rs.row[k])*src.Elem
+			if src.Kind == BEBuildCol {
+				a = uint64(rs.ent[k]) + src.Base
+			}
 			dst := np + uint64(pc.Off)
-			src := pc.Base + r*pc.Elem
-			copy(mem[dst:dst+pc.Elem], mem[src:src+pc.Elem])
+			copy(mem[dst:dst+src.Elem], mem[a:a+src.Elem])
 		}
 	}
 	return nil

@@ -42,10 +42,12 @@ const (
 	FnHTEntry   = "ht_entry"
 
 	// Batch (vectorized) kernels: prepare decodes a serialized BatchSpec
-	// into a kernel program handle during pipeline setup; exec runs the
-	// kernel over one morsel against the pipeline's sink hash table.
-	FnBatchPrep = "batch_prepare"
-	FnBatchExec = "batch_exec"
+	// into a kernel program handle during pipeline setup; exec runs a scan
+	// kernel over one morsel against the pipeline's sink hash table, and
+	// probe runs a probe kernel, which also reads the probed join table.
+	FnBatchPrep  = "batch_prepare"
+	FnBatchExec  = "batch_exec"
+	FnBatchProbe = "batch_probe"
 
 	// Helper functions used by back-ends that lack dedicated instructions
 	// for these operations (the Cranelift custom-instruction ablation of
@@ -294,17 +296,24 @@ func (db *DB) impl(name string) vm.RTFunc {
 			db.ret(db.newHandle(bp))
 			return nil
 		}
-	case FnBatchExec:
+	case FnBatchExec, FnBatchProbe:
 		return func(m *vm.Machine) error {
 			bp, ok := db.handle(db.arg(0)).(*batchProg)
 			if !ok {
-				return db.badHandle("batch_exec", db.arg(0))
+				return db.badHandle(name, db.arg(0))
 			}
 			ht, ok := db.handle(db.arg(1)).(*hashTable)
 			if !ok {
-				return db.badHandle("batch_exec sink", db.arg(1))
+				return db.badHandle(name+" sink", db.arg(1))
 			}
-			return db.batchExec(bp, ht, int64(db.arg(2)), int64(db.arg(3)))
+			if name == FnBatchExec {
+				return db.batchExec(bp, ht, nil, int64(db.arg(2)), int64(db.arg(3)))
+			}
+			probe, ok := db.handle(db.arg(2)).(*hashTable)
+			if !ok {
+				return db.badHandle(name+" probe", db.arg(2))
+			}
+			return db.batchExec(bp, ht, probe, int64(db.arg(3)), int64(db.arg(4)))
 		}
 	case FnHTEntry:
 		return func(m *vm.Machine) error {

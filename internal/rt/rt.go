@@ -12,6 +12,7 @@
 package rt
 
 import (
+	"encoding/binary"
 	"fmt"
 	"runtime"
 	"sort"
@@ -60,6 +61,9 @@ type DB struct {
 	// partition-local sinks back into the sequential insertion order.
 	stamping  bool
 	stampNext uint64
+
+	// bscr is the batch kernels' reusable vector memory (batch.go).
+	bscr batchScratch
 }
 
 // Freeze marks the compile-time intern table read-only: interning a string
@@ -407,25 +411,10 @@ func I128FromInt64(v int64) I128 { return I128{Lo: uint64(v), Hi: uint64(v >> 63
 // Little-endian helpers on byte slices.
 // --------------------------------------------------------------------------
 
-func le32(b []byte) uint32 {
-	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
-}
-
-func le64(b []byte) uint64 {
-	return uint64(le32(b)) | uint64(le32(b[4:]))<<32
-}
-
-func put32(b []byte, v uint32) {
-	b[0] = byte(v)
-	b[1] = byte(v >> 8)
-	b[2] = byte(v >> 16)
-	b[3] = byte(v >> 24)
-}
-
-func put64(b []byte, v uint64) {
-	put32(b, uint32(v))
-	put32(b[4:], uint32(v>>32))
-}
+func le32(b []byte) uint32     { return binary.LittleEndian.Uint32(b) }
+func le64(b []byte) uint64     { return binary.LittleEndian.Uint64(b) }
+func put32(b []byte, v uint32) { binary.LittleEndian.PutUint32(b, v) }
+func put64(b []byte, v uint64) { binary.LittleEndian.PutUint64(b, v) }
 
 // sortVec sorts the entries of v. If useCB is set, cmpAddr is the code
 // address of a generated comparator taking two payload addresses and

@@ -141,12 +141,17 @@ func TestWorkerSharesConstPool(t *testing.T) {
 		{Kind: BEConst, Ty: BTInt, I: -10},
 		{Kind: BEConst, Ty: BTI128, D: I128{Lo: 5, Hi: 7}},
 		{Kind: BEConst, Ty: BTF64, F: 2.5},
-		{Kind: BEConst, Ty: BTStr, S: []byte("AIR")},
+		// An inline string constant also carries its value's words.
+		{Kind: BEConst, Ty: BTStr, S: []byte("AIR"), D: I128{Lo: 3 | uint64('A')<<32 | uint64('I')<<40 | uint64('R')<<48}},
 		{Kind: BEConst, Ty: BTStr, S: []byte(long)},
 	}
 	spec := &BatchSpec{Sink: BatchSinkAgg, Width: 8}
 	for i, w := range want {
-		col := &BatchExpr{Kind: BECol, Ty: w.Ty, Base: 0x1000, Elem: 8}
+		elem := uint64(8)
+		if w.Ty == BTI128 || w.Ty == BTStr {
+			elem = 16
+		}
+		col := &BatchExpr{Kind: BECol, Ty: w.Ty, Base: 0x1000, Elem: elem}
 		spec.Filters = append(spec.Filters, &BatchExpr{Kind: BECmp, Ty: w.Ty, Op: BCmpEQ,
 			L: col, R: &BatchExpr{Kind: BEPool, Ty: w.Ty, Slot: uint64(i)}})
 	}
@@ -221,8 +226,8 @@ func TestBatchSpecRoundTrip(t *testing.T) {
 		Width: 32,
 		Keys:  []BatchKey{{Off: 0, Ty: BTInt, E: col(BTInt, 0x100, 4)}},
 		Payload: []BatchCol{
-			{Off: 8, Base: 0x200, Elem: 8},
-			{Off: 16, Base: 0x300, Elem: 16},
+			{Off: 8, Src: col(BTInt, 0x200, 8)},
+			{Off: 16, Src: col(BTStr, 0x300, 16)},
 		},
 	}
 	got, err = DecodeBatchSpec(build.Encode())
@@ -231,6 +236,35 @@ func TestBatchSpecRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(build, got) {
 		t.Fatalf("build spec round trip mismatch:\nenc: %+v\ndec: %+v", build, got)
+	}
+
+	probe := probeSpec()
+	got, err = DecodeBatchSpec(probe.Encode())
+	if err != nil {
+		t.Fatalf("decode probe spec: %v", err)
+	}
+	if !reflect.DeepEqual(probe, got) {
+		t.Fatalf("probe spec round trip mismatch:\nenc: %+v\ndec: %+v", probe, got)
+	}
+}
+
+// probeSpec is a probe kernel's spec with a build-column group key and a
+// CASE over a build column.
+func probeSpec() *BatchSpec {
+	bcol := func(ty BatchType, off, elem uint64) *BatchExpr {
+		return &BatchExpr{Kind: BEBuildCol, Ty: ty, Base: off, Elem: elem}
+	}
+	return &BatchSpec{
+		Sink:  BatchSinkAgg,
+		Width: 24,
+		Probe: []BatchKey{{Off: 0, Ty: BTInt, E: &BatchExpr{Kind: BECol, Ty: BTInt, Base: 0x100, Elem: 4}}},
+		Keys:  []BatchKey{{Off: 0, Ty: BTStr, E: bcol(BTStr, 16, 16)}},
+		Aggs: []BatchAgg{{Fn: BAggSum, Ty: BTInt, Off: 16,
+			Arg: &BatchExpr{Kind: BECase, Ty: BTInt,
+				L: &BatchExpr{Kind: BECmp, Ty: BTStr, Op: BCmpEQ, L: bcol(BTStr, 16, 16),
+					R: &BatchExpr{Kind: BEPool, Ty: BTStr, Slot: 1}},
+				R: &BatchExpr{Kind: BEConst, Ty: BTInt, I: 1},
+				H: bcol(BTInt, 8, 4)}}},
 	}
 }
 

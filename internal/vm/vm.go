@@ -195,7 +195,10 @@ type Machine struct {
 	R [32]uint64
 	// F is the floating-point register file.
 	F [16]float64
-	// Mem is the flat memory. Address 0..nullGuard-1 is unmapped.
+	// Mem is the flat memory. Address 0..nullGuard-1 is unmapped. It may be
+	// mapped outside the Go heap (image.go), where nothing but a reachable
+	// machine keeps it alive: use a slice of it only while the machine, or a
+	// worker sharing it, is still referenced.
 	Mem []byte
 	// Executed counts executed instructions since creation.
 	Executed int64
@@ -223,6 +226,7 @@ type Machine struct {
 	fret     []int32 // fused-engine return stack (micro-op indices), in lockstep with callPCs
 	callback func(addr uint64, args ...uint64) ([2]uint64, error)
 	sampler  *Sampler
+	img      *image // Mem's image, kept alive by every machine that shares it
 }
 
 // Config controls Machine creation.
@@ -240,8 +244,10 @@ func New(cfg Config) *Machine {
 	if cfg.StackSize == 0 {
 		cfg.StackSize = 1 << 20
 	}
+	img := newImage(cfg.MemSize)
 	m := &Machine{
-		Mem:      make([]byte, cfg.MemSize),
+		Mem:      img.mem,
+		img:      img,
 		target:   vt.ForArch(cfg.Arch),
 		heapTop:  nullGuard,
 		stackTop: uint64(cfg.MemSize),
@@ -335,6 +341,7 @@ func NewWorker(base *Machine, arenaBase, arenaEnd uint64) *Machine {
 	}
 	return &Machine{
 		Mem:             base.Mem,
+		img:             base.img,
 		RT:              base.RT,
 		StrictUnchecked: base.StrictUnchecked,
 		target:          base.target,
@@ -343,7 +350,8 @@ func NewWorker(base *Machine, arenaBase, arenaEnd uint64) *Machine {
 	}
 }
 
-// Bytes returns memory [addr, addr+n) or an error trap.
+// Bytes returns memory [addr, addr+n) or an error trap. The slice is part
+// of Mem and lives only as long as the machine (see Mem).
 func (m *Machine) Bytes(addr, n uint64) ([]byte, error) {
 	if addr < nullGuard {
 		return nil, &Trap{Code: vt.TrapNull}
