@@ -6,7 +6,7 @@
 #   2. full build
 #   3. one query path and one query language: outside internal/backend/,
 #      internal/engine/, examples/irtour and benchmark/ no non-test file may
-#      build a backend.Env or call codegen.Run/RunParallel/RunConsts — a copy
+#      build a backend.Env or call codegen.Run/RunParallel — a copy
 #      of the compile→run sequence fails the build instead of drifting — and
 #      no non-test file of internal/tpch or internal/tpcds may build a plan
 #      node: the workloads are SQL text the front-end plans; and one
@@ -115,6 +115,11 @@
 #      batch pipeline, probe kernels included, and a spec with a CASE — no
 #      panic, no accepted out-of-range pool slot or type, no payload that is
 #      not a column, and every spec it accepts re-encodes to the same bytes
+#  22. the coverage census: every test of the tree run once with coverage
+#      over the whole tree (census.sh); the non-test functions outside cmd/,
+#      examples/ and benchmark/ that no test enters must be exactly the
+#      committed list in testdata/unreached.txt, so a function that becomes
+#      unreached, or reached, shows up as a diff of that list in review
 set -eu
 
 cd "$(dirname "$0")"
@@ -134,7 +139,7 @@ echo "== 3. one query path, one query language, one meaning per operation, one d
 copies="$(find . -name '*.go' ! -name '*_test.go' \
 	! -path './internal/backend/*' ! -path './internal/engine/*' \
 	! -path './examples/irtour/*' ! -path './benchmark/*' ! -path './.bench_build/*' \
-	-exec grep -nE 'backend\.Env\{|codegen\.Run(Parallel|Morsels|Consts)?\(' {} + || true)"
+	-exec grep -nE 'backend\.Env\{|codegen\.Run(Parallel)?\(' {} + || true)"
 if [ -n "$copies" ]; then
 	echo "$copies"
 	echo "compile and run queries through the internal/engine stages, not a copy of them" >&2
@@ -254,5 +259,12 @@ go test ./internal/backend/cbe -run '^$' -fuzz FuzzAssemble -fuzztime 10s
 
 echo "== 21. batch-kernel spec decoder fuzz smoke =="
 go test ./internal/rt -run '^$' -fuzz FuzzDecodeBatchSpec -fuzztime 10s
+
+echo "== 22. coverage census (never-entered non-test functions = testdata/unreached.txt) =="
+sh ./census.sh >"$tmp"
+if ! diff -u testdata/unreached.txt "$tmp"; then
+	echo "the functions no test enters changed: reach them from a test or delete them, then regenerate with: sh census.sh > testdata/unreached.txt" >&2
+	exit 1
+fi
 
 echo "ci.sh: all checks passed"

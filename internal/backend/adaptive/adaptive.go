@@ -6,11 +6,11 @@
 // optimized code. Morsel-driven execution makes the function-level switch
 // safe — each call processes a bounded chunk.
 //
-// Hotness is measured in executed VM instructions (the profiler's counting
-// signal, prof.Hotness), not raw call counts: a function called three times
-// over a million-row morsel promotes, a trivial helper called a thousand
-// times does not. This is the cheap, accurate hot-path identification that
-// Ma et al. (PAPERS.md) identify as the precondition for JIT paying off.
+// Hotness is measured in executed VM instructions, not raw call counts: a
+// function called three times over a million-row morsel promotes, a trivial
+// helper called a thousand times does not. This is the cheap, accurate
+// hot-path identification that Ma et al. (PAPERS.md) identify as the
+// precondition for JIT paying off.
 package adaptive
 
 import (
@@ -18,7 +18,6 @@ import (
 	"qcc/internal/backend/direct"
 	"qcc/internal/backend/lbe"
 	"qcc/internal/obs"
-	"qcc/internal/prof"
 	"qcc/internal/qir"
 	"qcc/internal/vt"
 )
@@ -49,10 +48,9 @@ type exec struct {
 	fast backend.Exec
 	opt  backend.Exec
 
-	// hot holds per-function executed-instruction totals — the profiler's
-	// counting signal; the promotion heuristic reads the same metric the
-	// profiler exports.
-	hot       *prof.Hotness
+	// hot holds per-function executed-instruction totals, the promotion
+	// heuristic's signal.
+	hot       []int64
 	threshold int64
 	sizeOK    []bool
 	// Promotions counts tier switches (observable in tests/examples).
@@ -71,7 +69,7 @@ func (e *Engine) Compile(mod *qir.Module, env *backend.Env) (backend.Exec, *back
 	}
 	x := &exec{
 		mod: mod, env: env, fast: fast,
-		hot:       prof.NewHotness("adaptive.fn_hotness", len(mod.Funcs)),
+		hot:       make([]int64, len(mod.Funcs)),
 		sizeOK:    make([]bool, len(mod.Funcs)),
 		threshold: e.HotThreshold,
 		stats:     stats,
@@ -81,10 +79,6 @@ func (e *Engine) Compile(mod *qir.Module, env *backend.Env) (backend.Exec, *back
 	}
 	return x, stats, nil
 }
-
-// Hotness exposes the per-function executed-instruction counters (for
-// observability tooling and tests).
-func (x *exec) Hotness() *prof.Hotness { return x.hot }
 
 // Footprint reports the heap held by the tiers compiled so far
 // (backend.FootprintOf). A later promotion adds the optimized module.
@@ -101,7 +95,7 @@ func (x *exec) Call(fn int, args ...uint64) ([2]uint64, error) {
 	if x.opt != nil {
 		return x.opt.Call(fn, args...)
 	}
-	if x.hot.Load(fn) >= x.threshold && x.sizeOK[fn] {
+	if x.hot[fn] >= x.threshold && x.sizeOK[fn] {
 		// Promote: compile the module with the optimizing tier. (The
 		// paper does this on a background thread; we compile inline,
 		// which only shifts when the cost is paid.)
@@ -120,6 +114,6 @@ func (x *exec) Call(fn int, args ...uint64) ([2]uint64, error) {
 	// the delta is exactly what this invocation cost.
 	before := x.env.DB.M.Executed
 	res, err := x.fast.Call(fn, args...)
-	x.hot.Add(fn, x.env.DB.M.Executed-before)
+	x.hot[fn] += x.env.DB.M.Executed - before
 	return res, err
 }

@@ -65,7 +65,7 @@ func TestHotnessWeightedPromotion(t *testing.T) {
 	if _, err := ex.Call(0, 5); err != nil {
 		t.Fatal(err)
 	}
-	per := x.Hotness().Load(0)
+	per := x.hot[0]
 	if per < 60 {
 		t.Fatalf("one call accumulated %d instructions, want >= chain length", per)
 	}
@@ -77,9 +77,9 @@ func TestHotnessWeightedPromotion(t *testing.T) {
 		calls++
 	}
 	if x.Promotions != 1 {
-		t.Fatalf("no promotion after %d calls (hotness %d)", calls, x.Hotness().Load(0))
+		t.Fatalf("no promotion after %d calls (hotness %d)", calls, x.hot[0])
 	}
-	atPromo := x.Hotness().Load(0)
+	atPromo := x.hot[0]
 	if atPromo < eng.HotThreshold {
 		t.Fatalf("promoted at hotness %d < threshold %d", atPromo, eng.HotThreshold)
 	}
@@ -92,8 +92,8 @@ func TestHotnessWeightedPromotion(t *testing.T) {
 	if _, err := ex.Call(0, 5); err != nil {
 		t.Fatal(err)
 	}
-	if x.Hotness().Load(0) != atPromo {
-		t.Fatalf("hotness advanced after promotion: %d -> %d", atPromo, x.Hotness().Load(0))
+	if x.hot[0] != atPromo {
+		t.Fatalf("hotness advanced after promotion: %d -> %d", atPromo, x.hot[0])
 	}
 }
 

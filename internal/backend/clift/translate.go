@@ -574,30 +574,6 @@ func isNarrow(t qir.Type) bool {
 	return t == qir.I1 || t == qir.I8 || t == qir.I16 || t == qir.I32
 }
 
-func loadOpFor(t qir.Type) Op {
-	switch t {
-	case qir.I1, qir.I8:
-		return OpLoad8S
-	case qir.I16:
-		return OpLoad16S
-	case qir.I32:
-		return OpLoad32S
-	}
-	return OpLoad64
-}
-
-func storeOpFor(t qir.Type) Op {
-	switch t {
-	case qir.I1, qir.I8:
-		return OpStore8
-	case qir.I16:
-		return OpStore16
-	case qir.I32:
-		return OpStore32
-	}
-	return OpStore64
-}
-
 // mul64wide produces lo and hi of a full 64x64 multiplication, using the
 // custom MulWide instruction when enabled and two separate multiplications
 // otherwise (Cranelift's selector cannot merge them, as the paper notes).

@@ -72,21 +72,6 @@ func (t *Type) String() string {
 	return "?"
 }
 
-// IsStruct reports aggregate types.
-func (t *Type) IsStruct() bool { return t.Kind == KStruct }
-
-// FitsInReg reports whether FastISel can handle values of this type (one
-// machine register).
-func (t *Type) FitsInReg() bool {
-	switch t.Kind {
-	case KInt:
-		return t.Bits <= 64
-	case KDouble, KPtr:
-		return true
-	}
-	return false
-}
-
 // Opcode is an LIR instruction opcode.
 type Opcode uint8
 

@@ -93,8 +93,8 @@ func TestExecPoolReusedAcrossQueries(t *testing.T) {
 }
 
 // TestExecPoolForeignDBIgnored: passing a pool built for another DB must not
-// corrupt execution — RunParallel detects the mismatch and falls back to
-// per-query workers.
+// corrupt execution — RunParallel detects the mismatch and builds a pool
+// for the run instead.
 func TestExecPoolForeignDBIgnored(t *testing.T) {
 	other := parEnv(t, 256, -1)
 	foreign := NewExecPool(other.db, 2, 1)

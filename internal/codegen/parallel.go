@@ -16,7 +16,7 @@ var (
 	ctrExecWorkers = obs.NewCounter("exec_workers")
 )
 
-// ExecOptions configures the morsel-parallel executor.
+// ExecOptions configures the morsel executor.
 type ExecOptions struct {
 	// Jobs is the worker count; <= 1 executes every pipeline sequentially.
 	Jobs int
@@ -30,16 +30,14 @@ type ExecOptions struct {
 	// the vm reserves the top 1 MiB of each arena as the worker's stack).
 	ArenaMB int
 	// Pool, when set (and built over the same DB), supplies persistent
-	// workers re-armed per query instead of constructing arenas, machines,
-	// and runtimes on every RunParallel call. Its worker count overrides
-	// Jobs for the parallel path.
+	// workers re-armed per query instead of a pool built for one run. Its
+	// worker count overrides Jobs for the parallel path.
 	Pool *ExecPool
 	// Consts, when non-nil, goes into the constant pool in place of
-	// c.Module.Pool (see RunConsts).
+	// c.Module.Pool: code compiled for one plan executes another that
+	// differs only in the literals it reads from the pool.
 	Consts []qir.PoolConst
 }
-
-const defaultArenaMB = 4
 
 // worker is one executor lane: a machine aliasing the main machine's memory
 // with heap and stack confined to a private arena, plus a scratch runtime.
@@ -49,16 +47,21 @@ type worker struct {
 	state uint64
 }
 
-// RunParallel executes a compiled query like Run, but fans eligible table
-// pipelines out over opts.Jobs workers, morsel-driven: workers pull fixed
-// row ranges off a shared counter, accumulate partition-local sink state and
-// output rows, and the executor merges both in morsel order afterwards, so
-// results are byte-identical to sequential execution regardless of worker
-// count. Ineligible pipelines (non-table sources, LIMIT, float running
-// sums, aggregations compiled without Options.Parallel) run sequentially
-// through the same engine call path Run uses.
+// RunParallel executes a compiled query against db; it is the one loop over
+// a query's pipelines. It binds the literals into the runtime constant pool,
+// allocates and zeroes the query state, then runs every pipeline: setup, the
+// main function once per morsel of the pipeline's source, and cleanup.
+// Results accumulate in db.Out.
+//
+// With more than one worker, eligible table pipelines fan out morsel-driven:
+// workers pull fixed row ranges off a shared counter, accumulate
+// partition-local sink state and output rows, and the executor merges both
+// in morsel order afterwards, so results are byte-identical to sequential
+// execution regardless of worker count. Ineligible pipelines (non-table
+// sources, LIMIT, float running sums, aggregations compiled without
+// Options.Parallel) run on the calling goroutine through call.
 func RunParallel(db *rt.DB, cat *rt.Catalog, c *Compiled, call CallFunc, opts ExecOptions) (err error) {
-	defer vm.CatchOOM(&err) // state blocks and per-run arenas are allocated outside any call
+	defer vm.CatchOOM(&err) // the state block and a one-run pool are allocated outside any call
 	jobs := opts.Jobs
 	if jobs <= 0 {
 		jobs = 1
@@ -67,19 +70,10 @@ func RunParallel(db *rt.DB, cat *rt.Catalog, c *Compiled, call CallFunc, opts Ex
 	if pool != nil && pool.db != db {
 		pool = nil // pool workers alias a different machine's memory
 	}
-	if pool != nil {
+	persistent := pool != nil
+	if persistent {
 		jobs = pool.Jobs()
 	}
-	arena := uint64(opts.ArenaMB)
-	if arena == 0 {
-		arena = defaultArenaMB
-	}
-	// A worker's stack lives in the top 1 MiB of its arena (the vm's fixed
-	// stack margin), so anything smaller than 2 MiB leaves no usable heap.
-	if arena < 2 {
-		arena = 2
-	}
-	arena <<= 20
 
 	seqMorsel := int64(DefaultMorselSize)
 	if opts.MorselSize > 0 {
@@ -103,9 +97,11 @@ func RunParallel(db *rt.DB, cat *rt.Catalog, c *Compiled, call CallFunc, opts Ex
 
 	// Worker entry points come from the module's unwind table (function
 	// index -> code offset); engines that don't register them fall back to
-	// sequential execution.
-	entries := map[int]int32{}
-	if opts.Module != nil {
+	// sequential execution. Only a run that can fan out needs them.
+	fanOut := jobs > 1 && opts.Module != nil
+	var entries map[int]int32
+	if fanOut {
+		entries = map[int]int32{}
 		for _, r := range opts.Module.Funcs() {
 			if r.Func >= 0 {
 				entries[int(r.Func)] = r.Start
@@ -113,7 +109,7 @@ func RunParallel(db *rt.DB, cat *rt.Catalog, c *Compiled, call CallFunc, opts Ex
 		}
 	}
 
-	var workers []*worker // built lazily before the first parallel pipeline
+	var workers []*worker // armed lazily before the first parallel pipeline
 	workersFailed := false
 
 	for pi := range c.Pipelines {
@@ -128,15 +124,21 @@ func RunParallel(db *rt.DB, cat *rt.Catalog, c *Compiled, call CallFunc, opts Ex
 		}
 		nMorsels := (n + morsel - 1) / morsel
 
-		parallel := jobs > 1 && opts.Module != nil && nMorsels >= 2 &&
+		parallel := fanOut && nMorsels >= 2 &&
 			p.Source == SrcTable && !p.NoParallel &&
 			!(p.Sink == SinkAgg && p.MergeFn < 0) &&
 			hasEntries(entries, p)
 		if parallel && workers == nil && !workersFailed {
+			if pool == nil {
+				// A pool for this run alone: its arenas sit above the
+				// caller's heap mark and go when the run's heap is released.
+				pool = newExecPool(db, jobs, opts.ArenaMB, uint64(c.StateSize))
+			}
 			if pool != nil {
 				workers = pool.acquire(c)
-			} else {
-				workers = makeWorkers(db, c, jobs, arena)
+			}
+			if workers != nil && persistent {
+				ctrPoolReuses.Inc()
 			}
 			workersFailed = workers == nil
 		}
@@ -174,27 +176,6 @@ func hasEntries(entries map[int]int32, p *Pipeline) bool {
 	_, s := entries[p.SetupFn]
 	_, m := entries[p.MainFn]
 	return s && m
-}
-
-// makeWorkers carves per-worker arenas out of the main heap and builds the
-// worker machines and runtimes. Returns nil when the heap cannot fit them —
-// the query then runs sequentially rather than risking arena exhaustion.
-func makeWorkers(db *rt.DB, c *Compiled, jobs int, arena uint64) []*worker {
-	need := uint64(jobs)*arena + uint64(c.StateSize) + (1 << 20)
-	if db.M.HeapRoom() < need {
-		return nil
-	}
-	ws := make([]*worker, jobs)
-	for i := range ws {
-		base := db.M.Alloc(arena)
-		wm := vm.NewWorker(db.M, base, base+arena)
-		wdb := db.NewWorkerDB(wm)
-		if err := wdb.Bind(c.Module.RTNames); err != nil {
-			return nil
-		}
-		ws[i] = &worker{m: wm, db: wdb, state: wm.Alloc(uint64(c.StateSize))}
-	}
-	return ws
 }
 
 // runPipelinePar executes one pipeline across the worker pool.

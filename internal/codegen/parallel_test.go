@@ -17,7 +17,8 @@ import (
 )
 
 // parEnv builds a test environment with a "big" table of n rows:
-// id I64 = row+1, val I64 = row%7, div I64 = 1 except divZeroRow (0).
+// id I64 = row+1, val I64 = row%7, div I64 = 1 except divZeroRow (0),
+// f F64 = (row%7)/2.
 func parEnv(t *testing.T, n int64, divZeroRow int64) *testEnv {
 	t.Helper()
 	m := vm.New(vm.Config{Arch: vt.VX64, MemSize: 64 << 20})
@@ -27,6 +28,7 @@ func parEnv(t *testing.T, n int64, divZeroRow int64) *testEnv {
 		rt.ColSpec{Name: "id", Type: qir.I64},
 		rt.ColSpec{Name: "val", Type: qir.I64},
 		rt.ColSpec{Name: "div", Type: qir.I64},
+		rt.ColSpec{Name: "f", Type: qir.F64},
 	)
 	for i := int64(0); i < n; i++ {
 		cat.SetInt(big.MustCol("id"), i, i+1)
@@ -36,6 +38,7 @@ func parEnv(t *testing.T, n int64, divZeroRow int64) *testEnv {
 			d = 0
 		}
 		cat.SetInt(big.MustCol("div"), i, d)
+		cat.SetF64(big.MustCol("f"), i, float64(i%7)/2)
 	}
 	return &testEnv{db: db, cat: cat}
 }
@@ -45,6 +48,7 @@ func bigSchema() []plan.ColInfo {
 		{Name: "id", Type: qir.I64},
 		{Name: "val", Type: qir.I64},
 		{Name: "div", Type: qir.I64},
+		{Name: "f", Type: qir.F64},
 	}
 }
 
@@ -82,7 +86,7 @@ func runSeqRef(t *testing.T, env *testEnv, p plan.Node, morsel int64) ([]string,
 		t.Fatalf("backend compile: %v", err)
 	}
 	env.db.Out.Reset()
-	runErr := RunMorsels(env.db, env.cat, c, ex.Call, morsel)
+	runErr := RunParallel(env.db, env.cat, c, ex.Call, ExecOptions{MorselSize: morsel})
 	return env.db.Out.Ordered(), runErr
 }
 
@@ -237,13 +241,25 @@ func TestParallelTrapMidMorsel(t *testing.T) {
 }
 
 // TestParallelBatchAggMatchesTuple pins the batch kernels against the tuple
-// path on a filter+groupby directly (independent of the TPC-H corpus).
+// path on a filter+groupby directly (independent of the TPC-H corpus), with
+// the literal on either side of each comparison, on an integer and on an F64
+// column.
 func TestParallelBatchAggMatchesTuple(t *testing.T) {
-	pred, err := plan.NewCmp(plan.CmpGE, col(1, qir.I64), &plan.ConstInt{Ty: qir.I64, V: 3})
-	if err != nil {
-		t.Fatal(err)
+	var preds []plan.Expr
+	add := func(op plan.CmpOp, l, r plan.Expr) {
+		pred, err := plan.NewCmp(op, l, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		preds = append(preds, pred)
 	}
-	q := func() plan.Node {
+	add(plan.CmpGE, col(1, qir.I64), &plan.ConstInt{Ty: qir.I64, V: 3})
+	add(plan.CmpLT, col(3, qir.F64), &plan.ConstFloat{V: 1.5})
+	for op := plan.CmpEQ; op <= plan.CmpGE; op++ {
+		add(op, &plan.ConstInt{Ty: qir.I64, V: 3}, col(1, qir.I64))
+		add(op, &plan.ConstFloat{V: 1.5}, col(3, qir.F64))
+	}
+	q := func(pred plan.Expr) plan.Node {
 		return &plan.GroupBy{
 			Input: &plan.Select{
 				Input: &plan.Scan{Table: "big", Cols: bigSchema()},
@@ -260,21 +276,23 @@ func TestParallelBatchAggMatchesTuple(t *testing.T) {
 			},
 		}
 	}
-	env := parEnv(t, 1000, -1)
-	ref, err := runSeqRef(t, env, q(), 128)
-	if err != nil {
-		t.Fatalf("seq run: %v", err)
-	}
-	env = parEnv(t, 1000, -1)
-	before := obs.NewCounter("rt_batch_rows").Load()
-	rows, err := runPar(t, env, q(), 4, 128)
-	if err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	if !reflect.DeepEqual(rows, ref) {
-		t.Fatalf("batch parallel:\n%v\nsequential tuple:\n%v", rows, ref)
-	}
-	if got := obs.NewCounter("rt_batch_rows").Load() - before; got != 1000 {
-		t.Fatalf("rt_batch_rows advanced by %d, want 1000", got)
+	for _, pred := range preds {
+		env := parEnv(t, 1000, -1)
+		ref, err := runSeqRef(t, env, q(pred), 128)
+		if err != nil {
+			t.Fatalf("%v: seq run: %v", pred, err)
+		}
+		env = parEnv(t, 1000, -1)
+		before := obs.NewCounter("rt_batch_rows").Load()
+		rows, err := runPar(t, env, q(pred), 4, 128)
+		if err != nil {
+			t.Fatalf("%v: run: %v", pred, err)
+		}
+		if !reflect.DeepEqual(rows, ref) {
+			t.Fatalf("%v: batch parallel:\n%v\nsequential tuple:\n%v", pred, rows, ref)
+		}
+		if got := obs.NewCounter("rt_batch_rows").Load() - before; got != 1000 {
+			t.Fatalf("%v: rt_batch_rows advanced by %d, want 1000", pred, got)
+		}
 	}
 }

@@ -243,7 +243,8 @@ func (w *World) Checkpoint() {
 
 // pool returns the database's persistent executor workers, building them on
 // first use; nil when the mode is sequential or the heap cannot fit the
-// arenas (the executor then builds per-run workers, or runs sequentially).
+// arenas (the executor then tries a pool for the one run, or runs
+// sequentially).
 func (w *World) pool() *codegen.ExecPool {
 	if w.ExecJobs <= 1 {
 		return nil
@@ -263,7 +264,7 @@ func (w *World) pool() *codegen.ExecPool {
 // pool exists: strings the bind interns and the workers' arenas then sit
 // below it and keep their addresses — which code cached across executions
 // has baked in — while everything the execution itself allocates sits above.
-// The executors bind the same values again, by then a lookup per string.
+// The executor binds the same values again, by then a lookup per string.
 func (w *World) Run(p *Program) (time.Duration, error) {
 	db := w.DB
 	db.ResetQueryState()
@@ -281,12 +282,8 @@ func (w *World) Run(p *Program) (time.Duration, error) {
 	}
 	w.mark = db.M.HeapMark()
 	if err == nil {
-		if w.ExecJobs > 1 || w.Batch {
-			err = codegen.RunParallel(db, w.Cat, p.Compiled, p.Exec.Call,
-				codegen.ExecOptions{Jobs: w.ExecJobs, Module: backend.ModuleOf(p.Exec), Pool: pool, Consts: p.Pool})
-		} else {
-			err = codegen.RunConsts(db, w.Cat, p.Compiled, p.Exec.Call, p.Pool)
-		}
+		err = codegen.RunParallel(db, w.Cat, p.Compiled, p.Exec.Call,
+			codegen.ExecOptions{Jobs: w.ExecJobs, Module: backend.ModuleOf(p.Exec), Pool: pool, Consts: p.Pool})
 	}
 	d := time.Since(start)
 	sp.End()
@@ -298,7 +295,8 @@ func (w *World) Run(p *Program) (time.Duration, error) {
 }
 
 // Release drops what the last Run produced — output rows, hash tables,
-// vectors, per-run worker arenas — and returns the heap to its mark.
+// vectors, the arenas of a pool built for that run — and returns the heap to
+// its mark.
 func (w *World) Release() {
 	w.DB.ReleaseTo(w.mark)
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"qcc/internal/backend"
+	"qcc/internal/codegen"
 	"qcc/internal/obs"
 	"qcc/internal/plan"
 	"qcc/internal/vt"
@@ -184,6 +185,85 @@ func TestRunBuildsOnePool(t *testing.T) {
 	}
 	if w.execPool == nil || w.execPool.Jobs() != 2 {
 		t.Fatalf("pool = %v, want 2 persistent workers", w.execPool)
+	}
+}
+
+// TestArenasThatDoNotFit: a query asked for four workers on a machine whose
+// heap cannot hold four worker arenas runs on one — through a World whose
+// persistent pool could not be built, and through RunParallel with no pool,
+// whose pool for the run must also leave room for the state block. The rows
+// equal the sequential reference, no worker runs and nothing traps. With
+// just enough room the same run fans out.
+func TestArenasThatDoNotFit(t *testing.T) {
+	const jobs, arena = 4, 4 << 20 // the default ArenaMB
+	eng := Backend("directemit")
+	ref := loaded(t, Options{Batch: true})
+	c, err := ref.Lower("q1", testQueries(t, ref)["q1"])
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := ref.Compile(eng, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ref.Run(p); err != nil {
+		t.Fatal(err)
+	}
+	want := ref.DB.Out.Ordered()
+	ref.Release()
+
+	align8 := func(n int64) uint64 { return (uint64(n) + 7) &^ 7 }
+	workers := obs.NewCounter("exec_workers")
+	for _, tc := range []struct {
+		name    string
+		world   bool
+		short   uint64 // bytes below the room the arenas need
+		fansOut bool
+	}{
+		{"world/short", true, 8, false},
+		{"world/fits", true, 0, true},
+		{"runparallel/short", false, 8, false},
+		{"runparallel/fits", false, 0, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w := loaded(t, Options{ExecJobs: jobs, Batch: true})
+			c, err := w.Lower("q1", testQueries(t, w)["q1"])
+			if err != nil {
+				t.Fatal(err)
+			}
+			p, err := w.Compile(eng, c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The World carves its pool before the run allocates anything;
+			// RunParallel carves a pool for the run after the state block,
+			// and keeps room for one more.
+			room := uint64(jobs*arena + 1<<20)
+			if !tc.world {
+				room += 2 * align8(c.StateSize)
+				if err := w.DB.BindConstPool(p.Pool); err != nil {
+					t.Fatal(err)
+				}
+			}
+			m := w.DB.M
+			m.Alloc(m.HeapRoom() - room + tc.short)
+			before := workers.Load()
+			if tc.world {
+				_, err = w.Run(p)
+			} else {
+				err = codegen.RunParallel(w.DB, w.Cat, c, p.Exec.Call,
+					codegen.ExecOptions{Jobs: jobs, Module: backend.ModuleOf(p.Exec)})
+			}
+			if err != nil {
+				t.Fatalf("run: %v", err)
+			}
+			if got := w.DB.Out.Ordered(); !reflect.DeepEqual(got, want) {
+				t.Errorf("rows %v, want %v", got, want)
+			}
+			if ran := workers.Load() > before; ran != tc.fansOut {
+				t.Errorf("workers ran = %v, want %v", ran, tc.fansOut)
+			}
+		})
 	}
 }
 

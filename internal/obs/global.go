@@ -60,43 +60,3 @@ func GlobalCounters() map[string]int64 {
 	}
 	return out
 }
-
-// Vector is a fixed-size set of concurrent counters indexed by a small
-// integer id — e.g. per-function call counts feeding tier-promotion
-// decisions in the adaptive back-end.
-type Vector struct {
-	name string
-	v    []atomic.Int64
-}
-
-// NewVector creates a vector of n counters. Vectors are per-use (sized to
-// one module) and are not registered globally.
-func NewVector(name string, n int) *Vector {
-	return &Vector{name: name, v: make([]atomic.Int64, n)}
-}
-
-// Inc increments counter i and returns the new value.
-func (v *Vector) Inc(i int) int64 { return v.v[i].Add(1) }
-
-// Add accumulates d into counter i and returns the new value — used for
-// weighted signals such as executed-instruction hotness, where one call
-// contributes many units.
-func (v *Vector) Add(i int, d int64) int64 { return v.v[i].Add(d) }
-
-// Load returns counter i.
-func (v *Vector) Load(i int) int64 { return v.v[i].Load() }
-
-// Len returns the number of counters.
-func (v *Vector) Len() int { return len(v.v) }
-
-// Name returns the vector's name.
-func (v *Vector) Name() string { return v.name }
-
-// Total sums all counters.
-func (v *Vector) Total() int64 {
-	var t int64
-	for i := range v.v {
-		t += v.v[i].Load()
-	}
-	return t
-}

@@ -129,20 +129,6 @@ func TestCounterRegistryIdempotent(t *testing.T) {
 	}
 }
 
-func TestVector(t *testing.T) {
-	v := NewVector("calls", 3)
-	if v.Inc(1) != 1 || v.Inc(1) != 2 {
-		t.Fatal("Inc return value wrong")
-	}
-	v.Inc(0)
-	if v.Load(1) != 2 || v.Load(0) != 1 || v.Load(2) != 0 {
-		t.Fatal("Load values wrong")
-	}
-	if v.Total() != 3 {
-		t.Fatalf("Total = %d, want 3", v.Total())
-	}
-}
-
 func TestAllocTracking(t *testing.T) {
 	tr := New(Options{Allocs: true})
 	sp := tr.Begin("alloc-heavy")

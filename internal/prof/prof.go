@@ -8,9 +8,7 @@
 //	  -> qir.Prov              (plan operator path + SQL fragment, codegen)
 //
 // so a hot loop in generated code reports as "scan(lineitem) > select >
-// groupby" rather than "q1_p0_main+0x84". Counting-side hotness (executed
-// instructions per function) lives here too and feeds the adaptive
-// back-end's tier-promotion decision.
+// groupby" rather than "q1_p0_main+0x84".
 package prof
 
 import (

@@ -232,16 +232,3 @@ func TestCollectorSynthetic(t *testing.T) {
 		t.Fatalf("annotated output:\n%s", sb.String())
 	}
 }
-
-func TestHotness(t *testing.T) {
-	h := NewHotness("test.hot", 3)
-	h.Add(0, 100)
-	h.Add(0, 50)
-	h.Add(2, 7)
-	if h.Load(0) != 150 || h.Load(1) != 0 || h.Load(2) != 7 {
-		t.Fatalf("loads: %d %d %d", h.Load(0), h.Load(1), h.Load(2))
-	}
-	if h.Total() != 157 || h.Len() != 3 {
-		t.Fatalf("total=%d len=%d", h.Total(), h.Len())
-	}
-}

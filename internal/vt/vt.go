@@ -291,19 +291,6 @@ func (o Op) IsBranch() bool {
 	return f == FormBr || f == FormBrCC || f == FormBrNZ
 }
 
-// IsTerminator reports whether the operation ends a basic block.
-func (o Op) IsTerminator() bool {
-	f := o.Info().Form
-	return f == FormBr || f == FormTrap || o == Ret
-}
-
-// HasSideEffects reports whether the operation may be observed beyond its
-// register results (memory writes, calls, traps, control flow).
-func (o Op) HasSideEffects() bool {
-	i := o.Info()
-	return i.Store || (i.Traps && i.Mem == 0) || o.IsBranch() || o.IsCall() || o == Ret
-}
-
 // UncheckedMem reports whether the operation is an unchecked memory access.
 func (o Op) UncheckedMem() bool { return o >= LoadU8 && o <= FStoreU }
 

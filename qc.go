@@ -261,25 +261,15 @@ func (d *DB) ExecWith(engineName, query string) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return d.run(eng, "q", node)
-}
-
-// ExecPlan compiles and runs a hand-built plan (advanced use; see package
-// plan via the workload generators).
-func (d *DB) ExecPlan(engineName string, name string, node plan.Node) (*Result, error) {
-	eng, ok := d.engines[engineName]
-	if !ok {
-		return nil, fmt.Errorf("qc: unknown engine %q", engineName)
-	}
-	return d.run(eng, name, node)
+	return d.run(eng, node)
 }
 
 // run drives the query path's stages for one plan. CompileTime is read after
 // execution (the adaptive engine adds its run-time promotions to it);
 // ExecTime is the wall time of bind → run alone. Lowering, row
 // materialization and the heap release sit outside both.
-func (d *DB) run(eng backend.Engine, name string, node plan.Node) (*Result, error) {
-	p, err := d.w.Prepare(eng, name, node)
+func (d *DB) run(eng backend.Engine, node plan.Node) (*Result, error) {
+	p, err := d.w.Prepare(eng, "q", node)
 	if err != nil {
 		return nil, err
 	}
