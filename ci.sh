@@ -85,10 +85,14 @@
 #      TPC-DS plans sa.functions_analyzed must equal the number of generated
 #      functions, every literal must be pooled, and CompileOpts on q1 and q6
 #      must stay inside the committed allocation budget; across warm
-#      program-cache hits on every engine sa.functions_analyzed,
-#      hoist.candidates, pcc.cache_hits+misses and the vm_fuse_* counters
-#      must not advance and Exec must stay inside its allocation budget
-#      (TestWarmHitIsFlat); then one-iteration smokes of BenchmarkFrontEnd
+#      program-cache hits on every engine sql.statements_parsed,
+#      sa.functions_analyzed, hoist.candidates, pcc.cache_hits+misses, the
+#      vm_fuse_* counters and engine.shape_cache_declines must not advance
+#      and Exec must stay inside its allocation budget (TestWarmHitIsFlat);
+#      each statement-shape hazard — a table re-created, a literal that stops
+#      fitting, a pinned literal, another engine — must give the rows of an
+#      uncached database and hit, miss or decline as stated
+#      (TestShapeCacheHazards); then one-iteration smokes of BenchmarkFrontEnd
 #      and BenchmarkExecWarm, the two layers' one-command reproductions
 #  17. the load-path gate: over every TPC-H and TPC-DS module of every
 #      compiling engine on both targets the fused view must digest to the
@@ -102,8 +106,13 @@
 #      Decode → Load → fuse → structural check) and a one-iteration smoke of
 #      BenchmarkLoadFuse, the layer's one-command row
 #  18. 10 s of FuzzParse: arbitrary text through the SQL front-end over the
-#      TPC-H and TPC-DS schemas, from a corpus of every workload statement —
-#      no panic, and every plan it returns validates and has a fingerprint
+#      TPC-H and TPC-DS schemas, from a corpus of every workload statement
+#      and the sql_adhoc family statements — no panic, every plan it returns
+#      validates and has a fingerprint, and every statement that parses gets
+#      twins with other literal values and the same shape key, each of which
+#      the statement-shape binding either declines or binds to the
+#      fingerprint key, literal values and column names a parse of the twin
+#      gives
 #  19. 10 s of FuzzSem: random (operation, width, operands) through
 #      internal/sem against a math/big evaluation, from a corpus of every
 #      operation at every width
@@ -240,7 +249,7 @@ go test ./internal/sql -run 'TestCountersSQLJoinPlans' -count=1
 echo "== 16. front-end and hit-path gate (one analysis per function, allocation budgets; nothing compiled on a warm program hit) =="
 go test ./internal/codegen -run 'TestOneAnalysisPerFunction' -count=1
 go test ./internal/codegen -run '^$' -bench FrontEnd -benchtime=1x -benchmem
-go test . -run 'TestWarmHitIsFlat' -count=1
+go test . -run 'TestWarmHitIsFlat|TestShapeCacheHazards' -count=1
 go test . -run '^$' -bench ExecWarm -benchtime=1x
 
 echo "== 17. load-path gate (fused view golden, opcode census, fuse allocation budget, footprint estimate, fuzz smoke) =="
@@ -248,7 +257,7 @@ go test ./internal/vm -run 'TestFuseGolden|TestFuseCensus|TestFuseAllocBudget|Te
 go test ./internal/vm -run '^$' -fuzz FuzzLoadFuse -fuzztime 10s
 go test ./internal/vm -run '^$' -bench LoadFuse -benchtime=1x -benchmem
 
-echo "== 18. SQL parser fuzz smoke =="
+echo "== 18. SQL parser and statement-shape fuzz smoke =="
 go test ./internal/sql -run '^$' -fuzz FuzzParse -fuzztime 10s
 
 echo "== 19. operation semantics fuzz smoke =="

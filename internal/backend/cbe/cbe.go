@@ -29,23 +29,37 @@ func (e *Engine) Compile(mod *qir.Module, env *backend.Env) (backend.Exec, *back
 	return backend.CompileUnits(e, mod, env)
 }
 
-// moduleCompiler implements backend.ModuleCompiler. The translation unit is
-// generated and parsed whole in BeginModule (that is where GenerateC interns
-// string constants and imports runtime helpers — module-level mutation);
-// gimplification onward runs per function.
+// moduleCompiler implements backend.ModuleCompiler. BeginModule makes the
+// module-level mutations C generation would (string interning, runtime-helper
+// imports) as a pre-walk; each function is rendered as C, re-lexed and
+// re-parsed in CompileFunc, so a module whose units the code cache holds
+// renders only the functions that miss.
 type moduleCompiler struct {
 	mod *qir.Module
 	env *backend.Env
 	tgt *vt.Target
-	fns []*cfunc // parsed C functions, index-aligned with mod.Funcs
 }
 
-// BeginModule implements backend.FuncEngine: render the module as one C
-// translation unit and re-lex/re-parse it, exactly as GCC receives a file.
+// BeginModule implements backend.FuncEngine: intern every string constant
+// and import every runtime helper the C text of the module names, in the
+// order GenerateC would, before any unit is keyed or compiled.
 func (e *Engine) BeginModule(mod *qir.Module, env *backend.Env, ph *backend.Phaser) (backend.ModuleCompiler, error) {
-	// Phase 1: print the module as C (done by the database system).
 	sp := ph.Begin("GenerateC")
-	src, err := GenerateC(mod, env)
+	prepareModule(mod, env)
+	sp.End()
+	return &moduleCompiler{mod: mod, env: env, tgt: vt.ForArch(env.Arch)}, nil
+}
+
+// Variant implements backend.ModuleCompiler (cache keying).
+func (c *moduleCompiler) Variant() string { return "cbe/v2" }
+
+// CompileFunc implements backend.ModuleCompiler: print one function as C,
+// re-parse the text, gimplify, optimize, generate textual assembly, and
+// assemble it into object code.
+func (c *moduleCompiler) CompileFunc(i int, ph *backend.Phaser) (*backend.Unit, error) {
+	// Phase 1: print the function as C (done by the database system).
+	sp := ph.Begin("GenerateC")
+	src, err := funcC(c.mod.Funcs[i], c.env)
 	sp.End()
 	if err != nil {
 		return nil, err
@@ -65,22 +79,13 @@ func (e *Engine) BeginModule(mod *qir.Module, env *backend.Env, ph *backend.Phas
 		return nil, err
 	}
 	ph.Count("c_tokens", int64(len(toks)))
-	if len(fns) != len(mod.Funcs) {
-		return nil, fmt.Errorf("cbe: parsed %d functions, module has %d", len(fns), len(mod.Funcs))
+	if len(fns) != 1 {
+		return nil, fmt.Errorf("cbe: %s: parsed %d functions", c.mod.Funcs[i].Name, len(fns))
 	}
-	return &moduleCompiler{mod: mod, env: env, tgt: vt.ForArch(env.Arch), fns: fns}, nil
-}
-
-// Variant implements backend.ModuleCompiler (cache keying).
-func (c *moduleCompiler) Variant() string { return "cbe/v2" }
-
-// CompileFunc implements backend.ModuleCompiler: gimplify, optimize,
-// generate textual assembly, and assemble one function into object code.
-func (c *moduleCompiler) CompileFunc(i int, ph *backend.Phaser) (*backend.Unit, error) {
-	fn := c.fns[i]
+	fn := fns[0]
 
 	// Phase 3: gimplification.
-	sp := ph.Begin("Gimplify")
+	sp = ph.Begin("Gimplify")
 	gf, err := gimplify(fn)
 	sp.End()
 	if err != nil {

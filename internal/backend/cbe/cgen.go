@@ -68,14 +68,44 @@ func GenerateC(mod *qir.Module, env *backend.Env) (string, error) {
 	var sb strings.Builder
 	sb.WriteString("/* generated by qcc */\n")
 	for _, f := range mod.Funcs {
-		g := &cgen{f: f, env: env}
-		if err := g.fn(); err != nil {
+		src, err := funcC(f, env)
+		if err != nil {
 			return "", err
 		}
-		sb.WriteString(g.sb.String())
+		sb.WriteString(src)
 		sb.WriteByte('\n')
 	}
 	return sb.String(), nil
+}
+
+// funcC renders one function as C. It interns no string and imports no
+// runtime helper that prepareModule did not.
+func funcC(f *qir.Func, env *backend.Env) (string, error) {
+	g := &cgen{f: f, env: env}
+	if err := g.fn(); err != nil {
+		return "", err
+	}
+	return g.sb.String(), nil
+}
+
+// prepareModule makes the module-level mutations that printing the module
+// as C makes, in the order GenerateC makes them: it interns each string
+// constant in the runtime and imports the runtime helper of each checked
+// 128-bit multiplication. Afterwards funcC reads both tables and changes
+// neither, so functions can be printed in any order, or concurrently.
+func prepareModule(mod *qir.Module, env *backend.Env) {
+	for _, f := range mod.Funcs {
+		for b := range f.Blocks {
+			for _, v := range f.Blocks[b].List {
+				switch in := &f.Instrs[v]; {
+				case in.Op == qir.OpConstStr:
+					env.DB.InternString(mod.Strings[in.Imm])
+				case in.Op == qir.OpSMulTrap && in.Type == qir.I128:
+					mod.RTImport(rt.FnI128MulOv)
+				}
+			}
+		}
+	}
 }
 
 func (g *cgen) val(v qir.Value) string { return fmt.Sprintf("v%d", v) }

@@ -56,9 +56,16 @@ type World struct {
 	// back-end binds its module's table when it compiles, so running an
 	// earlier program again needs a re-bind.
 	bound backend.Exec
-	// fp is Prepare's scratch: the fingerprint of the plan at hand.
-	fp   plan.Fingerprint
-	mark uint64 // heap position Release unwinds to, set by Run
+	// Prepare's scratch: the fingerprint of the plan at hand, where in its
+	// key the plan starts and ends, and its literals' values.
+	fp     plan.Fingerprint
+	planAt [2]int
+	vals   []qir.PoolConst
+	// PrepareSQL's scratch: the statement's shape key, its literals, and
+	// the program key a shape binds to.
+	skey, pkey []byte
+	lits       []sql.Lit
+	mark       uint64 // heap position Release unwinds to, set by Run
 }
 
 // NewWorld creates an empty database on a machine of o.MemMB MiB.

@@ -86,25 +86,45 @@ func (w *World) Prepare(eng backend.Engine, name string, node plan.Node) (*Progr
 	fp := &w.fp
 	keyed := w.fingerprint(fp, eng, name, node)
 	if keyed {
+		w.vals = litValues(w.vals[:0], fp.Lits)
 		if v, ok := cache.GetProgram(fp.Key); ok {
-			ent := v.(*cachedProgram)
-			if pool, ok := ent.poolFor(fp.Lits, w.DB); ok {
-				obsProgramHits.Inc()
-				w.Tracer.Add("prepare.hit", 1)
-				return &Program{Compiled: ent.compiled, Exec: ent.exec, Stats: ent.stats, Pool: pool,
-					Hit: true, entry: ent, prepare: time.Since(start), compiled0: ent.stats.Total}, nil
+			if p := w.serve(v.(*cachedProgram), w.vals, start); p != nil {
+				return p, nil
 			}
 		}
 	}
 	obsProgramMisses.Inc()
 	p, err := w.lowerCompile(eng, name, node)
 	if err == nil && keyed {
-		if ent := newCachedProgram(p, fp, w.DB); ent != nil {
+		if ent := newCachedProgram(p, fp, w.vals, w.DB); ent != nil {
 			cache.PutProgram(ent.key, ent, ent.footprint())
 			p.entry = ent
 		}
 	}
 	return p, err
+}
+
+// litValues appends the value of each literal, encoded as
+// codegen.PoolConstOf encodes it.
+func litValues(vals []qir.PoolConst, lits []plan.Expr) []qir.PoolConst {
+	for _, lit := range lits {
+		v, _ := codegen.PoolConstOf(lit)
+		vals = append(vals, v)
+	}
+	return vals
+}
+
+// serve returns the cached program ent with the constant pool built from
+// the literal values vals, or nil when ent does not serve them.
+func (w *World) serve(ent *cachedProgram, vals []qir.PoolConst, start time.Time) *Program {
+	pool, ok := ent.poolFor(vals, w.DB)
+	if !ok {
+		return nil
+	}
+	obsProgramHits.Inc()
+	w.Tracer.Add("prepare.hit", 1)
+	return &Program{Compiled: ent.compiled, Exec: ent.exec, Stats: ent.stats, Pool: pool,
+		Hit: true, entry: ent, prepare: time.Since(start), compiled0: ent.stats.Total}
 }
 
 func (w *World) lowerCompile(eng backend.Engine, name string, node plan.Node) (*Program, error) {
@@ -126,7 +146,26 @@ func (w *World) lowerCompile(eng backend.Engine, name string, node plan.Node) (*
 // invalidation, and the old entries age out of the LRU.
 func (w *World) fingerprint(fp *plan.Fingerprint, eng backend.Engine, name string, node plan.Node) bool {
 	fp.Reset()
-	k := fp.Key
+	fp.Key = w.keyPrefix(fp.Key, eng, name)
+	w.planAt[0] = len(fp.Key)
+	if !fp.Write(node) {
+		return false
+	}
+	w.planAt[1] = len(fp.Key)
+	for _, name := range fp.Tables {
+		t, err := w.Cat.Table(name)
+		if err != nil {
+			return false
+		}
+		fp.Key = appendTable(fp.Key, t)
+	}
+	return true
+}
+
+// keyPrefix appends what a program key holds besides the plan: the engine,
+// the module name, the options that change generated code and the
+// check-elimination version.
+func (w *World) keyPrefix(k []byte, eng backend.Engine, name string) []byte {
 	k = appendString(k, eng.Name())
 	k = appendString(k, name)
 	var flags byte
@@ -136,26 +175,19 @@ func (w *World) fingerprint(fp *plan.Fingerprint, eng backend.Engine, name strin
 		}
 	}
 	k = append(k, byte(w.Arch), flags)
-	k = appendString(k, codegen.CheckElimVersion)
-	fp.Key = k
-	if !fp.Write(node) {
-		return false
+	return appendString(k, codegen.CheckElimVersion)
+}
+
+// appendTable appends a table's content: its row count and every column's
+// type and address.
+func appendTable(k []byte, t *rt.Table) []byte {
+	k = binary.AppendUvarint(k, uint64(t.Rows))
+	k = binary.AppendUvarint(k, uint64(len(t.Cols)))
+	for i := range t.Cols {
+		k = append(k, byte(t.Cols[i].Type))
+		k = binary.AppendUvarint(k, t.Cols[i].Base)
 	}
-	k = fp.Key
-	for _, name := range fp.Tables {
-		t, err := w.Cat.Table(name)
-		if err != nil {
-			return false
-		}
-		k = binary.AppendUvarint(k, uint64(t.Rows))
-		k = binary.AppendUvarint(k, uint64(len(t.Cols)))
-		for i := range t.Cols {
-			k = append(k, byte(t.Cols[i].Type))
-			k = binary.AppendUvarint(k, t.Cols[i].Base)
-		}
-	}
-	fp.Key = k
-	return true
+	return k
 }
 
 func appendString(b []byte, s string) []byte {
@@ -168,7 +200,7 @@ func appendString(b []byte, s string) []byte {
 // pool rebuilt from the plan's literals is not the pool the generator built.
 // Either means the generator's report and the fingerprint disagree about the
 // plan, and then no other plan may run this code.
-func newCachedProgram(p *Program, fp *plan.Fingerprint, db *rt.DB) *cachedProgram {
+func newCachedProgram(p *Program, fp *plan.Fingerprint, vals []qir.PoolConst, db *rt.DB) *cachedProgram {
 	c := p.Compiled
 	mod := c.Module
 	if len(c.PoolLits) != len(mod.Pool) {
@@ -192,9 +224,8 @@ func newCachedProgram(p *Program, fp *plan.Fingerprint, db *rt.DB) *cachedProgra
 		}
 		param[i] = false
 	}
-	for i, lit := range fp.Lits {
+	for i, v := range vals {
 		if !param[i] {
-			v, _ := codegen.PoolConstOf(lit)
 			ent.pinned = append(ent.pinned, pinnedLit{int32(i), v})
 		}
 	}
@@ -209,7 +240,7 @@ func newCachedProgram(p *Program, fp *plan.Fingerprint, db *rt.DB) *cachedProgra
 			}
 		}
 	}
-	pool, ok := ent.poolFor(fp.Lits, db)
+	pool, ok := ent.poolFor(vals, db)
 	if !ok || len(pool) != len(mod.Pool) {
 		return nil
 	}
@@ -224,16 +255,17 @@ func newCachedProgram(p *Program, fp *plan.Fingerprint, db *rt.DB) *cachedProgra
 }
 
 // poolFor builds the constant pool with which the cached code executes the
-// plan whose literals are lits — each slot through codegen.PoolConstOf, the
-// encoding the generator itself fills slots with — or reports that the code
-// does not serve that plan: a compiled-in literal has another value, or a
-// baked string is no longer where the code expects it.
-func (e *cachedProgram) poolFor(lits []plan.Expr, db *rt.DB) ([]qir.PoolConst, bool) {
-	if len(lits) != e.nlits {
+// plan whose literals have the values vals — by ordinal, each encoded as
+// codegen.PoolConstOf encodes it, the encoding the generator itself fills
+// slots with — or reports that the code does not serve that plan: a
+// compiled-in literal has another value, or a baked string is no longer
+// where the code expects it.
+func (e *cachedProgram) poolFor(vals []qir.PoolConst, db *rt.DB) ([]qir.PoolConst, bool) {
+	if len(vals) != e.nlits {
 		return nil, false
 	}
 	for _, p := range e.pinned {
-		if v, _ := codegen.PoolConstOf(lits[p.lit]); v != p.value {
+		if vals[p.lit] != p.value {
 			obsProgramPinned.Inc()
 			return nil, false
 		}
@@ -245,7 +277,7 @@ func (e *cachedProgram) poolFor(lits []plan.Expr, db *rt.DB) ([]qir.PoolConst, b
 	}
 	pool := make([]qir.PoolConst, len(e.slotLit))
 	for s, lit := range e.slotLit {
-		pool[s], _ = codegen.PoolConstOf(lits[lit])
+		pool[s] = vals[lit]
 	}
 	return pool, true
 }

@@ -392,28 +392,29 @@ func TestProgramCacheMustMiss(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ent := newCachedProgram(p, &fp, w.DB); ent == nil || len(ent.pinned) != 0 {
+		vals := litValues(nil, fp.Lits)
+		if ent := newCachedProgram(p, &fp, vals, w.DB); ent == nil || len(ent.pinned) != 0 {
 			t.Fatalf("q6 as generated: entry %+v, want one with nothing pinned", ent)
 		}
 		bearing := p.Compiled.PoolLits[2]
 		p.Compiled.InlineLits = append(p.Compiled.InlineLits, bearing)
-		ent := newCachedProgram(p, &fp, w.DB)
+		ent := newCachedProgram(p, &fp, vals, w.DB)
 		if ent == nil || len(ent.pinned) != 1 {
 			t.Fatalf("entry %+v, want one pinned literal", ent)
 		}
-		if _, ok := ent.poolFor(fp.Lits, w.DB); !ok {
+		if _, ok := ent.poolFor(vals, w.DB); !ok {
 			t.Error("the entry does not serve its own plan")
 		}
 		lits := append([]plan.Expr(nil), fp.Lits...)
 		ord, _ := fp.Ordinal(bearing)
 		lits[ord] = &plan.ConstDec{V: rt.I128FromInt64(99)}
-		if _, ok := ent.poolFor(lits, w.DB); ok {
+		if _, ok := ent.poolFor(litValues(nil, lits), w.DB); ok {
 			t.Error("the entry serves a plan with another value for the literal it has compiled in")
 		}
 		lits[ord] = fp.Lits[ord]
 		other := (ord + 1) % len(lits)
 		lits[other] = &plan.ConstDec{V: rt.I128FromInt64(99)}
-		if _, ok := ent.poolFor(lits, w.DB); !ok {
+		if _, ok := ent.poolFor(litValues(nil, lits), w.DB); !ok {
 			t.Error("the entry refuses a plan that differs in a pooled literal only")
 		}
 	})

@@ -2,12 +2,10 @@ package sql
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
 
 	"qcc/internal/plan"
 	"qcc/internal/qir"
-	"qcc/internal/rt"
 )
 
 // deferred is an expression resolved against a binding later (the binder
@@ -159,7 +157,7 @@ func (p *parser) cmpExpr() (deferred, error) {
 				if err != nil {
 					return nil, err
 				}
-				le, re, err = coerceCmp(le, re)
+				le, re, err = p.coerceCmp(le, re)
 				if err != nil {
 					return nil, err
 				}
@@ -182,7 +180,9 @@ func (p *parser) cmpExpr() (deferred, error) {
 			if le.Type() != qir.Str {
 				return nil, fmt.Errorf("sql: LIKE on %s", le.Type())
 			}
-			return &plan.Like{E: le, Pattern: pat.raw}, nil
+			like := &plan.Like{E: le, Pattern: pat.raw}
+			p.note(like, pat, qir.Str)
+			return like, nil
 		}, nil
 	}
 	if t.kind == tkIdent && t.text == "BETWEEN" {
@@ -212,17 +212,17 @@ func (p *parser) cmpExpr() (deferred, error) {
 			if err != nil {
 				return nil, err
 			}
-			le2, loe, err := coerceCmp(le, loe)
+			le2, loe, err := p.coerceCmp(le, loe)
 			if err != nil {
 				return nil, err
 			}
-			le3, hie, err := coerceCmp(le2, hie)
+			le3, hie, err := p.coerceCmp(le2, hie)
 			if err != nil {
 				return nil, err
 			}
 			// Re-coerce lo to the final type if the hi coercion widened.
 			if loe.Type() != le3.Type() {
-				loe, err = coerceTo(loe, le3.Type())
+				loe, err = p.coerceTo(loe, le3.Type())
 				if err != nil {
 					return nil, err
 				}
@@ -252,7 +252,7 @@ func (p *parser) addExpr() (deferred, error) {
 		if err != nil {
 			return nil, err
 		}
-		l = binArith(arithOps[t.text], l, r)
+		l = p.binArith(arithOps[t.text], l, r)
 	}
 }
 
@@ -271,11 +271,11 @@ func (p *parser) mulExpr() (deferred, error) {
 		if err != nil {
 			return nil, err
 		}
-		l = binArith(arithOps[t.text], l, r)
+		l = p.binArith(arithOps[t.text], l, r)
 	}
 }
 
-func binArith(op plan.ArithOp, l, r deferred) deferred {
+func (p *parser) binArith(op plan.ArithOp, l, r deferred) deferred {
 	return func(b *binding) (plan.Expr, error) {
 		le, err := l(b)
 		if err != nil {
@@ -285,7 +285,7 @@ func binArith(op plan.ArithOp, l, r deferred) deferred {
 		if err != nil {
 			return nil, err
 		}
-		le, re, err = coercePair(le, re)
+		le, re, err = p.coercePair(le, re)
 		if err != nil {
 			return nil, err
 		}
@@ -296,30 +296,9 @@ func binArith(op plan.ArithOp, l, r deferred) deferred {
 func (p *parser) primary() (deferred, error) {
 	t := p.peek()
 	switch {
-	case t.kind == tkNumber:
+	case t.kind == tkNumber || t.kind == tkString:
 		p.next()
-		if strings.Contains(t.raw, ".") {
-			parts := strings.SplitN(t.raw, ".", 2)
-			whole, err := strconv.ParseInt(parts[0], 10, 64)
-			if err != nil {
-				return nil, fmt.Errorf("sql: bad number %q", t.raw)
-			}
-			frac := parts[1] + "00"
-			cents, err := strconv.ParseInt(frac[:2], 10, 64)
-			if err != nil {
-				return nil, fmt.Errorf("sql: bad number %q", t.raw)
-			}
-			v := whole*100 + cents
-			return constDeferred(&plan.ConstDec{V: rt.I128FromInt64(v)}), nil
-		}
-		v, err := strconv.ParseInt(t.raw, 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("sql: bad number %q", t.raw)
-		}
-		return constDeferred(&plan.ConstInt{Ty: qir.I64, V: v}), nil
-	case t.kind == tkString:
-		p.next()
-		return constDeferred(&plan.ConstStr{V: t.raw}), nil
+		return p.literal(t)
 	case t.kind == tkPunct && t.text == "(":
 		p.next()
 		e, err := p.parseExprDeferred()
@@ -341,16 +320,7 @@ func (p *parser) primary() (deferred, error) {
 			if err != nil {
 				return nil, err
 			}
-			var zero plan.Expr
-			switch x.Type() {
-			case qir.I128:
-				zero = &plan.ConstDec{V: rt.I128{}}
-			case qir.F64:
-				zero = &plan.ConstFloat{V: 0}
-			default:
-				zero = &plan.ConstInt{Ty: x.Type(), V: 0}
-			}
-			return plan.NewArith(plan.OpSub, zero, x)
+			return p.negate(x)
 		}, nil
 	case t.kind == tkIdent && t.text == "CASE":
 		p.next()
@@ -391,7 +361,7 @@ func (p *parser) primary() (deferred, error) {
 			if err != nil {
 				return nil, err
 			}
-			te, ee, err = coercePair(te, ee)
+			te, ee, err = p.coercePair(te, ee)
 			if err != nil {
 				return nil, err
 			}
@@ -430,7 +400,7 @@ func (p *parser) primary() (deferred, error) {
 		}, nil
 	case t.kind == tkIdent:
 		p.next()
-		name := t.raw
+		name := p.name(t)
 		return func(b *binding) (plan.Expr, error) {
 			idx, ty, ok := b.lookup(name)
 			if !ok {
@@ -471,12 +441,24 @@ func rank(t qir.Type) int {
 	return 0
 }
 
-func coerceTo(e plan.Expr, t qir.Type) (plan.Expr, error) {
+// coerceTo converts e to type t. A literal with a point, or its negation,
+// becomes the F64 value its text writes.
+func (p *parser) coerceTo(e plan.Expr, t qir.Type) (plan.Expr, error) {
 	if e.Type() == t {
 		return e, nil
 	}
 	if c, ok := e.(*plan.ConstInt); ok && t.IsInt() {
-		return intLit(c.V, t), nil
+		return p.retype(c, t)
+	}
+	if t == qir.F64 && p.pointLit(e) {
+		if a, ok := e.(*plan.Arith); ok {
+			x, err := p.coerceTo(a.R, t)
+			if err != nil {
+				return nil, err
+			}
+			return p.negate(x)
+		}
+		return p.retype(e, t)
 	}
 	if e.Type().IsInt() && (t.IsInt() || t == qir.F64) {
 		return &plan.Cast{E: e, To: t}, nil
@@ -484,7 +466,7 @@ func coerceTo(e plan.Expr, t qir.Type) (plan.Expr, error) {
 	return nil, fmt.Errorf("sql: cannot convert %s to %s", e.Type(), t)
 }
 
-func coercePair(l, r plan.Expr) (plan.Expr, plan.Expr, error) {
+func (p *parser) coercePair(l, r plan.Expr) (plan.Expr, plan.Expr, error) {
 	lt, rt_ := l.Type(), r.Type()
 	if lt == rt_ {
 		return l, r, nil
@@ -492,16 +474,16 @@ func coercePair(l, r plan.Expr) (plan.Expr, plan.Expr, error) {
 	switch {
 	case lt.IsInt() && rt_.IsInt():
 		if rank(lt) < rank(rt_) {
-			le, err := coerceTo(l, rt_)
+			le, err := p.coerceTo(l, rt_)
 			return le, r, err
 		}
-		re, err := coerceTo(r, lt)
+		re, err := p.coerceTo(r, lt)
 		return l, re, err
 	case lt == qir.F64 && rt_.IsInt():
-		re, err := coerceTo(r, qir.F64)
+		re, err := p.coerceTo(r, qir.F64)
 		return l, re, err
 	case rt_ == qir.F64 && lt.IsInt():
-		le, err := coerceTo(l, qir.F64)
+		le, err := p.coerceTo(l, qir.F64)
 		return le, r, err
 	}
 	return nil, nil, fmt.Errorf("sql: incompatible types %s and %s", lt, rt_)
@@ -509,13 +491,17 @@ func coercePair(l, r plan.Expr) (plan.Expr, plan.Expr, error) {
 
 // coerceCmp is coercePair for the operands of a comparison: an integer
 // literal that fits the other operand's integer type takes that type.
-func coerceCmp(l, r plan.Expr) (plan.Expr, plan.Expr, error) {
-	if c, ok := r.(*plan.ConstInt); ok && fits(c.V, l.Type()) {
-		r = intLit(c.V, l.Type())
-	} else if c, ok := l.(*plan.ConstInt); ok && fits(c.V, r.Type()) {
-		l = intLit(c.V, r.Type())
+func (p *parser) coerceCmp(l, r plan.Expr) (plan.Expr, plan.Expr, error) {
+	var err error
+	if c, ok := r.(*plan.ConstInt); ok && p.fitsLit(c, l.Type()) {
+		r, err = p.retype(c, l.Type())
+	} else if c, ok := l.(*plan.ConstInt); ok && p.fitsLit(c, r.Type()) {
+		l, err = p.retype(c, r.Type())
 	}
-	return coercePair(l, r)
+	if err != nil {
+		return nil, nil, err
+	}
+	return p.coercePair(l, r)
 }
 
 // fits reports whether v is a value of the integer type t.
@@ -528,12 +514,4 @@ func fits(v int64, t qir.Type) bool {
 		return true
 	}
 	return false
-}
-
-// intLit is the literal v of the integer type t.
-func intLit(v int64, t qir.Type) plan.Expr {
-	if t == qir.I128 {
-		return &plan.ConstDec{V: rt.I128FromInt64(v)}
-	}
-	return &plan.ConstInt{Ty: t, V: v}
 }

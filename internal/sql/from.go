@@ -144,7 +144,7 @@ func (p *parser) fromClause() (*from, error) {
 				return nil, fmt.Errorf("sql: join key: %w", err)
 			}
 		}
-		if rkey, lkey, err = coercePair(rkey, lkey); err != nil {
+		if rkey, lkey, err = p.coercePair(rkey, lkey); err != nil {
 			return nil, err
 		}
 		f.keys = append(f.keys, [2]plan.Expr{lkey, rkey})

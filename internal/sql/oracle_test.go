@@ -12,7 +12,8 @@ import (
 // the planned joins are checked against: the whole WHERE above the join tree,
 // every join building on the table named after the others.
 func oldParse(query string, cat *rt.Catalog) (plan.Node, error) {
-	return parse(query, cat, oldFromWhere)
+	n, _, err := parse(query, cat, oldFromWhere)
+	return n, err
 }
 
 func oldFromWhere(p *parser) (plan.Node, *binding, error) {
@@ -87,7 +88,7 @@ func oldFromClause(p *parser) (plan.Node, *binding, error) {
 			}
 			probeKey = pk
 		}
-		buildKey, probeKey, err = coercePair(buildKey, probeKey)
+		buildKey, probeKey, err = p.coercePair(buildKey, probeKey)
 		if err != nil {
 			return nil, nil, err
 		}

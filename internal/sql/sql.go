@@ -1,8 +1,10 @@
 // Package sql implements a small SQL front-end over the plan layer:
 // SELECT-FROM-JOIN-WHERE-GROUP BY-HAVING-ORDER BY-LIMIT, derived tables in
 // FROM, and the scalar expressions query compilation exercises (decimal
-// arithmetic, LIKE, BETWEEN, CASE, CAST to BIGINT). Decimal literals use a
-// fixed scale of 2 (cents).
+// arithmetic, LIKE, BETWEEN, CASE, CAST to BIGINT). A number with a point is
+// read exactly: against a floating-point operand it is the F64 value it
+// writes, anywhere else a decimal of scale 2 (cents), and a literal that has
+// more fractional digits than that is an error (Convert).
 package sql
 
 import (
@@ -10,36 +12,46 @@ import (
 	"strconv"
 	"strings"
 
+	"qcc/internal/obs"
 	"qcc/internal/plan"
 	"qcc/internal/qir"
 	"qcc/internal/rt"
 )
 
+var obsParsed = obs.NewCounter("sql.statements_parsed")
+
 // Parse compiles a SQL string into a validated plan against the catalog.
 // The FROM and WHERE clauses of a join are planned (from.go): single-table
 // filters sit on their scans and every hash join builds on its smaller input.
 func Parse(query string, cat *rt.Catalog) (plan.Node, error) {
-	return parse(query, cat, (*parser).fromWhere)
+	n, _, err := parse(query, cat, (*parser).fromWhere)
+	return n, err
 }
 
-// parse is Parse with the FROM and WHERE clauses built by fromWhere.
-func parse(query string, cat *rt.Catalog, fromWhere func(*parser) (plan.Node, *binding, error)) (plan.Node, error) {
+// parse is Parse with the FROM and WHERE clauses built by fromWhere. It also
+// returns the parser, whose records say how the plan's literals derive from
+// the text (shape.go).
+func parse(query string, cat *rt.Catalog, fromWhere func(*parser) (plan.Node, *binding, error)) (plan.Node, *parser, error) {
+	obsParsed.Inc()
 	toks, err := lex(query)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	p := &parser{toks: toks, cat: cat}
 	n, err := p.selectStmt(fromWhere)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if t := p.peek(); t.kind != tkEOF {
-		return nil, fmt.Errorf("sql: trailing input at %q", t.raw+t.text)
+		return nil, nil, fmt.Errorf("sql: trailing input at %q", t.raw+t.text)
+	}
+	if err := p.inexact(n); err != nil {
+		return nil, nil, err
 	}
 	if err := plan.Validate(n); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return n, nil
+	return n, p, nil
 }
 
 type tkKind uint8
@@ -56,6 +68,10 @@ type token struct {
 	kind tkKind
 	text string // punctuation; for an identifier its keyword upper-cased, or ""
 	raw  string
+	// site numbers the statement's literals in order: every number and
+	// string but LIMIT's count, which is part of the statement's shape. It
+	// is -1 for every other token.
+	site int32
 }
 
 // keywords holds every word the grammar reads, upper-cased.
@@ -87,29 +103,66 @@ func keyword(raw string) string {
 
 func lex(src string) ([]token, error) {
 	toks := make([]token, 0, len(src)/5+2) // statements average five bytes a token
-	i := 0
-	for i < len(src) {
+	s := scanner{src: src}
+	for {
+		t, err := s.next()
+		if err != nil {
+			return nil, err
+		}
+		toks = append(toks, t)
+		if t.kind == tkEOF {
+			return toks, nil
+		}
+	}
+}
+
+// scanner reads a statement's tokens one at a time: lex collects them for
+// the parser, ShapeKey reads them without keeping any.
+type scanner struct {
+	src   string
+	i     int
+	sites int32
+	limit bool // the last token was LIMIT
+}
+
+// next returns the next token, tkEOF at the end of the text.
+func (s *scanner) next() (token, error) {
+	t, err := s.scan()
+	if t.kind == tkNumber && s.limit || t.kind != tkNumber && t.kind != tkString {
+		t.site = -1
+	} else {
+		t.site = s.sites
+		s.sites++
+	}
+	s.limit = t.kind == tkIdent && t.text == "LIMIT"
+	return t, err
+}
+
+func (s *scanner) scan() (token, error) {
+	src := s.src
+	for s.i < len(src) {
+		i := s.i
 		c := src[i]
 		switch {
 		case c == ' ' || c == '\t' || c == '\n' || c == '\r':
-			i++
+			s.i++
 		case c == '\'':
 			j := i + 1
 			for j < len(src) && src[j] != '\'' {
 				j++
 			}
 			if j >= len(src) {
-				return nil, fmt.Errorf("sql: unterminated string")
+				return token{}, fmt.Errorf("sql: unterminated string")
 			}
-			toks = append(toks, token{kind: tkString, raw: src[i+1 : j]})
-			i = j + 1
+			s.i = j + 1
+			return token{kind: tkString, raw: src[i+1 : j]}, nil
 		case c >= '0' && c <= '9':
 			j := i
 			for j < len(src) && (src[j] >= '0' && src[j] <= '9' || src[j] == '.') {
 				j++
 			}
-			toks = append(toks, token{kind: tkNumber, raw: src[i:j]})
-			i = j
+			s.i = j
+			return token{kind: tkNumber, raw: src[i:j]}, nil
 		case c == '_' || c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z':
 			j := i
 			for j < len(src) && (src[j] == '_' || src[j] == '.' ||
@@ -117,30 +170,25 @@ func lex(src string) ([]token, error) {
 				src[j] >= '0' && src[j] <= '9') {
 				j++
 			}
-			toks = append(toks, token{kind: tkIdent, text: keyword(src[i:j]), raw: src[i:j]})
-			i = j
+			s.i = j
+			return token{kind: tkIdent, text: keyword(src[i:j]), raw: src[i:j]}, nil
 		default:
-			two := ""
 			if i+1 < len(src) {
-				two = src[i : i+2]
-			}
-			switch two {
-			case "<=", ">=", "<>", "!=":
-				toks = append(toks, token{kind: tkPunct, text: two})
-				i += 2
-				continue
+				switch two := src[i : i+2]; two {
+				case "<=", ">=", "<>", "!=":
+					s.i += 2
+					return token{kind: tkPunct, text: two}, nil
+				}
 			}
 			switch c {
 			case '(', ')', ',', '*', '+', '-', '/', '%', '=', '<', '>':
-				toks = append(toks, token{kind: tkPunct, text: src[i : i+1]})
-				i++
-			default:
-				return nil, fmt.Errorf("sql: bad character %q", string(c))
+				s.i++
+				return token{kind: tkPunct, text: src[i : i+1]}, nil
 			}
+			return token{}, fmt.Errorf("sql: bad character %q", string(c))
 		}
 	}
-	toks = append(toks, token{kind: tkEOF})
-	return toks, nil
+	return token{kind: tkEOF}, nil
 }
 
 // binding maps visible column names to ordinals and types: the columns of
@@ -221,6 +269,14 @@ type parser struct {
 	toks []token
 	pos  int
 	cat  *rt.Catalog
+	// What the plan's literals derive from (shape.go).
+	lits   []litRec
+	checks []check
+	negs   []*plan.Arith
+	// opaque is set when the plan depends on the text in a way the records
+	// do not capture: a name spelled by a keyword or a literal, or group
+	// keys matched by their text.
+	opaque bool
 }
 
 func (p *parser) peek() token { return p.toks[p.pos] }
@@ -297,7 +353,7 @@ func (p *parser) selectStmt(fromWhere func(*parser) (plan.Node, *binding, error)
 			it.expr = e
 		}
 		if p.accept("AS") {
-			it.name = p.next().raw
+			it.name = p.name(p.next())
 		}
 		items = append(items, it)
 		if !p.accept(",") {
@@ -385,7 +441,7 @@ func (p *parser) selectStmt(fromWhere func(*parser) (plan.Node, *binding, error)
 			k := aggIdx
 			if it.agg != nil {
 				aggIdx++
-			} else if k, err = keyOf(it.expr, bind, g.Keys); err != nil {
+			} else if k, err = p.keyOf(it.expr, bind, g.Keys); err != nil {
 				return nil, err
 			}
 			name := sch[k].Name
@@ -483,7 +539,7 @@ func (p *parser) selectStmt(fromWhere func(*parser) (plan.Node, *binding, error)
 // keyOf returns the position of the group key a non-aggregate select item
 // equals, in any order of the select list; an item that equals no key is an
 // error.
-func keyOf(item deferred, bind *binding, keys []plan.Expr) (int, error) {
+func (p *parser) keyOf(item deferred, bind *binding, keys []plan.Expr) (int, error) {
 	if item == nil {
 		return 0, fmt.Errorf("sql: SELECT * with GROUP BY or aggregates")
 	}
@@ -492,7 +548,7 @@ func keyOf(item deferred, bind *binding, keys []plan.Expr) (int, error) {
 		return 0, err
 	}
 	for k, key := range keys {
-		if sameExpr(e, key) {
+		if p.sameExpr(e, key) {
 			return k, nil
 		}
 	}
@@ -500,12 +556,14 @@ func keyOf(item deferred, bind *binding, keys []plan.Expr) (int, error) {
 }
 
 // sameExpr reports whether two expressions resolved against one binding are
-// the same: the same column however it is named, or else the same text.
-func sameExpr(a, b plan.Expr) bool {
+// the same: the same column however it is named, or else the same text. The
+// text holds literal values, so the plan then depends on them (opaque).
+func (p *parser) sameExpr(a, b plan.Expr) bool {
 	if x, ok := a.(*plan.Col); ok {
 		y, ok := b.(*plan.Col)
 		return ok && x.Idx == y.Idx
 	}
+	p.opaque = true
 	return a.String() == b.String()
 }
 

@@ -26,7 +26,6 @@ import (
 
 	"qcc/internal/backend"
 	"qcc/internal/engine"
-	"qcc/internal/plan"
 	"qcc/internal/qir"
 	"qcc/internal/rt"
 	"qcc/internal/tpcds"
@@ -228,9 +227,10 @@ type Stats struct {
 	CacheMisses int64
 	// ProgramHit reports that the whole program came from the cache: the
 	// database had compiled this plan shape before, with other constants at
-	// most. CompileTime is then the time the lookup took, Functions and
-	// CodeBytes describe the cached program, every function counts as a
-	// cache hit and Phases is empty.
+	// most. CompileTime is then the time the lookup took (for a statement
+	// of a shape the database has seen, binding its text included: it is
+	// not parsed), Functions and CodeBytes describe the cached program,
+	// every function counts as a cache hit and Phases is empty.
 	ProgramHit bool
 	// Phases is the compile-time breakdown (phase name to duration).
 	Phases map[string]time.Duration
@@ -257,22 +257,18 @@ func (d *DB) ExecWith(engineName, query string) (*Result, error) {
 	if !ok {
 		return nil, fmt.Errorf("qc: unknown engine %q (have %v)", engineName, Engines())
 	}
-	node, err := d.w.Parse(query)
+	p, cols, err := d.w.PrepareSQL(eng, "q", query)
 	if err != nil {
 		return nil, err
 	}
-	return d.run(eng, node)
+	return d.run(eng, p, cols)
 }
 
-// run drives the query path's stages for one plan. CompileTime is read after
-// execution (the adaptive engine adds its run-time promotions to it);
-// ExecTime is the wall time of bind → run alone. Lowering, row
-// materialization and the heap release sit outside both.
-func (d *DB) run(eng backend.Engine, node plan.Node) (*Result, error) {
-	p, err := d.w.Prepare(eng, "q", node)
-	if err != nil {
-		return nil, err
-	}
+// run drives the query path's stages from a prepared program. CompileTime
+// is read after execution (the adaptive engine adds its run-time promotions
+// to it); ExecTime is the wall time of bind → run alone. Parsing, lowering,
+// row materialization and the heap release sit outside ExecTime.
+func (d *DB) run(eng backend.Engine, p *engine.Program, cols []string) (*Result, error) {
 	execTime, err := d.w.Run(p)
 	defer d.w.Release()
 	if err != nil {
@@ -298,9 +294,7 @@ func (d *DB) run(eng backend.Engine, node plan.Node) (*Result, error) {
 			res.Stats.Phases[p.Name] = p.Dur
 		}
 	}
-	for _, ci := range node.Schema() {
-		res.Columns = append(res.Columns, ci.Name)
-	}
+	res.Columns = append(res.Columns, cols...)
 	for _, row := range d.w.DB.Out.Rows {
 		out := make([]string, len(row))
 		for i, v := range row {
