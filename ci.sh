@@ -74,7 +74,11 @@
 #      variant of the six sql_adhoc families after its first is a program
 #      hit on the benchmark's four engines, and the q3- and q12-shaped
 #      statements run probe kernels at <= 1/8 and <= 1/100 of
-#      WithBatch(false)'s instructions with equal rows;
+#      WithBatch(false)'s instructions with equal rows; single-table and
+#      q12-shaped statements that differ only in what their kernels compute
+#      miss no unit after the first, on those four engines, at 1 and 4
+#      workers, with the rows of an uncached database and the interpreter
+#      (TestNovelKernelShapesCompileNothing);
 #      a sampler changes no row and no counter, and takes the number of
 #      samples its period and the instruction count bound; the SQL-join
 #      counters: the q3- and q12-shaped sql_adhoc statements run <= 0.5x the
@@ -119,11 +123,16 @@
 #  20. 10 s of FuzzAssemble: arbitrary text through the C back-end's
 #      assembler on both targets, from a corpus of its own output for TPC-H
 #      functions — no panic, and every function it accepts decodes
-#  21. 10 s of FuzzDecodeBatchSpec: arbitrary bytes through the batch-kernel
-#      spec decoder, from a corpus of the spec of every TPC-H and TPC-DS
-#      batch pipeline, probe kernels included, and a spec with a CASE — no
-#      panic, no accepted out-of-range pool slot or type, no payload that is
-#      not a column, and every spec it accepts re-encodes to the same bytes
+#  21. 10 s of FuzzDecodeBatchSpec: arbitrary bytes read as a batch-kernel
+#      spec (in the byte layout kernels had when the code carried them; the
+#      program no longer decodes anything, the name is kept for its seeds)
+#      and prepared the way the executor prepares a kernel — no panic; a
+#      spec it accepts is left unchanged and its kernel has no out-of-range
+#      code, pool slot or depth, no missing operand and no payload that is
+#      not a column. Its corpus is frozen: the TPC-H and TPC-DS kernels of
+#      the commit that retired the layout, and a spec with a CASE; nothing
+#      regenerates it. The kernels the generator writes today are prepared
+#      by TestFrontEndGolden (stage 5)
 #  22. the coverage census: every test of the tree run once with coverage
 #      over the whole tree (census.sh); the non-test functions outside cmd/,
 #      examples/ and benchmark/ that no test enters must be exactly the
@@ -243,7 +252,7 @@ go test -race -short ./internal/backend/conformance/ \
 
 echo "== 15. execution-mode counters (batch/morsel, plan cache, sampler, SQL join plans, batch by default; no clock) =="
 go test ./internal/engine -run 'TestCounters' -count=1
-go test . -run 'TestCounters' -count=1
+go test . -run 'TestCounters|TestNovelKernelShapesCompileNothing' -count=1
 go test ./internal/sql -run 'TestCountersSQLJoinPlans' -count=1
 
 echo "== 16. front-end and hit-path gate (one analysis per function, allocation budgets; nothing compiled on a warm program hit) =="
@@ -266,7 +275,7 @@ go test ./internal/sem -run '^$' -fuzz FuzzSem -fuzztime 10s
 echo "== 20. C back-end assembler fuzz smoke =="
 go test ./internal/backend/cbe -run '^$' -fuzz FuzzAssemble -fuzztime 10s
 
-echo "== 21. batch-kernel spec decoder fuzz smoke =="
+echo "== 21. batch-kernel spec preparation fuzz smoke =="
 go test ./internal/rt -run '^$' -fuzz FuzzDecodeBatchSpec -fuzztime 10s
 
 echo "== 22. coverage census (never-entered non-test functions = testdata/unreached.txt) =="

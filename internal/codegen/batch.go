@@ -261,10 +261,10 @@ func (bc *batchChain) scanCol(idx int) (*rt.BatchExpr, error) {
 // through col. Callers must have established eligibility first.
 //
 // With Options.Hoist a literal goes into a constant-pool slot of its own,
-// which the kernel reads when the pipeline is set up (rt.BEPool), so the
-// encoded spec — a string constant of the setup function — does not depend
-// on the literal's value. When the pool is full, or without Hoist, the spec
-// holds the value, as rewriteToPool leaves a literal inline.
+// which the executor reads when it prepares the kernel (rt.BEPool), so the
+// spec does not depend on the literal's value. When the pool is full, or
+// without Hoist, the spec holds the value, as rewriteToPool leaves a literal
+// inline.
 func (c *Compiler) batchExpr(e plan.Expr, col func(idx int) (*rt.BatchExpr, error)) (*rt.BatchExpr, error) {
 	if pc, lit := PoolConstOf(e); lit {
 		if c.opts.Hoist && len(c.mod.Pool) < rt.ConstPoolSlots {
@@ -444,9 +444,9 @@ func (c *Compiler) pushChainProv(bc *batchChain) int {
 }
 
 // emitBatchPipeline opens a SrcTable pipeline whose main function hands the
-// whole morsel to the runtime kernel. createSink emits the sink-create
-// call into the setup function; cleanup (optional) emits into the cleanup
-// function.
+// whole morsel to the runtime kernel, whose program spec the pipeline carries
+// for the executor to prepare. createSink emits the sink-create call into the
+// setup function; cleanup (optional) emits into the cleanup function.
 func (c *Compiler) emitBatchPipeline(bc *batchChain, spec *rt.BatchSpec, sink SinkKind, htOff int64,
 	createSink func(sb *qir.Builder), cleanup func(cb *qir.Builder)) {
 	npush := c.pushChainProv(bc)
@@ -462,12 +462,9 @@ func (c *Compiler) emitBatchPipeline(bc *batchChain, spec *rt.BatchSpec, sink Si
 	c.setMode(c.pipe.MainFn, "batch")
 	c.setMode(c.pipe.CleanupFn, "batch")
 
-	sb := c.setup
-	createSink(sb)
+	createSink(c.setup)
 	bpOff := c.allocState(8)
-	desc := sb.ConstStr(string(spec.Encode()))
-	bh := sb.Call(qir.I64, rt.FnBatchPrep, desc)
-	storeStateHandle(sb, bpOff, bh)
+	c.pipe.Kernel, c.pipe.KernelOff = spec, bpOff
 	if cleanup != nil {
 		cleanup(c.cleanup)
 	}

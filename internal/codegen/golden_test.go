@@ -31,8 +31,10 @@ type goldenQuery struct {
 	build func() plan.Node
 }
 
-// goldenWorld is a loaded catalog plus the plans compiled against it.
+// goldenWorld is a loaded catalog and its database, plus the plans compiled
+// against it.
 type goldenWorld struct {
+	db      *rt.DB
 	cat     *rt.Catalog
 	queries []goldenQuery
 }
@@ -43,20 +45,20 @@ type goldenWorld struct {
 // of the golden contract.
 func goldenWorlds(t testing.TB) []goldenWorld {
 	t.Helper()
-	load := func(memMB int, loader func(*rt.Catalog, float64) error) *rt.Catalog {
-		m := vm.New(vm.Config{Arch: vt.VX64, MemSize: memMB << 20})
-		cat := rt.NewCatalog(rt.NewDB(m))
+	load := func(memMB int, loader func(*rt.Catalog, float64) error) goldenWorld {
+		db := rt.NewDB(vm.New(vm.Config{Arch: vt.VX64, MemSize: memMB << 20}))
+		cat := rt.NewCatalog(db)
 		if err := loader(cat, 0.01); err != nil {
 			t.Fatal(err)
 		}
-		return cat
+		return goldenWorld{db: db, cat: cat}
 	}
-	h := goldenWorld{cat: load(128, tpch.Load)}
+	h := load(128, tpch.Load)
 	for _, q := range tpch.Queries() {
 		h.queries = append(h.queries, goldenQuery{"tpch/" + q.Name, q.Build})
 	}
 	h.queries = append(h.queries, goldenQuery{"tpch/poolfull", func() plan.Node { return manyLiterals(t, h.cat, 300) }})
-	ds := goldenWorld{cat: load(256, tpcds.Load)}
+	ds := load(256, tpcds.Load)
 	for _, q := range tpcds.Queries() {
 		ds.queries = append(ds.queries, goldenQuery{"tpcds/" + q.Name, q.Build})
 	}
@@ -102,10 +104,17 @@ var goldenOpts = []struct {
 }
 
 // digestCompiled fingerprints everything the front-end hands on: the printed
-// module (instruction stream, pool, unchecked marks) and the pass statistics.
+// module (instruction stream, pool, unchecked marks), the kernel program and
+// handle offset of every batch pipeline, and the pass statistics. A tuple
+// pipeline adds nothing, so tuple-mode digests do not depend on kernels.
 func digestCompiled(c *codegen.Compiled) string {
 	h := sha256.New()
 	fmt.Fprintln(h, c.Module.String())
+	for i, p := range c.Pipelines {
+		if p.Kernel != nil {
+			fmt.Fprintln(h, "kernel", i, p.KernelOff, kernelString(p.Kernel))
+		}
+	}
 	e := c.Elim
 	reasons := make([]string, 0, len(e.ByReason))
 	for r, n := range e.ByReason {
@@ -122,6 +131,52 @@ func digestCompiled(c *codegen.Compiled) string {
 		fmt.Fprintln(h, "prov", f.Name, f.Prov.Hoisted, f.Prov.KeptInline)
 	}
 	return fmt.Sprintf("%x", h.Sum(nil)[:12])
+}
+
+// kernelString prints a kernel program field by field, operands in prefix
+// order, so that two specs print alike exactly when they are equal.
+func kernelString(s *rt.BatchSpec) string {
+	var sb strings.Builder
+	var expr func(e *rt.BatchExpr)
+	expr = func(e *rt.BatchExpr) {
+		if e == nil {
+			sb.WriteString(" nil")
+			return
+		}
+		fmt.Fprintf(&sb, " (%d %d %d %d %d %d %d/%d %v %q %d", e.Kind, e.Ty, e.Op, e.Base, e.Elem, e.I, e.D.Hi, e.D.Lo, e.F, e.S, e.Slot)
+		expr(e.L)
+		expr(e.R)
+		expr(e.H)
+		sb.WriteString(")")
+	}
+	fmt.Fprintf(&sb, "sink %d width %d filters", s.Sink, s.Width)
+	for _, f := range s.Filters {
+		expr(f)
+	}
+	for _, ks := range []struct {
+		name string
+		keys []rt.BatchKey
+	}{{"probe", s.Probe}, {"keys", s.Keys}} {
+		sb.WriteString(" " + ks.name)
+		for _, k := range ks.keys {
+			fmt.Fprintf(&sb, " [%d %d", k.Off, k.Ty)
+			expr(k.E)
+			sb.WriteString("]")
+		}
+	}
+	sb.WriteString(" aggs")
+	for _, a := range s.Aggs {
+		fmt.Fprintf(&sb, " [%d %d %d %d", a.Fn, a.Ty, a.Off, a.COff)
+		expr(a.Arg)
+		sb.WriteString("]")
+	}
+	sb.WriteString(" payload")
+	for _, p := range s.Payload {
+		fmt.Fprintf(&sb, " [%d", p.Off)
+		expr(p.Src)
+		sb.WriteString("]")
+	}
+	return sb.String()
 }
 
 // analysisDiff names the first result on which two analyses of one function
@@ -157,12 +212,21 @@ func analysisDiff(x, y *sa.Analysis) string {
 //
 // Along the way every compiled function is analysed twice more, standalone
 // and through one sa.Analysis reused for the whole corpus the way a compile
-// reuses it across a module's functions; both must agree on everything.
+// reuses it across a module's functions; both must agree on everything. And
+// every batch pipeline's kernel must prepare (rt.DB.PrepareBatch) against the
+// module's constant pool, as the executor prepares it before setup runs:
+// prepare rejects a kernel the generator wrote wrong, which in a query's
+// default batch mode would fail at execution.
 func TestFrontEndGolden(t *testing.T) {
 	got := map[string]string{}
 	var order []string
 	var shared sa.Analysis
 	for _, w := range goldenWorlds(t) {
+		type compiled struct {
+			key string
+			c   *codegen.Compiled
+		}
+		var batched []compiled
 		for _, q := range w.queries {
 			for _, o := range goldenOpts {
 				c, err := codegen.CompileOpts(q.name[strings.IndexByte(q.name, '/')+1:], q.build(), w.cat, o.opts)
@@ -177,6 +241,9 @@ func TestFrontEndGolden(t *testing.T) {
 				key := q.name + " " + o.name
 				got[key] = digestCompiled(c)
 				order = append(order, key)
+				if o.opts.Batch {
+					batched = append(batched, compiled{key, c})
+				}
 				if o.name == "elim+hoist" {
 					for fi, alone := range c.Analyses(w.cat) {
 						shared.Run(c.Module.Funcs[fi], alone.Facts)
@@ -186,6 +253,27 @@ func TestFrontEndGolden(t *testing.T) {
 					}
 				}
 			}
+		}
+		// After the world's last compile: binding a pool interns its strings,
+		// which would move the string addresses later modules bake in.
+		kernels := 0
+		for _, b := range batched {
+			if err := w.db.BindConstPool(b.c.Module.Pool); err != nil {
+				t.Fatalf("%s: %v", b.key, err)
+			}
+			for pi, p := range b.c.Pipelines {
+				if p.Kernel == nil {
+					continue
+				}
+				kernels++
+				if _, err := w.db.PrepareBatch(p.Kernel); err != nil {
+					t.Errorf("%s pipeline %d: kernel does not prepare: %v", b.key, pi, err)
+				}
+			}
+			w.db.ResetQueryState()
+		}
+		if kernels == 0 {
+			t.Errorf("no batch kernel among %d batch compiles", len(batched))
 		}
 	}
 	if *updateGolden {

@@ -142,6 +142,17 @@ func RunParallel(db *rt.DB, cat *rt.Catalog, c *Compiled, call CallFunc, opts Ex
 			}
 			workersFailed = workers == nil
 		}
+		if p.Kernel != nil {
+			// Before setup and before the parallel path snapshots the state
+			// and the handle table, so that workers resolve the handle too.
+			h, err := db.PrepareBatch(p.Kernel)
+			if err != nil {
+				return fmt.Errorf("pipeline %d kernel: %w", pi, err)
+			}
+			if err := db.WriteU64(state+uint64(p.KernelOff), h); err != nil {
+				return fmt.Errorf("pipeline %d kernel: %w", pi, err)
+			}
+		}
 		if !parallel || workers == nil {
 			if err := runPipelineSeq(p, pi, call, state, n, seqMorsel); err != nil {
 				return err

@@ -196,14 +196,18 @@ type Program struct {
 	Hit bool
 	// entry is the cache entry that holds Compiled and Exec, if one does.
 	entry *cachedProgram
-	// For a hit: how long serving it took, and what Stats.Total read then.
+	// How long preparing took — PrepareSQL's whole call, or Prepare's on a
+	// hit — and what Stats.Total read then.
 	prepare, compiled0 time.Duration
 }
 
 // CompileTime is what compiling cost this execution; read it after running.
-// For a compiled program that is the back-end's total, run-time promotions
-// of the adaptive engine included. For a hit it is the time Prepare took plus
-// whatever the program's back-end compiled since.
+// For a program from PrepareSQL it is the time from text to executable on
+// whatever path the statement took — parse, plan, Lower and the back-end on a
+// miss; scan, bind and lookup on a shape hit — plus whatever the program's
+// back-end compiled since (the adaptive engine's run-time promotions). For a
+// plan Prepare served from the cache it is the lookup plus those; for any
+// other plan, the back-end's total.
 func (p *Program) CompileTime() time.Duration {
 	return p.prepare + p.Stats.Total - p.compiled0
 }

@@ -88,7 +88,8 @@ func (w *World) Prepare(eng backend.Engine, name string, node plan.Node) (*Progr
 	if keyed {
 		w.vals = litValues(w.vals[:0], fp.Lits)
 		if v, ok := cache.GetProgram(fp.Key); ok {
-			if p := w.serve(v.(*cachedProgram), w.vals, start); p != nil {
+			if p := w.serve(v.(*cachedProgram), w.vals); p != nil {
+				p.prepare = time.Since(start)
 				return p, nil
 			}
 		}
@@ -116,7 +117,7 @@ func litValues(vals []qir.PoolConst, lits []plan.Expr) []qir.PoolConst {
 
 // serve returns the cached program ent with the constant pool built from
 // the literal values vals, or nil when ent does not serve them.
-func (w *World) serve(ent *cachedProgram, vals []qir.PoolConst, start time.Time) *Program {
+func (w *World) serve(ent *cachedProgram, vals []qir.PoolConst) *Program {
 	pool, ok := ent.poolFor(vals, w.DB)
 	if !ok {
 		return nil
@@ -124,7 +125,7 @@ func (w *World) serve(ent *cachedProgram, vals []qir.PoolConst, start time.Time)
 	obsProgramHits.Inc()
 	w.Tracer.Add("prepare.hit", 1)
 	return &Program{Compiled: ent.compiled, Exec: ent.exec, Stats: ent.stats, Pool: pool,
-		Hit: true, entry: ent, prepare: time.Since(start), compiled0: ent.stats.Total}
+		Hit: true, entry: ent, compiled0: ent.stats.Total}
 }
 
 func (w *World) lowerCompile(eng backend.Engine, name string, node plan.Node) (*Program, error) {
@@ -283,11 +284,11 @@ func (e *cachedProgram) poolFor(vals []qir.PoolConst, db *rt.DB) ([]qir.PoolCons
 }
 
 // footprint is what the cache charges the entry: the Go heap it keeps alive —
-// its key, the QIR module and the entry's own tables (fixed, summed once) and
-// the executable, which grows after it is stored: the first call builds a vm
-// module's fused view (charged by estimate until then), and the adaptive
-// engine adds its optimized module when it promotes. Run therefore charges
-// the entry again after every execution.
+// its key, the QIR module, the batch kernels' specs and the entry's own tables
+// (fixed, summed once) and the executable, which grows after it is stored:
+// the first call builds a vm module's fused view (charged by estimate until
+// then), and the adaptive engine adds its optimized module when it promotes.
+// Run therefore charges the entry again after every execution.
 // Module and executable report their backing arrays (qir.Module.Footprint,
 // backend.FootprintOf: code image, decoded program, offset tables, fused view,
 // or the interpreter's bytecode).
@@ -307,6 +308,11 @@ func (e *cachedProgram) fixedFootprint() int64 {
 		int64(len(e.strs))*int64(unsafe.Sizeof(bakedString{}))
 	for i := range e.strs {
 		n += int64(len(e.strs[i].s))
+	}
+	for i := range e.compiled.Pipelines {
+		if k := e.compiled.Pipelines[i].Kernel; k != nil {
+			n += k.Footprint()
+		}
 	}
 	return n
 }

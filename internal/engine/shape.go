@@ -61,8 +61,18 @@ type shapeTable struct {
 // has a code cache. A statement of a shape the cache holds is bound without
 // parsing; any other statement is parsed, prepared, and its shape stored once
 // its program is in the cache. The names are shared with the cache; callers
-// copy them.
+// copy them. The program's CompileTime starts with all of this: text to
+// executable, whichever path the statement took.
 func (w *World) PrepareSQL(eng backend.Engine, name, query string) (*Program, []string, error) {
+	start := time.Now()
+	p, cols, err := w.prepareSQL(eng, name, query)
+	if err == nil {
+		p.prepare, p.compiled0 = time.Since(start), p.Stats.Total
+	}
+	return p, cols, err
+}
+
+func (w *World) prepareSQL(eng backend.Engine, name, query string) (*Program, []string, error) {
 	if w.cache == nil {
 		node, err := w.Parse(query)
 		if err != nil {
@@ -71,13 +81,12 @@ func (w *World) PrepareSQL(eng backend.Engine, name, query string) (*Program, []
 		p, err := w.lowerCompile(eng, name, node)
 		return p, columns(node), err
 	}
-	start := time.Now()
 	key, lits, kerr := sql.ShapeKey(append(w.skey[:0], shapeTag), w.lits[:0], query)
 	w.skey, w.lits = key, lits
 	if kerr == nil {
 		if v, ok := w.cache.GetProgram(key); ok {
 			ent := v.(*shapeEntry)
-			if p := w.bindShape(ent, eng, name, lits, start); p != nil {
+			if p := w.bindShape(ent, eng, name, lits); p != nil {
 				obsShapeHits.Inc()
 				return p, ent.cols, nil
 			}
@@ -116,7 +125,7 @@ func columns(node plan.Node) []string {
 // bindShape serves the statement whose literals are lits from shape entry
 // ent, or returns nil when it cannot reproduce what parsing the statement
 // would give.
-func (w *World) bindShape(ent *shapeEntry, eng backend.Engine, name string, lits []sql.Lit, start time.Time) *Program {
+func (w *World) bindShape(ent *shapeEntry, eng backend.Engine, name string, lits []sql.Lit) *Program {
 	sp := w.Tracer.BeginCat("prepare", "prepare")
 	defer sp.End()
 	for _, t := range ent.tables {
@@ -138,7 +147,7 @@ func (w *World) bindShape(ent *shapeEntry, eng backend.Engine, name string, lits
 	if !ok {
 		return nil
 	}
-	return w.serve(v.(*cachedProgram), w.vals, start)
+	return w.serve(v.(*cachedProgram), w.vals)
 }
 
 // newShapeEntry builds the shape entry of the plan Prepare fingerprinted

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
+	"unsafe"
 
 	"qcc/internal/obs"
 	"qcc/internal/qir"
@@ -23,16 +24,17 @@ import (
 // surviving row and evaluates the sink over the (row, build entry) pairs
 // that match, in the order the tuple code's chain walk visits them.
 //
-// The kernel is driven by a BatchSpec the code generator serializes into a
-// string constant (so it participates in code caching like any other baked
-// constant) and hands to batch_prepare during pipeline setup. A query
-// literal enters the spec as a constant-pool slot (BEPool) that
-// batch_prepare reads from the bound pool, so the spec, and with it the
-// compiled code, is the same for every constant variant of a query. Semantics
-// replicate the tuple-at-a-time code exactly — same CRC32C/long-mul-fold
-// hash, same widened slot layout, same overflow traps in the same per-row
-// order — so batch and tuple execution are byte-equivalent, including which
-// trap fires first on poisoned data.
+// The kernel is driven by a BatchSpec, data the code generator hands the
+// execution driver beside the compiled code: the driver prepares it
+// (PrepareBatch) for each execution and stores the handle in the pipeline's
+// state before setup runs, so no kernel is compiled into any function and one
+// setup and main function serve every kernel of a sink layout. A query
+// literal enters the spec as a constant-pool slot (BEPool) that PrepareBatch
+// reads from the bound pool, so the spec is the same for every constant
+// variant of a query. Semantics replicate the tuple-at-a-time code exactly —
+// same CRC32C/long-mul-fold hash, same widened slot layout, same overflow
+// traps in the same per-row order — so batch and tuple execution are
+// byte-equivalent, including which trap fires first on poisoned data.
 
 var (
 	ctrBatchCalls      = obs.NewCounter("rt_batch_kernel_calls")
@@ -63,8 +65,8 @@ const (
 	BECmp
 	BEBetween
 	// BEPool is a literal held in constant-pool slot Slot (rt.DB.
-	// BindConstPool); batchPrepare turns it into the BEConst of the value
-	// the slot holds when the pipeline is set up.
+	// BindConstPool); PrepareBatch turns it into the BEConst of the value
+	// the slot holds when the pipeline is about to run.
 	BEPool
 	// BEBuildCol is a column of the build side a probe kernel matched: Elem
 	// bytes at offset Base of the matched entry's payload.
@@ -170,263 +172,50 @@ type BatchSpec struct {
 	Payload []BatchCol
 }
 
-// --------------------------------------------------------------------------
-// Descriptor serialization. The generator bakes the encoded spec into the
-// module as a string constant; batch_prepare decodes it at setup time.
-// --------------------------------------------------------------------------
+// Footprint is the Go heap the spec holds: its nodes, key, aggregate and
+// payload arrays and the bytes of its string constants.
+func (s *BatchSpec) Footprint() int64 {
+	n := int64(unsafe.Sizeof(*s)) + int64(len(s.Filters))*int64(unsafe.Sizeof(s)) +
+		int64(len(s.Probe)+len(s.Keys))*int64(unsafe.Sizeof(BatchKey{})) +
+		int64(len(s.Aggs))*int64(unsafe.Sizeof(BatchAgg{})) +
+		int64(len(s.Payload))*int64(unsafe.Sizeof(BatchCol{}))
+	var expr func(e *BatchExpr)
+	expr = func(e *BatchExpr) {
+		if e != nil {
+			n += int64(unsafe.Sizeof(*e)) + int64(len(e.S))
+			expr(e.L)
+			expr(e.R)
+			expr(e.H)
+		}
+	}
+	for _, f := range s.Filters {
+		expr(f)
+	}
+	for _, k := range s.Probe {
+		expr(k.E)
+	}
+	for _, k := range s.Keys {
+		expr(k.E)
+	}
+	for _, a := range s.Aggs {
+		expr(a.Arg)
+	}
+	for _, p := range s.Payload {
+		expr(p.Src)
+	}
+	return n
+}
 
-const batchMagic uint64 = 0x3142435148435442 // "BTCHQCB1"
-
-// BatchMaxDepth is the deepest expression node a descriptor may hold (a
-// root is at depth 0). The code generator keeps batch pipelines within it.
+// BatchMaxDepth is the deepest expression node a spec may hold (a root is at
+// depth 0). The code generator keeps batch pipelines within it.
 const BatchMaxDepth = 64
 
-func bputU(b []byte, v uint64) []byte {
-	var t [8]byte
-	put64(t[:], v)
-	return append(b, t[:]...)
-}
-
-func encExpr(b []byte, e *BatchExpr) []byte {
-	b = bputU(b, uint64(e.Kind))
-	switch e.Kind {
-	case BEConst:
-		b = bputU(b, uint64(e.Ty))
-		switch e.Ty {
-		case BTInt:
-			b = bputU(b, uint64(e.I))
-		case BTI128:
-			b = bputU(b, e.D.Lo)
-			b = bputU(b, e.D.Hi)
-		case BTF64:
-			b = bputU(b, toBits(e.F))
-		case BTStr:
-			b = bputU(b, uint64(len(e.S)))
-			b = append(b, e.S...)
-		}
-	case BEPool:
-		b = bputU(b, uint64(e.Ty))
-		b = bputU(b, e.Slot)
-	case BECol, BEBuildCol:
-		b = bputU(b, uint64(e.Ty))
-		b = bputU(b, e.Base)
-		b = bputU(b, e.Elem)
-	case BEArith, BECmp:
-		b = bputU(b, uint64(e.Ty))
-		b = bputU(b, uint64(e.Op))
-		b = encExpr(b, e.L)
-		b = encExpr(b, e.R)
-	case BEBetween, BECase:
-		b = bputU(b, uint64(e.Ty))
-		b = encExpr(b, e.L)
-		b = encExpr(b, e.R)
-		b = encExpr(b, e.H)
-	}
-	return b
-}
-
-// Encode serializes the spec for embedding as a module string constant.
-func (s *BatchSpec) Encode() []byte {
-	b := bputU(nil, batchMagic)
-	b = bputU(b, uint64(s.Sink))
-	b = bputU(b, s.Width)
-	b = bputU(b, uint64(len(s.Filters)))
-	for _, f := range s.Filters {
-		b = encExpr(b, f)
-	}
-	b = encKeys(b, s.Probe)
-	b = encKeys(b, s.Keys)
-	b = bputU(b, uint64(len(s.Aggs)))
-	for _, a := range s.Aggs {
-		b = bputU(b, uint64(a.Fn))
-		b = bputU(b, uint64(a.Ty))
-		b = bputU(b, uint64(a.Off))
-		b = bputU(b, uint64(a.COff))
-		if a.Arg != nil {
-			b = bputU(b, 1)
-			b = encExpr(b, a.Arg)
-		} else {
-			b = bputU(b, 0)
-		}
-	}
-	b = bputU(b, uint64(len(s.Payload)))
-	for _, p := range s.Payload {
-		b = bputU(b, uint64(p.Off))
-		b = encExpr(b, p.Src)
-	}
-	return b
-}
-
-func encKeys(b []byte, keys []BatchKey) []byte {
-	b = bputU(b, uint64(len(keys)))
-	for _, k := range keys {
-		b = bputU(b, uint64(k.Off))
-		b = bputU(b, uint64(k.Ty))
-		b = encExpr(b, k.E)
-	}
-	return b
-}
-
-type bdec struct {
-	b   []byte
-	pos int
-	err error
-}
-
-func (d *bdec) fail(format string, args ...any) {
-	if d.err == nil {
-		d.err = fmt.Errorf("rt: batch descriptor: "+format, args...)
-	}
-}
-
-func (d *bdec) u() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	if d.pos+8 > len(d.b) {
-		d.fail("truncated at %d", d.pos)
-		return 0
-	}
-	v := le64(d.b[d.pos:])
-	d.pos += 8
-	return v
-}
-
-// code reads a field whose valid values are 0..n-1. Rejecting the rest keeps
-// decoding one-to-one: an accepted descriptor re-encodes to its own bytes.
-func (d *bdec) code(n uint64, what string) uint64 {
-	v := d.u()
-	if v >= n {
-		d.fail("bad %s %d", what, v)
-	}
-	return v
-}
-
-func (d *bdec) ty() BatchType { return BatchType(d.code(uint64(BTStr)+1, "type")) }
-
-func (d *bdec) bytes(n uint64) []byte {
-	if d.err != nil {
-		return nil
-	}
-	if n > uint64(len(d.b)-d.pos) {
-		d.fail("truncated at %d", d.pos)
-		return nil
-	}
-	out := d.b[d.pos : d.pos+int(n)]
-	d.pos += int(n)
-	return out
-}
-
-func (d *bdec) expr(depth int) *BatchExpr {
-	if d.err != nil {
-		return nil
-	}
-	if depth > BatchMaxDepth {
-		d.fail("expression too deep")
-		return nil
-	}
-	e := &BatchExpr{Kind: BatchExprKind(d.code(uint64(BECase)+1, "expression kind"))}
-	switch e.Kind {
-	case BEConst:
-		e.Ty = d.ty()
-		switch e.Ty {
-		case BTInt:
-			e.I = int64(d.u())
-		case BTI128:
-			e.D.Lo = d.u()
-			e.D.Hi = d.u()
-		case BTF64:
-			e.F = fbits(d.u())
-		case BTStr:
-			n := d.u()
-			e.S = append([]byte(nil), d.bytes(n)...)
-		}
-	case BEPool:
-		e.Ty = d.ty()
-		e.Slot = d.code(ConstPoolSlots, "pool slot")
-	case BECol, BEBuildCol:
-		e.Ty = d.ty()
-		e.Base = d.u()
-		e.Elem = d.u()
-	case BEArith:
-		e.Ty = d.ty()
-		e.Op = uint8(d.code(uint64(BArithMul)+1, "arithmetic operator"))
-		e.L = d.expr(depth + 1)
-		e.R = d.expr(depth + 1)
-	case BECmp:
-		e.Ty = d.ty()
-		e.Op = uint8(d.code(uint64(BCmpGE)+1, "comparison"))
-		e.L = d.expr(depth + 1)
-		e.R = d.expr(depth + 1)
-	case BEBetween, BECase:
-		e.Ty = d.ty()
-		e.L = d.expr(depth + 1)
-		e.R = d.expr(depth + 1)
-		e.H = d.expr(depth + 1)
-	}
-	return e
-}
-
-func (d *bdec) keys() []BatchKey {
-	var keys []BatchKey
-	n := d.u()
-	for i := uint64(0); i < n && d.err == nil; i++ {
-		k := BatchKey{Off: int64(d.u()), Ty: d.ty()}
-		k.E = d.expr(0)
-		keys = append(keys, k)
-	}
-	return keys
-}
-
-// DecodeBatchSpec parses an encoded kernel program. It accepts exactly the
-// outputs of BatchSpec.Encode: every code is in range, a pool slot is below
-// ConstPoolSlots, a payload column is a column, and no bytes follow the spec.
-func DecodeBatchSpec(b []byte) (*BatchSpec, error) {
-	d := &bdec{b: b}
-	if d.u() != batchMagic {
-		return nil, fmt.Errorf("rt: batch descriptor: bad magic")
-	}
-	s := &BatchSpec{Sink: uint8(d.code(uint64(BatchSinkBuild)+1, "sink")), Width: d.u()}
-	if s.Sink == 0 {
-		d.fail("bad sink 0")
-	}
-	nf := d.u()
-	for i := uint64(0); i < nf && d.err == nil; i++ {
-		s.Filters = append(s.Filters, d.expr(0))
-	}
-	s.Probe = d.keys()
-	s.Keys = d.keys()
-	na := d.u()
-	for i := uint64(0); i < na && d.err == nil; i++ {
-		a := BatchAgg{Fn: uint8(d.code(uint64(BAggAvg)+1, "aggregate")), Ty: d.ty(), Off: int64(d.u()), COff: int64(d.u())}
-		if d.code(2, "argument flag") == 1 {
-			a.Arg = d.expr(0)
-		}
-		s.Aggs = append(s.Aggs, a)
-	}
-	np := d.u()
-	for i := uint64(0); i < np && d.err == nil; i++ {
-		p := BatchCol{Off: int64(d.u()), Src: d.expr(0)}
-		if p.Src != nil && p.Src.Kind != BECol && p.Src.Kind != BEBuildCol {
-			d.fail("payload of expression kind %d", p.Src.Kind)
-		}
-		s.Payload = append(s.Payload, p)
-	}
-	if d.err == nil && d.pos != len(d.b) {
-		d.fail("%d trailing bytes", len(d.b)-d.pos)
-	}
-	if d.err != nil {
-		return nil, d.err
-	}
-	return s, nil
-}
-
 // --------------------------------------------------------------------------
-// Kernel execution.
+// Kernel preparation.
 // --------------------------------------------------------------------------
 
-// batchProg is a prepared kernel: the decoded spec plus its flattened column
-// references for the per-call bounds checks.
+// batchProg is a prepared kernel: a copy of the spec with its literals bound,
+// plus its flattened column references for the per-call bounds checks.
 type batchProg struct {
 	spec *BatchSpec
 	// cols are the scanned table's column reads, checked over each morsel;
@@ -436,39 +225,44 @@ type batchProg struct {
 	bcols []*BatchExpr
 }
 
-func (db *DB) batchPrepare(desc []byte) (*batchProg, error) {
-	spec, err := DecodeBatchSpec(desc)
+// PrepareBatch readies a kernel program for one execution of its pipeline
+// and returns the handle batch_exec and batch_probe take. The kernel runs a
+// copy of spec in which every pool-slot literal is the constant its slot
+// holds now; spec itself is not changed, so one spec serves every execution
+// of a program. A spec that is not well formed is an error.
+func (db *DB) PrepareBatch(spec *BatchSpec) (uint64, error) {
+	bp, err := db.batchPrepare(spec)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
-	bp := &batchProg{spec: spec}
+	return db.newHandle(bp), nil
+}
+
+func (db *DB) batchPrepare(spec *BatchSpec) (*batchProg, error) {
+	if spec.Sink != BatchSinkAgg && spec.Sink != BatchSinkBuild {
+		return nil, fmt.Errorf("rt: batch: bad sink %d", spec.Sink)
+	}
+	s := &BatchSpec{Sink: spec.Sink, Width: spec.Width}
+	bp := &batchProg{spec: s}
 	probe := len(spec.Probe) > 0
 	for _, f := range spec.Filters {
-		if err := db.prepExpr(f, bp, false); err != nil {
+		e, err := db.prepExpr(f, bp, false, 0)
+		if err != nil {
 			return nil, err
 		}
+		s.Filters = append(s.Filters, e)
 	}
-	for _, keys := range [][]BatchKey{spec.Probe, spec.Keys} {
-		for _, k := range keys {
-			if k.E == nil || k.E.Kind != BECol && k.E.Kind != BEBuildCol || k.E.Ty != k.Ty {
-				return nil, fmt.Errorf("rt: batch: a key is not a column of its type")
-			}
-		}
+	var err error
+	if s.Probe, err = db.prepKeys(spec, spec.Probe, bp, false); err != nil {
+		return nil, err
 	}
-	for _, k := range spec.Probe {
-		if err := db.prepExpr(k.E, bp, false); err != nil {
-			return nil, err
-		}
-	}
-	for _, k := range spec.Keys {
-		if err := prepSlot(spec.Width, k.Off, k.Ty); err != nil {
-			return nil, err
-		}
-		if err := db.prepExpr(k.E, bp, probe); err != nil {
-			return nil, err
-		}
+	if s.Keys, err = db.prepKeys(spec, spec.Keys, bp, true); err != nil {
+		return nil, err
 	}
 	for _, a := range spec.Aggs {
+		if a.Fn > BAggAvg || a.Ty > BTStr {
+			return nil, fmt.Errorf("rt: batch: aggregate %d of type %d", a.Fn, a.Ty)
+		}
 		if err := prepSlot(spec.Width, a.Off, a.Ty); err != nil {
 			return nil, err
 		}
@@ -477,19 +271,55 @@ func (db *DB) batchPrepare(desc []byte) (*batchProg, error) {
 				return nil, err
 			}
 		}
-		if err := db.prepExpr(a.Arg, bp, probe); err != nil {
+		switch {
+		case a.Fn != BAggCount && a.Ty == BTStr:
+			return nil, fmt.Errorf("rt: batch: aggregate %d over strings", a.Fn)
+		case a.Fn != BAggCount:
+			a.Arg, err = db.prepOperand(a.Arg, a.Ty, bp, probe, 0)
+		case a.Arg != nil:
+			a.Arg, err = db.prepExpr(a.Arg, bp, probe, 0)
+		}
+		if err != nil {
 			return nil, err
 		}
+		s.Aggs = append(s.Aggs, a)
 	}
 	for _, p := range spec.Payload {
+		if p.Src == nil || p.Src.Kind != BECol && p.Src.Kind != BEBuildCol {
+			return nil, fmt.Errorf("rt: batch: a payload entry is not a column")
+		}
 		if p.Off < 0 || uint64(p.Off) > spec.Width || p.Src.Elem > spec.Width-uint64(p.Off) {
 			return nil, fmt.Errorf("rt: batch: payload slot %d outside the entry", p.Off)
 		}
-		if err := db.prepExpr(p.Src, bp, probe); err != nil {
+		if p.Src, err = db.prepExpr(p.Src, bp, probe, 0); err != nil {
 			return nil, err
 		}
+		s.Payload = append(s.Payload, p)
 	}
 	return bp, nil
+}
+
+// prepKeys prepares the probe keys or, with sink set, the group or join keys
+// of spec: each a column of its type, and a sink key inside its slot. Only a
+// probe kernel's sink keys may read the build side.
+func (db *DB) prepKeys(spec *BatchSpec, keys []BatchKey, bp *batchProg, sink bool) ([]BatchKey, error) {
+	var out []BatchKey
+	for _, k := range keys {
+		if k.E == nil || k.E.Kind != BECol && k.E.Kind != BEBuildCol || k.E.Ty != k.Ty {
+			return nil, fmt.Errorf("rt: batch: a key is not a column of its type")
+		}
+		if sink {
+			if err := prepSlot(spec.Width, k.Off, k.Ty); err != nil {
+				return nil, err
+			}
+		}
+		var err error
+		if k.E, err = db.prepExpr(k.E, bp, sink && len(spec.Probe) > 0, 0); err != nil {
+			return nil, err
+		}
+		out = append(out, k)
+	}
+	return out, nil
 }
 
 // prepSlot checks that a value of type ty at payload offset off lies inside
@@ -516,63 +346,118 @@ func colWidth(ty BatchType, elem uint64) bool {
 	return elem == 16
 }
 
-// prepExpr readies e for the kernel: every pool-slot node becomes the
-// constant its slot holds now, a short string constant gets its value's
-// words, and every column reference is checked and collected for the
-// per-call bounds checks. Build columns are allowed only in the sink of a
-// probe kernel (build is set).
-func (db *DB) prepExpr(e *BatchExpr, bp *batchProg, build bool) error {
+// prepExpr returns the kernel's copy of e, at the given depth of its tree:
+// every pool-slot node becomes the constant its slot holds now, a short
+// string constant gets its value's words, and every column reference is
+// checked and collected for the per-call bounds checks. Build columns are
+// allowed only in the sink of a probe kernel (build is set). A node of an
+// unknown kind, type or operator, a missing operand or one of another type
+// than its parent reads, a pool slot past the pool and a tree deeper than
+// BatchMaxDepth are errors.
+func (db *DB) prepExpr(e *BatchExpr, bp *batchProg, build bool, depth int) (*BatchExpr, error) {
 	if e == nil {
-		return nil
+		return nil, fmt.Errorf("rt: batch: missing operand")
 	}
+	if depth > BatchMaxDepth {
+		return nil, fmt.Errorf("rt: batch: expression deeper than %d", BatchMaxDepth)
+	}
+	if e.Kind > BECase || e.Ty > BTStr {
+		return nil, fmt.Errorf("rt: batch: expression kind %d of type %d", e.Kind, e.Ty)
+	}
+	c := &BatchExpr{Kind: e.Kind, Ty: e.Ty}
+	var err error
 	switch e.Kind {
-	case BECol:
-		if !colWidth(e.Ty, e.Elem) {
-			return fmt.Errorf("rt: batch: column of type %d and width %d", e.Ty, e.Elem)
-		}
-		bp.cols = append(bp.cols, e)
-	case BEBuildCol:
-		if !build {
-			return fmt.Errorf("rt: batch: build column outside a probe kernel's sink")
+	case BEConst:
+		c.I, c.D, c.F, c.S = e.I, e.D, e.F, e.S
+	case BECol, BEBuildCol:
+		if e.Kind == BEBuildCol && !build {
+			return nil, fmt.Errorf("rt: batch: build column outside a probe kernel's sink")
 		}
 		if !colWidth(e.Ty, e.Elem) {
-			return fmt.Errorf("rt: batch: build column of type %d and width %d", e.Ty, e.Elem)
+			return nil, fmt.Errorf("rt: batch: column of type %d and width %d", e.Ty, e.Elem)
 		}
-		bp.bcols = append(bp.bcols, e)
+		c.Base, c.Elem = e.Base, e.Elem
+		if e.Kind == BECol {
+			bp.cols = append(bp.cols, c)
+		} else {
+			bp.bcols = append(bp.bcols, c)
+		}
 	case BEPool:
+		if e.Slot >= ConstPoolSlots {
+			return nil, fmt.Errorf("rt: batch: pool slot %d past the pool", e.Slot)
+		}
 		addr := db.ConstPoolAddr(int(e.Slot))
 		lo, hi := le64(db.M.Mem[addr:]), le64(db.M.Mem[addr+8:])
-		*e = BatchExpr{Kind: BEConst, Ty: e.Ty}
+		c.Kind = BEConst
 		switch e.Ty {
 		case BTInt:
-			e.I = int64(lo)
+			c.I = int64(lo)
 		case BTI128:
-			e.D = I128{Lo: lo, Hi: hi}
+			c.D = I128{Lo: lo, Hi: hi}
 		case BTF64:
-			e.F = fbits(lo)
+			c.F = fbits(lo)
 		case BTStr:
 			var buf [16]byte
 			s, err := db.strBytes(lo, hi, &buf)
 			if err != nil {
-				return err
+				return nil, err
 			}
-			e.S = append([]byte(nil), s...)
+			c.S = append([]byte(nil), s...)
+		}
+	case BEArith, BECmp:
+		if e.Kind == BEArith && (e.Op > BArithMul || e.Ty == BTStr) || e.Kind == BECmp && e.Op > BCmpGE {
+			return nil, fmt.Errorf("rt: batch: operator %d of type %d", e.Op, e.Ty)
+		}
+		c.Op = e.Op
+		if c.L, err = db.prepOperand(e.L, e.Ty, bp, build, depth+1); err != nil {
+			return nil, err
+		}
+		if c.R, err = db.prepOperand(e.R, e.Ty, bp, build, depth+1); err != nil {
+			return nil, err
+		}
+	case BEBetween, BECase:
+		switch {
+		case e.Kind == BEBetween:
+			c.L, err = db.prepOperand(e.L, e.Ty, bp, build, depth+1)
+		case e.Ty == BTStr:
+			err = fmt.Errorf("rt: batch: case of strings")
+		default:
+			if c.L, err = db.prepExpr(e.L, bp, build, depth+1); err == nil && c.L.Kind != BECmp && c.L.Kind != BEBetween {
+				err = fmt.Errorf("rt: batch: case on a condition of kind %d", c.L.Kind)
+			}
+		}
+		if err != nil {
+			return nil, err
+		}
+		if c.R, err = db.prepOperand(e.R, e.Ty, bp, build, depth+1); err != nil {
+			return nil, err
+		}
+		if c.H, err = db.prepOperand(e.H, e.Ty, bp, build, depth+1); err != nil {
+			return nil, err
 		}
 	}
-	if e.Kind == BEConst && e.Ty == BTStr && len(e.S) <= 12 {
+	if c.Kind == BEConst && c.Ty == BTStr && len(c.S) <= 12 {
 		var b [16]byte
-		put32(b[:], uint32(len(e.S)))
-		copy(b[4:], e.S)
-		e.D = I128{Lo: le64(b[:8]), Hi: le64(b[8:])}
+		put32(b[:], uint32(len(c.S)))
+		copy(b[4:], c.S)
+		c.D = I128{Lo: le64(b[:8]), Hi: le64(b[8:])}
 	}
-	if err := db.prepExpr(e.L, bp, build); err != nil {
-		return err
-	}
-	if err := db.prepExpr(e.R, bp, build); err != nil {
-		return err
-	}
-	return db.prepExpr(e.H, bp, build)
+	return c, nil
 }
+
+// prepOperand is prepExpr of an operand the parent reads as a value of type
+// ty: an operand of another type is an error.
+func (db *DB) prepOperand(e *BatchExpr, ty BatchType, bp *batchProg, build bool, depth int) (*BatchExpr, error) {
+	c, err := db.prepExpr(e, bp, build, depth)
+	if err == nil && c.Ty != ty {
+		return nil, fmt.Errorf("rt: batch: operand of type %d where %d is read", c.Ty, ty)
+	}
+	return c, err
+}
+
+// --------------------------------------------------------------------------
+// Kernel execution.
+// --------------------------------------------------------------------------
 
 // scratch is a stack of reusable buffers of one element type: get hands out
 // the next buffer, grown to n, and the buffers return when the count is
@@ -981,8 +866,7 @@ var bCmps = [...]qir.Cmp{BCmpEQ: qir.CmpEQ, BCmpNE: qir.CmpNE, BCmpLT: qir.CmpSL
 
 // bTest returns the positions of rs, ascending, at which the boolean
 // condition e holds. Conditions are trap-free by construction (column and
-// constant operands only); an error here indicates a kernel or descriptor
-// bug.
+// constant operands only); an error here indicates a kernel or spec bug.
 func (db *DB) bTest(e *BatchExpr, rs bRows) ([]int, error) {
 	n := len(rs.row)
 	out := db.bscr.pos.get(n)[:0]
@@ -1072,7 +956,7 @@ func (db *DB) bTest(e *BatchExpr, rs bRows) ([]int, error) {
 }
 
 // strEqPos is bTest of a string equality or inequality. A string constant
-// stays raw in the descriptor (e.S): it has no 16-byte in-memory form, so it
+// stays raw in the spec (e.S): it has no 16-byte in-memory form, so it
 // bypasses bEval and is compared through strEqConst.
 func (db *DB) strEqPos(e *BatchExpr, rs bRows, out []int) ([]int, error) {
 	if e.Op != BCmpEQ && e.Op != BCmpNE {

@@ -41,11 +41,10 @@ const (
 	FnOverflow  = "throw_overflow"
 	FnHTEntry   = "ht_entry"
 
-	// Batch (vectorized) kernels: prepare decodes a serialized BatchSpec
-	// into a kernel program handle during pipeline setup; exec runs a scan
-	// kernel over one morsel against the pipeline's sink hash table, and
-	// probe runs a probe kernel, which also reads the probed join table.
-	FnBatchPrep  = "batch_prepare"
+	// Batch (vectorized) kernels, by the handle PrepareBatch returned: exec
+	// runs a scan kernel over one morsel against the pipeline's sink hash
+	// table, and probe runs a probe kernel, which also reads the probed join
+	// table.
 	FnBatchExec  = "batch_exec"
 	FnBatchProbe = "batch_probe"
 
@@ -282,20 +281,6 @@ func (db *DB) impl(name string) vm.RTFunc {
 		return func(m *vm.Machine) error {
 			return &vm.Trap{Code: vt.TrapOverflow}
 		}
-	case FnBatchPrep:
-		return func(m *vm.Machine) error {
-			var buf [16]byte
-			desc, err := db.strBytes(db.arg(0), db.arg(1), &buf)
-			if err != nil {
-				return err
-			}
-			bp, err := db.batchPrepare(desc)
-			if err != nil {
-				return err
-			}
-			db.ret(db.newHandle(bp))
-			return nil
-		}
 	case FnBatchExec, FnBatchProbe:
 		return func(m *vm.Machine) error {
 			bp, ok := db.handle(db.arg(0)).(*batchProg)
@@ -374,6 +359,16 @@ func (db *DB) ReadU64(addr uint64) (uint64, error) {
 		return 0, err
 	}
 	return le64(b), nil
+}
+
+// WriteU64 stores a little-endian uint64 at addr in machine memory.
+func (db *DB) WriteU64(addr, v uint64) error {
+	b, err := db.M.Bytes(addr, 8)
+	if err != nil {
+		return err
+	}
+	put64(b, v)
+	return nil
 }
 
 // Bind installs handlers for the given runtime-import name table (from a

@@ -10,7 +10,7 @@ import (
 	"qcc/internal/vt"
 )
 
-func newDB(t *testing.T) *DB {
+func newDB(t testing.TB) *DB {
 	t.Helper()
 	m := vm.New(vm.Config{Arch: vt.VX64, MemSize: 16 << 20})
 	return NewDB(m)

@@ -1,6 +1,7 @@
 package rt
 
 import (
+	"bytes"
 	"math"
 	"reflect"
 	"strings"
@@ -156,7 +157,7 @@ func TestWorkerSharesConstPool(t *testing.T) {
 			L: col, R: &BatchExpr{Kind: BEPool, Ty: w.Ty, Slot: uint64(i)}})
 	}
 	for _, rt := range []*DB{db, wdb} {
-		bp, err := rt.batchPrepare(spec.Encode())
+		bp, err := rt.batchPrepare(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -171,24 +172,31 @@ func TestWorkerSharesConstPool(t *testing.T) {
 	}
 }
 
-// TestBatchSpecRoundTrip encodes a descriptor exercising every expression
-// kind, value type, sink and aggregate and decodes it back unchanged.
-func TestBatchSpecRoundTrip(t *testing.T) {
+// TestPrepareBatchCopiesSpec prepares kernels with every expression kind,
+// value type, sink and aggregate: the kernel is the spec with each pool slot
+// bound to the value the slot holds, it shares no node with the spec, and the
+// spec is left as it was, so the next execution prepares from it again.
+func TestPrepareBatchCopiesSpec(t *testing.T) {
+	db := newDB(t)
+	pool := []qir.PoolConst{{Type: qir.I64, Lo: 7}, {Type: qir.Str, Str: "AIR"}, {Type: qir.F64, Lo: math.Float64bits(2.5)}}
+	if err := db.BindConstPool(pool); err != nil {
+		t.Fatal(err)
+	}
 	col := func(ty BatchType, base, elem uint64) *BatchExpr {
 		return &BatchExpr{Kind: BECol, Ty: ty, Base: base, Elem: elem}
 	}
-	spec := &BatchSpec{
+	agg := &BatchSpec{
 		Sink:  BatchSinkAgg,
-		Width: 64,
+		Width: 72,
 		Filters: []*BatchExpr{
-			{Kind: BECmp, Ty: BTInt, Op: BCmpLE, L: col(BTInt, 0x1000, 4), R: &BatchExpr{Kind: BEConst, Ty: BTInt, I: -42}},
+			{Kind: BECmp, Ty: BTInt, Op: BCmpLE, L: col(BTInt, 0x1000, 4), R: &BatchExpr{Kind: BEPool, Ty: BTInt, Slot: 0}},
 			{Kind: BEBetween, Ty: BTI128,
 				L: col(BTI128, 0x2000, 16),
 				R: &BatchExpr{Kind: BEConst, Ty: BTI128, D: I128{Lo: 5, Hi: 0}},
 				H: &BatchExpr{Kind: BEConst, Ty: BTI128, D: I128{Lo: ^uint64(0), Hi: ^uint64(0)}}},
 			{Kind: BECmp, Ty: BTF64, Op: BCmpGT,
 				L: col(BTF64, 0x3000, 8),
-				R: &BatchExpr{Kind: BEPool, Ty: BTF64, Slot: ConstPoolSlots - 1}},
+				R: &BatchExpr{Kind: BEPool, Ty: BTF64, Slot: 2}},
 			{Kind: BECmp, Ty: BTStr, Op: BCmpEQ,
 				L: col(BTStr, 0x4000, 16),
 				R: &BatchExpr{Kind: BEConst, Ty: BTStr, S: []byte("BUILDING")}},
@@ -209,18 +217,10 @@ func TestBatchSpecRoundTrip(t *testing.T) {
 				Arg: &BatchExpr{Kind: BEArith, Ty: BTInt, Op: BArithAdd,
 					L: col(BTInt, 0x1000, 8),
 					R: &BatchExpr{Kind: BEConst, Ty: BTInt, I: 7}}},
-			{Fn: BAggMin, Ty: BTF64, Off: 60, Arg: col(BTF64, 0x3000, 8)},
-			{Fn: BAggMax, Ty: BTInt, Off: 62, Arg: col(BTInt, 0x1000, 2)},
+			{Fn: BAggMin, Ty: BTF64, Off: 64, Arg: col(BTF64, 0x3000, 8)},
+			{Fn: BAggMax, Ty: BTInt, Off: 56, Arg: col(BTInt, 0x1000, 2)},
 		},
 	}
-	got, err := DecodeBatchSpec(spec.Encode())
-	if err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	if !reflect.DeepEqual(spec, got) {
-		t.Fatalf("round trip mismatch:\nenc: %+v\ndec: %+v", spec, got)
-	}
-
 	build := &BatchSpec{
 		Sink:  BatchSinkBuild,
 		Width: 32,
@@ -230,21 +230,32 @@ func TestBatchSpecRoundTrip(t *testing.T) {
 			{Off: 16, Src: col(BTStr, 0x300, 16)},
 		},
 	}
-	got, err = DecodeBatchSpec(build.Encode())
-	if err != nil {
-		t.Fatalf("decode build spec: %v", err)
-	}
-	if !reflect.DeepEqual(build, got) {
-		t.Fatalf("build spec round trip mismatch:\nenc: %+v\ndec: %+v", build, got)
-	}
-
-	probe := probeSpec()
-	got, err = DecodeBatchSpec(probe.Encode())
-	if err != nil {
-		t.Fatalf("decode probe spec: %v", err)
-	}
-	if !reflect.DeepEqual(probe, got) {
-		t.Fatalf("probe spec round trip mismatch:\nenc: %+v\ndec: %+v", probe, got)
+	for _, spec := range []*BatchSpec{agg, build, probeSpec()} {
+		before := specBytes(spec)
+		want := readSpec(before)
+		walkSpec(want, func(e *BatchExpr, _ int) {
+			if e.Kind == BEPool {
+				v := pool[e.Slot]
+				*e = BatchExpr{Kind: BEConst, Ty: e.Ty, I: int64(v.Lo), F: math.Float64frombits(v.Lo), S: []byte(v.Str)}
+			}
+		})
+		bp, err := db.batchPrepare(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := specBytes(bp.spec); !bytes.Equal(got, specBytes(want)) {
+			t.Errorf("sink %d: the kernel is not the spec with its pool slots bound:\n got %x\nwant %x", spec.Sink, got, specBytes(want))
+		}
+		if !bytes.Equal(specBytes(spec), before) {
+			t.Errorf("sink %d: preparing changed the spec", spec.Sink)
+		}
+		nodes := map[*BatchExpr]bool{}
+		walkSpec(spec, func(e *BatchExpr, _ int) { nodes[e] = true })
+		walkSpec(bp.spec, func(e *BatchExpr, _ int) {
+			if nodes[e] {
+				t.Errorf("sink %d: the kernel shares node %+v with the spec", spec.Sink, e)
+			}
+		})
 	}
 }
 
@@ -265,26 +276,5 @@ func probeSpec() *BatchSpec {
 					R: &BatchExpr{Kind: BEPool, Ty: BTStr, Slot: 1}},
 				R: &BatchExpr{Kind: BEConst, Ty: BTInt, I: 1},
 				H: bcol(BTInt, 8, 4)}}},
-	}
-}
-
-func TestDecodeBatchSpecRejectsGarbage(t *testing.T) {
-	if _, err := DecodeBatchSpec([]byte("not a descriptor")); err == nil {
-		t.Fatal("decoding garbage succeeded")
-	}
-	if _, err := DecodeBatchSpec(nil); err == nil {
-		t.Fatal("decoding empty descriptor succeeded")
-	}
-	// Truncation anywhere must error, not panic.
-	full := (&BatchSpec{
-		Sink:    BatchSinkAgg,
-		Width:   16,
-		Filters: []*BatchExpr{{Kind: BECmp, Ty: BTInt, Op: BCmpEQ, L: &BatchExpr{Kind: BECol, Ty: BTInt, Base: 8, Elem: 4}, R: &BatchExpr{Kind: BEConst, Ty: BTInt, I: 3}}},
-		Aggs:    []BatchAgg{{Fn: BAggCount, Ty: BTInt, Off: 0}},
-	}).Encode()
-	for n := 0; n < len(full); n++ {
-		if _, err := DecodeBatchSpec(full[:n]); err == nil {
-			t.Fatalf("decoding %d-byte prefix succeeded", n)
-		}
 	}
 }

@@ -216,21 +216,27 @@ func DecFromInt(v int64) Dec { return Dec(rt.I128FromInt64(v)) }
 
 // Stats summarizes one query's compilation and execution.
 type Stats struct {
-	Engine      string
+	Engine string
+	// CompileTime is the time from text to executable, on whatever path the
+	// statement took: parsing, planning, code generation and the back-end
+	// for a statement compiled now; scanning its text, binding its literals
+	// and the cache lookup for one bound from a statement shape the database
+	// has seen. It also holds what the adaptive engine compiles while the
+	// statement runs, time ExecTime holds too.
 	CompileTime time.Duration
-	ExecTime    time.Duration
-	Functions   int
-	CodeBytes   int
+	// ExecTime is the wall time of binding the constant pool and running the
+	// program. Row materialization and the heap release are in neither.
+	ExecTime  time.Duration
+	Functions int
+	CodeBytes int
 	// CacheHits and CacheMisses count this query's compiled-unit cache
 	// lookups (always zero unless Open got WithCacheMB).
 	CacheHits   int64
 	CacheMisses int64
 	// ProgramHit reports that the whole program came from the cache: the
 	// database had compiled this plan shape before, with other constants at
-	// most. CompileTime is then the time the lookup took (for a statement
-	// of a shape the database has seen, binding its text included: it is
-	// not parsed), Functions and CodeBytes describe the cached program,
-	// every function counts as a cache hit and Phases is empty.
+	// most. Functions and CodeBytes then describe the cached program, every
+	// function counts as a cache hit and Phases is empty.
 	ProgramHit bool
 	// Phases is the compile-time breakdown (phase name to duration).
 	Phases map[string]time.Duration
@@ -266,8 +272,7 @@ func (d *DB) ExecWith(engineName, query string) (*Result, error) {
 
 // run drives the query path's stages from a prepared program. CompileTime
 // is read after execution (the adaptive engine adds its run-time promotions
-// to it); ExecTime is the wall time of bind → run alone. Parsing, lowering,
-// row materialization and the heap release sit outside ExecTime.
+// to it); ExecTime is the wall time of bind → run alone.
 func (d *DB) run(eng backend.Engine, p *engine.Program, cols []string) (*Result, error) {
 	execTime, err := d.w.Run(p)
 	defer d.w.Release()

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"qcc/internal/obs"
 )
@@ -145,6 +146,57 @@ func TestShapeCacheHazards(t *testing.T) {
 		}
 		if strings.Contains(s.name, "pinned") && pinned.Load() == pinned0 {
 			t.Errorf("%s: declined without a pinned-literal mismatch", s.name)
+		}
+	}
+}
+
+// TestCompileTimeIsTextToExecutable: Stats.CompileTime is one quantity on
+// every path a statement takes — a compile, a shape hit, and a shape decline
+// that ends in a compile or in a program hit, with a cache and without. It
+// lies inside the latency the caller sees, beside ExecTime, and holds the
+// back-end phases it reports.
+func TestCompileTimeIsTextToExecutable(t *testing.T) {
+	q := func(lit string) string { return "SELECT COUNT(*), SUM(b) FROM t WHERE a < " + lit }
+	declines := obs.NewCounter("engine.shape_cache_declines")
+	for _, engine := range adhocEngines {
+		for _, cacheMB := range []int{64, 0} {
+			db, err := Open(WithCacheMB(cacheMB), WithMemoryMB(64), WithEngine(engine))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := shapeTable(db, 200, 200, 1); err != nil {
+				t.Fatal(err)
+			}
+			for _, s := range []struct{ name, lit string }{
+				{"miss", "5"}, {"shape hit", "6"},
+				{"decline, compiled", "5000000000"}, {"decline, program hit", "7"},
+			} {
+				declines0 := declines.Load()
+				start := time.Now()
+				res, err := db.Exec(q(s.lit))
+				lat := time.Since(start)
+				if err != nil {
+					t.Fatalf("%s %s: %v", engine, s.name, err)
+				}
+				st := res.Stats
+				var phases time.Duration
+				for _, d := range st.Phases {
+					phases += d
+				}
+				name := fmt.Sprintf("%s, cache %d MiB, %s", engine, cacheMB, s.name)
+				if st.CompileTime <= 0 || st.CompileTime+st.ExecTime > lat {
+					t.Errorf("%s: compile %v + exec %v, latency %v", name, st.CompileTime, st.ExecTime, lat)
+				}
+				if phases > st.CompileTime {
+					t.Errorf("%s: phases sum to %v, more than compile time %v", name, phases, st.CompileTime)
+				}
+				if hit := cacheMB > 0 && s.lit != "5" && s.lit != "5000000000"; st.ProgramHit != hit {
+					t.Errorf("%s: program hit %v, want %v", name, st.ProgramHit, hit)
+				}
+				if decline := cacheMB > 0 && strings.HasPrefix(s.name, "decline"); (declines.Load() > declines0) != decline {
+					t.Errorf("%s: shape-level decline %v, want %v", name, !decline, decline)
+				}
+			}
 		}
 	}
 }
