@@ -76,9 +76,10 @@
 #      statements run probe kernels at <= 1/8 and <= 1/100 of
 #      WithBatch(false)'s instructions with equal rows; single-table and
 #      q12-shaped statements that differ only in what their kernels compute
-#      miss no unit after the first, on those four engines, at 1 and 4
-#      workers, with the rows of an uncached database and the interpreter
-#      (TestNovelKernelShapesCompileNothing);
+#      are code hits after the first, which advance neither
+#      sa.functions_analyzed, pcc.cache_hits/misses nor vm_fuse_*, on those
+#      four engines, at 1 and 4 workers, with the rows of an uncached
+#      database and the interpreter (TestNovelKernelShapesCompileNothing);
 #      a sampler changes no row and no counter, and takes the number of
 #      samples its period and the instruction count bound; the SQL-join
 #      counters: the q3- and q12-shaped sql_adhoc statements run <= 0.5x the
@@ -96,8 +97,17 @@
 #      each statement-shape hazard — a table re-created, a literal that stops
 #      fitting, a pinned literal, another engine — must give the rows of an
 #      uncached database and hit, miss or decline as stated
-#      (TestShapeCacheHazards); then one-iteration smokes of BenchmarkFrontEnd
-#      and BenchmarkExecWarm, the two layers' one-command reproductions
+#      (TestShapeCacheHazards); each code-level hazard — another table,
+#      appended rows, a re-created table, a hoisted literal behind another
+#      number of kernel literals, literals kept inline, another engine,
+#      Check, ExecJobs — must give the rows of an uncached database and the
+#      interpreter on the four sql_adhoc engines at 1 and 4 workers and
+#      advance engine.code_cache_hits, engine.code_cache_misses or
+#      engine.code_cache_declines as stated (TestCodeCacheHazards); a plan
+#      whose code was evicted, or declined and compiled again, under its
+#      binding runs its own kernels on the new code
+#      (TestCodeReplacedUnderItsBindings); then one-iteration smokes of BenchmarkFrontEnd and BenchmarkExecWarm, the
+#      two layers' one-command reproductions
 #  17. the load-path gate: over every TPC-H and TPC-DS module of every
 #      compiling engine on both targets the fused view must digest to the
 #      committed values and vm_fuse_orig_instrs/vm_fuse_micro_ops advance by
@@ -255,10 +265,11 @@ go test ./internal/engine -run 'TestCounters' -count=1
 go test . -run 'TestCounters|TestNovelKernelShapesCompileNothing' -count=1
 go test ./internal/sql -run 'TestCountersSQLJoinPlans' -count=1
 
-echo "== 16. front-end and hit-path gate (one analysis per function, allocation budgets; nothing compiled on a warm program hit) =="
+echo "== 16. front-end and hit-path gate (one analysis per function, allocation budgets; nothing compiled on a warm program hit; shape and code hazards) =="
 go test ./internal/codegen -run 'TestOneAnalysisPerFunction' -count=1
 go test ./internal/codegen -run '^$' -bench FrontEnd -benchtime=1x -benchmem
-go test . -run 'TestWarmHitIsFlat|TestShapeCacheHazards' -count=1
+go test . -run 'TestWarmHitIsFlat|TestShapeCacheHazards|TestCodeCacheHazards' -count=1
+go test ./internal/engine -run 'TestCodeReplacedUnderItsBindings' -count=1
 go test . -run '^$' -bench ExecWarm -benchtime=1x
 
 echo "== 17. load-path gate (fused view golden, opcode census, fuse allocation budget, footprint estimate, fuzz smoke) =="

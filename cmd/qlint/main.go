@@ -101,7 +101,7 @@ func main() {
 				Eliminated: c.Elim.Unchecked,
 				Ratio:      c.Elim.Ratio(),
 				ByReason:   c.Elim.ByReason,
-				MaxLive:    c.Elim.MaxLive,
+				MaxLive:    c.MaxLive(),
 				AnalysisNs: c.Elim.AnalysisNs,
 			}
 			for _, f := range c.Elim.Findings {

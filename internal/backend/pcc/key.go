@@ -2,7 +2,6 @@ package pcc
 
 import (
 	"crypto/sha256"
-	"encoding/binary"
 	"sync"
 
 	"qcc/internal/qir"
@@ -29,74 +28,37 @@ import (
 // cross-module hits for soundness; the headline warm-run workload repeats
 // whole modules, where RTNames match exactly.
 //
-// The fields are serialized — every integer as eight little-endian bytes,
-// every string behind its length — into one pooled buffer and hashed in a
-// single call; a fully cached statement spends its compile time here.
+// The fields are serialized as qir.AppendFuncKey writes them — every integer
+// as eight little-endian bytes, every string behind its length — into one
+// pooled buffer and hashed in a single call; a fully cached statement spends
+// its compile time here.
 func unitKey(arch vt.Arch, variant string, mod *qir.Module, db *rt.DB, i int) string {
 	bp := keyBufs.Get().(*[]byte)
 	defer keyBufs.Put(bp)
-	buf := (*bp)[:0]
-	w64 := func(v uint64) { buf = binary.LittleEndian.AppendUint64(buf, v) }
-	ws := func(s string) {
-		w64(uint64(len(s)))
-		buf = append(buf, s...)
-	}
-	w64(uint64(arch))
-	ws(variant)
-
+	buf := qir.AppendKeyInt((*bp)[:0], uint64(arch))
+	buf = qir.AppendKeyString(buf, variant)
 	f := mod.Funcs[i]
-	ws(f.Name)
-	w64(uint64(len(f.Params)))
-	for _, t := range f.Params {
-		w64(uint64(t))
-	}
-	w64(uint64(f.Ret))
-	w64(uint64(len(f.Blocks)))
-	for b := range f.Blocks {
-		blk := &f.Blocks[b]
-		w64(uint64(len(blk.Preds)))
-		for _, p := range blk.Preds {
-			w64(uint64(uint32(p)))
-		}
-		w64(uint64(len(blk.List)))
-		for _, v := range blk.List {
-			w64(uint64(uint32(v)))
-		}
-	}
-	w64(uint64(len(f.Instrs)))
-	for v := range f.Instrs {
-		in := &f.Instrs[v]
-		w64(uint64(in.Op))
-		w64(uint64(in.Type))
-		w64(uint64(uint32(in.A)))
-		w64(uint64(uint32(in.B)))
-		w64(uint64(uint32(in.C)))
-		w64(uint64(in.Imm))
-		w64(uint64(in.Aux))
-		if in.Op == qir.OpConstStr {
+	buf = qir.AppendFuncKey(buf, f, func(k []byte, _ qir.Value, in *qir.Instr) (uint64, []byte) {
+		switch in.Op {
+		case qir.OpConstStr:
 			lo, hi := db.InternString(mod.Strings[in.Imm])
-			w64(lo)
-			w64(hi)
-		}
-		if in.Op == qir.OpConstPool {
+			k = qir.AppendKeyInt(qir.AppendKeyInt(k, lo), hi)
+		case qir.OpConstPool:
 			// The emitted unit bakes in the slot's machine address, not its
 			// value (bound at execution time) — hash exactly that. Same DB
 			// ⇒ same address ⇒ constant-only query variants share the unit;
 			// a different DB yields a different address and a sound miss.
-			w64(db.ConstPoolAddr(int(in.Imm)))
+			k = qir.AppendKeyInt(k, db.ConstPoolAddr(int(in.Imm)))
 		}
-	}
-	w64(uint64(len(f.Extra)))
-	for _, x := range f.Extra {
-		w64(uint64(uint32(x)))
-	}
-	w64(uint64(len(f.I128)))
+		return uint64(in.Imm), k
+	})
+	buf = qir.AppendKeyInt(buf, uint64(len(f.I128)))
 	for _, x := range f.I128 {
-		w64(x)
+		buf = qir.AppendKeyInt(buf, x)
 	}
-	w64(uint64(len(mod.RTNames)))
+	buf = qir.AppendKeyInt(buf, uint64(len(mod.RTNames)))
 	for _, n := range mod.RTNames {
-		ws(n)
+		buf = qir.AppendKeyString(buf, n)
 	}
 	*bp = buf
 	sum := sha256.Sum256(buf)

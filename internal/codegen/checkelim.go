@@ -42,12 +42,22 @@ type ElimStats struct {
 	// Findings holds the lint diagnostics the analysis produced as a side
 	// effect; generated code is expected to produce none.
 	Findings []sa.Finding
-	// MaxLive is the maximum register pressure over all functions.
-	MaxLive int
 	// AnalysisNs is wall time of the pass from its first analysis to its
-	// last mark: every analysis run, the literal rewrites between them,
-	// liveness and marking.
+	// last mark: every analysis run, the literal rewrites between them and
+	// marking.
 	AnalysisNs int64
+}
+
+// MaxLive returns the maximum register pressure over all functions: the
+// most SSA values live at once (qir.Func.MaxLiveValues). It is a property of
+// the final instruction order, so read it after Finish, when the pool loads
+// have moved to the entry blocks. Computed on demand: no compile needs it.
+func (c *Compiled) MaxLive() int {
+	n := 0
+	for _, f := range c.Module.Funcs {
+		n = max(n, f.MaxLiveValues(f.LivenessAnalysis()))
+	}
+	return n
 }
 
 // Ratio returns the eliminated fraction of static memory checks.
@@ -58,9 +68,10 @@ func (s ElimStats) Ratio() float64 {
 	return float64(s.Unchecked) / float64(s.MemOps)
 }
 
-// moduleRegions collects the absolute valid regions the catalog guarantees
-// for the whole query: every column array of every loaded table.
-func moduleRegions(cat *rt.Catalog) []sa.Region {
+// Regions collects the absolute valid regions the catalog guarantees for the
+// whole query: every column array of every loaded table. The analysis reads
+// them as a set; their order is the catalog map's.
+func Regions(cat *rt.Catalog) []sa.Region {
 	if cat == nil {
 		return nil
 	}
@@ -159,7 +170,7 @@ func (c *Compiler) hoistAndEliminate(cat *rt.Catalog) {
 	var regions []sa.Region
 	if c.opts.Elim {
 		elim.ByReason = map[string]int{}
-		regions = moduleRegions(cat)
+		regions = Regions(cat)
 	}
 	var a sa.Analysis
 	for fi, f := range c.mod.Funcs {
@@ -205,11 +216,6 @@ func (c *Compiler) hoistAndEliminate(cat *rt.Catalog) {
 			}
 		}
 		elim.Findings = append(elim.Findings, finds...)
-		// Register pressure is a property of the final instruction order, so
-		// it is measured after the pool loads moved to the entry block.
-		if live := f.MaxLiveValues(f.LivenessAnalysis()); live > elim.MaxLive {
-			elim.MaxLive = live
-		}
 	}
 	if c.opts.Hoist {
 		hoist.PoolSlots = len(c.mod.Pool)
@@ -234,7 +240,7 @@ func (c *Compiler) hoistAndEliminate(cat *rt.Catalog) {
 // check-elimination pass used — for linters and verifiers that want the raw
 // findings and statistics rather than the rewrite.
 func (c *Compiled) Analyses(cat *rt.Catalog) []*sa.Analysis {
-	regions := moduleRegions(cat)
+	regions := Regions(cat)
 	out := make([]*sa.Analysis, len(c.Module.Funcs))
 	for fi, f := range c.Module.Funcs {
 		obsFuncsAnalyzed.Inc()

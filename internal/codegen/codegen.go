@@ -154,6 +154,10 @@ type Compiler struct {
 	// holds, in step, the plan literal each candidate was emitted for.
 	hoistCands map[*qir.Func][]qir.Value
 	hoistLits  map[*qir.Func][]plan.Expr
+	// ncands counts the candidates poolLiterals has seen, and slotCands
+	// gives, per slot it allocated, the ordinal of that slot's candidate.
+	ncands    int32
+	slotCands []int32
 }
 
 // PoolConstOf returns the constant-pool form of a plan literal: a ConstInt,
@@ -213,8 +217,21 @@ func Compile(name string, root plan.Node, cat *rt.Catalog) (*Compiled, error) {
 	return CompileOpts(name, root, cat, Options{Elim: true, Hoist: true})
 }
 
-// CompileOpts is Compile with full strategy control.
+// CompileOpts is Compile with full strategy control: Generate, then Finish.
 func CompileOpts(name string, root plan.Node, cat *rt.Catalog, opts Options) (*Compiled, error) {
+	c, err := Generate(name, root, cat, opts)
+	if err != nil {
+		return nil, err
+	}
+	return c.Finish()
+}
+
+// Generate is the first half of CompileOpts: it validates the plan and
+// produces its code as the generator emits it — every literal an inline
+// constant, no access marked unchecked — with the pipelines, their kernel
+// programs and the pool slots of the literals the kernels read. Generated
+// returns that output; Finish completes it.
+func Generate(name string, root plan.Node, cat *rt.Catalog, opts Options) (*Compiler, error) {
 	if err := plan.Validate(root); err != nil {
 		return nil, err
 	}
@@ -233,14 +250,44 @@ func CompileOpts(name string, root plan.Node, cat *rt.Catalog, opts Options) (*C
 		c.out.StateSize = 8
 	}
 	c.out.NumFuncs = len(c.mod.Funcs)
-	if opts.Hoist || opts.Elim {
-		c.hoistAndEliminate(cat)
+	return c, nil
+}
+
+// Finish is the second half of CompileOpts: constant hoisting and check
+// elimination over every function (hoistAndEliminate), then the module
+// verifier. It runs once, after Generate.
+func (c *Compiler) Finish() (*Compiled, error) {
+	if c.opts.Hoist || c.opts.Elim {
+		c.hoistAndEliminate(c.cat)
 	}
 	if err := c.mod.VerifyModule(); err != nil {
 		return nil, fmt.Errorf("codegen: generated invalid IR: %w", err)
 	}
 	return c.out, nil
 }
+
+// Generated returns the compilation's output: the generated code after
+// Generate, the finished code after Finish.
+func (c *Compiler) Generated() *Compiled { return c.out }
+
+// Candidates returns the hoisting candidates of f, the values of the
+// literals it emitted for the plan, in emission order.
+func (c *Compiler) Candidates(f *qir.Func) []qir.Value { return c.hoistCands[f] }
+
+// CandidateLits appends the plan literal of every hoisting candidate to
+// lits, function by function in module order and in emission order within
+// a function: the order SlotCands numbers candidates in.
+func (c *Compiler) CandidateLits(lits []plan.Expr) []plan.Expr {
+	for _, f := range c.mod.Funcs {
+		lits = append(lits, c.hoistLits[f]...)
+	}
+	return lits
+}
+
+// SlotCands lists, after Finish, for each pool slot hoisting added (they
+// follow the kernels' slots) the ordinal of the candidate it holds among
+// CandidateLits.
+func (c *Compiler) SlotCands() []int32 { return c.slotCands }
 
 // allocState reserves size bytes (8-aligned) in the query state struct.
 func (c *Compiler) allocState(size int64) int64 {

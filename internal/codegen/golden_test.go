@@ -121,7 +121,11 @@ func digestCompiled(c *codegen.Compiled) string {
 		reasons = append(reasons, fmt.Sprintf("%s=%d", r, n))
 	}
 	sort.Strings(reasons)
-	fmt.Fprintln(h, "elim", e.Enabled, e.MemOps, e.Unchecked, reasons, e.MaxLive)
+	maxLive := 0 // measured by the pass only when it eliminates
+	if e.Enabled {
+		maxLive = c.MaxLive()
+	}
+	fmt.Fprintln(h, "elim", e.Enabled, e.MemOps, e.Unchecked, reasons, maxLive)
 	for _, f := range e.Findings {
 		fmt.Fprintln(h, "finding", f.String())
 	}

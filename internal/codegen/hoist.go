@@ -44,10 +44,13 @@ func (c *Compiler) poolLiterals(f *qir.Func, cands, pool []qir.Value, stats *Hoi
 	lits := c.hoistLits[f]
 	all := true
 	for i, v := range cands {
+		ord := c.ncands
+		c.ncands++
 		// pool is a subsequence of cands, so one cursor finds its members.
 		if len(pool) > 0 && pool[0] == v {
 			pool = pool[1:]
 			if c.rewriteToPool(f, v, lits[i]) {
+				c.slotCands = append(c.slotCands, ord)
 				stats.Hoisted++
 				f.Prov.Hoisted++
 				continue

@@ -65,7 +65,16 @@ type World struct {
 	// the program key a shape binds to.
 	skey, pkey []byte
 	lits       []sql.Lit
-	mark       uint64 // heap position Release unwinds to, set by Run
+	// The code level's buffers: the encoded code and its key, the pointer
+	// facts of a function, and a plan's candidate and pool-slot literals;
+	// and the catalog digest with the tables it was computed from.
+	cbuf, ckey      []byte
+	factVals        []qir.Value
+	cands, poolLits []plan.Expr
+	catSum          []byte
+	catTables       []catTable
+	codeIDs         uint64 // the last code entry's id
+	mark            uint64 // heap position Release unwinds to, set by Run
 }
 
 // NewWorld creates an empty database on a machine of o.MemMB MiB.
@@ -194,8 +203,14 @@ type Program struct {
 	Pool []qir.PoolConst
 	// Hit reports that Prepare served the program from the cache.
 	Hit bool
-	// entry is the cache entry that holds Compiled and Exec, if one does.
-	entry *cachedProgram
+	// CodeHit reports that Prepare generated the plan's code and served its
+	// finished code and executable from the cache's code level: the plan
+	// was new to the cache, its code was not.
+	CodeHit bool
+	// bind is the plan's binding in the cache and code the code that holds
+	// Compiled and Exec, if the cache holds them.
+	bind *cachedProgram
+	code *codeEntry
 	// How long preparing took — PrepareSQL's whole call, or Prepare's on a
 	// hit — and what Stats.Total read then.
 	prepare, compiled0 time.Duration
@@ -204,9 +219,10 @@ type Program struct {
 // CompileTime is what compiling cost this execution; read it after running.
 // For a program from PrepareSQL it is the time from text to executable on
 // whatever path the statement took — parse, plan, Lower and the back-end on a
-// miss; scan, bind and lookup on a shape hit — plus whatever the program's
-// back-end compiled since (the adaptive engine's run-time promotions). For a
-// plan Prepare served from the cache it is the lookup plus those; for any
+// miss; parse, plan, code generation and the code key on a code hit; scan,
+// bind and lookup on a shape hit — plus whatever the program's back-end
+// compiled since (the adaptive engine's run-time promotions). For a plan
+// Prepare served from the cache it is Prepare's own time plus those; for any
 // other plan, the back-end's total.
 func (p *Program) CompileTime() time.Duration {
 	return p.prepare + p.Stats.Total - p.compiled0
@@ -298,9 +314,10 @@ func (w *World) Run(p *Program) (time.Duration, error) {
 	}
 	d := time.Since(start)
 	sp.End()
-	if p.entry != nil {
-		// Executing grows an executable (cachedProgram.footprint).
-		w.cache.ChargeProgram(p.entry.key, p.entry, p.entry.footprint())
+	// Executing grows an executable (codeEntry.footprint): charge the code
+	// that holds it again.
+	if c := p.code; c != nil {
+		w.cache.ChargeProgram(c.key, c, c.footprint())
 	}
 	return d, err
 }

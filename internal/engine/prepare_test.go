@@ -393,28 +393,29 @@ func TestProgramCacheMustMiss(t *testing.T) {
 			t.Fatal(err)
 		}
 		vals := litValues(nil, fp.Lits)
-		if ent := newCachedProgram(p, &fp, vals, w.DB); ent == nil || len(ent.pinned) != 0 {
+		c, code := p.Compiled, newCodeEntry(p, w.DB)
+		if ent, _ := bindPlan(code, c.PoolLits, c.InlineLits, c.Module.Pool, &fp, vals, w.DB); ent == nil || len(ent.pinned) != 0 {
 			t.Fatalf("q6 as generated: entry %+v, want one with nothing pinned", ent)
 		}
-		bearing := p.Compiled.PoolLits[2]
-		p.Compiled.InlineLits = append(p.Compiled.InlineLits, bearing)
-		ent := newCachedProgram(p, &fp, vals, w.DB)
+		bearing := c.PoolLits[2]
+		c.InlineLits = append(c.InlineLits, bearing)
+		ent, _ := bindPlan(code, c.PoolLits, c.InlineLits, c.Module.Pool, &fp, vals, w.DB)
 		if ent == nil || len(ent.pinned) != 1 {
 			t.Fatalf("entry %+v, want one pinned literal", ent)
 		}
-		if _, ok := ent.poolFor(vals, w.DB); !ok {
+		if _, ok := ent.poolFor(code, vals, w.DB); !ok {
 			t.Error("the entry does not serve its own plan")
 		}
 		lits := append([]plan.Expr(nil), fp.Lits...)
 		ord, _ := fp.Ordinal(bearing)
 		lits[ord] = &plan.ConstDec{V: rt.I128FromInt64(99)}
-		if _, ok := ent.poolFor(litValues(nil, lits), w.DB); ok {
+		if _, ok := ent.poolFor(code, litValues(nil, lits), w.DB); ok {
 			t.Error("the entry serves a plan with another value for the literal it has compiled in")
 		}
 		lits[ord] = fp.Lits[ord]
 		other := (ord + 1) % len(lits)
 		lits[other] = &plan.ConstDec{V: rt.I128FromInt64(99)}
-		if _, ok := ent.poolFor(litValues(nil, lits), w.DB); !ok {
+		if _, ok := ent.poolFor(code, litValues(nil, lits), w.DB); !ok {
 			t.Error("the entry refuses a plan that differs in a pooled literal only")
 		}
 	})
@@ -503,13 +504,85 @@ func TestProgramCacheMustMiss(t *testing.T) {
 	}
 }
 
+// TestCodeReplacedUnderItsBindings: plans A and B generate the same code and
+// differ in their kernels. A's code leaves the cache while A's binding stays,
+// and B compiles the code again under the same code key: once because the
+// LRU evicted A's code (charging it the whole budget evicts it and what is
+// older, not the binding stored after it), once because a baked string
+// moved and the code level declined B. A then runs with its own kernels,
+// bound to the new code. Rows are checked against an uncached world.
+func TestCodeReplacedUnderItsBindings(t *testing.T) {
+	const (
+		a = "SELECT COUNT(*), SUM(l_quantity) FROM lineitem WHERE l_quantity < 10"
+		b = "SELECT COUNT(*), SUM(l_quantity) FROM lineitem WHERE l_discount > 0.05"
+	)
+	for _, name := range []string{"directemit", "cranelift", "llvm-opt", "gcc"} {
+		for _, how := range []string{"evicted", "declined"} {
+			w, ref, eng := loaded(t, Options{CacheMB: 64, Batch: true}), loaded(t, Options{Batch: true}), Backend(name)
+			step := func(what, q string, want func(p *Program) bool) *Program {
+				t.Helper()
+				node, err := w.Parse(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				declines := obsCodeDeclines.Load()
+				p, err := w.Prepare(eng, "q", node)
+				if err != nil {
+					t.Fatalf("%s, %s, %s: %v", name, how, what, err)
+				}
+				if !want(p) {
+					t.Errorf("%s, %s, %s: program hit %v, code hit %v, %d code declines",
+						name, how, what, p.Hit, p.CodeHit, obsCodeDeclines.Load()-declines)
+				}
+				if _, err := w.Run(p); err != nil {
+					t.Fatalf("%s, %s, %s: %v", name, how, what, err)
+				}
+				got := w.DB.Out.Canonical()
+				w.Release()
+				if o := execSQL(t, ref, eng, q); !reflect.DeepEqual(got, o.rows) {
+					t.Errorf("%s, %s, %s: rows %v, uncached %v", name, how, what, got, o.rows)
+				}
+				return p
+			}
+			compiled := func(p *Program) bool { return !p.Hit && !p.CodeHit }
+			code := step("A compiles", a, compiled).code
+			bkey := string(append([]byte(nil), w.fp.Key...))
+			switch how {
+			case "evicted":
+				w.cache.ChargeProgram(code.key, code, int64(w.CacheMB)<<20)
+				if _, ok := w.cache.GetProgram([]byte(code.key)); ok {
+					t.Fatalf("%s: A's code was not evicted", name)
+				}
+				step("B compiles A's code again", b, compiled)
+			case "declined":
+				code.strs = append(code.strs, bakedString{s: "a string interned elsewhere"})
+				d0 := obsCodeDeclines.Load()
+				step("B compiles A's code again", b, func(p *Program) bool { return compiled(p) && obsCodeDeclines.Load() == d0+1 })
+			}
+			if _, ok := w.cache.GetProgram([]byte(bkey)); !ok {
+				t.Fatalf("%s, %s: A's binding left the cache", name, how)
+			}
+			step("A again", a, func(p *Program) bool { return p.CodeHit })
+			step("A's variant", strings.Replace(a, "< 10", "< 20", 1), func(p *Program) bool { return p.Hit })
+		}
+	}
+}
+
 // TestProgramCacheBudget stores 2 000 distinct plan shapes in a 1 MiB cache:
 // entries are evicted, what the cache charges stays inside the budget, and the
 // Go heap the world holds on to stays within heapPerBudget times the budget:
-// the charge (cachedProgram.footprint, Unit.Bytes) is an account of backing
-// arrays, and the allocator's size classes and spans in use but not full, the
-// units' relocation tables and the map and list nodes come on top (measured:
-// 2.0 to 2.9 times).
+// the charge (cachedProgram.footprint, codeEntry.footprint, Unit.Bytes) is an
+// account of backing arrays, and the allocator's size classes and spans in
+// use but not full, the units' relocation tables and the map and list nodes
+// come on top (measured: 2.0 to 2.9 times).
+//
+// With batch kernels, shapes that differ in their filters only differ in
+// their kernels, and their plans share code: four in a row share one code
+// entry, and the next four another, of 186 output layouts in turn. A binding
+// is charged for what it adds and the spans it keeps in use, and its code
+// once, on its own; code the cache did not charge would grow the heap past
+// the bound (measured: 3.2 to 3.5 times; the parent of the code level, which
+// compiled every one of these statements, 2.5 to 2.8 times).
 func TestProgramCacheBudget(t *testing.T) {
 	const (
 		budgetMB      = 1
@@ -518,48 +591,76 @@ func TestProgramCacheBudget(t *testing.T) {
 	)
 	cols := []string{"l_quantity", "l_discount", "l_tax", "l_extendedprice", "l_shipdate"}
 	ops := []string{"<", "<=", ">", ">="}
-	shape := func(i int) string {
+	filter := func(i int) string {
 		var preds []string
 		for k := 0; k < 3; k++ {
 			d := i % (len(cols) * len(ops))
 			i /= len(cols) * len(ops)
 			preds = append(preds, fmt.Sprintf("%s %s %d", cols[d%len(cols)], ops[d/len(cols)], 10+k))
 		}
-		return "SELECT COUNT(*) FROM lineitem WHERE " + strings.Join(preds, " AND ")
+		return " FROM lineitem WHERE " + strings.Join(preds, " AND ")
+	}
+	tuple := func(i int) string { return "SELECT COUNT(*)" + filter(i) }
+	aggs := []string{"COUNT(*)", "SUM(l_quantity)", "MIN(l_tax)", "MAX(l_shipdate)", "SUM(l_extendedprice)"}
+	keys := []string{"", "l_returnflag", "l_linestatus", "l_shipmode", "l_returnflag, l_linestatus", "l_shipmode, l_returnflag"}
+	shared := func(i int) string {
+		layout := i / 4 % (31 * len(keys))
+		var items []string
+		for a := range aggs {
+			if (1+layout%31)&(1<<a) != 0 {
+				items = append(items, aggs[a])
+			}
+		}
+		if k := keys[layout/31]; k != "" {
+			return "SELECT " + k + ", " + strings.Join(items, ", ") + filter(i) + " GROUP BY " + k
+		}
+		return "SELECT " + strings.Join(items, ", ") + filter(i)
 	}
 	// An executable that is a vm module, one that is not, and one that grows
-	// a second module while cached.
-	for _, name := range []string{"directemit", "interpreter", "adaptive"} {
-		t.Run(name, func(t *testing.T) {
-			w, eng := loaded(t, Options{CacheMB: budgetMB}), Backend(name)
-			execSQL(t, w, eng, shape(0)) // everything lazily built exists before the baseline
-			heap := func() uint64 {
+	// a second module while cached; and plans that share their code.
+	for _, c := range []struct {
+		name, engine string
+		batch        bool
+		shape        func(int) string
+	}{{"directemit", "directemit", false, tuple}, {"interpreter", "interpreter", false, tuple},
+		{"adaptive", "adaptive", false, tuple}, {"shared code", "directemit", true, shared}} {
+		t.Run(c.name, func(t *testing.T) {
+			w, eng := loaded(t, Options{CacheMB: budgetMB, Batch: c.batch}), Backend(c.engine)
+			execSQL(t, w, eng, c.shape(0)) // everything lazily built exists before the baseline
+			heap := func() runtime.MemStats {
 				runtime.GC()
 				var ms runtime.MemStats
 				runtime.ReadMemStats(&ms)
-				return ms.HeapInuse
+				return ms
 			}
 			evictions := obs.NewCounter("engine.program_cache_evictions") // counted in pcc
 			before, evicted0 := heap(), evictions.Load()
+			// Each program miss stores a binding, each code miss its code.
+			stored0, codeHits0 := obsProgramMisses.Load()+obsCodeMisses.Load(), obsCodeHits.Load()
 			for i := 0; i < shapes; i++ {
-				if o := execSQL(t, w, eng, shape(i)); o.err != "" {
+				if o := execSQL(t, w, eng, c.shape(i)); o.err != "" {
 					t.Fatal(o.err)
 				}
 			}
 			after, evicted := heap(), evictions.Load()-evicted0
+			stored, codeHits := obsProgramMisses.Load()+obsCodeMisses.Load()-stored0, obsCodeHits.Load()-codeHits0
 			cache := w.cache
-			t.Logf("%d entries charged %d KiB; %d programs evicted; heap in use grew %d KiB",
-				cache.Len(), cache.SizeBytes()>>10, evicted, (int64(after)-int64(before))>>10)
-			if evicted == 0 || evicted >= shapes {
-				t.Errorf("%d of %d programs evicted", evicted, shapes)
+			inuse, live := int64(after.HeapInuse)-int64(before.HeapInuse), int64(after.HeapAlloc)-int64(before.HeapAlloc)
+			t.Logf("%d entries charged %d KiB; %d of %d entries evicted; %d code hits; heap in use grew %d KiB, live heap %d KiB",
+				cache.Len(), cache.SizeBytes()>>10, evicted, stored, codeHits, inuse>>10, live>>10)
+			if evicted == 0 || evicted >= stored {
+				t.Errorf("%d of %d entries evicted", evicted, stored)
 			}
 			if cache.SizeBytes() > budgetMB<<20 {
 				t.Errorf("cache charges %d bytes, budget %d", cache.SizeBytes(), budgetMB<<20)
 			}
-			if grown := int64(after) - int64(before); grown > heapPerBudget*budgetMB<<20 {
-				t.Errorf("heap in use grew by %d bytes, more than %d times the %d MiB budget", grown, heapPerBudget, budgetMB)
+			if c.batch && codeHits < shapes/2 {
+				t.Errorf("%d code hits over %d shapes, four in a row of one code", codeHits, shapes)
 			}
-			if !execSQL(t, w, eng, shape(shapes-1)).hit {
+			if inuse > heapPerBudget*budgetMB<<20 {
+				t.Errorf("heap in use grew by %d bytes, more than %d times the %d MiB budget", inuse, heapPerBudget, budgetMB)
+			}
+			if !execSQL(t, w, eng, c.shape(shapes-1)).hit {
 				t.Error("the most recent shape is no longer cached")
 			}
 			runtime.KeepAlive(w)
@@ -582,29 +683,31 @@ func TestProgramCacheChargeFollowsExec(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cache, ent := w.cache, p.entry
-		if ent == nil {
-			t.Fatalf("%s: the compiled program was not cached", name)
+		cache, bind, code := w.cache, p.bind, p.code
+		if bind == nil || code == nil || code.key == "" {
+			t.Fatalf("%s: the compiled program was not cached at both levels", name)
 		}
-		units := cache.SizeBytes() - ent.footprint()
-		stored := ent.footprint()
+		// The binding and its code, which holds the executable.
+		held := func() int64 { return bind.footprint() + code.footprint() }
+		units := cache.SizeBytes() - held()
+		stored := held()
 		for i := 0; i < 2; i++ { // a compiled program's run, then a hit's
 			if _, err := w.Run(p); err != nil {
 				t.Fatal(err)
 			}
 			w.Release()
-			if got := cache.SizeBytes() - units; got != ent.footprint() {
-				t.Errorf("%s, run %d: the entry is charged %d bytes and holds %d", name, i, got, ent.footprint())
+			if got := cache.SizeBytes() - units; got != held() {
+				t.Errorf("%s, run %d: the entry is charged %d bytes and holds %d", name, i, got, held())
 			}
 			if p, err = w.Prepare(eng, "q", node); err != nil || !p.Hit {
 				t.Fatalf("%s: hit=%v err=%v", name, p.Hit, err)
 			}
 		}
-		if name == "adaptive" && (p.Stats.Counters["tier_promotions"] == 0 || ent.footprint() <= stored) {
+		if name == "adaptive" && (p.Stats.Counters["tier_promotions"] == 0 || held() <= stored) {
 			t.Errorf("adaptive: %d promotions, footprint %d stored and %d now; want a second module charged",
-				p.Stats.Counters["tier_promotions"], stored, ent.footprint())
+				p.Stats.Counters["tier_promotions"], stored, held())
 		}
-		t.Logf("%s: charged %d bytes when stored, %d after running", name, stored, ent.footprint())
+		t.Logf("%s: charged %d bytes when stored, %d after running", name, stored, held())
 	}
 }
 

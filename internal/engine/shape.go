@@ -36,8 +36,7 @@ var (
 	obsShapeDeclines = obs.NewCounter("engine.shape_cache_declines")
 )
 
-// shapeTag begins every shape key. A program key begins with the length of
-// an engine's name, which is never 0, so the two kinds of key never meet.
+// shapeTag begins every shape key (see codeTag).
 const shapeTag = 0
 
 // shapeEntry is what the cache keeps for one statement shape.
@@ -104,7 +103,7 @@ func (w *World) prepareSQL(eng backend.Engine, name, query string) (*Program, []
 		return nil, nil, err
 	}
 	cols := columns(node)
-	if kerr == nil && shape != nil && p.entry != nil {
+	if kerr == nil && shape != nil && p.bind != nil {
 		if ent := w.newShapeEntry(shape, cols, len(lits)); ent != nil {
 			ent.key = string(key)
 			w.cache.PutProgram(ent.key, ent, ent.footprint())

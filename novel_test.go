@@ -38,14 +38,22 @@ var novelProbeStatements = []string{
 
 // TestNovelKernelShapesCompileNothing: a batch kernel is data beside the
 // code, so statements that differ only in what their kernels compute compile
-// to the same functions. On a database with a code cache, each statement
-// after the first is a program miss whose every unit is a cache hit, on each
-// engine of the benchmark's sql_adhoc workload, sequentially and at 4
-// workers, for scan kernels and probe kernels; and its rows are those of a
-// database without a cache and of the interpreter.
+// to the same code. On a database with a code cache, each statement after
+// the first is a program miss served from the code level: a code hit that
+// analyses no function, looks up no unit and fuses no module, and reports
+// every unit a cache hit. That holds on each engine of the benchmark's
+// sql_adhoc workload, sequentially and at 4 workers, for scan kernels and
+// probe kernels; and the rows are those of a database without a cache and of
+// the interpreter.
 func TestNovelKernelShapesCompileNothing(t *testing.T) {
 	kernelCalls := obs.NewCounter("rt_batch_kernel_calls")
 	probeCalls := obs.NewCounter("rt_batch_probe_calls")
+	codeHits := obs.NewCounter("engine.code_cache_hits")
+	var still []*obs.Counter // what a code hit must not advance
+	for _, name := range []string{"sa.functions_analyzed", "pcc.cache_hits", "pcc.cache_misses",
+		"vm_fuse_modules", "vm_fuse_orig_instrs", "vm_fuse_micro_ops"} {
+		still = append(still, obs.NewCounter(name))
+	}
 	interp := openTPCH(t, 0.01, WithEngine("interpreter"))
 	for _, jobs := range []int{1, 4} {
 		for _, engine := range adhocEngines {
@@ -58,10 +66,24 @@ func TestNovelKernelShapesCompileNothing(t *testing.T) {
 				}
 				for i, q := range stmts {
 					name := fmt.Sprintf("%s at %d workers, %q", engine, jobs, q)
-					calls0, probes0 := kernelCalls.Load(), probeCalls.Load()
+					calls0, probes0, codeHits0 := kernelCalls.Load(), probeCalls.Load(), codeHits.Load()
+					still0 := make([]int64, len(still))
+					for k, c := range still {
+						still0[k] = c.Load()
+					}
 					res, got, _ := execCounted(t, cached, q)
 					if kernelCalls.Load() == calls0 || probe && probeCalls.Load() == probes0 {
 						t.Errorf("%s: ran no batch kernel of its kind", name)
+					}
+					if i > 0 {
+						if codeHits.Load() == codeHits0 {
+							t.Errorf("%s: not a code hit", name)
+						}
+						for k, c := range still {
+							if d := c.Load() - still0[k]; d != 0 {
+								t.Errorf("%s: %s advanced by %d", name, c.Name(), d)
+							}
+						}
 					}
 					_, want, _ := execCounted(t, plain, q)
 					_, ref, _ := execCounted(t, interp, q)

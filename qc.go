@@ -236,7 +236,10 @@ type Stats struct {
 	// ProgramHit reports that the whole program came from the cache: the
 	// database had compiled this plan shape before, with other constants at
 	// most. Functions and CodeBytes then describe the cached program, every
-	// function counts as a cache hit and Phases is empty.
+	// function counts as a cache hit and Phases is empty. A statement of a
+	// new shape whose generated code the database has compiled before is not
+	// a program hit, but is reported as one in all else: its code was
+	// served from the cache, nothing was compiled.
 	ProgramHit bool
 	// Phases is the compile-time breakdown (phase name to duration).
 	Phases map[string]time.Duration
@@ -292,7 +295,8 @@ func (d *DB) run(eng backend.Engine, p *engine.Program, cols []string) (*Result,
 		ProgramHit:  p.Hit,
 		Phases:      map[string]time.Duration{},
 	}}
-	if p.Hit {
+	if p.Hit || p.CodeHit {
+		// The shared Stats describe the compile that stored the code.
 		res.Stats.CacheHits, res.Stats.CacheMisses = int64(stats.Funcs), 0
 	} else {
 		for _, p := range stats.Phases {

@@ -151,50 +151,75 @@ func TestShapeCacheHazards(t *testing.T) {
 }
 
 // TestCompileTimeIsTextToExecutable: Stats.CompileTime is one quantity on
-// every path a statement takes — a compile, a shape hit, and a shape decline
-// that ends in a compile or in a program hit, with a cache and without. It
-// lies inside the latency the caller sees, beside ExecTime, and holds the
-// back-end phases it reports.
+// every path a statement takes — a compile, a shape hit, a code hit, and a
+// shape decline that ends in a compile or in a program hit, with a cache and
+// without, with batch kernels and without. It lies inside the
+// latency the caller sees, beside ExecTime, and holds the back-end phases it
+// reports.
 func TestCompileTimeIsTextToExecutable(t *testing.T) {
 	q := func(lit string) string { return "SELECT COUNT(*), SUM(b) FROM t WHERE a < " + lit }
 	declines := obs.NewCounter("engine.shape_cache_declines")
+	codeHits := obs.NewCounter("engine.code_cache_hits")
+	// What each statement must be on a cached database: a program hit, a
+	// code hit, a shape-level decline. The cast a plan needs for a literal
+	// that does not fit a's type changes its code; the last statement's plan
+	// differs from the first's in its kernel only, so with batch kernels it
+	// is a code hit, where tuple code compiles.
+	type want struct{ hit, code, decline bool }
+	steps := []struct {
+		name string
+		q    string
+		want want
+	}{
+		{"miss", q("5"), want{}},
+		{"shape hit", q("6"), want{hit: true}},
+		{"decline, compiled", q("5000000000"), want{decline: true}},
+		{"decline, program hit", q("7"), want{hit: true, decline: true}},
+		{"code hit", "SELECT COUNT(*), SUM(b) FROM t WHERE b > 5", want{code: true}},
+	}
 	for _, engine := range adhocEngines {
-		for _, cacheMB := range []int{64, 0} {
-			db, err := Open(WithCacheMB(cacheMB), WithMemoryMB(64), WithEngine(engine))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := shapeTable(db, 200, 200, 1); err != nil {
-				t.Fatal(err)
-			}
-			for _, s := range []struct{ name, lit string }{
-				{"miss", "5"}, {"shape hit", "6"},
-				{"decline, compiled", "5000000000"}, {"decline, program hit", "7"},
-			} {
-				declines0 := declines.Load()
-				start := time.Now()
-				res, err := db.Exec(q(s.lit))
-				lat := time.Since(start)
+		for _, batch := range []bool{true, false} {
+			for _, cacheMB := range []int{64, 0} {
+				db, err := Open(WithCacheMB(cacheMB), WithMemoryMB(64), WithEngine(engine), WithBatch(batch))
 				if err != nil {
-					t.Fatalf("%s %s: %v", engine, s.name, err)
+					t.Fatal(err)
 				}
-				st := res.Stats
-				var phases time.Duration
-				for _, d := range st.Phases {
-					phases += d
+				if _, err := shapeTable(db, 200, 200, 1); err != nil {
+					t.Fatal(err)
 				}
-				name := fmt.Sprintf("%s, cache %d MiB, %s", engine, cacheMB, s.name)
-				if st.CompileTime <= 0 || st.CompileTime+st.ExecTime > lat {
-					t.Errorf("%s: compile %v + exec %v, latency %v", name, st.CompileTime, st.ExecTime, lat)
-				}
-				if phases > st.CompileTime {
-					t.Errorf("%s: phases sum to %v, more than compile time %v", name, phases, st.CompileTime)
-				}
-				if hit := cacheMB > 0 && s.lit != "5" && s.lit != "5000000000"; st.ProgramHit != hit {
-					t.Errorf("%s: program hit %v, want %v", name, st.ProgramHit, hit)
-				}
-				if decline := cacheMB > 0 && strings.HasPrefix(s.name, "decline"); (declines.Load() > declines0) != decline {
-					t.Errorf("%s: shape-level decline %v, want %v", name, !decline, decline)
+				for i, s := range steps {
+					declines0, codeHits0 := declines.Load(), codeHits.Load()
+					start := time.Now()
+					res, err := db.Exec(s.q)
+					lat := time.Since(start)
+					if err != nil {
+						t.Fatalf("%s %s: %v", engine, s.name, err)
+					}
+					st := res.Stats
+					var phases time.Duration
+					for _, d := range st.Phases {
+						phases += d
+					}
+					name := fmt.Sprintf("%s, batch %v, cache %d MiB, statement %d (%s)", engine, batch, cacheMB, i, s.name)
+					if st.CompileTime <= 0 || st.CompileTime+st.ExecTime > lat {
+						t.Errorf("%s: compile %v + exec %v, latency %v", name, st.CompileTime, st.ExecTime, lat)
+					}
+					if phases > st.CompileTime {
+						t.Errorf("%s: phases sum to %v, more than compile time %v", name, phases, st.CompileTime)
+					}
+					w := s.want
+					w.code = w.code && batch
+					if cacheMB == 0 {
+						w = want{}
+					}
+					got := want{st.ProgramHit, codeHits.Load() > codeHits0, declines.Load() > declines0}
+					if got != w {
+						t.Errorf("%s: program hit, code hit, shape-level decline %+v, want %+v", name, got, w)
+					}
+					if (w.hit || w.code) && (st.CacheMisses != 0 || st.CacheHits != int64(st.Functions) || len(st.Phases) != 0) {
+						t.Errorf("%s: served from the cache, but reports %d unit misses, %d hits of %d functions and phases %v",
+							name, st.CacheMisses, st.CacheHits, st.Functions, st.Phases)
+					}
 				}
 			}
 		}
