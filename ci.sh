@@ -22,8 +22,10 @@
 #   4. one ledger: benchmark/ is where wall-clock numbers come from, so no
 #      BENCH_*.json may reappear at the root and this script may not pass a
 #      wall-clock gate or budget flag to anything
-#   5. tests under the race detector (exercises the concurrent obs counters
-#      and the parallel compilation driver's worker pool); the fused-vs-unfused
+#   5. tests under the race detector (exercises the concurrent obs counters,
+#      the parallel compilation driver's worker pool, and qc.DB's lock: four
+#      goroutines on one cached database get the rows of a database each,
+#      TestConcurrentStatements); the fused-vs-unfused
 #      view differential (identical results, counters and trap PCs on every
 #      TPC-H query, all back-ends, both archs) runs here as
 #      TestFusedDispatchDifferential, and the SQL join-planning differential
@@ -71,12 +73,14 @@
 #      <= 1.03x the inline bodies' instructions; under qc.Open's defaults
 #      (batch kernels on) the q1- and q6-shaped sql_adhoc statements run
 #      <= 1/50 of WithBatch(false)'s instructions with equal rows, and every
-#      variant of the six sql_adhoc families after its first is a program
-#      hit on the benchmark's four engines, and the q3- and q12-shaped
+#      variant of the six sql_adhoc families after its first is a
+#      statement-shape hit (qc.Stats.ProgramHit) on the benchmark's four
+#      engines, and the q3- and q12-shaped
 #      statements run probe kernels at <= 1/8 and <= 1/100 of
 #      WithBatch(false)'s instructions with equal rows; single-table and
 #      q12-shaped statements that differ only in what their kernels compute
-#      are code hits after the first, which advance neither
+#      are code hits (engine.code_cache_hits) after the first, which advance
+#      neither
 #      sa.functions_analyzed, pcc.cache_hits/misses nor vm_fuse_*, on those
 #      four engines, at 1 and 4 workers, with the rows of an uncached
 #      database and the interpreter (TestNovelKernelShapesCompileNothing);
@@ -90,24 +94,32 @@
 #      TPC-DS plans sa.functions_analyzed must equal the number of generated
 #      functions, every literal must be pooled, and CompileOpts on q1 and q6
 #      must stay inside the committed allocation budget; across warm
-#      program-cache hits on every engine sql.statements_parsed,
+#      statement-shape hits on every engine, each counted by
+#      engine.shape_cache_hits, sql.statements_parsed,
 #      sa.functions_analyzed, hoist.candidates, pcc.cache_hits+misses, the
-#      vm_fuse_* counters and engine.shape_cache_declines must not advance
-#      and Exec must stay inside its allocation budget (TestWarmHitIsFlat);
+#      vm_fuse_* counters, engine.shape_cache_misses and
+#      engine.shape_cache_declines must not advance and Exec must stay
+#      inside its allocation budget (TestWarmHitIsFlat);
 #      each statement-shape hazard — a table re-created, a literal that stops
 #      fitting, a pinned literal, another engine — must give the rows of an
-#      uncached database and hit, miss or decline as stated
-#      (TestShapeCacheHazards); each code-level hazard — another table,
-#      appended rows, a re-created table, a hoisted literal behind another
-#      number of kernel literals, literals kept inline, another engine,
-#      Check, ExecJobs — must give the rows of an uncached database and the
+#      uncached database and advance engine.shape_cache_hits,
+#      engine.shape_cache_misses or engine.shape_cache_declines as stated
+#      (TestShapeCacheHazards); each code-level hazard — another table, a
+#      table created after the code was stored, appended rows, a re-created
+#      table, a hoisted literal behind another number of kernel literals,
+#      literals kept inline, another engine, Check, ExecJobs — must give the rows of an uncached database and the
 #      interpreter on the four sql_adhoc engines at 1 and 4 workers and
 #      advance engine.code_cache_hits, engine.code_cache_misses or
-#      engine.code_cache_declines as stated (TestCodeCacheHazards); a plan
-#      whose code was evicted, or declined and compiled again, under its
-#      binding runs its own kernels on the new code
-#      (TestCodeReplacedUnderItsBindings); then one-iteration smokes of BenchmarkFrontEnd and BenchmarkExecWarm, the
-#      two layers' one-command reproductions
+#      engine.code_cache_declines as stated (TestCodeCacheHazards); a
+#      statement whose code was evicted, or declined and compiled again,
+#      under its shape entry runs its own kernels on the new code
+#      (TestCodeReplacedUnderItsBindings); a sql_adhoc-style stream on the
+#      four engines declines nothing, stores at most two entries (shape and
+#      code) per engine.shape_cache_misses, finds its code compiled for at
+#      least half of them (engine.code_cache_hits) and proves every memory
+#      access safe (sa.checks_eliminated = sa.mem_ops; TestAdhocStreamCounts);
+#      then one-iteration smokes of BenchmarkFrontEnd and BenchmarkExecWarm,
+#      the two layers' one-command reproductions
 #  17. the load-path gate: over every TPC-H and TPC-DS module of every
 #      compiling engine on both targets the fused view must digest to the
 #      committed values and vm_fuse_orig_instrs/vm_fuse_micro_ops advance by
@@ -269,7 +281,7 @@ echo "== 16. front-end and hit-path gate (one analysis per function, allocation 
 go test ./internal/codegen -run 'TestOneAnalysisPerFunction' -count=1
 go test ./internal/codegen -run '^$' -bench FrontEnd -benchtime=1x -benchmem
 go test . -run 'TestWarmHitIsFlat|TestShapeCacheHazards|TestCodeCacheHazards' -count=1
-go test ./internal/engine -run 'TestCodeReplacedUnderItsBindings' -count=1
+go test ./internal/engine -run 'TestCodeReplacedUnderItsBindings|TestAdhocStreamCounts' -count=1
 go test . -run '^$' -bench ExecWarm -benchtime=1x
 
 echo "== 17. load-path gate (fused view golden, opcode census, fuse allocation budget, footprint estimate, fuzz smoke) =="

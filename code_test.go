@@ -40,10 +40,11 @@ func conjunction(col, op string, first, n, at, other int) string {
 // must return the same rows from all three, and the cached database's code
 // level must hit, miss or not be asked (the statement was a program hit) as
 // stated. Code is keyed by what it was generated from, so the hazards are
-// what the code has compiled in without the plan key showing it the same
+// what the code has compiled in without the shape key showing it the same
 // way: a scanned table's addresses and row count, the number of pool slots
 // kernels take ahead of the hoisted ones, a literal kept inline, the engine
-// and the options that change code. It runs on the benchmark's sql_adhoc
+// and the options that change code. A table the code does not scan is not
+// among them. It runs on the benchmark's sql_adhoc
 // engines, sequentially and at 4 workers.
 func TestCodeCacheHazards(t *testing.T) {
 	counters := map[string]*obs.Counter{
@@ -93,9 +94,7 @@ func TestCodeCacheHazards(t *testing.T) {
 				want   string // what the cached database's code level does, "" for nothing
 			}{
 				// u has t's schema and row count, other content at other
-				// addresses. (The
-				// analysis sees every table, so code keys change with the
-				// set of tables.)
+				// addresses.
 				{name: "first", setup: func(d *DB) error {
 					if err := create("t", 200, 100, 1)(d); err != nil {
 						return err
@@ -106,6 +105,10 @@ func TestCodeCacheHazards(t *testing.T) {
 				{name: "its variant", q: sumB + "t WHERE b > 7000"},
 				{name: "another table", q: sumB + "u WHERE b > 5000", want: "miss"},
 				{name: "another table, another kernel", q: sumB + "u WHERE a > 3", want: "hit"},
+				// The analysis sees the tables the code scans, and the code
+				// key names those alone.
+				{name: "a table created after the code was stored", setup: create("v", 50, 50, 4),
+					q: sumB + "t WHERE a > 6", want: "hit"},
 				// A scan into a sort is tuple code, which loads the columns.
 				{name: "tuple scan", q: "SELECT a, b FROM t WHERE b > 5000 ORDER BY b, a LIMIT 3", want: "miss"},
 				{name: "tuple scan, another table", q: "SELECT a, b FROM u WHERE b > 5000 ORDER BY b, a LIMIT 3", want: "miss"},

@@ -99,18 +99,34 @@ func batchType(t qir.Type) (rt.BatchType, bool) {
 }
 
 // batchLeaf reports whether e is a trap-free leaf operand (column or
-// constant) of a kernel-evaluable type.
+// constant) of a kernel-evaluable type. An integer column widened to I64 is
+// the column: kernels load integers sign-extended to 64 bits, as the tuple
+// code's sext widens them.
 func batchLeaf(e plan.Expr) bool {
 	switch x := e.(type) {
 	case *plan.Col:
 		_, ok := batchType(x.Ty)
 		return ok
+	case *plan.Cast:
+		return widenedCol(x) != nil
 	case *plan.ConstInt:
 		return x.Ty != qir.I1
 	case *plan.ConstDec, *plan.ConstFloat, *plan.ConstStr:
 		return true
 	}
 	return false
+}
+
+// widenedCol returns the integer column a cast to I64 widens, or nil.
+func widenedCol(x *plan.Cast) *plan.Col {
+	col, ok := x.E.(*plan.Col)
+	if !ok || x.To != qir.I64 {
+		return nil
+	}
+	if bt, ok := batchType(col.Ty); !ok || bt != rt.BTInt {
+		return nil
+	}
+	return col
 }
 
 // batchValue reports whether e, at the given depth of its expression tree,
@@ -278,6 +294,8 @@ func (c *Compiler) batchExpr(e plan.Expr, col func(idx int) (*rt.BatchExpr, erro
 	switch x := e.(type) {
 	case *plan.Col:
 		return col(x.Idx)
+	case *plan.Cast:
+		return col(widenedCol(x).Idx)
 	case *plan.ConstInt:
 		return &rt.BatchExpr{Kind: rt.BEConst, Ty: rt.BTInt, I: x.V}, nil
 	case *plan.ConstDec:

@@ -68,22 +68,30 @@ func (s ElimStats) Ratio() float64 {
 	return float64(s.Unchecked) / float64(s.MemOps)
 }
 
-// Regions collects the absolute valid regions the catalog guarantees for the
-// whole query: every column array of every loaded table. The analysis reads
-// them as a set; their order is the catalog map's.
-func Regions(cat *rt.Catalog) []sa.Region {
+// regions collects the absolute valid regions of the tables the module
+// scans: the column arrays of each SrcTable pipeline's table, whose
+// addresses produceScan bakes into the code — the only column addresses
+// generated code holds. The analysis reads them as a set, so a table two
+// pipelines scan may appear twice.
+func (c *Compiled) regions(cat *rt.Catalog) []sa.Region {
 	if cat == nil {
 		return nil
 	}
 	var regs []sa.Region
-	for _, t := range cat.Tables {
-		for i := range t.Cols {
-			col := &t.Cols[i]
-			size := t.Rows * col.Type.Size()
-			if size <= 0 {
-				continue
+	for i := range c.Pipelines {
+		p := &c.Pipelines[i]
+		if p.Source != SrcTable {
+			continue
+		}
+		t, err := cat.Table(p.Table)
+		if err != nil {
+			continue
+		}
+		for j := range t.Cols {
+			col := &t.Cols[j]
+			if size := t.Rows * col.Type.Size(); size > 0 {
+				regs = append(regs, sa.Region{Base: int64(col.Base), Size: size})
 			}
-			regs = append(regs, sa.Region{Base: int64(col.Base), Size: size})
 		}
 	}
 	return regs
@@ -170,7 +178,7 @@ func (c *Compiler) hoistAndEliminate(cat *rt.Catalog) {
 	var regions []sa.Region
 	if c.opts.Elim {
 		elim.ByReason = map[string]int{}
-		regions = Regions(cat)
+		regions = c.out.regions(cat)
 	}
 	var a sa.Analysis
 	for fi, f := range c.mod.Funcs {
@@ -240,7 +248,7 @@ func (c *Compiler) hoistAndEliminate(cat *rt.Catalog) {
 // check-elimination pass used — for linters and verifiers that want the raw
 // findings and statistics rather than the rewrite.
 func (c *Compiled) Analyses(cat *rt.Catalog) []*sa.Analysis {
-	regions := Regions(cat)
+	regions := c.regions(cat)
 	out := make([]*sa.Analysis, len(c.Module.Funcs))
 	for fi, f := range c.Module.Funcs {
 		obsFuncsAnalyzed.Inc()

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
 	"slices"
@@ -16,25 +15,25 @@ import (
 	"qcc/internal/sa"
 )
 
-// The code level of the program cache, below the plan level. A plan the
-// cache has not seen often compiles to code it has: statements that differ
-// in what their batch kernels compute, or in a literal's value where the
-// plan level's key still differs, produce functions whose unit keys all hit.
-// Such a miss used to pay Finish (constant hoisting, the static analysis,
-// the verifier), one unit key per function, link, load and a fresh fusion.
-// The code level keys code by what Finish and the back-end read of it, as
-// Generate leaves it, and keeps the finished module with its linked, loaded
-// executable. A plan whose generated code has that key runs the cached
-// executable with its own kernels and its own constant pool.
+// The code level of the program cache, below the statement-shape level. A
+// statement the cache has not seen often compiles to code it has: statements
+// that differ in what their batch kernels compute, or in a literal's value
+// where the shape key still differs, produce functions whose unit keys all
+// hit. Such a miss used to pay Finish (constant hoisting, the static
+// analysis, the verifier), one unit key per function, link, load and a fresh
+// fusion. The code level keys code by what Finish and the back-end read of
+// it, as Generate leaves it, and keeps the finished module with its linked,
+// loaded executable. A plan whose generated code has that key runs the
+// cached executable with its own kernels and its own constant pool.
 //
 // The code key is a sha256 over
 //
-//   - the program key's prefix (engine, module name, the option flags,
+//   - the key prefix (engine, module name, the option flags,
 //     CheckElimVersion) and the module's runtime imports;
 //   - the state size and the pipeline metadata without kernel programs,
-//     each scanned table by content (appendTable);
-//   - a digest of the catalog regions the analysis sees (codegen.Regions),
-//     computed once per catalog state;
+//     each scanned table by content (appendTable): the code holds its
+//     column addresses and the analysis its row count and column arrays,
+//     the only regions it sees;
 //   - every function's name, signature, blocks, instructions, operand lists
 //     and pointer facts, each hoisting candidate with its value masked and
 //     every other constant by value, strings by content;
@@ -45,8 +44,8 @@ import (
 // analysis widens every candidate to an unknown value. So code whose every
 // candidate was pooled is the same for all plans of one key and compiles in
 // no literal value. Code that keeps a candidate inline is stored under a key
-// that also covers the plan key (ownCodeKey), which only its own plan shape
-// computes.
+// that also covers the plan's fingerprint (ownCodeKey), which only its own
+// plan shape computes.
 
 var (
 	obsCodeHits     = obs.NewCounter("engine.code_cache_hits")
@@ -54,14 +53,13 @@ var (
 	obsCodeDeclines = obs.NewCounter("engine.code_cache_declines")
 )
 
-// codeTag begins every code key. A program key begins with the length of
-// an engine's name, which is longer than one byte, and a shape key with
-// shapeTag, so the three kinds of key never meet.
+// codeTag begins every code key, and shapeTag every shape key, so the two
+// kinds of key never meet.
 const codeTag = 1
 
 // codeEntry is one compiled code: the finished module, the executable, and
 // what serving it to another plan needs. The pipelines, which hold a plan's
-// kernels, are each plan binding's own; compiled has none.
+// kernels, are each binding's own; compiled has none.
 type codeEntry struct {
 	compiled *codegen.Compiled
 	exec     backend.Exec
@@ -130,7 +128,7 @@ func (e *codeEntry) stringsInPlace(db *rt.DB) bool {
 // 400 distinct three-predicate shapes in an unbounded cache and comparing
 // the charge, units included, with the growth of the live heap after a
 // collection: the charge is 0.88 (interpreter) to 1.12 (Cranelift) times the
-// growth, per engine; each binding's bindingSpans now comes on top.
+// growth, per engine; each shape entry's bindingSpans now comes on top.
 // TestProgramCacheBudget holds the sum to the heap in use.
 func (e *codeEntry) footprint() int64 {
 	return e.fixed + backend.FootprintOf(e.exec)
@@ -159,11 +157,11 @@ func pipesFootprint(pipes []codegen.Pipeline) int64 {
 }
 
 // serveCode returns the program that runs code for the plan fp describes,
-// whose code generation is g: it has the plan's kernels and the pool built
-// from its literals — the kernels' slots as g allocated them, the hoisted
-// slots in the code's slot order — and the plan's binding to the code is
-// stored. It returns nil when the code does not serve the plan: a baked
-// string moved, or the generator's report and the fingerprint disagree.
+// whose code generation is g, with the plan's binding to the code: it has
+// the plan's kernels and the pool built from its literals — the kernels'
+// slots as g allocated them, the hoisted slots in the code's slot order. It
+// returns nil when the code does not serve the plan: a baked string moved,
+// or the generator's report and the fingerprint disagree.
 func (w *World) serveCode(code *codeEntry, g *codegen.Compiler, fp *plan.Fingerprint) *Program {
 	gc := g.Generated()
 	cands := g.CandidateLits(w.cands[:0])
@@ -175,19 +173,19 @@ func (w *World) serveCode(code *codeEntry, g *codegen.Compiler, fp *plan.Fingerp
 		want = append(want, v)
 	}
 	w.cands, w.poolLits = cands, poolLits
-	b, pool := bindPlan(code, poolLits, gc.InlineLits, want, fp, w.vals, w.DB)
+	b, pool := bindPlan(code, gc.Pipelines, poolLits, gc.InlineLits, want, fp, w.vals, w.DB)
 	if b == nil {
 		return nil
 	}
-	w.storeBinding(b, code, gc.Pipelines, fp)
 	p := code.program(b, pool, false)
 	p.CodeHit = true
 	return p
 }
 
 // program returns the program that runs the code for binding b with the
-// constant pool pool; hit reports that b was found at the plan level.
-func (e *codeEntry) program(b *cachedProgram, pool []qir.PoolConst, hit bool) *Program {
+// constant pool pool; hit reports that b was found at the statement-shape
+// level.
+func (e *codeEntry) program(b *shapeEntry, pool []qir.PoolConst, hit bool) *Program {
 	compiled := *e.compiled
 	compiled.Pipelines = b.pipes
 	return &Program{Compiled: &compiled, Exec: e.exec, Stats: e.stats, Pool: pool,
@@ -195,8 +193,8 @@ func (e *codeEntry) program(b *cachedProgram, pool []qir.PoolConst, hit bool) *P
 }
 
 // ownCodeKey writes into w.ckey, and returns, the key of code that keeps a
-// literal of the plan fp describes inline: the code key ckey and the plan
-// key hashed together.
+// literal of the plan fp describes inline: the code key ckey and the plan's
+// fingerprint hashed together.
 func (w *World) ownCodeKey(ckey []byte, fp *plan.Fingerprint) []byte {
 	w.cbuf = append(append(w.cbuf[:0], ckey...), fp.Key...)
 	sum := sha256.Sum256(w.cbuf)
@@ -210,7 +208,6 @@ func (w *World) codeKey(g *codegen.Compiler, eng backend.Engine, name string) []
 	c := g.Generated()
 	mod := c.Module
 	k := w.keyPrefix(w.cbuf[:0], eng, name)
-	k = append(k, w.catalogDigest()...)
 	k = binary.AppendUvarint(k, uint64(c.StateSize))
 	k = binary.AppendUvarint(k, uint64(len(mod.RTNames)))
 	for _, n := range mod.RTNames {
@@ -296,49 +293,4 @@ func (w *World) appendFunc(k []byte, f *qir.Func, cands []qir.Value, facts map[q
 		k = append(k, flagByte(ft.MaybeNull))
 	}
 	return k
-}
-
-// catTable is a table as the catalog digest saw it.
-type catTable struct {
-	name string
-	t    *rt.Table
-	rows int64
-}
-
-// catalogDigest returns a digest of the regions the analysis sees
-// (codegen.Regions, as a sorted set), computed again only when the catalog
-// holds other tables or a table another row count. A table's columns keep
-// their addresses for its lifetime.
-func (w *World) catalogDigest() []byte {
-	if !w.catalogSeen() {
-		regs := codegen.Regions(w.Cat)
-		slices.SortFunc(regs, func(a, b sa.Region) int {
-			return cmp.Or(cmp.Compare(a.Base, b.Base), cmp.Compare(a.Size, b.Size))
-		})
-		k := make([]byte, 0, 16*len(regs))
-		for _, r := range regs {
-			k = binary.AppendVarint(binary.AppendVarint(k, r.Base), r.Size)
-		}
-		sum := sha256.Sum256(k)
-		w.catSum = sum[:]
-		w.catTables = w.catTables[:0]
-		for name, t := range w.Cat.Tables {
-			w.catTables = append(w.catTables, catTable{name, t, t.Rows})
-		}
-	}
-	return w.catSum
-}
-
-// catalogSeen reports whether the catalog holds the tables the digest was
-// computed from, with the same row counts.
-func (w *World) catalogSeen() bool {
-	if w.catSum == nil || len(w.Cat.Tables) != len(w.catTables) {
-		return false
-	}
-	for _, ct := range w.catTables {
-		if t := w.Cat.Tables[ct.name]; t != ct.t || t.Rows != ct.rows {
-			return false
-		}
-	}
-	return true
 }

@@ -5,12 +5,12 @@
 //	    ── Compile ──▶ *Program (backend.Exec + *backend.Stats)
 //	    ── Run ──▶ rows in World.DB.Out + vm counters ── Release ──▶ heap back at the mark
 //
-// all configured by one Options value. Prepare is Lower + Compile memoised on
-// the plan's shape (prepare.go), the stage a request takes from plan to
-// program. The public qc package, every internal/bench experiment and every
-// command under cmd/ drive these stages and nothing else compiles or runs a
-// query. What each copy of the sequence
-// used to re-derive lives here once: the codegen.Options an execution mode
+// all configured by one Options value. PrepareSQL is Parse + Lower + Compile
+// memoised on the statement's shape and on the generated code (shape.go,
+// code.go), the stage a request takes from text to program. The public qc
+// package, every internal/bench experiment and every command under cmd/
+// drive these stages and nothing else compiles or runs a query. What each
+// copy of the sequence used to re-derive lives here once: the codegen.Options an execution mode
 // implies, the parallel-driver and code-cache wrapper with its variant tag,
 // the persistent executor worker pool, the mark → run → release heap
 // discipline, and best-of-N timing.
@@ -56,23 +56,17 @@ type World struct {
 	// back-end binds its module's table when it compiles, so running an
 	// earlier program again needs a re-bind.
 	bound backend.Exec
-	// Prepare's scratch: the fingerprint of the plan at hand, where in its
-	// key the plan starts and ends, and its literals' values.
-	fp     plan.Fingerprint
-	planAt [2]int
-	vals   []qir.PoolConst
-	// PrepareSQL's scratch: the statement's shape key, its literals, and
-	// the program key a shape binds to.
-	skey, pkey []byte
-	lits       []sql.Lit
+	// The program cache's scratch: the fingerprint of the plan at hand and
+	// its literals' values; a statement's shape key and its literals.
+	fp   plan.Fingerprint
+	vals []qir.PoolConst
+	skey []byte
+	lits []sql.Lit
 	// The code level's buffers: the encoded code and its key, the pointer
-	// facts of a function, and a plan's candidate and pool-slot literals;
-	// and the catalog digest with the tables it was computed from.
+	// facts of a function, and a plan's candidate and pool-slot literals.
 	cbuf, ckey      []byte
 	factVals        []qir.Value
 	cands, poolLits []plan.Expr
-	catSum          []byte
-	catTables       []catTable
 	codeIDs         uint64 // the last code entry's id
 	mark            uint64 // heap position Release unwinds to, set by Run
 }
@@ -197,22 +191,23 @@ type Program struct {
 	// compile time after running.
 	Stats *backend.Stats
 	// Pool holds the values Run binds to the constant pool. Compile sets it
-	// to Compiled.Module.Pool; a program Prepare serves from the cache shares
+	// to Compiled.Module.Pool; a program PrepareSQL serves from the cache shares
 	// Compiled, Exec and Stats with every other execution of its plan shape
 	// and carries the pool built from its own plan's literals.
 	Pool []qir.PoolConst
-	// Hit reports that Prepare served the program from the cache.
+	// Hit reports that PrepareSQL served the program from the cache: a
+	// statement of a shape the cache holds.
 	Hit bool
-	// CodeHit reports that Prepare generated the plan's code and served its
+	// CodeHit reports that PrepareSQL generated the plan's code and served its
 	// finished code and executable from the cache's code level: the plan
 	// was new to the cache, its code was not.
 	CodeHit bool
-	// bind is the plan's binding in the cache and code the code that holds
-	// Compiled and Exec, if the cache holds them.
-	bind *cachedProgram
+	// bind is the plan's binding to its code, stored under the statement's
+	// shape, and code the code that holds Compiled and Exec, if the cache
+	// holds them.
+	bind *shapeEntry
 	code *codeEntry
-	// How long preparing took — PrepareSQL's whole call, or Prepare's on a
-	// hit — and what Stats.Total read then.
+	// How long PrepareSQL's call took, and what Stats.Total read then.
 	prepare, compiled0 time.Duration
 }
 
@@ -221,9 +216,8 @@ type Program struct {
 // whatever path the statement took — parse, plan, Lower and the back-end on a
 // miss; parse, plan, code generation and the code key on a code hit; scan,
 // bind and lookup on a shape hit — plus whatever the program's back-end
-// compiled since (the adaptive engine's run-time promotions). For a plan
-// Prepare served from the cache it is Prepare's own time plus those; for any
-// other plan, the back-end's total.
+// compiled since (the adaptive engine's run-time promotions). For any other
+// program, the back-end's total.
 func (p *Program) CompileTime() time.Duration {
 	return p.prepare + p.Stats.Total - p.compiled0
 }

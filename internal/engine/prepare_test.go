@@ -17,21 +17,28 @@ import (
 	"qcc/internal/vm"
 )
 
-// outcome is what one statement produced on one world.
+// outcome is what one statement produced on one world: its rows or error,
+// and whether the program came from the statement-shape level (hit) or from
+// the code level (code).
 type outcome struct {
-	rows []string
-	err  string
-	hit  bool
+	rows      []string
+	err       string
+	hit, code bool
 }
 
-// execPlan takes a plan through Prepare → Run → Release.
+// execPlan takes a plan through prepare → Run → Release.
 func execPlan(w *World, eng backend.Engine, node plan.Node) outcome {
-	p, err := w.Prepare(eng, "q", node)
+	p, err := w.prepare(eng, "q", node)
 	if err != nil {
 		return outcome{err: err.Error()}
 	}
-	_, err = w.Run(p)
-	o := outcome{rows: w.DB.Out.Canonical(), hit: p.Hit}
+	return runOutcome(w, eng, p)
+}
+
+// runOutcome runs p and releases what it produced.
+func runOutcome(w *World, eng backend.Engine, p *Program) outcome {
+	_, err := w.Run(p)
+	o := outcome{rows: w.DB.Out.Canonical(), hit: p.Hit, code: p.CodeHit}
 	if err != nil {
 		o.err = err.Error()
 		// A cached adaptive executable keeps its hotness and its promoted
@@ -46,13 +53,14 @@ func execPlan(w *World, eng backend.Engine, node plan.Node) outcome {
 	return o
 }
 
+// execSQL takes SQL text through PrepareSQL → Run → Release.
 func execSQL(t *testing.T, w *World, eng backend.Engine, text string) outcome {
 	t.Helper()
-	node, err := w.Parse(text)
+	p, _, err := w.PrepareSQL(eng, "q", text)
 	if err != nil {
 		t.Fatalf("%q: %v", text, err)
 	}
-	return execPlan(w, eng, node)
+	return runOutcome(w, eng, p)
 }
 
 // adhocFamily is variant v of family f of the benchmark's sql_adhoc workload
@@ -385,7 +393,7 @@ func TestProgramCacheMustMiss(t *testing.T) {
 		}
 		var fp plan.Fingerprint
 		eng := Backend("cranelift")
-		if !w.fingerprint(&fp, eng, "q", node) {
+		if !fp.Write(node) {
 			t.Fatal("q6 has no fingerprint")
 		}
 		p, err := w.lowerCompile(eng, "q", node)
@@ -394,12 +402,12 @@ func TestProgramCacheMustMiss(t *testing.T) {
 		}
 		vals := litValues(nil, fp.Lits)
 		c, code := p.Compiled, newCodeEntry(p, w.DB)
-		if ent, _ := bindPlan(code, c.PoolLits, c.InlineLits, c.Module.Pool, &fp, vals, w.DB); ent == nil || len(ent.pinned) != 0 {
+		if ent, _ := bindPlan(code, nil, c.PoolLits, c.InlineLits, c.Module.Pool, &fp, vals, w.DB); ent == nil || len(ent.pinned) != 0 {
 			t.Fatalf("q6 as generated: entry %+v, want one with nothing pinned", ent)
 		}
 		bearing := c.PoolLits[2]
 		c.InlineLits = append(c.InlineLits, bearing)
-		ent, _ := bindPlan(code, c.PoolLits, c.InlineLits, c.Module.Pool, &fp, vals, w.DB)
+		ent, _ := bindPlan(code, nil, c.PoolLits, c.InlineLits, c.Module.Pool, &fp, vals, w.DB)
 		if ent == nil || len(ent.pinned) != 1 {
 			t.Fatalf("entry %+v, want one pinned literal", ent)
 		}
@@ -457,8 +465,9 @@ func TestProgramCacheMustMiss(t *testing.T) {
 	t.Run("trap-boundary", func(t *testing.T) {
 		// Literals on the overflow and division-by-zero edges
 		// (conformance's TestHoistTrapBoundaryCorpus): the variant that traps
-		// and the one that does not share a shape, so the second of each pair
-		// is a hit, and must trap, or not, exactly as without a cache.
+		// and the one that does not share their code, so the second of each
+		// pair is a code hit, and must trap, or not, exactly as without a
+		// cache.
 		const maxI64 = int64(^uint64(0) >> 1)
 		x := func() plan.Expr { return &plan.Col{Idx: 0, Ty: qir.I64} }
 		lit := func(v int64) plan.Expr { return &plan.ConstInt{Ty: qir.I64, V: v} }
@@ -492,8 +501,8 @@ func TestProgramCacheMustMiss(t *testing.T) {
 					t.Errorf("%s, case %d (hit=%v): %d rows, err %q; without a cache %d rows, err %q",
 						name, i, got.hit, len(got.rows), got.err, len(want.rows), want.err)
 				}
-				if wantHit := i != 0 && i != 3 && i != 5; got.hit != wantHit {
-					t.Errorf("%s, case %d: hit=%v, want %v", name, i, got.hit, wantHit)
+				if wantHit := i != 0 && i != 3 && i != 5; got.code != wantHit {
+					t.Errorf("%s, case %d: code hit=%v, want %v", name, i, got.code, wantHit)
 				}
 			}
 		}
@@ -504,13 +513,14 @@ func TestProgramCacheMustMiss(t *testing.T) {
 	}
 }
 
-// TestCodeReplacedUnderItsBindings: plans A and B generate the same code and
-// differ in their kernels. A's code leaves the cache while A's binding stays,
-// and B compiles the code again under the same code key: once because the
-// LRU evicted A's code (charging it the whole budget evicts it and what is
-// older, not the binding stored after it), once because a baked string
-// moved and the code level declined B. A then runs with its own kernels,
-// bound to the new code. Rows are checked against an uncached world.
+// TestCodeReplacedUnderItsBindings: statements A and B generate the same
+// code and differ in their kernels. A's code leaves the cache while A's
+// shape entry stays, and B compiles the code again under the same code key:
+// once because the LRU evicted A's code (charging it the whole budget evicts
+// it and what is older, not the shape entry stored after it), once because a
+// baked string moved and the code level declined B. A's shape then declines
+// the new code, and A runs with its own kernels, bound to it. Rows are
+// checked against an uncached world.
 func TestCodeReplacedUnderItsBindings(t *testing.T) {
 	const (
 		a = "SELECT COUNT(*), SUM(l_quantity) FROM lineitem WHERE l_quantity < 10"
@@ -521,12 +531,8 @@ func TestCodeReplacedUnderItsBindings(t *testing.T) {
 			w, ref, eng := loaded(t, Options{CacheMB: 64, Batch: true}), loaded(t, Options{Batch: true}), Backend(name)
 			step := func(what, q string, want func(p *Program) bool) *Program {
 				t.Helper()
-				node, err := w.Parse(q)
-				if err != nil {
-					t.Fatal(err)
-				}
 				declines := obsCodeDeclines.Load()
-				p, err := w.Prepare(eng, "q", node)
+				p, _, err := w.PrepareSQL(eng, "q", q)
 				if err != nil {
 					t.Fatalf("%s, %s, %s: %v", name, how, what, err)
 				}
@@ -546,7 +552,7 @@ func TestCodeReplacedUnderItsBindings(t *testing.T) {
 			}
 			compiled := func(p *Program) bool { return !p.Hit && !p.CodeHit }
 			code := step("A compiles", a, compiled).code
-			bkey := string(append([]byte(nil), w.fp.Key...))
+			akey := string(w.skey)
 			switch how {
 			case "evicted":
 				w.cache.ChargeProgram(code.key, code, int64(w.CacheMB)<<20)
@@ -559,8 +565,8 @@ func TestCodeReplacedUnderItsBindings(t *testing.T) {
 				d0 := obsCodeDeclines.Load()
 				step("B compiles A's code again", b, func(p *Program) bool { return compiled(p) && obsCodeDeclines.Load() == d0+1 })
 			}
-			if _, ok := w.cache.GetProgram([]byte(bkey)); !ok {
-				t.Fatalf("%s, %s: A's binding left the cache", name, how)
+			if _, ok := w.cache.GetProgram([]byte(akey)); !ok {
+				t.Fatalf("%s, %s: A's shape entry left the cache", name, how)
 			}
 			step("A again", a, func(p *Program) bool { return p.CodeHit })
 			step("A's variant", strings.Replace(a, "< 10", "< 20", 1), func(p *Program) bool { return p.Hit })
@@ -571,17 +577,17 @@ func TestCodeReplacedUnderItsBindings(t *testing.T) {
 // TestProgramCacheBudget stores 2 000 distinct plan shapes in a 1 MiB cache:
 // entries are evicted, what the cache charges stays inside the budget, and the
 // Go heap the world holds on to stays within heapPerBudget times the budget:
-// the charge (cachedProgram.footprint, codeEntry.footprint, Unit.Bytes) is an
+// the charge (shapeEntry.footprint, codeEntry.footprint, Unit.Bytes) is an
 // account of backing arrays, and the allocator's size classes and spans in
 // use but not full, the units' relocation tables and the map and list nodes
 // come on top (measured: 2.0 to 2.9 times).
 //
 // With batch kernels, shapes that differ in their filters only differ in
 // their kernels, and their plans share code: four in a row share one code
-// entry, and the next four another, of 186 output layouts in turn. A binding
-// is charged for what it adds and the spans it keeps in use, and its code
-// once, on its own; code the cache did not charge would grow the heap past
-// the bound (measured: 3.2 to 3.5 times; the parent of the code level, which
+// entry, and the next four another, of 186 output layouts in turn. A shape
+// entry is charged for what it adds and the spans it keeps in use, and its
+// code once, on its own; code the cache did not charge would grow the heap past
+// the bound (measured: 3.1 to 3.5 times; the parent of the code level, which
 // compiled every one of these statements, 2.5 to 2.8 times).
 func TestProgramCacheBudget(t *testing.T) {
 	const (
@@ -635,15 +641,17 @@ func TestProgramCacheBudget(t *testing.T) {
 			}
 			evictions := obs.NewCounter("engine.program_cache_evictions") // counted in pcc
 			before, evicted0 := heap(), evictions.Load()
-			// Each program miss stores a binding, each code miss its code.
-			stored0, codeHits0 := obsProgramMisses.Load()+obsCodeMisses.Load(), obsCodeHits.Load()
+			// Each statement the shape level does not serve stores a shape
+			// entry, each code miss its code.
+			storing := func() int64 { return obsShapeMisses.Load() + obsShapeDeclines.Load() + obsCodeMisses.Load() }
+			stored0, codeHits0 := storing(), obsCodeHits.Load()
 			for i := 0; i < shapes; i++ {
 				if o := execSQL(t, w, eng, c.shape(i)); o.err != "" {
 					t.Fatal(o.err)
 				}
 			}
 			after, evicted := heap(), evictions.Load()-evicted0
-			stored, codeHits := obsProgramMisses.Load()+obsCodeMisses.Load()-stored0, obsCodeHits.Load()-codeHits0
+			stored, codeHits := storing()-stored0, obsCodeHits.Load()-codeHits0
 			cache := w.cache
 			inuse, live := int64(after.HeapInuse)-int64(before.HeapInuse), int64(after.HeapAlloc)-int64(before.HeapAlloc)
 			t.Logf("%d entries charged %d KiB; %d of %d entries evicted; %d code hits; heap in use grew %d KiB, live heap %d KiB",
@@ -675,19 +683,16 @@ func TestProgramCacheBudget(t *testing.T) {
 func TestProgramCacheChargeFollowsExec(t *testing.T) {
 	for _, name := range []string{"directemit", "adaptive"} {
 		w, eng := loaded(t, Options{CacheMB: 64}), Backend(name)
-		node, err := w.Parse(adhocFamily(1, 0))
-		if err != nil {
-			t.Fatal(err)
-		}
-		p, err := w.Prepare(eng, "q", node)
+		q := adhocFamily(1, 0)
+		p, _, err := w.PrepareSQL(eng, "q", q)
 		if err != nil {
 			t.Fatal(err)
 		}
 		cache, bind, code := w.cache, p.bind, p.code
-		if bind == nil || code == nil || code.key == "" {
+		if bind == nil || bind.key == "" || code == nil || code.key == "" {
 			t.Fatalf("%s: the compiled program was not cached at both levels", name)
 		}
-		// The binding and its code, which holds the executable.
+		// The shape entry and its code, which holds the executable.
 		held := func() int64 { return bind.footprint() + code.footprint() }
 		units := cache.SizeBytes() - held()
 		stored := held()
@@ -699,7 +704,7 @@ func TestProgramCacheChargeFollowsExec(t *testing.T) {
 			if got := cache.SizeBytes() - units; got != held() {
 				t.Errorf("%s, run %d: the entry is charged %d bytes and holds %d", name, i, got, held())
 			}
-			if p, err = w.Prepare(eng, "q", node); err != nil || !p.Hit {
+			if p, _, err = w.PrepareSQL(eng, "q", q); err != nil || !p.Hit {
 				t.Fatalf("%s: hit=%v err=%v", name, p.Hit, err)
 			}
 		}
@@ -711,20 +716,21 @@ func TestProgramCacheChargeFollowsExec(t *testing.T) {
 	}
 }
 
-// TestPrepareWithoutCache: with CacheMB 0 Prepare is Lower + Compile.
+// TestPrepareWithoutCache: with CacheMB 0 PrepareSQL is Parse + Lower +
+// Compile.
 func TestPrepareWithoutCache(t *testing.T) {
 	w, eng := loaded(t, Options{}), Backend("cranelift")
-	misses := obsProgramMisses.Load()
+	misses := obsShapeMisses.Load()
 	for i := 0; i < 2; i++ {
 		if o := execSQL(t, w, eng, adhocFamily(1, 0)); o.hit || o.err != "" {
 			t.Errorf("execution %d: hit=%v err=%q", i, o.hit, o.err)
 		}
 	}
-	if obsProgramMisses.Load() != misses {
-		t.Error("a world without a cache counted program-cache misses")
+	if obsShapeMisses.Load() != misses {
+		t.Error("a world without a cache counted shape-level misses")
 	}
 	var fp plan.Fingerprint
-	if node, _ := w.Parse(adhocFamily(1, 0)); !w.fingerprint(&fp, eng, "q", node) || len(fp.Lits) != 5 {
+	if node, _ := w.Parse(adhocFamily(1, 0)); !fp.Write(node) || len(fp.Lits) != 5 {
 		t.Errorf("q6 fingerprint lists %d literals, want 5", len(fp.Lits))
 	}
 }
@@ -767,13 +773,13 @@ func TestFootprintEstimate(t *testing.T) {
 func TestPrepareObservability(t *testing.T) {
 	tr := obs.New(obs.Options{})
 	w, eng := loaded(t, Options{CacheMB: 16, Tracer: tr}), Backend("cranelift")
-	hits0, misses0 := obsProgramHits.Load(), obsProgramMisses.Load()
+	hits0, misses0 := obsShapeHits.Load(), obsShapeMisses.Load()
 	for v := 0; v < 2; v++ {
 		if o := execSQL(t, w, eng, adhocFamily(1, v)); o.err != "" || o.hit != (v == 1) {
 			t.Fatalf("variant %d: hit=%v err=%q", v, o.hit, o.err)
 		}
 	}
-	if h, m := obsProgramHits.Load()-hits0, obsProgramMisses.Load()-misses0; h != 1 || m != 1 {
+	if h, m := obsShapeHits.Load()-hits0, obsShapeMisses.Load()-misses0; h != 1 || m != 1 {
 		t.Errorf("counted %d hits and %d misses, want one of each", h, m)
 	}
 	snap := tr.Snapshot("test")
@@ -798,9 +804,83 @@ func TestPrepareObservability(t *testing.T) {
 	if err := obs.WriteGlobalPrometheus(&sb, nil); err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{"engine.program_cache_hits", "engine.program_cache_misses", "pcc.cache_misses"} {
+	for _, name := range []string{"engine.shape_cache_hits", "engine.shape_cache_misses", "pcc.cache_misses"} {
 		if !strings.Contains(sb.String(), `event="`+name+`"`) {
 			t.Errorf("Prometheus export lacks %s:\n%s", name, sb.String())
+		}
+	}
+}
+
+// TestAdhocStreamCounts replays a fixed stream in the style of the
+// benchmark's sql_adhoc workload — four statements in five constant variants
+// of the six families, the fifth a novel statement — through PrepareSQL on
+// each of its engines, with batch kernels, and logs what the cache did:
+// statement-shape hits, misses and declines, code hits and misses, unit
+// misses, the analysis counters and the entries stored. As the benchmark's
+// counting runs do, it counts after a prefix in which every family has
+// compiled. It holds the counts the cache's design promises: no statement
+// declines; a statement the shape level does not serve stores at most two
+// entries, its shape and its code; at least half of them find their code
+// already compiled; and the analysis, which sees the tables the code scans,
+// proves every memory access of the counted statements safe.
+func TestAdhocStreamCounts(t *testing.T) {
+	const prefix, counted = 1000, 4000
+	rng := rand.New(rand.NewSource(9))
+	stream := make([]string, prefix+counted)
+	for i := range stream {
+		if rng.Intn(5) == 0 {
+			stream[i] = novelStatement(rng)
+		} else {
+			stream[i] = adhocFamily(rng.Intn(adhocFamilies), rng.Intn(32))
+		}
+	}
+	names := []string{"engine.shape_cache_hits", "engine.shape_cache_misses", "engine.shape_cache_declines",
+		"engine.code_cache_hits", "engine.code_cache_misses", "pcc.cache_misses",
+		"sa.functions_analyzed", "sa.checks_eliminated", "sa.mem_ops"}
+	counters := make([]*obs.Counter, len(names))
+	for i, name := range names {
+		counters[i] = obs.NewCounter(name)
+	}
+	for _, name := range []string{"directemit", "cranelift", "llvm-opt", "gcc"} {
+		w, eng := loaded(t, Options{CacheMB: 256, Batch: true}), Backend(name)
+		run := func(stmts []string) {
+			for _, q := range stmts {
+				if o := execSQL(t, w, eng, q); o.err != "" {
+					t.Fatalf("%s: %q: %s", name, q, o.err)
+				}
+			}
+		}
+		run(stream[:prefix])
+		before := make([]int64, len(counters))
+		for i, c := range counters {
+			before[i] = c.Load()
+		}
+		_, units0 := w.cache.Counters()
+		entries0 := w.cache.Len()
+		run(stream[prefix:])
+		d := map[string]int64{}
+		var log []string
+		for i, c := range counters {
+			d[names[i]] = c.Load() - before[i]
+			log = append(log, fmt.Sprintf("%s %d", names[i], d[names[i]]))
+		}
+		// Every unit miss stores a unit; the cache is large enough to evict
+		// nothing, so what else it holds now the stream stored.
+		_, units := w.cache.Counters()
+		stored := int64(w.cache.Len()-entries0) - (units - units0)
+		t.Logf("%s: %s, %d entries stored", name, strings.Join(log, ", "), stored)
+		misses := d["engine.shape_cache_misses"]
+		if d["engine.shape_cache_declines"] != 0 {
+			t.Errorf("%s: %d shape-level declines, want 0", name, d["engine.shape_cache_declines"])
+		}
+		if stored > 2*misses {
+			t.Errorf("%s: %d entries stored for %d shape misses, want at most two each", name, stored, misses)
+		}
+		if 2*d["engine.code_cache_hits"] < misses {
+			t.Errorf("%s: %d code hits for %d shape misses, want at least half", name, d["engine.code_cache_hits"], misses)
+		}
+		if d["sa.checks_eliminated"] != d["sa.mem_ops"] || d["sa.mem_ops"] == 0 {
+			t.Errorf("%s: %d of %d memory accesses proven safe, want all", name, d["sa.checks_eliminated"], d["sa.mem_ops"])
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"unsafe"
 
 	"qcc/internal/backend"
+	"qcc/internal/codegen"
 	"qcc/internal/obs"
 	"qcc/internal/plan"
 	"qcc/internal/rt"
@@ -15,20 +16,23 @@ import (
 // to parse its statement, plan it and walk the plan for its fingerprint, and
 // parsing was the largest cost left on that path. Statements that differ
 // only in literal values have the same sql.ShapeKey, so the cache keeps, per
-// key, what parsing and fingerprinting produced for the first statement of
-// that shape: the plan's key with literal values masked, the tables it scans,
-// for each of its literals the statement literal it holds and the type the
-// parser chose, the checks the parser's choices rest on, and the output
-// column names. A later statement of the shape is bound from that: one scan
-// of its text, each literal converted by sql.Convert as the parser converts
-// it, the program key completed from the live catalog, and the program looked
-// up. Shape entries share the programs' LRU and byte budget.
+// key — prefixed with the engine, the module name and the options that change
+// code (keyPrefix) — the first such statement's binding to its code: which
+// code runs it, with which kernels, and how that code reads the statement's
+// literals; beside it, what parsing and fingerprinting produced: the tables
+// the plan scans, for each of its literals the statement literal it holds and
+// the type the parser chose, the checks the parser's choices rest on, and the
+// output column names. A later statement of the shape is bound from that: one
+// scan of its text, each literal converted by sql.Convert as the parser
+// converts it, and the code looked up by its key. Shape entries share the
+// code's LRU and byte budget.
 //
 // Binding declines, and the statement takes the full path, whenever it
-// cannot reproduce the parser exactly: a scanned table is not the one the
-// shape was parsed against (re-created, or another row count, which the join
-// planner reads), a literal does not convert to its recorded type, a check
-// comes out otherwise, a pinned literal differs, or the program is gone.
+// cannot reproduce the parser exactly or the code no longer serves it: a
+// scanned table is not the one the shape was parsed against (re-created, or
+// another row count, which the join planner reads and the code has compiled
+// in), a literal does not convert to its recorded type, a check comes out
+// otherwise, a pinned literal differs, or the code is gone.
 
 var (
 	obsShapeHits     = obs.NewCounter("engine.shape_cache_hits")
@@ -39,13 +43,31 @@ var (
 // shapeTag begins every shape key (see codeTag).
 const shapeTag = 0
 
-// shapeEntry is what the cache keeps for one statement shape.
+// shapeEntry is what the cache keeps for one statement shape: the plan's
+// binding to its code and the statement's binder. The binding is charged for
+// what it adds to its code.
 type shapeEntry struct {
-	plan   string // the plan's fingerprint, literal values masked
+	// codeKey is the key of the code at the code level, and codeID the
+	// code's identity there: the binding serves only the code it was bound
+	// to, and names it by key so that code the cache evicts is not kept
+	// alive.
+	codeKey string
+	codeID  uint64
+	// pipes are the plan's pipelines, with its kernel programs.
+	pipes []codegen.Pipeline
+	nlits int
+	// slotLit gives, per constant-pool slot, the literal whose value it holds.
+	slotLit []int32
+	// pinned lists the literals whose value the code or a kernel has compiled
+	// in, with that value: the binding serves only plans that agree on them.
+	// Every literal is pinned unless the generator reported that it reads it
+	// from pool slots and nowhere else (codegen.Compiled.PoolLits, InlineLits).
+	pinned []pinnedLit
+
 	tables []shapeTable
 	binder *sql.Binder
 	cols   []string
-	key    string
+	key    string // the cache key
 }
 
 // shapeTable is a table the plan scans, as the catalog held it.
@@ -56,12 +78,12 @@ type shapeTable struct {
 }
 
 // PrepareSQL takes SQL text to a program and the names of its output
-// columns: Parse + Prepare, through the statement-shape level when the world
+// columns: Parse + Lower + Compile, through the program cache when the world
 // has a code cache. A statement of a shape the cache holds is bound without
-// parsing; any other statement is parsed, prepared, and its shape stored once
-// its program is in the cache. The names are shared with the cache; callers
-// copy them. The program's CompileTime starts with all of this: text to
-// executable, whichever path the statement took.
+// parsing; any other statement is parsed and prepared, and its binding stored
+// under its shape. The names are shared with the cache; callers copy them.
+// The program's CompileTime starts with all of this: text to executable,
+// whichever path the statement took.
 func (w *World) PrepareSQL(eng backend.Engine, name, query string) (*Program, []string, error) {
 	start := time.Now()
 	p, cols, err := w.prepareSQL(eng, name, query)
@@ -80,34 +102,31 @@ func (w *World) prepareSQL(eng backend.Engine, name, query string) (*Program, []
 		p, err := w.lowerCompile(eng, name, node)
 		return p, columns(node), err
 	}
-	key, lits, kerr := sql.ShapeKey(append(w.skey[:0], shapeTag), w.lits[:0], query)
+	key := w.keyPrefix(append(w.skey[:0], shapeTag), eng, name)
+	key, lits, kerr := sql.ShapeKey(key, w.lits[:0], query)
 	w.skey, w.lits = key, lits
 	if kerr == nil {
-		if v, ok := w.cache.GetProgram(key); ok {
-			ent := v.(*shapeEntry)
-			if p := w.bindShape(ent, eng, name, lits); p != nil {
-				obsShapeHits.Inc()
-				return p, ent.cols, nil
-			}
-			obsShapeDeclines.Inc()
-		} else {
+		if v, ok := w.cache.GetProgram(key); !ok {
 			obsShapeMisses.Inc()
+		} else if p := w.bindShape(v.(*shapeEntry), lits); p != nil {
+			obsShapeHits.Inc()
+			return p, p.bind.cols, nil
+		} else {
+			obsShapeDeclines.Inc()
 		}
 	}
 	node, shape, err := sql.ParseShape(query, w.Cat)
 	if err != nil {
 		return nil, nil, err
 	}
-	p, err := w.Prepare(eng, name, node)
+	p, err := w.prepare(eng, name, node)
 	if err != nil {
 		return nil, nil, err
 	}
 	cols := columns(node)
-	if kerr == nil && shape != nil && p.bind != nil {
-		if ent := w.newShapeEntry(shape, cols, len(lits)); ent != nil {
-			ent.key = string(key)
-			w.cache.PutProgram(ent.key, ent, ent.footprint())
-		}
+	if ent := p.bind; kerr == nil && shape != nil && ent != nil && w.describe(ent, shape, len(lits)) {
+		ent.cols, ent.key = cols, string(key)
+		w.cache.PutProgram(ent.key, ent, ent.footprint())
 	}
 	return p, cols, nil
 }
@@ -123,8 +142,8 @@ func columns(node plan.Node) []string {
 
 // bindShape serves the statement whose literals are lits from shape entry
 // ent, or returns nil when it cannot reproduce what parsing the statement
-// would give.
-func (w *World) bindShape(ent *shapeEntry, eng backend.Engine, name string, lits []sql.Lit) *Program {
+// would give or the code no longer serves it.
+func (w *World) bindShape(ent *shapeEntry, lits []sql.Lit) *Program {
 	sp := w.Tracer.BeginCat("prepare", "prepare")
 	defer sp.End()
 	for _, t := range ent.tables {
@@ -137,46 +156,51 @@ func (w *World) bindShape(ent *shapeEntry, eng backend.Engine, name string, lits
 	if !ok {
 		return nil
 	}
-	k := append(w.keyPrefix(w.pkey[:0], eng, name), ent.plan...)
-	for _, t := range ent.tables {
-		k = appendTable(k, t.t)
-	}
-	w.pkey = k
-	v, ok := w.cache.GetProgram(k)
-	if !ok {
-		return nil
-	}
-	return w.serve(v.(*cachedProgram), w.vals)
+	return w.serve(ent, vals)
 }
 
-// newShapeEntry builds the shape entry of the plan Prepare fingerprinted
-// last (w.fp), from the statement's Shape, or nil when a literal of the plan
-// is none the parser recorded.
-func (w *World) newShapeEntry(shape *sql.Shape, cols []string, nlits int) *shapeEntry {
+// describe adds to binding ent the statement side of the plan prepare
+// fingerprinted last (w.fp): the binder built from the statement's Shape and
+// the tables the plan scans. It reports false when a literal of the plan is
+// none the parser recorded.
+func (w *World) describe(ent *shapeEntry, shape *sql.Shape, nlits int) bool {
 	fp := &w.fp
-	b := shape.Binder(fp.Lits, nlits)
-	if b == nil {
-		return nil
+	if ent.binder = shape.Binder(fp.Lits, nlits); ent.binder == nil {
+		return false
 	}
-	ent := &shapeEntry{plan: string(fp.Key[w.planAt[0]:w.planAt[1]]), binder: b, cols: cols}
 	for _, name := range fp.Tables {
 		t, err := w.Cat.Table(name)
 		if err != nil {
-			return nil
+			return false
 		}
 		ent.tables = append(ent.tables, shapeTable{name: name, t: t, rows: t.Rows})
 	}
-	return ent
+	return true
 }
 
-// footprint is what the cache charges a shape entry: its key, the plan's
-// key, its tables, binder and column names.
+// footprint is what the cache charges a shape entry: the Go heap it keeps
+// alive apart from its code — its key, tables, kernels, binder and column
+// names — and the spans it keeps in use (bindingSpans). The code is charged
+// on its own (codeEntry.footprint), once however many shapes it serves.
 func (e *shapeEntry) footprint() int64 {
-	n := int64(unsafe.Sizeof(*e)) + int64(len(e.key)+len(e.plan)) +
+	n := int64(unsafe.Sizeof(*e)) + int64(len(e.key)+len(e.codeKey)) + int64(len(e.slotLit))*4 +
+		int64(len(e.pinned))*int64(unsafe.Sizeof(pinnedLit{})) + pipesFootprint(e.pipes) +
 		int64(len(e.tables))*int64(unsafe.Sizeof(shapeTable{})) + e.binder.Footprint() +
-		int64(len(e.cols))*int64(unsafe.Sizeof(""))
+		int64(len(e.cols))*int64(unsafe.Sizeof("")) + bindingSpans
 	for _, c := range e.cols {
 		n += int64(len(c))
 	}
 	return n
 }
+
+// bindingSpans is what a shape entry keeps of the heap in use beyond its
+// bytes. An entry is a dozen small objects of as many size classes — its
+// tables, keys, binder, pipelines and kernel nodes, the cache's list and map
+// entries — that outlive the garbage of the statement that made them, each
+// keeping a span of the heap in use. Charged its bytes alone, a 1 MiB cache of
+// bindings to shared code held 4.7–5.1 MiB of heap in use
+// (TestProgramCacheBudget, "shared code"); with 2 KiB on top 3.8–4.0 MiB,
+// with 4 KiB 3.4–3.7 MiB, and 3.1–3.5 MiB once the binding and the shape
+// entry were one. Copying a binding's kernels into one array per kernel made
+// no difference.
+const bindingSpans = 4 << 10

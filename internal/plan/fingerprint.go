@@ -5,7 +5,8 @@ import "encoding/binary"
 // Fingerprint is the canonical form of a plan with its literal values masked:
 // two plans with equal keys differ at most in the values of their literals —
 // the ConstInt, ConstDec, ConstFloat and ConstStr nodes and the Like patterns
-// — which Lits lists. It is what a cache of compiled programs keys on; the
+// — which Lits lists. A cache of compiled programs names a plan's literals by
+// their ordinal in Lits, which equal keys make comparable across plans; the
 // cached code is reusable for the new plan as far as it reads the literals as
 // run-time parameters (codegen.Compiled.PoolLits).
 //

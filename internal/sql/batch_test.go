@@ -86,7 +86,11 @@ func runExact(t *testing.T, w *engine.World, eng, q string) exact {
 	if err != nil {
 		t.Fatalf("%q: %v", q, err)
 	}
-	p, err := w.Prepare(engine.Backend(eng), "q", node)
+	c, err := w.Lower("q", node)
+	if err != nil {
+		t.Fatalf("%s: compile %q: %v", eng, q, err)
+	}
+	p, err := w.Compile(engine.Backend(eng), c)
 	if err != nil {
 		t.Fatalf("%s: compile %q: %v", eng, q, err)
 	}
@@ -278,6 +282,48 @@ func TestDecimalAndStringKeyedJoins(t *testing.T) {
 				if len(got) == 0 {
 					t.Errorf("%s: %q: no rows", eng, q)
 				}
+			}
+		}
+	}
+}
+
+// TestWidenedColumnsRunKernels: where an INT column meets a BIGINT operand —
+// another column, or a literal that does not fit INT — the parser widens the
+// column with a cast, and a kernel reads the widened column as it reads the
+// column: sign-extended to 64 bits, as the tuple code's sext widens it. Such
+// filters and sums run as scan kernels with the rows of tuple code on every
+// engine, over INT values of both signs and at both ends of the range. Casts
+// to DECIMAL or DOUBLE, and a negative literal out of INT's range, which
+// parses as a subtraction, stay tuple code.
+func TestWidenedColumnsRunKernels(t *testing.T) {
+	w := engine.NewWorld(engine.Options{MemMB: 16})
+	ints := []int64{math.MinInt32, -70000, -5, -1, 0, 1, 7, 70000, math.MaxInt32}
+	wc := w.Cat.CreateTable("wc", int64(len(ints)),
+		rt.ColSpec{Name: "a", Type: qir.I32}, rt.ColSpec{Name: "b", Type: qir.I64}, rt.ColSpec{Name: "f", Type: qir.F64})
+	for i, v := range ints {
+		w.Cat.SetInt(&wc.Cols[0], int64(i), v)
+		w.Cat.SetInt(&wc.Cols[1], int64(i), int64(i)-4)
+		w.Cat.SetF64(&wc.Cols[2], int64(i), float64(i)-4.5)
+	}
+	cases := []struct {
+		q      string
+		kernel bool
+	}{
+		{"SELECT COUNT(*), SUM(b) FROM wc WHERE a < 5000000000", true},
+		{"SELECT COUNT(*), SUM(b) FROM wc WHERE b > a", true},
+		{"SELECT COUNT(*), SUM(b - a), MIN(a + b) FROM wc WHERE a < 5000000000 AND b <= a", true},
+		{"SELECT COUNT(*), SUM(b) FROM wc WHERE a > -5000000000", false},
+		{"SELECT COUNT(*), SUM(b) FROM wc WHERE a < 2.5", false},
+		{"SELECT COUNT(*), SUM(b) FROM wc WHERE a < f", false},
+	}
+	for _, eng := range engine.BackendNames() {
+		for _, c := range cases {
+			tuple, batch, scans, _ := runModes(t, w, eng, c.q)
+			if !sameOutcome(tuple, batch) || tuple.trap != nil || len(tuple.rows) != 1 {
+				t.Errorf("%s: %q: batch %v (trap %v), tuple %v (trap %v)", eng, c.q, batch.rows, batch.trap, tuple.rows, tuple.trap)
+			}
+			if (scans > 0) != c.kernel {
+				t.Errorf("%s: %q: %d kernel calls, want a kernel %v", eng, c.q, scans, c.kernel)
 			}
 		}
 	}

@@ -89,7 +89,11 @@ type counted struct {
 
 func run(t testing.TB, w *engine.World, eng string, node plan.Node) counted {
 	t.Helper()
-	p, err := w.Prepare(engine.Backend(eng), "q", node)
+	lowered, err := w.Lower("q", node)
+	if err != nil {
+		t.Fatalf("%s: compile: %v", eng, err)
+	}
+	p, err := w.Compile(engine.Backend(eng), lowered)
 	if err != nil {
 		t.Fatalf("%s: compile: %v", eng, err)
 	}

@@ -22,6 +22,7 @@ package qc
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"qcc/internal/backend"
@@ -76,8 +77,12 @@ func WithBatch(on bool) Option { return func(o *engine.Options) { o.Batch = on }
 // interpreter, the adaptive tier driver) run uncached.
 func WithCacheMB(mb int) Option { return func(o *engine.Options) { o.CacheMB = mb } }
 
-// DB is an in-memory analytical database instance.
+// DB is an in-memory analytical database instance. It is safe for
+// concurrent use: one mutex serialises Exec, ExecWith, CreateTable,
+// LoadTPCH, LoadTPCDS and Table.Append, so statements and loads run one at a
+// time, each to completion, in the order they take the lock.
 type DB struct {
+	mu      sync.Mutex
 	w       *engine.World
 	engines map[string]backend.Engine
 	def     string
@@ -106,10 +111,18 @@ func Open(opts ...Option) (*DB, error) {
 }
 
 // LoadTPCH populates the TPC-H analog schema at the given scale factor.
-func (d *DB) LoadTPCH(sf float64) error { return tpch.Load(d.w.Cat, sf) }
+func (d *DB) LoadTPCH(sf float64) error {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return tpch.Load(d.w.Cat, sf)
+}
 
 // LoadTPCDS populates the TPC-DS analog schema at the given scale factor.
-func (d *DB) LoadTPCDS(sf float64) error { return tpcds.Load(d.w.Cat, sf) }
+func (d *DB) LoadTPCDS(sf float64) error {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return tpcds.Load(d.w.Cat, sf)
+}
 
 // ColumnType is a column type for CreateTable.
 type ColumnType = qir.Type
@@ -138,6 +151,8 @@ type Table struct {
 
 // CreateTable allocates a table with a fixed row capacity.
 func (d *DB) CreateTable(name string, rows int64, cols ...Column) (t *Table, err error) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
 	defer vm.CatchOOM(&err) // more rows than the machine's memory holds
 	specs := make([]rt.ColSpec, len(cols))
 	for i, c := range cols {
@@ -149,6 +164,8 @@ func (d *DB) CreateTable(name string, rows int64, cols ...Column) (t *Table, err
 // Append adds one row; values must match the column declaration order and
 // types (int64, float64, string, or qc.Dec for decimals).
 func (t *Table) Append(values ...any) (err error) {
+	t.db.mu.Lock()
+	defer t.db.mu.Unlock()
 	defer vm.CatchOOM(&err) // a string longer than 12 bytes is stored out of line
 	if t.row >= t.tbl.Rows {
 		return fmt.Errorf("qc: table %s is full (%d rows)", t.tbl.Name, t.tbl.Rows)
@@ -266,6 +283,8 @@ func (d *DB) ExecWith(engineName, query string) (*Result, error) {
 	if !ok {
 		return nil, fmt.Errorf("qc: unknown engine %q (have %v)", engineName, Engines())
 	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
 	p, cols, err := d.w.PrepareSQL(eng, "q", query)
 	if err != nil {
 		return nil, err

@@ -56,10 +56,10 @@ func TestWarmHitIsFlat(t *testing.T) {
 	var watched []*obs.Counter
 	for _, name := range []string{"sa.functions_analyzed", "sa.modules_analyzed", "hoist.candidates",
 		"pcc.cache_hits", "pcc.cache_misses", "vm_fuse_modules", "vm_fuse_orig_instrs", "vm_fuse_micro_ops",
-		"engine.program_cache_misses", "sql.statements_parsed", "engine.shape_cache_declines"} {
+		"engine.shape_cache_misses", "sql.statements_parsed", "engine.shape_cache_declines"} {
 		watched = append(watched, obs.NewCounter(name))
 	}
-	hits := obs.NewCounter("engine.program_cache_hits")
+	hits := obs.NewCounter("engine.shape_cache_hits")
 	for _, engine := range Engines() {
 		db := openWarm(t, engine)
 		for _, shape := range warmShapes {
