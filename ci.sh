@@ -11,9 +11,10 @@
 #      no non-test file of internal/tpch or internal/tpcds may build a plan
 #      node: the workloads are SQL text the front-end plans; and one
 #      definition of an operation: outside internal/sem and benchmark/ no
-#      non-test file may define a top-level canon… function or apply the
-#      signed-high-multiply correction (hi -= uint64(…)), so the meaning of
-#      an operation is not copied out of internal/sem again; and one
+#      non-test file may define a top-level canon… function, apply the
+#      signed-high-multiply correction (hi -= uint64(…)) or spell out a
+#      signed compare (return int64(a) < int64(b), or <=), so the meaning
+#      of an operation is not copied out of internal/sem again; and one
 #      description per target op: outside internal/vt and benchmark/ no
 #      non-test file may define visitOperands, visitMOperands, accessSize
 #      or immToRR or spell out the register-immediate ALU list
@@ -148,10 +149,12 @@
 #  21. 10 s of FuzzDecodeBatchSpec: arbitrary bytes read as a batch-kernel
 #      spec (in the byte layout kernels had when the code carried them; the
 #      program no longer decodes anything, the name is kept for its seeds)
-#      and prepared the way the executor prepares a kernel — no panic; a
-#      spec it accepts is left unchanged and its kernel has no out-of-range
-#      code, pool slot or depth, no missing operand and no payload that is
-#      not a column. Its corpus is frozen: the TPC-H and TPC-DS kernels of
+#      and prepared the way the executor prepares a kernel — no panic;
+#      rt.CheckBatchSpec, the check the code generator runs on every spec,
+#      accepts exactly the specs PrepareBatch accepts; a spec it accepts is
+#      left unchanged and its kernel has no out-of-range code, pool slot or
+#      depth, no missing operand and no payload that is not a column. Its
+#      corpus is frozen: the TPC-H and TPC-DS kernels of
 #      the commit that retired the layout, and a spec with a CASE; nothing
 #      regenerates it. The kernels the generator writes today are prepared
 #      by TestFrontEndGolden (stage 5)
@@ -193,7 +196,7 @@ if [ -n "$hand" ]; then
 fi
 sems="$(find . -name '*.go' ! -name '*_test.go' \
 	! -path './internal/sem/*' ! -path './benchmark/*' ! -path './.bench_build/*' \
-	-exec grep -nE '^func canon|hi -= uint64\(' {} + || true)"
+	-exec grep -nE '^func canon|hi -= uint64\(|return int64\(a\) <=? int64\(b\)' {} + || true)"
 if [ -n "$sems" ]; then
 	echo "$sems"
 	echo "call internal/sem for what an operation means instead of defining it again" >&2

@@ -13,18 +13,21 @@ import (
 // calls the runtime's vectorized kernel once per morsel instead of a
 // tuple-at-a-time loop. The pipeline may probe one hash join on the way (a
 // probe kernel): the kernel then also walks the join's bucket chains and
-// evaluates the sink over the matching (row, build entry) pairs. Eligibility
-// is deliberately conservative — the kernel must reproduce tuple semantics
-// bit-for-bit, including trap order — so anything with short-circuit
-// evaluation, narrow-width trapping arithmetic, a second probe, a predicate
-// after the join, or expressions the kernel does not vectorize falls back to
-// the tuple loop (the per-operator mode choice from the hybrid-engine
-// literature: Q1/Q6-style scans and their join probes go batch, point-lookup
-// shapes stay tuple).
+// evaluates the sink over the matching (row, build entry) pairs. The kernel
+// must reproduce tuple semantics bit-for-bit, including trap order, so
+// anything with short-circuit evaluation, narrow-width trapping arithmetic,
+// a second probe, a predicate after the join, or expressions the kernel does
+// not vectorize falls back to the tuple loop (the per-operator mode choice
+// from the hybrid-engine literature: Q1/Q6-style scans and their join probes
+// go batch, point-lookup shapes stay tuple).
+//
+// One walk decides and lowers (batchKernel): it keeps the rules that keep a
+// kernel equal to the tuple code and that a finished spec cannot show, and
+// rt.CheckBatchSpec holds every rule it can check on the spec.
 
-// batchChain is a batch-eligible pipeline prefix: one scan plus a conjunct
-// list applied in tuple evaluation order, and for a probe kernel the join
-// its rows probe.
+// batchChain is a kernel candidate's pipeline prefix: one scan plus a
+// conjunct list applied in tuple evaluation order, and for a probe kernel
+// the join its rows probe.
 type batchChain struct {
 	scan    *plan.Scan
 	tbl     *rt.Table
@@ -98,25 +101,6 @@ func batchType(t qir.Type) (rt.BatchType, bool) {
 	return 0, false
 }
 
-// batchLeaf reports whether e is a trap-free leaf operand (column or
-// constant) of a kernel-evaluable type. An integer column widened to I64 is
-// the column: kernels load integers sign-extended to 64 bits, as the tuple
-// code's sext widens them.
-func batchLeaf(e plan.Expr) bool {
-	switch x := e.(type) {
-	case *plan.Col:
-		_, ok := batchType(x.Ty)
-		return ok
-	case *plan.Cast:
-		return widenedCol(x) != nil
-	case *plan.ConstInt:
-		return x.Ty != qir.I1
-	case *plan.ConstDec, *plan.ConstFloat, *plan.ConstStr:
-		return true
-	}
-	return false
-}
-
 // widenedCol returns the integer column a cast to I64 widens, or nil.
 func widenedCol(x *plan.Cast) *plan.Col {
 	col, ok := x.E.(*plan.Col)
@@ -129,318 +113,233 @@ func widenedCol(x *plan.Cast) *plan.Col {
 	return col
 }
 
-// batchValue reports whether e, at the given depth of its expression tree,
-// is kernel-evaluable as a value (aggregate arguments). Trapping arithmetic
-// is allowed only at I64/I128/F64 width — narrow-width overflow (trap when
-// the result does not round-trip the narrow type) is not vectorized. A CASE
-// is, when it cannot trap: a filter-eligible condition and leaf branches.
-func batchValue(e plan.Expr, depth int) bool {
-	if depth > rt.BatchMaxDepth {
-		return false
-	}
-	if batchLeaf(e) {
-		return true
-	}
-	if x, ok := e.(*plan.Case); ok {
-		t := x.Type()
-		return t != qir.Str && t != qir.I1 && x.Else.Type() == t &&
-			batchLeaf(x.Then) && batchLeaf(x.Else) && batchFilter(x.Cond)
-	}
-	if x, ok := e.(*plan.Arith); ok {
-		switch x.Op {
-		case plan.OpAdd, plan.OpSub, plan.OpMul:
-		default:
-			return false
-		}
-		t := x.Type()
-		if t != qir.I64 && t != qir.I128 && t != qir.F64 {
-			return false
-		}
-		return x.L.Type() == t && x.R.Type() == t && batchValue(x.L, depth+1) && batchValue(x.R, depth+1)
-	}
-	return false
-}
-
-// batchFilter reports whether a boolean conjunct is kernel-evaluable. The
-// kernel refines a selection vector per conjunct, so filters must be
-// trap-free: a compare or BETWEEN over leaf operands. AND chains arrive split
-// (appendConjuncts); any other boolean operator stays tuple code.
-func batchFilter(e plan.Expr) bool {
-	switch x := e.(type) {
-	case *plan.Cmp:
-		t := x.L.Type()
-		if t != x.R.Type() {
-			return false
-		}
-		if t == qir.Str {
-			if x.Op != plan.CmpEQ && x.Op != plan.CmpNE {
-				return false
-			}
-		} else if _, ok := batchType(t); !ok {
-			return false
-		}
-		return batchLeaf(x.L) && batchLeaf(x.R)
-	case *plan.Between:
-		t := x.E.Type()
-		if t != x.Lo.Type() || t != x.Hi.Type() || t == qir.Str {
-			return false
-		}
-		if _, ok := batchType(t); !ok {
-			return false
-		}
-		return batchLeaf(x.E) && batchLeaf(x.Lo) && batchLeaf(x.Hi)
-	}
-	return false
-}
-
-// batchKeyOK reports whether a key expression is kernel-evaluable: plain
-// column references only. F64 keys are excluded — the tuple chain walk
-// compares them with an integer compare on the slot (bit equality), which
-// the kernel's typed compare would not reproduce for NaN or signed zero.
-func batchKeyOK(e plan.Expr) bool {
-	col, ok := e.(*plan.Col)
-	if !ok || col.Ty == qir.F64 {
-		return false
-	}
-	_, ok = batchType(col.Ty)
-	return ok
-}
-
-// batchSource matches the input of a batch pipeline's sink: Select*(Scan),
-// or a hash join whose probe side is one, probed on plain columns of the
-// build keys' widened types and with a build side of kernel-typed columns.
-// Its filters must be kernel filters.
+// batchSource matches the input of a batch pipeline's sink under
+// Options.Batch: Select*(Scan), or a hash join on at least one key whose
+// probe side is one. It only reads the plan and the catalog; whether the
+// chain's expressions have a kernel form is batchKernel's to decide.
 func (c *Compiler) batchSource(n plan.Node) *batchChain {
+	if !c.opts.Batch {
+		return nil
+	}
 	j, probe := n.(*plan.HashJoin)
 	if probe {
+		if len(j.ProbeKeys) == 0 {
+			return nil
+		}
 		n = j.Probe
 	}
 	bc := c.batchScanChain(n)
-	if bc == nil {
-		return nil
+	if bc != nil && probe {
+		bc.join = j
 	}
-	for _, f := range bc.filters {
-		if !batchFilter(f) {
-			return nil
-		}
-	}
-	if !probe {
-		return bc
-	}
-	if len(j.ProbeKeys) == 0 {
-		return nil
-	}
-	for i, k := range j.ProbeKeys {
-		if !batchKeyOK(k) || widened(k.Type()) != widened(j.BuildKeys[i].Type()) {
-			return nil
-		}
-	}
-	for _, col := range j.Build.Schema() {
-		if _, ok := batchType(col.Type); !ok {
-			return nil
-		}
-	}
-	bc.join = j
 	return bc
 }
 
-// outCol is the kernel form of column idx of the chain's output: a column
-// of the scanned table, or of a probe kernel's build side.
-func (bc *batchChain) outCol(idx int) (*rt.BatchExpr, error) {
-	if bc.join != nil {
-		build := bc.join.Build.Schema()
+// kernelWalk is the walk that lowers one kernel's plan expressions. Each
+// role (leaf, value, filter, key) has one method, which returns the
+// expression's kernel form or declines; a declined walk's spec is dropped.
+// Filters and probe keys read the scanned table's columns, the sink reads
+// the chain's output (out).
+type kernelWalk struct {
+	c        *Compiler
+	bc       *batchChain
+	out      bool
+	declined bool
+}
+
+// decline marks the walk declined; its nil stands where the expression's
+// kernel form would.
+func (w *kernelWalk) decline() *rt.BatchExpr {
+	w.declined = true
+	return nil
+}
+
+// column is the kernel form of column idx: of the chain's output (a column
+// of the scanned table, or of a probe kernel's build side) or of the scanned
+// table. A scanned column of no kernel type declines.
+func (w *kernelWalk) column(idx int) *rt.BatchExpr {
+	if j := w.bc.join; w.out && j != nil {
+		build := j.Build.Schema()
 		if idx < len(build) {
-			bt, ok := batchType(build[idx].Type)
-			if !ok {
-				return nil, fmt.Errorf("codegen: batch: build column type %s", build[idx].Type)
-			}
-			slot := len(bc.join.BuildKeys) + idx
-			return &rt.BatchExpr{Kind: rt.BEBuildCol, Ty: bt, Base: uint64(bc.jl.offs[slot]),
-				Elem: uint64(build[idx].Type.Size())}, nil
+			bt, _ := batchType(build[idx].Type) // every build column has one (batchKernel)
+			slot := len(j.BuildKeys) + idx
+			return &rt.BatchExpr{Kind: rt.BEBuildCol, Ty: bt, Base: uint64(w.bc.jl.offs[slot]),
+				Elem: uint64(build[idx].Type.Size())}
 		}
 		idx -= len(build)
 	}
-	return bc.scanCol(idx)
-}
-
-// scanCol is the kernel form of column idx of the scanned table.
-func (bc *batchChain) scanCol(idx int) (*rt.BatchExpr, error) {
-	col := &bc.tbl.Cols[idx]
+	col := &w.bc.tbl.Cols[idx]
 	bt, ok := batchType(col.Type)
 	if !ok {
-		return nil, fmt.Errorf("codegen: batch: column type %s", col.Type)
+		return w.decline()
 	}
-	return &rt.BatchExpr{Kind: rt.BECol, Ty: bt, Base: col.Base, Elem: uint64(col.Type.Size())}, nil
+	return &rt.BatchExpr{Kind: rt.BECol, Ty: bt, Base: col.Base, Elem: uint64(col.Type.Size())}
 }
 
-// batchExpr lowers a plan expression to its kernel form, its columns read
-// through col. Callers must have established eligibility first.
+// leaf lowers a trap-free operand: a column or a literal. An integer column
+// widened to I64 reads as the column: kernels load integers sign-extended to
+// 64 bits, as the tuple code's sext widens them.
 //
 // With Options.Hoist a literal goes into a constant-pool slot of its own,
 // which the executor reads when it prepares the kernel (rt.BEPool), so the
 // spec does not depend on the literal's value. When the pool is full, or
 // without Hoist, the spec holds the value, as rewriteToPool leaves a literal
 // inline.
-func (c *Compiler) batchExpr(e plan.Expr, col func(idx int) (*rt.BatchExpr, error)) (*rt.BatchExpr, error) {
-	if pc, lit := PoolConstOf(e); lit {
-		if c.opts.Hoist && len(c.mod.Pool) < rt.ConstPoolSlots {
-			bt, _ := batchType(pc.Type)
-			slot := c.mod.AddPoolConst(pc)
-			c.out.PoolLits = append(c.out.PoolLits, e)
-			return &rt.BatchExpr{Kind: rt.BEPool, Ty: bt, Slot: uint64(slot)}, nil
-		}
-		c.out.InlineLits = append(c.out.InlineLits, e)
-	}
+func (w *kernelWalk) leaf(e plan.Expr) *rt.BatchExpr {
+	var k *rt.BatchExpr
 	switch x := e.(type) {
 	case *plan.Col:
-		return col(x.Idx)
+		return w.column(x.Idx)
 	case *plan.Cast:
-		return col(widenedCol(x).Idx)
+		if col := widenedCol(x); col != nil {
+			return w.column(col.Idx)
+		}
+		return w.decline()
 	case *plan.ConstInt:
-		return &rt.BatchExpr{Kind: rt.BEConst, Ty: rt.BTInt, I: x.V}, nil
+		if x.Ty == qir.I1 {
+			return w.decline()
+		}
+		k = &rt.BatchExpr{Kind: rt.BEConst, Ty: rt.BTInt, I: x.V}
 	case *plan.ConstDec:
-		return &rt.BatchExpr{Kind: rt.BEConst, Ty: rt.BTI128, D: x.V}, nil
+		k = &rt.BatchExpr{Kind: rt.BEConst, Ty: rt.BTI128, D: x.V}
 	case *plan.ConstFloat:
-		return &rt.BatchExpr{Kind: rt.BEConst, Ty: rt.BTF64, F: x.V}, nil
+		k = &rt.BatchExpr{Kind: rt.BEConst, Ty: rt.BTF64, F: x.V}
 	case *plan.ConstStr:
-		return &rt.BatchExpr{Kind: rt.BEConst, Ty: rt.BTStr, S: []byte(x.V)}, nil
-	case *plan.Arith:
-		l, err := c.batchExpr(x.L, col)
-		if err != nil {
-			return nil, err
-		}
-		r, err := c.batchExpr(x.R, col)
-		if err != nil {
-			return nil, err
-		}
-		bt, _ := batchType(x.Type())
-		var op uint8
-		switch x.Op {
-		case plan.OpAdd:
-			op = rt.BArithAdd
-		case plan.OpSub:
-			op = rt.BArithSub
-		case plan.OpMul:
-			op = rt.BArithMul
-		default:
-			return nil, fmt.Errorf("codegen: batch: arith op %d", x.Op)
-		}
-		return &rt.BatchExpr{Kind: rt.BEArith, Ty: bt, Op: op, L: l, R: r}, nil
-	case *plan.Cmp:
-		l, err := c.batchExpr(x.L, col)
-		if err != nil {
-			return nil, err
-		}
-		r, err := c.batchExpr(x.R, col)
-		if err != nil {
-			return nil, err
-		}
-		bt, _ := batchType(x.L.Type())
-		return &rt.BatchExpr{Kind: rt.BECmp, Ty: bt, Op: batchCmpOp(x.Op), L: l, R: r}, nil
-	case *plan.Between:
-		v, err := c.batchExpr(x.E, col)
-		if err != nil {
-			return nil, err
-		}
-		lo, err := c.batchExpr(x.Lo, col)
-		if err != nil {
-			return nil, err
-		}
-		hi, err := c.batchExpr(x.Hi, col)
-		if err != nil {
-			return nil, err
-		}
-		bt, _ := batchType(x.E.Type())
-		return &rt.BatchExpr{Kind: rt.BEBetween, Ty: bt, L: v, R: lo, H: hi}, nil
-	case *plan.Case:
-		cond, err := c.batchExpr(x.Cond, col)
-		if err != nil {
-			return nil, err
-		}
-		th, err := c.batchExpr(x.Then, col)
-		if err != nil {
-			return nil, err
-		}
-		el, err := c.batchExpr(x.Else, col)
-		if err != nil {
-			return nil, err
-		}
-		bt, _ := batchType(x.Type())
-		return &rt.BatchExpr{Kind: rt.BECase, Ty: bt, L: cond, R: th, H: el}, nil
-	}
-	return nil, fmt.Errorf("codegen: batch: unsupported expression %T", e)
-}
-
-func batchCmpOp(op plan.CmpOp) uint8 {
-	switch op {
-	case plan.CmpEQ:
-		return rt.BCmpEQ
-	case plan.CmpNE:
-		return rt.BCmpNE
-	case plan.CmpLT:
-		return rt.BCmpLT
-	case plan.CmpLE:
-		return rt.BCmpLE
-	case plan.CmpGT:
-		return rt.BCmpGT
+		k = &rt.BatchExpr{Kind: rt.BEConst, Ty: rt.BTStr, S: []byte(x.V)}
 	default:
-		return rt.BCmpGE
+		return w.decline()
 	}
+	c := w.c
+	if c.opts.Hoist && len(c.mod.Pool) < rt.ConstPoolSlots {
+		pc, _ := PoolConstOf(e)
+		slot := c.mod.AddPoolConst(pc)
+		c.out.PoolLits = append(c.out.PoolLits, e)
+		return &rt.BatchExpr{Kind: rt.BEPool, Ty: k.Ty, Slot: uint64(slot)}
+	}
+	c.out.InlineLits = append(c.out.InlineLits, e)
+	return k
 }
 
-// batchAggChain decides batch eligibility for a GroupBy input pipeline.
-func (c *Compiler) batchAggChain(g *plan.GroupBy) *batchChain {
-	bc := c.batchSource(g.Input)
+// value lowers an aggregate argument: a leaf; trapping add, sub or mul at
+// I64, I128 or F64 width (narrow-width overflow, a trap when the result does
+// not round-trip the narrow type, is not vectorized); or a CASE that cannot
+// trap, with a filter condition and leaf branches of one QIR type.
+func (w *kernelWalk) value(e plan.Expr) *rt.BatchExpr {
+	switch x := e.(type) {
+	case *plan.Arith:
+		t := x.Type()
+		if t != qir.I64 && t != qir.I128 && t != qir.F64 || x.Op > plan.OpMul {
+			return w.decline()
+		}
+		bt, _ := batchType(t)
+		return &rt.BatchExpr{Kind: rt.BEArith, Ty: bt, Op: uint8(x.Op), L: w.value(x.L), R: w.value(x.R)}
+	case *plan.Case:
+		bt, ok := batchType(x.Type())
+		if !ok || x.Else.Type() != x.Type() {
+			return w.decline()
+		}
+		return &rt.BatchExpr{Kind: rt.BECase, Ty: bt, L: w.filter(x.Cond), R: w.leaf(x.Then), H: w.leaf(x.Else)}
+	}
+	return w.leaf(e)
+}
+
+// filter lowers a conjunct. The kernel refines a selection vector per
+// conjunct, so a filter must be trap-free: a compare or BETWEEN of leaves,
+// whose QIR operand types agree (rt.BTInt cannot tell I32 from I64). AND
+// chains arrive split (appendConjuncts); any other boolean operator stays
+// tuple code.
+func (w *kernelWalk) filter(e plan.Expr) *rt.BatchExpr {
+	switch x := e.(type) {
+	case *plan.Cmp:
+		if bt, ok := batchType(x.L.Type()); ok {
+			return &rt.BatchExpr{Kind: rt.BECmp, Ty: bt, Op: uint8(x.Op), L: w.leaf(x.L), R: w.leaf(x.R)}
+		}
+	case *plan.Between:
+		t := x.E.Type()
+		if bt, ok := batchType(t); ok && x.Lo.Type() == t && x.Hi.Type() == t {
+			return &rt.BatchExpr{Kind: rt.BEBetween, Ty: bt, L: w.leaf(x.E), R: w.leaf(x.Lo), H: w.leaf(x.Hi)}
+		}
+	}
+	return w.decline()
+}
+
+// key lowers a group, join or probe key into the slot at off: a plain
+// column. F64 keys stay tuple code: the tuple chain walk compares them with
+// an integer compare on the slot (bit equality), which the kernel's typed
+// compare would not reproduce for NaN or signed zero.
+func (w *kernelWalk) key(e plan.Expr, off int64) rt.BatchKey {
+	col, ok := e.(*plan.Col)
+	if !ok || col.Ty == qir.F64 {
+		return rt.BatchKey{E: w.decline()}
+	}
+	bt, _ := batchType(col.Ty)
+	return rt.BatchKey{Off: off, Ty: bt, E: w.column(col.Idx)}
+}
+
+// batchKernel lowers the kernel of a pipeline over bc, in one walk, into the
+// tuple code's slot layout: an aggregation's (g, its aggregates at aggSlot)
+// or, with g nil, the build of join j. Literals take pool slots left to
+// right: filters, probe keys, keys, arguments. When the walk declines, or
+// rt.CheckBatchSpec rejects the spec, it gives back the pool slots and
+// literals it took and returns nil: the pipeline stays tuple code.
+func (c *Compiler) batchKernel(bc *batchChain, layout rowLayout, g *plan.GroupBy, aggSlot []int, j *plan.HashJoin) *rt.BatchSpec {
 	if bc == nil {
 		return nil
 	}
-	for _, k := range g.Keys {
-		if !batchKeyOK(k) {
-			return nil
+	pool, lits, inline := len(c.mod.Pool), len(c.out.PoolLits), len(c.out.InlineLits)
+	w := &kernelWalk{c: c, bc: bc}
+	spec := &rt.BatchSpec{Sink: rt.BatchSinkBuild, Width: uint64(layout.width)}
+	for _, f := range bc.filters {
+		spec.Filters = append(spec.Filters, w.filter(f))
+	}
+	if bc.join != nil {
+		// The probed entries hold the build side's columns; one of no
+		// kernel type (I1) keeps the probe tuple code, read or not.
+		for _, col := range bc.join.Build.Schema() {
+			if _, ok := batchType(col.Type); !ok {
+				w.decline()
+			}
+		}
+		for i, k := range bc.join.ProbeKeys {
+			if widened(k.Type()) != widened(bc.join.BuildKeys[i].Type()) {
+				w.decline()
+			}
+			spec.Probe = append(spec.Probe, w.key(k, bc.jl.offs[i]))
 		}
 	}
-	for i := range g.Aggs {
-		a := &g.Aggs[i]
-		switch a.Fn {
-		case plan.AggCount:
-			if a.Arg != nil && !batchValue(a.Arg, 0) {
-				return nil
+	w.out = true
+	var keys []plan.Expr
+	if g != nil {
+		spec.Sink, keys = rt.BatchSinkAgg, g.Keys
+	} else {
+		keys = j.BuildKeys
+	}
+	for i, k := range keys {
+		spec.Keys = append(spec.Keys, w.key(k, layout.offs[i]))
+	}
+	if g != nil {
+		for i := range g.Aggs {
+			a := &g.Aggs[i]
+			ba := rt.BatchAgg{Fn: uint8(a.Fn), Ty: rt.BTInt, Off: layout.offs[aggSlot[i]]}
+			if a.Fn == plan.AggAvg {
+				ba.COff = layout.offs[aggSlot[i]+1]
 			}
-		case plan.AggSum, plan.AggAvg:
-			if a.Arg == nil || !batchValue(a.Arg, 0) {
-				return nil
+			if a.Arg != nil {
+				ba.Ty, _ = batchType(layout.types[aggSlot[i]])
+				ba.Arg = w.value(a.Arg)
 			}
-		case plan.AggMin, plan.AggMax:
-			if a.Arg == nil || a.Arg.Type() == qir.Str || !batchValue(a.Arg, 0) {
-				return nil
-			}
-		default:
-			return nil
+			spec.Aggs = append(spec.Aggs, ba)
+		}
+	} else {
+		for i := range j.Build.Schema() {
+			spec.Payload = append(spec.Payload, rt.BatchCol{Off: layout.offs[len(keys)+i], Src: w.column(i)})
 		}
 	}
-	return bc
-}
-
-// batchBuildChain decides batch eligibility for a join build pipeline.
-func (c *Compiler) batchBuildChain(j *plan.HashJoin) *batchChain {
-	bc := c.batchSource(j.Build)
-	if bc == nil {
+	if w.declined || rt.CheckBatchSpec(spec) != nil {
+		c.mod.Pool, c.out.PoolLits, c.out.InlineLits = c.mod.Pool[:pool], c.out.PoolLits[:lits], c.out.InlineLits[:inline]
 		return nil
 	}
-	for _, k := range j.BuildKeys {
-		if !batchKeyOK(k) {
-			return nil
-		}
-	}
-	// The payload copies build-schema columns verbatim; a Select chain
-	// leaves the scan schema intact, so every payload column is a column
-	// of the scanned table or of the probed join's build side.
-	for _, col := range j.Build.Schema() {
-		if _, ok := batchType(col.Type); !ok {
-			return nil
-		}
-	}
-	return bc
+	return spec
 }
 
 // pushChainProv mirrors the produce() recursion's provenance stack for a
@@ -499,104 +398,6 @@ func (c *Compiler) emitBatchPipeline(bc *batchChain, spec *rt.BatchSpec, sink Si
 	c.endPipeline()
 }
 
-// chainSpec starts the kernel program of a chain: its filters over the
-// scanned table and, for a probe kernel, the probe keys against the join
-// table's key slots.
-func (c *Compiler) chainSpec(bc *batchChain, sink uint8, width int64) (*rt.BatchSpec, error) {
-	spec := &rt.BatchSpec{Sink: sink, Width: uint64(width)}
-	for _, f := range bc.filters {
-		be, err := c.batchExpr(f, bc.scanCol)
-		if err != nil {
-			return nil, err
-		}
-		spec.Filters = append(spec.Filters, be)
-	}
-	if bc.join != nil {
-		for i, k := range bc.join.ProbeKeys {
-			be, err := c.batchExpr(k, bc.scanCol)
-			if err != nil {
-				return nil, err
-			}
-			spec.Probe = append(spec.Probe, rt.BatchKey{Off: bc.jl.offs[i], Ty: be.Ty, E: be})
-		}
-	}
-	return spec, nil
-}
-
-// buildAggSpec assembles the kernel program for a batch aggregation
-// pipeline over the tuple code's exact slot layout.
-func (c *Compiler) buildAggSpec(g *plan.GroupBy, bc *batchChain, layout rowLayout, aggSlot []int) (*rt.BatchSpec, error) {
-	spec, err := c.chainSpec(bc, rt.BatchSinkAgg, layout.width)
-	if err != nil {
-		return nil, err
-	}
-	for i, k := range g.Keys {
-		be, err := c.batchExpr(k, bc.outCol)
-		if err != nil {
-			return nil, err
-		}
-		bt, _ := batchType(k.Type())
-		spec.Keys = append(spec.Keys, rt.BatchKey{Off: layout.offs[i], Ty: bt, E: be})
-	}
-	for i := range g.Aggs {
-		a := &g.Aggs[i]
-		ba := rt.BatchAgg{Off: layout.offs[aggSlot[i]]}
-		switch a.Fn {
-		case plan.AggSum:
-			ba.Fn = rt.BAggSum
-		case plan.AggCount:
-			ba.Fn = rt.BAggCount
-		case plan.AggMin:
-			ba.Fn = rt.BAggMin
-		case plan.AggMax:
-			ba.Fn = rt.BAggMax
-		case plan.AggAvg:
-			ba.Fn = rt.BAggAvg
-			ba.COff = layout.offs[aggSlot[i]+1]
-		}
-		if a.Arg != nil {
-			be, err := c.batchExpr(a.Arg, bc.outCol)
-			if err != nil {
-				return nil, err
-			}
-			ba.Arg = be
-			slotTy := layout.types[aggSlot[i]]
-			bt, _ := batchType(slotTy)
-			ba.Ty = bt
-		} else {
-			ba.Ty = rt.BTInt
-		}
-		spec.Aggs = append(spec.Aggs, ba)
-	}
-	return spec, nil
-}
-
-// buildJoinSpec assembles the kernel program for a batch join-build
-// pipeline: widened keys plus verbatim column payload.
-func (c *Compiler) buildJoinSpec(j *plan.HashJoin, bc *batchChain, layout rowLayout) (*rt.BatchSpec, error) {
-	spec, err := c.chainSpec(bc, rt.BatchSinkBuild, layout.width)
-	if err != nil {
-		return nil, err
-	}
-	for i, k := range j.BuildKeys {
-		be, err := c.batchExpr(k, bc.outCol)
-		if err != nil {
-			return nil, err
-		}
-		bt, _ := batchType(k.Type())
-		spec.Keys = append(spec.Keys, rt.BatchKey{Off: layout.offs[i], Ty: bt, E: be})
-	}
-	nkeys := len(j.BuildKeys)
-	for i := range j.Build.Schema() {
-		src, err := bc.outCol(i)
-		if err != nil {
-			return nil, err
-		}
-		spec.Payload = append(spec.Payload, rt.BatchCol{Off: layout.offs[nkeys+i], Src: src})
-	}
-	return spec, nil
-}
-
 // hasF64Sum reports whether any aggregate keeps a float running sum; float
 // addition is not associative, so those pipelines stay sequential to keep
 // parallel results bit-identical.
@@ -623,67 +424,26 @@ func (c *Compiler) genAggMerge(g *plan.GroupBy, layout rowLayout, aggSlot []int,
 	c.notePtrFact(b, src, htHeaderSize, layout.width, false)
 	h := loadStateHandle(b, htOff)
 	hash := b.Load(qir.I64, b.GEP(src, -8, qir.NoValue, 0))
-	first := b.Call(qir.Ptr, rt.FnHTLookup, h, hash)
-	c.notePtrFact(b, first, htHeaderSize, layout.width, true)
-	startBlk := b.Block()
-
-	head := b.NewBlock()
-	body := b.NewBlock()
-	found := b.NewBlock()
-	insert := b.NewBlock()
-	chainLatch := b.NewBlock()
+	w := &chainWalk{l: layout}
+	w.head, w.body, w.found, w.exit, w.next = b.NewBlock(), b.NewBlock(), b.NewBlock(), b.NewBlock(), b.NewBlock()
 	done := b.NewBlock()
-	b.Br(head)
+	c.walkChain(b, w, h, hash, len(g.Keys), func(i int) qir.Value { return layout.load(b, src, i) })
+	c.stepChain(b, w)
 
-	b.SetBlock(head)
-	p := b.Phi(qir.Ptr, startBlk, first)
-	c.notePtrFact(b, p, htHeaderSize, layout.width, true)
-	null := b.Null()
-	isNull := b.ICmp(qir.CmpEQ, p, null)
-	b.CondBr(isNull, insert, body)
-
-	b.SetBlock(body)
-	ehash := b.Load(qir.I64, b.GEP(p, -8, qir.NoValue, 0))
-	hashEq := b.ICmp(qir.CmpEQ, ehash, hash)
-	keyCmp := b.NewBlock()
-	b.CondBr(hashEq, keyCmp, chainLatch)
-	b.SetBlock(keyCmp)
-	for i := range g.Keys {
-		stored := layout.load(b, p, i)
-		mine := layout.load(b, src, i)
-		var eq qir.Value
-		if g.Keys[i].Type() == qir.Str {
-			r := b.Call(qir.I64, rt.FnStrEq, stored, mine)
-			eq = b.Convert(qir.OpTrunc, qir.I1, r)
-		} else {
-			eq = b.ICmp(qir.CmpEQ, stored, mine)
-		}
-		next := b.NewBlock()
-		b.CondBr(eq, next, chainLatch)
-		b.SetBlock(next)
-	}
-	b.Br(found)
-
-	b.SetBlock(chainLatch)
-	nxt := b.Load(qir.Ptr, b.GEP(p, -16, qir.NoValue, 0))
-	c.notePtrFact(b, nxt, htHeaderSize, layout.width, true)
-	b.AddPhiArg(p, chainLatch, nxt)
-	b.Br(head)
-
-	b.SetBlock(found)
+	b.SetBlock(w.found)
 	for i := range g.Aggs {
 		a := &g.Aggs[i]
 		slot := aggSlot[i]
-		cur := layout.load(b, p, slot)
+		cur := layout.load(b, w.p, slot)
 		v := layout.load(b, src, slot)
 		switch a.Fn {
 		case plan.AggCount:
-			layout.store(b, p, slot, b.Bin(qir.OpAdd, cur, v))
+			layout.store(b, w.p, slot, b.Bin(qir.OpAdd, cur, v))
 		case plan.AggSum:
 			if a.Arg.Type() == qir.F64 {
-				layout.store(b, p, slot, b.Bin(qir.OpFAdd, cur, v))
+				layout.store(b, w.p, slot, b.Bin(qir.OpFAdd, cur, v))
 			} else {
-				layout.store(b, p, slot, b.Bin(qir.OpSAddTrap, cur, v))
+				layout.store(b, w.p, slot, b.Bin(qir.OpSAddTrap, cur, v))
 			}
 		case plan.AggMin, plan.AggMax:
 			pred := qir.CmpSLT
@@ -698,23 +458,23 @@ func (c *Compiler) genAggMerge(g *plan.GroupBy, layout rowLayout, aggSlot []int,
 			} else {
 				better = b.ICmp(pred, v, cur)
 			}
-			layout.store(b, p, slot, b.Select(better, v, cur))
+			layout.store(b, w.p, slot, b.Select(better, v, cur))
 		case plan.AggAvg:
 			if a.Arg.Type() == qir.F64 {
-				layout.store(b, p, slot, b.Bin(qir.OpFAdd, cur, v))
+				layout.store(b, w.p, slot, b.Bin(qir.OpFAdd, cur, v))
 			} else {
-				layout.store(b, p, slot, b.Bin(qir.OpSAddTrap, cur, v))
+				layout.store(b, w.p, slot, b.Bin(qir.OpSAddTrap, cur, v))
 			}
-			ccur := layout.load(b, p, slot+1)
+			ccur := layout.load(b, w.p, slot+1)
 			cv := layout.load(b, src, slot+1)
-			layout.store(b, p, slot+1, b.Bin(qir.OpAdd, ccur, cv))
+			layout.store(b, w.p, slot+1, b.Bin(qir.OpAdd, ccur, cv))
 		default:
 			return 0, fmt.Errorf("codegen: bad aggregate %d", a.Fn)
 		}
 	}
 	b.Br(done)
 
-	b.SetBlock(insert)
+	b.SetBlock(w.exit)
 	np := b.Call(qir.Ptr, rt.FnHTInsert, h, hash)
 	c.notePtrFact(b, np, htHeaderSize, layout.width, false)
 	for i := range layout.types {

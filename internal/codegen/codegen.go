@@ -97,7 +97,7 @@ type Compiled struct {
 	// value was built from (PoolConstOf). InlineLits lists the literals whose
 	// value the generated code holds some other way: hoisting candidates kept
 	// inline, and literals a batch kernel program holds by value because the
-	// pool was full or Hoist is off (batchExpr). Together they say how far the
+	// pool was full or Hoist is off (kernelWalk.leaf). Together they say how far the
 	// code is parameterised: a literal that appears in PoolLits and not in
 	// InlineLits is read from its slots only, so the code serves any plan that
 	// differs from this one in that literal's value, once the slots hold the

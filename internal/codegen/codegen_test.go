@@ -434,3 +434,20 @@ func TestDecimalGroupKeys(t *testing.T) {
 		t.Errorf("distinct amounts = %d rows, want 10: %v", len(got), got)
 	}
 }
+
+// TestKernelCodesArePlanCodes pins the numbering the kernel walk relies on
+// when it casts a plan operator or aggregate to its kernel code.
+func TestKernelCodesArePlanCodes(t *testing.T) {
+	pairs := [][2]uint8{
+		{rt.BArithAdd, uint8(plan.OpAdd)}, {rt.BArithSub, uint8(plan.OpSub)}, {rt.BArithMul, uint8(plan.OpMul)},
+		{rt.BCmpEQ, uint8(plan.CmpEQ)}, {rt.BCmpNE, uint8(plan.CmpNE)}, {rt.BCmpLT, uint8(plan.CmpLT)},
+		{rt.BCmpLE, uint8(plan.CmpLE)}, {rt.BCmpGT, uint8(plan.CmpGT)}, {rt.BCmpGE, uint8(plan.CmpGE)},
+		{rt.BAggSum, uint8(plan.AggSum)}, {rt.BAggCount, uint8(plan.AggCount)}, {rt.BAggMin, uint8(plan.AggMin)},
+		{rt.BAggMax, uint8(plan.AggMax)}, {rt.BAggAvg, uint8(plan.AggAvg)},
+	}
+	for i, p := range pairs {
+		if p[0] != p[1] {
+			t.Errorf("pair %d: kernel code %d, plan code %d", i, p[0], p[1])
+		}
+	}
+}

@@ -13,6 +13,64 @@ import (
 // so entry pointers are valid over [entry-16, entry+payloadWidth).
 const htHeaderSize = 16
 
+// chainWalk is a walk of one bucket chain. The caller creates its blocks in
+// its own order (block ids follow creation order): head holds the entry p,
+// body compares p with the row, found is a match, next steps to the
+// following entry and exit is where the end of the chain leads.
+type chainWalk struct {
+	l                             rowLayout
+	head, body, found, next, exit qir.BlockID
+	p                             qir.Value
+}
+
+// walkChain emits the walk of the bucket chain of hash in the table h, whose
+// entries have layout w.l: the lookup, then the entry p at head, and at body
+// its stored hash and then its first nkeys key slots against key(i) (strings
+// through str_eq), a mismatch going to next and a full match to found.
+// stepChain emits next.
+func (c *Compiler) walkChain(b *qir.Builder, w *chainWalk, h, hash qir.Value, nkeys int, key func(i int) qir.Value) {
+	first := b.Call(qir.Ptr, rt.FnHTLookup, h, hash)
+	c.notePtrFact(b, first, htHeaderSize, w.l.width, true)
+	start := b.Block()
+	b.Br(w.head)
+
+	b.SetBlock(w.head)
+	w.p = b.Phi(qir.Ptr, start, first)
+	c.notePtrFact(b, w.p, htHeaderSize, w.l.width, true)
+	null := b.Null()
+	b.CondBr(b.ICmp(qir.CmpEQ, w.p, null), w.exit, w.body)
+
+	b.SetBlock(w.body)
+	ehash := b.Load(qir.I64, b.GEP(w.p, -8, qir.NoValue, 0))
+	hashEq := b.ICmp(qir.CmpEQ, ehash, hash)
+	keyCmp := b.NewBlock()
+	b.CondBr(hashEq, keyCmp, w.next)
+	b.SetBlock(keyCmp)
+	for i := 0; i < nkeys; i++ {
+		stored := w.l.load(b, w.p, i)
+		mine := key(i)
+		var eq qir.Value
+		if w.l.types[i] == qir.Str {
+			eq = b.Convert(qir.OpTrunc, qir.I1, b.Call(qir.I64, rt.FnStrEq, stored, mine))
+		} else {
+			eq = b.ICmp(qir.CmpEQ, stored, mine)
+		}
+		next := b.NewBlock()
+		b.CondBr(eq, next, w.next)
+		b.SetBlock(next)
+	}
+	b.Br(w.found)
+}
+
+// stepChain emits, at next, the walk's step to the entry after p.
+func (c *Compiler) stepChain(b *qir.Builder, w *chainWalk) {
+	b.SetBlock(w.next)
+	nxt := b.Load(qir.Ptr, b.GEP(w.p, -16, qir.NoValue, 0))
+	c.notePtrFact(b, nxt, htHeaderSize, w.l.width, true)
+	b.AddPhiArg(w.p, w.next, nxt)
+	b.Br(w.head)
+}
+
 // produceHashJoin generates the build-side pipelines (ending in hash-table
 // inserts), then the probe-side pipeline whose matches flow into consume.
 func (c *Compiler) produceHashJoin(j *plan.HashJoin, consume consumeFn) error {
@@ -45,18 +103,11 @@ func (c *Compiler) produceJoinBuild(j *plan.HashJoin) (rowLayout, int64, error) 
 	// closure runs while the enclosing pipeline's builders are active.
 	c.pushOp(joinProv(j, "build"))
 	defer c.popOp()
-	var bc *batchChain
-	if c.opts.Batch {
-		bc = c.batchBuildChain(j)
+	bc := c.batchSource(j.Build)
+	if err := c.produceProbedBuild(bc); err != nil {
+		return layout, 0, err
 	}
-	if bc != nil {
-		if err := c.produceProbedBuild(bc); err != nil {
-			return layout, 0, err
-		}
-		spec, err := c.buildJoinSpec(j, bc, layout)
-		if err != nil {
-			return layout, 0, err
-		}
+	if spec := c.batchKernel(bc, layout, nil, nil, j); spec != nil {
 		c.emitBatchPipeline(bc, spec, SinkBuild, htOff,
 			func(sb *qir.Builder) {
 				width := sb.ConstInt(qir.I64, layout.width)
@@ -68,7 +119,7 @@ func (c *Compiler) produceJoinBuild(j *plan.HashJoin) (rowLayout, int64, error) 
 			})
 		return layout, htOff, nil
 	}
-	err := c.produce(j.Build, func(rc *rowCtx) error {
+	err := c.produceTuple(j.Build, bc, func(rc *rowCtx) error {
 		sb := c.setup
 		width := sb.ConstInt(qir.I64, layout.width)
 		handle := sb.Call(qir.I64, rt.FnHTCreate, width)
@@ -101,12 +152,22 @@ func (c *Compiler) produceJoinBuild(j *plan.HashJoin) (rowLayout, int64, error) 
 // before the kernel's own pipeline, in the order the tuple code's produce
 // recursion emits them.
 func (c *Compiler) produceProbedBuild(bc *batchChain) error {
-	if bc.join == nil {
+	if bc == nil || bc.join == nil {
 		return nil
 	}
 	var err error
 	bc.jl, bc.jht, err = c.produceJoinBuild(bc.join)
 	return err
+}
+
+// produceTuple produces n, the input of a sink whose kernel was declined (bc,
+// nil when none was tried), as tuple code. A probe kernel's build side is
+// generated already, so only its probe remains.
+func (c *Compiler) produceTuple(n plan.Node, bc *batchChain, consume consumeFn) error {
+	if bc != nil && bc.join != nil {
+		return c.produceJoinProbe(bc.join, bc.jl, bc.jht, consume)
+	}
+	return c.produce(n, consume)
 }
 
 // produceJoinProbe generates the probe-side pipeline of a hash join; the
@@ -125,72 +186,30 @@ func (c *Compiler) produceJoinProbe(j *plan.HashJoin, layout rowLayout, htOff in
 			return err
 		}
 		h := loadStateHandle(b, htOff)
-		first := b.Call(qir.Ptr, rt.FnHTLookup, h, hash)
-		c.notePtrFact(b, first, htHeaderSize, layout.width, true)
-		startBlk := b.Block()
+		w := &chainWalk{l: layout, exit: rc.latch}
+		w.head, w.body, w.found, w.next = b.NewBlock(), b.NewBlock(), b.NewBlock(), b.NewBlock()
+		c.walkChain(b, w, h, hash, len(keyVals), func(i int) qir.Value { return widen(b, j.ProbeKeys[i].Type(), keyVals[i]) })
 
-		head := b.NewBlock()
-		body := b.NewBlock()
-		match := b.NewBlock()
-		chainLatch := b.NewBlock()
-		b.Br(head)
-
-		b.SetBlock(head)
-		p := b.Phi(qir.Ptr, startBlk, first)
-		c.notePtrFact(b, p, htHeaderSize, layout.width, true)
-		null := b.Null()
-		done := b.ICmp(qir.CmpEQ, p, null)
-		b.CondBr(done, rc.latch, body)
-
-		b.SetBlock(body)
-		ehashAddr := b.GEP(p, -8, qir.NoValue, 0)
-		ehash := b.Load(qir.I64, ehashAddr)
-		hashEq := b.ICmp(qir.CmpEQ, ehash, hash)
-		keyCmp := b.NewBlock()
-		b.CondBr(hashEq, keyCmp, chainLatch)
-		b.SetBlock(keyCmp)
-		for i, kv := range keyVals {
-			stored := layout.load(b, p, i)
-			probe := widen(b, j.ProbeKeys[i].Type(), kv)
-			var eq qir.Value
-			if j.ProbeKeys[i].Type() == qir.Str {
-				r := b.Call(qir.I64, rt.FnStrEq, stored, probe)
-				eq = b.Convert(qir.OpTrunc, qir.I1, r)
-			} else {
-				eq = b.ICmp(qir.CmpEQ, stored, probe)
-			}
-			next := b.NewBlock()
-			b.CondBr(eq, next, chainLatch)
-			b.SetBlock(next)
-		}
-		b.Br(match)
-
-		b.SetBlock(match)
+		b.SetBlock(w.found)
 		nbuild := len(buildSchema)
+		p := w.p
 		cols := cachedCols(nbuild+len(probeSchema), func(i int) qir.Value {
 			if i < nbuild {
-				v := layout.load(b, p, nkeys+i)
-				return v
+				return layout.load(b, p, nkeys+i)
 			}
 			return rc.col(i - nbuild)
 		})
-		inner := &rowCtx{b: b, col: cols, latch: chainLatch}
+		inner := &rowCtx{b: b, col: cols, latch: w.next}
 		if err := consume(inner); err != nil {
 			return err
 		}
 		if !b.Terminated() {
-			b.Br(chainLatch)
+			b.Br(w.next)
 		}
-
-		// chainLatch is emitted last so the builder finishes in a
-		// terminated block; the producer's Terminated check then skips
-		// the fall-through branch.
-		b.SetBlock(chainLatch)
-		nxtAddr := b.GEP(p, -16, qir.NoValue, 0)
-		nxt := b.Load(qir.Ptr, nxtAddr)
-		c.notePtrFact(b, nxt, htHeaderSize, layout.width, true)
-		b.AddPhiArg(p, chainLatch, nxt)
-		b.Br(head)
+		// The step is emitted last so the builder finishes in a terminated
+		// block; the producer's Terminated check then skips the
+		// fall-through branch.
+		c.stepChain(b, w)
 		return nil
 	})
 }
@@ -235,18 +254,11 @@ func (c *Compiler) produceGroupBy(g *plan.GroupBy, consume consumeFn) error {
 	}
 	noPar := hasF64Sum(g) // float sums are order-sensitive
 
-	var bc *batchChain
-	if c.opts.Batch {
-		bc = c.batchAggChain(g)
+	bc := c.batchSource(g.Input)
+	if err := c.produceProbedBuild(bc); err != nil {
+		return err
 	}
-	if bc != nil {
-		if err := c.produceProbedBuild(bc); err != nil {
-			return err
-		}
-		spec, err := c.buildAggSpec(g, bc, layout, aggSlot)
-		if err != nil {
-			return err
-		}
+	if spec := c.batchKernel(bc, layout, g, aggSlot, nil); spec != nil {
 		c.emitBatchPipeline(bc, spec, SinkAgg, htOff,
 			func(sb *qir.Builder) {
 				width := sb.ConstInt(qir.I64, layout.width)
@@ -258,7 +270,7 @@ func (c *Compiler) produceGroupBy(g *plan.GroupBy, consume consumeFn) error {
 		return c.produceGroupScan(g, layout, aggSlot, htOff, consume)
 	}
 
-	err := c.produce(g.Input, func(rc *rowCtx) error {
+	err := c.produceTuple(g.Input, bc, func(rc *rowCtx) error {
 		sb := c.setup
 		width := sb.ConstInt(qir.I64, layout.width)
 		handle := sb.Call(qir.I64, rt.FnAggCreate, width)
@@ -284,56 +296,15 @@ func (c *Compiler) produceGroupBy(g *plan.GroupBy, consume consumeFn) error {
 			}
 		}
 		h := loadStateHandle(b, htOff)
-		first := b.Call(qir.Ptr, rt.FnHTLookup, h, hash)
-		c.notePtrFact(b, first, htHeaderSize, layout.width, true)
-		startBlk := b.Block()
-
-		head := b.NewBlock()
-		body := b.NewBlock()
-		found := b.NewBlock()
-		insert := b.NewBlock()
-		chainLatch := b.NewBlock()
-		b.Br(head)
-
-		b.SetBlock(head)
-		p := b.Phi(qir.Ptr, startBlk, first)
-		c.notePtrFact(b, p, htHeaderSize, layout.width, true)
-		null := b.Null()
-		done := b.ICmp(qir.CmpEQ, p, null)
-		b.CondBr(done, insert, body)
-
-		b.SetBlock(body)
-		ehash := b.Load(qir.I64, b.GEP(p, -8, qir.NoValue, 0))
-		hashEq := b.ICmp(qir.CmpEQ, ehash, hash)
-		keyCmp := b.NewBlock()
-		b.CondBr(hashEq, keyCmp, chainLatch)
-		b.SetBlock(keyCmp)
-		for i, kv := range keyVals {
-			stored := layout.load(b, p, i)
-			mine := widen(b, g.Keys[i].Type(), kv)
-			var eq qir.Value
-			if g.Keys[i].Type() == qir.Str {
-				r := b.Call(qir.I64, rt.FnStrEq, stored, mine)
-				eq = b.Convert(qir.OpTrunc, qir.I1, r)
-			} else {
-				eq = b.ICmp(qir.CmpEQ, stored, mine)
-			}
-			next := b.NewBlock()
-			b.CondBr(eq, next, chainLatch)
-			b.SetBlock(next)
-		}
-		b.Br(found)
-
-		b.SetBlock(chainLatch)
-		nxt := b.Load(qir.Ptr, b.GEP(p, -16, qir.NoValue, 0))
-		c.notePtrFact(b, nxt, htHeaderSize, layout.width, true)
-		b.AddPhiArg(p, chainLatch, nxt)
-		b.Br(head)
+		w := &chainWalk{l: layout}
+		w.head, w.body, w.found, w.exit, w.next = b.NewBlock(), b.NewBlock(), b.NewBlock(), b.NewBlock(), b.NewBlock()
+		c.walkChain(b, w, h, hash, len(keyVals), func(i int) qir.Value { return widen(b, g.Keys[i].Type(), keyVals[i]) })
+		c.stepChain(b, w)
 
 		// Found: update aggregate state in place.
-		b.SetBlock(found)
+		b.SetBlock(w.found)
 		for i := range g.Aggs {
-			if err := c.emitAggUpdate(b, &g.Aggs[i], layout, aggSlot[i], p, argVals[i]); err != nil {
+			if err := c.emitAggUpdate(b, &g.Aggs[i], layout, aggSlot[i], w.p, argVals[i]); err != nil {
 				return err
 			}
 		}
@@ -341,7 +312,7 @@ func (c *Compiler) produceGroupBy(g *plan.GroupBy, consume consumeFn) error {
 
 		// Not found: insert a fresh group. This block is emitted last so
 		// the sink finishes in a terminated block.
-		b.SetBlock(insert)
+		b.SetBlock(w.exit)
 		np := b.Call(qir.Ptr, rt.FnHTInsert, h, hash)
 		c.notePtrFact(b, np, htHeaderSize, layout.width, false)
 		for i, kv := range keyVals {

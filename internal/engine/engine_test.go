@@ -11,6 +11,7 @@ import (
 	"qcc/internal/codegen"
 	"qcc/internal/obs"
 	"qcc/internal/plan"
+	"qcc/internal/rt"
 	"qcc/internal/vt"
 )
 
@@ -378,27 +379,34 @@ func TestCommandFlags(t *testing.T) {
 	}
 }
 
-// TestBatchDeepExpressions: a filter of 300 conjuncts and an aggregate
-// argument 80 terms deep return the tuple-at-a-time rows in batch mode. The
+// TestBatchDeepExpressions: a filter of 300 conjuncts, an aggregate
+// argument 80 terms deep and one whose CASE sits at the deepest level a
+// kernel node may have return the tuple-at-a-time rows in batch mode. The
 // conjuncts become one kernel filter each, so that pipeline still runs as a
-// kernel; the argument is deeper than a kernel spec may be, so its pipeline
-// stays tuple code.
+// kernel; the arguments are deeper than a kernel spec may be (the CASE's
+// condition and branches one and two levels below it), so their pipelines
+// stay tuple code.
 func TestBatchDeepExpressions(t *testing.T) {
 	conj := "SELECT COUNT(*) FROM lineitem WHERE l_quantity <> 1"
 	sum := "SELECT SUM(l_extendedprice"
+	caseSum := "SELECT SUM(CASE WHEN l_quantity < 5 THEN l_extendedprice ELSE l_tax END"
 	for i := 1; i < 300; i++ {
 		conj += " AND l_orderkey <> " + strconv.Itoa(1000000+i)
 	}
 	for i := 1; i < 80; i++ {
 		sum += " + l_extendedprice"
 	}
+	for i := 0; i < rt.BatchMaxDepth; i++ {
+		caseSum += " + l_extendedprice"
+	}
 	sum += ") FROM lineitem"
+	caseSum += ") FROM lineitem"
 	batch, tuple := loaded(t, Options{Batch: true}), loaded(t, Options{})
 	kernelCalls := obs.NewCounter("rt_batch_kernel_calls")
 	for _, c := range []struct {
 		q      string
 		kernel bool
-	}{{conj, true}, {sum, false}} {
+	}{{conj, true}, {sum, false}, {caseSum, false}} {
 		calls0 := kernelCalls.Load()
 		got, want := execSQL(t, batch, Backend("directemit"), c.q), execSQL(t, tuple, Backend("directemit"), c.q)
 		if got.err != "" || !reflect.DeepEqual(got.rows, want.rows) || got.err != want.err {

@@ -76,14 +76,15 @@ const (
 	BECase
 )
 
-// Batch arithmetic operators (overflow-trapping, SQL semantics).
+// Batch arithmetic operators (overflow-trapping, SQL semantics; numbered as
+// plan.ArithOp's first three).
 const (
 	BArithAdd uint8 = iota
 	BArithSub
 	BArithMul
 )
 
-// Batch comparison predicates.
+// Batch comparison predicates (same numbering as plan.CmpOp).
 const (
 	BCmpEQ uint8 = iota
 	BCmpNE
@@ -238,6 +239,17 @@ func (db *DB) PrepareBatch(spec *BatchSpec) (uint64, error) {
 	return db.newHandle(bp), nil
 }
 
+// CheckBatchSpec returns the error PrepareBatch would return for spec, short
+// of reading a pool slot: it holds every rule of what a kernel may hold that
+// the spec shows, and the code generator lowers a kernel only if it passes.
+func CheckBatchSpec(spec *BatchSpec) error {
+	_, err := (*DB)(nil).batchPrepare(spec)
+	return err
+}
+
+// batchPrepare is PrepareBatch's walk. On a nil db (CheckBatchSpec) it reads
+// no pool and copies no expression: the kernel it returns holds spec's own
+// nodes, pool slots included.
 func (db *DB) batchPrepare(spec *BatchSpec) (*batchProg, error) {
 	if spec.Sink != BatchSinkAgg && spec.Sink != BatchSinkBuild {
 		return nil, fmt.Errorf("rt: batch: bad sink %d", spec.Sink)
@@ -349,11 +361,13 @@ func colWidth(ty BatchType, elem uint64) bool {
 // prepExpr returns the kernel's copy of e, at the given depth of its tree:
 // every pool-slot node becomes the constant its slot holds now, a short
 // string constant gets its value's words, and every column reference is
-// checked and collected for the per-call bounds checks. Build columns are
-// allowed only in the sink of a probe kernel (build is set). A node of an
-// unknown kind, type or operator, a missing operand or one of another type
-// than its parent reads, a pool slot past the pool and a tree deeper than
-// BatchMaxDepth are errors.
+// checked and collected for the per-call bounds checks. On a nil db
+// (CheckBatchSpec) it makes the same checks and returns e itself. Build
+// columns are allowed only in the sink of a probe kernel (build is set). A
+// node of an unknown kind, type or operator, a missing operand or one of
+// another type than its parent reads, a pool slot past the pool, a string
+// compare other than = and <>, BETWEEN or CASE of strings and a tree deeper
+// than BatchMaxDepth are errors.
 func (db *DB) prepExpr(e *BatchExpr, bp *batchProg, build bool, depth int) (*BatchExpr, error) {
 	if e == nil {
 		return nil, fmt.Errorf("rt: batch: missing operand")
@@ -364,7 +378,7 @@ func (db *DB) prepExpr(e *BatchExpr, bp *batchProg, build bool, depth int) (*Bat
 	if e.Kind > BECase || e.Ty > BTStr {
 		return nil, fmt.Errorf("rt: batch: expression kind %d of type %d", e.Kind, e.Ty)
 	}
-	c := &BatchExpr{Kind: e.Kind, Ty: e.Ty}
+	c := BatchExpr{Kind: e.Kind, Ty: e.Ty}
 	var err error
 	switch e.Kind {
 	case BEConst:
@@ -377,14 +391,12 @@ func (db *DB) prepExpr(e *BatchExpr, bp *batchProg, build bool, depth int) (*Bat
 			return nil, fmt.Errorf("rt: batch: column of type %d and width %d", e.Ty, e.Elem)
 		}
 		c.Base, c.Elem = e.Base, e.Elem
-		if e.Kind == BECol {
-			bp.cols = append(bp.cols, c)
-		} else {
-			bp.bcols = append(bp.bcols, c)
-		}
 	case BEPool:
 		if e.Slot >= ConstPoolSlots {
 			return nil, fmt.Errorf("rt: batch: pool slot %d past the pool", e.Slot)
+		}
+		if db == nil {
+			break
 		}
 		addr := db.ConstPoolAddr(int(e.Slot))
 		lo, hi := le64(db.M.Mem[addr:]), le64(db.M.Mem[addr+8:])
@@ -405,7 +417,8 @@ func (db *DB) prepExpr(e *BatchExpr, bp *batchProg, build bool, depth int) (*Bat
 			c.S = append([]byte(nil), s...)
 		}
 	case BEArith, BECmp:
-		if e.Kind == BEArith && (e.Op > BArithMul || e.Ty == BTStr) || e.Kind == BECmp && e.Op > BCmpGE {
+		if e.Kind == BEArith && (e.Op > BArithMul || e.Ty == BTStr) ||
+			e.Kind == BECmp && (e.Op > BCmpGE || e.Ty == BTStr && e.Op > BCmpNE) {
 			return nil, fmt.Errorf("rt: batch: operator %d of type %d", e.Op, e.Ty)
 		}
 		c.Op = e.Op
@@ -417,10 +430,10 @@ func (db *DB) prepExpr(e *BatchExpr, bp *batchProg, build bool, depth int) (*Bat
 		}
 	case BEBetween, BECase:
 		switch {
+		case e.Ty == BTStr:
+			err = fmt.Errorf("rt: batch: between or case of strings")
 		case e.Kind == BEBetween:
 			c.L, err = db.prepOperand(e.L, e.Ty, bp, build, depth+1)
-		case e.Ty == BTStr:
-			err = fmt.Errorf("rt: batch: case of strings")
 		default:
 			if c.L, err = db.prepExpr(e.L, bp, build, depth+1); err == nil && c.L.Kind != BECmp && c.L.Kind != BEBetween {
 				err = fmt.Errorf("rt: batch: case on a condition of kind %d", c.L.Kind)
@@ -436,13 +449,24 @@ func (db *DB) prepExpr(e *BatchExpr, bp *batchProg, build bool, depth int) (*Bat
 			return nil, err
 		}
 	}
+	if db == nil {
+		return e, nil
+	}
 	if c.Kind == BEConst && c.Ty == BTStr && len(c.S) <= 12 {
 		var b [16]byte
 		put32(b[:], uint32(len(c.S)))
 		copy(b[4:], c.S)
 		c.D = I128{Lo: le64(b[:8]), Hi: le64(b[8:])}
 	}
-	return c, nil
+	k := new(BatchExpr) // c stays on the stack, so a check allocates no node
+	*k = c
+	switch k.Kind {
+	case BECol:
+		bp.cols = append(bp.cols, k)
+	case BEBuildCol:
+		bp.bcols = append(bp.bcols, k)
+	}
+	return k, nil
 }
 
 // prepOperand is prepExpr of an operand the parent reads as a value of type
@@ -959,9 +983,6 @@ func (db *DB) bTest(e *BatchExpr, rs bRows) ([]int, error) {
 // stays raw in the spec (e.S): it has no 16-byte in-memory form, so it
 // bypasses bEval and is compared through strEqConst.
 func (db *DB) strEqPos(e *BatchExpr, rs bRows, out []int) ([]int, error) {
-	if e.Op != BCmpEQ && e.Op != BCmpNE {
-		return nil, fmt.Errorf("rt: batch: string comparison %d", e.Op)
-	}
 	n := len(rs.row)
 	want := e.Op == BCmpEQ
 	l, r := e.L, e.R

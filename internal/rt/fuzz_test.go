@@ -10,7 +10,9 @@ import (
 
 // FuzzDecodeBatchSpec decodes arbitrary bytes into a kernel spec (specBytes'
 // layout, read by readSpec without any check) and prepares it. PrepareBatch
-// must not panic. A spec it accepts leaves the input spec unchanged and
+// must not panic, and CheckBatchSpec must accept exactly the specs it
+// accepts (the pool the target binds has no slot a read can fail on). A
+// spec it accepts leaves the input spec unchanged and
 // yields a kernel whose nodes all have a known kind, type and operator, with
 // no pool slot left, every operand present and every payload entry a column;
 // and the kernel runs over a few rows, against an empty probed table if it
@@ -36,6 +38,9 @@ func FuzzDecodeBatchSpec(f *testing.F) {
 	f.Fuzz(func(t *testing.T, b []byte) {
 		s := readSpec(b)
 		bp, err := db.batchPrepare(s)
+		if cerr := CheckBatchSpec(s); (cerr == nil) != (err == nil) {
+			t.Fatalf("CheckBatchSpec says %v where PrepareBatch says %v", cerr, err)
+		}
 		if err != nil {
 			return
 		}
@@ -262,11 +267,13 @@ func readSpec(b []byte) *BatchSpec {
 
 // TestPrepareBatchRejectsBadSpecs: a spec with a code out of range, a missing
 // operand or one of another type than its parent reads, a pool slot past the
-// pool, a tree deeper than BatchMaxDepth or a payload entry that is not a
-// column is an error, never a panic.
+// pool, a tree deeper than BatchMaxDepth, a payload entry that is not a
+// column, or a string compare other than = and <> is an error, never a
+// panic, and CheckBatchSpec rejects it too.
 func TestPrepareBatchRejectsBadSpecs(t *testing.T) {
 	db := newDB(t)
 	col := func() *BatchExpr { return &BatchExpr{Kind: BECol, Ty: BTInt, Base: 0x100, Elem: 8} }
+	str := func() *BatchExpr { return &BatchExpr{Kind: BECol, Ty: BTStr, Base: 0x100, Elem: 16} }
 	good := func() *BatchSpec {
 		return &BatchSpec{Sink: BatchSinkAgg, Width: 24,
 			Filters: []*BatchExpr{{Kind: BECmp, Ty: BTInt, Op: BCmpLT, L: col(),
@@ -322,11 +329,20 @@ func TestPrepareBatchRejectsBadSpecs(t *testing.T) {
 			s.Payload = []BatchCol{{Off: 8, Src: &BatchExpr{Kind: BEConst, Ty: BTInt, I: 1}}}
 		}},
 		{"missing payload", func(s *BatchSpec) { s.Payload = []BatchCol{{Off: 8}} }},
+		{"string ordering", func(s *BatchSpec) {
+			s.Filters[0] = &BatchExpr{Kind: BECmp, Ty: BTStr, Op: BCmpLT, L: str(), R: str()}
+		}},
+		{"between of strings", func(s *BatchSpec) {
+			s.Filters[0] = &BatchExpr{Kind: BEBetween, Ty: BTStr, L: str(), R: str(), H: str()}
+		}},
 	} {
 		s := good()
 		c.mutate(s)
 		if _, err := db.batchPrepare(s); err == nil {
 			t.Errorf("bad %s accepted", c.name)
+		}
+		if CheckBatchSpec(s) == nil {
+			t.Errorf("bad %s passes CheckBatchSpec", c.name)
 		}
 	}
 	// One level shallower is within the limit.

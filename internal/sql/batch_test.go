@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"qcc/internal/backend"
+	"qcc/internal/codegen"
 	"qcc/internal/engine"
 	"qcc/internal/obs"
 	"qcc/internal/qir"
@@ -325,6 +326,76 @@ func TestWidenedColumnsRunKernels(t *testing.T) {
 			if (scans > 0) != c.kernel {
 				t.Errorf("%s: %q: %d kernel calls, want a kernel %v", eng, c.q, scans, c.kernel)
 			}
+		}
+	}
+}
+
+// TestDeclinedKernelsGiveBackTheirSlots: each statement's kernel is declined
+// after its walk took pool slots (a string ordering or BETWEEN that
+// rt.CheckBatchSpec rejects, a CASE of strings, an arithmetic filter or an
+// OR after a literal filter, a probe of a build side with a boolean column
+// or with a string ordering), and it compiles with batch kernels to the same
+// module, pool and literal lists as without them. A probe kernel that
+// declines after its build side was generated as a kernel leaves as many
+// pipelines as tuple code, and the rows of tuple code on every engine.
+func TestDeclinedKernelsGiveBackTheirSlots(t *testing.T) {
+	w := loadTPCH(t, 0.01)
+	lower := func(q string, batch bool) *codegen.Compiled {
+		t.Helper()
+		node, err := sql.Parse(q, w.Cat)
+		if err != nil {
+			t.Fatalf("%q: %v", q, err)
+		}
+		w.Batch = batch
+		c, err := w.Lower("q", node)
+		if err != nil {
+			t.Fatalf("%q: %v", q, err)
+		}
+		return c
+	}
+	for _, q := range []string{
+		"SELECT COUNT(*), SUM(l_quantity) FROM lineitem WHERE l_quantity < 5 AND l_shipmode < 'RAIL'",
+		"SELECT COUNT(*) FROM lineitem WHERE l_quantity < 5 AND l_shipmode BETWEEN 'AIR' AND 'RAIL'",
+		"SELECT COUNT(CASE WHEN l_quantity < 5 THEN 'a' ELSE 'b' END) FROM lineitem WHERE l_tax < 0.05",
+		"SELECT COUNT(*) FROM lineitem WHERE l_quantity < 5 AND l_quantity * 2 < 7",
+		"SELECT COUNT(*) FROM lineitem WHERE l_quantity < 5 AND (l_quantity = 1 OR l_quantity = 3)",
+		"SELECT COUNT(*) FROM (SELECT o_orderkey, o_orderdate < 5 AS b FROM orders) x JOIN lineitem ON x.o_orderkey = l_orderkey " +
+			"WHERE l_quantity < 5",
+		"SELECT COUNT(*) FROM orders JOIN lineitem ON o_orderkey = l_orderkey " +
+			"WHERE (o_orderdate < 9000 OR o_orderdate > 9500) AND l_quantity < 5 AND l_shipmode < 'RAIL'",
+	} {
+		tuple, batch := lower(q, false), lower(q, true)
+		for _, p := range batch.Pipelines {
+			if p.Kernel != nil {
+				t.Errorf("%q: a kernel was not declined", q)
+			}
+		}
+		if batch.Module.String() != tuple.Module.String() || !reflect.DeepEqual(batch.Module.Pool, tuple.Module.Pool) ||
+			!reflect.DeepEqual(batch.PoolLits, tuple.PoolLits) || !reflect.DeepEqual(batch.InlineLits, tuple.InlineLits) {
+			t.Errorf("%q: the declined kernel left a trace: pool of %d (want %d), %d pool and %d inline literals (want %d and %d)",
+				q, len(batch.Module.Pool), len(tuple.Module.Pool), len(batch.PoolLits), len(batch.InlineLits),
+				len(tuple.PoolLits), len(tuple.InlineLits))
+		}
+	}
+
+	q := "SELECT COUNT(*), SUM(l_extendedprice) FROM orders JOIN lineitem ON o_orderkey = l_orderkey " +
+		"WHERE l_quantity < 5 AND l_shipmode < 'RAIL'"
+	tuple, batch := lower(q, false), lower(q, true)
+	kernels := 0
+	for _, p := range batch.Pipelines {
+		if p.Kernel != nil {
+			kernels++
+			if len(p.Kernel.Probe) > 0 {
+				t.Errorf("%q: the probe kernel was not declined", q)
+			}
+		}
+	}
+	if len(batch.Pipelines) != len(tuple.Pipelines) || kernels != 1 {
+		t.Errorf("%q: %d pipelines, %d kernels; %d pipelines as tuple code", q, len(batch.Pipelines), kernels, len(tuple.Pipelines))
+	}
+	for _, eng := range engine.BackendNames() {
+		if tr, br, _, _ := runModes(t, w, eng, q); !sameOutcome(tr, br) || tr.trap != nil || len(tr.rows) != 1 {
+			t.Errorf("%s: %q: batch %v (trap %v), tuple %v (trap %v)", eng, q, br.rows, br.trap, tr.rows, tr.trap)
 		}
 	}
 }

@@ -20,6 +20,8 @@ import (
 	"unsafe"
 
 	"qcc/internal/obs"
+	"qcc/internal/qir"
+	"qcc/internal/sem"
 	"qcc/internal/vt"
 )
 
@@ -462,49 +464,10 @@ func (m *Machine) runGuarded(f func() error) (err error) {
 	return f()
 }
 
-func evalCond(c vt.Cond, a, b uint64) bool {
-	switch c {
-	case vt.CondEQ:
-		return a == b
-	case vt.CondNE:
-		return a != b
-	case vt.CondSLT:
-		return int64(a) < int64(b)
-	case vt.CondSLE:
-		return int64(a) <= int64(b)
-	case vt.CondSGT:
-		return int64(a) > int64(b)
-	case vt.CondSGE:
-		return int64(a) >= int64(b)
-	case vt.CondULT:
-		return a < b
-	case vt.CondULE:
-		return a <= b
-	case vt.CondUGT:
-		return a > b
-	case vt.CondUGE:
-		return a >= b
-	}
-	return false
-}
-
-func evalFCond(c vt.Cond, a, b float64) bool {
-	switch c {
-	case vt.CondEQ:
-		return a == b
-	case vt.CondNE:
-		return a != b
-	case vt.CondSLT, vt.CondULT:
-		return a < b
-	case vt.CondSLE, vt.CondULE:
-		return a <= b
-	case vt.CondSGT, vt.CondUGT:
-		return a > b
-	case vt.CondSGE, vt.CondUGE:
-		return a >= b
-	}
-	return false
-}
+// evalCond and evalFCond are sem's compares: vt.Cond numbers its
+// conditions as qir.Cmp numbers its predicates (TestCondIsCmp).
+func evalCond(c vt.Cond, a, b uint64) bool   { return sem.ICmp(qir.Cmp(c), a, b) }
+func evalFCond(c vt.Cond, a, b float64) bool { return sem.FCmp(qir.Cmp(c), a, b) }
 
 func crc32c8(seed, v uint64) uint64 { return vt.Crc32c8(seed, v) }
 

@@ -6,8 +6,30 @@ import (
 	"testing"
 	"testing/quick"
 
+	"qcc/internal/qir"
 	"qcc/internal/vt"
 )
+
+// TestCondIsCmp pins the numbering evalCond and evalFCond rely on: every
+// vt.Cond is the qir.Cmp of the same meaning, cast.
+func TestCondIsCmp(t *testing.T) {
+	pairs := []struct {
+		c vt.Cond
+		p qir.Cmp
+	}{
+		{vt.CondEQ, qir.CmpEQ}, {vt.CondNE, qir.CmpNE},
+		{vt.CondSLT, qir.CmpSLT}, {vt.CondSLE, qir.CmpSLE}, {vt.CondSGT, qir.CmpSGT}, {vt.CondSGE, qir.CmpSGE},
+		{vt.CondULT, qir.CmpULT}, {vt.CondULE, qir.CmpULE}, {vt.CondUGT, qir.CmpUGT}, {vt.CondUGE, qir.CmpUGE},
+	}
+	if len(pairs) != int(vt.NumConds) || int(vt.NumConds) != int(qir.NumCmps) {
+		t.Fatalf("%d pairs, %d conditions, %d predicates", len(pairs), vt.NumConds, qir.NumCmps)
+	}
+	for _, x := range pairs {
+		if qir.Cmp(x.c) != x.p {
+			t.Errorf("condition %d is predicate %s, want %s", x.c, qir.Cmp(x.c), x.p)
+		}
+	}
+}
 
 func assemble(t *testing.T, arch vt.Arch, build func(a vt.Assembler)) *Module {
 	t.Helper()
