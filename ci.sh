@@ -149,15 +149,18 @@
 #  21. 10 s of FuzzDecodeBatchSpec: arbitrary bytes read as a batch-kernel
 #      spec (in the byte layout kernels had when the code carried them; the
 #      program no longer decodes anything, the name is kept for its seeds)
-#      and prepared the way the executor prepares a kernel — no panic;
-#      rt.CheckBatchSpec, the check the code generator runs on every spec,
-#      accepts exactly the specs PrepareBatch accepts; a spec it accepts is
-#      left unchanged and its kernel has no out-of-range code, pool slot or
-#      depth, no missing operand and no payload that is not a column. Its
-#      corpus is frozen: the TPC-H and TPC-DS kernels of
-#      the commit that retired the layout, and a spec with a CASE; nothing
-#      regenerates it. The kernels the generator writes today are prepared
-#      by TestFrontEndGolden (stage 5)
+#      followed by the constant-pool values it reads, and checked by
+#      rt.CheckBatchSpec, the one check the code generator runs on every
+#      spec — no panic; a refused spec gets no kernel; an accepted one is
+#      left unchanged, has no out-of-range code, pool slot or depth, no
+#      missing operand and no payload that is not a column, and its kernel
+#      runs over a few rows with an error at most, whatever the pool slots
+#      hold (string words may point anywhere). Its corpus is frozen: the
+#      TPC-H and TPC-DS kernels of the commit that retired the layout, a
+#      spec with a CASE and a string compare with a long pool string;
+#      nothing regenerates it. The pool literals of the kernels the
+#      generator writes today are held to their modules' pools by
+#      TestFrontEndGolden (stage 5)
 #  22. the coverage census: every test of the tree run once with coverage
 #      over the whole tree (census.sh); the non-test functions outside cmd/,
 #      examples/ and benchmark/ that no test enters must be exactly the
@@ -301,7 +304,7 @@ go test ./internal/sem -run '^$' -fuzz FuzzSem -fuzztime 10s
 echo "== 20. C back-end assembler fuzz smoke =="
 go test ./internal/backend/cbe -run '^$' -fuzz FuzzAssemble -fuzztime 10s
 
-echo "== 21. batch-kernel spec preparation fuzz smoke =="
+echo "== 21. batch-kernel spec check fuzz smoke =="
 go test ./internal/rt -run '^$' -fuzz FuzzDecodeBatchSpec -fuzztime 10s
 
 echo "== 22. coverage census (never-entered non-test functions = testdata/unreached.txt) =="

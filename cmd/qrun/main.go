@@ -4,13 +4,13 @@
 // Usage:
 //
 //	qrun [-engine adaptive] [-workload tpch|tpcds] [-sf 0.05] [-arch vx64]
-//	     [-mem 512] [-exec-jobs N] [-batch|-nobatch]
+//	     [-mem 512] [-exec-jobs N] [-batch=false]
 //	     [-cache-mb N] [-repeat N] "SELECT ..."
 //
 // -exec-jobs N executes table pipelines through the morsel-parallel
 // executor with N workers. Eligible scan pipelines compile to
-// batch-at-a-time kernels by default, as under qc.Open; -nobatch forces
-// tuple-at-a-time code. Results are identical under every combination.
+// batch-at-a-time kernels by default, as under qc.Open; -batch=false
+// forces tuple-at-a-time code. Results are identical under every combination.
 //
 // -cache-mb N enables the content-addressed compiled-code cache; since
 // constant hoisting parameterizes compiled bodies, re-running the query (or

@@ -7,14 +7,13 @@
 //
 //	qtrace [-arch vx64|va64] [-workload tpch|tpcds] [-query q1] [-engine all]
 //	       [-sf 0.01] [-mem 512] [-runs 1] [-allocs] [-check] [-jobs N]
-//	       [-cache-mb N] [-exec-jobs N] [-batch|-nobatch]
+//	       [-cache-mb N] [-exec-jobs N] [-batch]
 //	       [-format chrome|prom|json] [-o trace.json]
 //
 // -exec-jobs N executes table pipelines through the morsel-parallel
 // executor with N workers and -batch compiles eligible scan pipelines to
-// batch kernels (default on when -exec-jobs > 1; -nobatch forces tuple
-// code), so exec spans and the exec_*/rt_batch_* counters cover those
-// configurations too.
+// batch kernels (default off: qtrace measures generated code), so exec
+// spans and the exec_*/rt_batch_* counters cover those configurations too.
 //
 // Example (one TPC-H query, all engines, nested per-pass spans):
 //

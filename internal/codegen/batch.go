@@ -23,7 +23,8 @@ import (
 //
 // One walk decides and lowers (batchKernel): it keeps the rules that keep a
 // kernel equal to the tuple code and that a finished spec cannot show, and
-// rt.CheckBatchSpec holds every rule it can check on the spec.
+// rt.CheckBatchSpec holds every rule it can check on the spec and makes the
+// kernel that runs.
 
 // batchChain is a kernel candidate's pipeline prefix: one scan plus a
 // conjunct list applied in tuple evaluation order, and for a probe kernel
@@ -279,10 +280,11 @@ func (w *kernelWalk) key(e plan.Expr, off int64) rt.BatchKey {
 // batchKernel lowers the kernel of a pipeline over bc, in one walk, into the
 // tuple code's slot layout: an aggregation's (g, its aggregates at aggSlot)
 // or, with g nil, the build of join j. Literals take pool slots left to
-// right: filters, probe keys, keys, arguments. When the walk declines, or
-// rt.CheckBatchSpec rejects the spec, it gives back the pool slots and
-// literals it took and returns nil: the pipeline stays tuple code.
-func (c *Compiler) batchKernel(bc *batchChain, layout rowLayout, g *plan.GroupBy, aggSlot []int, j *plan.HashJoin) *rt.BatchSpec {
+// right: filters, probe keys, keys, arguments. The spec's check
+// (rt.CheckBatchSpec) makes the kernel. When the walk declines, or the check
+// rejects the spec, it gives back the pool slots and literals it took and
+// returns nil: the pipeline stays tuple code.
+func (c *Compiler) batchKernel(bc *batchChain, layout rowLayout, g *plan.GroupBy, aggSlot []int, j *plan.HashJoin) *rt.BatchKernel {
 	if bc == nil {
 		return nil
 	}
@@ -335,11 +337,11 @@ func (c *Compiler) batchKernel(bc *batchChain, layout rowLayout, g *plan.GroupBy
 			spec.Payload = append(spec.Payload, rt.BatchCol{Off: layout.offs[len(keys)+i], Src: w.column(i)})
 		}
 	}
-	if w.declined || rt.CheckBatchSpec(spec) != nil {
-		c.mod.Pool, c.out.PoolLits, c.out.InlineLits = c.mod.Pool[:pool], c.out.PoolLits[:lits], c.out.InlineLits[:inline]
-		return nil
+	if k, err := rt.CheckBatchSpec(spec); err == nil && !w.declined {
+		return k
 	}
-	return spec
+	c.mod.Pool, c.out.PoolLits, c.out.InlineLits = c.mod.Pool[:pool], c.out.PoolLits[:lits], c.out.InlineLits[:inline]
+	return nil
 }
 
 // pushChainProv mirrors the produce() recursion's provenance stack for a
@@ -361,10 +363,10 @@ func (c *Compiler) pushChainProv(bc *batchChain) int {
 }
 
 // emitBatchPipeline opens a SrcTable pipeline whose main function hands the
-// whole morsel to the runtime kernel, whose program spec the pipeline carries
-// for the executor to prepare. createSink emits the sink-create call into the
+// whole morsel to the runtime kernel k, which the pipeline carries for the
+// executor to make a handle for. createSink emits the sink-create call into the
 // setup function; cleanup (optional) emits into the cleanup function.
-func (c *Compiler) emitBatchPipeline(bc *batchChain, spec *rt.BatchSpec, sink SinkKind, htOff int64,
+func (c *Compiler) emitBatchPipeline(bc *batchChain, k *rt.BatchKernel, sink SinkKind, htOff int64,
 	createSink func(sb *qir.Builder), cleanup func(cb *qir.Builder)) {
 	npush := c.pushChainProv(bc)
 	c.beginPipeline(SrcTable)
@@ -381,7 +383,7 @@ func (c *Compiler) emitBatchPipeline(bc *batchChain, spec *rt.BatchSpec, sink Si
 
 	createSink(c.setup)
 	bpOff := c.allocState(8)
-	c.pipe.Kernel, c.pipe.KernelOff = spec, bpOff
+	c.pipe.Kernel, c.pipe.KernelOff = k, bpOff
 	if cleanup != nil {
 		cleanup(c.cleanup)
 	}

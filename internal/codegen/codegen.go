@@ -63,13 +63,14 @@ type Pipeline struct {
 	// Batch marks pipelines whose main function drives the vectorized
 	// batch kernels instead of a tuple-at-a-time loop.
 	Batch bool
-	// Kernel is a batch pipeline's kernel program and KernelOff the state
-	// offset of its handle: the executor prepares the kernel for each
-	// execution (rt.DB.PrepareBatch) and stores the handle there before
-	// setup runs. The program is data beside the code, not a constant in
-	// it, so the pipeline's functions are the same for every kernel of one
-	// sink layout. Nil for a tuple pipeline.
-	Kernel    *rt.BatchSpec
+	// Kernel is a batch pipeline's kernel, checked when it was built
+	// (rt.CheckBatchSpec), and KernelOff the state offset of its handle:
+	// the executor makes a handle for the kernel for each execution
+	// (rt.DB.BatchHandle) and stores it there before setup runs. The
+	// kernel is data beside the code, not a constant in it, so the
+	// pipeline's functions are the same for every kernel of one sink
+	// layout. Nil for a tuple pipeline.
+	Kernel    *rt.BatchKernel
 	KernelOff int64
 }
 

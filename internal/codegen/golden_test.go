@@ -112,7 +112,8 @@ func digestCompiled(c *codegen.Compiled) string {
 	fmt.Fprintln(h, c.Module.String())
 	for i, p := range c.Pipelines {
 		if p.Kernel != nil {
-			fmt.Fprintln(h, "kernel", i, p.KernelOff, kernelString(p.Kernel))
+			ks, _ := kernelString(p.Kernel.Spec())
+			fmt.Fprintln(h, "kernel", i, p.KernelOff, ks)
 		}
 	}
 	e := c.Elim
@@ -138,14 +139,19 @@ func digestCompiled(c *codegen.Compiled) string {
 }
 
 // kernelString prints a kernel program field by field, operands in prefix
-// order, so that two specs print alike exactly when they are equal.
-func kernelString(s *rt.BatchSpec) string {
+// order, so that two specs print alike exactly when they are equal. It also
+// returns the spec's pool-slot literals.
+func kernelString(s *rt.BatchSpec) (string, []*rt.BatchExpr) {
 	var sb strings.Builder
+	var pools []*rt.BatchExpr
 	var expr func(e *rt.BatchExpr)
 	expr = func(e *rt.BatchExpr) {
 		if e == nil {
 			sb.WriteString(" nil")
 			return
+		}
+		if e.Kind == rt.BEPool {
+			pools = append(pools, e)
 		}
 		fmt.Fprintf(&sb, " (%d %d %d %d %d %d %d/%d %v %q %d", e.Kind, e.Ty, e.Op, e.Base, e.Elem, e.I, e.D.Hi, e.D.Lo, e.F, e.S, e.Slot)
 		expr(e.L)
@@ -180,7 +186,20 @@ func kernelString(s *rt.BatchSpec) string {
 		expr(p.Src)
 		sb.WriteString("]")
 	}
-	return sb.String()
+	return sb.String(), pools
+}
+
+// poolType is the kernel type a pool constant of QIR type t is read as.
+func poolType(t qir.Type) rt.BatchType {
+	switch t {
+	case qir.Str:
+		return rt.BTStr
+	case qir.I128:
+		return rt.BTI128
+	case qir.F64:
+		return rt.BTF64
+	}
+	return rt.BTInt
 }
 
 // analysisDiff names the first result on which two analyses of one function
@@ -217,10 +236,11 @@ func analysisDiff(x, y *sa.Analysis) string {
 // Along the way every compiled function is analysed twice more, standalone
 // and through one sa.Analysis reused for the whole corpus the way a compile
 // reuses it across a module's functions; both must agree on everything. And
-// every batch pipeline's kernel must prepare (rt.DB.PrepareBatch) against the
-// module's constant pool, as the executor prepares it before setup runs:
-// prepare rejects a kernel the generator wrote wrong, which in a query's
-// default batch mode would fail at execution.
+// every pool-slot literal of a batch pipeline's kernel must name a slot of
+// the module's constant pool that holds a value of the literal's type: the
+// kernel reads the slot as that type when it evaluates the literal, so a
+// kernel the generator wrote wrong would read another value, in a query's
+// default batch mode.
 func TestFrontEndGolden(t *testing.T) {
 	got := map[string]string{}
 	var order []string
@@ -258,23 +278,22 @@ func TestFrontEndGolden(t *testing.T) {
 				}
 			}
 		}
-		// After the world's last compile: binding a pool interns its strings,
-		// which would move the string addresses later modules bake in.
 		kernels := 0
 		for _, b := range batched {
-			if err := w.db.BindConstPool(b.c.Module.Pool); err != nil {
-				t.Fatalf("%s: %v", b.key, err)
-			}
+			pool := b.c.Module.Pool
 			for pi, p := range b.c.Pipelines {
 				if p.Kernel == nil {
 					continue
 				}
 				kernels++
-				if _, err := w.db.PrepareBatch(p.Kernel); err != nil {
-					t.Errorf("%s pipeline %d: kernel does not prepare: %v", b.key, pi, err)
+				_, lits := kernelString(p.Kernel.Spec())
+				for _, e := range lits {
+					if e.Slot >= uint64(len(pool)) || poolType(pool[e.Slot].Type) != e.Ty {
+						t.Errorf("%s pipeline %d: kernel reads pool slot %d as type %d; the pool has %d slots",
+							b.key, pi, e.Slot, e.Ty, len(pool))
+					}
 				}
 			}
-			w.db.ResetQueryState()
 		}
 		if kernels == 0 {
 			t.Errorf("no batch kernel among %d batch compiles", len(batched))

@@ -145,11 +145,7 @@ func RunParallel(db *rt.DB, cat *rt.Catalog, c *Compiled, call CallFunc, opts Ex
 		if p.Kernel != nil {
 			// Before setup and before the parallel path snapshots the state
 			// and the handle table, so that workers resolve the handle too.
-			h, err := db.PrepareBatch(p.Kernel)
-			if err != nil {
-				return fmt.Errorf("pipeline %d kernel: %w", pi, err)
-			}
-			if err := db.WriteU64(state+uint64(p.KernelOff), h); err != nil {
+			if err := db.WriteU64(state+uint64(p.KernelOff), db.BatchHandle(p.Kernel)); err != nil {
 				return fmt.Errorf("pipeline %d kernel: %w", pi, err)
 			}
 		}

@@ -107,8 +107,8 @@ func (c *Compiler) produceJoinBuild(j *plan.HashJoin) (rowLayout, int64, error) 
 	if err := c.produceProbedBuild(bc); err != nil {
 		return layout, 0, err
 	}
-	if spec := c.batchKernel(bc, layout, nil, nil, j); spec != nil {
-		c.emitBatchPipeline(bc, spec, SinkBuild, htOff,
+	if k := c.batchKernel(bc, layout, nil, nil, j); k != nil {
+		c.emitBatchPipeline(bc, k, SinkBuild, htOff,
 			func(sb *qir.Builder) {
 				width := sb.ConstInt(qir.I64, layout.width)
 				handle := sb.Call(qir.I64, rt.FnHTCreate, width)
@@ -258,8 +258,8 @@ func (c *Compiler) produceGroupBy(g *plan.GroupBy, consume consumeFn) error {
 	if err := c.produceProbedBuild(bc); err != nil {
 		return err
 	}
-	if spec := c.batchKernel(bc, layout, g, aggSlot, nil); spec != nil {
-		c.emitBatchPipeline(bc, spec, SinkAgg, htOff,
+	if k := c.batchKernel(bc, layout, g, aggSlot, nil); k != nil {
+		c.emitBatchPipeline(bc, k, SinkAgg, htOff,
 			func(sb *qir.Builder) {
 				width := sb.ConstInt(qir.I64, layout.width)
 				handle := sb.Call(qir.I64, rt.FnAggCreate, width)

@@ -307,9 +307,9 @@ func TestRunRebindsEarlierProgram(t *testing.T) {
 func TestCommandFlags(t *testing.T) {
 	want := map[string]map[string]string{
 		"qrun": {"engine": "adaptive", "sf": "0.05", "arch": "vx64", "mem": "512",
-			"exec-jobs": "1", "batch": "true", "nobatch": "false", "cache-mb": "0"},
+			"exec-jobs": "1", "batch": "true", "cache-mb": "0"},
 		"qtrace": {"arch": "vx64", "engine": "all", "sf": "0.01", "mem": "512", "runs": "1", "check": "false",
-			"jobs": "1", "cache-mb": "0", "exec-jobs": "1", "batch": "false", "nobatch": "false"},
+			"jobs": "1", "cache-mb": "0", "exec-jobs": "1", "batch": "false"},
 		"qprof": {"arch": "vx64", "engine": "", "sf": "0.01", "mem": "512", "runs": "1", "check": "false",
 			"jobs": "1"},
 		"qverify": {"arch": "vx64", "sf": "0.01", "mem": "512", "jobs": "1"},
@@ -344,21 +344,21 @@ func TestCommandFlags(t *testing.T) {
 		fs.SetOutput(io.Discard)
 		return ParseCommand(cmd, fs, args)
 	}
-	// Batch kernels default on with parallel execution; -batch and -nobatch
-	// override either way, and the parallel executor keeps qrun's default.
+	// -batch is the one switch: each command keeps its default, whatever
+	// the worker count, and -batch or -batch=false overrides it.
 	for _, c := range []struct {
 		cmd   string
 		args  []string
 		batch bool
 	}{
-		{"qtrace", []string{"-exec-jobs", "4"}, true},
-		{"qtrace", []string{"-exec-jobs", "4", "-nobatch"}, false},
+		{"qtrace", []string{"-exec-jobs", "4"}, false},
+		{"qtrace", []string{"-exec-jobs", "4", "-batch"}, true},
 		{"qtrace", []string{"-batch"}, true},
-		{"qtrace", []string{"-batch", "-nobatch"}, false},
+		{"qtrace", []string{"-batch=false"}, false},
 		{"qrun", []string{"-exec-jobs", "4"}, true},
-		{"qrun", []string{"-nobatch"}, false},
-		{"qrun", []string{"-exec-jobs", "4", "-nobatch"}, false},
 		{"qrun", []string{"-batch=false"}, false},
+		{"qrun", []string{"-exec-jobs", "4", "-batch=false"}, false},
+		{"qrun", []string{"-batch"}, true},
 	} {
 		if o, err := parse(c.cmd, c.args...); err != nil || o.Batch != c.batch {
 			t.Errorf("%s %v: Batch = %v, want %v (err %v)", c.cmd, c.args, o.Batch, c.batch, err)

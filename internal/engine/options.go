@@ -39,8 +39,8 @@ type Options struct {
 	// 0 or 1 executes every pipeline sequentially.
 	ExecJobs int
 	// Batch compiles eligible scan pipelines to batch-at-a-time kernel calls
-	// instead of tuple-at-a-time loops (-batch/-nobatch; on by default in qc
-	// and qrun, and when -exec-jobs > 1). Results are identical either way.
+	// instead of tuple-at-a-time loops (-batch, -batch=false; on by default
+	// in qc and qrun). Results are identical either way.
 	Batch bool
 	// Tracer, when non-nil, receives the back-ends' compile spans and
 	// counters and one "exec" span per execution.
@@ -61,9 +61,9 @@ var commands = map[string]struct {
 	flags    []string
 }{
 	"qrun": {Options{MemMB: 512, SF: 0.05, Engine: "adaptive", ExecJobs: 1, Batch: true},
-		[]string{"engine", "sf", "arch", "mem", "exec-jobs", "batch", "nobatch", "cache-mb"}},
+		[]string{"engine", "sf", "arch", "mem", "exec-jobs", "batch", "cache-mb"}},
 	"qtrace": {Options{MemMB: 512, SF: 0.01, Runs: 1, Engine: "all", Jobs: 1, ExecJobs: 1},
-		[]string{"arch", "engine", "sf", "mem", "runs", "check", "jobs", "cache-mb", "exec-jobs", "batch", "nobatch"}},
+		[]string{"arch", "engine", "sf", "mem", "runs", "check", "jobs", "cache-mb", "exec-jobs", "batch"}},
 	"qprof": {Options{MemMB: 512, SF: 0.01, Runs: 1, Jobs: 1},
 		[]string{"arch", "engine", "sf", "mem", "runs", "check", "jobs"}},
 	"qverify": {Options{MemMB: 512, SF: 0.01, Jobs: 1},
@@ -86,7 +86,6 @@ func ParseCommand(name string, fs *flag.FlagSet, args []string) (Options, error)
 	}
 	o := cmd.defaults
 	var arch string
-	var noBatch bool
 	for _, f := range cmd.flags {
 		switch f {
 		case "arch":
@@ -108,9 +107,7 @@ func ParseCommand(name string, fs *flag.FlagSet, args []string) (Options, error)
 		case "exec-jobs":
 			fs.IntVar(&o.ExecJobs, f, o.ExecJobs, "morsel-parallel executor workers (1 = sequential)")
 		case "batch":
-			fs.BoolVar(&o.Batch, f, o.Batch, "compile eligible scan pipelines to batch-at-a-time kernels (also on when -exec-jobs > 1)")
-		case "nobatch":
-			fs.BoolVar(&noBatch, f, false, "force tuple-at-a-time execution, whatever -batch and -exec-jobs say")
+			fs.BoolVar(&o.Batch, f, o.Batch, "compile eligible scan pipelines to batch-at-a-time kernels (-batch=false: tuple-at-a-time)")
 		default:
 			panic("engine: unknown option flag " + f)
 		}
@@ -127,6 +124,5 @@ func ParseCommand(name string, fs *flag.FlagSet, args []string) (Options, error)
 	default:
 		return o, fmt.Errorf("unknown arch %q (want vx64 or va64)", arch)
 	}
-	o.Batch = (o.Batch || o.ExecJobs > 1) && !noBatch
 	return o, nil
 }

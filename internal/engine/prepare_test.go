@@ -311,33 +311,46 @@ func TestProgramCacheParallelMode(t *testing.T) {
 // TestProgramCacheBatchVariants: with batch kernels, constant variants of a
 // batch-eligible shape — a string, an integer and decimal literals in kernel
 // filters and aggregate arguments — are program hits after the first, on
-// every engine, and each returns the rows of a world without a cache.
+// every engine and at 1 and 4 executor workers, and each returns the rows of
+// a world without a cache. The part family's string literal alternates
+// across the 12-byte inline limit: its probe kernel reads it from the pool
+// where it compares it with the matched part's p_type, on every worker.
 func TestProgramCacheBatchVariants(t *testing.T) {
 	shipmode := func(v int) string {
 		return "SELECT l_shipmode, COUNT(*), SUM(l_quantity * " + fmt.Sprint(v+2) + ") FROM lineitem " +
 			"WHERE l_shipmode = '" + []string{"AIR", "RAIL", "SHIP", "MAIL"}[v] + "' GROUP BY l_shipmode"
 	}
+	part := func(v int) string {
+		return "SELECT COUNT(*), SUM(CASE WHEN p_type = '" +
+			[]string{"TIN", "PROMO BURNISHED COPPER", "BRASS", "MEDIUM PLATED TIN"}[v] +
+			"' THEN l_quantity ELSE 0 END) FROM part JOIN lineitem ON p_partkey = l_partkey WHERE l_quantity < 30"
+	}
 	kernelCalls := obs.NewCounter("rt_batch_kernel_calls")
 	for _, name := range BackendNames() {
 		t.Run(name, func(t *testing.T) {
-			cached, plain := loaded(t, Options{CacheMB: 16, Batch: true}), loaded(t, Options{Batch: true})
-			engC, engP := Backend(name), Backend(name)
-			calls0 := kernelCalls.Load()
-			for _, family := range []func(int) string{shipmode,
-				func(v int) string { return adhocFamily(0, v) }, func(v int) string { return adhocFamily(1, v) }} {
-				for v := 0; v < 4; v++ {
-					q := family(v)
-					got, want := execSQL(t, cached, engC, q), execSQL(t, plain, engP, q)
-					if !reflect.DeepEqual(got.rows, want.rows) || got.err != want.err {
-						t.Errorf("%q: %v (err %q), want %v (err %q)", q, got.rows, got.err, want.rows, want.err)
-					}
-					if got.hit != (v > 0) {
-						t.Errorf("%q: hit=%v, want %v", q, got.hit, v > 0)
+			for _, jobs := range []int{1, 4} {
+				o := Options{Batch: true, ExecJobs: jobs}
+				plain := loaded(t, o)
+				o.CacheMB = 16
+				cached := loaded(t, o)
+				engC, engP := Backend(name), Backend(name)
+				calls0 := kernelCalls.Load()
+				for _, family := range []func(int) string{shipmode, part,
+					func(v int) string { return adhocFamily(0, v) }, func(v int) string { return adhocFamily(1, v) }} {
+					for v := 0; v < 4; v++ {
+						q := family(v)
+						got, want := execSQL(t, cached, engC, q), execSQL(t, plain, engP, q)
+						if !reflect.DeepEqual(got.rows, want.rows) || got.err != want.err {
+							t.Errorf("%d workers, %q: %v (err %q), want %v (err %q)", jobs, q, got.rows, got.err, want.rows, want.err)
+						}
+						if got.hit != (v > 0) {
+							t.Errorf("%d workers, %q: hit=%v, want %v", jobs, q, got.hit, v > 0)
+						}
 					}
 				}
-			}
-			if kernelCalls.Load() == calls0 {
-				t.Error("no batch kernel ran")
+				if kernelCalls.Load() == calls0 {
+					t.Errorf("%d workers: no batch kernel ran", jobs)
+				}
 			}
 		})
 	}

@@ -25,12 +25,14 @@ import (
 // that match, in the order the tuple code's chain walk visits them.
 //
 // The kernel is driven by a BatchSpec, data the code generator hands the
-// execution driver beside the compiled code: the driver prepares it
-// (PrepareBatch) for each execution and stores the handle in the pipeline's
-// state before setup runs, so no kernel is compiled into any function and one
-// setup and main function serve every kernel of a sink layout. A query
-// literal enters the spec as a constant-pool slot (BEPool) that PrepareBatch
-// reads from the bound pool, so the spec is the same for every constant
+// executor beside the compiled code. The generator checks the spec once,
+// when it builds it (CheckBatchSpec), and the checked kernel is what runs:
+// per execution the executor only makes a handle for it (BatchHandle) and
+// stores the handle in the pipeline's state before setup runs, so no kernel
+// is compiled into any function and one setup and main function serve every
+// kernel of a sink layout. A query literal enters the spec as a
+// constant-pool slot (BEPool) that the kernel reads from the bound pool when
+// it evaluates the literal, so the spec is the same for every constant
 // variant of a query. Semantics replicate the tuple-at-a-time code exactly —
 // same CRC32C/long-mul-fold hash, same widened slot layout, same overflow
 // traps in the same per-row order — so batch and tuple execution are
@@ -65,8 +67,8 @@ const (
 	BECmp
 	BEBetween
 	// BEPool is a literal held in constant-pool slot Slot (rt.DB.
-	// BindConstPool); PrepareBatch turns it into the BEConst of the value
-	// the slot holds when the pipeline is about to run.
+	// BindConstPool): it evaluates as the constant the slot holds when the
+	// kernel reads it.
 	BEPool
 	// BEBuildCol is a column of the build side a probe kernel matched: Elem
 	// bytes at offset Base of the matched entry's payload.
@@ -105,8 +107,7 @@ type BatchExpr struct {
 	// Base/Elem describe a column: base address and element width
 	// (BECol), or payload offset and width (BEBuildCol).
 	Base, Elem uint64
-	// Constant payloads. A string constant of at most 12 bytes also holds
-	// its 16-byte value's two words in D once the kernel is prepared.
+	// Constant payloads.
 	I int64
 	D I128
 	F float64
@@ -173,113 +174,73 @@ type BatchSpec struct {
 	Payload []BatchCol
 }
 
-// Footprint is the Go heap the spec holds: its nodes, key, aggregate and
-// payload arrays and the bytes of its string constants.
-func (s *BatchSpec) Footprint() int64 {
-	n := int64(unsafe.Sizeof(*s)) + int64(len(s.Filters))*int64(unsafe.Sizeof(s)) +
-		int64(len(s.Probe)+len(s.Keys))*int64(unsafe.Sizeof(BatchKey{})) +
-		int64(len(s.Aggs))*int64(unsafe.Sizeof(BatchAgg{})) +
-		int64(len(s.Payload))*int64(unsafe.Sizeof(BatchCol{}))
-	var expr func(e *BatchExpr)
-	expr = func(e *BatchExpr) {
-		if e != nil {
-			n += int64(unsafe.Sizeof(*e)) + int64(len(e.S))
-			expr(e.L)
-			expr(e.R)
-			expr(e.H)
-		}
-	}
-	for _, f := range s.Filters {
-		expr(f)
-	}
-	for _, k := range s.Probe {
-		expr(k.E)
-	}
-	for _, k := range s.Keys {
-		expr(k.E)
-	}
-	for _, a := range s.Aggs {
-		expr(a.Arg)
-	}
-	for _, p := range s.Payload {
-		expr(p.Src)
-	}
-	return n
-}
-
 // BatchMaxDepth is the deepest expression node a spec may hold (a root is at
 // depth 0). The code generator keeps batch pipelines within it.
 const BatchMaxDepth = 64
 
 // --------------------------------------------------------------------------
-// Kernel preparation.
+// Kernel check.
 // --------------------------------------------------------------------------
 
-// batchProg is a prepared kernel: a copy of the spec with its literals bound,
-// plus its flattened column references for the per-call bounds checks.
-type batchProg struct {
+// BatchKernel is a kernel program that passed CheckBatchSpec: the spec as the
+// code generator built it, plus its flattened column references for the
+// per-call bounds checks. Nothing writes to it after the check, so one kernel
+// serves every execution of its program, on every worker at once; a pool-slot
+// literal is read from the bound pool where the kernel evaluates it.
+type BatchKernel struct {
 	spec *BatchSpec
 	// cols are the scanned table's column reads, checked over each morsel;
 	// bcols the build-entry reads, checked against the probed table's
 	// entry width.
 	cols  []*BatchExpr
 	bcols []*BatchExpr
+	// footprint is the Go heap the spec holds: its nodes, key, aggregate
+	// and payload arrays and the bytes of its string constants.
+	footprint int64
 }
 
-// PrepareBatch readies a kernel program for one execution of its pipeline
-// and returns the handle batch_exec and batch_probe take. The kernel runs a
-// copy of spec in which every pool-slot literal is the constant its slot
-// holds now; spec itself is not changed, so one spec serves every execution
-// of a program. A spec that is not well formed is an error.
-func (db *DB) PrepareBatch(spec *BatchSpec) (uint64, error) {
-	bp, err := db.batchPrepare(spec)
-	if err != nil {
-		return 0, err
-	}
-	return db.newHandle(bp), nil
-}
+// Spec returns the spec the kernel was checked from.
+func (k *BatchKernel) Spec() *BatchSpec { return k.spec }
 
-// CheckBatchSpec returns the error PrepareBatch would return for spec, short
-// of reading a pool slot: it holds every rule of what a kernel may hold that
-// the spec shows, and the code generator lowers a kernel only if it passes.
-func CheckBatchSpec(spec *BatchSpec) error {
-	_, err := (*DB)(nil).batchPrepare(spec)
-	return err
-}
+// Footprint is the Go heap the kernel's spec holds.
+func (k *BatchKernel) Footprint() int64 { return k.footprint }
 
-// batchPrepare is PrepareBatch's walk. On a nil db (CheckBatchSpec) it reads
-// no pool and copies no expression: the kernel it returns holds spec's own
-// nodes, pool slots included.
-func (db *DB) batchPrepare(spec *BatchSpec) (*batchProg, error) {
+// CheckBatchSpec is the one walk of a kernel spec: it holds every rule of
+// what a kernel may hold that the spec shows and returns the kernel that
+// runs spec, or the rule it breaks. It changes nothing in spec, and spec
+// must not change after. The code generator checks every spec it builds and
+// lowers a kernel only if it passes.
+func CheckBatchSpec(spec *BatchSpec) (*BatchKernel, error) {
 	if spec.Sink != BatchSinkAgg && spec.Sink != BatchSinkBuild {
 		return nil, fmt.Errorf("rt: batch: bad sink %d", spec.Sink)
 	}
-	s := &BatchSpec{Sink: spec.Sink, Width: spec.Width}
-	bp := &batchProg{spec: s}
+	k := &BatchKernel{spec: spec, footprint: int64(unsafe.Sizeof(*spec)) +
+		int64(len(spec.Filters))*int64(unsafe.Sizeof(spec)) +
+		int64(len(spec.Probe)+len(spec.Keys))*int64(unsafe.Sizeof(BatchKey{})) +
+		int64(len(spec.Aggs))*int64(unsafe.Sizeof(BatchAgg{})) +
+		int64(len(spec.Payload))*int64(unsafe.Sizeof(BatchCol{}))}
 	probe := len(spec.Probe) > 0
 	for _, f := range spec.Filters {
-		e, err := db.prepExpr(f, bp, false, 0)
-		if err != nil {
+		if err := k.checkExpr(f, false, 0); err != nil {
 			return nil, err
 		}
-		s.Filters = append(s.Filters, e)
+	}
+	if err := k.checkKeys(spec.Probe, false); err != nil {
+		return nil, err
+	}
+	if err := k.checkKeys(spec.Keys, true); err != nil {
+		return nil, err
 	}
 	var err error
-	if s.Probe, err = db.prepKeys(spec, spec.Probe, bp, false); err != nil {
-		return nil, err
-	}
-	if s.Keys, err = db.prepKeys(spec, spec.Keys, bp, true); err != nil {
-		return nil, err
-	}
 	for _, a := range spec.Aggs {
 		if a.Fn > BAggAvg || a.Ty > BTStr {
 			return nil, fmt.Errorf("rt: batch: aggregate %d of type %d", a.Fn, a.Ty)
 		}
-		if err := prepSlot(spec.Width, a.Off, a.Ty); err != nil {
+		if err := checkSlot(spec.Width, a.Off, a.Ty); err != nil {
 			return nil, err
 		}
 		if a.Fn == BAggAvg {
-			if err := prepSlot(spec.Width, a.COff, BTInt); err != nil {
+			if err := checkSlot(spec.Width, a.COff, BTInt); err != nil {
 				return nil, err
 			}
 		}
@@ -287,14 +248,13 @@ func (db *DB) batchPrepare(spec *BatchSpec) (*batchProg, error) {
 		case a.Fn != BAggCount && a.Ty == BTStr:
 			return nil, fmt.Errorf("rt: batch: aggregate %d over strings", a.Fn)
 		case a.Fn != BAggCount:
-			a.Arg, err = db.prepOperand(a.Arg, a.Ty, bp, probe, 0)
+			err = k.checkOperand(a.Arg, a.Ty, probe, 0)
 		case a.Arg != nil:
-			a.Arg, err = db.prepExpr(a.Arg, bp, probe, 0)
+			err = k.checkExpr(a.Arg, probe, 0)
 		}
 		if err != nil {
 			return nil, err
 		}
-		s.Aggs = append(s.Aggs, a)
 	}
 	for _, p := range spec.Payload {
 		if p.Src == nil || p.Src.Kind != BECol && p.Src.Kind != BEBuildCol {
@@ -303,40 +263,43 @@ func (db *DB) batchPrepare(spec *BatchSpec) (*batchProg, error) {
 		if p.Off < 0 || uint64(p.Off) > spec.Width || p.Src.Elem > spec.Width-uint64(p.Off) {
 			return nil, fmt.Errorf("rt: batch: payload slot %d outside the entry", p.Off)
 		}
-		if p.Src, err = db.prepExpr(p.Src, bp, probe, 0); err != nil {
+		if err := k.checkExpr(p.Src, probe, 0); err != nil {
 			return nil, err
 		}
-		s.Payload = append(s.Payload, p)
 	}
-	return bp, nil
+	return k, nil
 }
 
-// prepKeys prepares the probe keys or, with sink set, the group or join keys
-// of spec: each a column of its type, and a sink key inside its slot. Only a
-// probe kernel's sink keys may read the build side.
-func (db *DB) prepKeys(spec *BatchSpec, keys []BatchKey, bp *batchProg, sink bool) ([]BatchKey, error) {
-	var out []BatchKey
-	for _, k := range keys {
-		if k.E == nil || k.E.Kind != BECol && k.E.Kind != BEBuildCol || k.E.Ty != k.Ty {
-			return nil, fmt.Errorf("rt: batch: a key is not a column of its type")
+// BatchHandle returns the handle batch_exec and batch_probe take to run
+// kernel k in this runtime. The executor makes one per execution of the
+// kernel's pipeline; the kernel itself is shared.
+func (db *DB) BatchHandle(k *BatchKernel) uint64 {
+	return db.newHandle(k)
+}
+
+// checkKeys checks the probe keys or, with sink set, the group or join keys:
+// each a column of its type, and a sink key inside its slot. Only a probe
+// kernel's sink keys may read the build side.
+func (k *BatchKernel) checkKeys(keys []BatchKey, sink bool) error {
+	for _, key := range keys {
+		if key.E == nil || key.E.Kind != BECol && key.E.Kind != BEBuildCol || key.E.Ty != key.Ty {
+			return fmt.Errorf("rt: batch: a key is not a column of its type")
 		}
 		if sink {
-			if err := prepSlot(spec.Width, k.Off, k.Ty); err != nil {
-				return nil, err
+			if err := checkSlot(k.spec.Width, key.Off, key.Ty); err != nil {
+				return err
 			}
 		}
-		var err error
-		if k.E, err = db.prepExpr(k.E, bp, sink && len(spec.Probe) > 0, 0); err != nil {
-			return nil, err
+		if err := k.checkExpr(key.E, sink && len(k.spec.Probe) > 0, 0); err != nil {
+			return err
 		}
-		out = append(out, k)
 	}
-	return out, nil
+	return nil
 }
 
-// prepSlot checks that a value of type ty at payload offset off lies inside
+// checkSlot checks that a value of type ty at payload offset off lies inside
 // entries of width bytes.
-func prepSlot(width uint64, off int64, ty BatchType) error {
+func checkSlot(width uint64, off int64, ty BatchType) error {
 	size := uint64(8)
 	if ty == BTI128 || ty == BTStr {
 		size = 16
@@ -358,125 +321,83 @@ func colWidth(ty BatchType, elem uint64) bool {
 	return elem == 16
 }
 
-// prepExpr returns the kernel's copy of e, at the given depth of its tree:
-// every pool-slot node becomes the constant its slot holds now, a short
-// string constant gets its value's words, and every column reference is
-// checked and collected for the per-call bounds checks. On a nil db
-// (CheckBatchSpec) it makes the same checks and returns e itself. Build
+// checkExpr checks e, at the given depth of its tree, counts its heap and
+// collects its column references for the per-call bounds checks. Build
 // columns are allowed only in the sink of a probe kernel (build is set). A
 // node of an unknown kind, type or operator, a missing operand or one of
 // another type than its parent reads, a pool slot past the pool, a string
 // compare other than = and <>, BETWEEN or CASE of strings and a tree deeper
 // than BatchMaxDepth are errors.
-func (db *DB) prepExpr(e *BatchExpr, bp *batchProg, build bool, depth int) (*BatchExpr, error) {
+func (k *BatchKernel) checkExpr(e *BatchExpr, build bool, depth int) error {
 	if e == nil {
-		return nil, fmt.Errorf("rt: batch: missing operand")
+		return fmt.Errorf("rt: batch: missing operand")
 	}
 	if depth > BatchMaxDepth {
-		return nil, fmt.Errorf("rt: batch: expression deeper than %d", BatchMaxDepth)
+		return fmt.Errorf("rt: batch: expression deeper than %d", BatchMaxDepth)
 	}
 	if e.Kind > BECase || e.Ty > BTStr {
-		return nil, fmt.Errorf("rt: batch: expression kind %d of type %d", e.Kind, e.Ty)
+		return fmt.Errorf("rt: batch: expression kind %d of type %d", e.Kind, e.Ty)
 	}
-	c := BatchExpr{Kind: e.Kind, Ty: e.Ty}
-	var err error
+	k.footprint += int64(unsafe.Sizeof(*e)) + int64(len(e.S))
 	switch e.Kind {
-	case BEConst:
-		c.I, c.D, c.F, c.S = e.I, e.D, e.F, e.S
 	case BECol, BEBuildCol:
 		if e.Kind == BEBuildCol && !build {
-			return nil, fmt.Errorf("rt: batch: build column outside a probe kernel's sink")
+			return fmt.Errorf("rt: batch: build column outside a probe kernel's sink")
 		}
 		if !colWidth(e.Ty, e.Elem) {
-			return nil, fmt.Errorf("rt: batch: column of type %d and width %d", e.Ty, e.Elem)
+			return fmt.Errorf("rt: batch: column of type %d and width %d", e.Ty, e.Elem)
 		}
-		c.Base, c.Elem = e.Base, e.Elem
+		if e.Kind == BECol {
+			k.cols = append(k.cols, e)
+		} else {
+			k.bcols = append(k.bcols, e)
+		}
 	case BEPool:
 		if e.Slot >= ConstPoolSlots {
-			return nil, fmt.Errorf("rt: batch: pool slot %d past the pool", e.Slot)
-		}
-		if db == nil {
-			break
-		}
-		addr := db.ConstPoolAddr(int(e.Slot))
-		lo, hi := le64(db.M.Mem[addr:]), le64(db.M.Mem[addr+8:])
-		c.Kind = BEConst
-		switch e.Ty {
-		case BTInt:
-			c.I = int64(lo)
-		case BTI128:
-			c.D = I128{Lo: lo, Hi: hi}
-		case BTF64:
-			c.F = fbits(lo)
-		case BTStr:
-			var buf [16]byte
-			s, err := db.strBytes(lo, hi, &buf)
-			if err != nil {
-				return nil, err
-			}
-			c.S = append([]byte(nil), s...)
+			return fmt.Errorf("rt: batch: pool slot %d past the pool", e.Slot)
 		}
 	case BEArith, BECmp:
 		if e.Kind == BEArith && (e.Op > BArithMul || e.Ty == BTStr) ||
 			e.Kind == BECmp && (e.Op > BCmpGE || e.Ty == BTStr && e.Op > BCmpNE) {
-			return nil, fmt.Errorf("rt: batch: operator %d of type %d", e.Op, e.Ty)
+			return fmt.Errorf("rt: batch: operator %d of type %d", e.Op, e.Ty)
 		}
-		c.Op = e.Op
-		if c.L, err = db.prepOperand(e.L, e.Ty, bp, build, depth+1); err != nil {
-			return nil, err
+		if err := k.checkOperand(e.L, e.Ty, build, depth+1); err != nil {
+			return err
 		}
-		if c.R, err = db.prepOperand(e.R, e.Ty, bp, build, depth+1); err != nil {
-			return nil, err
-		}
+		return k.checkOperand(e.R, e.Ty, build, depth+1)
 	case BEBetween, BECase:
+		var err error
 		switch {
 		case e.Ty == BTStr:
 			err = fmt.Errorf("rt: batch: between or case of strings")
 		case e.Kind == BEBetween:
-			c.L, err = db.prepOperand(e.L, e.Ty, bp, build, depth+1)
+			err = k.checkOperand(e.L, e.Ty, build, depth+1)
 		default:
-			if c.L, err = db.prepExpr(e.L, bp, build, depth+1); err == nil && c.L.Kind != BECmp && c.L.Kind != BEBetween {
-				err = fmt.Errorf("rt: batch: case on a condition of kind %d", c.L.Kind)
+			if err = k.checkExpr(e.L, build, depth+1); err == nil && e.L.Kind != BECmp && e.L.Kind != BEBetween {
+				err = fmt.Errorf("rt: batch: case on a condition of kind %d", e.L.Kind)
 			}
 		}
 		if err != nil {
-			return nil, err
+			return err
 		}
-		if c.R, err = db.prepOperand(e.R, e.Ty, bp, build, depth+1); err != nil {
-			return nil, err
+		if err := k.checkOperand(e.R, e.Ty, build, depth+1); err != nil {
+			return err
 		}
-		if c.H, err = db.prepOperand(e.H, e.Ty, bp, build, depth+1); err != nil {
-			return nil, err
-		}
+		return k.checkOperand(e.H, e.Ty, build, depth+1)
 	}
-	if db == nil {
-		return e, nil
-	}
-	if c.Kind == BEConst && c.Ty == BTStr && len(c.S) <= 12 {
-		var b [16]byte
-		put32(b[:], uint32(len(c.S)))
-		copy(b[4:], c.S)
-		c.D = I128{Lo: le64(b[:8]), Hi: le64(b[8:])}
-	}
-	k := new(BatchExpr) // c stays on the stack, so a check allocates no node
-	*k = c
-	switch k.Kind {
-	case BECol:
-		bp.cols = append(bp.cols, k)
-	case BEBuildCol:
-		bp.bcols = append(bp.bcols, k)
-	}
-	return k, nil
+	return nil
 }
 
-// prepOperand is prepExpr of an operand the parent reads as a value of type
+// checkOperand is checkExpr of an operand the parent reads as a value of type
 // ty: an operand of another type is an error.
-func (db *DB) prepOperand(e *BatchExpr, ty BatchType, bp *batchProg, build bool, depth int) (*BatchExpr, error) {
-	c, err := db.prepExpr(e, bp, build, depth)
-	if err == nil && c.Ty != ty {
-		return nil, fmt.Errorf("rt: batch: operand of type %d where %d is read", c.Ty, ty)
+func (k *BatchKernel) checkOperand(e *BatchExpr, ty BatchType, build bool, depth int) error {
+	if err := k.checkExpr(e, build, depth); err != nil {
+		return err
 	}
-	return c, err
+	if e.Ty != ty {
+		return fmt.Errorf("rt: batch: operand of type %d where %d is read", e.Ty, ty)
+	}
+	return nil
 }
 
 // --------------------------------------------------------------------------
@@ -539,34 +460,43 @@ type bRows struct {
 
 // bVals holds one expression's values over the positions it was evaluated
 // at, in the slice matching its type. Strings are the 16-byte value halves
-// (lo, hi). A constant has no slice: c is its node, read at every position.
+// (lo, hi). A constant has no slice: isConst is set and c holds its value as
+// a pool slot does (an integer or a float's bits in the lo word), read at
+// every position.
 type bVals struct {
-	i []int64
-	d []I128
-	f []float64
-	s [][2]uint64
-	c *BatchExpr
+	i       []int64
+	d       []I128
+	f       []float64
+	s       [][2]uint64
+	c       I128
+	isConst bool
 }
 
 func (v *bVals) int(k int) int64 {
-	if v.c != nil {
-		return v.c.I
+	if v.isConst {
+		return int64(v.c.Lo)
 	}
 	return v.i[k]
 }
 
 func (v *bVals) dec(k int) I128 {
-	if v.c != nil {
-		return v.c.D
+	if v.isConst {
+		return v.c
 	}
 	return v.d[k]
 }
 
 func (v *bVals) flt(k int) float64 {
-	if v.c != nil {
-		return v.c.F
+	if v.isConst {
+		return fbits(v.c.Lo)
 	}
 	return v.f[k]
+}
+
+// poolWords are the two words pool slot i holds.
+func (db *DB) poolWords(i uint64) (lo, hi uint64) {
+	a := db.ConstPoolAddr(int(i))
+	return le64(db.M.Mem[a:]), le64(db.M.Mem[a+8:])
 }
 
 // bLoad reads a column of type ty and element width elem at base+idx[k]*stride
@@ -627,11 +557,21 @@ func (db *DB) bEval(e *BatchExpr, rs bRows) (bVals, int, error) {
 	sc := &db.bscr
 	var v bVals
 	switch e.Kind {
-	case BEConst:
-		if e.Ty == BTStr {
+	case BEConst, BEPool:
+		v.isConst = true
+		switch {
+		case e.Ty == BTStr:
 			return v, 0, fmt.Errorf("rt: batch: string constant not evaluable as value")
+		case e.Kind == BEPool:
+			v.c.Lo, v.c.Hi = db.poolWords(e.Slot)
+		case e.Ty == BTInt:
+			v.c.Lo = uint64(e.I)
+		case e.Ty == BTF64:
+			v.c.Lo = toBits(e.F)
+		default:
+			v.c = e.D
 		}
-		return bVals{c: e}, -1, nil
+		return v, -1, nil
 	case BECol:
 		return db.bLoad(e.Ty, e.Elem, e.Base, e.Elem, rs.row), -1, nil
 	case BEBuildCol:
@@ -663,7 +603,7 @@ func (db *DB) bEval(e *BatchExpr, rs bRows) (bVals, int, error) {
 			for _, k := range pos {
 				v.d[k] = th.dec(k)
 			}
-		case BTF64:
+		default: // BTF64: the check refuses a CASE of strings
 			v.f = sc.flts.get(n)
 			for k := range v.f {
 				v.f[k] = el.flt(k)
@@ -671,8 +611,6 @@ func (db *DB) bEval(e *BatchExpr, rs bRows) (bVals, int, error) {
 			for _, k := range pos {
 				v.f[k] = th.flt(k)
 			}
-		default:
-			return v, 0, fmt.Errorf("rt: batch: case of type %d", e.Ty)
 		}
 		return v, -1, nil
 	case BEArith:
@@ -726,7 +664,7 @@ func (db *DB) bEval(e *BatchExpr, rs bRows) (bVals, int, error) {
 				}
 				v.d[k] = r
 			}
-		case BTF64:
+		default: // BTF64: the check refuses arithmetic over strings
 			v.f = sc.flts.get(n)
 			for k := 0; k < stop; k++ {
 				a, b := lv.flt(k), rv.flt(k)
@@ -739,8 +677,6 @@ func (db *DB) bEval(e *BatchExpr, rs bRows) (bVals, int, error) {
 					v.f[k] = a * b
 				}
 			}
-		default:
-			return v, 0, fmt.Errorf("rt: batch: arith over type %d", e.Ty)
 		}
 		// No operation trap before stop; the earliest operand trap (left
 		// before right at the same row, matching evaluation order) wins.
@@ -782,22 +718,23 @@ func inlineMasks(n uint64) (lo, hi uint64) {
 	return lo, hi
 }
 
-// strEqConst compares a 16-byte string value with a prepared string
-// constant: an inline value by its words, a longer one by its bytes.
-func (db *DB) strEqConst(lo, hi uint64, c *BatchExpr) (bool, error) {
+// strEqConst compares a 16-byte string value with the bytes c of a string
+// constant, whose inline value's words are cw when it has at most 12 bytes:
+// an inline value by its words, a longer one by its bytes.
+func (db *DB) strEqConst(lo, hi uint64, c []byte, cw I128) (bool, error) {
 	n := uint64(uint32(lo))
-	if n != uint64(len(c.S)) {
+	if n != uint64(len(c)) {
 		return false, nil
 	}
 	if n <= 12 {
 		ml, mh := inlineMasks(n)
-		return (lo^c.D.Lo)&ml == 0 && (hi^c.D.Hi)&mh == 0, nil
+		return (lo^cw.Lo)&ml == 0 && (hi^cw.Hi)&mh == 0, nil
 	}
 	body, err := db.M.Bytes(hi, n)
 	if err != nil {
 		return false, err
 	}
-	return string(body) == string(c.S), nil
+	return string(body) == string(c), nil
 }
 
 // strEqVals compares two 16-byte string values by content.
@@ -896,9 +833,6 @@ func (db *DB) bTest(e *BatchExpr, rs bRows) ([]int, error) {
 	out := db.bscr.pos.get(n)[:0]
 	switch e.Kind {
 	case BECmp:
-		if int(e.Op) >= len(bCmps) {
-			return nil, fmt.Errorf("rt: batch: bad comparison %d", e.Op)
-		}
 		if e.Ty == BTStr {
 			return db.strEqPos(e, rs, out)
 		}
@@ -911,10 +845,10 @@ func (db *DB) bTest(e *BatchExpr, rs bRows) ([]int, error) {
 		switch e.Ty {
 		case BTInt:
 			switch {
-			case lv.c == nil && rv.c != nil:
-				return constPos(e.Op, lv.i[:n], rv.c.I, out), nil
-			case lv.c != nil && rv.c == nil:
-				return constPos(flipCmp(e.Op), rv.i[:n], lv.c.I, out), nil
+			case !lv.isConst && rv.isConst:
+				return constPos(e.Op, lv.i[:n], rv.int(0), out), nil
+			case lv.isConst && !rv.isConst:
+				return constPos(flipCmp(e.Op), rv.i[:n], lv.int(0), out), nil
 			}
 			for k := 0; k < n; k++ {
 				if sem.ICmp(c, uint64(lv.int(k)), uint64(rv.int(k))) {
@@ -924,10 +858,10 @@ func (db *DB) bTest(e *BatchExpr, rs bRows) ([]int, error) {
 			return out, nil
 		case BTF64:
 			switch {
-			case lv.c == nil && rv.c != nil:
-				return constPos(e.Op, lv.f[:n], rv.c.F, out), nil
-			case lv.c != nil && rv.c == nil:
-				return constPos(flipCmp(e.Op), rv.f[:n], lv.c.F, out), nil
+			case !lv.isConst && rv.isConst:
+				return constPos(e.Op, lv.f[:n], rv.flt(0), out), nil
+			case lv.isConst && !rv.isConst:
+				return constPos(flipCmp(e.Op), rv.f[:n], lv.flt(0), out), nil
 			}
 			for k := 0; k < n; k++ {
 				if sem.FCmp(c, lv.flt(k), rv.flt(k)) {
@@ -980,17 +914,27 @@ func (db *DB) bTest(e *BatchExpr, rs bRows) ([]int, error) {
 }
 
 // strEqPos is bTest of a string equality or inequality. A string constant
-// stays raw in the spec (e.S): it has no 16-byte in-memory form, so it
-// bypasses bEval and is compared through strEqConst.
+// side bypasses bEval: its bytes are read once per call, a BEConst's own or
+// those of the value its pool slot holds (strConst), and each row's value is
+// compared with them through strEqConst.
 func (db *DB) strEqPos(e *BatchExpr, rs bRows, out []int) ([]int, error) {
 	n := len(rs.row)
 	want := e.Op == BCmpEQ
 	l, r := e.L, e.R
-	if l.Kind == BEConst {
+	if isConst(l) {
 		l, r = r, l
 	}
-	if l.Kind == BEConst {
-		if (string(l.S) == string(r.S)) == want {
+	var lbuf, rbuf [16]byte
+	c, err := db.strConst(r, &rbuf)
+	if err != nil {
+		return nil, err
+	}
+	if isConst(l) {
+		lc, err := db.strConst(l, &lbuf)
+		if err != nil {
+			return nil, err
+		}
+		if (string(lc) == string(c)) == want {
 			for k := 0; k < n; k++ {
 				out = append(out, k)
 			}
@@ -1001,9 +945,12 @@ func (db *DB) strEqPos(e *BatchExpr, rs bRows, out []int) ([]int, error) {
 	if tL >= 0 {
 		return nil, errL
 	}
-	if r.Kind == BEConst {
+	if isConst(r) {
+		var cw [16]byte
+		put32(cw[:], uint32(len(c)))
+		copy(cw[4:], c)
 		for k, s := range lv.s {
-			eq, err := db.strEqConst(s[0], s[1], r)
+			eq, err := db.strEqConst(s[0], s[1], c, I128{Lo: le64(cw[:8]), Hi: le64(cw[8:])})
 			if err != nil {
 				return nil, err
 			}
@@ -1029,6 +976,22 @@ func (db *DB) strEqPos(e *BatchExpr, rs bRows, out []int) ([]int, error) {
 	return out, nil
 }
 
+func isConst(e *BatchExpr) bool { return e.Kind == BEConst || e.Kind == BEPool }
+
+// strConst returns the bytes of a string constant: a BEConst's own, or those
+// of the value a BEPool's slot holds (an inline one's in buf). Any other node
+// has none.
+func (db *DB) strConst(e *BatchExpr, buf *[16]byte) ([]byte, error) {
+	switch e.Kind {
+	case BEConst:
+		return e.S, nil
+	case BEPool:
+		lo, hi := db.poolWords(e.Slot)
+		return db.strBytes(lo, hi, buf)
+	}
+	return nil, nil
+}
+
 // batchStrHash replicates FnStrHash: CRC32C of the bytes with the length
 // folded into the upper word. An inline value hashes from its words.
 func (db *DB) batchStrHash(lo, hi uint64) (uint64, error) {
@@ -1052,7 +1015,7 @@ func (db *DB) batchStrHash(lo, hi uint64) (uint64, error) {
 
 // batchHashes computes the key-tuple hash of positions [0, stop): CRC32C
 // folding per 64-bit word with the final long-mul-fold mix, exactly the
-// chain hashKeys emits. Keys are columns (batchPrepare).
+// chain hashKeys emits. Keys are columns (CheckBatchSpec).
 func (db *DB) batchHashes(keys []BatchKey, keyV []bVals, stop int, out []uint64) error {
 	for k := 0; k < stop; k++ {
 		h := uint64(0)
@@ -1109,16 +1072,16 @@ func (db *DB) batchKeysEqual(keys []BatchKey, keyV []bVals, k int, p uint64) (bo
 	return true, nil
 }
 
-// batchExec runs the prepared kernel over table rows [lo, hi): bounds
+// batchExec runs the kernel over table rows [lo, hi): bounds
 // pre-check, selection-vector filtering, then — for a probe kernel, per
 // chunk of matching (row, entry) pairs — vectorized key/argument evaluation
 // and the ordered sink loop. probe is the probed join table of a probe
 // kernel, nil for a scan kernel. On a trapping row, every earlier row's
 // sink effect has been applied and the row's own has not — the same partial
 // state tuple-at-a-time execution leaves behind.
-func (db *DB) batchExec(bp *batchProg, sink, probe *hashTable, lo, hi int64) error {
+func (db *DB) batchExec(bk *BatchKernel, sink, probe *hashTable, lo, hi int64) error {
 	ctrBatchCalls.Inc()
-	spec := bp.spec
+	spec := bk.spec
 	if (probe != nil) != (len(spec.Probe) > 0) {
 		return fmt.Errorf("rt: batch: kernel with %d probe keys called with probe table %v", len(spec.Probe), probe != nil)
 	}
@@ -1128,11 +1091,11 @@ func (db *DB) batchExec(bp *batchProg, sink, probe *hashTable, lo, hi int64) err
 	if probe != nil {
 		ctrBatchProbeCalls.Inc()
 		for _, k := range spec.Probe {
-			if err := prepSlot(probe.width, k.Off, k.Ty); err != nil {
+			if err := checkSlot(probe.width, k.Off, k.Ty); err != nil {
 				return err
 			}
 		}
-		for _, c := range bp.bcols {
+		for _, c := range bk.bcols {
 			if c.Base > probe.width || c.Elem > probe.width-c.Base {
 				return fmt.Errorf("rt: batch: build column at %d outside %d-byte entries", c.Base, probe.width)
 			}
@@ -1142,7 +1105,7 @@ func (db *DB) batchExec(bp *batchProg, sink, probe *hashTable, lo, hi int64) err
 		return nil
 	}
 	ctrBatchRows.Add(hi - lo)
-	for _, c := range bp.cols {
+	for _, c := range bk.cols {
 		if _, err := db.M.Bytes(c.Base+uint64(lo)*c.Elem, uint64(hi-lo)*c.Elem); err != nil {
 			return err
 		}
@@ -1170,7 +1133,7 @@ func (db *DB) batchExec(bp *batchProg, sink, probe *hashTable, lo, hi int64) err
 		}
 	}
 	if probe == nil {
-		return db.batchSink(bp, sink, bRows{row: sel})
+		return db.batchSink(bk, sink, bRows{row: sel})
 	}
 
 	// Probe: hash every surviving row's keys, walk its bucket chain in the
@@ -1207,7 +1170,7 @@ func (db *DB) batchExec(bp *batchProg, sink, probe *hashTable, lo, hi int64) err
 			pairs.row = append(pairs.row, r)
 			pairs.ent = append(pairs.ent, int64(p))
 			if len(pairs.row) == chunk {
-				if err := db.batchSink(bp, sink, pairs); err != nil {
+				if err := db.batchSink(bk, sink, pairs); err != nil {
 					return err
 				}
 				sc.release(m)
@@ -1218,14 +1181,14 @@ func (db *DB) batchExec(bp *batchProg, sink, probe *hashTable, lo, hi int64) err
 	if len(pairs.row) == 0 {
 		return nil
 	}
-	return db.batchSink(bp, sink, pairs)
+	return db.batchSink(bk, sink, pairs)
 }
 
 // batchSink evaluates the sink's keys and arguments at every position of rs,
 // in tuple evaluation order, and applies the sink position by position up to
 // the earliest trapping one (ties to the earlier expression).
-func (db *DB) batchSink(bp *batchProg, sink *hashTable, rs bRows) error {
-	spec := bp.spec
+func (db *DB) batchSink(bk *BatchKernel, sink *hashTable, rs bRows) error {
+	spec := bk.spec
 	sc := &db.bscr
 	trapAt, trapErr := len(rs.row), error(nil)
 	keyV := sc.vals.get(len(spec.Keys))
@@ -1254,13 +1217,10 @@ func (db *DB) batchSink(bp *batchProg, sink *hashTable, rs bRows) error {
 		return err
 	}
 	var err error
-	switch spec.Sink {
-	case BatchSinkAgg:
+	if spec.Sink == BatchSinkAgg {
 		err = db.batchAggSink(spec, sink, keyV, argV, stop, hashes)
-	case BatchSinkBuild:
+	} else {
 		err = db.batchBuildSink(spec, sink, keyV, rs, stop, hashes)
-	default:
-		err = fmt.Errorf("rt: batch: bad sink kind %d", spec.Sink)
 	}
 	if err != nil {
 		return err

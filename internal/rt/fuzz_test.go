@@ -9,14 +9,17 @@ import (
 )
 
 // FuzzDecodeBatchSpec decodes arbitrary bytes into a kernel spec (specBytes'
-// layout, read by readSpec without any check) and prepares it. PrepareBatch
-// must not panic, and CheckBatchSpec must accept exactly the specs it
-// accepts (the pool the target binds has no slot a read can fail on). A
-// spec it accepts leaves the input spec unchanged and
-// yields a kernel whose nodes all have a known kind, type and operator, with
-// no pool slot left, every operand present and every payload entry a column;
-// and the kernel runs over a few rows, against an empty probed table if it
-// probes, with an error at most.
+// layout, read by readSpec without any check) and the constant-pool values
+// the kernel reads, and checks the spec. CheckBatchSpec must not panic, and
+// a spec it refuses gets no kernel, so no handle. A spec it accepts is left
+// unchanged, is the spec its kernel runs, and has nodes of a known kind,
+// type and operator only, within the depth limit, every operand present
+// and every payload entry a column; and the kernel runs over a few rows,
+// against an empty probed table if it probes, with an error at most. The
+// words after the spec fill the pool slots from slot 0, two a slot, as
+// written: integer, decimal and float values, and string values whose
+// words may point anywhere, inside the machine's memory or not. Slots the
+// input leaves hold 7 and "AIR".
 // The program decodes nothing any more: kernels are data beside the code,
 // not bytes in it. The target keeps its name because its seeds are named
 // tests, and it is the check that a malformed spec is an error, never a
@@ -24,46 +27,67 @@ import (
 // frozen: it holds the spec of every batch pipeline of TPC-H and TPC-DS as
 // the code generator built them when the layout was retired, and nothing
 // regenerates it, so it drifts from what the generator writes. The kernels
-// the generator writes now are prepared by internal/codegen's
+// the generator writes now are checked as it builds them, and their pool
+// literals held to the module's pool by internal/codegen's
 // TestFrontEndGolden. probeSpec adds the CASE node, which no workload kernel
-// has.
+// has, and a second seed compares a string column with a long pool string.
 //
 //	go test ./internal/rt -run '^$' -fuzz FuzzDecodeBatchSpec -fuzztime 10s
 func FuzzDecodeBatchSpec(f *testing.F) {
 	f.Add(specBytes(probeSpec()))
 	db := newDB(f)
-	if err := db.BindConstPool([]qir.PoolConst{{Type: qir.I64, Lo: 7}, {Type: qir.Str, Str: "AIR"}}); err != nil {
-		f.Fatal(err)
-	}
+	// A string column compared with a long pool string; its rows are the
+	// pool's slots, so row 1 is that string.
+	scan := &BatchSpec{Sink: BatchSinkAgg, Width: 8,
+		Filters: []*BatchExpr{{Kind: BECmp, Ty: BTStr, Op: BCmpEQ,
+			L: &BatchExpr{Kind: BECol, Ty: BTStr, Base: db.poolBase, Elem: 16},
+			R: &BatchExpr{Kind: BEPool, Ty: BTStr, Slot: 1}}},
+		Aggs: []BatchAgg{{Fn: BAggCount, Ty: BTInt}}}
+	lo, hi := db.InternString("a long pool string")
+	f.Add(binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint64(
+		append(specBytes(scan), make([]byte, 16)...), lo), hi))
+	defaults := []qir.PoolConst{{Type: qir.I64, Lo: 7}, {Type: qir.Str, Str: "AIR"}}
 	f.Fuzz(func(t *testing.T, b []byte) {
-		s := readSpec(b)
-		bp, err := db.batchPrepare(s)
-		if cerr := CheckBatchSpec(s); (cerr == nil) != (err == nil) {
-			t.Fatalf("CheckBatchSpec says %v where PrepareBatch says %v", cerr, err)
-		}
+		s, rest := readSpec(b)
+		k, err := CheckBatchSpec(s)
 		if err != nil {
+			if k != nil {
+				t.Fatalf("a spec refused with %v got a kernel", err)
+			}
 			return
 		}
-		if !bytes.Equal(specBytes(s), specBytes(readSpec(b))) {
-			t.Fatal("preparing changed the spec")
+		if k.Spec() != s {
+			t.Fatal("the kernel runs another spec than the one checked")
 		}
-		walkSpec(bp.spec, func(e *BatchExpr, depth int) {
+		if again, _ := readSpec(b); !bytes.Equal(specBytes(s), specBytes(again)) {
+			t.Fatal("checking changed the spec")
+		}
+		walkSpec(s, func(e *BatchExpr, depth int) {
 			switch {
 			case e == nil:
 				t.Fatal("accepted a missing operand")
-			case e.Kind > BECase || e.Kind == BEPool || e.Ty > BTStr || depth > BatchMaxDepth:
+			case e.Kind > BECase || e.Ty > BTStr || depth > BatchMaxDepth ||
+				e.Kind == BEPool && e.Slot >= ConstPoolSlots:
 				t.Fatalf("accepted %+v at depth %d", e, depth)
 			case e.Kind == BEArith && e.Op > BArithMul, e.Kind == BECmp && e.Op > BCmpGE:
 				t.Fatalf("accepted operator %d", e.Op)
 			}
 		})
-		for _, p := range bp.spec.Payload {
+		for _, p := range s.Payload {
 			if p.Src.Kind != BECol && p.Src.Kind != BEBuildCol {
 				t.Fatalf("accepted payload %+v", p.Src)
 			}
 		}
 		if s.Width > 1<<10 {
 			return
+		}
+		clear(db.M.Mem[db.poolBase : db.poolBase+ConstPoolSlots*constPoolSlotBytes])
+		if err := db.BindConstPool(defaults); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; len(rest) >= constPoolSlotBytes && i < ConstPoolSlots; i++ {
+			copy(db.M.Mem[db.ConstPoolAddr(i):], rest[:constPoolSlotBytes])
+			rest = rest[constPoolSlotBytes:]
 		}
 		mark := db.M.HeapMark()
 		defer db.ReleaseTo(mark)
@@ -72,7 +96,7 @@ func FuzzDecodeBatchSpec(f *testing.F) {
 		if len(s.Probe) > 0 {
 			probe = db.handle(db.htCreate(64, false)).(*hashTable)
 		}
-		_ = db.batchExec(bp, sink, probe, 0, 4) // an error is an answer; a panic fails
+		_ = db.batchExec(k, sink, probe, 0, 4) // an error is an answer; a panic fails
 	})
 }
 
@@ -194,10 +218,11 @@ func specBytes(s *BatchSpec) []byte {
 	return b
 }
 
-// readSpec reads b in specBytes' layout and checks nothing: codes are
-// truncated to their field's width, a word past the end reads as zero, and a
-// count stops at the end of b. Everything else is PrepareBatch's to refuse.
-func readSpec(b []byte) *BatchSpec {
+// readSpec reads b in specBytes' layout, and returns the spec and the bytes
+// after it. It checks nothing: codes are truncated to their field's width, a
+// word past the end reads as zero, and a count stops at the end of b.
+// Everything else is CheckBatchSpec's to refuse.
+func readSpec(b []byte) (*BatchSpec, []byte) {
 	u := func() uint64 {
 		if len(b) < 8 {
 			b = nil
@@ -262,16 +287,15 @@ func readSpec(b []byte) *BatchSpec {
 	for n := u(); n > 0 && len(b) > 0; n-- {
 		s.Payload = append(s.Payload, BatchCol{Off: int64(u()), Src: expr()})
 	}
-	return s
+	return s, b
 }
 
-// TestPrepareBatchRejectsBadSpecs: a spec with a code out of range, a missing
-// operand or one of another type than its parent reads, a pool slot past the
-// pool, a tree deeper than BatchMaxDepth, a payload entry that is not a
-// column, or a string compare other than = and <> is an error, never a
-// panic, and CheckBatchSpec rejects it too.
+// TestPrepareBatchRejectsBadSpecs: CheckBatchSpec refuses a spec with a code
+// out of range, a missing operand or one of another type than its parent
+// reads, a pool slot past the pool, a tree deeper than BatchMaxDepth, a
+// payload entry that is not a column, or a string compare other than = and
+// <>: an error and no kernel, never a panic.
 func TestPrepareBatchRejectsBadSpecs(t *testing.T) {
-	db := newDB(t)
 	col := func() *BatchExpr { return &BatchExpr{Kind: BECol, Ty: BTInt, Base: 0x100, Elem: 8} }
 	str := func() *BatchExpr { return &BatchExpr{Kind: BECol, Ty: BTStr, Base: 0x100, Elem: 16} }
 	good := func() *BatchSpec {
@@ -283,7 +307,7 @@ func TestPrepareBatchRejectsBadSpecs(t *testing.T) {
 				Arg: &BatchExpr{Kind: BEArith, Ty: BTInt, Op: BArithAdd, L: col(), R: col()}},
 				{Fn: BAggCount, Ty: BTInt, Off: 16}}}
 	}
-	if _, err := db.batchPrepare(good()); err != nil {
+	if _, err := CheckBatchSpec(good()); err != nil {
 		t.Fatal(err)
 	}
 	deep := col()
@@ -338,17 +362,14 @@ func TestPrepareBatchRejectsBadSpecs(t *testing.T) {
 	} {
 		s := good()
 		c.mutate(s)
-		if _, err := db.batchPrepare(s); err == nil {
+		if k, err := CheckBatchSpec(s); err == nil || k != nil {
 			t.Errorf("bad %s accepted", c.name)
-		}
-		if CheckBatchSpec(s) == nil {
-			t.Errorf("bad %s passes CheckBatchSpec", c.name)
 		}
 	}
 	// One level shallower is within the limit.
 	s := good()
 	s.Aggs[0].Arg = deep.L
-	if _, err := db.batchPrepare(s); err != nil {
+	if _, err := CheckBatchSpec(s); err != nil {
 		t.Errorf("a tree of depth %d: %v", BatchMaxDepth, err)
 	}
 }

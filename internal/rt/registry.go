@@ -41,7 +41,7 @@ const (
 	FnOverflow  = "throw_overflow"
 	FnHTEntry   = "ht_entry"
 
-	// Batch (vectorized) kernels, by the handle PrepareBatch returned: exec
+	// Batch (vectorized) kernels, by the handle BatchHandle returned: exec
 	// runs a scan kernel over one morsel against the pipeline's sink hash
 	// table, and probe runs a probe kernel, which also reads the probed join
 	// table.
@@ -283,8 +283,9 @@ func (db *DB) impl(name string) vm.RTFunc {
 		}
 	case FnBatchExec, FnBatchProbe:
 		return func(m *vm.Machine) error {
-			bp, ok := db.handle(db.arg(0)).(*batchProg)
-			if !ok {
+			bk, ok := db.handle(db.arg(0)).(*BatchKernel)
+			if !ok || bk.spec == nil { // a kernel CheckBatchSpec did not make
+
 				return db.badHandle(name, db.arg(0))
 			}
 			ht, ok := db.handle(db.arg(1)).(*hashTable)
@@ -292,13 +293,13 @@ func (db *DB) impl(name string) vm.RTFunc {
 				return db.badHandle(name+" sink", db.arg(1))
 			}
 			if name == FnBatchExec {
-				return db.batchExec(bp, ht, nil, int64(db.arg(2)), int64(db.arg(3)))
+				return db.batchExec(bk, ht, nil, int64(db.arg(2)), int64(db.arg(3)))
 			}
 			probe, ok := db.handle(db.arg(2)).(*hashTable)
 			if !ok {
 				return db.badHandle(name+" probe", db.arg(2))
 			}
-			return db.batchExec(bp, ht, probe, int64(db.arg(3)), int64(db.arg(4)))
+			return db.batchExec(bk, ht, probe, int64(db.arg(3)), int64(db.arg(4)))
 		}
 	case FnHTEntry:
 		return func(m *vm.Machine) error {

@@ -115,7 +115,7 @@ func TestWorkerOwnGuard(t *testing.T) {
 }
 
 // TestWorkerSharesConstPool: a worker runtime's pool slots are the main
-// runtime's, so a kernel set up on a worker reads the values bound on the
+// runtime's, so a kernel running on a worker reads the values bound on the
 // main runtime — integers, decimals, floats and strings on both sides of the
 // 12-byte inline limit.
 func TestWorkerSharesConstPool(t *testing.T) {
@@ -138,52 +138,46 @@ func TestWorkerSharesConstPool(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	want := []*BatchExpr{
-		{Kind: BEConst, Ty: BTInt, I: -10},
-		{Kind: BEConst, Ty: BTI128, D: I128{Lo: 5, Hi: 7}},
-		{Kind: BEConst, Ty: BTF64, F: 2.5},
-		// An inline string constant also carries its value's words.
-		{Kind: BEConst, Ty: BTStr, S: []byte("AIR"), D: I128{Lo: 3 | uint64('A')<<32 | uint64('I')<<40 | uint64('R')<<48}},
-		{Kind: BEConst, Ty: BTStr, S: []byte(long)},
-	}
-	spec := &BatchSpec{Sink: BatchSinkAgg, Width: 8}
-	for i, w := range want {
-		elem := uint64(8)
-		if w.Ty == BTI128 || w.Ty == BTStr {
-			elem = 16
-		}
-		col := &BatchExpr{Kind: BECol, Ty: w.Ty, Base: 0x1000, Elem: elem}
-		spec.Filters = append(spec.Filters, &BatchExpr{Kind: BECmp, Ty: w.Ty, Op: BCmpEQ,
-			L: col, R: &BatchExpr{Kind: BEPool, Ty: w.Ty, Slot: uint64(i)}})
-	}
 	for _, rt := range []*DB{db, wdb} {
-		bp, err := rt.batchPrepare(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, f := range bp.spec.Filters {
-			if !reflect.DeepEqual(f.R, want[i]) {
-				t.Errorf("worker=%v: slot %d prepared as %+v, want %+v", rt == wdb, i, f.R, want[i])
+		var got []any
+		for i, ty := range []BatchType{BTInt, BTI128, BTF64} {
+			v, _, err := rt.bEval(&BatchExpr{Kind: BEPool, Ty: ty, Slot: uint64(i)}, bRows{})
+			if err != nil || !v.isConst {
+				t.Fatalf("worker=%v: slot %d evaluates to %+v, %v", rt == wdb, i, v, err)
 			}
+			got = append(got, []any{v.int(0), v.dec(0), v.flt(0)}[i])
 		}
-		if len(bp.cols) != len(want) {
-			t.Errorf("worker=%v: %d column references, want %d", rt == wdb, len(bp.cols), len(want))
+		for i := 3; i < 5; i++ {
+			var buf [16]byte
+			s, err := rt.strConst(&BatchExpr{Kind: BEPool, Ty: BTStr, Slot: uint64(i)}, &buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got = append(got, string(s))
+		}
+		want := []any{int64(-10), I128{Lo: 5, Hi: 7}, 2.5, "AIR", long}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("worker=%v: the pool reads %v, want %v", rt == wdb, got, want)
 		}
 	}
 }
 
-// TestPrepareBatchCopiesSpec prepares kernels with every expression kind,
-// value type, sink and aggregate: the kernel is the spec with each pool slot
-// bound to the value the slot holds, it shares no node with the spec, and the
-// spec is left as it was, so the next execution prepares from it again.
-func TestPrepareBatchCopiesSpec(t *testing.T) {
+// TestCheckedKernelsRun checks kernels with every expression kind, value
+// type, sink and aggregate and runs them: the check leaves the spec as it
+// was and the kernel runs the spec itself, over rows of zeros and, for the
+// probe kernel, against an empty join table. A pool literal is read where
+// the kernel evaluates it: one kernel, run again after the pool is bound to
+// other values, counts the rows those values select, on both sides of the
+// 12-byte inline limit of a string.
+func TestCheckedKernelsRun(t *testing.T) {
 	db := newDB(t)
 	pool := []qir.PoolConst{{Type: qir.I64, Lo: 7}, {Type: qir.Str, Str: "AIR"}, {Type: qir.F64, Lo: math.Float64bits(2.5)}}
 	if err := db.BindConstPool(pool); err != nil {
 		t.Fatal(err)
 	}
-	col := func(ty BatchType, base, elem uint64) *BatchExpr {
-		return &BatchExpr{Kind: BECol, Ty: ty, Base: base, Elem: elem}
+	rows := db.M.Alloc(0x6000) // the kernels' columns, at offsets into rows
+	col := func(ty BatchType, off, elem uint64) *BatchExpr {
+		return &BatchExpr{Kind: BECol, Ty: ty, Base: rows + off, Elem: elem}
 	}
 	agg := &BatchSpec{
 		Sink:  BatchSinkAgg,
@@ -230,32 +224,65 @@ func TestPrepareBatchCopiesSpec(t *testing.T) {
 			{Off: 16, Src: col(BTStr, 0x300, 16)},
 		},
 	}
-	for _, spec := range []*BatchSpec{agg, build, probeSpec()} {
+	probe := probeSpec()
+	probe.Probe[0].E.Base += rows
+	run := func(k *BatchKernel) *hashTable {
+		t.Helper()
+		s := k.Spec()
+		sink := db.handle(db.htCreate(s.Width, s.Sink == BatchSinkAgg)).(*hashTable)
+		var join *hashTable
+		if len(s.Probe) > 0 {
+			join = db.handle(db.htCreate(32, false)).(*hashTable)
+		}
+		if err := db.batchExec(k, sink, join, 0, 4); err != nil {
+			t.Fatalf("sink %d: %v", s.Sink, err)
+		}
+		return sink
+	}
+	for _, spec := range []*BatchSpec{agg, build, probe} {
 		before := specBytes(spec)
-		want := readSpec(before)
-		walkSpec(want, func(e *BatchExpr, _ int) {
-			if e.Kind == BEPool {
-				v := pool[e.Slot]
-				*e = BatchExpr{Kind: BEConst, Ty: e.Ty, I: int64(v.Lo), F: math.Float64frombits(v.Lo), S: []byte(v.Str)}
-			}
-		})
-		bp, err := db.batchPrepare(spec)
+		k, err := CheckBatchSpec(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := specBytes(bp.spec); !bytes.Equal(got, specBytes(want)) {
-			t.Errorf("sink %d: the kernel is not the spec with its pool slots bound:\n got %x\nwant %x", spec.Sink, got, specBytes(want))
+		if k.Spec() != spec || !bytes.Equal(specBytes(spec), before) {
+			t.Errorf("sink %d: the kernel is not the spec as it was checked", spec.Sink)
 		}
-		if !bytes.Equal(specBytes(spec), before) {
-			t.Errorf("sink %d: preparing changed the spec", spec.Sink)
+		run(k)
+	}
+
+	// COUNT(*) WHERE i <= slot 0 AND s = slot 1 over four rows.
+	long := "a string longer than twelve bytes"
+	ints, strs := rows+0x1000, rows+0x4000
+	for r, s := range []string{long, "AIR", long, "AIR"} {
+		put64(db.M.Mem[ints+uint64(r)*8:], uint64(r))
+		lo, hi := db.InternString(s)
+		put64(db.M.Mem[strs+uint64(r)*16:], lo)
+		put64(db.M.Mem[strs+uint64(r)*16+8:], hi)
+	}
+	count, err := CheckBatchSpec(&BatchSpec{Sink: BatchSinkAgg, Width: 8,
+		Filters: []*BatchExpr{
+			{Kind: BECmp, Ty: BTInt, Op: BCmpLE, L: col(BTInt, 0x1000, 8), R: &BatchExpr{Kind: BEPool, Ty: BTInt, Slot: 0}},
+			{Kind: BECmp, Ty: BTStr, Op: BCmpEQ, L: col(BTStr, 0x4000, 16), R: &BatchExpr{Kind: BEPool, Ty: BTStr, Slot: 1}}},
+		Aggs: []BatchAgg{{Fn: BAggCount, Ty: BTInt}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		i    uint64
+		s    string
+		want uint64
+	}{{7, "AIR", 2}, {2, "AIR", 1}, {2, long, 2}, {0, long, 1}, {3, "BUILDING", 0}} {
+		if err := db.BindConstPool([]qir.PoolConst{{Type: qir.I64, Lo: c.i}, {Type: qir.Str, Str: c.s}}); err != nil {
+			t.Fatal(err)
 		}
-		nodes := map[*BatchExpr]bool{}
-		walkSpec(spec, func(e *BatchExpr, _ int) { nodes[e] = true })
-		walkSpec(bp.spec, func(e *BatchExpr, _ int) {
-			if nodes[e] {
-				t.Errorf("sink %d: the kernel shares node %+v with the spec", spec.Sink, e)
-			}
-		})
+		got := uint64(0)
+		if sink := run(count); len(sink.entries) > 0 {
+			got = le64(db.M.Mem[sink.entries[0]:])
+		}
+		if got != c.want {
+			t.Errorf("i <= %d AND s = %q: %d rows, want %d", c.i, c.s, got, c.want)
+		}
 	}
 }
 

@@ -385,7 +385,7 @@ func TestDeclinedKernelsGiveBackTheirSlots(t *testing.T) {
 	for _, p := range batch.Pipelines {
 		if p.Kernel != nil {
 			kernels++
-			if len(p.Kernel.Probe) > 0 {
+			if len(p.Kernel.Spec().Probe) > 0 {
 				t.Errorf("%q: the probe kernel was not declined", q)
 			}
 		}

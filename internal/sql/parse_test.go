@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"qcc"
 	"qcc/internal/codegen"
 	"qcc/internal/plan"
 	"qcc/internal/qir"
@@ -174,4 +175,39 @@ func litValues(lits []plan.Expr) []qir.PoolConst {
 		vals = append(vals, v)
 	}
 	return vals
+}
+
+// TestMinMaxOverStringsRefused: MIN and MAX take no string argument. The
+// binder refuses one with an error naming the aggregate and the column,
+// and qc.Exec returns that error whether kernels are on or off, before any
+// code is generated.
+func TestMinMaxOverStringsRefused(t *testing.T) {
+	cat := loadCatalog(t, tpch.Load, 0.001)
+	for _, c := range []struct{ stmt, want string }{
+		{"SELECT MIN(l_shipmode) FROM lineitem WHERE l_quantity < 5", "sql: MIN over the string l_shipmode is not supported"},
+		{"SELECT l_returnflag, MAX(l_shipmode) FROM lineitem GROUP BY l_returnflag", "sql: MAX over the string l_shipmode is not supported"},
+	} {
+		if _, err := sql.Parse(c.stmt, cat); err == nil || err.Error() != c.want {
+			t.Errorf("sql.Parse(%q): %v, want %q", c.stmt, err, c.want)
+		}
+		for _, batch := range []bool{true, false} {
+			db, err := qc.Open(qc.WithBatch(batch), qc.WithMemoryMB(64))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := db.LoadTPCH(0.001); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := db.Exec(c.stmt); err == nil || err.Error() != c.want {
+				t.Errorf("qc.Exec(%q) with batch %v: %v, want %q", c.stmt, batch, err, c.want)
+			}
+		}
+	}
+	// A numeric argument, and COUNT of a string, still bind.
+	for _, stmt := range []string{"SELECT MIN(l_quantity), MAX(l_shipdate) FROM lineitem",
+		"SELECT COUNT(l_shipmode) FROM lineitem"} {
+		if _, err := sql.Parse(stmt, cat); err != nil {
+			t.Errorf("sql.Parse(%q): %v", stmt, err)
+		}
+	}
 }

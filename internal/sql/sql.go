@@ -311,9 +311,10 @@ func (p *parser) selectStmt(fromWhere func(*parser) (plan.Node, *binding, error)
 		return nil, err
 	}
 	type selItem struct {
-		agg  *plan.AggFn
-		expr func(b *binding) (plan.Expr, error) // nil for COUNT(*)
-		name string
+		agg     *plan.AggFn
+		aggName string
+		expr    func(b *binding) (plan.Expr, error) // nil for COUNT(*)
+		name    string
 	}
 	var items []selItem
 	star := p.peek().kind == tkPunct && p.peek().text == "*"
@@ -329,7 +330,7 @@ func (p *parser) selectStmt(fromWhere func(*parser) (plan.Node, *binding, error)
 			fn := aggByName(t.text)
 			p.next()
 			p.next() // '('
-			it.agg = &fn
+			it.agg, it.aggName = &fn, t.text
 			if p.peek().text == "*" {
 				if fn != plan.AggCount {
 					return nil, fmt.Errorf("sql: %s(*)", t.text)
@@ -419,6 +420,9 @@ func (p *parser) selectStmt(fromWhere func(*parser) (plan.Node, *binding, error)
 					return nil, err
 				}
 				arg = a
+			}
+			if (*it.agg == plan.AggMin || *it.agg == plan.AggMax) && arg.Type() == qir.Str {
+				return nil, fmt.Errorf("sql: %s over the string %s is not supported", it.aggName, arg)
 			}
 			name := it.name
 			if name == "" {
